@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos bench bench-compile bench-key bench-report metrics-format ci
+.PHONY: all build test vet race chaos bench bench-compile bench-key bench-report bench-selftest metrics-format ci
 
 all: build
 
@@ -59,7 +59,15 @@ bench-report:
 metrics-format:
 	$(GO) test -count=1 -run 'TestPromMetricsExposition|TestPromMetricsExemplars|TestRegistryExposition|TestValidateExposition|TestExemplar|TestRuntimeTelemetry' ./internal/provservice/ ./internal/obs/ ./internal/flightrec/
 
+# The repo benchmark harness under bench/ is its own module (it imports
+# repro/internal/... through a replace directive), so `go build ./...`
+# and `go test ./...` from the root never compile it. Vet and test it
+# here so an API change that breaks the harness fails CI, not the
+# benchmark run.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Full gate: build, static checks, unit tests, the race-detector pass
-# over every package, the exposition-format gate, and the benchmark
-# compile smoke.
-ci: build vet test race chaos metrics-format bench-compile
+# over every package, the exposition-format gate, the benchmark compile
+# smoke, and the benchmark harness's own tests.
+ci: build vet test race chaos metrics-format bench-compile bench-selftest

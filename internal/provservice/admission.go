@@ -2,7 +2,6 @@ package provservice
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -192,20 +191,4 @@ func (s *Service) withDeadline(next http.Handler) http.Handler {
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
-}
-
-// deadlineErr maps a context expiry surfaced from the store to a 503
-// with a Retry-After floor, reporting whether it handled the error.
-// 503 (not 408/504): the server is shedding its own queue wait, and
-// retryable-server-error is the contract provclient already honors.
-func deadlineErr(w http.ResponseWriter, err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "request deadline exceeded before the write was durable")
-		return true
-	}
-	return false
 }

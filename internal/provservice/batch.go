@@ -36,7 +36,7 @@ import (
 // Either way the batch is atomic: every record must parse and every
 // document must be valid, or the whole request is rejected with one
 // error entry per failing record and nothing is stored. Accepted
-// batches commit through provstore.PutBatch — one WAL record, one
+// batches commit through one provstore Apply — one WAL record, one
 // group-commit fsync — so a crash can never surface part of a batch.
 
 // BatchBinaryContentType selects the binary batch request encoding.
@@ -80,9 +80,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.handleBatchBinary(w, r)
 		return
 	}
-	docs := make(map[string]provstore.BatchItem)
+	var ops []provstore.Op // request order
+	seen := make(map[string]struct{})
 	var lineErrs []batchLineError
-	ids := make([]string, 0, 16) // request order, for the response
 	br := bufio.NewReader(r.Body)
 	// The "parse" span covers the whole NDJSON decode loop (reads are
 	// interleaved with parsing, so they are inseparable here). Ended
@@ -122,7 +122,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: bl.ID, Error: "missing doc"})
 				break
 			}
-			if _, dup := docs[bl.ID]; dup {
+			if _, dup := seen[bl.ID]; dup {
 				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: bl.ID,
 					Error: fmt.Sprintf("duplicate id %q in batch", bl.ID)})
 				break
@@ -140,9 +140,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			// Hand the wire bytes through so the store journals them
 			// verbatim instead of re-marshaling the whole batch.
-			docs[bl.ID] = provstore.BatchItem{Doc: doc, Raw: bl.Doc}
-			ids = append(ids, bl.ID)
-			if max := s.maxBatchDocs(); len(docs) > max {
+			seen[bl.ID] = struct{}{}
+			ops = append(ops, provstore.Op{ID: bl.ID, Doc: doc, Raw: bl.Doc})
+			if max := s.maxBatchDocs(); len(ops) > max {
 				writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d documents", max)
 				return
 			}
@@ -157,33 +157,26 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	parseSpan.End()
-	s.commitBatch(w, r, docs, ids, lineErrs)
+	s.commitBatch(w, r, ops, lineErrs)
 }
 
 // commitBatch is the shared tail of both batch encodings: reject on
 // accumulated per-record errors, otherwise store atomically and answer.
-func (s *Service) commitBatch(w http.ResponseWriter, r *http.Request, docs map[string]provstore.BatchItem, ids []string, lineErrs []batchLineError) {
+func (s *Service) commitBatch(w http.ResponseWriter, r *http.Request, ops []provstore.Op, lineErrs []batchLineError) {
 	if len(lineErrs) > 0 {
 		writeBatchRejected(w, http.StatusUnprocessableEntity, lineErrs)
 		return
 	}
-	if len(docs) == 0 {
+	if len(ops) == 0 {
 		writeErr(w, http.StatusBadRequest, "empty batch: no documents in request body")
 		return
 	}
-	if err := s.store.PutBatchRawCtx(r.Context(), docs); err != nil {
-		if deadlineErr(w, err) {
-			return
-		}
-		if errors.Is(err, provstore.ErrJournal) {
-			writeErr(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		if errors.Is(err, provstore.ErrReadOnly) {
-			writeErr(w, http.StatusForbidden, "%v", err)
-			return
-		}
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+	ids := make([]string, len(ops)) // request order: Apply re-sorts ops
+	for i := range ops {
+		ids[i] = ops[i].ID
+	}
+	if err := s.store.Apply(r.Context(), ops); err != nil {
+		writeStoreErr(w, err, http.StatusUnprocessableEntity)
 		return
 	}
 	s.setSeqHeader(w)
@@ -206,9 +199,9 @@ func (s *Service) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	docs := make(map[string]provstore.BatchItem)
+	var ops []provstore.Op
+	seen := make(map[string]struct{})
 	var lineErrs []batchLineError
-	ids := make([]string, 0, 16)
 	parseSpan := obs.FromContext(r.Context()).StartSpan("parse")
 	pos, rec := 0, 0
 scan:
@@ -246,7 +239,7 @@ scan:
 		case len(blob) == 0:
 			lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id, Error: "missing doc"})
 		default:
-			if _, dup := docs[id]; dup {
+			if _, dup := seen[id]; dup {
 				lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id,
 					Error: fmt.Sprintf("duplicate id %q in batch", id)})
 				break
@@ -268,9 +261,9 @@ scan:
 			}
 			// The validated wire blob is journaled verbatim (it carries
 			// its own format tag), sparing the store a re-encode.
-			docs[id] = provstore.BatchItem{Doc: doc, Raw: blob}
-			ids = append(ids, id)
-			if max := s.maxBatchDocs(); len(docs) > max {
+			seen[id] = struct{}{}
+			ops = append(ops, provstore.Op{ID: id, Doc: doc, Raw: blob})
+			if max := s.maxBatchDocs(); len(ops) > max {
 				writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d documents", max)
 				return
 			}
@@ -282,7 +275,7 @@ scan:
 		}
 	}
 	parseSpan.End()
-	s.commitBatch(w, r, docs, ids, lineErrs)
+	s.commitBatch(w, r, ops, lineErrs)
 }
 
 // readLimitedLine reads one line (without its trailing newline) from

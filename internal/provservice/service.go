@@ -52,15 +52,15 @@ import (
 // *provstore.Store implements it; tests and alternative back-ends can
 // substitute their own.
 type StoreAPI interface {
-	// Mutations take the request context: the deadline installed by the
-	// withDeadline middleware propagates into shard-lock acquisition and
-	// the group-commit wait, so abandoned requests stop consuming fsync
-	// tickets. Context expiry surfaces as context.Canceled /
-	// context.DeadlineExceeded, never wrapped in store error types.
-	PutCtx(ctx context.Context, id string, doc *prov.Document) error
-	PutBatchRawCtx(ctx context.Context, items map[string]provstore.BatchItem) error
+	// Apply is the one write: puts and deletes, single or batched, as an
+	// atomic unit. It takes the request context: the deadline installed
+	// by the withDeadline middleware propagates into shard-lock
+	// acquisition and the group-commit wait, so abandoned requests stop
+	// consuming fsync tickets. Context expiry surfaces as
+	// context.Canceled / context.DeadlineExceeded, never wrapped in
+	// store error types.
+	Apply(ctx context.Context, ops []provstore.Op) error
 	Get(id string) (*prov.Document, bool)
-	DeleteCtx(ctx context.Context, id string) error
 	List() []string
 	Lineage(doc string, node prov.QName, dir provstore.LineageDirection, depth int) ([]prov.QName, error)
 	Subgraph(doc string, node prov.QName, hops int) (*prov.Document, error)
@@ -414,6 +414,28 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	}
 }
 
+// writeStoreErr answers a failed store write. A context expiry is a 503
+// with a Retry-After floor (not 408/504: the server is shedding its own
+// queue wait, and retryable-server-error is the contract provclient
+// already honors); a journal failure is a 503 too — a durability
+// outage, not a bad request, so a 4xx would tell clients to stop
+// retrying a server-side failure; a read-only replica answers 403 (the
+// second line of defense behind the follower guard). Anything else is
+// the request's own fault and gets the caller's fallback status.
+func writeStoreErr(w http.ResponseWriter, err error, fallback int) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusServiceUnavailable, "request deadline exceeded before the write was durable")
+	case errors.Is(err, provstore.ErrJournal):
+		writeErr(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, provstore.ErrReadOnly):
+		writeErr(w, http.StatusForbidden, "%v", err)
+	default:
+		writeErr(w, fallback, "%v", err)
+	}
+}
+
 func writeErr(w http.ResponseWriter, status int, format string, args ...interface{}) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
@@ -585,40 +607,15 @@ func (s *Service) handleDocumentCRUD(w http.ResponseWriter, r *http.Request, id 
 			writeErr(w, http.StatusBadRequest, "invalid PROV-JSON: %v", err)
 			return
 		}
-		if err := s.store.PutCtx(r.Context(), id, doc); err != nil {
-			if deadlineErr(w, err) {
-				return
-			}
-			if errors.Is(err, provstore.ErrJournal) {
-				// Durability outage, not a bad document: a 4xx would
-				// tell clients to stop retrying a server-side failure.
-				writeErr(w, http.StatusServiceUnavailable, "%v", err)
-				return
-			}
-			if errors.Is(err, provstore.ErrReadOnly) {
-				// Second line of defense behind the follower guard.
-				writeErr(w, http.StatusForbidden, "%v", err)
-				return
-			}
-			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+		if err := s.store.Apply(r.Context(), []provstore.Op{{ID: id, Doc: doc}}); err != nil {
+			writeStoreErr(w, err, http.StatusUnprocessableEntity)
 			return
 		}
 		s.setSeqHeader(w)
 		writeJSON(w, http.StatusCreated, map[string]interface{}{"id": id, "stats": doc.Stats()})
 	case http.MethodDelete:
-		if err := s.store.DeleteCtx(r.Context(), id); err != nil {
-			if deadlineErr(w, err) {
-				return
-			}
-			if errors.Is(err, provstore.ErrJournal) {
-				writeErr(w, http.StatusServiceUnavailable, "%v", err)
-				return
-			}
-			if errors.Is(err, provstore.ErrReadOnly) {
-				writeErr(w, http.StatusForbidden, "%v", err)
-				return
-			}
-			writeErr(w, http.StatusNotFound, "%v", err)
+		if err := s.store.Apply(r.Context(), []provstore.Op{{ID: id}}); err != nil {
+			writeStoreErr(w, err, http.StatusNotFound)
 			return
 		}
 		s.setSeqHeader(w)

@@ -3,289 +3,34 @@ package provstore
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/prov"
-	"repro/internal/wal"
 )
 
-// Bulk ingestion. PutBatch and DeleteBatch apply N documents as one
-// atomic unit: every document is validated up front, all owning shards
-// are locked together, and the whole batch is journaled as a single
-// write-ahead-log record (a binary batch envelope; see codec.go). One
-// record means one Stage, one group-commit ticket, and one fsync for
-// the entire batch — and, because a record is the WAL's atomicity unit
-// (CRC-framed, truncated whole if torn), crash recovery can only ever
-// replay the whole batch or none of it. Sub-op document bytes — wire
-// JSON from the HTTP handler or binary blobs alike — are appended to
-// the record verbatim, so journaling a batch costs one buffer write,
-// not a re-encode. Any validation, projection, or staging failure rolls
-// every shard back to its pre-batch state before the error is returned,
-// so a failed batch is invisible to readers, to later snapshots, and to
-// replay.
-
-// batchEntry is one (shard, id, previous document) triple recorded
-// while a batch is applied, so a later failure can unwind it.
-type batchEntry struct {
-	sh   *shard
-	id   string
-	prev *prov.Document // nil when the id did not exist before the batch
-}
-
-// rollbackBatch unwinds applied entries in reverse order. The owning
-// shard locks must still be held.
-func rollbackBatch(applied []batchEntry) {
-	for i := len(applied) - 1; i >= 0; i-- {
-		e := applied[i]
-		e.sh.deleteLocked(e.id)
-		if e.prev != nil {
-			_ = e.sh.putLocked(e.id, e.prev) // re-projecting a previously valid doc cannot fail
-		}
-	}
-}
-
-// lockShards write-locks every shard index in the set, in ascending
-// order. Put/Delete hold at most one shard lock at a time and batches
-// always acquire ascending, so the ordering rules out deadlock. The
-// total wait feeds the lock-wait histogram (and the trace's "lock"
-// span); each shard's counter gets its own queueing share.
-func (s *Store) lockShards(idxs []uint32, tr *obs.Trace) {
-	start := time.Now()
-	for _, i := range idxs {
-		sh := s.shards[i]
-		t0 := time.Now()
-		sh.mu.Lock()
-		sh.lockWaitNanos.Add(int64(time.Since(t0)))
-	}
-	total := time.Since(start)
-	s.lockWait.ObserveExemplar(int64(total), tr.ID())
-	tr.Observe("lock", total)
-}
-
-func (s *Store) unlockShards(idxs []uint32) {
-	for i := len(idxs) - 1; i >= 0; i-- {
-		s.shards[idxs[i]].mu.Unlock()
-	}
-}
-
-// shardSet returns the sorted, deduplicated shard indices owning ids.
-func (s *Store) shardSet(ids []string) []uint32 {
-	seen := make(map[uint32]struct{}, len(ids))
-	idxs := make([]uint32, 0, len(ids))
-	for _, id := range ids {
-		i := s.shardIndex(id)
-		if _, ok := seen[i]; !ok {
-			seen[i] = struct{}{}
-			idxs = append(idxs, i)
-		}
-	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	return idxs
-}
-
-// stageBatchLocked journals one already-applied batch while every
-// involved shard lock is held (log order matches apply order); it is
-// stageLocked with the whole batch as the rollback unit.
-func (s *Store) stageBatchLocked(op []byte, applied []batchEntry) (wal.Ticket, bool, error) {
-	return s.stageLocked(op, nil, func() { rollbackBatch(applied) })
-}
-
-// BatchItem is one document of a raw batch: the parsed document plus,
-// optionally, its already-encoded PROV-JSON. When Raw is set it is
-// journaled verbatim — it MUST be the JSON encoding Doc was parsed
-// from (the HTTP batch handler passes each request line's doc bytes
-// through), which spares the hot path a full re-marshal of the batch.
-// When Raw is nil the store encodes Doc itself.
-type BatchItem struct {
-	Doc *prov.Document
-	Raw []byte
-}
+// Bulk conveniences over Apply: N documents as one atomic unit, one
+// journal record and one fsync (README, "Bulk ingestion").
 
 // PutBatch stores (or replaces) every document in docs as one atomic
-// unit: either all of them become visible and durable together, or none
-// do and the store is left exactly as it was. On journaled stores the
-// whole batch is one log record committed through a single group-commit
-// ticket, so N documents cost one fsync. An empty batch is a no-op.
+// unit. It is Apply with one put per entry and no deadline; an empty
+// batch is a no-op.
 func (s *Store) PutBatch(docs map[string]*prov.Document) error {
-	items := make(map[string]BatchItem, len(docs))
+	ops := make([]Op, 0, len(docs))
 	for id, d := range docs {
-		items[id] = BatchItem{Doc: d}
-	}
-	return s.PutBatchRaw(items)
-}
-
-// PutBatchRaw is PutBatch for callers that already hold each document's
-// encoded form (see BatchItem.Raw); semantics are identical.
-func (s *Store) PutBatchRaw(items map[string]BatchItem) error {
-	return s.PutBatchRawCtx(context.Background(), items)
-}
-
-// PutBatchRawCtx is PutBatchRaw bounded by ctx (see PutCtx): the
-// deadline is checked before and after the shard locks are taken, so an
-// abandoned batch neither applies nor consumes a group-commit ticket,
-// and the durability wait honors the context.
-func (s *Store) PutBatchRawCtx(ctx context.Context, items map[string]BatchItem) error {
-	if err := s.readOnlyGuard(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(items) == 0 {
-		return nil
-	}
-	ids := make([]string, 0, len(items))
-	for id := range items {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // deterministic apply/journal order
-
-	// Validate everything before touching any shard: a bad document must
-	// reject the batch without any lock traffic or partial application.
-	// The HTTP handler validates per line too (for line-numbered
-	// diagnostics); the repeat here is deliberate — PutBatchRaw is a
-	// public entry point and Validate is cheap next to projection.
-	for _, id := range ids {
-		if id == "" {
-			return fmt.Errorf("provstore: batch contains an empty document id")
-		}
-		if items[id].Doc == nil {
+		if d == nil {
 			return fmt.Errorf("provstore: batch item %q has no document", id)
 		}
-		if _, err := items[id].Doc.Validate(); err != nil {
-			return fmt.Errorf("provstore: refusing invalid document %q: %w", id, err)
-		}
+		ops = append(ops, Op{ID: id, Doc: d})
 	}
-
-	tr := obs.FromContext(ctx)
-	var op []byte
-	if s.wal != nil {
-		size := 0
-		for _, id := range ids {
-			size += len(items[id].Raw) + len(id)
-		}
-		enc := newRecBatchEncoder(len(ids), size, tr.ID())
-		for _, id := range ids {
-			// Raw bytes (validated wire JSON or a binary blob) pass
-			// through verbatim; otherwise the document is encoded with
-			// the compact binary codec.
-			enc.addPut(id, s.shardIndex(id), items[id].Raw, items[id].Doc)
-		}
-		op = enc.finish()
-		defer putOpBuf(op)
-	}
-
-	idxs := s.shardSet(ids)
-	s.lockShards(idxs, tr)
-	if err := ctx.Err(); err != nil {
-		// Deadline expired while queued on the shard locks: nothing
-		// applied, nothing staged, no ticket consumed.
-		s.unlockShards(idxs)
-		return err
-	}
-	applySpan := tr.StartSpan("project")
-	applied := make([]batchEntry, 0, len(ids))
-	for _, id := range ids {
-		sh := s.shardFor(id)
-		prev := sh.docs[id]
-		if err := sh.putLocked(id, items[id].Doc); err != nil {
-			rollbackBatch(applied)
-			s.unlockShards(idxs)
-			return fmt.Errorf("provstore: batch put %q: %w", id, err)
-		}
-		applied = append(applied, batchEntry{sh: sh, id: id, prev: prev})
-	}
-	applySpan.End()
-	stageSpan := tr.StartSpan("stage")
-	ticket, staged, err := s.stageBatchLocked(op, applied)
-	stageSpan.End()
-	if err == nil {
-		s.noteShardsApplied(idxs, s.mutationSeq(ticket, staged))
-	}
-	s.unlockShards(idxs)
-	if err != nil {
-		return err
-	}
-	return s.commitStaged(ctx, ticket, staged, len(ids))
+	return s.Apply(context.Background(), ops)
 }
 
 // DeleteBatch removes every listed document as one atomic unit. If any
 // id is missing (or listed twice) the whole batch fails and nothing is
-// deleted.
+// deleted. It is Apply with one delete per id and no deadline.
 func (s *Store) DeleteBatch(ids []string) error {
-	return s.DeleteBatchCtx(context.Background(), ids)
-}
-
-// DeleteBatchCtx is DeleteBatch bounded by ctx (see PutBatchRawCtx).
-func (s *Store) DeleteBatchCtx(ctx context.Context, ids []string) error {
-	if err := s.readOnlyGuard(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	ids = append([]string(nil), ids...)
-	sort.Strings(ids)
+	ops := make([]Op, len(ids))
 	for i, id := range ids {
-		if id == "" {
-			return fmt.Errorf("provstore: batch contains an empty document id")
-		}
-		if i > 0 && ids[i-1] == id {
-			return fmt.Errorf("provstore: duplicate id %q in delete batch", id)
-		}
+		ops[i] = Op{ID: id}
 	}
-
-	tr := obs.FromContext(ctx)
-	var op []byte
-	if s.wal != nil {
-		enc := newRecBatchEncoder(len(ids), 0, tr.ID())
-		for _, id := range ids {
-			enc.addDelete(id, s.shardIndex(id))
-		}
-		op = enc.finish()
-		defer putOpBuf(op)
-	}
-
-	idxs := s.shardSet(ids)
-	s.lockShards(idxs, tr)
-	if err := ctx.Err(); err != nil {
-		s.unlockShards(idxs)
-		return err
-	}
-	applied := make([]batchEntry, 0, len(ids))
-	for _, id := range ids {
-		sh := s.shardFor(id)
-		prev := sh.docs[id]
-		if prev == nil {
-			rollbackBatch(applied)
-			s.unlockShards(idxs)
-			return fmt.Errorf("provstore: document %q does not exist", id)
-		}
-		sh.deleteLocked(id)
-		applied = append(applied, batchEntry{sh: sh, id: id, prev: prev})
-	}
-	ticket, staged, err := s.stageBatchLocked(op, applied)
-	if err == nil {
-		s.noteShardsApplied(idxs, s.mutationSeq(ticket, staged))
-	}
-	s.unlockShards(idxs)
-	if err != nil {
-		return err
-	}
-	return s.commitStaged(ctx, ticket, staged, len(ids))
-}
-
-// noteShardsApplied advances the read watermark of every shard a batch
-// touched. The whole batch is one journal record, so every involved
-// shard lands on the same sequence. Called while the shard locks are
-// still held (see Store.PutCtx).
-func (s *Store) noteShardsApplied(idxs []uint32, seq uint64) {
-	for _, i := range idxs {
-		s.shards[i].noteApplied(seq)
-	}
+	return s.Apply(context.Background(), ops)
 }

@@ -1,6 +1,7 @@
 package provstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -79,13 +80,13 @@ func TestPutBatchBasicInMemory(t *testing.T) {
 	}
 }
 
-// TestPutBatchRawJournalsWireBytes: the raw-batch path (what the HTTP
-// handler uses) journals the caller's encoded bytes verbatim and
-// recovers identically; items without Raw fall back to marshaling.
-func TestPutBatchRawJournalsWireBytes(t *testing.T) {
+// TestApplyRawJournalsWireBytes: ops carrying Raw (what the HTTP batch
+// handlers pass) journal the caller's encoded bytes verbatim and
+// recover identically; ops without Raw fall back to encoding the doc.
+func TestApplyRawJournalsWireBytes(t *testing.T) {
 	dir := t.TempDir()
 	s := openTemp(t, dir, Durability{Fsync: true, SnapshotEvery: -1})
-	items := make(map[string]BatchItem, 4)
+	var ops []Op
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("raw-%d", i)
 		doc := testDoc(t, id)
@@ -93,14 +94,17 @@ func TestPutBatchRawJournalsWireBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		items[id] = BatchItem{Doc: doc, Raw: raw}
+		ops = append(ops, Op{ID: id, Doc: doc, Raw: raw})
 	}
-	items["noraw"] = BatchItem{Doc: testDoc(t, "noraw")} // marshal fallback
-	if err := s.PutBatchRaw(items); err != nil {
+	ops = append(ops, Op{ID: "noraw", Doc: testDoc(t, "noraw")}) // encode fallback
+	if err := s.Apply(context.Background(), ops); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutBatchRaw(map[string]BatchItem{"bad": {}}); err == nil {
+	if err := s.PutBatch(map[string]*prov.Document{"bad": nil}); err == nil {
 		t.Fatal("nil-Doc batch item accepted")
+	}
+	if err := s.Put("bad", nil); err == nil {
+		t.Fatal("nil-Doc put accepted")
 	}
 	s.Close()
 	s2 := openTemp(t, dir, Durability{})
@@ -158,63 +162,109 @@ func TestPutBatchRejectsInvalidDocAtomically(t *testing.T) {
 }
 
 // TestPutBatchStageFailureRollsBack is the fault-injection satellite: a
-// journal staging failure mid-batch (here the fail-stop latch, armed
-// for real through the wal.FS seam by failing a segment write) must
-// leave zero batch documents visible, in later snapshots, or replayed
-// after reopen — including when the batch replaces documents that
-// already existed.
+// journal staging failure (here the fail-stop latch, armed for real
+// through the wal.FS seam by failing a segment write) must leave the
+// mutation invisible to readers, to later snapshots, and to replay after
+// reopen — including when it replaces or deletes a document that already
+// existed. One row per caller of the mutation pipeline that stages: a
+// local batch, a single put, a single delete, and a replicated record.
 func TestPutBatchStageFailureRollsBack(t *testing.T) {
-	dir := t.TempDir()
-	ffs := wal.NewFaultFS(nil)
-	s := openTemp(t, dir, Durability{Fsync: true, SnapshotEvery: -1, FS: ffs})
-	if err := s.Put("pre-00", testDoc(t, "old-version")); err != nil {
-		t.Fatal(err)
-	}
-	before := storeFingerprint(s)
+	injected := errors.New("injected: device error")
+	replacement := func() *prov.Document { return testDoc(t, "new-version") }
+	for _, tc := range []struct {
+		name     string
+		follower bool
+		mutate   func(s *Store) error
+	}{
+		{name: "batch", mutate: func(s *Store) error {
+			docs := batchDocs(t, "lost", 5)
+			docs["pre-00"] = replacement() // replacement that must unwind
+			return s.PutBatch(docs)
+		}},
+		{name: "put", mutate: func(s *Store) error { return s.Put("pre-00", replacement()) }},
+		{name: "delete", mutate: func(s *Store) error { return s.Delete("pre-00") }},
+		{name: "replicated", follower: true, mutate: func(s *Store) error {
+			_, _, err := s.ApplyReplicated(wal.Record{Seq: 3, Payload: appendRecord(nil, []Op{
+				{ID: "ghost"}, // delete of a missing id: tolerated, and unwound as a no-op
+				{ID: "lost-00", Doc: testDoc(t, "lost-00")},
+				{ID: "pre-00", Doc: replacement()},
+			}, 0, "")})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := wal.NewFaultFS(nil)
+			s := openTemp(t, dir, Durability{Fsync: true, SnapshotEvery: -1, FS: ffs, Follower: tc.follower})
+			// Seed pre-00, then latch the journal the way a dying disk
+			// would: the next segment write fails, nothing lands on disk,
+			// and every later Stage is refused with the latched error.
+			if tc.follower {
+				// A follower's log only accepts the replication cursor, so
+				// the write that trips the latch is a replicated record too
+				// (seq 2: applied in memory, never durable).
+				tk, _, err := s.ApplyReplicated(putRecord(t, 1, "pre-00", testDoc(t, "old-version")))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tk.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				ffs.FailWrites(0, injected)
+				tk, _, err = s.ApplyReplicated(putRecord(t, 2, "never-acked", testDoc(t, "never-acked")))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tk.Commit(); err == nil {
+					t.Fatal("write fault did not surface")
+				}
+			} else {
+				if err := s.Put("pre-00", testDoc(t, "old-version")); err != nil {
+					t.Fatal(err)
+				}
+				ffs.FailWrites(0, injected)
+				if _, err := s.Log().Append([]byte(`{"op":"delete","id":"never-acked"}`)); err == nil {
+					t.Fatal("write fault did not surface")
+				}
+			}
+			ffs.Clear()
+			before := storeFingerprint(s)
+			seqBefore, versionBefore := s.AppliedSeq(), s.ReadVersion()
 
-	// Latch the journal the way a dying disk would: the next segment
-	// write fails, nothing lands on disk, and every later Stage is
-	// refused with the latched error.
-	ffs.FailWrites(0, errors.New("injected: device error"))
-	if _, err := s.Log().Append([]byte(`{"op":"delete","id":"never-acked"}`)); err == nil {
-		t.Fatal("write fault did not surface")
-	}
-	ffs.Clear()
+			if err := tc.mutate(s); !errors.Is(err, ErrJournal) {
+				t.Fatalf("mutation error = %v, want ErrJournal", err)
+			}
 
-	docs := batchDocs(t, "lost", 5)
-	docs["pre-00"] = testDoc(t, "new-version") // replacement that must unwind
-	err := s.PutBatch(docs)
-	if !errors.Is(err, ErrJournal) {
-		t.Fatalf("PutBatch error = %v, want ErrJournal", err)
-	}
+			if after := storeFingerprint(s); !reflect.DeepEqual(before, after) {
+				t.Fatalf("failed mutation changed store state:\n before %+v\n after  %+v", before, after)
+			}
+			if s.AppliedSeq() != seqBefore || s.ReadVersion() != versionBefore {
+				t.Fatalf("failed mutation moved watermarks: applied %d->%d, version %d->%d",
+					seqBefore, s.AppliedSeq(), versionBefore, s.ReadVersion())
+			}
+			// The rolled-back replacement must still serve the old projection.
+			got, err := s.Lineage("pre-00", prov.NewQName("ex", "model-old-version"), Ancestors, 0)
+			if err != nil || len(got) != 2 {
+				t.Fatalf("pre-existing doc projection damaged: %v %v", got, err)
+			}
+			if s.FailStop() == "" {
+				t.Fatal("latched store does not report a fail-stop reason")
+			}
+			// Snapshots must refuse to run on a latched journal: a checkpoint
+			// that succeeded here could compact away records recovery needs.
+			if err := s.Checkpoint(); err == nil {
+				t.Fatal("checkpoint on a latched journal succeeded")
+			}
+			_ = s.Close() // close-time flush also sees the latch; error expected
 
-	if after := storeFingerprint(s); !reflect.DeepEqual(before, after) {
-		t.Fatalf("failed batch changed store state:\n before %+v\n after  %+v", before, after)
-	}
-	// The rolled-back replacement must still serve the old projection.
-	got, err := s.Lineage("pre-00", prov.NewQName("ex", "model-old-version"), Ancestors, 0)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("pre-existing doc projection damaged: %v %v", got, err)
-	}
-	if s.FailStop() == "" {
-		t.Fatal("latched store does not report a fail-stop reason")
-	}
-	// Snapshots must refuse to run on a latched journal: a checkpoint
-	// that succeeded here could compact away records recovery needs.
-	if err := s.Checkpoint(); err == nil {
-		t.Fatal("checkpoint on a latched journal succeeded")
-	}
-	_ = s.Close() // close-time flush also sees the latch; error expected
-
-	s2 := openTemp(t, dir, Durability{})
-	if s2.Count() != 1 {
-		t.Fatalf("reopen after failed batch: %d docs, want 1", s2.Count())
-	}
-	if _, ok := s2.Get("lost-00"); ok {
-		t.Fatal("failed-batch document replayed after reopen")
-	}
-	if d, ok := s2.Get("pre-00"); !ok || !d.HasNode(prov.NewQName("ex", "model-old-version")) {
-		t.Fatal("pre-existing document not recovered to its pre-batch version")
+			s2 := openTemp(t, dir, Durability{})
+			if got := s2.List(); !reflect.DeepEqual(got, []string{"pre-00"}) {
+				t.Fatalf("reopen after failed mutation: %v, want only pre-00", got)
+			}
+			if d, _ := s2.Get("pre-00"); !d.HasNode(prov.NewQName("ex", "model-old-version")) {
+				t.Fatal("pre-existing document not recovered to its pre-mutation version")
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/prov"
@@ -73,14 +74,49 @@ func appendLenString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendPutRecord encodes a put record into dst. The document is
-// serialized with the compact binary codec.
-func appendPutRecord(dst []byte, id string, doc *prov.Document, shard uint32, trace string) []byte {
-	dst = append(dst, recBinaryTag, recOpPut)
+// appendRecord encodes ops as one journal record into dst: a plain put
+// or delete record for a single op, a batch envelope otherwise. Each
+// op carries the index of the shard that owns it under mask — a
+// write-time hint, never routing truth. Sub-op doc bytes given as Raw
+// are appended verbatim, so journaling a batch of wire documents costs
+// one buffer write, not a re-encode.
+func appendRecord(dst []byte, ops []Op, mask uint32, trace string) []byte {
+	need := len(trace) + 16
+	for i := range ops {
+		need += len(ops[i].Raw) + len(ops[i].ID) + 16
+	}
+	dst = slices.Grow(dst, need)
+	if len(ops) == 1 {
+		dst = append(dst, recBinaryTag, recOpByte(&ops[0]))
+		dst = appendLenString(dst, trace)
+		return appendOpBody(dst, &ops[0], mask)
+	}
+	dst = append(dst, recBinaryTag, recOpBatch)
 	dst = appendLenString(dst, trace)
-	dst = binary.AppendUvarint(dst, uint64(shard))
-	dst = appendLenString(dst, id)
-	return appendBlob(dst, nil, doc)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
+	for i := range ops {
+		dst = append(dst, recOpByte(&ops[i]))
+		dst = appendOpBody(dst, &ops[i], mask)
+	}
+	return dst
+}
+
+func recOpByte(op *Op) byte {
+	if op.Doc == nil {
+		return recOpDelete
+	}
+	return recOpPut
+}
+
+// appendOpBody appends what put/delete records and batch sub-ops share:
+// shard hint, id and, for puts, the doc blob.
+func appendOpBody(dst []byte, op *Op, mask uint32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(shardHash(op.ID)&mask))
+	dst = appendLenString(dst, op.ID)
+	if op.Doc == nil {
+		return dst
+	}
+	return appendBlob(dst, op.Raw, op.Doc)
 }
 
 // appendBlob appends a length-prefixed doc blob: raw bytes verbatim
@@ -97,60 +133,6 @@ func appendBlob(dst []byte, raw []byte, doc *prov.Document) []byte {
 	dst = prov.AppendBinary(dst, doc)
 	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	return dst
-}
-
-// appendDeleteRecord encodes a delete record into dst.
-func appendDeleteRecord(dst []byte, id string, shard uint32, trace string) []byte {
-	dst = append(dst, recBinaryTag, recOpDelete)
-	dst = appendLenString(dst, trace)
-	dst = binary.AppendUvarint(dst, uint64(shard))
-	return appendLenString(dst, id)
-}
-
-// recBatchEncoder accumulates one binary batch record. Unlike the old
-// JSON frame, sub-op doc bytes are appended verbatim (JSON wire bytes
-// or binary blobs alike) — no re-scan, no escaping pass.
-type recBatchEncoder struct {
-	buf []byte
-	n   int
-	at  int // offset of the varint count placeholder
-}
-
-// newRecBatchEncoder starts a batch record in a pooled buffer sized for
-// payloadHint doc/id bytes. Release with finishAndRelease's buffer via
-// putOpBuf after staging.
-func newRecBatchEncoder(ops, payloadHint int, trace string) *recBatchEncoder {
-	buf := getOpBuf()
-	if need := payloadHint + ops*16 + len(trace) + 16; cap(buf) < need {
-		buf = make([]byte, 0, need)
-	}
-	buf = append(buf, recBinaryTag, recOpBatch)
-	buf = appendLenString(buf, trace)
-	e := &recBatchEncoder{buf: buf, at: len(buf)}
-	// Fixed-width count (4 bytes LE) so sub-ops can stream in without a
-	// counting pass.
-	e.buf = append(e.buf, 0, 0, 0, 0)
-	return e
-}
-
-func (e *recBatchEncoder) addPut(id string, shard uint32, raw []byte, doc *prov.Document) {
-	e.n++
-	e.buf = append(e.buf, recOpPut)
-	e.buf = binary.AppendUvarint(e.buf, uint64(shard))
-	e.buf = appendLenString(e.buf, id)
-	e.buf = appendBlob(e.buf, raw, doc)
-}
-
-func (e *recBatchEncoder) addDelete(id string, shard uint32) {
-	e.n++
-	e.buf = append(e.buf, recOpDelete)
-	e.buf = binary.AppendUvarint(e.buf, uint64(shard))
-	e.buf = appendLenString(e.buf, id)
-}
-
-func (e *recBatchEncoder) finish() []byte {
-	binary.LittleEndian.PutUint32(e.buf[e.at:], uint32(e.n))
-	return e.buf
 }
 
 // recReader is a bounds-checked cursor over a binary record payload.
@@ -231,98 +213,126 @@ func parseDocBlob(blob []byte) (*prov.Document, error) {
 }
 
 // decodeRecordPayload turns one journal/replication payload into a
-// parse-validated operation, dispatching on the payload tag. Both the
-// recovery replay and the follower apply path come through here.
-func decodeRecordPayload(payload []byte, seq uint64) (parsedOp, error) {
+// parse-validated mutation — docs owned, missing deletes tolerated —
+// dispatching on the payload tag, before anything is staged or applied:
+// a malformed record is rejected while the store is still untouched.
+// Both recovery replay and the follower apply path come through here.
+func decodeRecordPayload(payload []byte, seq uint64) (mutation, error) {
+	m := mutation{owned: true, lenient: true}
+	if err := decodeRecordInto(&m, payload); err != nil {
+		return mutation{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+	}
+	return m, nil
+}
+
+func decodeRecordInto(m *mutation, payload []byte) error {
 	if len(payload) == 0 {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: empty payload", seq)
+		return fmt.Errorf("empty payload")
 	}
 	if payload[0] == '{' { // legacy JSON journalOp
 		var op journalOp
 		if err := json.Unmarshal(payload, &op); err != nil {
-			return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+			return err
 		}
-		return parseOp(op, seq, true)
+		m.trace = op.Trace
+		return decodeLegacyOp(m, op, true)
 	}
 	if payload[0] != recBinaryTag {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: unknown payload tag 0x%02x", seq, payload[0])
+		return fmt.Errorf("unknown payload tag 0x%02x", payload[0])
 	}
 	r := &recReader{buf: payload, pos: 1}
 	opByte, err := r.byte()
 	if err != nil {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+		return err
 	}
-	trace, err := r.lenString()
-	if err != nil {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+	if m.trace, err = r.lenString(); err != nil {
+		return err
 	}
-	p := parsedOp{op: journalOp{Trace: trace}}
 	switch opByte {
 	case recOpPut, recOpDelete:
-		sub, err := decodeSimpleOp(r, opByte, seq)
-		if err != nil {
-			return parsedOp{}, err
+		if err := decodeOpBody(m, r, opByte); err != nil {
+			return err
 		}
-		p.op.Op, p.op.ID, p.op.Shard = sub.op.Op, sub.op.ID, sub.op.Shard
-		p.doc = sub.doc
 	case recOpBatch:
 		n, err := r.u32()
 		if err != nil {
-			return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+			return err
 		}
 		if uint64(n) > uint64(len(payload)-r.pos) {
-			return parsedOp{}, fmt.Errorf("provstore: record seq %d: batch count %d exceeds payload", seq, n)
+			return fmt.Errorf("batch count %d exceeds payload", n)
 		}
-		p.op.Op = "batch"
-		p.subs = make([]parsedOp, 0, n)
+		m.ops = make([]Op, 0, n)
 		for i := uint32(0); i < n; i++ {
 			ob, err := r.byte()
 			if err != nil {
-				return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+				return err
 			}
 			if ob != recOpPut && ob != recOpDelete {
-				return parsedOp{}, fmt.Errorf("provstore: record seq %d: bad batch sub-op 0x%02x", seq, ob)
+				return fmt.Errorf("bad batch sub-op 0x%02x", ob)
 			}
-			sub, err := decodeSimpleOp(r, ob, seq)
-			if err != nil {
-				return parsedOp{}, err
+			if err := decodeOpBody(m, r, ob); err != nil {
+				return err
 			}
-			p.subs = append(p.subs, sub)
 		}
 	default:
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: unknown op 0x%02x", seq, opByte)
+		return fmt.Errorf("unknown op 0x%02x", opByte)
 	}
 	if r.pos != len(payload) {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: %d trailing bytes", seq, len(payload)-r.pos)
+		return fmt.Errorf("%d trailing bytes", len(payload)-r.pos)
 	}
-	return p, nil
+	return nil
 }
 
-func decodeSimpleOp(r *recReader, opByte byte, seq uint64) (parsedOp, error) {
-	shard, err := r.uvarint()
-	if err != nil {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+// decodeOpBody reads one put/delete body (see appendOpBody) onto m.ops.
+// The recorded shard hint is skipped: placement is re-derived from the
+// id hash.
+func decodeOpBody(m *mutation, r *recReader, opByte byte) error {
+	if _, err := r.uvarint(); err != nil {
+		return err
 	}
 	id, err := r.lenString()
 	if err != nil {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+		return err
 	}
-	p := parsedOp{op: journalOp{ID: id, Shard: uint32(shard)}}
-	if opByte == recOpDelete {
-		p.op.Op = "delete"
-		return p, nil
+	op := Op{ID: id}
+	if opByte == recOpPut {
+		blob, err := r.blob()
+		if err != nil {
+			return err
+		}
+		if op.Doc, err = parseDocBlob(blob); err != nil {
+			return fmt.Errorf("%q: %w", id, err)
+		}
 	}
-	p.op.Op = "put"
-	blob, err := r.blob()
-	if err != nil {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
+	m.ops = append(m.ops, op)
+	return nil
+}
+
+// decodeLegacyOp lifts a legacy JSON journalOp — the only place the
+// "put"/"delete"/"batch" op strings are still interpreted — onto m.ops.
+func decodeLegacyOp(m *mutation, op journalOp, batchOK bool) error {
+	switch op.Op {
+	case "put":
+		doc, err := prov.ParseJSON(op.Doc)
+		if err != nil {
+			return fmt.Errorf("%q: %w", op.ID, err)
+		}
+		m.ops = append(m.ops, Op{ID: op.ID, Doc: doc})
+	case "delete":
+		m.ops = append(m.ops, Op{ID: op.ID})
+	case "batch":
+		if !batchOK {
+			return fmt.Errorf("nested batch")
+		}
+		for _, sub := range op.Ops {
+			if err := decodeLegacyOp(m, sub, false); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("unknown op %q", op.Op)
 	}
-	doc, err := parseDocBlob(blob)
-	if err != nil {
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d (%q): %w", seq, id, err)
-	}
-	p.doc = doc
-	return p, nil
+	return nil
 }
 
 // appendSnapshot encodes the full-state snapshot in binary: tag, the
@@ -339,61 +349,66 @@ func appendSnapshot(dst []byte, docs map[string]*prov.Document, shards int) []by
 	return dst
 }
 
-// restoreSnapshot replays a snapshot payload — legacy JSON
-// (storeSnapshot) or binary — into the not-yet-published store.
-func (s *Store) restoreSnapshot(payload []byte) error {
+// decodeSnapshot turns a snapshot payload — legacy JSON (storeSnapshot)
+// or binary — into one mutation of owned puts.
+func decodeSnapshot(payload []byte) (mutation, error) {
+	m := mutation{owned: true, lenient: true}
+	if err := decodeSnapshotInto(&m, payload); err != nil {
+		return mutation{}, fmt.Errorf("provstore: recover snapshot: %w", err)
+	}
+	return m, nil
+}
+
+func decodeSnapshotInto(m *mutation, payload []byte) error {
 	if len(payload) == 0 {
 		return nil
 	}
 	if payload[0] == '{' {
 		var snap storeSnapshot
 		if err := json.Unmarshal(payload, &snap); err != nil {
-			return fmt.Errorf("provstore: recover snapshot: %w", err)
+			return err
 		}
 		for id, raw := range snap.Docs {
 			doc, err := prov.ParseJSON(raw)
 			if err != nil {
-				return fmt.Errorf("provstore: recover snapshot doc %q: %w", id, err)
+				return fmt.Errorf("doc %q: %w", id, err)
 			}
-			if err := s.shardFor(id).putLockedOwned(id, doc); err != nil {
-				return fmt.Errorf("provstore: recover snapshot doc %q: %w", id, err)
-			}
+			m.ops = append(m.ops, Op{ID: id, Doc: doc})
 		}
 		return nil
 	}
 	if payload[0] != recBinaryTag {
-		return fmt.Errorf("provstore: recover snapshot: unknown payload tag 0x%02x", payload[0])
+		return fmt.Errorf("unknown payload tag 0x%02x", payload[0])
 	}
 	r := &recReader{buf: payload, pos: 1}
 	if _, err := r.uvarint(); err != nil { // writer's shard count: informational
-		return fmt.Errorf("provstore: recover snapshot: %w", err)
+		return err
 	}
 	n, err := r.uvarint()
 	if err != nil {
-		return fmt.Errorf("provstore: recover snapshot: %w", err)
+		return err
 	}
 	if n > uint64(len(payload)-r.pos) {
-		return fmt.Errorf("provstore: recover snapshot: doc count %d exceeds payload", n)
+		return fmt.Errorf("doc count %d exceeds payload", n)
 	}
+	m.ops = make([]Op, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id, err := r.lenString()
 		if err != nil {
-			return fmt.Errorf("provstore: recover snapshot: %w", err)
+			return err
 		}
 		blob, err := r.blob()
 		if err != nil {
-			return fmt.Errorf("provstore: recover snapshot doc %q: %w", id, err)
+			return fmt.Errorf("doc %q: %w", id, err)
 		}
 		doc, err := parseDocBlob(blob)
 		if err != nil {
-			return fmt.Errorf("provstore: recover snapshot doc %q: %w", id, err)
+			return fmt.Errorf("doc %q: %w", id, err)
 		}
-		if err := s.shardFor(id).putLockedOwned(id, doc); err != nil {
-			return fmt.Errorf("provstore: recover snapshot doc %q: %w", id, err)
-		}
+		m.ops = append(m.ops, Op{ID: id, Doc: doc})
 	}
 	if r.pos != len(payload) {
-		return fmt.Errorf("provstore: recover snapshot: %d trailing bytes", len(payload)-r.pos)
+		return fmt.Errorf("%d trailing bytes", len(payload)-r.pos)
 	}
 	return nil
 }

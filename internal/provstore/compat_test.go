@@ -194,12 +194,8 @@ func TestMixedFormatReplication(t *testing.T) {
 
 			docA := compatDoc(t, "alpha", 2)
 			docB := compatDoc(t, "beta", 2)
-			binPut := appendPutRecord(nil, "beta", docB, 0, "")
-			enc := newRecBatchEncoder(2, 0, "")
-			enc.addPut("gamma", 0, nil, compatDoc(t, "gamma", 1))
-			enc.addDelete("alpha", 0)
-			binBatch := append([]byte(nil), enc.finish()...)
-			putOpBuf(enc.buf)
+			binPut := appendRecord(nil, []Op{{ID: "beta", Doc: docB}}, 0, "")
+			binBatch := appendRecord(nil, []Op{{ID: "gamma", Doc: compatDoc(t, "gamma", 1)}, {ID: "alpha"}}, 0, "")
 
 			records := []wal.Record{
 				{Seq: 1, Payload: legacyPutPayload(t, "alpha", docA, 0)}, // old primary

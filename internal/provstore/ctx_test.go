@@ -13,7 +13,7 @@ import (
 // it applies, stages, or consumes a group-commit ticket: the journal's
 // append counter must not move and the store must stay readable and
 // unchanged.
-func TestPutCtxExpiredConsumesNoTicket(t *testing.T) {
+func TestApplyExpiredConsumesNoTicket(t *testing.T) {
 	s := openTemp(t, t.TempDir(), Durability{Fsync: true, SnapshotEvery: -1})
 	if err := s.Put("keep", testDoc(t, "keep")); err != nil {
 		t.Fatal(err)
@@ -22,49 +22,46 @@ func TestPutCtxExpiredConsumesNoTicket(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.PutCtx(ctx, "late", testDoc(t, "late")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PutCtx on dead context: got %v, want context.Canceled", err)
-	}
-	if err := s.DeleteCtx(ctx, "keep"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DeleteCtx on dead context: got %v, want context.Canceled", err)
-	}
-	if err := s.PutBatchRawCtx(ctx, map[string]BatchItem{"b": {Doc: testDoc(t, "b")}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PutBatchRawCtx on dead context: got %v, want context.Canceled", err)
+	for name, ops := range map[string][]Op{
+		"put":    {{ID: "late", Doc: testDoc(t, "late")}},
+		"delete": {{ID: "keep"}},
+		"batch":  {{ID: "b1", Doc: testDoc(t, "b1")}, {ID: "b2", Doc: testDoc(t, "b2")}, {ID: "keep"}},
+	} {
+		if err := s.Apply(ctx, ops); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s on dead context: got %v, want context.Canceled", name, err)
+		}
 	}
 
 	if after := s.Log().Stats().Appends; after != appendsBefore {
 		t.Fatalf("dead-context mutations consumed %d tickets", after-appendsBefore)
 	}
-	if _, ok := s.Get("late"); ok {
-		t.Fatal("dead-context Put became visible")
-	}
-	if _, ok := s.Get("keep"); !ok {
-		t.Fatal("dead-context Delete removed the document")
+	if got := s.List(); len(got) != 1 || got[0] != "keep" {
+		t.Fatalf("dead-context mutations changed the store: %v", got)
 	}
 	// A live context is business as usual.
-	if err := s.PutCtx(context.Background(), "ok", testDoc(t, "ok")); err != nil {
+	if err := s.Apply(context.Background(), []Op{{ID: "ok", Doc: testDoc(t, "ok")}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // A deadline that expires mid-fsync stops the caller's wait without
 // blocking for the disk; the store itself stays healthy.
-func TestPutCtxDeadlineDuringCommit(t *testing.T) {
+func TestApplyDeadlineDuringCommit(t *testing.T) {
 	ffs := wal.NewFaultFS(nil)
 	s := openTemp(t, t.TempDir(), Durability{Fsync: true, SnapshotEvery: -1, FS: ffs})
 	ffs.SlowSyncs(200 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := s.PutCtx(ctx, "slow", testDoc(t, "slow"))
+	err := s.Apply(ctx, []Op{{ID: "slow", Doc: testDoc(t, "slow")}})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("PutCtx under slow fsync: got %v, want deadline exceeded", err)
+		t.Fatalf("Apply under slow fsync: got %v, want deadline exceeded", err)
 	}
 	if errors.Is(err, ErrJournal) {
 		t.Fatal("deadline expiry misreported as a journal failure")
 	}
 	if waited := time.Since(start); waited > 150*time.Millisecond {
-		t.Fatalf("PutCtx waited %v past its deadline", waited)
+		t.Fatalf("Apply waited %v past its deadline", waited)
 	}
 	ffs.Clear()
 	// The journal is not latched: later writes succeed.

@@ -1,0 +1,243 @@
+package provstore
+
+import (
+	"bufio"
+	"context"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/prov"
+	"repro/internal/wal"
+)
+
+// Format pin. testdata/format_golden.txt holds payloads the parent of
+// the one-pipeline refactor wrote for a put, a delete, a mixed 3-op
+// batch and a snapshot. The encoder must reproduce them byte for byte —
+// directly and end to end through a durable store — and the decoder must
+// turn each, and its legacy-JSON equivalent, into the same mutation.
+
+const (
+	goldenTrace  = "golden-1"
+	goldenShards = 4
+)
+
+// goldenDoc is deterministic under the binary document codec (which
+// iterates maps): one entity with one attribute, one activity, one
+// relation.
+func goldenDoc(tag string) *prov.Document {
+	d := prov.NewDocument()
+	e := prov.NewQName("ex", tag+"-e")
+	a := prov.NewQName("ex", tag+"-a")
+	d.AddEntity(e, prov.Attrs{"provml:name": prov.Str(tag)})
+	d.AddActivity(a, nil).StartTime = time.Date(2025, 7, 1, 0, 0, 0, 0, time.UTC)
+	d.WasGeneratedBy(e, a, time.Date(2025, 7, 1, 1, 0, 0, 0, time.UTC))
+	return d
+}
+
+func loadGolden(t *testing.T) map[string][]byte {
+	t.Helper()
+	f, err := os.Open("testdata/format_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := make(map[string][]byte)
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		name, hx, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.HasPrefix(name, "#") {
+			continue
+		}
+		b, err := hex.DecodeString(hx)
+		if err != nil {
+			t.Fatalf("golden %q: %v", name, err)
+		}
+		out[name] = b
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func mustJSON(t *testing.T, d *prov.Document) []byte {
+	t.Helper()
+	j, err := d.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// goldenOps are the three pinned mutations, batch ops deliberately not
+// in id order (Apply sorts).
+func goldenOps(t *testing.T) (put, del, batch []Op) {
+	docB := goldenDoc("b")
+	put = []Op{{ID: "run/a", Doc: goldenDoc("a")}}
+	del = []Op{{ID: "run/a"}}
+	batch = []Op{
+		{ID: "run/d"},
+		{ID: "run/c", Doc: goldenDoc("c")},               // binary blob
+		{ID: "run/b", Doc: docB, Raw: mustJSON(t, docB)}, // raw-JSON blob
+	}
+	return put, del, batch
+}
+
+func wantBytes(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if string(got) != string(want) {
+		t.Errorf("%s differs from the parent's bytes:\n got %x\nwant %x", what, got, want)
+	}
+}
+
+func TestRecordFormatGoldenEncode(t *testing.T) {
+	golden := loadGolden(t)
+	put, del, batch := goldenOps(t)
+
+	sorted := []Op{batch[2], batch[1], batch[0]}
+	wantBytes(t, "put record", appendRecord(nil, put, goldenShards-1, goldenTrace), golden["put"])
+	wantBytes(t, "delete record", appendRecord(nil, del, goldenShards-1, goldenTrace), golden["del"])
+	wantBytes(t, "batch record", appendRecord(nil, sorted, goldenShards-1, goldenTrace), golden["batch"])
+	wantBytes(t, "snapshot", appendSnapshot(nil, map[string]*prov.Document{"run/a": put[0].Doc}, goldenShards), golden["snap"])
+
+	// End to end: the same bytes reach the journal through the store.
+	dir := t.TempDir()
+	ctx := obs.WithTrace(context.Background(), obs.NewTrace(goldenTrace))
+	journal := func() *wal.RecoveredState {
+		t.Helper()
+		l, rec, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	s := openTemp(t, dir, Durability{Shards: goldenShards, SnapshotEvery: -1})
+	if err := s.Apply(ctx, put); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := journal(); len(rec.Records) != 1 {
+		t.Fatalf("journal holds %d records, want 1", len(rec.Records))
+	} else {
+		wantBytes(t, "journaled put", rec.Records[0].Payload, golden["put"])
+	}
+
+	s = openTemp(t, dir, Durability{Shards: goldenShards, SnapshotEvery: -1})
+	if err := s.Checkpoint(); err != nil { // single document: map order is moot
+		t.Fatal(err)
+	}
+	if err := s.Put("run/d", goldenDoc("d")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(ctx, del); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := journal()
+	wantBytes(t, "journaled snapshot", rec.SnapshotPayload, golden["snap"])
+	if len(rec.Records) != 3 {
+		t.Fatalf("journal tail holds %d records, want 3", len(rec.Records))
+	}
+	wantBytes(t, "journaled batch", rec.Records[1].Payload, golden["batch"])
+	wantBytes(t, "journaled delete", rec.Records[2].Payload, golden["del"])
+}
+
+func TestRecordFormatGoldenDecode(t *testing.T) {
+	golden := loadGolden(t)
+	docA, docB, docC := goldenDoc("a"), goldenDoc("b"), goldenDoc("c")
+	legacy := func(op journalOp) []byte {
+		t.Helper()
+		b, err := json.Marshal(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	legacySnap, err := json.Marshal(storeSnapshot{Docs: map[string]json.RawMessage{"run/a": mustJSON(t, docA)}, Shards: goldenShards})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type wantOp struct {
+		id  string
+		doc *prov.Document // nil = delete
+	}
+	putA := []wantOp{{"run/a", docA}}
+	delA := []wantOp{{"run/a", nil}}
+	batch := []wantOp{{"run/b", docB}, {"run/c", docC}, {"run/d", nil}}
+	record := func(p []byte) (mutation, error) { return decodeRecordPayload(p, 7) }
+
+	for _, tc := range []struct {
+		name    string
+		decode  func([]byte) (mutation, error)
+		payload []byte
+		trace   string
+		ops     []wantOp
+	}{
+		{"binary put", record, golden["put"], goldenTrace, putA},
+		{"binary delete", record, golden["del"], goldenTrace, delA},
+		{"binary batch", record, golden["batch"], goldenTrace, batch},
+		{"binary snapshot", decodeSnapshot, golden["snap"], "", putA},
+		{"legacy put", record, legacyPutPayload(t, "run/a", docA, 2), "", putA},
+		{"legacy delete", record, legacyDeletePayload(t, "run/a"), "", delA},
+		{"legacy batch", record, legacy(journalOp{Op: "batch", Trace: goldenTrace, Ops: []journalOp{
+			{Op: "put", ID: "run/b", Shard: 3, Doc: mustJSON(t, docB)},
+			{Op: "put", ID: "run/c", Doc: mustJSON(t, docC)},
+			{Op: "delete", ID: "run/d", Shard: 1},
+		}}), goldenTrace, batch},
+		{"legacy snapshot", decodeSnapshot, legacySnap, "", putA},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := tc.decode(tc.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Decoded mutations hand their docs over, tolerate missing
+			// deletes, and carry nothing to stage until a caller says so.
+			if !m.owned || !m.lenient || m.record != nil || m.seq != 0 || m.trace != tc.trace {
+				t.Fatalf("mutation = {owned:%v lenient:%v record:%x seq:%d trace:%q}, want owned, lenient, unstaged, trace %q",
+					m.owned, m.lenient, m.record, m.seq, m.trace, tc.trace)
+			}
+			if len(m.ops) != len(tc.ops) {
+				t.Fatalf("%d ops, want %d", len(m.ops), len(tc.ops))
+			}
+			for i, w := range tc.ops {
+				op := m.ops[i]
+				if op.ID != w.id || (op.Doc == nil) != (w.doc == nil) {
+					t.Fatalf("op %d = {%q, delete=%v}, want {%q, delete=%v}", i, op.ID, op.Doc == nil, w.id, w.doc == nil)
+				}
+				if w.doc != nil && string(mustJSON(t, op.Doc)) != string(mustJSON(t, w.doc)) {
+					t.Fatalf("op %d (%q) decoded to a different document:\n got %s\nwant %s", i, op.ID, mustJSON(t, op.Doc), mustJSON(t, w.doc))
+				}
+			}
+		})
+	}
+
+	// Damage is rejected before anything could be applied.
+	for name, p := range map[string][]byte{
+		"truncated":      golden["batch"][:len(golden["batch"])-3],
+		"trailing bytes": append(append([]byte(nil), golden["del"]...), 0),
+		"nested batch":   legacy(journalOp{Op: "batch", Ops: []journalOp{{Op: "batch"}}}),
+		"unknown op":     legacy(journalOp{Op: "merge"}),
+	} {
+		if _, err := record(p); err == nil {
+			t.Errorf("%s record accepted", name)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package provstore
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,77 +146,43 @@ func Open(dir string, d Durability) (*Store, error) {
 func (s *Store) SuspectBitRot() bool { return s.suspectBitRot }
 
 // restore replays a recovered snapshot and journal tail into the
-// (not-yet-journaling, not-yet-published) store. Runs single-threaded
-// before the store is visible to any other goroutine, so shard locks
-// are not taken. Every document routes to its hash-derived shard — the
-// recorded shard hints are ignored, which is what makes old journals
-// and different shard counts interchangeable.
+// (not-yet-journaling, not-yet-published) store through the ordinary
+// mutation pipeline; its shard locks are uncontended here. Every
+// document routes to its hash-derived shard — the recorded shard hints
+// are ignored, which is what makes old journals and different shard
+// counts interchangeable.
 func (s *Store) restore(rec *wal.RecoveredState) error {
-	if err := s.restoreSnapshot(rec.SnapshotPayload); err != nil {
+	ctx := context.TODO() // Open takes no context; recovery is not cancellable
+	snap, err := decodeSnapshot(rec.SnapshotPayload)
+	if err != nil {
 		return err
 	}
-	// Rebuild read watermarks: the snapshot may hold documents from any
-	// shard, so every shard starts at the snapshot horizon; tail records
-	// then advance their owning shards. A shard's recovered watermark is
-	// therefore always >= its pre-crash value — a cache keyed on the old
-	// value can never validate against newer state.
-	if rec.SnapshotSeq > 0 {
-		for _, sh := range s.shards {
-			sh.applied.Store(rec.SnapshotSeq)
+	if len(snap.ops) > 0 {
+		snap.seq = rec.SnapshotSeq
+		if _, err := s.apply(ctx, &snap); err != nil {
+			return fmt.Errorf("provstore: recover snapshot: %w", err)
 		}
 	}
+	// Rebuild read watermarks: the snapshot may have held documents on
+	// any shard before they were deleted, so every shard starts at the
+	// snapshot horizon; tail records then advance their owning shards. A
+	// shard's recovered watermark is therefore always >= its pre-crash
+	// value — a cache keyed on the old value can never validate against
+	// newer state.
+	for _, sh := range s.shards {
+		sh.noteApplied(rec.SnapshotSeq)
+	}
 	for _, r := range rec.Records {
-		p, err := decodeRecordPayload(r.Payload, r.Seq)
+		m, err := decodeRecordPayload(r.Payload, r.Seq)
 		if err != nil {
 			return err
 		}
-		if err := s.replayParsed(p, r.Seq); err != nil {
-			return err
+		m.seq = r.Seq
+		if _, err := s.apply(ctx, &m); err != nil {
+			return fmt.Errorf("provstore: recover journal seq %d: %w", r.Seq, err)
 		}
 	}
 	return nil
-}
-
-// replayParsed applies one recovered journal operation. Batches iterate
-// their sub-ops — the record was written atomically, so by the time
-// replayParsed sees it the whole batch is known durable. Decoded
-// documents are exclusively owned by the replay, so they are installed
-// without the defensive clone the public Put path pays.
-func (s *Store) replayParsed(p parsedOp, seq uint64) error {
-	switch p.op.Op {
-	case "put":
-		sh := s.shardFor(p.op.ID)
-		if err := sh.putLockedOwned(p.op.ID, p.doc); err != nil {
-			return fmt.Errorf("provstore: recover journal seq %d (%q): %w", seq, p.op.ID, err)
-		}
-		sh.noteApplied(seq)
-	case "delete":
-		sh := s.shardFor(p.op.ID)
-		if _, ok := sh.docs[p.op.ID]; ok {
-			sh.deleteLocked(p.op.ID)
-		}
-		sh.noteApplied(seq)
-	case "batch":
-		for _, sub := range p.subs {
-			if err := s.replayParsed(sub, seq); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("provstore: recover journal seq %d: unknown op %q", seq, p.op.Op)
-	}
-	return nil
-}
-
-// encodePutOp frames a put for the journal (binary record codec, fresh
-// buffer). Hot paths use appendPutRecord with a pooled buffer instead.
-func encodePutOp(id string, doc *prov.Document, shard uint32, trace string) ([]byte, error) {
-	return appendPutRecord(nil, id, doc, shard, trace), nil
-}
-
-// encodeDeleteOp frames a delete for the journal.
-func encodeDeleteOp(id string, shard uint32, trace string) ([]byte, error) {
-	return appendDeleteRecord(nil, id, shard, trace), nil
 }
 
 // maybeSnapshot triggers a checkpoint every SnapshotEvery mutations,

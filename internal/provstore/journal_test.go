@@ -216,6 +216,11 @@ func TestSnapshotCompactionBoundsDisk(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+		// The snapshot counter moves before compaction finishes; wait for
+		// the checkpoint goroutine to let go, or the next cycle's trigger
+		// can find it "still in flight" and be skipped.
+		s.snapMu.Lock()
+		s.snapMu.Unlock()
 		files := 0
 		entries, err := os.ReadDir(dir)
 		if err != nil {

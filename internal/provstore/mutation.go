@@ -1,0 +1,287 @@
+package provstore
+
+import (
+	"cmp"
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/prov"
+	"repro/internal/wal"
+)
+
+// The write path. Every state change — a local put, delete or batch, a
+// record replicated from a primary, a record or snapshot replayed at
+// recovery — is a mutation run through Store.apply, the only code that
+// locks shards, projects documents, stages to the journal, rolls back
+// and publishes read watermarks (README, "Write path").
+
+// Op is one step of a mutation: store Doc under ID, or, when Doc is
+// nil, delete ID.
+type Op struct {
+	ID  string
+	Doc *prov.Document
+	// Raw, when set, is the encoding Doc was parsed from — PROV-JSON or
+	// a binary document blob. It is journaled verbatim, which spares the
+	// hot path a re-encode; the HTTP batch handlers pass each request
+	// record's bytes through. When nil the store encodes Doc itself.
+	Raw []byte
+}
+
+// mutation is an ordered list of ops applied all-or-nothing, plus the
+// few things that differ between the callers of Store.apply.
+type mutation struct {
+	ops []Op
+	// owned: the docs are handed over (decoded records nothing else
+	// references) and stored as-is; otherwise the caller keeps them and
+	// the store keeps deep clones.
+	owned bool
+	// lenient: deleting a missing id is a no-op — replay and replication
+	// apply history that was already accepted — rather than the error
+	// the local API reports.
+	lenient bool
+	// trace is the originating request's trace ID: primaries encode it
+	// into the record, followers hand it to the apply observer.
+	trace string
+	// record, when non-nil, is staged to the journal under the shard
+	// locks: a primary's encoding of ops, or on a follower the primary's
+	// payload verbatim (it lands on the primary's sequence because the
+	// local log's next sequence is the replication cursor). With no
+	// record, seq is the sequence the mutation already holds in the
+	// journal (recovery); zero numbers it from memSeq (in-memory stores).
+	record []byte
+	seq    uint64
+}
+
+// opLabel names the mutation for the apply observer.
+func (m *mutation) opLabel() string {
+	switch {
+	case len(m.ops) != 1:
+		return "batch"
+	case m.ops[0].Doc == nil:
+		return "delete"
+	default:
+		return "put"
+	}
+}
+
+// Apply runs ops as one atomic unit: either all of them become visible
+// and durable together, or none do and the store is left exactly as it
+// was. A delete of a missing id, an empty or repeated id, or an invalid
+// document fails the whole call. On journaled stores the mutation is
+// one log record — one Stage, one group-commit ticket, one fsync — and,
+// because a record is the WAL's atomicity unit, crash recovery replays
+// all of it or none of it. Apply returns once that record is durable.
+// ops is sorted by ID in place (the journal order is deterministic
+// whatever order the caller collected them in); an empty list is a
+// no-op.
+//
+// ctx bounds the two points a request can queue: the shard locks (an
+// expired request applies nothing, stages nothing and consumes no
+// group-commit ticket) and the durability wait (the caller stops
+// waiting; the staged record still becomes durable, so the outcome is
+// ambiguous to the caller like any timed-out write). Expiry surfaces
+// as the context's own error, never wrapped in ErrJournal.
+func (s *Store) Apply(ctx context.Context, ops []Op) error {
+	if s.follower {
+		return ErrReadOnly
+	}
+	if len(ops) == 0 {
+		return nil
+	}
+	if len(ops) > 1 {
+		slices.SortFunc(ops, func(a, b Op) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	// Validate everything before touching any shard: a bad op must
+	// reject the mutation without lock traffic or partial application.
+	for i := range ops {
+		op := &ops[i]
+		if op.ID == "" {
+			return fmt.Errorf("provstore: empty document id")
+		}
+		if i > 0 && ops[i-1].ID == op.ID {
+			return fmt.Errorf("provstore: duplicate id %q in one mutation", op.ID)
+		}
+		if op.Doc != nil {
+			if _, err := op.Doc.Validate(); err != nil {
+				return fmt.Errorf("provstore: refusing invalid document %q: %w", op.ID, err)
+			}
+		}
+	}
+	m := mutation{ops: ops, trace: obs.FromContext(ctx).ID()}
+	if s.wal != nil {
+		// Encoded before the locks are taken, into pooled scratch:
+		// wal.Stage copies the payload, so the buffer is recyclable once
+		// this call returns.
+		m.record = appendRecord(getOpBuf(), ops, s.mask, m.trace)
+		defer putOpBuf(m.record)
+	}
+	t, err := s.apply(ctx, &m)
+	if err != nil || m.record == nil {
+		return err
+	}
+	return s.commit(ctx, t, len(ops))
+}
+
+// apply is the mutation pipeline: take the owning shard locks in
+// ascending order, project every op remembering what it replaced, stage
+// the record, and — if projection or staging failed — unwind, so a
+// failed mutation is invisible to readers, later snapshots and replay
+// (an un-journaled change left readable would be made durable by the
+// next checkpoint although its caller was told it failed). Staging
+// under the locks makes log order match apply order per document. On
+// success the store-wide and per-shard watermarks advance before the
+// locks drop, so no reader can observe the new state under an old
+// version. The returned ticket is not yet committed.
+func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error) {
+	if err = ctx.Err(); err != nil {
+		return t, err
+	}
+	tr := obs.FromContext(ctx)
+	var oneShard [1]uint32 // a one-op mutation allocates nothing here
+	idxs := s.ownerShards(m.ops, oneShard[:0])
+	s.lockShards(idxs, tr)
+	defer s.unlockShards(idxs)
+	if err = ctx.Err(); err != nil {
+		return t, err // expired while queued on the locks
+	}
+
+	type undo struct {
+		sh   *shard
+		id   string
+		prev *prov.Document // nil when the id did not exist
+	}
+	var oneUndo [1]undo
+	applied := oneUndo[:0]
+	span := tr.StartSpan("project")
+	for i := range m.ops {
+		op := &m.ops[i]
+		sh := s.shardFor(op.ID)
+		prev := sh.docs[op.ID]
+		switch {
+		case op.Doc != nil:
+			if err = sh.putLocked(op.ID, op.Doc, m.owned); err != nil {
+				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
+			}
+		case prev != nil:
+			sh.deleteLocked(op.ID)
+		case !m.lenient:
+			err = fmt.Errorf("provstore: document %q does not exist", op.ID)
+		}
+		if err != nil {
+			break
+		}
+		applied = append(applied, undo{sh, op.ID, prev})
+	}
+	span.End()
+
+	span = tr.StartSpan("stage")
+	if err == nil && m.record != nil {
+		if t, err = s.wal.Stage(m.record); err != nil {
+			err = fmt.Errorf("%w: %v", ErrJournal, err)
+		}
+	}
+	span.End()
+
+	if err != nil {
+		for i := len(applied) - 1; i >= 0; i-- {
+			u := applied[i]
+			u.sh.deleteLocked(u.id)
+			if u.prev != nil {
+				// prev is the store's own copy; re-projecting a document
+				// that was projected before cannot fail.
+				_ = u.sh.putLocked(u.id, u.prev, true)
+			}
+		}
+		return wal.Ticket{}, err
+	}
+
+	seq := m.seq
+	if m.record != nil {
+		seq = t.Seq()
+	}
+	if seq != 0 {
+		s.noteApplied(seq)
+	} else {
+		seq = s.memSeq.Add(1)
+	}
+	for _, i := range idxs {
+		s.shards[i].noteApplied(seq)
+	}
+	return t, nil
+}
+
+// ownerShards appends the ascending, deduplicated indices of the shards
+// owning ops to idxs.
+func (s *Store) ownerShards(ops []Op, idxs []uint32) []uint32 {
+	for i := range ops {
+		idxs = append(idxs, s.shardIndex(ops[i].ID))
+	}
+	if len(idxs) > 1 {
+		slices.Sort(idxs)
+		idxs = slices.Compact(idxs)
+	}
+	return idxs
+}
+
+// lockShards write-locks the given shards in order. Every mutation
+// acquires ascending, which rules out deadlock. The total wait feeds
+// the lock-wait histogram (with the trace ID as the bucket's exemplar)
+// and the trace's "lock" span; each shard's counter gets its own
+// queueing share.
+func (s *Store) lockShards(idxs []uint32, tr *obs.Trace) {
+	start := time.Now()
+	last := start
+	for _, i := range idxs {
+		sh := s.shards[i]
+		sh.mu.Lock()
+		now := time.Now()
+		sh.lockWaitNanos.Add(int64(now.Sub(last)))
+		last = now
+	}
+	total := last.Sub(start)
+	s.lockWait.ObserveExemplar(int64(total), tr.ID())
+	tr.Observe("lock", total)
+}
+
+func (s *Store) unlockShards(idxs []uint32) {
+	for i := len(idxs) - 1; i >= 0; i-- {
+		s.shards[idxs[i]].mu.Unlock()
+	}
+}
+
+// noteApplied raises the applied-sequence high-water mark. Stagings on
+// different shards race here, so the maximum is taken with a CAS loop.
+func (s *Store) noteApplied(seq uint64) {
+	for {
+		cur := s.lastApplied.Load()
+		if seq <= cur || s.lastApplied.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
+}
+
+// commit waits for a staged record's durability outside the shard
+// locks and drives the snapshot cadence with the n ops it carried. A
+// context expiry during the wait surfaces as the context's own error,
+// not ErrJournal — the journal is healthy, the caller just stopped
+// waiting.
+func (s *Store) commit(ctx context.Context, t wal.Ticket, n int) error {
+	tr := obs.FromContext(ctx)
+	span := tr.StartSpan("commit")
+	start := time.Now()
+	err := t.CommitCtx(ctx)
+	s.wal.ObserveCommitWait(time.Since(start), tr.ID())
+	span.End()
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return err
+		}
+		return fmt.Errorf("%w: commit: %v", ErrJournal, err)
+	}
+	s.maybeSnapshot(n)
+	return nil
+}

@@ -1,23 +1,20 @@
 package provstore
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/prov"
 	"repro/internal/wal"
 )
 
 // Follower apply mode. A follower store replays the primary's journal
-// records as they arrive over the replication stream: each record is
-// staged into the follower's own WAL under the primary's sequence
-// number (the local log's next sequence is always the replication
-// cursor, so the two histories stay byte-compatible), then applied to
-// the sharded in-memory state under the owning shard locks. Shard
-// placement is re-derived from document id hashes exactly like
-// recovery does, so a follower may run a different -shards value than
-// its primary. Batch records lock every involved shard and apply
-// all-or-nothing, preserving the atomicity PR 4 established — readers
-// on the follower never observe half a batch.
+// records as they arrive over the replication stream: each record is a
+// mutation through the ordinary pipeline (mutation.go), staged into the
+// follower's own WAL under the primary's sequence number — the local
+// log's next sequence is always the replication cursor, so the two
+// histories stay byte-compatible. Shard placement is re-derived from
+// document id hashes exactly like recovery does, so a follower may run
+// a different -shards value than its primary.
 
 // Follower reports whether the store is a read-only replica.
 func (s *Store) Follower() bool { return s.follower }
@@ -33,75 +30,12 @@ func (s *Store) AppliedSeq() uint64 { return s.lastApplied.Load() }
 // it). Nil for in-memory stores.
 func (s *Store) Log() *wal.Log { return s.wal }
 
-// readOnlyGuard is consulted at the top of every local mutation.
-func (s *Store) readOnlyGuard() error {
-	if s.follower {
-		return ErrReadOnly
-	}
-	return nil
-}
-
-// parsedOp is a journal operation decoded and parse-validated before
-// anything is journaled or applied, so a malformed record is rejected
-// while the follower state is still untouched. Both payload formats
-// (legacy JSON and the binary record codec) decode into this shape —
-// see decodeRecordPayload in codec.go.
-type parsedOp struct {
-	op   journalOp
-	doc  *prov.Document // puts only
-	subs []parsedOp     // batches only
-}
-
-// parseReplicatedOp decodes and validates one record payload.
-func parseReplicatedOp(payload []byte, seq uint64) (parsedOp, error) {
-	return decodeRecordPayload(payload, seq)
-}
-
-// parseOp lifts a decoded legacy JSON journalOp into a parsedOp.
-func parseOp(op journalOp, seq uint64, batchOK bool) (parsedOp, error) {
-	p := parsedOp{op: op}
-	switch op.Op {
-	case "put":
-		doc, err := prov.ParseJSON(op.Doc)
-		if err != nil {
-			return parsedOp{}, fmt.Errorf("provstore: record seq %d (%q): %w", seq, op.ID, err)
-		}
-		p.doc = doc
-	case "delete":
-	case "batch":
-		if !batchOK {
-			return parsedOp{}, fmt.Errorf("provstore: record seq %d: nested batch", seq)
-		}
-		for _, sub := range op.Ops {
-			ps, err := parseOp(sub, seq, false)
-			if err != nil {
-				return parsedOp{}, err
-			}
-			p.subs = append(p.subs, ps)
-		}
-	default:
-		return parsedOp{}, fmt.Errorf("provstore: record seq %d: unknown op %q", seq, op.Op)
-	}
-	return p, nil
-}
-
-// count is the mutation count the op contributes to snapshot cadence.
-func (p parsedOp) count() int {
-	if p.op.Op == "batch" {
-		return len(p.subs)
-	}
-	return 1
-}
-
-// ApplyReplicated ingests one record from the primary's log: it applies
-// the mutation to the shards under the owning locks, stages the payload
-// verbatim into the local journal while those locks are still held
-// (rolling the apply back if staging fails — the same discipline as the
-// primary's Put path), and advances the applied watermark. The returned
-// ticket is NOT yet committed — the caller groups commits across a
-// burst of records so a catch-up stream costs one fsync per group, and
-// must Commit the last ticket of each burst before acknowledging
-// anything to the primary.
+// ApplyReplicated ingests one record from the primary's log as one
+// mutation, staging the payload verbatim into the local journal. The
+// returned ticket is NOT yet committed — the caller groups commits
+// across a burst of records so a catch-up stream costs one fsync per
+// group, and must Commit the last ticket of each burst before
+// acknowledging anything to the primary.
 //
 // Records at or below the applied watermark are skipped (ok=false) so
 // reconnect overlap is harmless; a record further ahead than
@@ -126,94 +60,18 @@ func (s *Store) ApplyReplicated(rec wal.Record) (t wal.Ticket, ok bool, err erro
 		// writes a history the primary never had.
 		return wal.Ticket{}, false, fmt.Errorf("provstore: local journal at seq %d cannot hold replicated record %d", next, rec.Seq)
 	}
-	p, err := parseReplicatedOp(rec.Payload, rec.Seq)
+	m, err := decodeRecordPayload(rec.Payload, rec.Seq)
 	if err != nil {
 		return wal.Ticket{}, false, err
 	}
-	t, err = s.applyAndStage(p, rec.Payload, rec.Seq)
-	if err != nil {
+	m.record = rec.Payload
+	// The stream hands records over one at a time with no deadline.
+	if t, err = s.apply(context.TODO(), &m); err != nil {
 		return wal.Ticket{}, false, err
 	}
-	s.noteApplied(rec.Seq)
-	s.maybeSnapshot(p.count())
+	s.maybeSnapshot(len(m.ops))
 	if s.applyObs != nil {
-		s.applyObs(rec.Seq, p.op.Op, p.op.Trace)
+		s.applyObs(rec.Seq, m.opLabel(), m.trace)
 	}
 	return t, true, nil
-}
-
-// applyAndStage applies one validated op and stages its payload while
-// the owning shard locks are held, unwinding the apply when staging
-// fails so the in-memory state never runs ahead of the local journal
-// on an error path. On success every involved shard's read watermark
-// advances to seq (still under the locks), so follower-side caches
-// invalidate exactly like the primary's.
-func (s *Store) applyAndStage(p parsedOp, payload []byte, seq uint64) (wal.Ticket, error) {
-	stage := func(applied []batchEntry) (wal.Ticket, error) {
-		t, err := s.wal.Stage(payload)
-		if err != nil {
-			rollbackBatch(applied)
-			return wal.Ticket{}, fmt.Errorf("%w: %v", ErrJournal, err)
-		}
-		return t, nil
-	}
-	switch p.op.Op {
-	case "put":
-		sh := s.shardFor(p.op.ID)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		prev := sh.docs[p.op.ID]
-		if err := sh.putLockedOwned(p.op.ID, p.doc); err != nil {
-			return wal.Ticket{}, fmt.Errorf("provstore: apply replicated put %q: %w", p.op.ID, err)
-		}
-		t, err := stage([]batchEntry{{sh: sh, id: p.op.ID, prev: prev}})
-		if err == nil {
-			sh.noteApplied(seq)
-		}
-		return t, err
-	case "delete":
-		sh := s.shardFor(p.op.ID)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		prev := sh.docs[p.op.ID]
-		var t wal.Ticket
-		var err error
-		if prev != nil {
-			sh.deleteLocked(p.op.ID)
-			t, err = stage([]batchEntry{{sh: sh, id: p.op.ID, prev: prev}})
-		} else {
-			t, err = stage(nil) // delete of a missing doc: tolerated, like replay
-		}
-		if err == nil {
-			sh.noteApplied(seq)
-		}
-		return t, err
-	default: // "batch" (parseOp admits nothing else)
-		ids := make([]string, len(p.subs))
-		for i, sub := range p.subs {
-			ids[i] = sub.op.ID
-		}
-		idxs := s.shardSet(ids)
-		s.lockShards(idxs, nil)
-		defer s.unlockShards(idxs)
-		applied := make([]batchEntry, 0, len(p.subs))
-		for _, sub := range p.subs {
-			sh := s.shardFor(sub.op.ID)
-			prev := sh.docs[sub.op.ID]
-			if sub.op.Op == "delete" {
-				if prev != nil {
-					sh.deleteLocked(sub.op.ID)
-				}
-			} else if err := sh.putLockedOwned(sub.op.ID, sub.doc); err != nil {
-				rollbackBatch(applied)
-				return wal.Ticket{}, fmt.Errorf("provstore: apply replicated batch %q: %w", sub.op.ID, err)
-			}
-			applied = append(applied, batchEntry{sh: sh, id: sub.op.ID, prev: prev})
-		}
-		t, err := stage(applied)
-		if err == nil {
-			s.noteShardsApplied(idxs, seq)
-		}
-		return t, err
-	}
 }

@@ -29,11 +29,7 @@ func openFollower(t *testing.T, dir string) *Store {
 
 func putRecord(t *testing.T, seq uint64, id string, doc *prov.Document) wal.Record {
 	t.Helper()
-	payload, err := encodePutOp(id, doc, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wal.Record{Seq: seq, Payload: payload}
+	return wal.Record{Seq: seq, Payload: appendRecord(nil, []Op{{ID: id, Doc: doc}}, 0, "")}
 }
 
 // TestApplyReplicatedGapLeavesJournalUntouched: a rejected record — a

@@ -92,21 +92,12 @@ var (
 // putLocked applies a validated document to the shard's in-memory
 // state, all-or-nothing: the new graph projection is built first and
 // torn back down on any error, and the old document is replaced only on
-// success. The caller keeps ownership of doc; the shard stores a deep
+// success. With owned the shard keeps doc itself — decoded journal and
+// replication records nothing else references, which lets recovery and
+// follower apply run allocation-proportional to the decode, not twice
+// it; otherwise the caller keeps ownership and the shard stores a deep
 // clone. sh.mu must be held exclusively.
-func (sh *shard) putLocked(id string, doc *prov.Document) error {
-	return sh.putDocLocked(id, doc, false)
-}
-
-// putLockedOwned is putLocked for documents the caller hands over —
-// decoded journal/replication records that nothing else references.
-// Skipping the defensive clone is what lets recovery and follower apply
-// run allocation-proportional to the decode, not twice it.
-func (sh *shard) putLockedOwned(id string, doc *prov.Document) error {
-	return sh.putDocLocked(id, doc, true)
-}
-
-func (sh *shard) putDocLocked(id string, doc *prov.Document, owned bool) (err error) {
+func (sh *shard) putLocked(id string, doc *prov.Document, owned bool) (err error) {
 	nodeCount := len(doc.Entities) + len(doc.Activities) + len(doc.Agents)
 	nodes := make(map[prov.QName]graphdb.NodeID, nodeCount)
 	defer func() {
@@ -126,7 +117,7 @@ func (sh *shard) putDocLocked(id string, doc *prov.Document, owned bool) (err er
 		props["qname"] = string(el.ID)
 		props["doc"] = docVal
 		for k, v := range el.Attrs {
-			props[attrPropKey(k)] = attrPropValue(v)
+			props[k] = attrPropValue(v)
 		}
 		for k, v := range extra {
 			props[k] = v
@@ -213,9 +204,6 @@ func (sh *shard) deleteLocked(id string) {
 	delete(sh.roots, id)
 	delete(sh.docs, id)
 }
-
-// attrPropKey namespaces PROV attribute keys into graph property names.
-func attrPropKey(k string) string { return k }
 
 // attrPropValue flattens prov values into graph property scalars.
 func attrPropValue(v prov.Value) interface{} {

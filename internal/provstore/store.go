@@ -7,18 +7,18 @@
 // out over the shards and merge with deterministic ordering. Each
 // document's elements become labeled nodes and its relations become
 // typed relationships, enabling multi-level lineage queries across
-// uploaded documents.
+// uploaded documents. Every write — a local Apply, a replicated record,
+// a record replayed at recovery — runs through one mutation pipeline
+// (mutation.go).
 package provstore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graphdb"
 	"repro/internal/obs"
@@ -87,19 +87,6 @@ func NewSharded(n int) *Store {
 	return s
 }
 
-// lockShard write-locks sh, folding the wait into the lock-wait
-// histogram (with the trace ID as the bucket's exemplar), the shard's
-// cumulative counter, and — when the context carries a trace — the
-// request's "lock" span.
-func (s *Store) lockShard(sh *shard, tr *obs.Trace) {
-	start := time.Now()
-	sh.mu.Lock()
-	wait := time.Since(start)
-	sh.lockWaitNanos.Add(int64(wait))
-	s.lockWait.ObserveExemplar(int64(wait), tr.ID())
-	tr.Observe("lock", wait)
-}
-
 // SetApplyObserver installs fn to run after every successfully applied
 // replicated record (see ApplyReplicated). It must be called before
 // the store sees concurrent use — NewFollower does so during setup.
@@ -135,136 +122,13 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 	}
 }
 
-// Put stores (or replaces) a document under id. On journaled stores
-// the mutation is staged to the write-ahead log in apply order (per
-// document — staging happens under the owning shard's lock) and Put
-// returns only once its log batch is durable (group-committed with any
-// concurrent writers, including writers on other shards).
+// Put stores (or replaces) a document under id; the store keeps its
+// own deep copy. It is Apply with one op and no deadline.
 func (s *Store) Put(id string, doc *prov.Document) error {
-	return s.PutCtx(context.Background(), id, doc)
-}
-
-// PutCtx is Put bounded by ctx. The deadline is honored at the two
-// points a request can queue: before the shard lock is taken and again
-// once it is held but before the mutation is applied or staged — an
-// abandoned request therefore never consumes a group-commit ticket. The
-// durability wait itself goes through wal.Ticket.CommitCtx, so a caller
-// whose deadline expires during a slow fsync stops waiting (the staged
-// record still becomes durable; the outcome is ambiguous to the caller,
-// like any timed-out write).
-func (s *Store) PutCtx(ctx context.Context, id string, doc *prov.Document) error {
-	if err := s.readOnlyGuard(); err != nil {
-		return err
+	if doc == nil {
+		return fmt.Errorf("provstore: put %q: no document", id)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if id == "" {
-		return fmt.Errorf("provstore: empty document id")
-	}
-	if _, err := doc.Validate(); err != nil {
-		return fmt.Errorf("provstore: refusing invalid document: %w", err)
-	}
-	tr := obs.FromContext(ctx)
-	var op []byte
-	if s.wal != nil {
-		// Pooled scratch: wal.Stage copies the payload, so the buffer is
-		// recyclable the moment this call returns (the defer runs after
-		// the commit wait, well past staging).
-		op = appendPutRecord(getOpBuf(), id, doc, s.shardIndex(id), tr.ID())
-		defer putOpBuf(op)
-	}
-	sh := s.shardFor(id)
-	s.lockShard(sh, tr)
-	if err := ctx.Err(); err != nil {
-		// The deadline expired while queued on the shard lock: nothing
-		// has been applied or staged yet, so bail without a ticket.
-		sh.mu.Unlock()
-		return err
-	}
-	prev := sh.docs[id] // stored clone, for rollback if staging fails
-	applySpan := tr.StartSpan("project")
-	err := sh.putLocked(id, doc)
-	applySpan.End()
-	stageSpan := tr.StartSpan("stage")
-	ticket, staged, err := s.stageLocked(op, err, func() {
-		sh.deleteLocked(id)
-		if prev != nil {
-			_ = sh.putLocked(id, prev) // re-projecting a previously valid doc cannot fail
-		}
-	})
-	stageSpan.End()
-	if err == nil {
-		// Advance the read watermark while the write lock is still held,
-		// so by the time readers can observe the new state its version is
-		// already published.
-		sh.noteApplied(s.mutationSeq(ticket, staged))
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.commitStaged(ctx, ticket, staged, 1)
-}
-
-// stageLocked journals an already-applied mutation while the owning
-// shard's lock is still held, so log order always matches apply order
-// for any given document. applyErr short-circuits staging when the
-// in-memory apply failed. If staging itself fails (log closed,
-// fail-stop latch, record cap), rollback restores the pre-mutation
-// state — otherwise the un-journaled mutation would stay readable and a
-// later checkpoint would make it durable even though the caller was
-// told it failed.
-func (s *Store) stageLocked(op []byte, applyErr error, rollback func()) (wal.Ticket, bool, error) {
-	if applyErr != nil || s.wal == nil {
-		return wal.Ticket{}, false, applyErr
-	}
-	t, err := s.wal.Stage(op)
-	if err != nil {
-		rollback()
-		return wal.Ticket{}, false, fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	s.noteApplied(t.Seq())
-	return t, true, nil
-}
-
-// noteApplied raises the applied-sequence high-water mark. Stagings on
-// different shards race here, so the maximum is taken with a CAS loop.
-func (s *Store) noteApplied(seq uint64) {
-	for {
-		cur := s.lastApplied.Load()
-		if seq <= cur || s.lastApplied.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
-// commitStaged waits for durability outside the shard lock and drives
-// the snapshot cadence. n is the number of mutations the staged record
-// carries (1 for Put/Delete, the batch size for PutBatch/DeleteBatch).
-// A context expiry during the commit wait surfaces as the context's own
-// error, not ErrJournal — the journal is healthy, the caller just
-// stopped waiting.
-func (s *Store) commitStaged(ctx context.Context, t wal.Ticket, staged bool, n int) error {
-	if !staged {
-		return nil
-	}
-	tr := obs.FromContext(ctx)
-	commitSpan := tr.StartSpan("commit")
-	commitStart := time.Now()
-	err := t.CommitCtx(ctx)
-	if s.wal != nil {
-		s.wal.ObserveCommitWait(time.Since(commitStart), tr.ID())
-	}
-	commitSpan.End()
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		return fmt.Errorf("%w: commit: %v", ErrJournal, err)
-	}
-	s.maybeSnapshot(n)
-	return nil
+	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc}})
 }
 
 // Get returns a copy of the stored document.
@@ -279,51 +143,10 @@ func (s *Store) Get(id string) (*prov.Document, bool) {
 	return d.Clone(), true
 }
 
-// Delete removes a document and its graph projection, journaling the
-// removal on durable stores.
+// Delete removes a document and its graph projection; a missing id is
+// an error. It is Apply with one op and no deadline.
 func (s *Store) Delete(id string) error {
-	return s.DeleteCtx(context.Background(), id)
-}
-
-// DeleteCtx is Delete bounded by ctx (see PutCtx for the deadline
-// semantics).
-func (s *Store) DeleteCtx(ctx context.Context, id string) error {
-	if err := s.readOnlyGuard(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	tr := obs.FromContext(ctx)
-	var op []byte
-	if s.wal != nil {
-		op = appendDeleteRecord(getOpBuf(), id, s.shardIndex(id), tr.ID())
-		defer putOpBuf(op)
-	}
-	sh := s.shardFor(id)
-	s.lockShard(sh, tr)
-	if err := ctx.Err(); err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	prev := sh.docs[id] // for rollback if staging fails
-	var err error
-	if prev == nil {
-		err = fmt.Errorf("provstore: document %q does not exist", id)
-	} else {
-		sh.deleteLocked(id)
-	}
-	ticket, staged, err := s.stageLocked(op, err, func() {
-		_ = sh.putLocked(id, prev) // restore the removed projection
-	})
-	if err == nil {
-		sh.noteApplied(s.mutationSeq(ticket, staged))
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.commitStaged(ctx, ticket, staged, 1)
+	return s.Apply(context.Background(), []Op{{ID: id}})
 }
 
 // nodeID resolves (doc, qname) to the graph node on the owning shard.

@@ -1,7 +1,5 @@
 package provstore
 
-import "repro/internal/wal"
-
 // Per-shard read watermarks. Every shard tracks the sequence of the
 // newest mutation applied to it; a read's "version" is the maximum
 // watermark over the shards it touches. Journal sequences are globally
@@ -12,16 +10,6 @@ import "repro/internal/wal"
 // response cache (internal/readcache) keys on. In-memory stores have
 // no journal; memSeq numbers their mutations with the same
 // store-global monotonicity.
-
-// mutationSeq returns the sequence to stamp a just-applied local
-// mutation with: the WAL record's global sequence when the mutation
-// was staged, otherwise the next tick of the in-memory counter.
-func (s *Store) mutationSeq(t wal.Ticket, staged bool) uint64 {
-	if staged {
-		return t.Seq()
-	}
-	return s.memSeq.Add(1)
-}
 
 // ReadVersion reports the version a read touching the given document
 // ids validates against: the maximum applied watermark over the owning
