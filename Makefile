@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos bench bench-compile bench-key bench-report bench-selftest metrics-format ci
+.PHONY: all build test vet layering race chaos bench bench-compile bench-key bench-report bench-selftest metrics-format ci
 
 all: build
 
@@ -12,6 +12,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The serving path answers lineage from one prov.Index per stored
+# document; internal/graphdb is the reference engine its tests compare
+# against and must not be imported by anything the server runs.
+layering:
+	@if $(GO) list -deps ./internal/provstore ./internal/provservice ./cmd/yprov-server | grep -qx repro/internal/graphdb; then \
+		echo "layering: the serving path imports repro/internal/graphdb"; exit 1; \
+	fi
 
 race:
 	$(GO) test -race ./...
@@ -67,7 +75,7 @@ metrics-format:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Full gate: build, static checks, unit tests, the race-detector pass
-# over every package, the exposition-format gate, the benchmark compile
-# smoke, and the benchmark harness's own tests.
-ci: build vet test race chaos metrics-format bench-compile bench-selftest
+# Full gate: build, static checks (vet, import layering), unit tests,
+# the race-detector pass over every package, the exposition-format gate,
+# the benchmark compile smoke, and the benchmark harness's own tests.
+ci: build vet layering test race chaos metrics-format bench-compile bench-selftest

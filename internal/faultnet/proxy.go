@@ -97,7 +97,8 @@ func (p *Proxy) dropLocked() {
 	}
 }
 
-// Stats reports accepted connection and forwarded byte counts.
+// Stats reports accepted connection and forwarded byte counts; a chunk
+// counts from just before it is written to the far side.
 func (p *Proxy) Stats() (accepted, bytesUp, bytesDown int64) {
 	return p.accepted.Load(), p.bytesUp.Load(), p.bytesDown.Load()
 }
@@ -201,10 +202,12 @@ func (p *Proxy) pump(dst io.Writer, src io.Reader, counter *atomic.Int64) {
 				i := int(p.mangleN.Add(1))
 				chunk[i%n] ^= byte(1) << (i % 8)
 			}
+			// Counted before it is forwarded: the peer can act on the
+			// chunk, and a caller read Stats, the moment Write returns.
+			counter.Add(int64(n))
 			if _, werr := dst.Write(chunk); werr != nil {
 				return
 			}
-			counter.Add(int64(n))
 		}
 		if rerr != nil {
 			return

@@ -5,6 +5,11 @@
 // closure, shortest path) support multi-level lineage exploration. A
 // small pattern-query language is provided in query.go.
 //
+// The package is not on the serving path: provstore answers lineage
+// from one immutable prov.Index per stored document. graphdb stays as
+// the reference engine provstore's equivalence test compares that index
+// against, and as what the benchmark's graphdb.* probe measures.
+//
 // # Ordering semantics
 //
 // All APIs are deterministic. The exported snapshot accessors sort their
@@ -113,9 +118,9 @@ type halfEdge struct {
 // appears — bulk projection then allocates one edge slice per node
 // instead of a map, a types slice, and their growth.
 type bucketSet struct {
-	t0      string     // first relationship type seen (inline bucket)
-	b0      []halfEdge // edges of t0 while no map exists
-	types   []string   // relationship types in first-use order (spilled)
+	t0      string                // first relationship type seen (inline bucket)
+	b0      []halfEdge            // edges of t0 while no map exists
+	types   []string              // relationship types in first-use order (spilled)
 	buckets map[string][]halfEdge // nil until a second type appears
 }
 
@@ -287,47 +292,6 @@ type Graph struct {
 	propIndex map[string]map[string]map[propKey]nodeSet
 	nextNode  NodeID
 	nextRel   RelID
-
-	// Slab arenas for the per-node/-rel bookkeeping structs. Bulk
-	// projection creates thousands of nodes and relationships back to
-	// back; carving them out of chunked slabs replaces one heap object
-	// per element with one per chunk. Entries are handed out exactly
-	// once (never recycled), so a deleted element's struct just waits
-	// for its chunk to drop out of all maps.
-	nodeSlab []Node
-	relSlab  []Rel
-	adjSlab  []nodeAdj
-}
-
-// slabChunk is the arena granularity: small enough that a sparse graph
-// wastes little, large enough to amortize allocation on bulk loads.
-const slabChunk = 256
-
-func (g *Graph) allocNode() *Node {
-	if len(g.nodeSlab) == 0 {
-		g.nodeSlab = make([]Node, slabChunk)
-	}
-	n := &g.nodeSlab[0]
-	g.nodeSlab = g.nodeSlab[1:]
-	return n
-}
-
-func (g *Graph) allocRel() *Rel {
-	if len(g.relSlab) == 0 {
-		g.relSlab = make([]Rel, slabChunk)
-	}
-	r := &g.relSlab[0]
-	g.relSlab = g.relSlab[1:]
-	return r
-}
-
-func (g *Graph) allocAdj() *nodeAdj {
-	if len(g.adjSlab) == 0 {
-		g.adjSlab = make([]nodeAdj, slabChunk)
-	}
-	ad := &g.adjSlab[0]
-	g.adjSlab = g.adjSlab[1:]
-	return ad
 }
 
 // New returns an empty graph.
@@ -343,18 +307,7 @@ func New() *Graph {
 
 // CreateNode inserts a node and returns its id.
 func (g *Graph) CreateNode(labels []string, props Props) (NodeID, error) {
-	return g.CreateNodeOwned(append([]string(nil), labels...), props.Clone())
-}
-
-// CreateNodeOwned is CreateNode minus the defensive copies: the caller
-// hands over ownership of labels and props, which must not be read or
-// written afterwards. This is the bulk-projection hot path — provstore
-// builds a fresh props map per element, and cloning it again doubled
-// the map work of every ingested node.
-func (g *Graph) CreateNodeOwned(labels []string, props Props) (NodeID, error) {
-	if props == nil {
-		props = Props{}
-	}
+	labels, props = append([]string(nil), labels...), props.Clone()
 	if err := validateProps(props); err != nil {
 		return 0, err
 	}
@@ -362,8 +315,7 @@ func (g *Graph) CreateNodeOwned(labels []string, props Props) (NodeID, error) {
 	defer g.mu.Unlock()
 	g.nextNode++
 	id := g.nextNode
-	n := g.allocNode()
-	n.ID, n.Labels, n.Props = id, labels, props
+	n := &Node{ID: id, Labels: labels, Props: props}
 	g.nodes[id] = n
 	for _, l := range n.Labels {
 		if g.byLabel[l] == nil {
@@ -416,22 +368,6 @@ func (g *Graph) GetNode(id NodeID) (Node, bool) {
 		return Node{}, false
 	}
 	return Node{ID: n.ID, Labels: append([]string(nil), n.Labels...), Props: n.Props.Clone()}, true
-}
-
-// StringProps resolves the string-valued property at key for each id in
-// a single pass, without cloning nodes. Missing nodes or non-string
-// values yield "".
-func (g *Graph) StringProps(ids []NodeID, key string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		if n := g.nodes[id]; n != nil {
-			s, _ := n.Props[key].(string)
-			out[i] = s
-		}
-	}
-	return out
 }
 
 // SetProps merges the given properties into the node.
@@ -489,15 +425,7 @@ func (g *Graph) DeleteNode(id NodeID) error {
 
 // CreateRel inserts a relationship between existing nodes.
 func (g *Graph) CreateRel(from, to NodeID, relType string, props Props) (RelID, error) {
-	return g.CreateRelOwned(from, to, relType, props.Clone())
-}
-
-// CreateRelOwned is CreateRel minus the defensive props copy; see
-// CreateNodeOwned for the ownership contract.
-func (g *Graph) CreateRelOwned(from, to NodeID, relType string, props Props) (RelID, error) {
-	if props == nil {
-		props = Props{}
-	}
+	props = props.Clone()
 	if err := validateProps(props); err != nil {
 		return 0, err
 	}
@@ -511,9 +439,7 @@ func (g *Graph) CreateRelOwned(from, to NodeID, relType string, props Props) (Re
 	}
 	g.nextRel++
 	id := g.nextRel
-	r := g.allocRel()
-	r.ID, r.Type, r.From, r.To, r.Props = id, relType, from, to, props
-	g.rels[id] = r
+	g.rels[id] = &Rel{ID: id, Type: relType, From: from, To: to, Props: props}
 	g.adjFor(from).out.add(relType, halfEdge{rel: id, other: to})
 	g.adjFor(to).in.add(relType, halfEdge{rel: id, other: from})
 	return id, nil
@@ -522,7 +448,7 @@ func (g *Graph) CreateRelOwned(from, to NodeID, relType string, props Props) (Re
 func (g *Graph) adjFor(id NodeID) *nodeAdj {
 	ad := g.adj[id]
 	if ad == nil {
-		ad = g.allocAdj()
+		ad = &nodeAdj{}
 		g.adj[id] = ad
 	}
 	return ad
@@ -856,7 +782,6 @@ func (g *Graph) Clear() {
 	g.rels = make(map[RelID]*Rel)
 	g.adj = make(map[NodeID]*nodeAdj)
 	g.byLabel = make(map[string]map[NodeID]struct{})
-	g.nodeSlab, g.relSlab, g.adjSlab = nil, nil, nil
 	for label := range g.propIndex {
 		for prop := range g.propIndex[label] {
 			g.propIndex[label][prop] = make(map[propKey]nodeSet)

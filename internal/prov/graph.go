@@ -1,36 +1,40 @@
 package prov
 
-import "sort"
+import "slices"
 
-// Edge is a directed provenance edge for traversal purposes, oriented
-// subject -> object (e.g. used: activity -> entity; wasGeneratedBy:
-// entity -> activity). Following edges therefore walks *backwards in
-// time*: from results toward their origins.
-type Edge struct {
-	Kind RelationKind
-	From QName
-	To   QName
-}
+// Direction selects which way a traversal follows relation edges. A
+// relation is oriented subject -> object (used: activity -> entity;
+// wasGeneratedBy: entity -> activity), so following one walks backwards
+// in time, from results toward their origins.
+type Direction uint8
 
-// Edges returns all relations as traversal edges.
-func (d *Document) Edges() []Edge {
-	out := make([]Edge, 0, len(d.Relations))
-	for _, r := range d.Relations {
-		out = append(out, Edge{Kind: r.Kind, From: r.Subject, To: r.Object})
-	}
-	return out
-}
+// Traversal directions.
+const (
+	// Forward follows subject -> object, toward origins (ancestors).
+	Forward Direction = iota
+	// Reverse follows object -> subject, toward derived things
+	// (descendants).
+	Reverse
+	// Undirected follows both.
+	Undirected
+)
 
-// docAdj is a compact per-query adjacency index: every node occurring in
-// a relation gets a dense int32 id, and both orientations are stored as
-// compressed sparse rows. Traversals then run over int32 slices with a
-// flat visited array instead of QName-keyed maps — the same shape as the
-// graphdb engine's traversal core, applied to one document.
-type docAdj struct {
-	ids   map[QName]int32
-	names []QName
-	fwd   csrRows
-	rev   csrRows
+// Index is the traversal index of one document, immutable once built:
+// every element — isolated ones too — gets a dense int32 id in
+// qualified-name order, and the relations are stored in both
+// orientations as compressed sparse rows, so a traversal runs over
+// int32 slices with a flat visited array whose size is the document's,
+// and results come out name-sorted by sorting ids. An element declared
+// in more than one class is one node. Endpoints a relation names
+// without declaring them (Validate rejects such a document, the
+// traversal methods on Document never did) are nodes as well; Dangling
+// reports them.
+type Index struct {
+	ids      map[QName]int32
+	names    []QName // sorted; a node's id is its position
+	fwd      csrRows
+	rev      csrRows
+	dangling *Relation
 }
 
 type csrRows struct {
@@ -42,26 +46,50 @@ func (c *csrRows) row(id int32) []int32 {
 	return c.targets[c.rowStart[id]:c.rowStart[id+1]]
 }
 
-// buildAdj indexes the document's relations in both orientations.
-// Neighbor rows are sorted by qualified name, preserving the traversal
-// order of the map-based implementation this replaces.
-func (d *Document) buildAdj() *docAdj {
-	a := &docAdj{ids: make(map[QName]int32, 2*len(d.Relations))}
-	idOf := func(q QName) int32 {
-		id, ok := a.ids[q]
-		if !ok {
-			id = int32(len(a.names))
-			a.ids[q] = id
-			a.names = append(a.names, q)
-		}
-		return id
+// NewIndex indexes d. The index keeps no reference to d, which must not
+// change while the index is used to answer for it.
+func NewIndex(d *Document) *Index {
+	n := len(d.Entities) + len(d.Activities) + len(d.Agents)
+	ix := &Index{ids: make(map[QName]int32, n), names: make([]QName, 0, n)}
+	for q := range d.Entities {
+		ix.names = append(ix.names, q)
 	}
+	for q := range d.Activities {
+		ix.names = append(ix.names, q)
+	}
+	for q := range d.Agents {
+		ix.names = append(ix.names, q)
+	}
+	ix.number()
+
 	type edge struct{ from, to int32 }
 	edges := make([]edge, len(d.Relations))
-	for i, r := range d.Relations {
-		edges[i] = edge{idOf(r.Subject), idOf(r.Object)}
+	// resolve maps every relation to node ids and returns the endpoints
+	// that are not nodes yet.
+	resolve := func() (missing []QName) {
+		for i, r := range d.Relations {
+			from, ok1 := ix.ids[r.Subject]
+			to, ok2 := ix.ids[r.Object]
+			if !ok1 {
+				missing = append(missing, r.Subject)
+			}
+			if !ok2 {
+				missing = append(missing, r.Object)
+			}
+			if !(ok1 && ok2) && ix.dangling == nil {
+				ix.dangling = r
+			}
+			edges[i] = edge{from, to}
+		}
+		return missing
 	}
-	n := len(a.names)
+	if missing := resolve(); len(missing) > 0 {
+		ix.names = append(ix.names, missing...)
+		ix.number()
+		resolve()
+	}
+
+	n = len(ix.names)
 	build := func(reverse bool) csrRows {
 		rows := csrRows{rowStart: make([]int32, n+1), targets: make([]int32, len(edges))}
 		for _, e := range edges {
@@ -83,57 +111,141 @@ func (d *Document) buildAdj() *docAdj {
 			rows.targets[rows.rowStart[from]+fill[from]] = to
 			fill[from]++
 		}
-		for i := 0; i < n; i++ {
-			row := rows.targets[rows.rowStart[i]:rows.rowStart[i+1]]
-			sort.Slice(row, func(x, y int) bool { return a.names[row[x]] < a.names[row[y]] })
+		// Name order within a row keeps traversal order — which of two
+		// equally short paths Path returns — independent of the order
+		// relations were added in.
+		for i := int32(0); i < int32(n); i++ {
+			slices.Sort(rows.row(i))
 		}
 		return rows
 	}
-	a.fwd = build(false)
-	a.rev = build(true)
-	return a
+	ix.fwd = build(false)
+	ix.rev = build(true)
+	return ix
+}
+
+// number sorts and deduplicates names and assigns ids by position.
+func (ix *Index) number() {
+	slices.Sort(ix.names)
+	ix.names = slices.Compact(ix.names)
+	for i, q := range ix.names {
+		ix.ids[q] = int32(i)
+	}
+}
+
+// Has reports whether q is a node of the index.
+func (ix *Index) Has(q QName) bool {
+	_, ok := ix.ids[q]
+	return ok
+}
+
+// Dangling returns the first relation naming an endpoint the document
+// does not declare, or nil when every endpoint is an element.
+func (ix *Index) Dangling() *Relation { return ix.dangling }
+
+// Reach returns every node reachable from start within maxDepth hops
+// (maxDepth <= 0 means unlimited), excluding start, in sorted order. ok
+// is false when start is not a node.
+func (ix *Index) Reach(start QName, dir Direction, maxDepth int) (reach []QName, ok bool) {
+	s, ok := ix.ids[start]
+	if !ok {
+		return nil, false
+	}
+	visited := make([]bool, len(ix.names))
+	visited[s] = true
+	queue := make([]int32, 1, len(ix.names))
+	queue[0] = s
+	head, depth, levelEnd := 0, 0, 1
+	for head < len(queue) {
+		if head == levelEnd {
+			depth++
+			levelEnd = len(queue)
+		}
+		if maxDepth > 0 && depth >= maxDepth {
+			break
+		}
+		cur := queue[head]
+		head++
+		if dir != Reverse {
+			queue = appendUnvisited(queue, visited, ix.fwd.row(cur))
+		}
+		if dir != Forward {
+			queue = appendUnvisited(queue, visited, ix.rev.row(cur))
+		}
+	}
+	found := queue[1:]
+	slices.Sort(found)
+	reach = make([]QName, len(found))
+	for i, id := range found {
+		reach[i] = ix.names[id]
+	}
+	return reach, true
+}
+
+func appendUnvisited(queue []int32, visited []bool, row []int32) []int32 {
+	for _, next := range row {
+		if !visited[next] {
+			visited[next] = true
+			queue = append(queue, next)
+		}
+	}
+	return queue
+}
+
+// path returns one shortest chain of nodes from -> ... -> to following
+// Forward edges, or nil if there is none; from and to differ.
+func (ix *Index) path(from, to QName) []QName {
+	s, ok := ix.ids[from]
+	t, ok2 := ix.ids[to]
+	if !ok || !ok2 {
+		return nil
+	}
+	// prev[n] is the node n was reached from, offset by one so that the
+	// zero value means unvisited.
+	prev := make([]int32, len(ix.names))
+	prev[s] = s + 1
+	queue := make([]int32, 1, len(ix.names))
+	queue[0] = s
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		for _, next := range ix.fwd.row(cur) {
+			if prev[next] != 0 {
+				continue
+			}
+			prev[next] = cur + 1
+			if next != t {
+				queue = append(queue, next)
+				continue
+			}
+			var path []QName
+			for n := t; ; n = prev[n] - 1 {
+				path = append(path, ix.names[n])
+				if n == s {
+					break
+				}
+			}
+			slices.Reverse(path)
+			return path
+		}
+	}
+	return nil
 }
 
 // Ancestors returns every node reachable from start by following relation
 // edges in their natural orientation (toward origins), excluding start
-// itself, in sorted order.
+// itself, in sorted order. Like Descendants, Path and Neighborhood it
+// indexes the document anew on every call; callers asking more than
+// once about a document that no longer changes keep a NewIndex.
 func (d *Document) Ancestors(start QName) []QName {
-	return d.closure(start, false)
+	reach, _ := NewIndex(d).Reach(start, Forward, 0)
+	return reach
 }
 
 // Descendants returns every node that can reach start, i.e. everything
 // derived (directly or transitively) from it, in sorted order.
 func (d *Document) Descendants(start QName) []QName {
-	return d.closure(start, true)
-}
-
-func (d *Document) closure(start QName, reverse bool) []QName {
-	a := d.buildAdj()
-	s, ok := a.ids[start]
-	if !ok {
-		return nil
-	}
-	rows := &a.fwd
-	if reverse {
-		rows = &a.rev
-	}
-	visited := make([]bool, len(a.names))
-	visited[s] = true
-	queue := make([]int32, 1, len(a.names))
-	queue[0] = s
-	var out []QName
-	for head := 0; head < len(queue); head++ {
-		for _, next := range rows.row(queue[head]) {
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			out = append(out, a.names[next])
-			queue = append(queue, next)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	reach, _ := NewIndex(d).Reach(start, Reverse, 0)
+	return reach
 }
 
 // Path returns one shortest chain of node ids from -> ... -> to following
@@ -142,43 +254,7 @@ func (d *Document) Path(from, to QName) []QName {
 	if from == to {
 		return []QName{from}
 	}
-	a := d.buildAdj()
-	s, ok := a.ids[from]
-	t, ok2 := a.ids[to]
-	if !ok || !ok2 {
-		return nil
-	}
-	visited := make([]bool, len(a.names))
-	prev := make([]int32, len(a.names))
-	visited[s] = true
-	queue := make([]int32, 1, len(a.names))
-	queue[0] = s
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, next := range a.fwd.row(cur) {
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			prev[next] = cur
-			if next == t {
-				var rev []int32
-				for n := t; ; n = prev[n] {
-					rev = append(rev, n)
-					if n == s {
-						break
-					}
-				}
-				path := make([]QName, len(rev))
-				for i, n := range rev {
-					path[len(rev)-1-i] = a.names[n]
-				}
-				return path
-			}
-			queue = append(queue, next)
-		}
-	}
-	return nil
+	return NewIndex(d).path(from, to)
 }
 
 // Subgraph extracts the sub-document induced by the given node set:
@@ -217,31 +293,16 @@ func (d *Document) Subgraph(nodes []QName) *Document {
 // Neighborhood returns the sub-document within the given number of hops
 // of start, ignoring edge direction.
 func (d *Document) Neighborhood(start QName, hops int) *Document {
+	return NewIndex(d).Neighborhood(d, start, hops)
+}
+
+// Neighborhood is Document.Neighborhood for the document d the index
+// was built from; hops <= 0 selects start alone.
+func (ix *Index) Neighborhood(d *Document, start QName, hops int) *Document {
 	nodes := []QName{start}
-	a := d.buildAdj()
-	if s, ok := a.ids[start]; ok {
-		dist := make([]int, len(a.names))
-		visited := make([]bool, len(a.names))
-		visited[s] = true
-		queue := make([]int32, 1, len(a.names))
-		queue[0] = s
-		for head := 0; head < len(queue); head++ {
-			cur := queue[head]
-			if dist[cur] >= hops {
-				continue
-			}
-			for _, rows := range [2]*csrRows{&a.fwd, &a.rev} {
-				for _, next := range rows.row(cur) {
-					if visited[next] {
-						continue
-					}
-					visited[next] = true
-					dist[next] = dist[cur] + 1
-					nodes = append(nodes, a.names[next])
-					queue = append(queue, next)
-				}
-			}
-		}
+	if hops > 0 {
+		reach, _ := ix.Reach(start, Undirected, hops)
+		nodes = append(nodes, reach...)
 	}
 	return d.Subgraph(nodes)
 }

@@ -29,9 +29,8 @@ func chainDoc(depth int) *prov.Document {
 
 // TestConcurrentPutAndLineage uploads documents from several writers
 // while readers run lineage and subgraph queries over a stable document
-// the whole time. Run with -race: it exercises the graph engine's
-// traversal scratch reuse under its read lock against concurrent
-// mutation under the write lock.
+// the whole time. Run with -race: it exercises unlocked traversal of
+// the stable document's entry against entry swaps under the write lock.
 func TestConcurrentPutAndLineage(t *testing.T) {
 	s := New()
 	const depth = 40

@@ -2,6 +2,7 @@ package provstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/prov"
@@ -12,11 +13,10 @@ import (
 // used by many pipelines, a run document paired from a workflow). The
 // union traversal below follows relation edges across *all* stored
 // documents, keyed by qualified name — the store-level counterpart of
-// the paper's multi-level provenance exploration. On the sharded
-// engine the document set is gathered by a fan-out over every shard
-// (brief read lock each, see snapshotDocs); the union/merge itself
-// runs lock-free on the immutable documents, and every output is
-// sorted, so results are deterministic for any shard count.
+// the paper's multi-level provenance exploration. The documents are
+// gathered shard by shard (brief read lock each, see eachEntry); the
+// union/merge itself runs lock-free on the immutable entries, and every
+// output is sorted, so results are deterministic for any shard count.
 
 // CrossNode is one node of a cross-document traversal result.
 type CrossNode struct {
@@ -34,37 +34,22 @@ func (s *Store) CrossDocLineage(start prov.QName, dir LineageDirection, depth in
 	}
 	// Union adjacency over qualified names + node->docs index.
 	adj := map[prov.QName][]prov.QName{}
-	docsOf := map[prov.QName]map[string]bool{}
-	seenStart := false
-	for id, doc := range s.snapshotDocs() {
-		record := func(q prov.QName) {
-			if docsOf[q] == nil {
-				docsOf[q] = map[string]bool{}
-			}
-			docsOf[q][id] = true
-			if q == start {
-				seenStart = true
-			}
-		}
-		for _, q := range doc.EntityIDs() {
-			record(q)
-		}
-		for _, q := range doc.ActivityIDs() {
-			record(q)
-		}
-		for _, q := range doc.AgentIDs() {
-			record(q)
-		}
-		for _, r := range doc.Relations {
+	docsOf := nodeDocs{}
+	s.eachEntry(func(e *entry) {
+		docsOf.add(e)
+		for _, r := range e.doc.Relations {
 			from, to := r.Subject, r.Object
 			if dir == Descendants {
 				from, to = to, from
 			}
 			adj[from] = append(adj[from], to)
 		}
+	})
+	for _, next := range adj {
+		slices.Sort(next)
 	}
 
-	if !seenStart {
+	if docsOf[start] == nil {
 		return nil, fmt.Errorf("provstore: node %s not found in any document", start)
 	}
 
@@ -81,9 +66,7 @@ func (s *Store) CrossDocLineage(start prov.QName, dir LineageDirection, depth in
 		if depth > 0 && cur.d >= depth {
 			continue
 		}
-		next := append([]prov.QName(nil), adj[cur.q]...)
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		for _, n := range next {
+		for _, n := range adj[cur.q] {
 			if visited[n] {
 				continue
 			}
@@ -109,24 +92,8 @@ func (s *Store) CrossDocLineage(start prov.QName, dir LineageDirection, depth in
 // SharedNodes lists qualified names that appear in more than one
 // document — the junction points cross-document traversal pivots on.
 func (s *Store) SharedNodes() []CrossNode {
-	docsOf := map[prov.QName]map[string]bool{}
-	for id, doc := range s.snapshotDocs() {
-		add := func(q prov.QName) {
-			if docsOf[q] == nil {
-				docsOf[q] = map[string]bool{}
-			}
-			docsOf[q][id] = true
-		}
-		for _, q := range doc.EntityIDs() {
-			add(q)
-		}
-		for _, q := range doc.ActivityIDs() {
-			add(q)
-		}
-		for _, q := range doc.AgentIDs() {
-			add(q)
-		}
-	}
+	docsOf := nodeDocs{}
+	s.eachEntry(docsOf.add)
 
 	var out []CrossNode
 	for q, docs := range docsOf {
@@ -142,4 +109,17 @@ func (s *Store) SharedNodes() []CrossNode {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
+}
+
+// nodeDocs maps an element's qualified name to the set of documents
+// declaring it.
+type nodeDocs map[prov.QName]map[string]bool
+
+func (nd nodeDocs) add(e *entry) {
+	e.eachElement(func(_ string, el *prov.Element) {
+		if nd[el.ID] == nil {
+			nd[el.ID] = map[string]bool{}
+		}
+		nd[el.ID][e.id] = true
+	})
 }

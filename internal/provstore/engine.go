@@ -3,8 +3,6 @@ package provstore
 import (
 	"runtime"
 	"sort"
-
-	"repro/internal/prov"
 )
 
 // Shard routing. A document lives on exactly one shard, chosen by a
@@ -126,23 +124,41 @@ func (s *Store) Count() int {
 	return n
 }
 
-// searchShards runs one index lookup per (shard, label) and merges the
-// matches. Results are sorted by (Doc, Node) so the output is identical
-// for any shard count.
-func (s *Store) searchShards(key string, value interface{}) []SearchResult {
-	var out []SearchResult
+// eachEntry calls fn for every stored entry. Each shard's entries are
+// collected under a brief read lock and visited outside it; the view is
+// per-shard consistent, the unit cross-document queries reason about.
+func (s *Store) eachEntry(fn func(*entry)) {
+	var batch []*entry
 	for _, sh := range s.shards {
-		for _, label := range []string{"Entity", "Activity", "Agent"} {
-			ids := sh.g.FindNodes(label, key, value)
-			docs := sh.g.StringProps(ids, "doc")
-			qns := sh.g.StringProps(ids, "qname")
-			for i := range ids {
-				if qns[i] == "" { // node deleted by a concurrent writer
-					continue
-				}
-				out = append(out, SearchResult{Doc: docs[i], Node: prov.QName(qns[i]), Class: label})
+		batch = sh.entries(batch[:0])
+		for _, e := range batch {
+			fn(e)
+		}
+	}
+}
+
+// search returns the elements whose attribute key equals want, in
+// (Doc, Node) order so the output is identical for any shard count. A
+// string search on prov:type visits only the documents the shards'
+// type postings name; any other visits every document.
+func (s *Store) search(key string, want interface{}) []SearchResult {
+	var out []SearchResult
+	visit := func(e *entry) { out = e.appendMatches(out, key, want) }
+	if typeName, ok := want.(string); ok && key == typeKey {
+		var batch []*entry
+		for _, sh := range s.shards {
+			batch = batch[:0]
+			sh.mu.RLock()
+			for id := range sh.byType[typeName] {
+				batch = append(batch, sh.docs[id])
+			}
+			sh.mu.RUnlock()
+			for _, e := range batch {
+				visit(e)
 			}
 		}
+	} else {
+		s.eachEntry(visit)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Doc != out[j].Doc {
@@ -150,22 +166,5 @@ func (s *Store) searchShards(key string, value interface{}) []SearchResult {
 		}
 		return out[i].Node < out[j].Node
 	})
-	return out
-}
-
-// snapshotDocs collects (id -> document) pointers from every shard.
-// Stored documents are immutable, so the pointers are safe to read
-// after the shard locks are released. Each shard is locked briefly in
-// turn; the view is per-shard consistent, which is the unit cross-doc
-// queries reason about.
-func (s *Store) snapshotDocs() map[string]*prov.Document {
-	out := make(map[string]*prov.Document)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, d := range sh.docs {
-			out[id] = d
-		}
-		sh.mu.RUnlock()
-	}
 	return out
 }

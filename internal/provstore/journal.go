@@ -241,8 +241,8 @@ func (s *Store) checkpointLocked() error {
 	seq := s.lastApplied.Load()
 	docs := make(map[string]*prov.Document)
 	for _, sh := range s.shards {
-		for id, d := range sh.docs {
-			docs[id] = d // stored documents are immutable: safe to marshal unlocked
+		for id, e := range sh.docs {
+			docs[id] = e.doc // stored documents are immutable: safe to marshal unlocked
 		}
 	}
 	for _, sh := range s.shards {

@@ -16,8 +16,8 @@ import (
 // The write path. Every state change — a local put, delete or batch, a
 // record replicated from a primary, a record or snapshot replayed at
 // recovery — is a mutation run through Store.apply, the only code that
-// locks shards, projects documents, stages to the journal, rolls back
-// and publishes read watermarks (README, "Write path").
+// indexes documents, locks shards, stages to the journal, rolls back and
+// publishes read watermarks (README, "Write path").
 
 // Op is one step of a mutation: store Doc under ID, or, when Doc is
 // nil, delete ID.
@@ -126,22 +126,48 @@ func (s *Store) Apply(ctx context.Context, ops []Op) error {
 	return s.commit(ctx, t, len(ops))
 }
 
-// apply is the mutation pipeline: take the owning shard locks in
-// ascending order, project every op remembering what it replaced, stage
-// the record, and — if projection or staging failed — unwind, so a
-// failed mutation is invisible to readers, later snapshots and replay
-// (an un-journaled change left readable would be made durable by the
-// next checkpoint although its caller was told it failed). Staging
-// under the locks makes log order match apply order per document. On
-// success the store-wide and per-shard watermarks advance before the
-// locks drop, so no reader can observe the new state under an old
-// version. The returned ticket is not yet committed.
+// apply is the mutation pipeline: build the entry — document plus
+// traversal index — of every document the mutation stores, then take
+// the owning shard locks in ascending order, swap the entries in
+// remembering what each displaced, stage the record, and — if an op or
+// staging failed — swap the displaced entries back, so a failed
+// mutation is invisible to readers, later snapshots and replay (an
+// un-journaled change left readable would be made durable by the next
+// checkpoint although its caller was told it failed). All the work
+// proportional to a document happens before the locks; under them a
+// put, replace or delete is a pointer swap. Staging under the locks
+// makes log order match apply order per document. On success the
+// store-wide and per-shard watermarks advance before the locks drop, so
+// no reader can observe the new state under an old version. The
+// returned ticket is not yet committed.
 func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error) {
 	if err = ctx.Err(); err != nil {
 		return t, err
 	}
 	tr := obs.FromContext(ctx)
-	var oneShard [1]uint32 // a one-op mutation allocates nothing here
+	// entries[i] is what ops[i] installs (nil deletes) and, once
+	// swapped in, what it displaced. A one-op mutation allocates
+	// neither list.
+	var oneEntry [1]*entry
+	entries := oneEntry[:]
+	if len(m.ops) > 1 {
+		entries = make([]*entry, len(m.ops))
+	}
+	span := tr.StartSpan("project")
+	for i := range m.ops {
+		if op := &m.ops[i]; op.Doc != nil {
+			if entries[i], err = newEntry(op.ID, op.Doc, m.owned); err != nil {
+				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
+				break
+			}
+		}
+	}
+	span.End()
+	if err != nil {
+		return t, err
+	}
+
+	var oneShard [1]uint32
 	idxs := s.ownerShards(m.ops, oneShard[:0])
 	s.lockShards(idxs, tr)
 	defer s.unlockShards(idxs)
@@ -149,34 +175,16 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 		return t, err // expired while queued on the locks
 	}
 
-	type undo struct {
-		sh   *shard
-		id   string
-		prev *prov.Document // nil when the id did not exist
-	}
-	var oneUndo [1]undo
-	applied := oneUndo[:0]
-	span := tr.StartSpan("project")
-	for i := range m.ops {
-		op := &m.ops[i]
-		sh := s.shardFor(op.ID)
-		prev := sh.docs[op.ID]
-		switch {
-		case op.Doc != nil:
-			if err = sh.putLocked(op.ID, op.Doc, m.owned); err != nil {
-				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
-			}
-		case prev != nil:
-			sh.deleteLocked(op.ID)
-		case !m.lenient:
-			err = fmt.Errorf("provstore: document %q does not exist", op.ID)
-		}
-		if err != nil {
+	swapped := 0
+	for ; swapped < len(m.ops); swapped++ {
+		id := m.ops[swapped].ID
+		sh := s.shardFor(id)
+		if entries[swapped] == nil && sh.docs[id] == nil && !m.lenient {
+			err = fmt.Errorf("provstore: document %q does not exist", id)
 			break
 		}
-		applied = append(applied, undo{sh, op.ID, prev})
+		entries[swapped] = sh.swap(id, entries[swapped])
 	}
-	span.End()
 
 	span = tr.StartSpan("stage")
 	if err == nil && m.record != nil {
@@ -187,14 +195,9 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	span.End()
 
 	if err != nil {
-		for i := len(applied) - 1; i >= 0; i-- {
-			u := applied[i]
-			u.sh.deleteLocked(u.id)
-			if u.prev != nil {
-				// prev is the store's own copy; re-projecting a document
-				// that was projected before cannot fail.
-				_ = u.sh.putLocked(u.id, u.prev, true)
-			}
+		for i := swapped - 1; i >= 0; i-- {
+			id := m.ops[i].ID
+			s.shardFor(id).swap(id, entries[i])
 		}
 		return wal.Ticket{}, err
 	}

@@ -108,3 +108,24 @@ func TestApplyReplicatedOnPrimaryRefused(t *testing.T) {
 		t.Fatal("primary reported read-only")
 	}
 }
+
+// TestApplyReplicatedRejectsDanglingRelation: a replicated record is
+// not validated like a local write, but a document whose relation names
+// an element it does not declare cannot be indexed; the whole record is
+// refused and leaves nothing behind.
+func TestApplyReplicatedRejectsDanglingRelation(t *testing.T) {
+	s := openFollower(t, t.TempDir())
+	defer s.Close()
+	bad := replicaDoc(t, "bad")
+	bad.Used("ex:a", "ex:undeclared", time.Time{})
+	rec := wal.Record{Seq: 1, Payload: appendRecord(nil, []Op{
+		{ID: "good", Doc: replicaDoc(t, "good")},
+		{ID: "torn", Doc: bad},
+	}, 0, "")}
+	if _, _, err := s.ApplyReplicated(rec); err == nil {
+		t.Fatal("record with a dangling relation accepted")
+	}
+	if s.Count() != 0 || s.AppliedSeq() != 0 || s.Log().NextSeq() != 1 {
+		t.Fatalf("rejected record left count=%d applied=%d next=%d", s.Count(), s.AppliedSeq(), s.Log().NextSeq())
+	}
+}

@@ -2,24 +2,142 @@ package provstore
 
 import (
 	"fmt"
-	"strings"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/graphdb"
 	"repro/internal/prov"
 )
 
-// shard is one independent slice of the store: its own property graph,
-// document map, and lock. Documents are assigned to shards by a stable
-// hash of their id (see shardIndex), so operations on documents that
-// land on different shards never contend — the divide-and-conquer that
-// lets uploads and lineage queries scale across cores.
+// typeKey is the one attribute FindByType asks about, and the one the
+// shards keep postings for.
+const typeKey = "prov:type"
+
+// entry is one stored version of a document: the document and the
+// traversal index built from it. Both are immutable from the moment the
+// entry is installed in a shard, so a reader fetches the pointer under
+// the shard's read lock and works on it unlocked — it sees exactly one
+// version however the id is replaced or deleted meanwhile.
+type entry struct {
+	id  string
+	doc *prov.Document
+	ix  *prov.Index
+	// types lists the distinct string values of the elements' prov:type
+	// attribute, the keys this entry is posted under in shard.byType.
+	types []string
+}
+
+// newEntry builds the entry storing doc under id. With owned the entry
+// keeps doc itself — decoded journal and replication records nothing
+// else references; otherwise the caller keeps ownership and the entry
+// holds a deep clone. A relation naming an element the document does
+// not declare is an error: Apply's validation rejects it earlier, a
+// replicated or replayed record gets no other check.
+func newEntry(id string, doc *prov.Document, owned bool) (*entry, error) {
+	if !owned {
+		doc = doc.Clone()
+	}
+	e := &entry{id: id, doc: doc, ix: prov.NewIndex(doc)}
+	if r := e.ix.Dangling(); r != nil {
+		return nil, fmt.Errorf("relation %s references unknown nodes", r.ID)
+	}
+	e.eachElement(func(_ string, el *prov.Element) {
+		v, ok := el.Attrs[typeKey]
+		if !ok {
+			return
+		}
+		if t, ok := stringForm(v); ok && !slices.Contains(e.types, t) {
+			e.types = append(e.types, t)
+		}
+	})
+	return e, nil
+}
+
+// eachElement calls fn for every element with its class name.
+func (e *entry) eachElement(fn func(class string, el *prov.Element)) {
+	for _, el := range e.doc.Entities {
+		fn("Entity", el)
+	}
+	for _, a := range e.doc.Activities {
+		fn("Activity", &a.Element)
+	}
+	for _, el := range e.doc.Agents {
+		fn("Agent", el)
+	}
+}
+
+// appendMatches appends the elements whose attribute key equals want.
+// Two keys are synthetic: "qname" is the element's qualified name and
+// "doc" the document id (an attribute of that name shadows them).
+func (e *entry) appendMatches(out []SearchResult, key string, want interface{}) []SearchResult {
+	e.eachElement(func(class string, el *prov.Element) {
+		v, ok := el.Attrs[key]
+		switch {
+		case ok:
+		case key == "qname":
+			v = prov.Str(string(el.ID))
+		case key == "doc":
+			v = prov.Str(e.id)
+		default:
+			return
+		}
+		if attrMatches(v, want) {
+			out = append(out, SearchResult{Doc: e.id, Node: el.ID, Class: class})
+		}
+	})
+	return out
+}
+
+// attrMatches is typed equality between an attribute value and a search
+// operand: an int64 (or int) operand matches integer attributes, a
+// float64 float attributes (bit for bit), a bool boolean ones, and a
+// string every other kind by its string form — so the string "3" never
+// matches the integer 3. Operands of any other type match nothing.
+func attrMatches(v prov.Value, want interface{}) bool {
+	switch w := want.(type) {
+	case string:
+		s, ok := stringForm(v)
+		return ok && s == w
+	case int:
+		i, _ := v.AsInt()
+		return v.Kind() == prov.KindInt && i == int64(w)
+	case int64:
+		i, _ := v.AsInt()
+		return v.Kind() == prov.KindInt && i == w
+	case float64:
+		f, _ := v.AsFloat()
+		return v.Kind() == prov.KindFloat && math.Float64bits(f) == math.Float64bits(w)
+	case bool:
+		b, ok := v.AsBool()
+		return ok && b == w
+	}
+	return false
+}
+
+// stringForm is what a string operand is compared with: the string
+// form of any value but a number or a boolean, which have none.
+func stringForm(v prov.Value) (string, bool) {
+	switch v.Kind() {
+	case prov.KindInt, prov.KindFloat, prov.KindBool:
+		return "", false
+	}
+	return v.AsString(), true
+}
+
+// shard is one independent slice of the store: its own entry map, type
+// postings and lock. Documents are assigned to shards by a stable hash
+// of their id (see shardIndex), so operations on documents that land on
+// different shards never contend — the divide-and-conquer that lets
+// uploads and lineage queries scale across cores.
 type shard struct {
-	mu    sync.RWMutex
-	g     *graphdb.Graph
-	docs  map[string]*prov.Document
-	roots map[string]map[prov.QName]graphdb.NodeID // docID -> element -> node
+	mu   sync.RWMutex
+	docs map[string]*entry
+	// byType posts, per prov:type value, the ids of the documents with
+	// such an element.
+	byType map[string]map[string]struct{}
+	// nodes and rels count the elements and relations of docs.
+	nodes, rels int
 
 	// lockWaitNanos accumulates how long mutations waited for mu, the
 	// per-shard contention signal behind the
@@ -31,6 +149,13 @@ type shard struct {
 	// tick on in-memory ones). Reads validate cached responses against
 	// the max watermark of the shards they touch — see watermark.go.
 	applied atomic.Uint64
+}
+
+func newShard() *shard {
+	return &shard{
+		docs:   make(map[string]*entry),
+		byType: make(map[string]map[string]struct{}),
+	}
 }
 
 // noteApplied raises the shard's read watermark to seq. Mutations on
@@ -45,179 +170,50 @@ func (sh *shard) noteApplied(seq uint64) {
 	}
 }
 
-// newShard builds an empty shard with the indexes every lineage/search
-// query relies on.
-func newShard() *shard {
-	g := graphdb.New()
-	for _, label := range []string{"Entity", "Activity", "Agent"} {
-		g.CreateIndex(label, "qname")
-		g.CreateIndex(label, "doc")
-		g.CreateIndex(label, "prov:type")
-	}
-	return &shard{
-		g:     g,
-		docs:  make(map[string]*prov.Document),
-		roots: make(map[string]map[prov.QName]graphdb.NodeID),
-	}
-}
-
-// relTypes caches the graph relationship type for every PROV relation
-// kind; ToUpper on the hot projection path both allocated and burned
-// cycles per relation.
-var relTypes = func() map[prov.RelationKind]string {
-	m := make(map[prov.RelationKind]string, len(prov.AllRelationKinds))
-	for _, k := range prov.AllRelationKinds {
-		m[k] = strings.ToUpper(string(k))
-	}
-	return m
-}()
-
-// relTypeFor maps PROV relation kinds to graph relationship types.
-func relTypeFor(kind prov.RelationKind) string {
-	if t, ok := relTypes[kind]; ok {
-		return t
-	}
-	return strings.ToUpper(string(kind))
-}
-
-// Shared immutable label slices handed to CreateNodeOwned. graphdb
-// never mutates node labels, so every projection of the same class can
-// share one slice instead of allocating per element.
-var (
-	labelEntity   = []string{"Entity"}
-	labelActivity = []string{"Activity"}
-	labelAgent    = []string{"Agent"}
-)
-
-// putLocked applies a validated document to the shard's in-memory
-// state, all-or-nothing: the new graph projection is built first and
-// torn back down on any error, and the old document is replaced only on
-// success. With owned the shard keeps doc itself — decoded journal and
-// replication records nothing else references, which lets recovery and
-// follower apply run allocation-proportional to the decode, not twice
-// it; otherwise the caller keeps ownership and the shard stores a deep
-// clone. sh.mu must be held exclusively.
-func (sh *shard) putLocked(id string, doc *prov.Document, owned bool) (err error) {
-	nodeCount := len(doc.Entities) + len(doc.Activities) + len(doc.Agents)
-	nodes := make(map[prov.QName]graphdb.NodeID, nodeCount)
-	defer func() {
-		if err != nil {
-			for _, nid := range nodes {
-				_ = sh.g.DeleteNode(nid) // cascades relationships
-			}
-		}
-	}()
-
-	// One boxed copy of the doc id serves every node and relation
-	// property map instead of re-boxing the string per element.
-	var docVal interface{} = id
-
-	addElement := func(labels []string, el *prov.Element, extra graphdb.Props) error {
-		props := make(graphdb.Props, len(el.Attrs)+len(extra)+2)
-		props["qname"] = string(el.ID)
-		props["doc"] = docVal
-		for k, v := range el.Attrs {
-			props[k] = attrPropValue(v)
-		}
-		for k, v := range extra {
-			props[k] = v
-		}
-		// The freshly built map is handed over — the Owned variants skip
-		// graphdb's defensive copies on this hot path. The label slice is
-		// shared and immutable (graphdb never mutates labels).
-		nid, err := sh.g.CreateNodeOwned(labels, props)
-		if err != nil {
-			return err
-		}
-		nodes[el.ID] = nid
-		return nil
-	}
-
-	for _, qid := range doc.EntityIDs() {
-		if err := addElement(labelEntity, doc.Entities[qid], nil); err != nil {
-			return err
-		}
-	}
-	for _, qid := range doc.ActivityIDs() {
-		a := doc.Activities[qid]
-		var extra graphdb.Props
-		if !a.StartTime.IsZero() || !a.EndTime.IsZero() {
-			extra = make(graphdb.Props, 2)
-			if !a.StartTime.IsZero() {
-				extra["startTime"] = a.StartTime.UnixNano()
-			}
-			if !a.EndTime.IsZero() {
-				extra["endTime"] = a.EndTime.UnixNano()
-			}
-		}
-		if err := addElement(labelActivity, &a.Element, extra); err != nil {
-			return err
-		}
-	}
-	for _, qid := range doc.AgentIDs() {
-		if err := addElement(labelAgent, doc.Agents[qid], nil); err != nil {
-			return err
-		}
-	}
-	// Timeless relations all carry the identical {"doc": id} property
-	// bag, and graphdb never mutates relationship props after creation,
-	// so one shared map serves every such edge of the document.
-	var sharedRelProps graphdb.Props
-	for _, rel := range doc.Relations {
-		from, ok1 := nodes[rel.Subject]
-		to, ok2 := nodes[rel.Object]
-		if !ok1 || !ok2 {
-			return fmt.Errorf("provstore: relation %s references unknown nodes", rel.ID)
-		}
-		var props graphdb.Props
-		if rel.Time.IsZero() {
-			if sharedRelProps == nil {
-				sharedRelProps = graphdb.Props{"doc": docVal}
-			}
-			props = sharedRelProps
-		} else {
-			props = graphdb.Props{"doc": docVal, "time": rel.Time.UnixNano()}
-		}
-		if _, err := sh.g.CreateRelOwned(from, to, relTypeFor(rel.Kind), props); err != nil {
-			return err
-		}
-	}
-
-	if _, exists := sh.docs[id]; exists {
-		sh.deleteLocked(id)
-	}
-	if owned {
-		sh.docs[id] = doc
-	} else {
-		sh.docs[id] = doc.Clone()
-	}
-	sh.roots[id] = nodes
-	return nil
-}
-
-// deleteLocked removes a document's projection. sh.mu must be held
+// swap installs e under id — nil deletes — and returns the entry it
+// displaced, nil when the id was free. Putting the returned entry back
+// with a second swap undoes the first exactly. sh.mu must be held
 // exclusively.
-func (sh *shard) deleteLocked(id string) {
-	for _, nid := range sh.roots[id] {
-		_ = sh.g.DeleteNode(nid) // cascades relationships
+func (sh *shard) swap(id string, e *entry) (prev *entry) {
+	if prev = sh.docs[id]; prev != nil {
+		sh.account(prev, -1)
+		for _, t := range prev.types {
+			delete(sh.byType[t], id)
+			if len(sh.byType[t]) == 0 {
+				delete(sh.byType, t)
+			}
+		}
 	}
-	delete(sh.roots, id)
-	delete(sh.docs, id)
+	if e == nil {
+		delete(sh.docs, id)
+		return prev
+	}
+	sh.docs[id] = e
+	sh.account(e, 1)
+	for _, t := range e.types {
+		if sh.byType[t] == nil {
+			sh.byType[t] = make(map[string]struct{})
+		}
+		sh.byType[t][id] = struct{}{}
+	}
+	return prev
 }
 
-// attrPropValue flattens prov values into graph property scalars.
-func attrPropValue(v prov.Value) interface{} {
-	switch v.Kind() {
-	case prov.KindInt:
-		i, _ := v.AsInt()
-		return i
-	case prov.KindFloat:
-		f, _ := v.AsFloat()
-		return f
-	case prov.KindBool:
-		b, _ := v.AsBool()
-		return b
-	default:
-		return v.AsString()
+// account adds (sign 1) or removes (sign -1) e's element and relation
+// counts.
+func (sh *shard) account(e *entry, sign int) {
+	st := e.doc.Stats()
+	sh.nodes += sign * (st.Entities + st.Activities + st.Agents)
+	sh.rels += sign * st.Relations
+}
+
+// entries appends the shard's entries to buf under a brief read lock;
+// the caller works on them unlocked.
+func (sh *shard) entries(buf []*entry) []*entry {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, e := range sh.docs {
+		buf = append(buf, e)
 	}
+	return buf
 }

@@ -1,32 +1,32 @@
-// Package provstore persists PROV documents into a sharded property-
-// graph engine, mirroring the yProv service architecture (web front-end,
-// graph database back-end). The store is split into N power-of-two
-// shards keyed by a hash of the document id; each shard owns its own
-// graphdb.Graph, document map, and lock, so uploads and lineage queries
-// on different documents never contend. Cross-document operations fan
-// out over the shards and merge with deterministic ordering. Each
-// document's elements become labeled nodes and its relations become
-// typed relationships, enabling multi-level lineage queries across
-// uploaded documents. Every write — a local Apply, a replicated record,
-// a record replayed at recovery — runs through one mutation pipeline
-// (mutation.go).
+// Package provstore is the storage engine of the yProv service stand-in
+// (web front-end over a provenance store): it keeps uploaded PROV
+// documents and answers multi-level lineage queries over them. The store
+// is split into N power-of-two shards keyed by a hash of the document
+// id; each shard owns its own entry map and lock, so uploads and lineage
+// queries on different documents never contend. A stored document is
+// one immutable entry — the document plus the prov.Index built from it
+// when it was written — so a replace or delete swaps or drops a pointer,
+// and a read fetches the pointer under the shard's read lock and
+// traverses unlocked: one lock level, work proportional to the
+// document, exactly one version seen. Cross-document operations fan out
+// over the shards and merge with deterministic ordering. Every write —
+// a local Apply, a replicated record, a record replayed at recovery —
+// runs through one mutation pipeline (mutation.go).
 package provstore
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/graphdb"
 	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/wal"
 )
 
-// Store is a document store over sharded property graphs. Stores built
+// Store is a sharded document store. Stores built
 // with New/NewSharded are purely in-memory; stores built with Open
 // additionally journal every mutation to a single write-ahead log (see
 // journal.go) — global sequencing, per-shard application — and recover
@@ -131,35 +131,27 @@ func (s *Store) Put(id string, doc *prov.Document) error {
 	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc}})
 }
 
-// Get returns a copy of the stored document.
-func (s *Store) Get(id string) (*prov.Document, bool) {
+// entry returns the current entry of id, nil when there is none.
+func (s *Store) entry(id string) *entry {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	d, ok := sh.docs[id]
-	if !ok {
+	return sh.docs[id]
+}
+
+// Get returns a copy of the stored document.
+func (s *Store) Get(id string) (*prov.Document, bool) {
+	e := s.entry(id)
+	if e == nil {
 		return nil, false
 	}
-	return d.Clone(), true
+	return e.doc.Clone(), true
 }
 
-// Delete removes a document and its graph projection; a missing id is
-// an error. It is Apply with one op and no deadline.
+// Delete removes a document; a missing id is an error. It is Apply with
+// one op and no deadline.
 func (s *Store) Delete(id string) error {
 	return s.Apply(context.Background(), []Op{{ID: id}})
-}
-
-// nodeID resolves (doc, qname) to the graph node on the owning shard.
-func (s *Store) nodeID(doc string, q prov.QName) (*shard, graphdb.NodeID, bool) {
-	sh := s.shardFor(doc)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	nodes, ok := sh.roots[doc]
-	if !ok {
-		return sh, 0, false
-	}
-	nid, ok := nodes[q]
-	return sh, nid, ok
 }
 
 // LineageDirection selects ancestors (toward origins) or descendants.
@@ -174,61 +166,34 @@ const (
 // Lineage returns the qualified names reachable from node in the given
 // direction within depth hops (depth <= 0 = unbounded), sorted.
 // PROV relation edges point from subject toward object — toward origins
-// — so ancestors follow outgoing edges. The traversal runs entirely on
-// the shard owning the document; queries on other shards proceed in
-// parallel.
+// — so ancestors follow them forward. The traversal runs on the
+// document's own index, outside every lock.
 func (s *Store) Lineage(doc string, node prov.QName, dir LineageDirection, depth int) ([]prov.QName, error) {
-	sh, nid, ok := s.nodeID(doc, node)
-	if !ok {
-		return nil, fmt.Errorf("provstore: node %s not found in document %q", node, doc)
-	}
-	gdir := graphdb.Outgoing
+	pdir := prov.Forward
 	if dir == Descendants {
-		gdir = graphdb.Incoming
+		pdir = prov.Reverse
 	} else if dir != Ancestors {
 		return nil, fmt.Errorf("provstore: bad lineage direction %q", dir)
 	}
-	ids := sh.g.Closure(nid, gdir, "", depth)
-	// Batch-resolve qualified names: one lock acquisition, no node clones.
-	// Nodes deleted by a concurrent Put/Delete resolve to "" and are
-	// skipped, as the old per-node lookup did.
-	out := make([]prov.QName, 0, len(ids))
-	for _, qn := range sh.g.StringProps(ids, "qname") {
-		if qn != "" {
-			out = append(out, prov.QName(qn))
+	if e := s.entry(doc); e != nil {
+		if reach, ok := e.ix.Reach(node, pdir, depth); ok {
+			return reach, nil
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return nil, fmt.Errorf("provstore: node %s not found in document %q", node, doc)
 }
 
-// Subgraph extracts the neighborhood of node within hops as a document.
-// The node set is discovered with an undirected graph traversal (the
-// document's relations never leave its own graph projection, which
-// lives wholly on one shard), then the stored document is induced onto
-// it.
+// Subgraph extracts the neighborhood of node within hops, ignoring edge
+// direction, as a document; hops <= 0 selects the node alone.
 func (s *Store) Subgraph(doc string, node prov.QName, hops int) (*prov.Document, error) {
-	sh := s.shardFor(doc)
-	sh.mu.RLock()
-	d, ok := sh.docs[doc]
-	nid, found := sh.roots[doc][node]
-	sh.mu.RUnlock()
-	if !ok {
+	e := s.entry(doc)
+	if e == nil {
 		return nil, fmt.Errorf("provstore: document %q does not exist", doc)
 	}
-	if !found {
+	if !e.ix.Has(node) {
 		return nil, fmt.Errorf("provstore: node %s not found in document %q", node, doc)
 	}
-	nodes := []prov.QName{node}
-	if hops > 0 {
-		ids := sh.g.Closure(nid, graphdb.Both, "", hops)
-		for _, qn := range sh.g.StringProps(ids, "qname") {
-			if qn != "" { // node deleted by a concurrent writer
-				nodes = append(nodes, prov.QName(qn))
-			}
-		}
-	}
-	return d.Subgraph(nodes), nil
+	return e.ix.Neighborhood(e.doc, node, hops), nil
 }
 
 // SearchResult is one match of a cross-document search.
@@ -243,13 +208,19 @@ type SearchResult struct {
 // of previous runs" query of the paper's §3.2/§3.4, fanned out over
 // every shard and merged in (Doc, Node) order.
 func (s *Store) FindByType(typeName string) []SearchResult {
-	return s.searchShards("prov:type", typeName)
+	return s.search(typeKey, typeName)
 }
 
 // FindByAttr returns elements with attribute key equal to value across
-// all documents. Key is the raw PROV attribute name (e.g. "provml:name").
+// all documents. Key is the raw PROV attribute name (e.g.
+// "provml:name"), or one of two synthetic keys: "qname" (the element's
+// qualified name) and "doc" (the id of the document holding it).
+// Equality is typed — see attrMatches. Every key but prov:type scans
+// the store. The int64 "startTime"/"endTime" keys of the former graph
+// projection, which no HTTP request could reach (query values arrive as
+// strings), are gone.
 func (s *Store) FindByAttr(key string, value interface{}) []SearchResult {
-	return s.searchShards(key, value)
+	return s.search(key, value)
 }
 
 // Stats summarizes the store. Durability is nil for in-memory stores.
@@ -266,14 +237,12 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	st := Stats{Shards: len(s.shards)}
 	for _, sh := range s.shards {
-		// All three counts must come from the same instant: a put holds
-		// the shard write lock across both the docs map and the graph
-		// projection, so reading the graph counts after dropping the
-		// RLock could pair docs=N with the nodes of N+1 documents.
+		// One RLock for all three, so the counts come from the same
+		// instant.
 		sh.mu.RLock()
 		st.Documents += len(sh.docs)
-		st.Nodes += sh.g.NodeCount()
-		st.Rels += sh.g.RelCount()
+		st.Nodes += sh.nodes
+		st.Rels += sh.rels
 		sh.mu.RUnlock()
 	}
 	if s.wal != nil {

@@ -1,6 +1,7 @@
 package provstore
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -216,5 +217,61 @@ func TestFindByAttr(t *testing.T) {
 	}
 	if got := s.FindByAttr("provml:name", "nothing"); len(got) != 0 {
 		t.Errorf("unexpected hits %v", got)
+	}
+
+	typed := prov.NewDocument()
+	typed.AddEntity("ex:int", prov.Attrs{"ex:v": prov.Int(3)})
+	typed.AddEntity("ex:str", prov.Attrs{"ex:v": prov.Str("3")})
+	typed.AddEntity("ex:float", prov.Attrs{"ex:v": prov.Float(2.5)})
+	typed.AddActivity("ex:bool", prov.Attrs{"ex:v": prov.Bool(true)})
+	typed.AddAgent("ex:ref", prov.Attrs{"ex:v": prov.Ref("ex:int"), "prov:type": prov.Str("provml:Model")})
+	if err := s.Put("d2", typed); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key   string
+		value interface{}
+		want  []SearchResult
+	}{
+		{"ex:v", int64(3), []SearchResult{{"d2", "ex:int", "Entity"}}},
+		{"ex:v", 3, []SearchResult{{"d2", "ex:int", "Entity"}}},
+		{"ex:v", "3", []SearchResult{{"d2", "ex:str", "Entity"}}},
+		{"ex:v", 3.0, nil},
+		{"ex:v", 2.5, []SearchResult{{"d2", "ex:float", "Entity"}}},
+		{"ex:v", "2.5", nil},
+		{"ex:v", true, []SearchResult{{"d2", "ex:bool", "Activity"}}},
+		{"ex:v", "true", nil},
+		{"ex:v", false, nil},
+		{"ex:v", "ex:int", []SearchResult{{"d2", "ex:ref", "Agent"}}},
+		{"ex:v", uint8(3), nil},
+		{"qname", "ex:raw", []SearchResult{{"d1", "ex:raw", "Entity"}}},
+		{"doc", "d2", []SearchResult{
+			{"d2", "ex:bool", "Activity"}, {"d2", "ex:float", "Entity"}, {"d2", "ex:int", "Entity"},
+			{"d2", "ex:ref", "Agent"}, {"d2", "ex:str", "Entity"}}},
+		{"doc", "d3", nil},
+		{"prov:type", "provml:Model", []SearchResult{{"d1", "ex:model", "Entity"}, {"d2", "ex:ref", "Agent"}}},
+	} {
+		if got := s.FindByAttr(tc.key, tc.value); !slices.Equal(got, tc.want) {
+			t.Errorf("FindByAttr(%q, %#v) = %v, want %v", tc.key, tc.value, got, tc.want)
+		}
+	}
+
+	// A replacement takes the old version out of the prov:type postings,
+	// and a delete the last one.
+	typed.Agents["ex:ref"].Attrs["prov:type"] = prov.Str("provml:Dataset")
+	if err := s.Put("d2", typed); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FindByType("provml:Model"); !slices.Equal(got, []SearchResult{{"d1", "ex:model", "Entity"}}) {
+		t.Errorf("after replace: %v", got)
+	}
+	if got := s.FindByType("provml:Dataset"); len(got) != 3 || got[2] != (SearchResult{"d2", "ex:ref", "Agent"}) {
+		t.Errorf("after replace: %v", got)
+	}
+	if err := s.Delete("d2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FindByType("provml:Dataset"); len(got) != 2 {
+		t.Errorf("after delete: %v", got)
 	}
 }
