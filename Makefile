@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet layering race chaos bench bench-compile bench-key bench-report bench-selftest metrics-format ci
+.PHONY: all build test vet layering race chaos fuzz-smoke bench bench-compile bench-key bench-report bench-selftest metrics-format ci
 
 all: build
 
@@ -30,6 +30,15 @@ race:
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/faultnet/ ./internal/loadgen/ -run 'TestChaos|TestProxy'
 	$(GO) test -race ./internal/wal/ -run 'TestFault'
+
+# Ten seconds of each prov fuzzer on top of its committed seed corpus:
+# the differential one that holds the PROV-JSON decoder to the
+# encoding/json reference it replaced, and the two binary-codec ones.
+# go test takes one -fuzz target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov
 
 # Full benchmark suite (tables, figures, ablations, durability). One
 # iteration per benchmark keeps it tractable; raise -benchtime for
@@ -76,6 +85,7 @@ bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Full gate: build, static checks (vet, import layering), unit tests,
-# the race-detector pass over every package, the exposition-format gate,
-# the benchmark compile smoke, and the benchmark harness's own tests.
-ci: build vet layering test race chaos metrics-format bench-compile bench-selftest
+# the race-detector pass over every package, the fault suites, the
+# fuzzer smoke, the exposition-format gate, the benchmark compile smoke,
+# and the benchmark harness's own tests.
+ci: build vet layering test race chaos fuzz-smoke metrics-format bench-compile bench-selftest

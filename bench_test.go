@@ -554,32 +554,8 @@ func BenchmarkFlightRecord(b *testing.B) {
 	})
 }
 
-// BenchmarkProvParse measures PROV-JSON parsing of a populated run doc.
-func BenchmarkProvParse(b *testing.B) {
-	run := benchRun(b)
-	for i := 0; i < 500; i++ {
-		_ = run.LogMetric("loss", metrics.Training, int64(i), float64(i))
-	}
-	doc, err := run.BuildProv(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload, err := doc.MarshalJSON()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prov.ParseJSON(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // codecBenchDoc builds the populated run document the codec benchmarks
-// serialize — the same shape BenchmarkProvParse uses, so json rows are
-// directly comparable.
+// serialize: one run with 500 logged metric values.
 func codecBenchDoc(b *testing.B) *prov.Document {
 	b.Helper()
 	run := benchRun(b)
@@ -621,32 +597,40 @@ func BenchmarkCodecEncode(b *testing.B) {
 }
 
 // BenchmarkCodecDecode compares parsing the two encodings back into a
-// Document — the recovery/follower-apply hot path.
+// Document — the recovery/follower-apply hot path, and for json the
+// ingest path too — on two shapes: the populated run document (few
+// elements, many attributes; rows "json" and "binary") and a depth-33
+// lineage chain, the size and shape of the documents the service
+// ingests in bulk (many small records; the "-chain" rows).
 func BenchmarkCodecDecode(b *testing.B) {
-	doc := codecBenchDoc(b)
-	j, err := doc.MarshalJSON()
-	if err != nil {
-		b.Fatal(err)
+	for _, shape := range []struct {
+		suffix string
+		doc    *prov.Document
+	}{{"", codecBenchDoc(b)}, {"-chain", shardbench.ChainDoc(33)}} {
+		j, err := shape.doc.MarshalJSON()
+		if err != nil {
+			b.Fatal(err)
+		}
+		bin := prov.AppendBinary(nil, shape.doc)
+		b.Run("json"+shape.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(j)))
+			for i := 0; i < b.N; i++ {
+				if _, err := prov.ParseJSON(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("binary"+shape.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bin)))
+			for i := 0; i < b.N; i++ {
+				if _, err := prov.ParseBinary(bin); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	bin := prov.AppendBinary(nil, doc)
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(j)))
-		for i := 0; i < b.N; i++ {
-			if _, err := prov.ParseJSON(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(bin)))
-		for i := 0; i < b.N; i++ {
-			if _, err := prov.ParseBinary(bin); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTrainsimRun measures one full simulated run.

@@ -32,9 +32,9 @@ import (
 //	        the intern table), else intern-table index + 1
 //
 // Decoding mirrors ParseJSON's semantics exactly: times come back UTC
-// (Time() normalizes on the JSON path too), relation attribute bags are
-// non-nil, and the relation-id counter restarts at zero — a binary
-// round trip and a JSON round trip of the same document produce
+// (Time() normalizes on the JSON path too), records without attributes
+// keep nil Attrs, and the relation-id counter restarts at zero — a
+// binary round trip and a JSON round trip of the same document produce
 // MarshalJSON-identical results.
 
 // BinaryDocTag is the version byte opening every binary document blob.
@@ -138,22 +138,22 @@ func (e *binEncoder) appendAttrs(dst []byte, attrs Attrs) []byte {
 }
 
 func (e *binEncoder) appendValue(dst []byte, v Value) []byte {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
 		dst = append(dst, binKindInt)
-		return binary.AppendVarint(dst, v.i)
+		return binary.AppendVarint(dst, v.int())
 	case KindFloat:
 		dst = append(dst, binKindFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.float()))
 	case KindBool:
 		dst = append(dst, binKindBool)
-		if v.b {
+		if v.bool() {
 			return append(dst, 1)
 		}
 		return append(dst, 0)
 	case KindTime:
 		dst = append(dst, binKindTime)
-		return appendTime(dst, v.t)
+		return appendTime(dst, v.time())
 	case KindRef:
 		dst = append(dst, binKindRef)
 		return e.appendStr(dst, v.s)

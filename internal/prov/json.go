@@ -3,9 +3,6 @@ package prov
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"sort"
-	"time"
 )
 
 // PROV-JSON serialization per the W3C PROV-JSON member submission:
@@ -97,129 +94,4 @@ func attrRecord(attrs Attrs, extra map[string]Value) map[string]Value {
 		rec[k] = v
 	}
 	return rec
-}
-
-// UnmarshalJSON parses a PROV-JSON document.
-func (d *Document) UnmarshalJSON(data []byte) error {
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
-		return fmt.Errorf("prov: invalid PROV-JSON: %w", err)
-	}
-
-	fresh := NewDocument()
-
-	if rawPrefix, ok := top["prefix"]; ok {
-		var prefix map[string]string
-		if err := json.Unmarshal(rawPrefix, &prefix); err != nil {
-			return fmt.Errorf("prov: invalid prefix section: %w", err)
-		}
-		for p, uri := range prefix {
-			fresh.Namespaces.Register(p, uri)
-		}
-	}
-
-	parseSection := func(name string) (map[string]map[string]Value, error) {
-		raw, ok := top[name]
-		if !ok {
-			return nil, nil
-		}
-		var sec map[string]map[string]Value
-		if err := json.Unmarshal(raw, &sec); err != nil {
-			return nil, fmt.Errorf("prov: invalid %q section: %w", name, err)
-		}
-		return sec, nil
-	}
-
-	if sec, err := parseSection("entity"); err != nil {
-		return err
-	} else {
-		for id, rec := range sec {
-			fresh.AddEntity(QName(id), Attrs(rec))
-		}
-	}
-	if sec, err := parseSection("agent"); err != nil {
-		return err
-	} else {
-		for id, rec := range sec {
-			fresh.AddAgent(QName(id), Attrs(rec))
-		}
-	}
-	if sec, err := parseSection("activity"); err != nil {
-		return err
-	} else {
-		for id, rec := range sec {
-			attrs := make(Attrs, len(rec))
-			var start, end time.Time
-			for k, v := range rec {
-				switch k {
-				case "prov:startTime":
-					start, _ = v.AsTime()
-				case "prov:endTime":
-					end, _ = v.AsTime()
-				default:
-					attrs[k] = v
-				}
-			}
-			a := fresh.AddActivity(QName(id), attrs)
-			a.StartTime = start
-			a.EndTime = end
-		}
-	}
-
-	for _, kind := range AllRelationKinds {
-		sec, err := parseSection(string(kind))
-		if err != nil {
-			return err
-		}
-		if sec == nil {
-			continue
-		}
-		subjRole, objRole, _ := RelationRoles(kind)
-		// Sort relation ids for deterministic reconstruction order.
-		ids := make([]string, 0, len(sec))
-		for id := range sec {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			rec := sec[id]
-			rel := Relation{ID: id, Kind: kind, Attrs: make(Attrs)}
-			for k, v := range rec {
-				switch k {
-				case subjRole:
-					if q, ok := v.AsRef(); ok {
-						rel.Subject = q
-					} else {
-						rel.Subject = QName(v.AsString())
-					}
-				case objRole:
-					if q, ok := v.AsRef(); ok {
-						rel.Object = q
-					} else {
-						rel.Object = QName(v.AsString())
-					}
-				case "prov:time":
-					rel.Time, _ = v.AsTime()
-				default:
-					rel.Attrs[k] = v
-				}
-			}
-			if rel.Subject == "" || rel.Object == "" {
-				return fmt.Errorf("prov: relation %s/%s missing %s or %s", kind, id, subjRole, objRole)
-			}
-			fresh.AddRelation(rel)
-		}
-	}
-
-	*d = *fresh
-	return nil
-}
-
-// ParseJSON parses PROV-JSON bytes into a new document.
-func ParseJSON(data []byte) (*Document, error) {
-	d := NewDocument()
-	if err := d.UnmarshalJSON(data); err != nil {
-		return nil, err
-	}
-	return d, nil
 }

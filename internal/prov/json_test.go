@@ -227,3 +227,62 @@ func TestUnknownTypedValuePreserved(t *testing.T) {
 		t.Errorf("unknown typed literal lost: %q", got)
 	}
 }
+
+// TestValueUnmarshalJSON: json.Unmarshal into a Value or an Attrs, away
+// from the document decoder, reads attribute values by the same rules —
+// checked against the reference's value type on every form.
+func TestValueUnmarshalJSON(t *testing.T) {
+	for _, text := range []string{
+		`"s"`, `"é😀\ud800"`, `true`, `false`, `0`, `-0`, `7`, `-7`, `1.5`, `1e3`, `9223372036854775808`, `1e400`,
+		`null`, `[]`, `[1,"x"]`, `{}`, ` {"$" : "5" , "type" : "xsd:int"} `,
+		`{"$":"5","type":"xsd:int","$":"6"}`, `{"$":5,"type":"xsd:int"}`, `{"$":"x","type":"xsd:int"}`, `{"$":"x","type":null}`,
+		`{"$":"hola","lang":"es"}`, `{"$":"2024-01-02T03:04:05Z","type":"xsd:dateTime"}`, `{"$":"ex:a","type":"prov:QUALIFIED_NAME"}`,
+		`{"$":"1","type":"xsd:long"}`, `{"$":"NaN","type":"xsd:double"}`, `{"$":"t","type":"xsd:boolean"}`,
+	} {
+		var got Value
+		var want refValue
+		gerr, werr := json.Unmarshal([]byte(text), &got), json.Unmarshal([]byte(text), &want)
+		if (gerr == nil) != (werr == nil) {
+			t.Errorf("%s: error %v, reference %v", text, gerr, werr)
+		} else if gerr == nil && (!got.Equal(want.Value) || got.Kind() != want.Kind()) {
+			t.Errorf("%s: %v (kind %d), reference %v (kind %d)", text, got.AsString(), got.Kind(), want.AsString(), want.Kind())
+		}
+	}
+
+	var attrs Attrs
+	src := `{"n":3,"f":2.5,"s":"x","t":{"$":"2024-01-02T03:04:05Z","type":"xsd:dateTime"},"n":4}`
+	if err := json.Unmarshal([]byte(src), &attrs); err != nil {
+		t.Fatal(err)
+	}
+	want := Attrs{"n": Int(4), "f": Float(2.5), "s": Str("x"), "t": Time(time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC))}
+	if !attrsEqual(attrs, want) {
+		t.Fatalf("Attrs = %v, want %v", attrs, want)
+	}
+	if err := json.Unmarshal([]byte(`{"k":null}`), &attrs); err == nil {
+		t.Error("a null attribute value must be rejected")
+	}
+	// Called directly, without encoding/json's framing: one value, no more.
+	var v Value
+	if err := v.UnmarshalJSON([]byte(`"a" "b"`)); err == nil {
+		t.Error("trailing bytes after the value must be rejected")
+	}
+	if err := v.UnmarshalJSON([]byte(`{"$":"1","type":"xsd:int"`)); err == nil {
+		t.Error("a truncated value must be rejected")
+	}
+}
+
+// TestRelationKindTables: the decoder sizes its per-kind state by
+// numRelationKinds and reads every kind's role names.
+func TestRelationKindTables(t *testing.T) {
+	if len(AllRelationKinds) != numRelationKinds {
+		t.Fatalf("AllRelationKinds lists %d kinds, numRelationKinds is %d", len(AllRelationKinds), numRelationKinds)
+	}
+	for i, kind := range AllRelationKinds {
+		if subj, obj, ok := RelationRoles(kind); !ok || subj == "" || obj == "" || subj == obj {
+			t.Errorf("%s: roles %q, %q (%v)", kind, subj, obj, ok)
+		}
+		if got := sectionOf([]byte(kind)); got != secRelations+i {
+			t.Errorf("sectionOf(%s) = %d, want %d", kind, got, secRelations+i)
+		}
+	}
+}

@@ -8,6 +8,18 @@
 // relations used / wasGeneratedBy / wasAssociatedWith / wasAttributedTo /
 // wasDerivedFrom / wasInformedBy / actedOnBehalfOf / wasStartedBy /
 // wasEndedBy / hadMember / specializationOf / alternateOf.
+//
+// PROV-JSON is decoded by a hand-written single-pass decoder
+// (json_decode.go, over internal/jsonscan) that accepts what the
+// encoding/json-based decoder before it accepted — a differential fuzz
+// test holds it to that — with one exception: the document must be a
+// JSON object, a top-level null is an error. In short: sections and
+// records may be null (empty); unknown sections are ignored but must be
+// well-formed; of a repeated section, id or attribute the last one
+// counts; attribute values are bare scalars or {"$", "type"} literals,
+// never null or arrays; a bare-string prov:startTime, prov:endTime or
+// prov:time is dropped, not kept. The comment in json_decode.go has
+// the full list.
 package prov
 
 import (

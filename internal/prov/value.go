@@ -1,12 +1,15 @@
 package prov
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"time"
+
+	"repro/internal/jsonscan"
 )
 
 // ValueKind discriminates the dynamic type held by a Value.
@@ -26,94 +29,113 @@ const (
 // either as bare JSON scalars (strings, numbers, booleans) or as
 // {"$": "...", "type": "xsd:..."} objects when the type must be preserved
 // (times, references, and non-finite floats).
+//
+// A Value is 32 bytes — every stored attribute is one, and an attribute
+// bag pays for eight of them from its first entry — so the kinds share
+// their storage: s holds a string or reference; n an integer, the bits
+// of a float, a boolean as 0 or 1, or a timestamp's Unix seconds, whose
+// nanoseconds sit beside the kind.
 type Value struct {
-	kind ValueKind
+	kind uint8 // a ValueKind
+	nsec int32
 	s    string
-	i    int64
-	f    float64
-	b    bool
-	t    time.Time
+	n    uint64
 }
 
 // Str returns a string Value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value { return Value{kind: uint8(KindString), s: s} }
 
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: uint8(KindInt), n: uint64(i)} }
 
 // Float returns a floating-point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: uint8(KindFloat), n: math.Float64bits(f)} }
 
 // Bool returns a boolean Value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: uint8(KindBool)}
+	if b {
+		v.n = 1
+	}
+	return v
+}
 
-// Time returns a timestamp Value (serialized as xsd:dateTime).
-func Time(t time.Time) Value { return Value{kind: KindTime, t: t.UTC()} }
+// Time returns a timestamp Value (serialized as xsd:dateTime). The
+// instant is kept, in UTC; the location is not.
+func Time(t time.Time) Value {
+	return Value{kind: uint8(KindTime), n: uint64(t.Unix()), nsec: int32(t.Nanosecond())}
+}
 
 // Ref returns a Value referencing another element by qualified name.
-func Ref(q QName) Value { return Value{kind: KindRef, s: string(q)} }
+func Ref(q QName) Value { return Value{kind: uint8(KindRef), s: string(q)} }
 
 // Kind returns the value's kind.
-func (v Value) Kind() ValueKind { return v.kind }
+func (v Value) Kind() ValueKind { return ValueKind(v.kind) }
+
+// The payload of each kind, read without checking that it is the kind.
+func (v Value) int() int64      { return int64(v.n) }
+func (v Value) float() float64  { return math.Float64frombits(v.n) }
+func (v Value) bool() bool      { return v.n != 0 }
+func (v Value) time() time.Time { return time.Unix(int64(v.n), int64(v.nsec)).UTC() }
 
 // AsString returns the value rendered as a string, whatever its kind.
 func (v Value) AsString() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString, KindRef:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.bool())
 	case KindTime:
-		return v.t.Format(time.RFC3339Nano)
+		return v.time().Format(time.RFC3339Nano)
 	}
 	return ""
 }
 
 // AsInt returns the integer held by the value; float values are truncated.
 func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return v.i, true
+		return v.int(), true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.float()), true
 	}
 	return 0, false
 }
 
 // AsFloat returns the numeric content of the value.
 func (v Value) AsFloat() (float64, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.int()), true
 	}
 	return 0, false
 }
 
 // AsBool returns the boolean held by the value.
 func (v Value) AsBool() (bool, bool) {
-	if v.kind == KindBool {
-		return v.b, true
+	if v.Kind() == KindBool {
+		return v.bool(), true
 	}
 	return false, false
 }
 
-// AsTime returns the timestamp held by the value.
+// AsTime returns the timestamp held by the value, in UTC.
 func (v Value) AsTime() (time.Time, bool) {
-	if v.kind == KindTime {
-		return v.t, true
+	if v.Kind() == KindTime {
+		return v.time(), true
 	}
 	return time.Time{}, false
 }
 
 // AsRef returns the QName reference held by the value.
 func (v Value) AsRef() (QName, bool) {
-	if v.kind == KindRef {
+	if v.Kind() == KindRef {
 		return QName(v.s), true
 	}
 	return "", false
@@ -124,17 +146,16 @@ func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case KindString, KindRef:
 		return v.s == o.s
-	case KindInt:
-		return v.i == o.i
 	case KindFloat:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
-	case KindBool:
-		return v.b == o.b
+		a, b := v.float(), o.float()
+		return a == b || (math.IsNaN(a) && math.IsNaN(b))
+	case KindInt, KindBool:
+		return v.n == o.n
 	case KindTime:
-		return v.t.Equal(o.t)
+		return v.n == o.n && v.nsec == o.nsec
 	}
 	return false
 }
@@ -147,20 +168,21 @@ type typedJSON struct {
 
 // MarshalJSON renders the value in PROV-JSON attribute form.
 func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
 		return json.Marshal(v.s)
 	case KindInt:
-		return json.Marshal(typedJSON{Dollar: strconv.FormatInt(v.i, 10), Type: "xsd:long"})
+		return json.Marshal(typedJSON{Dollar: strconv.FormatInt(v.int(), 10), Type: "xsd:long"})
 	case KindFloat:
-		if math.IsInf(v.f, 0) || math.IsNaN(v.f) {
-			return json.Marshal(typedJSON{Dollar: formatSpecialFloat(v.f), Type: "xsd:double"})
+		f := v.float()
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return json.Marshal(typedJSON{Dollar: formatSpecialFloat(f), Type: "xsd:double"})
 		}
-		return json.Marshal(typedJSON{Dollar: strconv.FormatFloat(v.f, 'g', -1, 64), Type: "xsd:double"})
+		return json.Marshal(typedJSON{Dollar: strconv.FormatFloat(f, 'g', -1, 64), Type: "xsd:double"})
 	case KindBool:
-		return json.Marshal(v.b)
+		return json.Marshal(v.bool())
 	case KindTime:
-		return json.Marshal(typedJSON{Dollar: v.t.Format(time.RFC3339Nano), Type: "xsd:dateTime"})
+		return json.Marshal(typedJSON{Dollar: v.time().Format(time.RFC3339Nano), Type: "xsd:dateTime"})
 	case KindRef:
 		return json.Marshal(typedJSON{Dollar: v.s, Type: "prov:QUALIFIED_NAME"})
 	}
@@ -191,85 +213,169 @@ func parseSpecialFloat(s string) (float64, bool) {
 }
 
 // UnmarshalJSON parses either a bare JSON scalar or a typed
-// {"$": ..., "type": ...} object.
+// {"$": ..., "type": ...} object, with the scanner and the rules the
+// document decoder applies to attribute values (see scanValue).
 func (v *Value) UnmarshalJSON(data []byte) error {
-	var raw interface{}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	if err := dec.Decode(&raw); err != nil {
+	sc := jsonscan.New(data)
+	var strs stringArena
+	val, bad, err := scanValue(&sc, &strs)
+	if err == nil {
+		err = sc.End()
+	}
+	if err == nil {
+		err = bad
+	}
+	if err != nil {
 		return err
 	}
-	return v.fromInterface(raw)
-}
-
-func (v *Value) fromInterface(raw interface{}) error {
-	switch x := raw.(type) {
-	case string:
-		*v = Str(x)
-		return nil
-	case bool:
-		*v = Bool(x)
-		return nil
-	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			*v = Int(i)
-			return nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return fmt.Errorf("prov: bad number %q: %v", x.String(), err)
-		}
-		*v = Float(f)
-		return nil
-	case float64:
-		*v = Float(x)
-		return nil
-	case map[string]interface{}:
-		dollar, _ := x["$"].(string)
-		typ, _ := x["type"].(string)
-		return v.fromTyped(dollar, typ)
-	}
-	return fmt.Errorf("prov: unsupported attribute value %T", raw)
-}
-
-func (v *Value) fromTyped(dollar, typ string) error {
-	switch typ {
-	case "xsd:long", "xsd:int", "xsd:integer", "xsd:short", "xsd:byte":
-		i, err := strconv.ParseInt(dollar, 10, 64)
-		if err != nil {
-			return fmt.Errorf("prov: bad %s %q: %v", typ, dollar, err)
-		}
-		*v = Int(i)
-	case "xsd:double", "xsd:float", "xsd:decimal":
-		if f, ok := parseSpecialFloat(dollar); ok {
-			*v = Float(f)
-			return nil
-		}
-		f, err := strconv.ParseFloat(dollar, 64)
-		if err != nil {
-			return fmt.Errorf("prov: bad %s %q: %v", typ, dollar, err)
-		}
-		*v = Float(f)
-	case "xsd:boolean":
-		b, err := strconv.ParseBool(dollar)
-		if err != nil {
-			return fmt.Errorf("prov: bad xsd:boolean %q: %v", dollar, err)
-		}
-		*v = Bool(b)
-	case "xsd:dateTime":
-		t, err := time.Parse(time.RFC3339Nano, dollar)
-		if err != nil {
-			return fmt.Errorf("prov: bad xsd:dateTime %q: %v", dollar, err)
-		}
-		*v = Time(t)
-	case "prov:QUALIFIED_NAME", "xsd:QName":
-		*v = Ref(QName(dollar))
-	case "", "xsd:string":
-		*v = Str(dollar)
-	default:
-		// Unknown type: preserve the literal as a string so round-trips
-		// do not lose data.
-		*v = Str(dollar)
-	}
+	*v = val
 	return nil
+}
+
+// stringArena copies the strings a decoded document keeps — ids,
+// attribute names, string values — out of the input, many to a chunk:
+// the document then holds a few chunks of nothing but string data, not
+// one allocation per string and not the input, most of which is
+// punctuation, role names and type tags it has no use for. Chunks are
+// append-only, so the strings cut from them never change.
+type stringArena struct {
+	// chunk is the size of a fresh chunk. A string of more than a quarter
+	// of it is allocated on its own — with the zero arena, every string.
+	chunk int
+	buf   strings.Builder
+}
+
+func (a *stringArena) keep(p []byte) string {
+	if len(p) > a.chunk/4 {
+		return string(p)
+	}
+	if a.buf.Cap()-a.buf.Len() < len(p) {
+		a.buf = strings.Builder{}
+		a.buf.Grow(a.chunk)
+	}
+	start := a.buf.Len()
+	a.buf.Write(p)
+	return a.buf.String()[start:]
+}
+
+// scanValue consumes one attribute value; the strings of the returned
+// Value come from strs. err is a syntax error and ends the scan; bad
+// reports a well-formed value that is no attribute value — null, an
+// array, a number out of range, a typed literal whose "$" does not
+// parse as its "type" — after consuming it, so the caller can carry on
+// validating what follows.
+//
+// A bare string, boolean or number stands for itself: a number with
+// neither fraction nor exponent that fits an int64 is an integer, any
+// other a float64. An object is a typed literal: of its members only
+// "$" and "type" are read, the last occurrence of each, and either
+// reads as "" unless it is a string; "lang" and anything else is
+// dropped. An unknown "type" keeps "$" as a string.
+func scanValue(sc *jsonscan.Scanner, strs *stringArena) (v Value, bad, err error) {
+	switch c := sc.Peek(); c {
+	case '"':
+		t, err := sc.String()
+		if err != nil {
+			return v, nil, err
+		}
+		return Str(strs.keep(sc.Bytes(t))), nil, nil
+	case 't':
+		return Bool(true), nil, sc.Literal("true")
+	case 'f':
+		return Bool(false), nil, sc.Literal("false")
+	case 'n':
+		return v, errors.New("prov: unsupported attribute value null"), sc.Literal("null")
+	case '[':
+		return v, errors.New("prov: unsupported attribute value: array"), sc.Skip()
+	case '{':
+		var dollar, typ []byte
+		if err := sc.OpenObject(); err != nil {
+			return v, nil, err
+		}
+		for {
+			key, ok, err := sc.NextKey()
+			if err != nil {
+				return v, nil, err
+			}
+			if !ok {
+				break
+			}
+			var field *[]byte
+			switch string(sc.Bytes(key)) {
+			case "$":
+				field = &dollar
+			case "type":
+				field = &typ
+			}
+			if field == nil || sc.Peek() != '"' {
+				if field != nil {
+					*field = nil
+				}
+				if err := sc.Skip(); err != nil {
+					return v, nil, err
+				}
+				continue
+			}
+			t, err := sc.String()
+			if err != nil {
+				return v, nil, err
+			}
+			*field = sc.Bytes(t)
+		}
+		v, bad = typedLiteral(dollar, typ, strs)
+		return v, bad, nil
+	default:
+		num, integer, err := sc.Number()
+		if err != nil {
+			return v, nil, err
+		}
+		if integer {
+			if i, err := strconv.ParseInt(string(num), 10, 64); err == nil {
+				return Int(i), nil, nil
+			}
+		}
+		f, err := strconv.ParseFloat(string(num), 64)
+		if err != nil {
+			return v, fmt.Errorf("prov: bad number %q: %v", num, err), nil
+		}
+		return Float(f), nil, nil
+	}
+}
+
+// typedLiteral reads "$" as the XSD or PROV type named by "type".
+func typedLiteral(dollar, typ []byte, strs *stringArena) (Value, error) {
+	switch string(typ) {
+	case "xsd:long", "xsd:int", "xsd:integer", "xsd:short", "xsd:byte":
+		i, err := strconv.ParseInt(string(dollar), 10, 64)
+		if err != nil {
+			return Value{}, fmt.Errorf("prov: bad %s %q: %v", typ, dollar, err)
+		}
+		return Int(i), nil
+	case "xsd:double", "xsd:float", "xsd:decimal":
+		if f, ok := parseSpecialFloat(string(dollar)); ok {
+			return Float(f), nil
+		}
+		f, err := strconv.ParseFloat(string(dollar), 64)
+		if err != nil {
+			return Value{}, fmt.Errorf("prov: bad %s %q: %v", typ, dollar, err)
+		}
+		return Float(f), nil
+	case "xsd:boolean":
+		b, err := strconv.ParseBool(string(dollar))
+		if err != nil {
+			return Value{}, fmt.Errorf("prov: bad xsd:boolean %q: %v", dollar, err)
+		}
+		return Bool(b), nil
+	case "xsd:dateTime":
+		t, err := time.Parse(time.RFC3339Nano, string(dollar))
+		if err != nil {
+			return Value{}, fmt.Errorf("prov: bad xsd:dateTime %q: %v", dollar, err)
+		}
+		return Time(t), nil
+	case "prov:QUALIFIED_NAME", "xsd:QName":
+		return Ref(QName(strs.keep(dollar))), nil
+	}
+	// No type, xsd:string, or a type unknown here: keep the literal as a
+	// string so round-trips do not lose data.
+	return Str(strs.keep(dollar)), nil
 }

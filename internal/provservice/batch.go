@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/provstore"
@@ -49,10 +49,61 @@ type batchLineError struct {
 	Error string `json:"error"`
 }
 
-// batchLine is the decoded form of one NDJSON request line.
-type batchLine struct {
-	ID  string          `json:"id"`
-	Doc json.RawMessage `json:"doc"`
+// scanBatchLine finds, in one NDJSON request line, the "id" string and
+// the span of the "doc" value — a sub-slice of line, never a copy — in
+// a single validating scan. It reads the line as encoding/json read it
+// into a struct with those two fields: member names match whatever
+// their case ("ID", "Doc"), unknown members are skipped, of a repeated
+// member the last one counts, a null id leaves the id as it was, and a
+// line that is null is a line with neither member. doc is nil when the
+// line has no such member; a doc of the wrong type is the document
+// decoder's to reject.
+func scanBatchLine(line []byte) (id string, doc []byte, err error) {
+	sc := jsonscan.New(line)
+	if sc.Peek() == 'n' {
+		if err := sc.Literal("null"); err != nil {
+			return "", nil, err
+		}
+		return "", nil, sc.End()
+	}
+	if err := sc.OpenObject(); err != nil {
+		return "", nil, err
+	}
+	var badID error
+	for {
+		key, ok, err := sc.NextKey()
+		if err != nil {
+			return "", nil, err
+		}
+		if !ok {
+			break
+		}
+		name := sc.Bytes(key)
+		isID := bytes.EqualFold(name, []byte("id"))
+		switch {
+		case isID && sc.Peek() == '"':
+			t, err := sc.String()
+			if err != nil {
+				return "", nil, err
+			}
+			id = sc.Text(t)
+			continue
+		case isID && sc.Peek() != 'n':
+			badID = errors.New(`member "id" is not a string`)
+		}
+		sc.Peek()
+		start := sc.Pos()
+		if err := sc.Skip(); err != nil {
+			return "", nil, err
+		}
+		if bytes.EqualFold(name, []byte("doc")) {
+			doc = line[start:sc.Pos()]
+		}
+	}
+	if err := sc.End(); err != nil {
+		return "", nil, err
+	}
+	return id, doc, badID
 }
 
 // maxBatchLineErrors bounds the per-line diagnostics kept (and
@@ -90,9 +141,10 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// early-return error paths simply drop the span.
 	parseSpan := obs.FromContext(r.Context()).StartSpan("parse")
 	lineNo := 0
+	sizeHint := 0 // length of the last non-blank line: lines of one batch tend to be alike
 	for {
 		lineNo++
-		line, truncated, err := readLimitedLine(br, s.maxLineBytes())
+		line, truncated, err := readLimitedLine(br, s.maxLineBytes(), sizeHint)
 		if err != nil && err != io.EOF {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -109,39 +161,41 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			lineErrs = append(lineErrs, batchLineError{Line: lineNo,
 				Error: fmt.Sprintf("line exceeds %d bytes", s.maxLineBytes())})
 		case len(line) > 0:
-			var bl batchLine
-			if jerr := json.Unmarshal(line, &bl); jerr != nil {
+			sizeHint = len(line)
+			id, raw, jerr := scanBatchLine(line)
+			if jerr != nil {
 				lineErrs = append(lineErrs, batchLineError{Line: lineNo, Error: "invalid JSON: " + jerr.Error()})
 				break
 			}
-			if bl.ID == "" {
+			if id == "" {
 				lineErrs = append(lineErrs, batchLineError{Line: lineNo, Error: "missing document id"})
 				break
 			}
-			if len(bl.Doc) == 0 {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: bl.ID, Error: "missing doc"})
+			if raw == nil {
+				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: "missing doc"})
 				break
 			}
-			if _, dup := seen[bl.ID]; dup {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: bl.ID,
-					Error: fmt.Sprintf("duplicate id %q in batch", bl.ID)})
+			if _, dup := seen[id]; dup {
+				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id,
+					Error: fmt.Sprintf("duplicate id %q in batch", id)})
 				break
 			}
-			doc, perr := prov.ParseJSON(bl.Doc)
+			doc, perr := prov.ParseJSON(raw)
 			if perr != nil {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: bl.ID, Error: "invalid PROV-JSON: " + perr.Error()})
+				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: "invalid PROV-JSON: " + perr.Error()})
 				break
 			}
 			// Validate here, not just in PutBatch, so a structurally
 			// broken document is pinned to its line in the response.
 			if _, verr := doc.Validate(); verr != nil {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: bl.ID, Error: "invalid PROV-JSON: " + verr.Error()})
+				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: "invalid PROV-JSON: " + verr.Error()})
 				break
 			}
-			// Hand the wire bytes through so the store journals them
-			// verbatim instead of re-marshaling the whole batch.
-			seen[bl.ID] = struct{}{}
-			ops = append(ops, provstore.Op{ID: bl.ID, Doc: doc, Raw: bl.Doc})
+			// The wire bytes go through for the store to journal
+			// verbatim: raw is a span of this line's own buffer, which
+			// nothing else touches once the line is read.
+			seen[id] = struct{}{}
+			ops = append(ops, provstore.Op{ID: id, Doc: doc, Raw: raw})
 			if max := s.maxBatchDocs(); len(ops) > max {
 				writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d documents", max)
 				return
@@ -279,16 +333,18 @@ scan:
 }
 
 // readLimitedLine reads one line (without its trailing newline) from
-// br, capped at max content bytes — the line terminator ("\n" or
+// br, capped at limit content bytes — the line terminator ("\n" or
 // "\r\n") does not count against the cap. An over-long line is consumed
 // to its newline and reported truncated so parsing can continue on the
 // next line with a per-line error instead of failing the whole stream.
 // Returns io.EOF (possibly alongside a final unterminated line) at end
-// of body.
-func readLimitedLine(br *bufio.Reader, max int) (line []byte, truncated bool, err error) {
+// of body. Every line comes back in a buffer of its own — the batch
+// handler hands spans of it to the store — which starts out sizeHint
+// bytes long when the line outgrows the reader's buffer.
+func readLimitedLine(br *bufio.Reader, limit, sizeHint int) (line []byte, truncated bool, err error) {
 	finish := func(line []byte) ([]byte, bool) {
 		line = trimEOL(line)
-		if len(line) > max {
+		if len(line) > limit {
 			return nil, true
 		}
 		return line, false
@@ -296,8 +352,13 @@ func readLimitedLine(br *bufio.Reader, max int) (line []byte, truncated bool, er
 	for {
 		chunk, rerr := br.ReadSlice('\n')
 		if !truncated {
+			if line == nil && rerr == bufio.ErrBufferFull {
+				// More chunks follow: start at the hint, with room for the
+				// terminator, rather than doubling up from one chunk.
+				line = make([]byte, 0, max(len(chunk), min(sizeHint, limit)+2))
+			}
 			line = append(line, chunk...)
-			if len(line) > max+2 { // room for a trailing \r\n within the cap
+			if len(line) > limit+2 { // room for a trailing \r\n within the cap
 				line = nil
 				truncated = true
 			}

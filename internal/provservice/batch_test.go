@@ -203,7 +203,7 @@ func TestReadLimitedLineBoundary(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			br := bufio.NewReaderSize(strings.NewReader(tc.body), 16)
-			line, truncated, err := readLimitedLine(br, max)
+			line, truncated, err := readLimitedLine(br, max, 0)
 			if err != nil && err != io.EOF {
 				t.Fatal(err)
 			}

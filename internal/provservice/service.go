@@ -58,7 +58,10 @@ type StoreAPI interface {
 	// acquisition and the group-commit wait, so abandoned requests stop
 	// consuming fsync tickets. Context expiry surfaces as
 	// context.Canceled / context.DeadlineExceeded, never wrapped in
-	// store error types.
+	// store error types. Apply keeps each Op.Doc — the store installs
+	// the document itself, so a handler passes one nothing else
+	// references and only reads it afterwards — while Op.Raw stays the
+	// caller's and need only hold still until Apply returns.
 	Apply(ctx context.Context, ops []provstore.Op) error
 	Get(id string) (*prov.Document, bool)
 	List() []string

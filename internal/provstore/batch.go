@@ -11,15 +11,16 @@ import (
 // journal record and one fsync (README, "Bulk ingestion").
 
 // PutBatch stores (or replaces) every document in docs as one atomic
-// unit. It is Apply with one put per entry and no deadline; an empty
-// batch is a no-op.
+// unit. The store keeps deep copies; the documents stay the caller's.
+// It is Apply with one put of a clone per entry and no deadline; an
+// empty batch is a no-op.
 func (s *Store) PutBatch(docs map[string]*prov.Document) error {
 	ops := make([]Op, 0, len(docs))
 	for id, d := range docs {
 		if d == nil {
 			return fmt.Errorf("provstore: batch item %q has no document", id)
 		}
-		ops = append(ops, Op{ID: id, Doc: d})
+		ops = append(ops, Op{ID: id, Doc: d.Clone()})
 	}
 	return s.Apply(context.Background(), ops)
 }

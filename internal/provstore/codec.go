@@ -213,12 +213,12 @@ func parseDocBlob(blob []byte) (*prov.Document, error) {
 }
 
 // decodeRecordPayload turns one journal/replication payload into a
-// parse-validated mutation — docs owned, missing deletes tolerated —
+// parse-validated mutation — missing deletes tolerated —
 // dispatching on the payload tag, before anything is staged or applied:
 // a malformed record is rejected while the store is still untouched.
 // Both recovery replay and the follower apply path come through here.
 func decodeRecordPayload(payload []byte, seq uint64) (mutation, error) {
-	m := mutation{owned: true, lenient: true}
+	m := mutation{lenient: true}
 	if err := decodeRecordInto(&m, payload); err != nil {
 		return mutation{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
 	}
@@ -350,9 +350,9 @@ func appendSnapshot(dst []byte, docs map[string]*prov.Document, shards int) []by
 }
 
 // decodeSnapshot turns a snapshot payload — legacy JSON (storeSnapshot)
-// or binary — into one mutation of owned puts.
+// or binary — into one mutation of puts.
 func decodeSnapshot(payload []byte) (mutation, error) {
-	m := mutation{owned: true, lenient: true}
+	m := mutation{lenient: true}
 	if err := decodeSnapshotInto(&m, payload); err != nil {
 		return mutation{}, fmt.Errorf("provstore: recover snapshot: %w", err)
 	}

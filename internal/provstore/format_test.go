@@ -208,11 +208,11 @@ func TestRecordFormatGoldenDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Decoded mutations hand their docs over, tolerate missing
-			// deletes, and carry nothing to stage until a caller says so.
-			if !m.owned || !m.lenient || m.record != nil || m.seq != 0 || m.trace != tc.trace {
-				t.Fatalf("mutation = {owned:%v lenient:%v record:%x seq:%d trace:%q}, want owned, lenient, unstaged, trace %q",
-					m.owned, m.lenient, m.record, m.seq, m.trace, tc.trace)
+			// Decoded mutations tolerate missing deletes and carry
+			// nothing to stage until a caller says so.
+			if !m.lenient || m.record != nil || m.seq != 0 || m.trace != tc.trace {
+				t.Fatalf("mutation = {lenient:%v record:%x seq:%d trace:%q}, want lenient, unstaged, trace %q",
+					m.lenient, m.record, m.seq, m.trace, tc.trace)
 			}
 			if len(m.ops) != len(tc.ops) {
 				t.Fatalf("%d ops, want %d", len(m.ops), len(tc.ops))

@@ -22,12 +22,19 @@ import (
 // Op is one step of a mutation: store Doc under ID, or, when Doc is
 // nil, delete ID.
 type Op struct {
-	ID  string
+	ID string
+	// Doc becomes the store's: it is installed as given, not copied, so
+	// nothing may change it once the op is handed to Apply.
 	Doc *prov.Document
 	// Raw, when set, is the encoding Doc was parsed from — PROV-JSON or
 	// a binary document blob. It is journaled verbatim, which spares the
 	// hot path a re-encode; the HTTP batch handlers pass each request
 	// record's bytes through. When nil the store encodes Doc itself.
+	// Raw stays the caller's and may alias a buffer of theirs (the
+	// NDJSON handler passes a span of the request line): Apply copies
+	// it into the journal record before it takes a lock and reads it
+	// no more after that, so the buffer must only hold still until
+	// Apply returns.
 	Raw []byte
 }
 
@@ -35,10 +42,6 @@ type Op struct {
 // few things that differ between the callers of Store.apply.
 type mutation struct {
 	ops []Op
-	// owned: the docs are handed over (decoded records nothing else
-	// references) and stored as-is; otherwise the caller keeps them and
-	// the store keeps deep clones.
-	owned bool
 	// lenient: deleting a missing id is a no-op — replay and replication
 	// apply history that was already accepted — rather than the error
 	// the local API reports.
@@ -77,7 +80,10 @@ func (m *mutation) opLabel() string {
 // all of it or none of it. Apply returns once that record is durable.
 // ops is sorted by ID in place (the journal order is deterministic
 // whatever order the caller collected them in); an empty list is a
-// no-op.
+// no-op. Apply keeps every Op.Doc: the documents are stored as given,
+// with no copy made, and must not be touched again by the caller,
+// whether the call succeeds or fails. Put and PutBatch are the
+// wrappers for callers that go on using their documents.
 //
 // ctx bounds the two points a request can queue: the shard locks (an
 // expired request applies nothing, stages nothing and consumes no
@@ -156,7 +162,7 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	span := tr.StartSpan("project")
 	for i := range m.ops {
 		if op := &m.ops[i]; op.Doc != nil {
-			if entries[i], err = newEntry(op.ID, op.Doc, m.owned); err != nil {
+			if entries[i], err = newEntry(op.ID, op.Doc); err != nil {
 				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
 				break
 			}

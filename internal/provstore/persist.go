@@ -1,6 +1,7 @@
 package provstore
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,7 +65,8 @@ func (s *Store) LoadFrom(dir string) ([]string, error) {
 			return ids, fmt.Errorf("provstore: load %q: %w", e.Name(), err)
 		}
 		id := decodeID(strings.TrimSuffix(e.Name(), ".json"))
-		if err := s.Put(id, doc); err != nil {
+		// Freshly parsed and referenced nowhere else: hand it over.
+		if err := s.Apply(context.Background(), []Op{{ID: id, Doc: doc}}); err != nil {
 			return ids, fmt.Errorf("provstore: load %q: %w", e.Name(), err)
 		}
 		ids = append(ids, id)

@@ -28,16 +28,11 @@ type entry struct {
 	types []string
 }
 
-// newEntry builds the entry storing doc under id. With owned the entry
-// keeps doc itself — decoded journal and replication records nothing
-// else references; otherwise the caller keeps ownership and the entry
-// holds a deep clone. A relation naming an element the document does
-// not declare is an error: Apply's validation rejects it earlier, a
-// replicated or replayed record gets no other check.
-func newEntry(id string, doc *prov.Document, owned bool) (*entry, error) {
-	if !owned {
-		doc = doc.Clone()
-	}
+// newEntry builds the entry storing doc under id; the entry keeps doc
+// itself, which every mutation owns. A relation naming an element the
+// document does not declare is an error: Apply's validation rejects it
+// earlier, a replicated or replayed record gets no other check.
+func newEntry(id string, doc *prov.Document) (*entry, error) {
 	e := &entry{id: id, doc: doc, ix: prov.NewIndex(doc)}
 	if r := e.ix.Dangling(); r != nil {
 		return nil, fmt.Errorf("relation %s references unknown nodes", r.ID)

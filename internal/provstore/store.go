@@ -122,13 +122,14 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 	}
 }
 
-// Put stores (or replaces) a document under id; the store keeps its
-// own deep copy. It is Apply with one op and no deadline.
+// Put stores (or replaces) a document under id. The store keeps a deep
+// copy; doc stays the caller's. It is Apply with one op, on a clone,
+// and no deadline.
 func (s *Store) Put(id string, doc *prov.Document) error {
 	if doc == nil {
 		return fmt.Errorf("provstore: put %q: no document", id)
 	}
-	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc}})
+	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc.Clone()}})
 }
 
 // entry returns the current entry of id, nil when there is none.

@@ -1,6 +1,8 @@
 package provstore
 
 import (
+	"context"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -273,5 +275,65 @@ func TestFindByAttr(t *testing.T) {
 	}
 	if got := s.FindByType("provml:Dataset"); len(got) != 2 {
 		t.Errorf("after delete: %v", got)
+	}
+}
+
+// TestPutKeepsItsOwnCopy: Apply stores the documents it is handed
+// without copying them; Put and PutBatch, for callers that go on using
+// theirs, store clones — changing the caller's document afterwards
+// leaves the stored one, its lineage and its type postings untouched.
+func TestPutKeepsItsOwnCopy(t *testing.T) {
+	s := New()
+	single, batched, handed := testDoc(t, "p"), testDoc(t, "b"), testDoc(t, "h")
+	if err := s.Put("single", single); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch(map[string]*prov.Document{"batched": batched}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(context.Background(), []Op{{ID: "handed", Doc: handed}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.entry("handed").doc != handed {
+		t.Error("Apply copied the document it was handed")
+	}
+
+	for id, doc := range map[string]*prov.Document{"single": single, "batched": batched} {
+		if s.entry(id).doc == doc {
+			t.Fatalf("%s: the store holds the caller's document", id)
+		}
+		want, err := doc.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model prov.QName
+		for q := range doc.Entities {
+			if _, typed := doc.Entities[q].Attrs["prov:type"]; typed {
+				model = q
+			}
+		}
+		lineage, err := s.Lineage(id, model, Ancestors, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		doc.Entities[model].Attrs["prov:type"] = prov.Str("provml:Changed")
+		doc.AddEntity("ex:late", prov.Attrs{"prov:type": prov.Str("provml:Late")})
+		doc.WasDerivedFrom("ex:late", model)
+		delete(doc.Activities, doc.ActivityIDs()[0])
+
+		stored, _ := s.Get(id)
+		if got, err := stored.MarshalJSON(); err != nil || string(got) != string(want) {
+			t.Errorf("%s: stored document changed with the caller's:\n got %s\nwant %s", id, got, want)
+		}
+		if got, err := s.Lineage(id, model, Ancestors, 0); err != nil || !reflect.DeepEqual(got, lineage) {
+			t.Errorf("%s: lineage now %v (%v), was %v", id, got, err, lineage)
+		}
+	}
+	if got := s.FindByType("provml:Changed"); len(got) != 0 {
+		t.Errorf("FindByType sees the caller's edit: %v", got)
+	}
+	if got := s.FindByType("provml:Model"); len(got) != 3 {
+		t.Errorf("FindByType(provml:Model) = %v, want one element in each of the 3 documents", got)
 	}
 }
