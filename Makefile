@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet layering race chaos fuzz-smoke bench bench-compile bench-key bench-report bench-selftest metrics-format ci
+.PHONY: all build test vet layering race chaos fuzz-smoke bench bench-compile bench-key bench-selftest metrics-format ci
 
 all: build
 
@@ -51,7 +51,7 @@ bench:
 # kept as an alias so the CI gate reads as intent.
 bench-compile: bench
 
-# The tracked hot-path benchmarks (BENCH_PR1..PR5 rows): logging,
+# The hot-path micro-benchmarks: logging,
 # lineage, Zarr offload, the WAL durability paths, the sharded engine's
 # concurrency pairs (single-lock vs sharded), the bulk-ingestion pair
 # (sequential Puts vs one group-committed batch), the replication
@@ -63,10 +63,6 @@ bench-compile: bench
 # rejection — the <100ns contract — vs sampled record retention).
 bench-key:
 	$(GO) test -run '^$$' -bench 'BenchmarkLogMetric$$|BenchmarkZarrAppend$$|BenchmarkLineage$$|BenchmarkBuildProv$$|BenchmarkWALAppend$$|BenchmarkRecovery$$|BenchmarkShardedPutParallel$$|BenchmarkMixedReadWrite$$|BenchmarkBatchPut$$|BenchmarkReplicationThroughput$$|BenchmarkHistObserve$$|BenchmarkCodecEncode$$|BenchmarkCodecDecode$$|BenchmarkLineageCached$$|BenchmarkFlightRecord$$' -benchmem -benchtime 1s .
-
-# Regenerate the committed performance-trajectory report.
-bench-report:
-	$(GO) run ./cmd/benchreport -out BENCH_PR10.json -baseline BENCH_PR9.json
 
 # Exposition-format gate: the strict Prometheus 0.0.4 parser in
 # internal/obs must accept everything GET /metrics serves — including

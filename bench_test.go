@@ -408,8 +408,7 @@ func BenchmarkRecovery(b *testing.B) {
 // shardConfigs pits the PR-2 single-lock layout (NewSharded(1)) against
 // the sharded engine with one shard per benchmark goroutine. The
 // benchmark bodies live in internal/shardbench, shared with
-// cmd/benchreport so the tracked BENCH_PR3.json rows measure exactly
-// this workload.
+// internal/loadgen's scenario documents.
 var shardConfigs = []struct {
 	name   string
 	shards int
@@ -439,11 +438,11 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 }
 
 // BenchmarkLineageCached measures the full HTTP lineage read path
-// through the seq-invalidated response cache: cold (purged every
+// through the version-keyed response cache: cold (purged every
 // request), warm (pure hits — the acceptance point is >= 10x over
-// cold), and invalidated (a write precedes every read, so caching buys
-// nothing). Bodies live in internal/shardbench, shared with
-// cmd/benchreport.
+// cold), and invalidated (a rewrite of the queried document precedes
+// every read, so caching buys nothing). Bodies live in
+// internal/shardbench.
 func BenchmarkLineageCached(b *testing.B) {
 	for _, mode := range shardbench.LineageCachedModes() {
 		b.Run(mode, shardbench.LineageCached(mode))

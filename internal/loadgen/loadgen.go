@@ -53,8 +53,9 @@ const (
 	// against a fault-injected or overloaded server.
 	Chaos Scenario = "chaos"
 	// ReadCacheHeavy is 100% lineage reads over the hottest 10% of
-	// documents — a small enough key set that the server's
-	// seq-invalidated read cache should absorb nearly every request.
+	// documents — a small enough key set that the server's read cache
+	// should absorb nearly every request: a response stays valid until
+	// its own document is rewritten, and this scenario writes nothing.
 	// Documents default to deep chains (ChainDepth 512, matching
 	// BenchmarkLineageCached) so each miss pays a real traversal+encode
 	// and the cache's win is visible over HTTP overhead. The report

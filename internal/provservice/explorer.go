@@ -39,11 +39,12 @@ func (s *Service) handleExplorerDoc(w http.ResponseWriter, r *http.Request) {
 		s.handleExplorerIndex(w, r)
 		return
 	}
-	doc, ok := s.store.Get(id)
+	v, ok := s.store.View(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "document %q does not exist", id)
 		return
 	}
+	doc := v.Document() // shared with other readers: only read below
 	root := prov.QName(r.URL.Query().Get("node"))
 	if root == "" {
 		// Default root: the first activity (typically the run execution).

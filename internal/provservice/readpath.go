@@ -18,21 +18,27 @@ import (
 )
 
 // The read path. Every cacheable read funnels through serveRead: the
-// handler canonicalizes its query into a cache key, names the document
-// ids the query touches (none = store-wide), and supplies a fill that
-// computes the fully encoded response body. serveRead resolves the
-// read version — the max applied-seq watermark over the touched shards
-// (StoreAPI.ReadVersion) — answers If-None-Match with 304 when the
-// client's ETag still validates, consults the seq-invalidated cache,
-// and writes the body with Content-Length set up front.
+// handler canonicalizes its query into a cache key, names the version
+// the answer is valid at, and supplies a fill that computes the fully
+// encoded response body. serveRead consults the version-keyed cache and
+// writes the body with Content-Length set up front.
 //
-// Version capture happens BEFORE the fill runs. Versions are monotone,
-// so if a later lookup finds the same version, no touched shard applied
-// a mutation in between and the cached body is byte-equal to a fresh
-// computation. The converse race — a mutation landing between capture
-// and fill — can only cache *newer* state under the older version,
-// which readers at that version may legitimately observe (the write
-// was concurrent with their request); it is never stale.
+// A read of one document (document, lineage, subgraph) goes through
+// serveView first: one store lookup yields a provstore.View, and the
+// 404, the version — the sequence that entry was installed under — the
+// strong ETag and the body all come from that one handle. The body is
+// computed from exactly the version the key and the validator name, so
+// an ETag names one representation, and a write to any other document
+// changes nothing a reader of this one sees: not its cache entry, not
+// its validator.
+//
+// A store-wide read (list, search, cross-document lineage) is valid at
+// the store's applied counter (StoreAPI.Version), read before the fill
+// runs. The counter moves under the shard locks of the mutation that
+// moves it, so a fill that starts after reading V sees every mutation
+// up to V; one that lands while the fill runs may be in the body too, so
+// a cached body can be newer than its key says, never older. These
+// responses carry no ETag.
 
 // defaultMaxTraversalDepth bounds ?depth= / ?hops= traversals when the
 // server does not override it (-max-depth).
@@ -45,7 +51,7 @@ const (
 	maxPageLimit     = 100000
 )
 
-// WithReadCache enables the seq-invalidated response cache, bounded to
+// WithReadCache enables the version-keyed response cache, bounded to
 // maxEntries encoded bodies and maxBytes total body bytes. Either
 // bound <= 0 leaves caching off (reads always recompute).
 func WithReadCache(maxEntries int, maxBytes int64) Option {
@@ -129,24 +135,34 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// serveRead runs one cacheable read end to end: version resolution,
-// conditional-GET short circuit, cache lookup with single-flight fill,
-// and the final write. ids scope the version to the touched shards
-// (empty = store-wide); withETag enables the conditional-GET contract.
-func (s *Service) serveRead(w http.ResponseWriter, r *http.Request, key string, ids []string, withETag bool, fill func() (readcache.Entry, error)) {
-	version := s.store.ReadVersion(ids...)
-	var etag string
-	if withETag {
-		etag = s.makeETag(key, version)
-		if etagMatches(r.Header.Get("If-None-Match"), etag) {
-			// The client's representation was produced at this exact
-			// (key, version): no touched shard has advanced, so the body
-			// is unchanged and need not be recomputed or resent.
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+// serveView runs a read of the one document id: a single store lookup
+// from which the 404, the version behind cache key and ETag, and the
+// body all derive. fill computes the response from the view it is
+// handed and makes no other call on the store.
+func (s *Service) serveView(w http.ResponseWriter, r *http.Request, id, key string, fill func(provstore.View) (readcache.Entry, error)) {
+	v, ok := s.store.View(id)
+	if !ok {
+		// Nothing to version or cache. Every fill fails on the empty
+		// view, each with its endpoint's own not-found message.
+		_, err := fill(v)
+		writeFillErr(w, err)
+		return
 	}
+	etag := s.makeETag(key, v.Seq())
+	if etagMatches(r.Header.Get("If-None-Match"), etag) {
+		// The client's representation was computed from this very
+		// version of the document: nothing to recompute or resend.
+		w.Header().Set("ETag", etag)
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	s.serveRead(w, r, key, v.Seq(), etag, func() (readcache.Entry, error) { return fill(v) })
+}
+
+// serveRead answers one cacheable read valid at version: cache lookup
+// with single-flight fill, then the write. etag, when not empty, goes
+// out with the body.
+func (s *Service) serveRead(w http.ResponseWriter, r *http.Request, key string, version uint64, etag string, fill func() (readcache.Entry, error)) {
 	var (
 		e   readcache.Entry
 		hit bool
@@ -171,15 +187,10 @@ func (s *Service) serveRead(w http.ResponseWriter, r *http.Request, key string, 
 		e, err = spanned()
 	}
 	if err != nil {
-		var he *httpError
-		if errors.As(err, &he) {
-			writeErr(w, he.status, "%s", he.msg)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		writeFillErr(w, err)
 		return
 	}
-	if withETag {
+	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
 	if s.cache != nil {
@@ -197,6 +208,30 @@ func (s *Service) serveRead(w http.ResponseWriter, r *http.Request, key string, 
 	w.Header().Set("Content-Length", strconv.Itoa(len(e.Body)))
 	if _, werr := w.Write(e.Body); werr != nil {
 		writeFailures.Inc()
+	}
+}
+
+// writeFillErr writes the error response a failed fill asked for.
+func writeFillErr(w http.ResponseWriter, err error) {
+	var he *httpError
+	if errors.As(err, &he) {
+		writeErr(w, he.status, "%s", he.msg)
+		return
+	}
+	writeErr(w, http.StatusInternalServerError, "%v", err)
+}
+
+// parseDirection parses ?direction= of the two lineage endpoints;
+// absent means ancestors.
+func parseDirection(w http.ResponseWriter, r *http.Request) (provstore.LineageDirection, bool) {
+	switch dir := provstore.LineageDirection(r.URL.Query().Get("direction")); dir {
+	case "":
+		return provstore.Ancestors, true
+	case provstore.Ancestors, provstore.Descendants:
+		return dir, true
+	default:
+		writeErr(w, http.StatusBadRequest, "bad direction %q", dir)
+		return "", false
 	}
 }
 

@@ -110,38 +110,209 @@ func TestETagConditionalGet(t *testing.T) {
 	}
 }
 
-// TestCacheHitHeaderAndInvalidation: the X-Yprov-Cache header reports
-// miss on first computation, hit on repeat, and miss again after a
-// write to a touched shard.
-func TestCacheHitHeaderAndInvalidation(t *testing.T) {
+// docReadPaths are the three single-document reads of doc1.
+var docReadPaths = []string{
+	"/api/v0/documents/doc1",
+	"/api/v0/documents/doc1/lineage?node=ex:e&direction=ancestors",
+	"/api/v0/documents/doc1/subgraph?node=ex:e&hops=1",
+}
+
+// storeWideReadPaths are the reads whose answer depends on every
+// stored document.
+var storeWideReadPaths = []string{
+	"/api/v0/documents",
+	"/api/v0/search?key=provml:rev&value=00000001",
+	"/api/v0/lineage?node=ex:e&direction=ancestors",
+}
+
+func deleteDoc(t *testing.T, url, id string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url+"/api/v0/documents/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s = %d", id, resp.StatusCode)
+	}
+}
+
+// TestWritesToOtherDocumentsCostReadersNothing: the version of a
+// single-document read is that document's own, so a PUT, a DELETE and a
+// batch that touch only other ids — on the one shard every id shares —
+// leave doc1's cached responses and its clients' validators standing.
+// Store-wide reads depend on all of it and miss after every write.
+func TestWritesToOtherDocumentsCostReadersNothing(t *testing.T) {
+	srv, store := cachedServer(t, 1)
+	for _, id := range []string{"doc1", "other", "gone"} {
+		if err := store.Put(id, revDoc(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	etags := map[string]string{}
+	warm := func(paths []string) {
+		t.Helper()
+		for _, path := range paths {
+			resp, _ := get(t, srv.URL+path, nil)
+			if got := resp.Header.Get("X-Yprov-Cache"); resp.StatusCode != 200 || got != "miss" {
+				t.Fatalf("first GET %s: %d, cache = %q, want 200 miss", path, resp.StatusCode, got)
+			}
+			etags[path] = resp.Header.Get("ETag")
+			resp, _ = get(t, srv.URL+path, nil)
+			if got := resp.Header.Get("X-Yprov-Cache"); got != "hit" {
+				t.Fatalf("second GET %s cache = %q, want hit", path, got)
+			}
+		}
+	}
+	warm(docReadPaths)
+	warm(storeWideReadPaths)
+
+	writes := []struct {
+		name string
+		do   func()
+	}{
+		{"PUT other", func() {
+			if resp := putDoc(t, srv.URL, "other", "", nil); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("PUT other = %d", resp.StatusCode)
+			}
+		}},
+		{"DELETE gone", func() { deleteDoc(t, srv.URL, "gone") }},
+		{"batch b-0 b-1", func() {
+			if status, body := postBatch(t, srv.URL, docLine(t, "b-0")+"\n"+docLine(t, "b-1")); status != http.StatusCreated {
+				t.Fatalf("batch = %d %s", status, body)
+			}
+		}},
+	}
+	for _, w := range writes {
+		w.do()
+		for _, path := range docReadPaths {
+			resp, _ := get(t, srv.URL+path, nil)
+			if got := resp.Header.Get("X-Yprov-Cache"); got != "hit" || resp.Header.Get("ETag") != etags[path] {
+				t.Errorf("after %s: GET %s cache = %q, ETag %s (was %s); want hit, unchanged",
+					w.name, path, got, resp.Header.Get("ETag"), etags[path])
+			}
+			resp, _ = get(t, srv.URL+path, map[string]string{"If-None-Match": etags[path]})
+			if resp.StatusCode != http.StatusNotModified {
+				t.Errorf("after %s: conditional GET %s = %d, want 304", w.name, path, resp.StatusCode)
+			}
+		}
+		for _, path := range storeWideReadPaths {
+			resp, _ := get(t, srv.URL+path, nil)
+			if got := resp.Header.Get("X-Yprov-Cache"); got != "miss" {
+				t.Errorf("after %s: GET %s cache = %q, want miss", w.name, path, got)
+			}
+		}
+	}
+}
+
+// TestRewritingADocumentRetiresItsValidators: replacing doc1 gives every
+// read of it a miss and a new ETag, and deleting then re-creating it —
+// with the very content it had — never brings an old ETag back.
+func TestRewritingADocumentRetiresItsValidators(t *testing.T) {
+	srv, store := cachedServer(t, 1)
+	issued := map[string][]string{} // path -> every ETag handed out, oldest first
+	// read expects a freshly computed 200 under an ETag never issued
+	// for path before, and that no earlier ETag still validates.
+	read := func(when, path string) {
+		t.Helper()
+		resp, _ := get(t, srv.URL+path, nil)
+		etag := resp.Header.Get("ETag")
+		if resp.StatusCode != 200 || resp.Header.Get("X-Yprov-Cache") != "miss" || etag == "" {
+			t.Fatalf("%s: GET %s = %d, cache %q, ETag %q; want a 200 miss with an ETag",
+				when, path, resp.StatusCode, resp.Header.Get("X-Yprov-Cache"), etag)
+		}
+		for _, old := range issued[path] {
+			if old == etag {
+				t.Fatalf("%s: GET %s revived ETag %s", when, path, etag)
+			}
+			if resp, _ := get(t, srv.URL+path, map[string]string{"If-None-Match": old}); resp.StatusCode != 200 {
+				t.Fatalf("%s: GET %s If-None-Match %s = %d, want 200", when, path, old, resp.StatusCode)
+			}
+		}
+		issued[path] = append(issued[path], etag)
+	}
+
+	if err := store.Put("doc1", revDoc(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range docReadPaths {
+		read("first version", path)
+	}
+	if err := store.Put("doc1", revDoc(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range docReadPaths {
+		read("after replace", path)
+	}
+	if err := store.Delete("doc1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range docReadPaths {
+		last := issued[path][len(issued[path])-1]
+		if resp, _ := get(t, srv.URL+path, map[string]string{"If-None-Match": last}); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("deleted: conditional GET %s = %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if err := store.Put("doc1", revDoc(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range docReadPaths {
+		read("after delete and re-create", path)
+	}
+}
+
+// TestBadLineageDirection: an unknown ?direction= is the client's
+// mistake — 400 before any version or cache work, on both lineage
+// endpoints — not a 404 out of a cache fill.
+func TestBadLineageDirection(t *testing.T) {
 	srv, store := cachedServer(t, 1)
 	if err := store.Put("doc1", revDoc(1)); err != nil {
 		t.Fatal(err)
 	}
-	url := srv.URL + "/api/v0/documents/doc1/lineage?node=ex:e&direction=ancestors"
-	resp, _ := get(t, url, nil)
-	if got := resp.Header.Get("X-Yprov-Cache"); got != "miss" {
-		t.Fatalf("first GET cache = %q, want miss", got)
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/api/v0/documents/doc1/lineage?node=ex:e&direction=sideways", http.StatusBadRequest},
+		{"/api/v0/lineage?node=ex:e&direction=sideways", http.StatusBadRequest},
+		{"/api/v0/documents/nope/lineage?node=ex:e&direction=sideways", http.StatusBadRequest},
+		{"/api/v0/documents/doc1/lineage?node=ex:e&direction=descendants", http.StatusOK},
+		{"/api/v0/lineage?node=ex:e&direction=descendants", http.StatusOK},
+		{"/api/v0/documents/doc1/lineage?node=ex:e", http.StatusOK},
+		{"/api/v0/lineage?node=ex:e", http.StatusOK},
+	} {
+		resp, body := get(t, srv.URL+tc.path, nil)
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s = %d %s, want %d", tc.path, resp.StatusCode, body, tc.want)
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(string(body), `bad direction \"sideways\"`) {
+			t.Errorf("GET %s: body %s does not name the bad direction", tc.path, body)
+		}
 	}
-	resp, _ = get(t, url, nil)
-	if got := resp.Header.Get("X-Yprov-Cache"); got != "hit" {
-		t.Fatalf("second GET cache = %q, want hit", got)
+	_, body := get(t, srv.URL+"/api/v0/stats", nil)
+	var st struct {
+		ReadCache struct {
+			FillErrors uint64 `json:"fill_errors"`
+		} `json:"read_cache"`
 	}
-	// Any write to the single shard advances the watermark: stale entry.
-	if err := store.Put("other", revDoc(1)); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ = get(t, url, nil)
-	if got := resp.Header.Get("X-Yprov-Cache"); got != "miss" {
-		t.Fatalf("post-write GET cache = %q, want miss", got)
+	if st.ReadCache.FillErrors != 0 {
+		t.Errorf("bad directions reached %d cache fill(s)", st.ReadCache.FillErrors)
 	}
 }
 
-// TestCachedReadsNeverGoBackwards is the PR's core coherence check:
-// with a writer continuously bumping a document's revision, concurrent
+// TestCachedReadsNeverGoBackwards is the cache's coherence check: with
+// a writer continuously bumping a document's revision, concurrent
 // cached readers must observe a non-decreasing revision sequence — a
 // cached body served at version V can never show older state than an
-// earlier read did.
+// earlier read did — and a strong ETag must name one representation:
+// every response that carries it has the same revision.
 func TestCachedReadsNeverGoBackwards(t *testing.T) {
 	srv, store := cachedServer(t, 2)
 	if err := store.Put("doc1", revDoc(0)); err != nil {
@@ -149,13 +320,13 @@ func TestCachedReadsNeverGoBackwards(t *testing.T) {
 	}
 	url := srv.URL + "/api/v0/documents/doc1"
 
-	const readers, reads, revs = 4, 150, 150
+	const readers, reads = 4, 150
 	stop := make(chan struct{})
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		for i := 1; i <= revs; i++ {
+		for i := 1; ; i++ { // for as long as anyone reads
 			select {
 			case <-stop:
 				return
@@ -168,6 +339,10 @@ func TestCachedReadsNeverGoBackwards(t *testing.T) {
 		}
 	}()
 
+	var (
+		etagMu  sync.Mutex
+		etagRev = map[string]string{} // ETag -> the revision it went out with
+	)
 	var readerWG sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		readerWG.Add(1)
@@ -192,6 +367,15 @@ func TestCachedReadsNeverGoBackwards(t *testing.T) {
 					return
 				}
 				last = rev
+				etag := resp.Header.Get("ETag")
+				etagMu.Lock()
+				first, seen := etagRev[etag]
+				etagRev[etag] = rev
+				etagMu.Unlock()
+				if seen && first != rev {
+					t.Errorf("ETag %s went out with revision %q and with %q", etag, first, rev)
+					return
+				}
 			}
 		}()
 	}

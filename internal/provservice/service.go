@@ -48,7 +48,9 @@ import (
 	"repro/internal/repl"
 )
 
-// StoreAPI is everything the HTTP layer needs from a document store.
+// StoreAPI is everything the HTTP layer needs from a document store:
+// one write (Apply), one single-document read (View) and the store-wide
+// reads with the one counter they validate against (Version).
 // *provstore.Store implements it; tests and alternative back-ends can
 // substitute their own.
 type StoreAPI interface {
@@ -63,21 +65,24 @@ type StoreAPI interface {
 	// references and only reads it afterwards — while Op.Raw stays the
 	// caller's and need only hold still until Apply returns.
 	Apply(ctx context.Context, ops []provstore.Op) error
-	Get(id string) (*prov.Document, bool)
+	// View is the one single-document read: a handle on id's current
+	// version from which a handler takes the 404 (false: not stored),
+	// the version behind its cache key and ETag (View.Seq), and the body
+	// (Document, Lineage, Subgraph) — all from the same immutable entry,
+	// so they agree whatever is written meanwhile.
+	View(id string) (provstore.View, bool)
 	List() []string
-	Lineage(doc string, node prov.QName, dir provstore.LineageDirection, depth int) ([]prov.QName, error)
-	Subgraph(doc string, node prov.QName, hops int) (*prov.Document, error)
 	FindByType(typeName string) []provstore.SearchResult
 	FindByAttr(key string, value interface{}) []provstore.SearchResult
 	CrossDocLineage(start prov.QName, dir provstore.LineageDirection, depth int) ([]provstore.CrossNode, error)
 	// ListAfter is the cursor-pagination primitive: up to limit ids
 	// strictly greater than after, sorted, plus whether more remain.
 	ListAfter(after string, limit int) ([]string, bool)
-	// ReadVersion is the cache fingerprint for a read touching the
-	// given document ids (none = store-wide): the max applied-seq
-	// watermark over the owning shards. Monotone; changes whenever any
-	// touched shard applies a mutation. See internal/readcache.
-	ReadVersion(ids ...string) uint64
+	// Version is what the store-wide reads above (list, search,
+	// cross-document lineage) validate against: the sequence of the
+	// newest mutation visible to readers. Monotone; moves with every
+	// mutation, on stores with and without a journal.
+	Version() uint64
 	Stats() provstore.Stats
 	// AppliedSeq is the journal high-water mark backing the X-Yprov-Seq
 	// write token and the X-Yprov-Min-Seq read-your-writes check (0 for
@@ -138,7 +143,7 @@ type Service struct {
 	// nil = disabled.
 	flightrec *flightrec.Recorder
 
-	// Read path (see readpath.go): the seq-invalidated response cache
+	// Read path (see readpath.go): the version-keyed response cache
 	// (nil = disabled), the traversal-depth cap for ?depth=/?hops=, and
 	// the process epoch scoping ETag validators to this server run.
 	cache             *readcache.Cache
@@ -527,7 +532,7 @@ func (s *Service) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := readKey("list", after, strconv.Itoa(limit))
-	s.serveRead(w, r, key, nil, false, func() (readcache.Entry, error) {
+	s.serveRead(w, r, key, s.store.Version(), "", func() (readcache.Entry, error) {
 		body := map[string]interface{}{}
 		if limit > 0 {
 			ids, more := s.store.ListAfter(after, limit)
@@ -580,9 +585,9 @@ func (s *Service) handleDocument(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleDocumentCRUD(w http.ResponseWriter, r *http.Request, id string) {
 	switch r.Method {
 	case http.MethodGet:
-		s.serveRead(w, r, readKey("doc", id), []string{id}, true, func() (readcache.Entry, error) {
-			doc, ok := s.store.Get(id)
-			if !ok {
+		s.serveView(w, r, id, readKey("doc", id), func(v provstore.View) (readcache.Entry, error) {
+			doc := v.Document()
+			if doc == nil {
 				return readcache.Entry{}, httpErrf(http.StatusNotFound, "document %q does not exist", id)
 			}
 			payload, err := doc.MarshalIndent()
@@ -638,17 +643,17 @@ func (s *Service) handleLineage(w http.ResponseWriter, r *http.Request, id strin
 		writeErr(w, http.StatusBadRequest, "missing ?node=")
 		return
 	}
-	dir := provstore.LineageDirection(r.URL.Query().Get("direction"))
-	if dir == "" {
-		dir = provstore.Ancestors
+	dir, ok := parseDirection(w, r)
+	if !ok {
+		return
 	}
 	depth, ok := s.parseBoundedDepth(w, r, "depth", 0, true)
 	if !ok {
 		return
 	}
 	key := readKey("lineage", id, node, string(dir), strconv.Itoa(depth))
-	s.serveRead(w, r, key, []string{id}, true, func() (readcache.Entry, error) {
-		nodes, err := s.store.Lineage(id, prov.QName(node), dir, depth)
+	s.serveView(w, r, id, key, func(v provstore.View) (readcache.Entry, error) {
+		nodes, err := v.Lineage(prov.QName(node), dir, depth)
 		if err != nil {
 			return readcache.Entry{}, httpErrf(http.StatusNotFound, "%v", err)
 		}
@@ -673,8 +678,8 @@ func (s *Service) handleSubgraph(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 	key := readKey("subgraph", id, node, strconv.Itoa(hops))
-	s.serveRead(w, r, key, []string{id}, true, func() (readcache.Entry, error) {
-		sub, err := s.store.Subgraph(id, prov.QName(node), hops)
+	s.serveView(w, r, id, key, func(v provstore.View) (readcache.Entry, error) {
+		sub, err := v.Subgraph(prov.QName(node), hops)
 		if err != nil {
 			return readcache.Entry{}, httpErrf(http.StatusNotFound, "%v", err)
 		}
@@ -723,7 +728,7 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key = readKey(key, after, strconv.Itoa(limit))
-	s.serveRead(w, r, key, nil, false, func() (readcache.Entry, error) {
+	s.serveRead(w, r, key, s.store.Version(), "", func() (readcache.Entry, error) {
 		hits, next := pageSearch(find(), after, limit)
 		body := map[string]interface{}{"results": hits}
 		if next != "" {
@@ -760,9 +765,9 @@ func (s *Service) handleCrossLineage(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing ?node=")
 		return
 	}
-	dir := provstore.LineageDirection(r.URL.Query().Get("direction"))
-	if dir == "" {
-		dir = provstore.Ancestors
+	dir, ok := parseDirection(w, r)
+	if !ok {
+		return
 	}
 	depth, ok := s.parseBoundedDepth(w, r, "depth", 0, true)
 	if !ok {
@@ -789,7 +794,7 @@ func (s *Service) handleCrossLineage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := readKey("xlineage", node, string(dir), strconv.Itoa(depth), after, strconv.Itoa(limit))
-	s.serveRead(w, r, key, nil, false, func() (readcache.Entry, error) {
+	s.serveRead(w, r, key, s.store.Version(), "", func() (readcache.Entry, error) {
 		nodes, err := s.store.CrossDocLineage(prov.QName(node), dir, depth)
 		if err != nil {
 			return readcache.Entry{}, httpErrf(http.StatusNotFound, "%v", err)

@@ -229,7 +229,7 @@ func TestPutBatchStageFailureRollsBack(t *testing.T) {
 			}
 			ffs.Clear()
 			before := storeFingerprint(s)
-			seqBefore, versionBefore := s.AppliedSeq(), s.ReadVersion()
+			seqBefore, versionBefore, entriesBefore := s.AppliedSeq(), s.Version(), entrySeqs(s)
 
 			if err := tc.mutate(s); !errors.Is(err, ErrJournal) {
 				t.Fatalf("mutation error = %v, want ErrJournal", err)
@@ -238,9 +238,13 @@ func TestPutBatchStageFailureRollsBack(t *testing.T) {
 			if after := storeFingerprint(s); !reflect.DeepEqual(before, after) {
 				t.Fatalf("failed mutation changed store state:\n before %+v\n after  %+v", before, after)
 			}
-			if s.AppliedSeq() != seqBefore || s.ReadVersion() != versionBefore {
-				t.Fatalf("failed mutation moved watermarks: applied %d->%d, version %d->%d",
-					seqBefore, s.AppliedSeq(), versionBefore, s.ReadVersion())
+			if s.AppliedSeq() != seqBefore || s.Version() != versionBefore {
+				t.Fatalf("failed mutation moved the store version: applied %d->%d, version %d->%d",
+					seqBefore, s.AppliedSeq(), versionBefore, s.Version())
+			}
+			// The displaced entries come back as they were, seq included.
+			if after := entrySeqs(s); !reflect.DeepEqual(entriesBefore, after) {
+				t.Fatalf("failed mutation changed entry seqs: %v -> %v", entriesBefore, after)
 			}
 			// The rolled-back replacement must still serve the old projection.
 			got, err := s.Lineage("pre-00", prov.NewQName("ex", "model-old-version"), Ancestors, 0)

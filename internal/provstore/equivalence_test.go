@@ -75,12 +75,13 @@ type equivState struct {
 	IDs     []string
 	Docs    map[string]string   // canonical JSON per document
 	Lineage map[string][]string // "<doc> <node> <direction>" -> reachable names
-	Version uint64              // store-wide read version
+	Version uint64              // store-wide version
+	Seqs    map[string]uint64   // the seq every entry was installed under
 }
 
 func captureEquivState(t *testing.T, s *Store) equivState {
 	t.Helper()
-	st := equivState{IDs: s.List(), Docs: snapshotJSON(t, s), Lineage: map[string][]string{}, Version: s.ReadVersion()}
+	st := equivState{IDs: s.List(), Docs: snapshotJSON(t, s), Lineage: map[string][]string{}, Version: s.Version(), Seqs: entrySeqs(s)}
 	for _, id := range st.IDs {
 		d, _ := s.Get(id)
 		for _, node := range append(d.EntityIDs(), d.ActivityIDs()...) {

@@ -163,15 +163,6 @@ func (s *Store) restore(rec *wal.RecoveredState) error {
 			return fmt.Errorf("provstore: recover snapshot: %w", err)
 		}
 	}
-	// Rebuild read watermarks: the snapshot may have held documents on
-	// any shard before they were deleted, so every shard starts at the
-	// snapshot horizon; tail records then advance their owning shards. A
-	// shard's recovered watermark is therefore always >= its pre-crash
-	// value — a cache keyed on the old value can never validate against
-	// newer state.
-	for _, sh := range s.shards {
-		sh.noteApplied(rec.SnapshotSeq)
-	}
 	for _, r := range rec.Records {
 		m, err := decodeRecordPayload(r.Payload, r.Seq)
 		if err != nil {

@@ -16,8 +16,9 @@ import (
 // The write path. Every state change — a local put, delete or batch, a
 // record replicated from a primary, a record or snapshot replayed at
 // recovery — is a mutation run through Store.apply, the only code that
-// indexes documents, locks shards, stages to the journal, rolls back and
-// publishes read watermarks (README, "Write path").
+// indexes documents, locks shards, stages to the journal, rolls back,
+// stamps each installed entry with its sequence and advances the store's
+// applied counter (README, "Write path").
 
 // Op is one step of a mutation: store Doc under ID, or, when Doc is
 // nil, delete ID.
@@ -54,7 +55,8 @@ type mutation struct {
 	// payload verbatim (it lands on the primary's sequence because the
 	// local log's next sequence is the replication cursor). With no
 	// record, seq is the sequence the mutation already holds in the
-	// journal (recovery); zero numbers it from memSeq (in-memory stores).
+	// journal (recovery); zero takes the next tick of the store's applied
+	// counter (in-memory stores, which have no journal to number them).
 	record []byte
 	seq    uint64
 }
@@ -142,27 +144,29 @@ func (s *Store) Apply(ctx context.Context, ops []Op) error {
 // checkpoint although its caller was told it failed). All the work
 // proportional to a document happens before the locks; under them a
 // put, replace or delete is a pointer swap. Staging under the locks
-// makes log order match apply order per document. On success the
-// store-wide and per-shard watermarks advance before the locks drop, so
-// no reader can observe the new state under an old version. The
-// returned ticket is not yet committed.
+// makes log order match apply order per document. On success every
+// installed entry is stamped with the mutation's sequence and the
+// store's applied counter advances, both before the locks drop, so no
+// reader can observe the new state under an old version. The returned
+// ticket is not yet committed.
 func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error) {
 	if err = ctx.Err(); err != nil {
 		return t, err
 	}
 	tr := obs.FromContext(ctx)
-	// entries[i] is what ops[i] installs (nil deletes) and, once
-	// swapped in, what it displaced. A one-op mutation allocates
-	// neither list.
-	var oneEntry [1]*entry
-	entries := oneEntry[:]
+	// slots[i] holds what ops[i] installs (nil deletes) and, once it is
+	// swapped in, what it displaced. A one-op mutation allocates neither
+	// list.
+	type slot struct{ installed, displaced *entry }
+	var oneSlot [1]slot
+	slots := oneSlot[:]
 	if len(m.ops) > 1 {
-		entries = make([]*entry, len(m.ops))
+		slots = make([]slot, len(m.ops))
 	}
 	span := tr.StartSpan("project")
 	for i := range m.ops {
 		if op := &m.ops[i]; op.Doc != nil {
-			if entries[i], err = newEntry(op.ID, op.Doc); err != nil {
+			if slots[i].installed, err = newEntry(op.ID, op.Doc); err != nil {
 				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
 				break
 			}
@@ -185,11 +189,11 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	for ; swapped < len(m.ops); swapped++ {
 		id := m.ops[swapped].ID
 		sh := s.shardFor(id)
-		if entries[swapped] == nil && sh.docs[id] == nil && !m.lenient {
+		if slots[swapped].installed == nil && sh.docs[id] == nil && !m.lenient {
 			err = fmt.Errorf("provstore: document %q does not exist", id)
 			break
 		}
-		entries[swapped] = sh.swap(id, entries[swapped])
+		slots[swapped].displaced = sh.swap(id, slots[swapped].installed)
 	}
 
 	span = tr.StartSpan("stage")
@@ -203,7 +207,7 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	if err != nil {
 		for i := swapped - 1; i >= 0; i-- {
 			id := m.ops[i].ID
-			s.shardFor(id).swap(id, entries[i])
+			s.shardFor(id).swap(id, slots[i].displaced)
 		}
 		return wal.Ticket{}, err
 	}
@@ -215,10 +219,12 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	if seq != 0 {
 		s.noteApplied(seq)
 	} else {
-		seq = s.memSeq.Add(1)
+		seq = s.lastApplied.Add(1)
 	}
-	for _, i := range idxs {
-		s.shards[i].noteApplied(seq)
+	for i := range slots {
+		if e := slots[i].installed; e != nil {
+			e.seq = seq
+		}
 	}
 	return t, nil
 }
@@ -262,8 +268,8 @@ func (s *Store) unlockShards(idxs []uint32) {
 	}
 }
 
-// noteApplied raises the applied-sequence high-water mark. Stagings on
-// different shards race here, so the maximum is taken with a CAS loop.
+// noteApplied raises the applied counter to seq. Stagings on different
+// shards race here, so the maximum is taken with a CAS loop.
 func (s *Store) noteApplied(seq uint64) {
 	for {
 		cur := s.lastApplied.Load()

@@ -19,11 +19,24 @@ import (
 // Follower reports whether the store is a read-only replica.
 func (s *Store) Follower() bool { return s.follower }
 
-// AppliedSeq is the journal-sequence high-water mark: the newest
-// mutation visible to readers. On a primary it advances as writes are
-// staged; on a follower, as replicated records are applied. Zero for
-// in-memory stores.
-func (s *Store) AppliedSeq() uint64 { return s.lastApplied.Load() }
+// Version is the store's applied counter: the sequence of the newest
+// mutation visible to readers, and the version store-wide reads (list,
+// search, cross-document lineage) validate against. It advances under
+// the shard locks of the mutation that moves it, so a reader that has
+// seen a value and then reads any shard sees every mutation up to it.
+func (s *Store) Version() uint64 { return s.lastApplied.Load() }
+
+// AppliedSeq is Version as a position in the journal: on a primary it
+// advances as writes are staged; on a follower, as replicated records
+// are applied. Zero for in-memory stores, whose counter names no
+// journal record — the write token and the replication cursor built on
+// AppliedSeq mean nothing there.
+func (s *Store) AppliedSeq() uint64 {
+	if s.wal == nil {
+		return 0
+	}
+	return s.lastApplied.Load()
+}
 
 // Log exposes the store's write-ahead log for replication (the
 // primary's stream server reads segments and tails commits through

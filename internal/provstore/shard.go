@@ -14,15 +14,24 @@ import (
 // shards keep postings for.
 const typeKey = "prov:type"
 
-// entry is one stored version of a document: the document and the
-// traversal index built from it. Both are immutable from the moment the
-// entry is installed in a shard, so a reader fetches the pointer under
-// the shard's read lock and works on it unlocked — it sees exactly one
-// version however the id is replaced or deleted meanwhile.
+// entry is one stored version of a document: the document, the
+// traversal index built from it and the sequence it was installed
+// under. All are immutable from the moment the entry is installed in a
+// shard, so a reader fetches the pointer under the shard's read lock and
+// works on it unlocked — it sees exactly one version, and that version's
+// number, however the id is replaced or deleted meanwhile.
 type entry struct {
 	id  string
 	doc *prov.Document
 	ix  *prov.Index
+	// seq is the sequence of the mutation that installed the entry: its
+	// journal record's, the snapshot's for a document recovered from one,
+	// a tick of the store's applied counter on an in-memory store.
+	// Store.apply writes it after staging and before the shard locks
+	// drop, so it is set before any reader can reach the entry. It is
+	// not persisted: replay reads it off the record or snapshot that
+	// carries the document.
+	seq uint64
 	// types lists the distinct string values of the elements' prov:type
 	// attribute, the keys this entry is posted under in shard.byType.
 	types []string
@@ -138,30 +147,12 @@ type shard struct {
 	// per-shard contention signal behind the
 	// yprov_shard_lock_wait_seconds_total series.
 	lockWaitNanos atomic.Int64
-
-	// applied is the shard's read watermark: the sequence of the newest
-	// mutation applied here (journal seq on durable stores, Store.memSeq
-	// tick on in-memory ones). Reads validate cached responses against
-	// the max watermark of the shards they touch — see watermark.go.
-	applied atomic.Uint64
 }
 
 func newShard() *shard {
 	return &shard{
 		docs:   make(map[string]*entry),
 		byType: make(map[string]map[string]struct{}),
-	}
-}
-
-// noteApplied raises the shard's read watermark to seq. Mutations on
-// the same shard are serialized by mu, but recovery and concurrent
-// callers may race, so the maximum is taken with a CAS loop.
-func (sh *shard) noteApplied(seq uint64) {
-	for {
-		cur := sh.applied.Load()
-		if seq <= cur || sh.applied.CompareAndSwap(cur, seq) {
-			return
-		}
 	}
 }
 

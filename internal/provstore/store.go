@@ -12,6 +12,15 @@
 // over the shards and merge with deterministic ordering. Every write —
 // a local Apply, a replicated record, a record replayed at recovery —
 // runs through one mutation pipeline (mutation.go).
+//
+// There is one notion of version. Every mutation has a sequence: its
+// journal record's, or on an in-memory store the next tick of the same
+// counter. The store's applied counter is the newest sequence visible
+// to readers (Version) and is what a store-wide read — list, search,
+// cross-document lineage — validates against. Each entry carries the
+// sequence it was installed under (View.Seq), and that is the version
+// of every read of that one document: it changes when the document is
+// replaced or deleted and re-created, and at no other time.
 package provstore
 
 import (
@@ -36,8 +45,11 @@ type Store struct {
 	mask   uint32 // len(shards)-1; shard counts are powers of two
 
 	// Durability (nil/zero for in-memory stores).
-	wal           *wal.Log
-	lastApplied   atomic.Uint64 // journal seq high-water mark across shards
+	wal *wal.Log
+	// lastApplied is the applied counter (see Version): journal
+	// sequences on a journaled store; an in-memory store numbers its
+	// mutations from it directly.
+	lastApplied   atomic.Uint64
 	snapshotEvery int
 	mutations     uint64       // atomic: mutation count driving snapshot cadence
 	snapErrs      uint64       // atomic: failed background checkpoints
@@ -45,10 +57,6 @@ type Store struct {
 	suspectBitRot bool         // recovery truncated ahead of intact frames
 	follower      bool         // read-only apply mode (see replica.go)
 	snapMu        sync.Mutex
-
-	// memSeq numbers mutations on in-memory stores so per-shard read
-	// watermarks stay monotone without a journal (see watermark.go).
-	memSeq atomic.Uint64
 
 	// lockWait is the store-wide shard-lock wait histogram (per-shard
 	// cumulative counters live on the shards). Always live; RegisterObs
@@ -132,21 +140,88 @@ func (s *Store) Put(id string, doc *prov.Document) error {
 	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc.Clone()}})
 }
 
-// entry returns the current entry of id, nil when there is none.
-func (s *Store) entry(id string) *entry {
+// View is a read handle on one stored version of a document: the
+// version number, the document and every traversal come from the one
+// immutable entry the handle was made from, so they agree with each
+// other whatever is written meanwhile. The View of an id that is not
+// stored is empty: Seq is 0, Document nil, and the traversals report
+// the id as missing.
+type View struct {
+	id string
+	e  *entry
+}
+
+// View returns the handle on id's current version; false, and the
+// empty View, when id is not stored. It is the store's one
+// single-document lookup: a read lock on the owning shard for the
+// length of a map access.
+func (s *Store) View(id string) (View, bool) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.docs[id]
+	e := sh.docs[id]
+	sh.mu.RUnlock()
+	return View{id: id, e: e}, e != nil
+}
+
+// Seq is the sequence the viewed version was installed under — the
+// version single-document reads validate against. Successive versions
+// of one id carry increasing values, also across delete and re-create.
+func (v View) Seq() uint64 {
+	if v.e == nil {
+		return 0
+	}
+	return v.e.seq
+}
+
+// Document returns the stored document itself, not a copy: it is shared
+// with every other reader and must not be modified. Store.Get is the
+// copying form.
+func (v View) Document() *prov.Document {
+	if v.e == nil {
+		return nil
+	}
+	return v.e.doc
+}
+
+// Lineage returns the qualified names reachable from node in the given
+// direction within depth hops (depth <= 0 = unbounded), sorted.
+// PROV relation edges point from subject toward object — toward origins
+// — so ancestors follow them forward. The traversal runs on the
+// version's own index, outside every lock.
+func (v View) Lineage(node prov.QName, dir LineageDirection, depth int) ([]prov.QName, error) {
+	pdir := prov.Forward
+	if dir == Descendants {
+		pdir = prov.Reverse
+	} else if dir != Ancestors {
+		return nil, fmt.Errorf("provstore: bad lineage direction %q", dir)
+	}
+	if v.e != nil {
+		if reach, ok := v.e.ix.Reach(node, pdir, depth); ok {
+			return reach, nil
+		}
+	}
+	return nil, fmt.Errorf("provstore: node %s not found in document %q", node, v.id)
+}
+
+// Subgraph extracts the neighborhood of node within hops, ignoring edge
+// direction, as a new document; hops <= 0 selects the node alone.
+func (v View) Subgraph(node prov.QName, hops int) (*prov.Document, error) {
+	if v.e == nil {
+		return nil, fmt.Errorf("provstore: document %q does not exist", v.id)
+	}
+	if !v.e.ix.Has(node) {
+		return nil, fmt.Errorf("provstore: node %s not found in document %q", node, v.id)
+	}
+	return v.e.ix.Neighborhood(v.e.doc, node, hops), nil
 }
 
 // Get returns a copy of the stored document.
 func (s *Store) Get(id string) (*prov.Document, bool) {
-	e := s.entry(id)
-	if e == nil {
+	v, ok := s.View(id)
+	if !ok {
 		return nil, false
 	}
-	return e.doc.Clone(), true
+	return v.Document().Clone(), true
 }
 
 // Delete removes a document; a missing id is an error. It is Apply with
@@ -164,37 +239,16 @@ const (
 	Descendants LineageDirection = "descendants"
 )
 
-// Lineage returns the qualified names reachable from node in the given
-// direction within depth hops (depth <= 0 = unbounded), sorted.
-// PROV relation edges point from subject toward object — toward origins
-// — so ancestors follow them forward. The traversal runs on the
-// document's own index, outside every lock.
+// Lineage is View.Lineage on doc's current version.
 func (s *Store) Lineage(doc string, node prov.QName, dir LineageDirection, depth int) ([]prov.QName, error) {
-	pdir := prov.Forward
-	if dir == Descendants {
-		pdir = prov.Reverse
-	} else if dir != Ancestors {
-		return nil, fmt.Errorf("provstore: bad lineage direction %q", dir)
-	}
-	if e := s.entry(doc); e != nil {
-		if reach, ok := e.ix.Reach(node, pdir, depth); ok {
-			return reach, nil
-		}
-	}
-	return nil, fmt.Errorf("provstore: node %s not found in document %q", node, doc)
+	v, _ := s.View(doc)
+	return v.Lineage(node, dir, depth)
 }
 
-// Subgraph extracts the neighborhood of node within hops, ignoring edge
-// direction, as a document; hops <= 0 selects the node alone.
+// Subgraph is View.Subgraph on doc's current version.
 func (s *Store) Subgraph(doc string, node prov.QName, hops int) (*prov.Document, error) {
-	e := s.entry(doc)
-	if e == nil {
-		return nil, fmt.Errorf("provstore: document %q does not exist", doc)
-	}
-	if !e.ix.Has(node) {
-		return nil, fmt.Errorf("provstore: node %s not found in document %q", node, doc)
-	}
-	return e.ix.Neighborhood(e.doc, node, hops), nil
+	v, _ := s.View(doc)
+	return v.Subgraph(node, hops)
 }
 
 // SearchResult is one match of a cross-document search.

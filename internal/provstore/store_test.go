@@ -294,12 +294,12 @@ func TestPutKeepsItsOwnCopy(t *testing.T) {
 	if err := s.Apply(context.Background(), []Op{{ID: "handed", Doc: handed}}); err != nil {
 		t.Fatal(err)
 	}
-	if s.entry("handed").doc != handed {
+	if v, _ := s.View("handed"); v.Document() != handed {
 		t.Error("Apply copied the document it was handed")
 	}
 
 	for id, doc := range map[string]*prov.Document{"single": single, "batched": batched} {
-		if s.entry(id).doc == doc {
+		if v, _ := s.View(id); v.Document() == doc {
 			t.Fatalf("%s: the store holds the caller's document", id)
 		}
 		want, err := doc.MarshalJSON()

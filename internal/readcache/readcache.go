@@ -1,11 +1,14 @@
-// Package readcache is a sequence-invalidated cache over encoded HTTP
-// response bodies. Entries are keyed by a canonicalized query string
-// plus a version — the maximum applied-sequence watermark of the store
-// shards the query touches (provstore.ReadVersion). Journal sequences
-// are globally monotone, so the version changes whenever any touched
-// shard applies a mutation: a lookup whose version equals the stored
-// one is guaranteed to observe identical state, which makes hits
-// trivially coherent without TTLs or explicit invalidation hooks.
+// Package readcache is a version-keyed cache over encoded HTTP response
+// bodies. Entries are keyed by a canonicalized query string plus the
+// version the answer is valid at, which the caller supplies: for a read
+// of one document the sequence that document's stored entry was
+// installed under (provstore.View.Seq), for a store-wide read the
+// store's applied counter (provstore.Store.Version). Either moves
+// exactly when the state the query can observe does, and never
+// backwards, so a lookup whose version equals the stored one observes
+// identical state: hits are coherent without TTLs or explicit
+// invalidation hooks, and a write to one document leaves every other
+// document's entries valid.
 //
 // The cache is a bounded LRU — bounded both in entry count and total
 // body bytes — with single-flight miss coalescing: concurrent misses
@@ -25,7 +28,6 @@ import (
 type Entry struct {
 	Body        []byte
 	ContentType string
-	ETag        string
 }
 
 // Stats is a point-in-time counter snapshot, embedded in /stats.
@@ -121,8 +123,8 @@ func (c *Cache) Get(key string, version uint64) (Entry, bool) {
 // request's fill, not their own). fill runs without the cache lock;
 // its error is propagated to every coalesced waiter and never cached.
 //
-// Version discipline: versions for a key are monotone (they come from
-// store watermarks). An entry stored under an older version is stale
+// Version discipline: versions for a key are monotone (entry or store
+// sequences). An entry stored under an older version is stale
 // and replaced; a caller whose version is older than the stored entry
 // raced a concurrent writer — it computes fresh state but does not
 // clobber the newer entry.
@@ -133,8 +135,9 @@ func (c *Cache) Do(key string, version uint64, fill func() (Entry, error)) (e En
 		if ce.version == version {
 			c.ll.MoveToFront(el)
 			c.hits.Inc()
+			e = ce.e // a later fill overwrites ce in place, under the lock
 			c.mu.Unlock()
-			return ce.e, true, nil
+			return e, true, nil
 		}
 	}
 	c.misses.Inc()

@@ -26,7 +26,7 @@ func TestHitRequiresMatchingVersion(t *testing.T) {
 	if !hit || string(e.Body) != "v1" || fills != 1 {
 		t.Fatalf("same-version Do should hit: hit=%v fills=%d", hit, fills)
 	}
-	// The version advanced (a touched shard applied a mutation): the
+	// The version advanced (the document behind the key was rewritten): the
 	// entry is stale and must be recomputed.
 	_, hit, _ = c.Do("k", 2, func() (Entry, error) { fills++; return entry("v2"), nil })
 	if hit || fills != 2 {

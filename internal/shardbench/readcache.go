@@ -1,10 +1,12 @@
 package shardbench
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/prov"
 	"repro/internal/provservice"
 	"repro/internal/provstore"
 )
@@ -15,17 +17,20 @@ import (
 const lineageCachedDepth = 512
 
 // LineageCached measures the full HTTP read path of one lineage query
-// through the seq-invalidated response cache, in three modes:
+// through the version-keyed response cache, in three modes:
 //
 //	cold        — the cache is purged before every request, so each one
 //	              pays the full graph walk and JSON encode (plus the
 //	              cache store).
 //	warm        — the same query repeats against an untouched store;
 //	              after the first fill every request is a cache hit.
-//	invalidated — every request is preceded by a small write to the
-//	              store (a single shard, so the watermark the query
-//	              reads always advances): the worst case where caching
-//	              buys nothing and costs a store per request.
+//	invalidated — every request is preceded by a rewrite of the
+//	              queried document itself (outside the timer; two
+//	              pre-built copies, alternating), the one write that
+//	              moves the version the query is cached under: the
+//	              worst case where caching buys nothing and costs a
+//	              store per request. A write to any other document
+//	              would leave the entry valid and measure hits.
 //
 // Requests go through Service.ServeHTTP with in-memory recorders — the
 // whole middleware chain and encode path are measured, but no sockets.
@@ -38,7 +43,7 @@ func LineageCached(mode string) func(b *testing.B) {
 		svc := provservice.New(store, provservice.WithReadCache(1024, 64<<20))
 		path := fmt.Sprintf("/api/v0/documents/chain/lineage?node=ex:e%d&direction=ancestors",
 			lineageCachedDepth-1)
-		tiny := ChainDoc(1)
+		versions := [2]*prov.Document{ChainDoc(lineageCachedDepth), ChainDoc(lineageCachedDepth)}
 		if mode == "warm" {
 			// Pay the compulsory miss outside the timer so every measured
 			// request is a hit, even on the b.N=1 calibration run.
@@ -54,11 +59,12 @@ func LineageCached(mode string) func(b *testing.B) {
 			case "cold":
 				svc.ReadCache().Purge()
 			case "invalidated":
-				// The store has one shard, so this write always bumps the
-				// watermark the lineage query reads — every cached entry is
-				// stale by the time the request arrives.
+				// The rewrite installs a new entry under a new seq, so the
+				// cached response is stale by the time the request arrives.
+				// Apply installs the document uncopied; alternating two
+				// keeps the one handed over distinct from the one stored.
 				b.StopTimer()
-				if err := store.Put(fmt.Sprintf("inv-%d", i%128), tiny); err != nil {
+				if err := store.Apply(context.Background(), []provstore.Op{{ID: "chain", Doc: versions[i%2]}}); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
@@ -71,8 +77,11 @@ func LineageCached(mode string) func(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if st := svc.ReadCache().Stats(); mode == "warm" && st.Hits == 0 {
+		switch st := svc.ReadCache().Stats(); {
+		case mode == "warm" && st.Hits == 0:
 			b.Fatal("warm mode recorded no cache hits")
+		case mode == "invalidated" && st.Hits != 0:
+			b.Fatalf("invalidated mode recorded %d cache hits", st.Hits)
 		}
 	}
 }

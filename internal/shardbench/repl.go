@@ -23,7 +23,7 @@ import (
 // not the disk's flush latency (BenchmarkWALAppend/fsync tracks that).
 func ReplicationThroughput(records int) func(b *testing.B) {
 	return func(b *testing.B) {
-		store, err := provstore.Open(TempDir(b), provstore.Durability{
+		store, err := provstore.Open(b.TempDir(), provstore.Durability{
 			SnapshotEvery: -1,
 			SegmentBytes:  1 << 30,
 		})

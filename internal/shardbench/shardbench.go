@@ -1,10 +1,9 @@
 // Package shardbench holds the sharded-engine and bulk-ingestion
 // benchmark bodies shared by the root benchmark suite
 // (BenchmarkShardedPutParallel, BenchmarkMixedReadWrite,
-// BenchmarkBatchPut), cmd/benchreport, and the loadgen scenario
-// documents, so `make bench-key`, the tracked BENCH_PR*.json rows, and
-// yprov-loadgen traffic always measure the exact same workload instead
-// of drifting copies.
+// BenchmarkBatchPut) and the loadgen scenario documents, so
+// `make bench-key` and yprov-loadgen traffic measure the same workload
+// instead of drifting copies.
 package shardbench
 
 import (
@@ -83,7 +82,7 @@ func TempDir(b *testing.B) string {
 // belongs to a commit: snapshots disabled, segment rotation pushed out
 // of reach.
 func openDurable(b *testing.B, shards int) *provstore.Store {
-	s, err := provstore.Open(TempDir(b), provstore.Durability{
+	s, err := provstore.Open(b.TempDir(), provstore.Durability{
 		Fsync:         true,
 		SnapshotEvery: -1,
 		SegmentBytes:  1 << 30,
