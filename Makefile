@@ -25,11 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # Fault-injection suite under the race detector: disk faults
-# (wal.FaultFS), network faults (internal/faultnet), the end-to-end
-# chaos scenarios (internal/chaos), and the loadgen chaos smoke.
+# (wal.FaultFS), what a kill -9 in mid-checkpoint leaves in the data
+# directory, network faults (internal/faultnet), the end-to-end chaos
+# scenarios (internal/chaos), and the loadgen chaos smoke.
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/faultnet/ ./internal/loadgen/ -run 'TestChaos|TestProxy'
-	$(GO) test -race ./internal/wal/ -run 'TestFault'
+	$(GO) test -race ./internal/wal/ -run 'TestFault|TestStaleSnapshotTemp'
 
 # Ten seconds of each prov fuzzer on top of its committed seed corpus:
 # the differential one that holds the PROV-JSON decoder to the
@@ -66,7 +67,8 @@ bench-key:
 
 # Exposition-format gate: the strict Prometheus 0.0.4 parser in
 # internal/obs must accept everything GET /metrics serves — including
-# trace-ID exemplars on histogram buckets — and the registry's own
+# trace-ID exemplars on histogram buckets and the checkpoint
+# instruments — and the registry's own
 # output (and the flight recorder's runtime-telemetry gauges) must
 # round-trip through it.
 metrics-format:

@@ -50,6 +50,11 @@ func TestPromMetricsExposition(t *testing.T) {
 		resp.Body.Close()
 	}
 
+	// One checkpoint, so the background-work instruments hold a sample.
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +83,9 @@ func TestPromMetricsExposition(t *testing.T) {
 		"yprov_wal_commit_queue_depth",
 		"yprov_shard_lock_wait_seconds",
 		"yprov_store_documents",
+		"yprov_store_checkpoint_seconds",
+		"yprov_store_checkpoint_docs_encoded_total",
+		"yprov_store_checkpoint_bytes_total",
 		"yprov_admission_shed_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+family+" ") {
@@ -87,6 +95,12 @@ func TestPromMetricsExposition(t *testing.T) {
 	// The write actually landed in the instruments.
 	if !strings.Contains(out, `yprov_http_requests_total{code="2xx",route="documents/id"}`) {
 		t.Errorf("missing per-route status counter:\n%s", out)
+	}
+	// So did the checkpoint: one timed, one document encoded for it.
+	for _, sample := range []string{"yprov_store_checkpoint_seconds_count 1\n", "yprov_store_checkpoint_docs_encoded_total 1\n"} {
+		if !strings.Contains(out, sample) {
+			t.Errorf("/metrics lacks %q", sample)
+		}
 	}
 
 	// The JSON endpoint still answers with the summary report.
@@ -98,6 +112,19 @@ func TestPromMetricsExposition(t *testing.T) {
 	jb, _ := io.ReadAll(jr.Body)
 	if jr.StatusCode != http.StatusOK || !strings.Contains(string(jb), "total_requests") {
 		t.Fatalf("JSON metrics endpoint broken: %d %s", jr.StatusCode, jb)
+	}
+
+	// /stats tells the same checkpoint story beside the snapshot counter.
+	sr, err := http.Get(srv.URL + "/api/v0/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Body.Close()
+	sb, _ := io.ReadAll(sr.Body)
+	for _, field := range []string{`"snapshots":1`, `"last_checkpoint_ms":`, `"checkpoint_docs_encoded":1`, `"checkpoint_docs":1`} {
+		if !strings.Contains(string(sb), field) {
+			t.Errorf("/api/v0/stats lacks %s: %s", field, sb)
+		}
 	}
 }
 

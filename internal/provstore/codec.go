@@ -336,21 +336,38 @@ func decodeLegacyOp(m *mutation, op journalOp, batchOK bool) error {
 }
 
 // appendSnapshot encodes the full-state snapshot in binary: tag, the
-// writer's shard count, then per document a length-prefixed id and a
-// tagged doc blob.
-func appendSnapshot(dst []byte, docs map[string]*prov.Document, shards int) []byte {
+// writer's shard count, then per entry a length-prefixed id and a tagged
+// doc blob. An entry that holds its blob is copied; one that does not is
+// encoded first and keeps the result, so the next snapshot copies it too.
+// dst grows once, to a size worked out from the blob lengths. encoded is
+// the number of entries it had to encode. The caller holds Store.snapMu
+// (see entry.blob).
+func appendSnapshot(dst []byte, entries []*entry, shards int) (_ []byte, encoded int) {
+	var scratch []byte
+	need := 32
+	for _, e := range entries {
+		if e.blob == nil {
+			scratch = prov.AppendBinary(scratch[:0], e.doc)
+			e.blob = make([]byte, len(scratch)) // exactly sized: append's slack would stay live with the entry
+			copy(e.blob, scratch)
+			encoded++
+		}
+		need += len(e.id) + len(e.blob) + 16
+	}
+	dst = slices.Grow(dst, need)
 	dst = append(dst, recBinaryTag)
 	dst = binary.AppendUvarint(dst, uint64(shards))
-	dst = binary.AppendUvarint(dst, uint64(len(docs)))
-	for id, d := range docs {
-		dst = appendLenString(dst, id)
-		dst = appendBlob(dst, nil, d)
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
+	for _, e := range entries {
+		dst = appendLenString(dst, e.id)
+		dst = appendBlob(dst, e.blob, nil)
 	}
-	return dst
+	return dst, encoded
 }
 
 // decodeSnapshot turns a snapshot payload — legacy JSON (storeSnapshot)
-// or binary — into one mutation of puts.
+// or binary — into one mutation of puts. For a binary payload the
+// mutation also carries each document's blob (mutation.blobs).
 func decodeSnapshot(payload []byte) (mutation, error) {
 	m := mutation{lenient: true}
 	if err := decodeSnapshotInto(&m, payload); err != nil {
@@ -392,6 +409,7 @@ func decodeSnapshotInto(m *mutation, payload []byte) error {
 		return fmt.Errorf("doc count %d exceeds payload", n)
 	}
 	m.ops = make([]Op, 0, n)
+	m.blobs = make([][]byte, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id, err := r.lenString()
 		if err != nil {
@@ -406,6 +424,17 @@ func decodeSnapshotInto(m *mutation, payload []byte) error {
 			return fmt.Errorf("doc %q: %w", id, err)
 		}
 		m.ops = append(m.ops, Op{ID: id, Doc: doc})
+		// The entry keeps a binary blob (entry.blob): the next snapshot
+		// stores these very bytes. It gets its own exactly-sized copy — a
+		// slice of payload would hold the whole store-sized buffer for as
+		// long as one recovered document survives. A '{' blob is not
+		// kept: a snapshot never stores JSON again.
+		var kept []byte
+		if blob[0] == prov.BinaryDocTag {
+			kept = make([]byte, len(blob))
+			copy(kept, blob)
+		}
+		m.blobs = append(m.blobs, kept)
 	}
 	if r.pos != len(payload) {
 		return fmt.Errorf("%d trailing bytes", len(payload)-r.pos)

@@ -1,6 +1,7 @@
 package provstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -176,6 +177,63 @@ func TestLegacyJournalOpensAndExtends(t *testing.T) {
 			}
 			defer s2.Close()
 			sameState(t, snapshotJSON(t, s2), want, "mixed-journal reopen")
+		})
+	}
+}
+
+// TestJSONSnapshotBlobsRewrittenInBinary: a directory whose snapshot
+// holds its documents as JSON — the legacy JSON snapshot, or a binary
+// envelope around '{' blobs — opens, and its first checkpoint encodes
+// every document (a JSON blob is never kept for the next snapshot) and
+// writes binary blobs, which the checkpoint after a restart copies.
+func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
+	const n = 5
+	docs := map[string]json.RawMessage{}
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("doc-%d", i)
+		docs[id] = mustJSON(t, compatDoc(t, id, 2))
+	}
+	legacy, err := json.Marshal(storeSnapshot{Docs: docs, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := binary.AppendUvarint([]byte{recBinaryTag, 1}, n)
+	for id, raw := range docs {
+		envelope = appendBlob(appendLenString(envelope, id), raw, nil)
+	}
+
+	for name, payload := range map[string][]byte{"legacy JSON snapshot": legacy, "binary envelope of JSON blobs": envelope} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := wal.WriteSnapshotTo(dir, 9, payload); err != nil {
+				t.Fatal(err)
+			}
+			s := openTemp(t, dir, Durability{SnapshotEvery: -1, Shards: 4})
+			want := snapshotJSON(t, s)
+			if len(want) != n {
+				t.Fatalf("recovered %d docs, want %d", len(want), n)
+			}
+			if docs, encoded, _ := checkpointCost(t, s); docs != n || encoded != n {
+				t.Fatalf("first checkpoint stored %d documents and encoded %d, want %d and %d", docs, encoded, n, n)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := decodeSnapshot(snapshotOnDisk(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range m.ops {
+				if blob := m.blobs[i]; len(blob) == 0 || blob[0] != prov.BinaryDocTag {
+					t.Fatalf("the checkpoint stored %q as %.1q..., want a binary blob", op.ID, blob)
+				}
+			}
+
+			s = openTemp(t, dir, Durability{SnapshotEvery: -1, Shards: 4})
+			sameState(t, snapshotJSON(t, s), want, "reopen on the rewritten snapshot")
+			if docs, encoded, _ := checkpointCost(t, s); docs != n || encoded != 0 {
+				t.Fatalf("checkpoint after the restart stored %d documents and encoded %d, want %d and 0", docs, encoded, n)
+			}
 		})
 	}
 }

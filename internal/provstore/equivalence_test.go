@@ -14,7 +14,9 @@ import (
 // in-memory store, Apply on a durable primary, ApplyReplicated on a
 // follower fed the primary's journal, and recovery replay of that
 // journal — under every shard count, since placement is re-derived from
-// id hashes everywhere.
+// id hashes everywhere — and however many checkpoints were taken on the
+// way: a snapshot is assembled from blobs the entries kept from earlier
+// ones, so each must hold exactly the store it was taken of.
 
 // equivStep is one mutation of the script. lenient marks a record that
 // only replay and replication accept (it deletes a missing id); the
@@ -39,11 +41,15 @@ func equivScript(t *testing.T) []equivStep {
 	}
 }
 
-// runEquivScript drives the script through s's local write path.
-func runEquivScript(t *testing.T, s *Store, script []equivStep) {
+// runEquivScript drives the script through s's local write path,
+// calling between (when non-nil) between every two steps.
+func runEquivScript(t *testing.T, s *Store, script []equivStep, between func()) {
 	t.Helper()
 	ctx := context.Background()
 	for i, st := range script {
+		if i > 0 && between != nil {
+			between()
+		}
 		ops := append([]Op(nil), st.ops...) // Apply sorts in place
 		if !st.lenient {
 			if err := s.Apply(ctx, ops); err != nil {
@@ -101,6 +107,29 @@ func captureEquivState(t *testing.T, s *Store) equivState {
 	return st
 }
 
+// checkpointAndVerify checkpoints s and checks that the snapshot it
+// wrote holds the store as it is now: no document missing, none that
+// was deleted, none in a version since replaced.
+func checkpointAndVerify(t *testing.T, s *Store) {
+	t.Helper()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	payload, seq, ok, err := s.wal.LatestSnapshot()
+	if err != nil || !ok || seq != s.AppliedSeq() {
+		t.Fatalf("latest snapshot: seq %d ok=%v err=%v, want seq %d", seq, ok, err, s.AppliedSeq())
+	}
+	m, err := decodeSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]string)
+	for _, op := range m.ops {
+		got[op.ID] = string(mustJSON(t, op.Doc))
+	}
+	sameState(t, got, snapshotJSON(t, s), fmt.Sprintf("snapshot at seq %d", seq))
+}
+
 func TestMutationPathsEquivalent(t *testing.T) {
 	script := equivScript(t)
 	steps := uint64(len(script))
@@ -108,7 +137,7 @@ func TestMutationPathsEquivalent(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			// (a) in-memory: the reference.
 			mem := NewSharded(shards)
-			runEquivScript(t, mem, script)
+			runEquivScript(t, mem, script, nil)
 			want := captureEquivState(t, mem)
 			if !reflect.DeepEqual(want.IDs, []string{"a", "c"}) {
 				t.Fatalf("script left %v, want [a c]", want.IDs)
@@ -116,7 +145,7 @@ func TestMutationPathsEquivalent(t *testing.T) {
 			if mem.AppliedSeq() != 0 {
 				t.Fatalf("in-memory AppliedSeq = %d, want 0 (no journal)", mem.AppliedSeq())
 			}
-			check := func(label string, s *Store) {
+			checkState := func(label string, s *Store, want equivState) {
 				t.Helper()
 				if got := captureEquivState(t, s); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s diverges from the in-memory store:\n got %+v\nwant %+v", label, got, want)
@@ -125,13 +154,23 @@ func TestMutationPathsEquivalent(t *testing.T) {
 					t.Errorf("%s: AppliedSeq = %d, want %d (one record per step)", label, s.AppliedSeq(), steps)
 				}
 			}
+			check := func(label string, s *Store) { t.Helper(); checkState(label, s, want) }
 
 			// (b) durable primary.
 			dir := t.TempDir()
 			primary := openTemp(t, dir, Durability{Fsync: true, SnapshotEvery: -1, Shards: shards})
-			runEquivScript(t, primary, script)
+			runEquivScript(t, primary, script, nil)
 			check("primary", primary)
 			if err := primary.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// (b') the same, with a checkpoint between every two steps.
+			ckptDir := t.TempDir()
+			ckpt := openTemp(t, ckptDir, Durability{Fsync: true, SnapshotEvery: -1, Shards: shards})
+			runEquivScript(t, ckpt, script, func() { checkpointAndVerify(t, ckpt) })
+			check("checkpointing primary", ckpt)
+			if err := ckpt.Close(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -146,26 +185,48 @@ func TestMutationPathsEquivalent(t *testing.T) {
 			if uint64(len(rec.Records)) != steps {
 				t.Fatalf("primary journaled %d records, want %d", len(rec.Records), steps)
 			}
-			follower := openTemp(t, t.TempDir(), Durability{Follower: true, SnapshotEvery: -1, Shards: shards})
-			var last wal.Ticket
-			for _, r := range rec.Records {
+			// It checkpoints between every two records, too.
+			followerDir := t.TempDir()
+			follower := openTemp(t, followerDir, Durability{Follower: true, SnapshotEvery: -1, Shards: shards})
+			for i, r := range rec.Records {
+				if i > 0 {
+					checkpointAndVerify(t, follower)
+				}
 				tk, ok, err := follower.ApplyReplicated(r)
 				if err != nil || !ok {
 					t.Fatalf("replicate seq %d: ok=%v err=%v", r.Seq, ok, err)
 				}
-				last = tk
-			}
-			if err := last.Commit(); err != nil {
-				t.Fatal(err)
+				if err := tk.Commit(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			check("follower", follower)
+			if err := follower.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-			// (d) recovery replay, under every shard count.
+			// (d) recovery, under every shard count: replay of the whole
+			// journal, and the last snapshot plus the one record after it.
+			// A document recovered from a snapshot carries the snapshot's
+			// sequence where that is newer than its own.
+			snapSeq := steps - 1
+			fromSnapshot := want
+			fromSnapshot.Seqs = make(map[string]uint64)
+			for id, seq := range want.Seqs {
+				fromSnapshot.Seqs[id] = max(seq, snapSeq)
+			}
 			for _, reopenShards := range []int{1, 4, 16} {
 				re := openTemp(t, dir, Durability{SnapshotEvery: -1, Shards: reopenShards})
 				check(fmt.Sprintf("reopen under %d shards", reopenShards), re)
 				if err := re.Close(); err != nil {
 					t.Fatal(err)
+				}
+				for label, d := range map[string]string{"checkpointing primary": ckptDir, "follower": followerDir} {
+					re := openTemp(t, d, Durability{SnapshotEvery: -1, Shards: reopenShards})
+					checkState(fmt.Sprintf("%s reopened under %d shards", label, reopenShards), re, fromSnapshot)
+					if err := re.Close(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		})

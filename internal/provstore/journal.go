@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/prov"
 	"repro/internal/wal"
 )
 
@@ -25,9 +24,13 @@ var ErrReadOnly = errors.New("provstore: store is a read-only replica")
 // Durability: the store journals every Put/Delete to a single
 // write-ahead log before acknowledging it (one log, global sequencing,
 // regardless of shard count), periodically snapshots the full document
-// set, and compacts the log down to snapshot + tail. Open replays
-// whatever a previous process left behind — including a torn final
-// record from a crash mid-write, which is truncated, not fatal.
+// set, and compacts the log down to snapshot + tail. A snapshot stores
+// each document as its binary blob, and an entry keeps the blob it was
+// last snapshotted or recovered with, so a checkpoint encodes only the
+// documents written since the previous one and copies the rest; the
+// file it writes is still the whole store. Open replays whatever a
+// previous process left behind — including a torn final record from a
+// crash mid-write, which is truncated, not fatal.
 //
 // Shard compatibility: each journaled record carries the shard index it
 // was applied to at write time, but recovery always re-derives the
@@ -113,6 +116,14 @@ type DurabilityStats struct {
 	// healthy). Once set the store acknowledges no further mutations;
 	// /healthz reports the primary degraded with this string.
 	FailStop string `json:"fail_stop,omitempty"`
+	// LastCheckpointMs is how long the most recent checkpoint took,
+	// encode to compaction. CheckpointDocs counts the documents all
+	// checkpoints so far put into a snapshot, CheckpointDocsEncoded those
+	// of them that had to be encoded for it: their ratio is the share of
+	// checkpoint work spent on documents that had changed.
+	LastCheckpointMs      float64 `json:"last_checkpoint_ms"`
+	CheckpointDocsEncoded uint64  `json:"checkpoint_docs_encoded"`
+	CheckpointDocs        uint64  `json:"checkpoint_docs"`
 }
 
 // Open builds a store whose state is durably backed by a write-ahead
@@ -178,7 +189,7 @@ func (s *Store) restore(rec *wal.RecoveredState) error {
 
 // maybeSnapshot triggers a checkpoint every SnapshotEvery mutations,
 // on a background goroutine so the unlucky SnapshotEvery-th writer does
-// not absorb the full-store marshal + snapshot fsync latency. Errors
+// not absorb the encode + full-snapshot write + fsync latency. Errors
 // are counted (surfaced via Stats), not returned: the mutation itself
 // is already durable in the log, so a failed snapshot only delays
 // compaction. If a checkpoint is still running, the trigger is skipped
@@ -222,28 +233,41 @@ func (s *Store) Checkpoint() error {
 
 // checkpointLocked does the snapshot+compact cycle. snapMu must be
 // held. Every shard is read-locked simultaneously (in index order)
-// while the document set is captured: staging happens under shard write
+// while the entry set is captured: staging happens under shard write
 // locks, so the quiesced view contains exactly the mutations up to the
 // lastApplied high-water mark — nothing in flight, nothing missing.
+// Outside the locks, appendSnapshot encodes the entries no checkpoint
+// has met yet and concatenates everyone's blob, so the encode cost is
+// that of the documents written since the last checkpoint; writing the
+// payload and compacting remain proportional to the store.
 func (s *Store) checkpointLocked() error {
+	start := time.Now()
+	defer func() {
+		d := time.Since(start)
+		s.checkpointTime.ObserveDuration(d)
+		s.lastCheckpointNanos.Store(int64(d))
+	}()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 	}
 	seq := s.lastApplied.Load()
-	docs := make(map[string]*prov.Document)
+	var entries []*entry
 	for _, sh := range s.shards {
-		for id, e := range sh.docs {
-			docs[id] = e.doc // stored documents are immutable: safe to marshal unlocked
+		for _, e := range sh.docs {
+			entries = append(entries, e)
 		}
 	}
 	for _, sh := range s.shards {
 		sh.mu.RUnlock()
 	}
 
-	payload := appendSnapshot(nil, docs, len(s.shards))
+	payload, encoded := appendSnapshot(nil, entries, len(s.shards))
+	s.checkpointDocs.Add(uint64(len(entries)))
+	s.checkpointDocsEncoded.Add(uint64(encoded))
 	if err := s.wal.WriteSnapshot(seq, payload); err != nil {
 		return fmt.Errorf("provstore: checkpoint: %w", err)
 	}
+	s.checkpointBytes.Add(uint64(len(payload)))
 	if _, err := s.wal.Compact(); err != nil {
 		return fmt.Errorf("provstore: checkpoint compact: %w", err)
 	}

@@ -59,6 +59,11 @@ type mutation struct {
 	// counter (in-memory stores, which have no journal to number them).
 	record []byte
 	seq    uint64
+	// blobs, when non-nil, runs parallel to ops: blobs[i] is the binary
+	// encoding of ops[i].Doc that the entry built for it keeps
+	// (entry.blob), or nil. The mutation owns them. Only a decoded
+	// snapshot has any (decodeSnapshotInto).
+	blobs [][]byte
 }
 
 // opLabel names the mutation for the apply observer.
@@ -169,6 +174,9 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 			if slots[i].installed, err = newEntry(op.ID, op.Doc); err != nil {
 				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
 				break
+			}
+			if m.blobs != nil {
+				slots[i].installed.blob = m.blobs[i]
 			}
 		}
 	}

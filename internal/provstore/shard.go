@@ -19,7 +19,8 @@ const typeKey = "prov:type"
 // under. All are immutable from the moment the entry is installed in a
 // shard, so a reader fetches the pointer under the shard's read lock and
 // works on it unlocked — it sees exactly one version, and that version's
-// number, however the id is replaced or deleted meanwhile.
+// number, however the id is replaced or deleted meanwhile. The one
+// exception is blob, which no reader may touch.
 type entry struct {
 	id  string
 	doc *prov.Document
@@ -35,6 +36,17 @@ type entry struct {
 	// types lists the distinct string values of the elements' prov:type
 	// attribute, the keys this entry is posted under in shard.byType.
 	types []string
+	// blob is doc's binary encoding (prov.AppendBinary), exactly sized
+	// (cap == len), as every snapshot stores it; nil until someone has
+	// encoded the document. It is written once: by Store.apply when it
+	// builds the entry for a recovered snapshot's document (mutation.blobs:
+	// a copy of the bytes the document was decoded from), before the entry
+	// is installed, or else by the first checkpoint that meets the entry.
+	// Checkpoints (appendSnapshot, under Store.snapMu) are its only
+	// readers and its only writers after installation. A blob belongs to
+	// its entry and entries are swapped, never edited, so a blob cannot
+	// outlive the version it encodes.
+	blob []byte
 }
 
 // newEntry builds the entry storing doc under id; the entry keeps doc

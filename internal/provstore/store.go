@@ -58,6 +58,16 @@ type Store struct {
 	follower      bool         // read-only apply mode (see replica.go)
 	snapMu        sync.Mutex
 
+	// What checkpoints cost, as RegisterObs and Stats report it: time per
+	// checkpoint, the documents put into snapshots, those of them that
+	// had to be encoded for it, and the snapshot payload bytes written.
+	// Always live, like lockWait.
+	checkpointTime        *obs.Histogram
+	lastCheckpointNanos   atomic.Int64
+	checkpointDocs        atomic.Uint64
+	checkpointDocsEncoded atomic.Uint64
+	checkpointBytes       atomic.Uint64
+
 	// lockWait is the store-wide shard-lock wait histogram (per-shard
 	// cumulative counters live on the shards). Always live; RegisterObs
 	// exposes it.
@@ -88,6 +98,8 @@ func NewSharded(n int) *Store {
 		shards:   make([]*shard, n),
 		mask:     uint32(n - 1),
 		lockWait: obs.NewDurationHistogram().EnableExemplars(),
+
+		checkpointTime: obs.NewDurationHistogram(),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard()
@@ -105,7 +117,8 @@ func (s *Store) SetApplyObserver(fn func(seq uint64, op, trace string)) {
 // RegisterObs exposes the store's instruments on reg: the shard
 // lock-wait histogram, per-shard cumulative wait counters, document /
 // applied-sequence gauges, and — for journaled stores — the WAL's own
-// instruments plus snapshot-failure counts. Nil-safe on reg.
+// instruments, snapshot-failure counts and what checkpoints cost (time,
+// documents encoded, bytes written). Nil-safe on reg.
 func (s *Store) RegisterObs(reg *obs.Registry) {
 	reg.RegisterHistogram("yprov_shard_lock_wait_seconds",
 		"Time mutations wait for their shard's write lock.", nil, s.lockWait)
@@ -127,6 +140,14 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 		reg.RegisterCounterFunc("yprov_store_snapshot_errors_total",
 			"Failed background checkpoints.", nil,
 			func() float64 { return float64(atomic.LoadUint64(&s.snapErrs)) })
+		reg.RegisterHistogram("yprov_store_checkpoint_seconds",
+			"Time per checkpoint: encode, snapshot write, compaction.", nil, s.checkpointTime)
+		reg.RegisterCounterFunc("yprov_store_checkpoint_docs_encoded_total",
+			"Documents checkpoints had to encode; the rest of each snapshot is copied.", nil,
+			func() float64 { return float64(s.checkpointDocsEncoded.Load()) })
+		reg.RegisterCounterFunc("yprov_store_checkpoint_bytes_total",
+			"Snapshot payload bytes written by checkpoints.", nil,
+			func() float64 { return float64(s.checkpointBytes.Load()) })
 	}
 }
 
@@ -307,6 +328,10 @@ func (s *Store) Stats() Stats {
 			SnapshotErrors: atomic.LoadUint64(&s.snapErrs),
 			SuspectBitRot:  s.suspectBitRot,
 			FailStop:       s.FailStop(),
+
+			LastCheckpointMs:      float64(s.lastCheckpointNanos.Load()) / 1e6,
+			CheckpointDocsEncoded: s.checkpointDocsEncoded.Load(),
+			CheckpointDocs:        s.checkpointDocs.Load(),
 		}
 		if msg, ok := s.lastSnapErr.Load().(string); ok {
 			st.Durability.LastSnapshotError = msg

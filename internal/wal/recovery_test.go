@@ -159,9 +159,11 @@ func TestMidLogCorruptionFails(t *testing.T) {
 	}
 }
 
-// TestCrashDuringSnapshotLeavesTemp: a .tmp snapshot left by a crash
-// mid-write must be ignored (and the previous state recovered).
-func TestCrashDuringSnapshotIgnoresTemp(t *testing.T) {
+// TestStaleSnapshotTempRemoved: a process killed between a snapshot's
+// temp write and its rename leaves a store-sized <seq>.snap.tmp<random>
+// behind. Open must delete it — nothing else ever would — and recover
+// exactly what it recovers without it.
+func TestStaleSnapshotTempRemoved(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{})
 	for i := 0; i < 3; i++ {
@@ -169,18 +171,73 @@ func TestCrashDuringSnapshotIgnoresTemp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.Close()
-	// Simulate a crash between temp write and rename.
-	tmp := filepath.Join(dir, snapshotName(3)+".tmp")
-	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+	if err := l.WriteSnapshot(3, []byte("state@3")); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := Open(dir, Options{})
+	if _, err := l.Append([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	wantDisk := l.Stats().DiskBytes
+	l.Close()
+
+	// One named the way WriteFileAtomic names them, one bare.
+	temps := []string{
+		filepath.Join(dir, snapshotName(4)+".tmp123456789"),
+		filepath.Join(dir, snapshotName(4)+".tmp"),
+	}
+	for _, tmp := range temps {
+		if err := os.WriteFile(tmp, make([]byte, 4096), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Not the log's: names that merely contain ".snap.tmp" — a pre-WAL
+	// JSON export the server imports after Open, its renamed form, a temp
+	// of something that is not a snapshot.
+	bystanders := []string{
+		filepath.Join(dir, "ckpt.snap.tmp1.json"),
+		filepath.Join(dir, snapshotName(4)+".tmp1.json"),
+		filepath.Join(dir, snapshotName(4)+".tmp1.json.imported"),
+		filepath.Join(dir, "run.snap.tmp42"),
+		filepath.Join(dir, "x"+snapshotName(4)+".tmp42"),
+	}
+	for _, f := range bystanders {
+		if err := os.WriteFile(f, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := HasState(dir); err != nil || !ok {
+		t.Fatalf("HasState = %v, %v with leftovers", ok, err)
+	}
+
+	l2, rec, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.SnapshotSeq != 0 || len(rec.Records) != 3 {
-		t.Fatalf("recovered snap=%d records=%d", rec.SnapshotSeq, len(rec.Records))
+	defer l2.Close()
+	for _, tmp := range temps {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("%s survived Open (stat err %v)", filepath.Base(tmp), err)
+		}
+	}
+	for _, f := range bystanders {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("%s is not a snapshot temp, yet Open removed it: %v", filepath.Base(f), err)
+		}
+	}
+	if rec.SnapshotSeq != 3 || string(rec.SnapshotPayload) != "state@3" ||
+		len(rec.Records) != 1 || rec.Records[0].Seq != 4 || string(rec.Records[0].Payload) != "tail" {
+		t.Fatalf("recovered snap=%d %q, tail %v", rec.SnapshotSeq, rec.SnapshotPayload, rec.Records)
+	}
+	if got := l2.Stats().DiskBytes; got != wantDisk {
+		t.Errorf("DiskBytes = %d after the cleanup, %d before the crash", got, wantDisk)
+	}
+	if ok, err := HasState(dir); err != nil || !ok {
+		t.Fatalf("HasState = %v, %v after the cleanup", ok, err)
+	}
+	// Only the leftovers went: snapshot and segments are all still there.
+	segs, snaps, err := scanDir(dir)
+	if err != nil || len(snaps) != 1 || len(segs) == 0 {
+		t.Fatalf("after Open: %d segments, %d snapshots, err %v", len(segs), len(snaps), err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // snapshotMagic opens every snapshot file; a version bump changes the
@@ -15,13 +16,18 @@ var snapshotMagic = [8]byte{'Y', 'P', 'W', 'S', 'N', 'A', 'P', '1'}
 // snapshotHeader is magic(8) + seq(8) + payloadLen(8) + crc32c(4).
 const snapshotHeader = 28
 
+// tmpInfix follows the final name in the name of a WriteFileAtomic temp
+// file; os.CreateTemp appends a random number.
+const tmpInfix = ".tmp"
+
 // WriteFileAtomic writes the concatenation of chunks to path via a
 // temp file in the same directory (write, fsync, rename, directory
 // fsync): a crash leaves either the old file or the complete new one
-// under the live name, never a partial. Shared by WAL snapshots and
+// under the live name, never a partial — and possibly the temp file,
+// which only a returned error removes. Shared by WAL snapshots and
 // provstore's PROV-JSON exports.
 func WriteFileAtomic(path string, chunks ...[]byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tmpInfix+"*")
 	if err != nil {
 		return err
 	}
@@ -63,6 +69,42 @@ func WriteSnapshotTo(dir string, seq uint64, payload []byte) error {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	return nil
+}
+
+// removeSnapshotTemps deletes the temp files of snapshot writes that a
+// killed process left in dir. Each is as large as the store, nothing
+// reads them and no later write reuses their names. The caller holds the
+// directory lock, so none belongs to a write in progress.
+func removeSnapshotTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("wal: scan %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || !isSnapshotTemp(e.Name()) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("wal: remove stale snapshot temp: %w", err)
+		}
+	}
+	return nil
+}
+
+// isSnapshotTemp reports whether name is one WriteFileAtomic can have
+// given the temp file of a snapshot: a snapshot name, tmpInfix, then
+// nothing but digits. Anything else in the directory is not the log's to
+// delete — a pre-WAL export awaiting import may be named
+// "x.snap.tmp1.json".
+func isSnapshotTemp(name string) bool {
+	snap, random, ok := strings.Cut(name, tmpInfix)
+	if !ok {
+		return false
+	}
+	if _, ok := parseSeqName(snap, snapshotSuffix); !ok {
+		return false
+	}
+	return strings.Trim(random, "0123456789") == ""
 }
 
 // WriteSnapshot is WriteSnapshotTo on the open log: it flushes pending

@@ -208,7 +208,8 @@ type Log struct {
 	removed uint64
 }
 
-// Open opens (or creates) the log directory, repairs a torn tail, and
+// Open opens (or creates) the log directory, repairs a torn tail,
+// removes the temp files of interrupted snapshot writes, and
 // returns the log positioned for appending plus everything recovered
 // from disk. Records already covered by the returned snapshot are not
 // re-surfaced.
@@ -227,6 +228,9 @@ func Open(dir string, opts Options) (*Log, *RecoveredState, error) {
 			unlockDir(lock)
 		}
 	}()
+	if err := removeSnapshotTemps(dir); err != nil {
+		return nil, nil, err
+	}
 	segs, snaps, err := scanDir(dir)
 	if err != nil {
 		return nil, nil, err
