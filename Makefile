@@ -32,14 +32,18 @@ chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/faultnet/ ./internal/loadgen/ -run 'TestChaos|TestProxy'
 	$(GO) test -race ./internal/wal/ -run 'TestFault|TestStaleSnapshotTemp'
 
-# Ten seconds of each prov fuzzer on top of its committed seed corpus:
+# Ten seconds of each fuzzer on top of its committed seed corpus. prov:
 # the differential one that holds the PROV-JSON decoder to the
 # encoding/json reference it replaced, and the two binary-codec ones.
+# zarr: the fused byte shuffle against a two-buffer transposition, and
+# Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes.
 # go test takes one -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzShuffleRoundTrip$$' -fuzztime 10s ./internal/zarr
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkDecode$$' -fuzztime 10s ./internal/zarr
 
 # Full benchmark suite (tables, figures, ablations, durability). One
 # iteration per benchmark keeps it tractable; raise -benchtime for

@@ -317,6 +317,31 @@ func TestEndNetCDFStorage(t *testing.T) {
 	}
 }
 
+// TestEndFailsWhenZarrStoreCannotBeCreated: metrics that cannot reach
+// <dir>/<run-id>/metrics.zarr fail End; they are not flushed into memory
+// and referenced from a prov.json that outlives them.
+func TestEndFailsWhenZarrStoreCannotBeCreated(t *testing.T) {
+	dir := t.TempDir()
+	exp := NewExperiment("e", WithDir(dir))
+	r := exp.StartRun("r", WithClock(NewSimClock(time.Unix(0, 0), time.Second)), WithStorage(StorageZarr))
+	runDir := filepath.Join(dir, r.ID)
+	if err := os.MkdirAll(runDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(runDir, "metrics.zarr"), []byte("in the way"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.LogMetric("loss", metrics.Training, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.End(); err == nil {
+		t.Error("End succeeded with nowhere to put the metrics")
+	}
+	if _, err := os.Stat(filepath.Join(runDir, "prov.json")); !os.IsNotExist(err) {
+		t.Errorf("prov.json written despite the failure (stat: %v)", err)
+	}
+}
+
 func TestCollectors(t *testing.T) {
 	r := simRun(t)
 	r.RegisterCollector(NewGPUFleetCollector(2, 7, func(time.Duration) float64 { return 0.8 }))

@@ -56,7 +56,10 @@ func (r *Run) End() (EndResult, error) {
 		var err error
 		switch storage {
 		case StorageZarr:
-			sink := ZarrDirSinkFor(dir)
+			sink, sinkErr := ZarrDirSinkFor(dir)
+			if sinkErr != nil {
+				return EndResult{}, fmt.Errorf("core: flushing metrics: %w", sinkErr)
+			}
 			refs, err = sink.Flush(r.metrics)
 			if dirStore, ok := sink.Store.(*zarr.DirStore); ok && err == nil {
 				res.MetricPaths = append(res.MetricPaths, dirStore.Root())
@@ -117,17 +120,17 @@ func (r *Run) End() (EndResult, error) {
 	return res, nil
 }
 
-// ZarrDirSinkFor builds a Zarr sink writing under dir/metrics.zarr when
-// dir is non-empty, or into memory otherwise.
-func ZarrDirSinkFor(dir string) *metrics.ZarrSink {
-	s := &metrics.ZarrSink{}
-	if dir != "" {
-		if store, err := zarr.NewDirStore(filepath.Join(dir, "metrics.zarr")); err == nil {
-			s.Store = store
-		}
+// ZarrDirSinkFor builds a Zarr sink writing under dir/metrics.zarr, or
+// into memory when dir is empty. A directory store that cannot be
+// created is an error: metrics must not end up in a store that dies
+// with the process while the document references them.
+func ZarrDirSinkFor(dir string) (*metrics.ZarrSink, error) {
+	if dir == "" {
+		return &metrics.ZarrSink{Store: zarr.NewMemStore()}, nil
 	}
-	if s.Store == nil {
-		s.Store = zarr.NewMemStore()
+	store, err := zarr.NewDirStore(filepath.Join(dir, "metrics.zarr"))
+	if err != nil {
+		return nil, err
 	}
-	return s
+	return &metrics.ZarrSink{Store: store}, nil
 }

@@ -85,8 +85,8 @@ func TestRunStartTime(t *testing.T) {
 }
 
 func TestZarrDirSinkForFallsBackToMemory(t *testing.T) {
-	s := ZarrDirSinkFor("")
-	if s.Store == nil {
+	s, err := ZarrDirSinkFor("")
+	if err != nil || s.Store == nil {
 		t.Fatal("nil store")
 	}
 }

@@ -37,6 +37,11 @@ func TestTable1Shape(t *testing.T) {
 	if ncRow.NormalBytes >= jsonRow.NormalBytes/5 {
 		t.Errorf("nc %d not far below json %d", ncRow.NormalBytes, jsonRow.NormalBytes)
 	}
+	// 138726 B is what this collection's Zarr store took before chunks
+	// were byte-shuffled and sized to the series; the row must not grow.
+	if zarrRow.NormalBytes > 138726 {
+		t.Errorf("zarr normal size %d B, was 138726 B", zarrRow.NormalBytes)
+	}
 	out := RenderTable1(res)
 	for _, want := range []string{"Original_file.json", "Converted_to.zarr", "Converted_to.nc", "Normal Size", "Compressed Size"} {
 		if !strings.Contains(out, want) {

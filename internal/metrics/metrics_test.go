@@ -2,10 +2,14 @@ package metrics
 
 import (
 	"math"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/zarr"
 )
 
 func fill(c *Collection, name string, ctx Context, n int) {
@@ -165,6 +169,87 @@ func TestZarrSinkRoundTrip(t *testing.T) {
 		}
 		if d := o.Time.Sub(b.Time); d > time.Microsecond || d < -time.Microsecond {
 			t.Fatalf("timestamp drift %v at %d", d, i)
+		}
+	}
+}
+
+// countingStore records the key of every Set.
+type countingStore struct {
+	zarr.Store
+	sets []string
+}
+
+func (s *countingStore) Set(key string, value []byte) error {
+	s.sets = append(s.sets, key)
+	return s.Store.Set(key, value)
+}
+
+// TestZarrSinkWritesEachKeyOnce: a series that fits one chunk costs nine
+// store writes — four ".zarray", four chunks, one ".zattrs" — and no
+// key is written twice; its chunk extent is its own length, and
+// ChunkSize stays the extent of a series longer than that.
+func TestZarrSinkWritesEachKeyOnce(t *testing.T) {
+	c := NewCollection()
+	fill(c, "short", Training, 4)
+	fill(c, "exact", Training, 64)
+	fill(c, "long", Validation, 150)
+	store := &countingStore{Store: zarr.NewMemStore()}
+	sink := &ZarrSink{Store: store, ChunkSize: 64}
+	if _, err := sink.Flush(c); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	perSeries := map[string]int{}
+	for _, key := range store.sets {
+		if seen[key] {
+			t.Errorf("key %q written twice", key)
+		}
+		seen[key] = true
+		perSeries[strings.Join(strings.Split(key, "/")[:2], "/")]++
+	}
+	// 150 points in chunks of 64 are three chunks per column.
+	want := map[string]int{"TRAINING/short": 9, "TRAINING/exact": 9, "VALIDATION/long": 4 + 4*3 + 1}
+	for series, n := range want {
+		if perSeries[series] != n {
+			t.Errorf("%s: %d store writes, want %d", series, perSeries[series], n)
+		}
+	}
+	for series, extent := range map[string]int{"TRAINING/short": 4, "TRAINING/exact": 64, "VALIDATION/long": 64} {
+		for _, col := range []string{"value", "step", "epoch", "tstamp"} {
+			arr, err := zarr.Open(store, series+"/"+col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := arr.Meta().Chunks[0]; got != extent {
+				t.Errorf("%s/%s: chunk extent %d, want %d", series, col, got, extent)
+			}
+		}
+	}
+}
+
+// TestLoadZarrSeriesFromLegacyStore reads a store the last version
+// before the shuffle filter wrote (internal/zarr/testdata/legacy, see
+// compat_test.go there for what it holds).
+func TestLoadZarrSeriesFromLegacyStore(t *testing.T) {
+	store, err := zarr.NewDirStore(filepath.Join("..", "zarr", "testdata", "legacy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadZarrSeries(store, "zarr:TRAINING/loss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "loss" || s.Context != Training || s.Len() != 70 {
+		t.Fatalf("series = %s/%s with %d points", s.Context, s.Name, s.Len())
+	}
+	base := time.Date(2025, 6, 1, 9, 0, 0, 0, time.UTC)
+	for i, p := range s.Points {
+		want := Point{Step: int64(i) * 3, Epoch: i / 10, Value: 2/math.Sqrt(float64(i+1)) + 0.125}
+		if p.Step != want.Step || p.Epoch != want.Epoch || p.Value != want.Value {
+			t.Fatalf("point %d = %+v, want %+v", i, p, want)
+		}
+		if d := p.Time.Sub(base.Add(time.Duration(i) * 1500 * time.Millisecond)); d > time.Microsecond || d < -time.Microsecond {
+			t.Fatalf("point %d: timestamp off by %v", i, d)
 		}
 	}
 }

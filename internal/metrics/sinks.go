@@ -91,8 +91,11 @@ func (s *InlineJSONSink) Flush(c *Collection) (map[Key]string, error) {
 	return refs, nil
 }
 
-// ZarrSink offloads each series into a chunked, gzip-compressed array
-// group: <root>/<context>/<name>/{value,step,epoch,tstamp}.
+// ZarrSink offloads each series into a chunked, gzip-compressed,
+// byte-shuffled array group: <root>/<context>/<name>/{value,step,epoch,tstamp}.
+// ChunkSize is the largest chunk extent (4096 when unset); a series
+// shorter than that gets one chunk of exactly its length, so nothing
+// but data is compressed.
 type ZarrSink struct {
 	Store     zarr.Store
 	ChunkSize int
@@ -101,7 +104,9 @@ type ZarrSink struct {
 // Name implements Sink.
 func (s *ZarrSink) Name() string { return "zarr" }
 
-// Flush implements Sink.
+// Flush implements Sink. It holds every series whole, so each column is
+// created at its final shape and written once: per series four
+// ".zarray", the chunks and one ".zattrs", no key twice.
 func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 	snap := c.Snapshot()
 	if len(snap) == 0 {
@@ -110,44 +115,42 @@ func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 	if s.Store == nil {
 		s.Store = zarr.NewMemStore()
 	}
-	chunk := s.ChunkSize
-	if chunk <= 0 {
-		chunk = 4096
+	maxChunk := s.ChunkSize
+	if maxChunk <= 0 {
+		maxChunk = 4096
 	}
 	refs := make(map[Key]string, len(snap))
 	for _, series := range snap {
 		k := Key{Name: series.Name, Context: series.Context}
 		base := sanitize(string(k.Context)) + "/" + sanitize(k.Name)
 		n := len(series.Points)
-		cols := map[string]struct {
+		value, step := make([]float64, n), make([]float64, n)
+		epoch, tstamp := make([]float64, n), make([]float64, n)
+		for i, p := range series.Points {
+			value[i] = p.Value
+			step[i] = float64(p.Step)
+			epoch[i] = float64(p.Epoch)
+			tstamp[i] = float64(p.Time.UnixNano()) / 1e9
+		}
+		chunk := max(1, min(maxChunk, n))
+		for _, col := range []struct {
+			name  string
 			dtype zarr.DType
 			data  []float64
 		}{
-			"value":  {zarr.Float64, make([]float64, n)},
-			"step":   {zarr.Int64, make([]float64, n)},
-			"epoch":  {zarr.Int32, make([]float64, n)},
-			"tstamp": {zarr.Float64, make([]float64, n)},
-		}
-		for i, p := range series.Points {
-			cols["value"].data[i] = p.Value
-			cols["step"].data[i] = float64(p.Step)
-			cols["epoch"].data[i] = float64(p.Epoch)
-			cols["tstamp"].data[i] = float64(p.Time.UnixNano()) / 1e9
-		}
-		for col, spec := range cols {
-			// Stream through the buffered append path and seal with Flush —
-			// the layout is byte-identical to an eager full write.
-			arr, err := zarr.Create(s.Store, base+"/"+col, []int{0}, []int{chunk}, spec.dtype, zarr.GzipCodec{})
+			{"value", zarr.Float64, value},
+			{"step", zarr.Int64, step},
+			{"epoch", zarr.Int32, epoch},
+			{"tstamp", zarr.Float64, tstamp},
+		} {
+			arr, err := zarr.Create(s.Store, base+"/"+col.name, []int{n}, []int{chunk}, col.dtype, zarr.GzipCodec{})
+			if err == nil {
+				err = arr.WriteFloat64(col.data)
+			}
 			if err != nil {
-				return nil, fmt.Errorf("metrics: zarr sink %s/%s: %w", base, col, err)
+				return nil, fmt.Errorf("metrics: zarr sink %s/%s: %w", base, col.name, err)
 			}
-			if err := arr.Append(spec.data); err != nil {
-				return nil, fmt.Errorf("metrics: zarr sink %s/%s: %w", base, col, err)
-			}
-			if err := arr.Flush(); err != nil {
-				return nil, fmt.Errorf("metrics: zarr sink %s/%s: %w", base, col, err)
-			}
-			if col == "value" {
+			if col.name == "value" {
 				// Record provenance-relevant metadata on the value array.
 				if err := arr.SetAttrs(map[string]interface{}{
 					"metric":  k.Name,

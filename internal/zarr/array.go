@@ -1,7 +1,6 @@
 package zarr
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -35,15 +34,68 @@ func (d DType) Size() int {
 // Valid reports whether d is a supported dtype.
 func (d DType) Valid() bool { return d.Size() != 0 }
 
-// Meta is the ".zarray" metadata document.
+// Filter is one entry of the ".zarray" filters list. The only filter
+// this package knows is the Zarr v2 byte shuffle.
+type Filter struct {
+	ID          string `json:"id"`
+	ElementSize int    `json:"elementsize"`
+}
+
+const shuffleID = "shuffle"
+
+// Meta is the ".zarray" metadata document. It is the one thing that
+// decides how a chunk's bytes are laid out: Filters holds the byte
+// shuffle for an array Create made with a compressing codec and is
+// absent (no "filters" key) for a raw array and for every array written
+// before the filter existed, which is read and appended to unshuffled.
 type Meta struct {
-	ZarrFormat int     `json:"zarr_format"`
-	Shape      []int   `json:"shape"`
-	Chunks     []int   `json:"chunks"`
-	DType      DType   `json:"dtype"`
-	Compressor string  `json:"compressor"`
-	FillValue  float64 `json:"fill_value"`
-	Order      string  `json:"order"`
+	ZarrFormat int      `json:"zarr_format"`
+	Shape      []int    `json:"shape"`
+	Chunks     []int    `json:"chunks"`
+	DType      DType    `json:"dtype"`
+	Compressor string   `json:"compressor"`
+	FillValue  float64  `json:"fill_value"`
+	Order      string   `json:"order"`
+	Filters    []Filter `json:"filters,omitempty"`
+}
+
+// maxElems bounds an array's and a chunk's element count so that byte
+// sizes computed from metadata cannot overflow an int.
+const maxElems = math.MaxInt / 8
+
+// shuffled reports whether chunks are byte-shuffled: validate admits no
+// other filter.
+func (m *Meta) shuffled() bool { return len(m.Filters) != 0 }
+
+// validate checks what both Create and Open need to hold before any
+// size is computed from the metadata.
+func (m *Meta) validate() error {
+	if len(m.Shape) == 0 || len(m.Shape) != len(m.Chunks) {
+		return fmt.Errorf("zarr: shape %v and chunks %v must be same non-zero rank", m.Shape, m.Chunks)
+	}
+	elems, chunkElems := 1, 1
+	for i := range m.Shape {
+		if m.Shape[i] < 0 || m.Chunks[i] <= 0 {
+			return fmt.Errorf("zarr: invalid shape %v / chunks %v", m.Shape, m.Chunks)
+		}
+		if m.Chunks[i] > maxElems/chunkElems || (elems > 0 && m.Shape[i] > maxElems/elems) {
+			return fmt.Errorf("zarr: shape %v / chunks %v too large", m.Shape, m.Chunks)
+		}
+		elems *= m.Shape[i]
+		chunkElems *= m.Chunks[i]
+	}
+	if !m.DType.Valid() {
+		return fmt.Errorf("zarr: unsupported dtype %q", m.DType)
+	}
+	switch {
+	case len(m.Filters) == 0:
+		return nil
+	case len(m.Filters) > 1 || m.Filters[0].ID != shuffleID:
+		return fmt.Errorf("zarr: unsupported filters %+v", m.Filters)
+	case m.Filters[0].ElementSize != m.DType.Size():
+		return fmt.Errorf("zarr: shuffle elementsize %d does not match dtype %q", m.Filters[0].ElementSize, m.DType)
+	}
+	return nil
 }
 
 // Array is a chunked N-dimensional array bound to a store path.
@@ -73,19 +125,11 @@ const (
 )
 
 // Create initializes a new array at path within store. Shape and chunks
-// must have equal rank; every chunk extent must be positive.
+// must have equal rank; every chunk extent must be positive. An array
+// with a compressing codec gets the byte-shuffle filter: deflate finds
+// little in eight-byte elements whose high bytes repeat eight apart and
+// a lot in the same bytes laid out plane by plane.
 func Create(store Store, path string, shape, chunks []int, dtype DType, codec Codec) (*Array, error) {
-	if len(shape) == 0 || len(shape) != len(chunks) {
-		return nil, fmt.Errorf("zarr: shape %v and chunks %v must be same non-zero rank", shape, chunks)
-	}
-	for i := range shape {
-		if shape[i] < 0 || chunks[i] <= 0 {
-			return nil, fmt.Errorf("zarr: invalid shape %v / chunks %v", shape, chunks)
-		}
-	}
-	if !dtype.Valid() {
-		return nil, fmt.Errorf("zarr: unsupported dtype %q", dtype)
-	}
 	if codec == nil {
 		codec = GzipCodec{}
 	}
@@ -101,6 +145,12 @@ func Create(store Store, path string, shape, chunks []int, dtype DType, codec Co
 			Order:      "C",
 		},
 		codec: codec,
+	}
+	if codec.ID() != (RawCodec{}).ID() {
+		a.meta.Filters = []Filter{{ID: shuffleID, ElementSize: dtype.Size()}}
+	}
+	if err := a.meta.validate(); err != nil {
+		return nil, err
 	}
 	if err := a.writeMeta(); err != nil {
 		return nil, err
@@ -122,8 +172,8 @@ func Open(store Store, path string) (*Array, error) {
 	if meta.ZarrFormat != 2 {
 		return nil, fmt.Errorf("zarr: unsupported format %d", meta.ZarrFormat)
 	}
-	if !meta.DType.Valid() {
-		return nil, fmt.Errorf("zarr: unsupported dtype %q", meta.DType)
+	if err := meta.validate(); err != nil {
+		return nil, fmt.Errorf("zarr: open %q: %w", path, err)
 	}
 	codec, err := codecByID(meta.Compressor)
 	if err != nil {
@@ -179,6 +229,7 @@ func (a *Array) Meta() Meta {
 	m := a.meta
 	m.Shape = append([]int(nil), a.meta.Shape...)
 	m.Chunks = append([]int(nil), a.meta.Chunks...)
+	m.Filters = append([]Filter(nil), a.meta.Filters...)
 	return m
 }
 
@@ -324,7 +375,12 @@ func (a *Array) writeChunk(coords []int, data []float64) error {
 		buf[i] = a.meta.FillValue
 	}
 	copyRegion(buf, a.meta.Chunks, data, a.meta.Shape, start, extent, true)
-	payload, err := encodeElems(buf, a.meta.DType)
+	return a.putChunk(a.chunkKey(coords), buf)
+}
+
+// putChunk encodes one full chunk of elements and stores it under key.
+func (a *Array) putChunk(key string, buf []float64) error {
+	payload, err := encodeElems(buf, a.meta.DType, a.meta.shuffled())
 	if err != nil {
 		return err
 	}
@@ -332,24 +388,37 @@ func (a *Array) writeChunk(coords []int, data []float64) error {
 	if err != nil {
 		return err
 	}
-	return a.store.Set(a.chunkKey(coords), enc)
+	return a.store.Set(key, enc)
+}
+
+// getChunk loads and decodes the full chunk stored under key. The
+// decompressed payload must be exactly one chunk long; a stream that
+// inflates past that is cut off there, not read to its end.
+func (a *Array) getChunk(key string) ([]float64, error) {
+	raw, err := a.store.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	n := a.chunkElems()
+	var payload []byte
+	if gz, ok := a.codec.(GzipCodec); ok {
+		payload, err = gz.decodeUpTo(raw, n*a.meta.DType.Size()+1)
+	} else {
+		payload, err = a.codec.Decode(raw)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return decodeElems(payload, a.meta.DType, n, a.meta.shuffled())
 }
 
 // readChunk loads the chunk at coords into the destination array slice.
 func (a *Array) readChunk(coords []int, dst []float64) error {
-	raw, err := a.store.Get(a.chunkKey(coords))
+	buf, err := a.getChunk(a.chunkKey(coords))
 	if err != nil {
 		if IsNotExist(err) {
 			return nil // missing chunk = fill value
 		}
-		return err
-	}
-	payload, err := a.codec.Decode(raw)
-	if err != nil {
-		return fmt.Errorf("zarr: chunk %v: %w", coords, err)
-	}
-	buf, err := decodeElems(payload, a.meta.DType, a.chunkElems())
-	if err != nil {
 		return fmt.Errorf("zarr: chunk %v: %w", coords, err)
 	}
 	start, extent := a.chunkRegion(coords)
@@ -392,25 +461,54 @@ func copyRegion(chunk []float64, chunkShape []int, array []float64, arrayShape [
 	}
 }
 
-// encodeElems converts float64 elements to the on-disk little-endian form.
-func encodeElems(data []float64, dt DType) ([]byte, error) {
-	out := make([]byte, len(data)*dt.Size())
+// A chunk payload holds n elements of size bytes each, little-endian.
+// Plain, byte b of element i sits at i*size+b; byte-shuffled (the Zarr
+// v2 shuffle filter) it sits at b*n+i, so that deflate sees each byte
+// plane as one run. strides gives the step between the bytes of one
+// element and between elements, which lets one loop write either layout
+// straight into the payload with no second buffer.
+func strides(n, size int, shuffle bool) (byteStep, elemStep int) {
+	if shuffle {
+		return n, 1
+	}
+	return 1, size
+}
+
+func putBytes(out []byte, at, step, size int, v uint64) {
+	for b := 0; b < size; b++ {
+		out[at+b*step] = byte(v >> (8 * b))
+	}
+}
+
+func getBytes(raw []byte, at, step, size int) uint64 {
+	var v uint64
+	for b := 0; b < size; b++ {
+		v |= uint64(raw[at+b*step]) << (8 * b)
+	}
+	return v
+}
+
+// encodeElems converts float64 elements to the on-disk form.
+func encodeElems(data []float64, dt DType, shuffle bool) ([]byte, error) {
+	size := dt.Size()
+	out := make([]byte, len(data)*size)
+	byteStep, elemStep := strides(len(data), size, shuffle)
 	switch dt {
 	case Float64:
 		for i, v := range data {
-			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+			putBytes(out, i*elemStep, byteStep, 8, math.Float64bits(v))
 		}
 	case Float32:
 		for i, v := range data {
-			binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(float32(v)))
+			putBytes(out, i*elemStep, byteStep, 4, uint64(math.Float32bits(float32(v))))
 		}
 	case Int64:
 		for i, v := range data {
-			binary.LittleEndian.PutUint64(out[i*8:], uint64(int64(v)))
+			putBytes(out, i*elemStep, byteStep, 8, uint64(int64(v)))
 		}
 	case Int32:
 		for i, v := range data {
-			binary.LittleEndian.PutUint32(out[i*4:], uint32(int32(v)))
+			putBytes(out, i*elemStep, byteStep, 4, uint64(uint32(int32(v))))
 		}
 	default:
 		return nil, fmt.Errorf("zarr: unsupported dtype %q", dt)
@@ -419,27 +517,29 @@ func encodeElems(data []float64, dt DType) ([]byte, error) {
 }
 
 // decodeElems converts on-disk bytes back to float64 elements.
-func decodeElems(raw []byte, dt DType, want int) ([]float64, error) {
-	if len(raw) != want*dt.Size() {
-		return nil, fmt.Errorf("zarr: chunk payload %d bytes, want %d", len(raw), want*dt.Size())
+func decodeElems(raw []byte, dt DType, want int, shuffle bool) ([]float64, error) {
+	size := dt.Size()
+	if len(raw) != want*size {
+		return nil, fmt.Errorf("zarr: chunk payload %d bytes, want %d", len(raw), want*size)
 	}
 	out := make([]float64, want)
+	byteStep, elemStep := strides(want, size, shuffle)
 	switch dt {
 	case Float64:
 		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+			out[i] = math.Float64frombits(getBytes(raw, i*elemStep, byteStep, 8))
 		}
 	case Float32:
 		for i := range out {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
+			out[i] = float64(math.Float32frombits(uint32(getBytes(raw, i*elemStep, byteStep, 4))))
 		}
 	case Int64:
 		for i := range out {
-			out[i] = float64(int64(binary.LittleEndian.Uint64(raw[i*8:])))
+			out[i] = float64(int64(getBytes(raw, i*elemStep, byteStep, 8)))
 		}
 	case Int32:
 		for i := range out {
-			out[i] = float64(int32(binary.LittleEndian.Uint32(raw[i*4:])))
+			out[i] = float64(int32(getBytes(raw, i*elemStep, byteStep, 4)))
 		}
 	default:
 		return nil, fmt.Errorf("zarr: unsupported dtype %q", dt)
@@ -495,7 +595,7 @@ func (a *Array) activateTailLocked() error {
 	a.tailStart = tailStart
 	a.tail = make([]float64, 0, chunk)
 	if rem := a.meta.Shape[0] - tailStart; rem > 0 {
-		raw, err := a.store.Get(a.chunkKey([]int{tailChunk}))
+		full, err := a.getChunk(a.chunkKey([]int{tailChunk}))
 		if err != nil {
 			if !IsNotExist(err) {
 				return err
@@ -506,14 +606,6 @@ func (a *Array) activateTailLocked() error {
 				a.tail[i] = a.meta.FillValue
 			}
 			return nil
-		}
-		payload, err := a.codec.Decode(raw)
-		if err != nil {
-			return err
-		}
-		full, err := decodeElems(payload, a.meta.DType, chunk)
-		if err != nil {
-			return err
 		}
 		a.tail = append(a.tail, full[:rem]...)
 	}
@@ -544,15 +636,7 @@ func (a *Array) storeTailLocked() error {
 			buf[i] = a.meta.FillValue
 		}
 	}
-	payload, err := encodeElems(buf, a.meta.DType)
-	if err != nil {
-		return err
-	}
-	enc, err := a.codec.Encode(payload)
-	if err != nil {
-		return err
-	}
-	if err := a.store.Set(a.chunkKey([]int{a.tailStart / chunk}), enc); err != nil {
+	if err := a.putChunk(a.chunkKey([]int{a.tailStart / chunk}), buf); err != nil {
 		return err
 	}
 	a.tailDirty = false

@@ -1,10 +1,11 @@
 package zarr
 
 import (
+	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,25 +36,33 @@ func TestCreateOpenRoundTrip1D(t *testing.T) {
 }
 
 func TestRoundTrip2D(t *testing.T) {
-	store := NewMemStore()
-	a, err := Create(store, "grid", []int{5, 7}, []int{2, 3}, Float64, RawCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make([]float64, 35)
-	for i := range in {
-		in[i] = float64(i) * 1.5
-	}
-	if err := a.WriteFloat64(in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := a.ReadFloat64()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("2D mismatch at %d: %v != %v", i, out[i], in[i])
+	for _, codec := range []Codec{RawCodec{}, GzipCodec{}} { // plain and shuffled
+		for _, dt := range allDTypes {
+			store := NewMemStore()
+			a, err := Create(store, "grid", []int{5, 7}, []int{2, 3}, dt, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make([]float64, 35)
+			for i := range in {
+				in[i] = float64(i) * 3
+			}
+			if err := a.WriteFloat64(in); err != nil {
+				t.Fatal(err)
+			}
+			b, err := Open(store, "grid")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := b.ReadFloat64()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range in {
+				if in[i] != out[i] {
+					t.Fatalf("%s %s: 2D mismatch at %d: %v != %v", codec.ID(), dt, i, out[i], in[i])
+				}
+			}
 		}
 	}
 }
@@ -362,16 +371,58 @@ func TestMemStoreIsolation(t *testing.T) {
 	}
 }
 
-func TestDirStoreMissingKey(t *testing.T) {
-	store, err := NewDirStore(t.TempDir())
+func TestMissingKeyWrapsErrNotExist(t *testing.T) {
+	dir, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Get("missing"); !IsNotExist(err) {
-		t.Errorf("want not-exist error, got %v", err)
+	for _, store := range []Store{NewMemStore(), dir} {
+		if _, err := store.Get("missing"); !errors.Is(err, ErrNotExist) || !IsNotExist(err) {
+			t.Errorf("%T: want an error wrapping ErrNotExist, got %v", store, err)
+		}
+		if err := store.Delete("missing"); err != nil {
+			t.Errorf("%T: deleting missing key should be nil, got %v", store, err)
+		}
 	}
-	if err := store.Delete("missing"); err != nil {
-		t.Errorf("deleting missing key should be nil, got %v", err)
+}
+
+// failingStore fails every chunk Get with an error whose text happens
+// to say "does not exist".
+type failingStore struct{ Store }
+
+func (s failingStore) Get(key string) ([]byte, error) {
+	if strings.HasSuffix(key, "/"+metaKey) {
+		return s.Store.Get(key)
 	}
-	_ = os.RemoveAll(store.Root())
+	return nil, errors.New("bucket does not exist")
+}
+
+// TestGetFailureIsNotAbsence: only ErrNotExist means "no such key"; any
+// other failure must reach the caller and not read as fill values, an
+// empty tail or no attributes.
+func TestGetFailureIsNotAbsence(t *testing.T) {
+	mem := NewMemStore()
+	a, err := Create(mem, "x", []int{0}, []int{4}, Float64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append([]float64{1, 2, 3, 4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(failingStore{mem}, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := b.ReadFloat64(); err == nil {
+		t.Errorf("ReadFloat64 over a failing store returned %v", out)
+	}
+	if err := b.Append([]float64{7}); err == nil {
+		t.Error("Append over a failing store loaded its tail as fill values")
+	}
+	if attrs, err := b.Attrs(); err == nil {
+		t.Errorf("Attrs over a failing store returned %v", attrs)
+	}
 }

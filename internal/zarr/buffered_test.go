@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// eagerWrite reproduces the pre-buffering storage layout: a full-shape
-// array written in one shot, every chunk stored at full chunk extent
-// with fill-value padding.
-func eagerWrite(t *testing.T, data []float64, chunk int, codec Codec) *MemStore {
+var allDTypes = []DType{Float64, Float32, Int64, Int32}
+
+// eagerWrite is the reference layout: a full-shape array written in one
+// shot, every chunk stored at full chunk extent with fill-value padding.
+func eagerWrite(t *testing.T, data []float64, chunk int, dt DType, codec Codec) *MemStore {
 	t.Helper()
 	store := NewMemStore()
-	a, err := Create(store, "x", []int{len(data)}, []int{chunk}, Float64, codec)
+	a, err := Create(store, "x", []int{len(data)}, []int{chunk}, dt, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +25,10 @@ func eagerWrite(t *testing.T, data []float64, chunk int, codec Codec) *MemStore 
 
 // bufferedAppend streams the same data through the write-behind Append
 // path in the given batch sizes, then seals with Flush.
-func bufferedAppend(t *testing.T, data []float64, chunk, batch int, codec Codec) *MemStore {
+func bufferedAppend(t *testing.T, data []float64, chunk, batch int, dt DType, codec Codec) *MemStore {
 	t.Helper()
 	store := NewMemStore()
-	a, err := Create(store, "x", []int{0}, []int{chunk}, Float64, codec)
+	a, err := Create(store, "x", []int{0}, []int{chunk}, dt, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,23 +75,27 @@ func storesEqual(t *testing.T, want, got *MemStore, label string) {
 // TestBufferedAppendByteIdentical proves the write-behind buffer is a
 // pure latency optimization: after Flush, every store key — chunk
 // payloads and ".zarray" metadata — is byte-for-byte identical to the
-// eager full-write layout, across chunk-aligned, mid-chunk, and
-// single-value append patterns and both codecs.
+// eager full-write layout, for every dtype, shuffled (gzip) and plain
+// (raw), at lengths around the chunk boundaries and in chunk-aligned,
+// mid-chunk and single-value append patterns.
 func TestBufferedAppendByteIdentical(t *testing.T) {
-	data := make([]float64, 1000)
-	for i := range data {
-		data[i] = float64(i%313) * 0.5
-	}
 	for _, codec := range []Codec{RawCodec{}, GzipCodec{}, GzipCodec{Level: 1}} {
-		for _, chunk := range []int{1, 7, 100, 256, 2048} {
-			for _, batch := range []int{1, 3, chunk, chunk + 1, len(data)} {
-				if batch <= 0 {
-					continue
+		for _, dt := range allDTypes {
+			for _, chunk := range []int{1, 7, 100, 256} {
+				for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 3*chunk + 7} {
+					if n == 0 {
+						continue
+					}
+					data := make([]float64, n)
+					for i := range data {
+						data[i] = float64(i%313) - 100
+					}
+					eager := eagerWrite(t, data, chunk, dt, codec)
+					for _, batch := range []int{1, chunk + 1, n} {
+						label := fmt.Sprintf("codec=%s dtype=%s chunk=%d n=%d batch=%d", codec.ID(), dt, chunk, n, batch)
+						storesEqual(t, eager, bufferedAppend(t, data, chunk, batch, dt, codec), label)
+					}
 				}
-				label := fmt.Sprintf("codec=%s chunk=%d batch=%d", codec.ID(), chunk, batch)
-				eager := eagerWrite(t, data, chunk, codec)
-				buffered := bufferedAppend(t, data, chunk, batch, codec)
-				storesEqual(t, eager, buffered, label)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -90,13 +91,20 @@ func (c GzipCodec) Encode(src []byte) ([]byte, error) {
 }
 
 // Decode implements Codec.
-func (GzipCodec) Decode(src []byte) ([]byte, error) {
+func (c GzipCodec) Decode(src []byte) ([]byte, error) {
+	return c.decodeUpTo(src, math.MaxInt)
+}
+
+// decodeUpTo inflates at most limit bytes of src, so that a reader who
+// knows how long the payload must be allocates no more than that for a
+// stream that claims to be longer.
+func (GzipCodec) decodeUpTo(src []byte, limit int) ([]byte, error) {
 	r, err := gzip.NewReader(bytes.NewReader(src))
 	if err != nil {
 		return nil, fmt.Errorf("zarr: corrupt gzip chunk: %w", err)
 	}
 	defer r.Close()
-	out, err := io.ReadAll(r)
+	out, err := io.ReadAll(io.LimitReader(r, int64(limit)))
 	if err != nil {
 		return nil, fmt.Errorf("zarr: corrupt gzip chunk: %w", err)
 	}

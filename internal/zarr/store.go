@@ -6,10 +6,21 @@
 // is a small JSON document (".zarray"), data is split into fixed-size
 // chunks stored under "c0.c1..." keys, and each chunk is run through a
 // codec (gzip or raw). Directory and in-memory stores are provided.
+//
+// Chunks of a compressed array are byte-shuffled first (the Zarr v2
+// "shuffle" filter, listed under "filters" in ".zarray"): metric columns
+// are eight-byte elements whose high bytes barely change, and deflate
+// does several times less work, for a smaller result, on byte planes
+// than on interleaved elements. Create adds the filter whenever the
+// codec compresses; after that the stored metadata alone selects the
+// layout, so an array written without the filter is read and extended
+// without it.
 package zarr
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,7 +31,8 @@ import (
 // Store is the key/value abstraction arrays persist into. Keys are
 // slash-separated relative paths.
 type Store interface {
-	// Get returns the value for key, or an error satisfying IsNotExist.
+	// Get returns the value for key, or an error wrapping ErrNotExist
+	// when the key is absent.
 	Get(key string) ([]byte, error)
 	// Set writes the value for key, replacing any previous value.
 	Set(key string, value []byte) error
@@ -30,13 +42,13 @@ type Store interface {
 	List(prefix string) ([]string, error)
 }
 
-// ErrNotExist is returned by stores for missing keys.
-var ErrNotExist = fmt.Errorf("zarr: key does not exist")
+// ErrNotExist is the error stores wrap for a missing key. A missing
+// chunk reads as fill values and a missing ".zattrs" as no attributes;
+// any other Get failure is reported, never read as absence.
+var ErrNotExist = errors.New("zarr: key does not exist")
 
-// IsNotExist reports whether err indicates a missing key.
-func IsNotExist(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "does not exist")
-}
+// IsNotExist reports whether err wraps ErrNotExist.
+func IsNotExist(err error) bool { return errors.Is(err, ErrNotExist) }
 
 // MemStore is an in-memory Store safe for concurrent use.
 type MemStore struct {
@@ -55,7 +67,7 @@ func (m *MemStore) Get(key string) ([]byte, error) {
 	defer m.mu.RUnlock()
 	v, ok := m.data[key]
 	if !ok {
-		return nil, fmt.Errorf("zarr: key %q does not exist", key)
+		return nil, fmt.Errorf("%w: %q", ErrNotExist, key)
 	}
 	out := make([]byte, len(v))
 	copy(out, v)
@@ -128,8 +140,8 @@ func (d *DirStore) path(key string) string {
 // Get implements Store.
 func (d *DirStore) Get(key string) ([]byte, error) {
 	data, err := os.ReadFile(d.path(key))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("zarr: key %q does not exist", key)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %q", ErrNotExist, key)
 	}
 	return data, err
 }
