@@ -67,6 +67,7 @@ func FuzzBinaryDocRoundTrip(f *testing.F) {
 		}
 		f.Add(j)
 	}
+	f.Add(primerJSON(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := ParseJSON(data)
 		if err != nil {

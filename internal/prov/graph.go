@@ -143,6 +143,20 @@ func (ix *Index) Has(q QName) bool {
 // does not declare, or nil when every endpoint is an element.
 func (ix *Index) Dangling() *Relation { return ix.dangling }
 
+// Names returns every node, sorted: a node's id is its position. The
+// slice is the index's own and must not be modified.
+func (ix *Index) Names() []QName { return ix.names }
+
+// Row returns the ids of the nodes one relation away from node id, in
+// id order: away from origins for Reverse, toward them for any other
+// direction. The slice is the index's own and must not be modified.
+func (ix *Index) Row(id int32, dir Direction) []int32 {
+	if dir == Reverse {
+		return ix.rev.row(id)
+	}
+	return ix.fwd.row(id)
+}
+
 // Reach returns every node reachable from start within maxDepth hops
 // (maxDepth <= 0 means unlimited), excluding start, in sorted order. ok
 // is false when start is not a node.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/jsonscan"
 )
@@ -31,7 +32,9 @@ import (
 //     that occurs twice keeps its last value.
 //   - prov:startTime / prov:endTime of an activity and prov:time of a
 //     relation are lifted into their fields when they are xsd:dateTime
-//     literals and silently dropped when they are anything else.
+//     literals or bare strings in RFC 3339 or the zone-less W3C form
+//     (read as UTC), and kept as ordinary attributes when they are
+//     anything else.
 //   - A relation's two role members name its subject and object: a
 //     qualified-name literal, or the string form of any other value. A
 //     relation left without either is an error. Relations come out
@@ -229,9 +232,9 @@ func (d *decoder) member(key jsonscan.Str) error {
 		return d.attrs(func(k []byte, v Value) {
 			switch string(k) {
 			case "prov:startTime":
-				a.StartTime, _ = v.AsTime()
+				a.StartTime = d.liftTime(&a.Attrs, k, v)
 			case "prov:endTime":
-				a.EndTime, _ = v.AsTime()
+				a.EndTime = d.liftTime(&a.Attrs, k, v)
 			default:
 				d.setAttr(&a.Attrs, k, v)
 			}
@@ -249,7 +252,7 @@ func (d *decoder) member(key jsonscan.Str) error {
 		case objRole:
 			r.Object = roleName(v)
 		case "prov:time":
-			r.Time, _ = v.AsTime()
+			r.Time = d.liftTime(&r.Attrs, k, v)
 		default:
 			d.setAttr(&r.Attrs, k, v)
 		}
@@ -280,6 +283,42 @@ func (d *decoder) setAttr(attrs *Attrs, k []byte, v Value) {
 		*attrs = make(Attrs)
 	}
 	(*attrs)[d.strs.keep(k)] = v
+}
+
+// liftTime reads the value of key k — prov:startTime, prov:endTime or
+// prov:time, which the caller keeps in a field — as that field's new
+// time, and removes an earlier k from attrs. A value that is no time
+// (see timeOf) is stored under k like any attribute instead, and the
+// field is cleared: of a repeated key the last value counts.
+func (d *decoder) liftTime(attrs *Attrs, k []byte, v Value) time.Time {
+	if t, ok := timeOf(v); ok {
+		delete(*attrs, string(k))
+		return t
+	}
+	d.setAttr(attrs, k, v)
+	return time.Time{}
+}
+
+// w3cDateTime is the zone-less xsd:dateTime form the W3C PROV-JSON
+// examples write ("2012-04-01T15:21:00"); such a time is read as UTC.
+const w3cDateTime = "2006-01-02T15:04:05.999999999"
+
+// timeOf returns the instant v stands for: an xsd:dateTime literal's,
+// or that of a bare string in RFC 3339 or the zone-less W3C form — the
+// forms the W3C examples and the Python prov package write — in UTC.
+func timeOf(v Value) (time.Time, bool) {
+	if t, ok := v.AsTime(); ok {
+		return t, true
+	}
+	if v.Kind() != KindString {
+		return time.Time{}, false
+	}
+	for _, layout := range [...]string{time.RFC3339Nano, w3cDateTime} {
+		if t, err := time.Parse(layout, v.s); err == nil {
+			return t.UTC(), true
+		}
+	}
+	return time.Time{}, false
 }
 
 // roleName reads a relation endpoint: a qualified-name literal, or

@@ -162,6 +162,9 @@ var jsonTraps = []string{
 	// Activity times.
 	`{"activity":{"ex:a":{"prov:startTime":{"$":"2024-01-02T03:04:05Z","type":"xsd:dateTime"},"prov:endTime":"2012-04-01T15:21:00","k":"v"}}}`,
 	`{"activity":{"ex:a":{"prov:startTime":null}}}`,
+	`{"activity":{"ex:a":{"prov:startTime":"later","prov:startTime":"2012-04-01T15:21:00","prov:endTime":7}}}`,
+	`{"activity":{"ex:a":{"prov:startTime":"2012-04-01T15:21:00.25+02:00","prov:endTime":"2012-04-01"}}}`,
+	`{"used":{"u":{"prov:activity":"ex:a","prov:entity":"ex:e","prov:time":"2024-01-02T03:04:05Z","prov:time":"soon"}}}`,
 	// The same id in two classes stays two elements.
 	`{"entity":{"ex:x":{"k":"e"}},"agent":{"ex:x":{"k":"g"}},"activity":{"ex:x":{"k":"a"}}}`,
 	// Top-level values that are no object, whitespace, trailing bytes.

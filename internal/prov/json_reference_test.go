@@ -15,7 +15,8 @@ import (
 // against. Only the names changed: Document.UnmarshalJSON became
 // referenceUnmarshal, and the attribute values decode through refValue,
 // which carries the old Value.UnmarshalJSON, fromInterface and
-// fromTyped; attrsOf turns a record of refValues into Attrs.
+// fromTyped; attrsOf turns a record of refValues into Attrs. One change
+// since, made with the decoder's: see refTime.
 
 // refValue is a Value that unmarshals the way Value used to.
 type refValue struct{ Value }
@@ -102,6 +103,26 @@ func (v *refValue) fromTyped(dollar, typ string) error {
 	return nil
 }
 
+// refTime reads a prov:startTime, prov:endTime or prov:time value: an
+// xsd:dateTime literal, or a bare string holding an RFC 3339 time or a
+// zone-less one ("2012-04-01T15:21:00", UTC). Anything else is no time
+// and stays an attribute.
+func (v refValue) refTime() (time.Time, bool) {
+	if t, ok := v.AsTime(); ok {
+		return t, true
+	}
+	if v.Kind() != KindString {
+		return time.Time{}, false
+	}
+	if t, err := time.Parse(time.RFC3339Nano, v.AsString()); err == nil {
+		return t.UTC(), true
+	}
+	if t, err := time.ParseInLocation("2006-01-02T15:04:05.999999999", v.AsString(), time.UTC); err == nil {
+		return t, true
+	}
+	return time.Time{}, false
+}
+
 // referenceParseJSON is the old ParseJSON.
 func referenceParseJSON(data []byte) (*Document, error) {
 	d := NewDocument()
@@ -172,11 +193,11 @@ func referenceUnmarshal(d *Document, data []byte) error {
 			attrs := make(Attrs, len(rec))
 			var start, end time.Time
 			for k, v := range rec {
-				switch k {
-				case "prov:startTime":
-					start, _ = v.AsTime()
-				case "prov:endTime":
-					end, _ = v.AsTime()
+				switch t, ok := v.refTime(); {
+				case k == "prov:startTime" && ok:
+					start = t
+				case k == "prov:endTime" && ok:
+					end = t
 				default:
 					attrs[k] = v.Value
 				}
@@ -219,10 +240,12 @@ func referenceUnmarshal(d *Document, data []byte) error {
 					} else {
 						rel.Object = QName(v.AsString())
 					}
-				case "prov:time":
-					rel.Time, _ = v.AsTime()
 				default:
-					rel.Attrs[k] = v.Value
+					if t, ok := v.refTime(); ok && k == "prov:time" {
+						rel.Time = t
+					} else {
+						rel.Attrs[k] = v.Value
+					}
 				}
 			}
 			if rel.Subject == "" || rel.Object == "" {

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -284,5 +287,126 @@ func TestRelationKindTables(t *testing.T) {
 		if got := sectionOf([]byte(kind)); got != secRelations+i {
 			t.Errorf("sectionOf(%s) = %d, want %d", kind, got, secRelations+i)
 		}
+	}
+}
+
+// TestBareStringTimes: the W3C PROV-JSON examples and the Python prov
+// package write times as bare strings. One in RFC 3339 or the zone-less
+// W3C form (read as UTC) is lifted into its field; any other value is
+// kept as the attribute it is, not dropped.
+func TestBareStringTimes(t *testing.T) {
+	d, err := ParseJSON([]byte(`{
+	  "entity": {"ex:e": {}},
+	  "activity": {
+	    "ex:a": {"prov:startTime": "later", "prov:endTime": "2012-04-01T15:21:00"},
+	    "ex:b": {"prov:startTime": "2012-04-01T17:21:00.5+02:00"}
+	  },
+	  "used": {
+	    "_:u1": {"prov:activity": "ex:a", "prov:entity": "ex:e", "prov:time": "2012-03-31T09:21:00"},
+	    "_:u2": {"prov:activity": "ex:b", "prov:entity": "ex:e", "prov:time": 7}
+	  }
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	utc := func(h, m, s, ns int) time.Time { return time.Date(2012, 4, 1, h, m, s, ns, time.UTC) }
+	sameTime := func(what string, got, want time.Time) {
+		t.Helper()
+		if !got.Equal(want) || got.Location() != time.UTC {
+			t.Errorf("%s = %v, want %v", what, got, want)
+		}
+	}
+	a, b := d.Activities["ex:a"], d.Activities["ex:b"]
+	sameTime("ex:a end", a.EndTime, utc(15, 21, 0, 0))
+	sameTime("ex:b start", b.StartTime, utc(15, 21, 0, 5e8))
+	if !a.StartTime.IsZero() || !a.Attrs["prov:startTime"].Equal(Str("later")) {
+		t.Errorf("ex:a start %v, attributes %v: want no start time and prov:startTime kept as the string", a.StartTime, a.Attrs)
+	}
+	if _, ok := a.Attrs["prov:endTime"]; ok {
+		t.Errorf("ex:a keeps its lifted end time as an attribute too: %v", a.Attrs)
+	}
+	used := d.RelationsOfKind(RelUsed)
+	sameTime("_:u1 time", used[0].Time, time.Date(2012, 3, 31, 9, 21, 0, 0, time.UTC))
+	if !used[1].Time.IsZero() || !used[1].Attrs["prov:time"].Equal(Int(7)) {
+		t.Errorf("_:u2 time %v, attributes %v: want no time and prov:time kept as the integer", used[1].Time, used[1].Attrs)
+	}
+
+	raw, err := d.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseJSON(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameDocument(back, d); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+}
+
+// primerJSON is the W3C PROV-JSON primer example committed as a seed of
+// FuzzParseJSONMatchesReference.
+func primerJSON(tb testing.TB) []byte {
+	tb.Helper()
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzParseJSONMatchesReference", "seed-w3c-primer"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(seed), "[]byte(")
+	text, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		tb.Fatalf("seed-w3c-primer: %v", err)
+	}
+	return []byte(text)
+}
+
+// TestW3CPrimerRoundTrip: the primer's times, all bare zone-less
+// strings, are read, and the document survives both codecs.
+func TestW3CPrimerRoundTrip(t *testing.T) {
+	d, err := ParseJSON(primerJSON(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(mon time.Month, day, h, m int) time.Time { return time.Date(2012, mon, day, h, m, 0, 0, time.UTC) }
+	correct := d.Activities["ex:correct"]
+	rel := map[string]*Relation{}
+	for _, r := range d.Relations {
+		rel[r.ID] = r
+	}
+	for _, c := range []struct {
+		what      string
+		got, want time.Time
+	}{
+		{"ex:correct start", correct.StartTime, at(time.March, 31, 9, 21)},
+		{"ex:correct end", correct.EndTime, at(time.April, 1, 15, 21)},
+		{"_:u4", rel["_:u4"].Time, at(time.March, 31, 9, 21)},
+		{"_:wGB3", rel["_:wGB3"].Time, at(time.March, 2, 10, 30)},
+		{"_:wGB4", rel["_:wGB4"].Time, at(time.April, 1, 15, 21)},
+	} {
+		if !c.got.Equal(c.want) {
+			t.Errorf("%s = %v, want %v", c.what, c.got, c.want)
+		}
+	}
+	if len(correct.Attrs) != 0 {
+		t.Errorf("ex:correct keeps attributes %v", correct.Attrs)
+	}
+
+	raw, err := d.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseJSON(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameDocument(back, d); err != nil {
+		t.Fatalf("JSON round trip: %v", err)
+	}
+	bin, err := ParseBinary(AppendBinary(nil, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := bin.MarshalJSON(); err != nil || string(again) != string(raw) {
+		t.Fatalf("binary round trip: %s (%v), want %s", again, err, raw)
 	}
 }

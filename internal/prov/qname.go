@@ -17,9 +17,10 @@
 // records may be null (empty); unknown sections are ignored but must be
 // well-formed; of a repeated section, id or attribute the last one
 // counts; attribute values are bare scalars or {"$", "type"} literals,
-// never null or arrays; a bare-string prov:startTime, prov:endTime or
-// prov:time is dropped, not kept. The comment in json_decode.go has
-// the full list.
+// never null or arrays; a prov:startTime, prov:endTime or prov:time
+// that is an xsd:dateTime literal or a bare string in RFC 3339 or the
+// zone-less W3C form becomes the time, anything else stays an
+// attribute. The comment in json_decode.go has the full list.
 package prov
 
 import (

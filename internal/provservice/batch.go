@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/jsonscan"
 	"repro/internal/obs"
@@ -21,10 +22,11 @@ import (
 // Two request encodings are negotiated on Content-Type:
 //
 //   - NDJSON (the default): one {"id": "...", "doc": {PROV-JSON}}
-//     object per line, blank lines ignored. Lines are decoded
-//     incrementally off the wire — the body is never buffered whole —
-//     subject to a per-line cap (MaxLineBytes) on top of the
-//     middleware's total body cap (MaxBodyBytes).
+//     object per line, blank lines ignored. Lines are decoded as they
+//     arrive, into one pooled buffer per request (lineReader) that holds
+//     their bytes until the store has journaled them, subject to a
+//     per-line cap (MaxLineBytes) on top of the middleware's total body
+//     cap (MaxBodyBytes).
 //
 //   - BatchBinaryContentType: a sequence of length-prefixed records,
 //     each a uvarint id length + id bytes followed by a 4-byte
@@ -134,17 +136,19 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var ops []provstore.Op // request order
 	seen := make(map[string]struct{})
 	var lineErrs []batchLineError
-	br := bufio.NewReader(r.Body)
+	// Released after commitBatch, so only once Apply is done with the
+	// spans of the reader's buffer the ops carry as Op.Raw.
+	lr := newLineReader(r.Body)
+	defer lr.release()
 	// The "parse" span covers the whole NDJSON decode loop (reads are
 	// interleaved with parsing, so they are inseparable here). Ended
 	// explicitly after the loop so the store commit is not counted;
 	// early-return error paths simply drop the span.
 	parseSpan := obs.FromContext(r.Context()).StartSpan("parse")
 	lineNo := 0
-	sizeHint := 0 // length of the last non-blank line: lines of one batch tend to be alike
 	for {
 		lineNo++
-		line, truncated, err := readLimitedLine(br, s.maxLineBytes(), sizeHint)
+		line, truncated, err := lr.next(s.maxLineBytes())
 		if err != nil && err != io.EOF {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -161,7 +165,6 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			lineErrs = append(lineErrs, batchLineError{Line: lineNo,
 				Error: fmt.Sprintf("line exceeds %d bytes", s.maxLineBytes())})
 		case len(line) > 0:
-			sizeHint = len(line)
 			id, raw, jerr := scanBatchLine(line)
 			if jerr != nil {
 				lineErrs = append(lineErrs, batchLineError{Line: lineNo, Error: "invalid JSON: " + jerr.Error()})
@@ -192,10 +195,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			// The wire bytes go through for the store to journal
-			// verbatim: raw is a span of this line's own buffer, which
-			// nothing else touches once the line is read.
+			// verbatim: raw is a span of the request's line buffer,
+			// capped at its own end so that nothing appended to it can
+			// reach the next line, and left alone until Apply returns.
 			seen[id] = struct{}{}
-			ops = append(ops, provstore.Op{ID: id, Doc: doc, Raw: raw})
+			ops = append(ops, provstore.Op{ID: id, Doc: doc, Raw: raw[:len(raw):len(raw)]})
 			if max := s.maxBatchDocs(); len(ops) > max {
 				writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d documents", max)
 				return
@@ -332,51 +336,73 @@ scan:
 	s.commitBatch(w, r, ops, lineErrs)
 }
 
-// readLimitedLine reads one line (without its trailing newline) from
-// br, capped at limit content bytes — the line terminator ("\n" or
-// "\r\n") does not count against the cap. An over-long line is consumed
-// to its newline and reported truncated so parsing can continue on the
-// next line with a per-line error instead of failing the whole stream.
-// Returns io.EOF (possibly alongside a final unterminated line) at end
-// of body. Every line comes back in a buffer of its own — the batch
-// handler hands spans of it to the store — which starts out sizeHint
-// bytes long when the line outgrows the reader's buffer.
-func readLimitedLine(br *bufio.Reader, limit, sizeHint int) (line []byte, truncated bool, err error) {
-	finish := func(line []byte) ([]byte, bool) {
-		line = trimEOL(line)
-		if len(line) > limit {
-			return nil, true
-		}
-		return line, false
+// lineReader reads the lines of one NDJSON request body into one
+// buffer, whose spans the batch handler hands the store as Op.Raw; they
+// stay valid until release. A buffer that has to grow leaves the spans
+// already handed out in its old array, which they keep alive, so growth
+// never moves a line under its reader. Readers are recycled with their
+// buffers through lineReaders, so once the pool is warm a request
+// allocates no line storage at all.
+type lineReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// lineReaders pools lineReaders. A buffer grown past maxPooledLineBuf
+// (a huge batch) is dropped rather than pinned in the pool, as
+// provstore's record buffers are.
+var lineReaders = sync.Pool{
+	New: func() interface{} { return &lineReader{br: bufio.NewReader(nil)} },
+}
+
+const maxPooledLineBuf = 1 << 20
+
+func newLineReader(body io.Reader) *lineReader {
+	lr := lineReaders.Get().(*lineReader)
+	lr.br.Reset(body)
+	return lr
+}
+
+// release returns lr to the pool. No line it read may be used after.
+func (lr *lineReader) release() {
+	lr.br.Reset(nil)
+	lr.buf = lr.buf[:0]
+	if cap(lr.buf) > maxPooledLineBuf {
+		lr.buf = nil
 	}
+	lineReaders.Put(lr)
+}
+
+// next reads one line (without its trailing newline), capped at limit
+// content bytes — the line terminator ("\n" or "\r\n") does not count
+// against the cap. The line is a span of lr's buffer ending at its own
+// capacity, so appending to it cannot reach the next line. An over-long
+// line is consumed to its newline, keeps no bytes and is reported
+// truncated, so parsing can continue on the next line with a per-line
+// error instead of failing the whole stream. Returns io.EOF (possibly
+// alongside a final unterminated line) at end of body.
+func (lr *lineReader) next(limit int) (line []byte, truncated bool, err error) {
+	start := len(lr.buf)
 	for {
-		chunk, rerr := br.ReadSlice('\n')
+		chunk, rerr := lr.br.ReadSlice('\n')
 		if !truncated {
-			if line == nil && rerr == bufio.ErrBufferFull {
-				// More chunks follow: start at the hint, with room for the
-				// terminator, rather than doubling up from one chunk.
-				line = make([]byte, 0, max(len(chunk), min(sizeHint, limit)+2))
-			}
-			line = append(line, chunk...)
-			if len(line) > limit+2 { // room for a trailing \r\n within the cap
-				line = nil
-				truncated = true
+			lr.buf = append(lr.buf, chunk...)
+			if len(lr.buf)-start > limit+2 { // room for a trailing \r\n within the cap
+				lr.buf, truncated = lr.buf[:start], true
 			}
 		}
 		switch rerr {
-		case nil: // hit the newline
-			if !truncated {
-				line, truncated = finish(line)
-			}
-			return line, truncated, nil
-		case bufio.ErrBufferFull: // line continues past the reader buffer
+		case bufio.ErrBufferFull: // the line continues past the reader's buffer
 			continue
-		case io.EOF:
+		case nil, io.EOF: // hit the newline, or the end of the body
 			if !truncated {
-				line, truncated = finish(line)
+				if line = trimEOL(lr.buf[start:]); len(line) > limit {
+					lr.buf, line, truncated = lr.buf[:start], nil, true
+				}
 			}
-			return line, truncated, io.EOF
+			return line[:len(line):len(line)], truncated, rerr
 		default:
+			lr.buf = lr.buf[:start]
 			return nil, truncated, rerr
 		}
 	}

@@ -10,12 +10,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/prov"
 	"repro/internal/provclient"
 	"repro/internal/provstore"
+	"repro/internal/wal"
 )
 
 // newBatchServer spins up a service over a fresh store with test
@@ -202,16 +204,57 @@ func TestReadLimitedLineBoundary(t *testing.T) {
 		{"under max", "123\n", "123", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			br := bufio.NewReaderSize(strings.NewReader(tc.body), 16)
-			line, truncated, err := readLimitedLine(br, max, 0)
+			lr := &lineReader{br: bufio.NewReaderSize(strings.NewReader(tc.body), 16)}
+			line, truncated, err := lr.next(max)
 			if err != nil && err != io.EOF {
 				t.Fatal(err)
 			}
 			if string(line) != tc.want || truncated != tc.truncated {
-				t.Fatalf("readLimitedLine(%q) = (%q, %v), want (%q, %v)",
+				t.Fatalf("next(%q) = (%q, %v), want (%q, %v)",
 					tc.body, line, truncated, tc.want, tc.truncated)
 			}
 		})
+	}
+}
+
+// TestLineReaderSequence: the lines of one body come back in order from
+// one buffer — CRLF and LF framing, blank lines, an over-long line
+// consumed and reported with the line after it still read, a final
+// line without a terminator — and every span keeps its bytes, and its
+// capacity ends with it, however often the buffer grew meanwhile.
+func TestLineReaderSequence(t *testing.T) {
+	const max = 24
+	long := strings.Repeat("x", 3*max)
+	body := "first\r\n\n" + long + "\nexactly-twenty-four-byte\r\n  \n" + strings.Repeat("y", max) + "\nlast"
+	want := []struct {
+		line      string
+		truncated bool
+	}{
+		{"first", false}, {"", false}, {"", true}, {"exactly-twenty-four-byte", false}, {"  ", false},
+		{strings.Repeat("y", max), false}, {"last", false},
+	}
+	lr := &lineReader{br: bufio.NewReaderSize(strings.NewReader(body), 16)}
+	var got [][]byte
+	for i := 0; ; i++ {
+		line, truncated, err := lr.next(max)
+		if err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if i >= len(want) || string(line) != want[i].line || truncated != want[i].truncated {
+			t.Fatalf("line %d = (%q, %v), want %+v", i+1, line, truncated, want[min(i, len(want)-1)])
+		}
+		if cap(line) != len(line) {
+			t.Fatalf("line %d: cap %d beyond its length %d", i+1, cap(line), len(line))
+		}
+		got = append(got, line)
+		if err == io.EOF {
+			break
+		}
+	}
+	for i, line := range got {
+		if string(line) != want[i].line {
+			t.Errorf("line %d now reads %q, want %q: a later line overwrote it", i+1, line, want[i].line)
+		}
 	}
 }
 
@@ -381,4 +424,116 @@ func TestBatchWriterBinary(t *testing.T) {
 	if string(gotJSON) != string(want) {
 		t.Errorf("binary-writer doc mismatch:\n got %s\nwant %s", gotJSON, want)
 	}
+}
+
+// chainBatch is an NDJSON batch of n chain documents of the given depth
+// under ids prefix-00, prefix-01, …, with each document's bytes.
+func chainBatch(t *testing.T, prefix string, n, depth int) (body []byte, ids []string, docs [][]byte) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%s-%02d", prefix, i)
+		line := chainLine(t, id, depth)
+		_, doc, err := scanBatchLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(append(body, line...), '\n')
+		ids, docs = append(ids, id), append(docs, doc)
+	}
+	return body, ids, docs
+}
+
+// serveBatch posts body to svc's batch route in process.
+func serveBatch(t *testing.T, svc http.Handler, body []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v0/documents:batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("batch: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestBatchJournalsLinesAcrossBufferGrowth: a batch larger than any
+// pooled line buffer, of lines that each span several reads, makes the
+// request's buffer grow while earlier lines' Op.Raw spans are held; the
+// journal record still carries every line's document bytes, in order.
+func TestBatchJournalsLinesAcrossBufferGrowth(t *testing.T) {
+	dir := t.TempDir()
+	store, err := provstore.Open(dir, provstore.Durability{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, docs := chainBatch(t, "grow", 32, 128)
+	if len(body) <= maxPooledLineBuf || len(docs[0]) < 8*4096 {
+		t.Fatalf("batch of %d B with %d-B documents: too small to outgrow a pooled buffer through many reads", len(body), len(docs[0]))
+	}
+	serveBatch(t, New(store), body)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(rec.Records) != 1 {
+		t.Fatalf("journal holds %d records, want the batch's one", len(rec.Records))
+	}
+	payload := rec.Records[0].Payload
+	at := 0
+	for i, doc := range docs { // ids sort in request order: the record's order too
+		n := bytes.Index(payload[at:], doc)
+		if n < 0 {
+			t.Fatalf("document %d is not in the journal record after offset %d as the request sent it", i, at)
+		}
+		at += n + len(doc)
+	}
+}
+
+// TestBatchBufferReuseKeepsEarlierBatches: two batches of the same shape
+// sent back to back through one handler — on one P, so the second reads
+// into the buffer the first released — leave both batches' documents
+// stored as sent: the store keeps no byte of a request's buffer.
+func TestBatchBufferReuseKeepsEarlierBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	store := provstore.New()
+	svc := New(store)
+	want := map[string]string{}
+	var bodies [][]byte
+	for _, prefix := range []string{"first", "again"} {
+		body, ids, docs := chainBatch(t, prefix, 8, 33)
+		bodies = append(bodies, body)
+		for i, id := range ids {
+			d, err := prov.ParseJSON(docs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id] = string(mustMarshal(t, d))
+		}
+	}
+	for _, body := range bodies { // nothing between them to clear the pool
+		serveBatch(t, svc, body)
+	}
+	if got := store.List(); len(got) != len(want) {
+		t.Fatalf("store lists %v, want %d documents", got, len(want))
+	}
+	for id, w := range want {
+		v, ok := store.View(id)
+		if !ok {
+			t.Fatalf("%s missing: the store lists %v", id, store.List())
+		}
+		if got := string(mustMarshal(t, v.Document())); got != w {
+			t.Errorf("%s now reads\n%s\nwant\n%s", id, got, w)
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, d *prov.Document) []byte {
+	t.Helper()
+	raw, err := d.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

@@ -211,13 +211,13 @@ func TestPutNonObjectBodyRejected(t *testing.T) {
 }
 
 // chainLine is one batch line carrying a chain document of the shape
-// and size the service ingests in bulk.
+// and size the service ingests in bulk; its attribute values name id.
 func chainLine(t *testing.T, id string, depth int) []byte {
 	t.Helper()
 	d := prov.NewDocument()
 	for i := 0; i < depth; i++ {
 		e, a := prov.QName(fmt.Sprintf("ex:e%d", i)), prov.QName(fmt.Sprintf("ex:a%d", i))
-		d.AddEntity(e, prov.Attrs{"ex:tag": prov.Str(fmt.Sprintf("%016x", i))})
+		d.AddEntity(e, prov.Attrs{"ex:tag": prov.Str(fmt.Sprintf("%s/%016x", id, i))})
 		d.AddActivity(a, nil)
 		d.WasGeneratedBy(e, a, time.Time{})
 		if i > 0 {
@@ -252,11 +252,11 @@ func allocatedBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestBatchRequestCopiesNoDocumentBytes: a 32-line request allocates
-// one buffer per line — which the doc span and Op.Raw alias — on top of
-// what decoding and validating the documents costs. The old path's
-// doubling line buffer plus RawMessage copy put three to four times the
-// body on the heap here.
+// TestBatchRequestCopiesNoDocumentBytes: once the line reader pool is
+// warm, a 32-line request allocates no line storage at all — the lines
+// land in a recycled buffer, which the doc spans and Op.Raw alias — and
+// little else on top of what decoding and validating the documents
+// costs.
 func TestBatchRequestCopiesNoDocumentBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const lines = 32
@@ -306,9 +306,9 @@ func TestBatchRequestCopiesNoDocumentBytes(t *testing.T) {
 		}
 	}
 	overhead := int64(request) - int64(decode)
-	limit := int64(body.Len()) * 3 / 2
+	limit := int64(body.Len()) / 8
 	t.Logf("body %d B: request allocates %d B, decoding its documents %d B, the rest %d B (limit %d)", body.Len(), request, decode, overhead, limit)
-	if overhead > limit {
-		t.Errorf("reading and scanning %d B of lines allocates %d B beyond the decode: more than one buffer per line", body.Len(), overhead)
+	if overhead > limit && !raceEnabled {
+		t.Errorf("reading and scanning %d B of lines allocates %d B beyond the decode: line storage is not recycled", body.Len(), overhead)
 	}
 }

@@ -52,11 +52,14 @@ func TestCheckpointEncodesOnlyWhatChanged(t *testing.T) {
 	dir := t.TempDir()
 	opts := Durability{SnapshotEvery: -1, Shards: 4}
 	id := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
+	stored := make(map[string]string) // id -> JSON of the document put last
 	put := func(s *Store, i int, version string) {
 		t.Helper()
-		if err := s.Put(id(i), compatDoc(t, fmt.Sprintf("%s-%d", version, i), 40)); err != nil {
+		doc := compatDoc(t, fmt.Sprintf("%s-%d", version, i), 40)
+		if err := s.Put(id(i), doc); err != nil {
 			t.Fatal(err)
 		}
+		stored[id(i)] = string(mustJSON(t, doc))
 	}
 	wantCost := func(s *Store, label string, wantDocs, wantEncoded int) {
 		t.Helper()
@@ -94,19 +97,23 @@ func TestCheckpointEncodesOnlyWhatChanged(t *testing.T) {
 		t.Errorf("checkpoint of an unchanged store allocated %d bytes for a %d-byte payload, want <= 1.1x", alloc, payload)
 	}
 
-	// Every entry now holds its own document's encoding, exactly sized.
+	// Every entry now holds its own document's encoding, exactly sized,
+	// in place of the decoded document.
 	s.eachEntry(func(e *entry) {
 		if e.blob == nil || cap(e.blob) != len(e.blob) {
 			t.Errorf("%s: blob len %d cap %d, want a blob with cap == len", e.id, len(e.blob), cap(e.blob))
 			return
+		}
+		if e.doc.Load() != nil {
+			t.Errorf("%s: still holds its decoded document after a checkpoint", e.id)
 		}
 		d, err := prov.ParseBinary(e.blob)
 		if err != nil {
 			t.Errorf("%s: blob does not decode: %v", e.id, err)
 			return
 		}
-		if string(mustJSON(t, d)) != string(mustJSON(t, e.doc)) {
-			t.Errorf("%s: blob encodes a different document than the entry holds", e.id)
+		if string(mustJSON(t, d)) != stored[e.id] {
+			t.Errorf("%s: blob encodes a different document than the one put", e.id)
 		}
 	})
 	want := snapshotJSON(t, s)

@@ -338,18 +338,21 @@ func decodeLegacyOp(m *mutation, op journalOp, batchOK bool) error {
 // appendSnapshot encodes the full-state snapshot in binary: tag, the
 // writer's shard count, then per entry a length-prefixed id and a tagged
 // doc blob. An entry that holds its blob is copied; one that does not is
-// encoded first and keeps the result, so the next snapshot copies it too.
-// dst grows once, to a size worked out from the blob lengths. encoded is
-// the number of entries it had to encode. The caller holds Store.snapMu
-// (see entry.blob).
+// encoded first and keeps the result in place of its decoded document,
+// so the next snapshot copies it too. dst grows once, to a size worked
+// out from the blob lengths. encoded is the number of entries it had to
+// encode. The caller holds Store.snapMu (see entry.blob).
 func appendSnapshot(dst []byte, entries []*entry, shards int) (_ []byte, encoded int) {
 	var scratch []byte
 	need := 32
 	for _, e := range entries {
 		if e.blob == nil {
-			scratch = prov.AppendBinary(scratch[:0], e.doc)
+			scratch = prov.AppendBinary(scratch[:0], e.doc.Load())
 			e.blob = make([]byte, len(scratch)) // exactly sized: append's slack would stay live with the entry
 			copy(e.blob, scratch)
+			// Blob first, then the pointer: a reader that loads nil finds
+			// the blob it decodes instead.
+			e.doc.Store(nil)
 			encoded++
 		}
 		need += len(e.id) + len(e.blob) + 16

@@ -13,10 +13,11 @@ import (
 // used by many pipelines, a run document paired from a workflow). The
 // union traversal below follows relation edges across *all* stored
 // documents, keyed by qualified name — the store-level counterpart of
-// the paper's multi-level provenance exploration. The documents are
+// the paper's multi-level provenance exploration. The entries are
 // gathered shard by shard (brief read lock each, see eachEntry); the
-// union/merge itself runs lock-free on the immutable entries, and every
-// output is sorted, so results are deterministic for any shard count.
+// union/merge itself runs lock-free on their immutable indexes — no
+// document is read, so none is decoded — and every output is sorted, so
+// results are deterministic for any shard count.
 
 // CrossNode is one node of a cross-document traversal result.
 type CrossNode struct {
@@ -32,17 +33,21 @@ func (s *Store) CrossDocLineage(start prov.QName, dir LineageDirection, depth in
 	if dir != Ancestors && dir != Descendants {
 		return nil, fmt.Errorf("provstore: bad lineage direction %q", dir)
 	}
-	// Union adjacency over qualified names + node->docs index.
+	pdir := prov.Forward
+	if dir == Descendants {
+		pdir = prov.Reverse
+	}
+	// Union adjacency over qualified names + node->docs index, from each
+	// entry's index: its rows are the document's relations.
 	adj := map[prov.QName][]prov.QName{}
 	docsOf := nodeDocs{}
 	s.eachEntry(func(e *entry) {
 		docsOf.add(e)
-		for _, r := range e.doc.Relations {
-			from, to := r.Subject, r.Object
-			if dir == Descendants {
-				from, to = to, from
+		names := e.ix.Names()
+		for i, from := range names {
+			for _, to := range e.ix.Row(int32(i), pdir) {
+				adj[from] = append(adj[from], names[to])
 			}
-			adj[from] = append(adj[from], to)
 		}
 	})
 	for _, next := range adj {
@@ -115,11 +120,13 @@ func (s *Store) SharedNodes() []CrossNode {
 // declaring it.
 type nodeDocs map[prov.QName]map[string]bool
 
+// add records e's elements: its index's nodes, which are exactly the
+// declared elements because newEntry refuses a relation to any other.
 func (nd nodeDocs) add(e *entry) {
-	e.eachElement(func(_ string, el *prov.Element) {
-		if nd[el.ID] == nil {
-			nd[el.ID] = map[string]bool{}
+	for _, q := range e.ix.Names() {
+		if nd[q] == nil {
+			nd[q] = map[string]bool{}
 		}
-		nd[el.ID][e.id] = true
-	})
+		nd[q][e.id] = true
+	}
 }

@@ -1,0 +1,462 @@
+package provstore
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/prov"
+)
+
+// An entry holds its decoded document only until the document's binary
+// encoding exists (see entry). These tests pin what that changes —
+// nothing any read returns — and what it saves.
+
+// runDoc is run i of an experiment: documents share the dataset and
+// each names the previous run's model, so cross-document traversal has
+// junctions to pivot on. Times are in a non-UTC zone.
+func runDoc(i int) *prov.Document {
+	zone := time.FixedZone("CEST", 2*3600)
+	d := prov.NewDocument()
+	run := prov.QName(fmt.Sprintf("ex:run-%d", i))
+	model := prov.QName(fmt.Sprintf("ex:model-%d", i))
+	d.AddEntity("ex:dataset", prov.Attrs{"prov:type": prov.Str("provml:Dataset"), "ex:rows": prov.Int(1000)})
+	d.AddEntity(model, prov.Attrs{"prov:type": prov.Str("provml:Model"), "ex:lr": prov.Float(0.25), "ex:owner": prov.Str(fmt.Sprintf("team-%d", i%3))})
+	act := d.AddActivity(run, prov.Attrs{"prov:type": prov.Str("provml:RunExecution")})
+	act.StartTime = time.Date(2026, 3, 1, 9, i, 0, 0, zone)
+	act.EndTime = time.Date(2026, 3, 1, 10, i, 30, 0, zone)
+	d.Used(run, "ex:dataset", time.Date(2026, 3, 1, 9, i, 5, 0, zone))
+	d.WasGeneratedBy(model, run, time.Date(2026, 3, 1, 10, i, 0, 0, zone))
+	if i > 0 {
+		prev := prov.QName(fmt.Sprintf("ex:model-%d", i-1))
+		d.AddEntity(prev, nil)
+		d.WasDerivedFrom(model, prev)
+	}
+	return d
+}
+
+// storeWideReads is every store-wide read's answer on the runDoc store.
+type storeWideReads struct {
+	Lineage  [][]CrossNode
+	Shared   []CrossNode
+	ByType   [][]SearchResult
+	ByAttr   [][]SearchResult
+	Decoding [][]SearchResult // the one kind that reads documents
+}
+
+func readStoreWide(t *testing.T, s *Store, decode bool) storeWideReads {
+	t.Helper()
+	var r storeWideReads
+	for _, q := range []struct {
+		start prov.QName
+		dir   LineageDirection
+		depth int
+	}{{"ex:dataset", Descendants, 0}, {"ex:model-9", Ancestors, 0}, {"ex:model-2", Descendants, 2}, {"ex:run-4", Ancestors, 1}} {
+		nodes, err := s.CrossDocLineage(q.start, q.dir, q.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Lineage = append(r.Lineage, nodes)
+	}
+	r.Shared = s.SharedNodes()
+	for _, typ := range []string{"provml:Model", "provml:Dataset", "provml:RunExecution", "provml:Nothing"} {
+		r.ByType = append(r.ByType, s.FindByType(typ))
+	}
+	r.ByAttr = append(r.ByAttr, s.FindByAttr(typeKey, "provml:Model"))
+	if decode {
+		r.Decoding = append(r.Decoding,
+			s.FindByAttr("ex:owner", "team-1"), s.FindByAttr("ex:lr", 0.25), s.FindByAttr("qname", "ex:dataset"), s.FindByAttr("doc", "run-3"))
+	}
+	return r
+}
+
+// TestStoreWideReadsSameWithoutDocuments: cross-document lineage, shared
+// nodes and type search answer from each entry's index and type hits,
+// attribute search from its document, and all of them answer the same
+// before a checkpoint, after it (every entry holds its blob alone) and
+// after reopening the directory (entries built from the snapshot). With
+// every blob made undecodable, all but the attribute search on another
+// key still answer: they never read a document.
+func TestStoreWideReadsSameWithoutDocuments(t *testing.T) {
+	const n = 10
+	dir := t.TempDir()
+	opts := Durability{SnapshotEvery: -1, Shards: 4}
+	s := openTemp(t, dir, opts)
+	for i := 0; i < n; i++ {
+		if err := s.Put(fmt.Sprintf("run-%d", i), runDoc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := readStoreWide(t, s, true)
+	if len(want.Lineage[0]) != 2*n || len(want.Shared) != n || len(want.ByType[0]) != n || len(want.Decoding[0]) == 0 {
+		t.Fatalf("unexpected baseline: %+v", want)
+	}
+	same := func(label string, got storeWideReads) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", label, got, want)
+		}
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	same("after the checkpoint", readStoreWide(t, s, true))
+
+	blobs := map[*entry][]byte{}
+	s.eachEntry(func(e *entry) { blobs[e], e.blob = e.blob, []byte{0xFF} })
+	got := readStoreWide(t, s, false)
+	got.Decoding = want.Decoding
+	same("with undecodable blobs", got)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an attribute search decoded no document")
+			}
+		}()
+		s.FindByAttr("ex:owner", "team-1")
+	}()
+	for e, b := range blobs {
+		e.blob = b
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	same("after reopening", readStoreWide(t, openTemp(t, dir, opts), true))
+}
+
+// holdsDocument reports, per id, whether the entry holds its decoded
+// document, and checks that exactly one of document and blob is set.
+func holdsDocument(t *testing.T, s *Store) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	s.eachEntry(func(e *entry) {
+		holds := e.doc.Load() != nil
+		if holds == (e.blob != nil) {
+			t.Errorf("%s: holds its document %v and a %d-byte blob: want exactly one", e.id, holds, len(e.blob))
+		}
+		out[e.id] = holds
+	})
+	return out
+}
+
+// TestCheckpointDropsDecodedDocuments: a checkpoint leaves no entry of a
+// journaled store holding its decoded document; an entry recovered from
+// a snapshot never holds one, an entry written after it (journal tail)
+// holds its own until the next checkpoint. The count is on /stats and
+// on the yprov_store_decoded_documents gauge, and the documents read
+// back the same whichever form they are held in.
+func TestCheckpointDropsDecodedDocuments(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	opts := Durability{SnapshotEvery: -1, Shards: 2}
+	s := openTemp(t, dir, opts)
+	gauge := func(s *Store, want int) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		s.RegisterObs(reg)
+		var b bytes.Buffer
+		reg.WritePrometheus(&b)
+		sample := fmt.Sprintf("yprov_store_decoded_documents %d\n", want)
+		if got := s.Stats().DecodedDocuments; got != want || !strings.Contains(b.String(), sample) {
+			t.Errorf("decoded documents: stats %d, want %d; /metrics has %q: %v", got, want, sample, strings.Contains(b.String(), sample))
+		}
+	}
+	wantJSON := map[string]string{}
+	put := func(s *Store, id string, i int) {
+		t.Helper()
+		doc := runDoc(i)
+		if err := s.Put(id, doc); err != nil {
+			t.Fatal(err)
+		}
+		wantJSON[id] = string(mustJSON(t, doc))
+	}
+	readsBack := func(s *Store, label string) {
+		t.Helper()
+		for id, w := range wantJSON {
+			v, ok := s.View(id)
+			if !ok {
+				t.Fatalf("%s: %s missing", label, id)
+			}
+			if got := string(mustJSON(t, v.Document())); got != w {
+				t.Errorf("%s: %s reads\n%s\nwant\n%s", label, id, got, w)
+			}
+			if got, _ := s.Get(id); string(mustJSON(t, got)) != w {
+				t.Errorf("%s: Get(%s) differs", label, id)
+			}
+		}
+	}
+
+	for i := 0; i < n; i++ {
+		put(s, fmt.Sprintf("run-%d", i), i)
+	}
+	for id, holds := range holdsDocument(t, s) {
+		if !holds {
+			t.Errorf("%s holds no document before any checkpoint", id)
+		}
+	}
+	gauge(s, n)
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for id, holds := range holdsDocument(t, s) {
+		if holds {
+			t.Errorf("%s still holds its document after the checkpoint", id)
+		}
+	}
+	gauge(s, 0)
+	readsBack(s, "after the checkpoint")
+
+	// Two writes after the checkpoint: the journal tail.
+	tail := map[string]bool{"run-0": true, "run-new": true}
+	put(s, "run-0", n)
+	put(s, "run-new", n+1)
+	gauge(s, len(tail))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openTemp(t, dir, opts)
+	for id, holds := range holdsDocument(t, s) {
+		if holds != tail[id] {
+			t.Errorf("reopened: %s holds its document %v, want %v (journal tail: %v)", id, holds, tail[id], tail[id])
+		}
+	}
+	gauge(s, len(tail))
+	readsBack(s, "after reopening")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	gauge(s, 0)
+	readsBack(s, "after the second checkpoint")
+}
+
+// TestBlobOnlyReadsRace (run under -race): readers take views, decode
+// documents, extract subgraphs and run attribute and cross-document
+// searches while writers replace the same ids and checkpoints run back
+// to back, each one turning the entries it meets blob-only under the
+// readers' feet. Every view reads as one of the versions written.
+func TestBlobOnlyReadsRace(t *testing.T) {
+	s := openTemp(t, t.TempDir(), Durability{SnapshotEvery: -1, Shards: 2})
+	const ids, writers, rounds = 6, 2, 25
+	id := func(i int) string { return fmt.Sprintf("run-%d", i) }
+	// Version r of document i is runDoc(i + r*ids): JSON known up front.
+	versions := map[string]bool{}
+	for i := 0; i < ids*(rounds+1); i++ {
+		versions[string(mustJSON(t, runDoc(i)))] = true
+	}
+	for i := 0; i < ids; i++ {
+		if err := s.Put(id(i), runDoc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 1; r <= rounds; r++ {
+				for i := w; i < ids; i += writers {
+					if err := s.Put(id(i), runDoc(i+r*ids)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v, ok := s.View(id(k % ids))
+				if !ok {
+					t.Errorf("%s missing", id(k%ids))
+					return
+				}
+				if !versions[string(mustJSON(t, v.Document()))] {
+					t.Errorf("%s reads a version nobody wrote", id(k%ids))
+					return
+				}
+				if _, err := v.Subgraph("ex:dataset", 1); err != nil {
+					t.Error(err)
+					return
+				}
+				if len(s.FindByAttr("ex:lr", 0.25)) != ids {
+					t.Error("attribute search lost documents")
+					return
+				}
+				if _, err := s.CrossDocLineage("ex:dataset", Descendants, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+}
+
+// corpusDoc is document i of a corpus shaped like the service
+// benchmark's: used/wasGeneratedBy chains of depth 12, 64 or 256 (24, 7
+// and 1 in every 32 documents), a 16-hex-digit tag on every entity, the
+// last entity typed as a model.
+func corpusDoc(i int) *prov.Document {
+	depth := 12
+	switch i % 32 {
+	case 0:
+		depth = 256
+	case 1, 2, 3, 4, 5, 6, 7:
+		depth = 64
+	}
+	d := prov.NewDocument()
+	for j := 0; j < depth; j++ {
+		e, a := prov.QName(fmt.Sprintf("ex:e%d", j)), prov.QName(fmt.Sprintf("ex:a%d", j))
+		attrs := prov.Attrs{"bench:tag": prov.Str(fmt.Sprintf("%016x", uint64(i)<<20|uint64(j)))}
+		if j == depth-1 {
+			attrs["prov:type"] = prov.Str("provml:Model")
+		}
+		d.AddEntity(e, attrs)
+		d.AddActivity(a, nil)
+		if j > 0 {
+			d.Used(a, prov.QName(fmt.Sprintf("ex:e%d", j-1)), time.Time{})
+		}
+		d.WasGeneratedBy(e, a, time.Time{})
+	}
+	return d
+}
+
+// fillCorpus stores corpus documents 0..n-1 the way the service does:
+// batches of 32, each document decoded from its PROV-JSON, which goes to
+// the journal verbatim. It returns the PROV-JSON bytes stored.
+func fillCorpus(tb testing.TB, s *Store, n int) (jsonBytes int) {
+	tb.Helper()
+	for b := 0; b < n; b += 32 {
+		var ops []Op
+		for i := b; i < min(b+32, n); i++ {
+			raw, err := corpusDoc(i).MarshalJSON()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			doc, err := prov.ParseJSON(raw)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			ops = append(ops, Op{ID: fmt.Sprintf("doc-%04d", i), Doc: doc, Raw: raw})
+			jsonBytes += len(raw)
+		}
+		if err := s.Apply(context.Background(), ops); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return jsonBytes
+}
+
+// liveHeap is the heap in use after two full collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestCheckpointHalvesRetainedHeap: what a journaled store of
+// corpus-shaped documents keeps on the heap more than halves once a
+// checkpoint has turned its entries blob-only — the decoded documents
+// were most of it.
+func TestCheckpointHalvesRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting under the race detector is not the program's")
+	}
+	base := liveHeap()
+	s := openTemp(t, t.TempDir(), Durability{SnapshotEvery: -1, Shards: 2})
+	jsonBytes := fillCorpus(t, s, 256)
+	held := liveHeap() - base
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	kept := liveHeap() - base
+	t.Logf("%d B of PROV-JSON: the store retains %d B (%.2f B/B) holding documents decoded, %d B (%.2f B/B) holding blobs",
+		jsonBytes, held, float64(held)/float64(jsonBytes), kept, float64(kept)/float64(jsonBytes))
+	if kept >= held/2 {
+		t.Errorf("after the checkpoint the store retains %d B, not under half the %d B it did before", kept, held)
+	}
+	runtime.KeepAlive(s)
+}
+
+// chainStore is a journaled store of n corpus documents, checkpointed:
+// its entries hold their blobs alone.
+func chainStore(b *testing.B, n int) *Store {
+	s, err := Open(b.TempDir(), Durability{SnapshotEvery: -1, Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = s.Close() })
+	fillCorpus(b, s, n)
+	if err := s.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkCrossDocLineage: the union traversal over every stored
+// document of a 1 024-document corpus, from the root of every chain.
+func BenchmarkCrossDocLineage(b *testing.B) {
+	s := chainStore(b, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes, err := s.CrossDocLineage("ex:e0", Descendants, 0)
+		if err != nil || len(nodes) != 2*256-2 {
+			b.Fatalf("%d nodes, %v", len(nodes), err)
+		}
+	}
+}
+
+// BenchmarkFindByType: a type search matching one element in each of
+// 1 024 documents.
+func BenchmarkFindByType(b *testing.B) {
+	s := chainStore(b, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if hits := s.FindByType("provml:Model"); len(hits) != 1024 {
+			b.Fatalf("%d hits", len(hits))
+		}
+	}
+}

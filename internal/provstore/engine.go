@@ -140,10 +140,10 @@ func (s *Store) eachEntry(fn func(*entry)) {
 // search returns the elements whose attribute key equals want, in
 // (Doc, Node) order so the output is identical for any shard count. A
 // string search on prov:type visits only the documents the shards'
-// type postings name; any other visits every document.
+// type postings name and answers from the prov:type hits each entry
+// keeps; any other reads every document, decoding those held as a blob.
 func (s *Store) search(key string, want interface{}) []SearchResult {
 	var out []SearchResult
-	visit := func(e *entry) { out = e.appendMatches(out, key, want) }
 	if typeName, ok := want.(string); ok && key == typeKey {
 		var batch []*entry
 		for _, sh := range s.shards {
@@ -154,11 +154,11 @@ func (s *Store) search(key string, want interface{}) []SearchResult {
 			}
 			sh.mu.RUnlock()
 			for _, e := range batch {
-				visit(e)
+				out = e.appendTypeMatches(out, typeName)
 			}
 		}
 	} else {
-		s.eachEntry(visit)
+		s.eachEntry(func(e *entry) { out = e.appendMatches(out, key, want) })
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Doc != out[j].Doc {

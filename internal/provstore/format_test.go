@@ -104,7 +104,11 @@ func TestRecordFormatGoldenEncode(t *testing.T) {
 	wantBytes(t, "put record", appendRecord(nil, put, goldenShards-1, goldenTrace), golden["put"])
 	wantBytes(t, "delete record", appendRecord(nil, del, goldenShards-1, goldenTrace), golden["del"])
 	wantBytes(t, "batch record", appendRecord(nil, sorted, goldenShards-1, goldenTrace), golden["batch"])
-	snap, encoded := appendSnapshot(nil, []*entry{{id: "run/a", doc: put[0].Doc}}, goldenShards)
+	e, err := newEntry("run/a", put[0].Doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, encoded := appendSnapshot(nil, []*entry{e}, goldenShards)
 	wantBytes(t, "snapshot", snap, golden["snap"])
 	if encoded != 1 {
 		t.Errorf("snapshot of one blob-less entry encoded %d documents, want 1", encoded)

@@ -61,8 +61,8 @@ type mutation struct {
 	seq    uint64
 	// blobs, when non-nil, runs parallel to ops: blobs[i] is the binary
 	// encoding of ops[i].Doc that the entry built for it keeps
-	// (entry.blob), or nil. The mutation owns them. Only a decoded
-	// snapshot has any (decodeSnapshotInto).
+	// (entry.blob) instead of the document, or nil. The mutation owns
+	// them. Only a decoded snapshot has any (decodeSnapshotInto).
 	blobs [][]byte
 }
 
@@ -171,12 +171,13 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	span := tr.StartSpan("project")
 	for i := range m.ops {
 		if op := &m.ops[i]; op.Doc != nil {
-			if slots[i].installed, err = newEntry(op.ID, op.Doc); err != nil {
+			var blob []byte
+			if m.blobs != nil {
+				blob = m.blobs[i]
+			}
+			if slots[i].installed, err = newEntry(op.ID, op.Doc, blob); err != nil {
 				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
 				break
-			}
-			if m.blobs != nil {
-				slots[i].installed.blob = m.blobs[i]
 			}
 		}
 	}

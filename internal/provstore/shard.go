@@ -3,7 +3,6 @@ package provstore
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,16 +13,19 @@ import (
 // shards keep postings for.
 const typeKey = "prov:type"
 
-// entry is one stored version of a document: the document, the
-// traversal index built from it and the sequence it was installed
-// under. All are immutable from the moment the entry is installed in a
-// shard, so a reader fetches the pointer under the shard's read lock and
-// works on it unlocked — it sees exactly one version, and that version's
-// number, however the id is replaced or deleted meanwhile. The one
-// exception is blob, which no reader may touch.
+// entry is one stored version of a document: its traversal index, what
+// the store answers without the document (counts, prov:type hits), the
+// sequence it was installed under, and the document itself — decoded,
+// or as its binary blob once it has one. A reader fetches the pointer
+// under the shard's read lock and works on it unlocked: it sees exactly
+// one version, and that version's number, however the id is replaced or
+// deleted meanwhile. Everything but doc and blob is immutable from
+// installation; those two change representation, never content.
 type entry struct {
-	id  string
-	doc *prov.Document
+	id string
+	// doc is the decoded document while the entry has no blob, nil from
+	// the moment it has one (see blob); read it through document.
+	doc atomic.Pointer[prov.Document]
 	ix  *prov.Index
 	// seq is the sequence of the mutation that installed the entry: its
 	// journal record's, the snapshot's for a document recovered from one,
@@ -33,61 +35,105 @@ type entry struct {
 	// not persisted: replay reads it off the record or snapshot that
 	// carries the document.
 	seq uint64
-	// types lists the distinct string values of the elements' prov:type
-	// attribute, the keys this entry is posted under in shard.byType.
-	types []string
-	// blob is doc's binary encoding (prov.AppendBinary), exactly sized
-	// (cap == len), as every snapshot stores it; nil until someone has
-	// encoded the document. It is written once: by Store.apply when it
-	// builds the entry for a recovered snapshot's document (mutation.blobs:
-	// a copy of the bytes the document was decoded from), before the entry
-	// is installed, or else by the first checkpoint that meets the entry.
-	// Checkpoints (appendSnapshot, under Store.snapMu) are its only
-	// readers and its only writers after installation. A blob belongs to
-	// its entry and entries are swapped, never edited, so a blob cannot
-	// outlive the version it encodes.
+	// nodes and rels are the document's element (per class) and relation
+	// counts.
+	nodes, rels int
+	// types lists every element whose prov:type has a string form: what
+	// FindByType answers, and the keys of the entry's shard.byType posts.
+	types []typeHit
+	// blob is the document's binary encoding (prov.AppendBinary), exactly
+	// sized (cap == len), as every snapshot stores it; nil until someone
+	// has encoded the document. It is written once: by newEntry for a
+	// recovered snapshot's document (mutation.blobs: a copy of the bytes
+	// the document was decoded from), which then never sets doc, or else
+	// by the first checkpoint that meets the entry, under Store.snapMu,
+	// before that checkpoint clears doc. A reader that finds doc nil
+	// therefore finds blob set. A blob belongs to its entry and entries
+	// are swapped, never edited, so a blob cannot outlive the version it
+	// encodes.
 	blob []byte
 }
 
-// newEntry builds the entry storing doc under id; the entry keeps doc
-// itself, which every mutation owns. A relation naming an element the
-// document does not declare is an error: Apply's validation rejects it
-// earlier, a replicated or replayed record gets no other check.
-func newEntry(id string, doc *prov.Document) (*entry, error) {
-	e := &entry{id: id, doc: doc, ix: prov.NewIndex(doc)}
+// typeHit is one element with a prov:type: the type's string form, the
+// element and its class.
+type typeHit struct {
+	typ   string
+	node  prov.QName
+	class string
+}
+
+// newEntry builds the entry storing doc under id: it keeps blob, doc's
+// encoding, when there is one, and doc itself, which every mutation
+// owns, when there is not. A relation naming an element the document
+// does not declare is an error: Apply's validation rejects it earlier,
+// a replicated or replayed record gets no other check.
+func newEntry(id string, doc *prov.Document, blob []byte) (*entry, error) {
+	e := &entry{id: id, ix: prov.NewIndex(doc), blob: blob}
 	if r := e.ix.Dangling(); r != nil {
 		return nil, fmt.Errorf("relation %s references unknown nodes", r.ID)
 	}
-	e.eachElement(func(_ string, el *prov.Element) {
-		v, ok := el.Attrs[typeKey]
-		if !ok {
-			return
-		}
-		if t, ok := stringForm(v); ok && !slices.Contains(e.types, t) {
-			e.types = append(e.types, t)
+	st := doc.Stats()
+	e.nodes, e.rels = st.Entities+st.Activities+st.Agents, st.Relations
+	eachElement(doc, func(class string, el *prov.Element) {
+		if v, ok := el.Attrs[typeKey]; ok {
+			if t, ok := stringForm(v); ok {
+				e.types = append(e.types, typeHit{t, el.ID, class})
+			}
 		}
 	})
+	if blob == nil {
+		e.doc.Store(doc)
+	}
 	return e, nil
 }
 
-// eachElement calls fn for every element with its class name.
-func (e *entry) eachElement(fn func(class string, el *prov.Element)) {
-	for _, el := range e.doc.Entities {
+// document returns the entry's document, shared and not to be modified:
+// the decoded one while the entry holds it, else a fresh decode of the
+// blob, which fresh reports — a document nobody else references.
+func (e *entry) document() (doc *prov.Document, fresh bool) {
+	if doc := e.doc.Load(); doc != nil {
+		return doc, false
+	}
+	doc, err := prov.ParseBinary(e.blob)
+	if err != nil {
+		// The blob is AppendBinary's output, or bytes a recovered
+		// document was decoded from: it cannot fail to decode.
+		panic(fmt.Sprintf("provstore: stored blob of %q does not decode: %v", e.id, err))
+	}
+	return doc, true
+}
+
+// eachElement calls fn for every element of doc with its class name.
+func eachElement(doc *prov.Document, fn func(class string, el *prov.Element)) {
+	for _, el := range doc.Entities {
 		fn("Entity", el)
 	}
-	for _, a := range e.doc.Activities {
+	for _, a := range doc.Activities {
 		fn("Activity", &a.Element)
 	}
-	for _, el := range e.doc.Agents {
+	for _, el := range doc.Agents {
 		fn("Agent", el)
 	}
 }
 
+// appendTypeMatches appends the elements whose prov:type has the string
+// form want.
+func (e *entry) appendTypeMatches(out []SearchResult, want string) []SearchResult {
+	for _, h := range e.types {
+		if h.typ == want {
+			out = append(out, SearchResult{Doc: e.id, Node: h.node, Class: h.class})
+		}
+	}
+	return out
+}
+
 // appendMatches appends the elements whose attribute key equals want.
 // Two keys are synthetic: "qname" is the element's qualified name and
-// "doc" the document id (an attribute of that name shadows them).
+// "doc" the document id (an attribute of that name shadows them). It
+// reads the document, decoding the blob of an entry that holds none.
 func (e *entry) appendMatches(out []SearchResult, key string, want interface{}) []SearchResult {
-	e.eachElement(func(class string, el *prov.Element) {
+	doc, _ := e.document()
+	eachElement(doc, func(class string, el *prov.Element) {
 		v, ok := el.Attrs[key]
 		switch {
 		case ok:
@@ -175,10 +221,10 @@ func newShard() *shard {
 func (sh *shard) swap(id string, e *entry) (prev *entry) {
 	if prev = sh.docs[id]; prev != nil {
 		sh.account(prev, -1)
-		for _, t := range prev.types {
-			delete(sh.byType[t], id)
-			if len(sh.byType[t]) == 0 {
-				delete(sh.byType, t)
+		for _, h := range prev.types {
+			delete(sh.byType[h.typ], id)
+			if len(sh.byType[h.typ]) == 0 {
+				delete(sh.byType, h.typ)
 			}
 		}
 	}
@@ -188,11 +234,11 @@ func (sh *shard) swap(id string, e *entry) (prev *entry) {
 	}
 	sh.docs[id] = e
 	sh.account(e, 1)
-	for _, t := range e.types {
-		if sh.byType[t] == nil {
-			sh.byType[t] = make(map[string]struct{})
+	for _, h := range e.types {
+		if sh.byType[h.typ] == nil {
+			sh.byType[h.typ] = make(map[string]struct{})
 		}
-		sh.byType[t][id] = struct{}{}
+		sh.byType[h.typ][id] = struct{}{}
 	}
 	return prev
 }
@@ -200,9 +246,21 @@ func (sh *shard) swap(id string, e *entry) (prev *entry) {
 // account adds (sign 1) or removes (sign -1) e's element and relation
 // counts.
 func (sh *shard) account(e *entry, sign int) {
-	st := e.doc.Stats()
-	sh.nodes += sign * (st.Entities + st.Activities + st.Agents)
-	sh.rels += sign * st.Relations
+	sh.nodes += sign * e.nodes
+	sh.rels += sign * e.rels
+}
+
+// decoded counts the shard's entries that hold a decoded document;
+// sh.mu must be held, read or write. The pointers are loaded
+// atomically, so it races with no checkpoint clearing one.
+func (sh *shard) decoded() int {
+	n := 0
+	for _, e := range sh.docs {
+		if e.doc.Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // entries appends the shard's entries to buf under a brief read lock;

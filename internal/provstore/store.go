@@ -4,14 +4,21 @@
 // is split into N power-of-two shards keyed by a hash of the document
 // id; each shard owns its own entry map and lock, so uploads and lineage
 // queries on different documents never contend. A stored document is
-// one immutable entry — the document plus the prov.Index built from it
-// when it was written — so a replace or delete swaps or drops a pointer,
-// and a read fetches the pointer under the shard's read lock and
-// traverses unlocked: one lock level, work proportional to the
-// document, exactly one version seen. Cross-document operations fan out
-// over the shards and merge with deterministic ordering. Every write —
-// a local Apply, a replicated record, a record replayed at recovery —
-// runs through one mutation pipeline (mutation.go).
+// one immutable entry — the prov.Index built from the document when it
+// was written, plus the document — so a replace or delete swaps or
+// drops a pointer, and a read fetches the pointer under the shard's
+// read lock and traverses unlocked: one lock level, work proportional
+// to the document, exactly one version seen. An entry holds its
+// document decoded only until the document's binary encoding exists:
+// the checkpoint that encodes it for a snapshot drops the decoded form,
+// and an entry recovered from a snapshot never has one. Lineage, type
+// search and cross-document traversal answer from the index and what
+// the entry extracted when it was built; the few reads that need the
+// document itself decode the blob (entry.document). Cross-document
+// operations fan out over the shards and merge with deterministic
+// ordering. Every write — a local Apply, a replicated record, a record
+// replayed at recovery — runs through one mutation pipeline
+// (mutation.go).
 //
 // There is one notion of version. Every mutation has a sequence: its
 // journal record's, or on an in-memory store the next tick of the same
@@ -132,6 +139,9 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 	reg.RegisterGaugeFunc("yprov_store_documents",
 		"Documents currently stored.", nil,
 		func() float64 { return float64(s.Count()) })
+	reg.RegisterGaugeFunc("yprov_store_decoded_documents",
+		"Stored documents held decoded rather than as their binary blob alone.", nil,
+		func() float64 { return float64(s.Stats().DecodedDocuments) })
 	reg.RegisterGaugeFunc("yprov_store_applied_seq",
 		"Journal sequence high-water mark applied to the store.", nil,
 		func() float64 { return float64(s.AppliedSeq()) })
@@ -194,14 +204,17 @@ func (v View) Seq() uint64 {
 	return v.e.seq
 }
 
-// Document returns the stored document itself, not a copy: it is shared
-// with every other reader and must not be modified. Store.Get is the
-// copying form.
+// Document returns the viewed version's document, which must not be
+// modified: the stored document itself while its entry holds it decoded
+// (it is shared with every other reader), else a decode of the entry's
+// blob, made on every call. Store.Get is the form the caller may keep
+// and change.
 func (v View) Document() *prov.Document {
 	if v.e == nil {
 		return nil
 	}
-	return v.e.doc
+	doc, _ := v.e.document()
+	return doc
 }
 
 // Lineage returns the qualified names reachable from node in the given
@@ -233,16 +246,23 @@ func (v View) Subgraph(node prov.QName, hops int) (*prov.Document, error) {
 	if !v.e.ix.Has(node) {
 		return nil, fmt.Errorf("provstore: node %s not found in document %q", node, v.id)
 	}
-	return v.e.ix.Neighborhood(v.e.doc, node, hops), nil
+	doc, _ := v.e.document()
+	return v.e.ix.Neighborhood(doc, node, hops), nil
 }
 
-// Get returns a copy of the stored document.
+// Get returns the stored document as a copy of the caller's own: a
+// clone of the document the entry holds, or the one decoded from its
+// blob, which nothing else references and so is not cloned again.
 func (s *Store) Get(id string) (*prov.Document, bool) {
 	v, ok := s.View(id)
 	if !ok {
 		return nil, false
 	}
-	return v.Document().Clone(), true
+	doc, fresh := v.e.document()
+	if !fresh {
+		doc = doc.Clone()
+	}
+	return doc, true
 }
 
 // Delete removes a document; a missing id is an error. It is Apply with
@@ -282,7 +302,9 @@ type SearchResult struct {
 // FindByType returns all elements whose prov:type attribute equals
 // typeName, across every stored document. This is the "knowledge base
 // of previous runs" query of the paper's §3.2/§3.4, fanned out over
-// every shard and merged in (Doc, Node) order.
+// every shard and merged in (Doc, Node) order. It reads no document:
+// the shards' postings name the entries, and each entry lists its
+// elements' types from when it was built.
 func (s *Store) FindByType(typeName string) []SearchResult {
 	return s.search(typeKey, typeName)
 }
@@ -292,20 +314,26 @@ func (s *Store) FindByType(typeName string) []SearchResult {
 // "provml:name"), or one of two synthetic keys: "qname" (the element's
 // qualified name) and "doc" (the id of the document holding it).
 // Equality is typed — see attrMatches. Every key but prov:type scans
-// the store. The int64 "startTime"/"endTime" keys of the former graph
-// projection, which no HTTP request could reach (query values arrive as
-// strings), are gone.
+// the store and reads every document, decoding each one a checkpoint
+// left held as its blob alone (see entry). The int64
+// "startTime"/"endTime" keys of the former graph projection, which no
+// HTTP request could reach (query values arrive as strings), are gone.
 func (s *Store) FindByAttr(key string, value interface{}) []SearchResult {
 	return s.search(key, value)
 }
 
 // Stats summarizes the store. Durability is nil for in-memory stores.
 type Stats struct {
-	Documents  int
-	Nodes      int
-	Rels       int
-	Shards     int
-	Durability *DurabilityStats `json:"durability,omitempty"`
+	Documents int
+	// DecodedDocuments counts the documents held decoded; the rest are
+	// held as their binary blob alone (see entry). After a checkpoint of
+	// a quiet journaled store it is 0; a store without a journal holds
+	// every document decoded.
+	DecodedDocuments int `json:"decoded_documents"`
+	Nodes            int
+	Rels             int
+	Shards           int
+	Durability       *DurabilityStats `json:"durability,omitempty"`
 }
 
 // Stats returns store-wide counts (plus journal state when durable),
@@ -313,10 +341,11 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	st := Stats{Shards: len(s.shards)}
 	for _, sh := range s.shards {
-		// One RLock for all three, so the counts come from the same
+		// One RLock for all four, so the counts come from the same
 		// instant.
 		sh.mu.RLock()
 		st.Documents += len(sh.docs)
+		st.DecodedDocuments += sh.decoded()
 		st.Nodes += sh.nodes
 		st.Rels += sh.rels
 		sh.mu.RUnlock()
