@@ -93,7 +93,8 @@ func TestChaosFsyncErrorLosesNoAckedWrite(t *testing.T) {
 
 // Overload: a disk whose fsyncs stall makes the commit queue back up;
 // admission control must shed new writes with 429 while reads keep
-// answering promptly the whole time.
+// answering promptly the whole time, and every write it did admit
+// reads back byte-identical once the disk recovers (acked_lost = 0).
 func TestChaosSlowFsyncShedsWritesServesReads(t *testing.T) {
 	ffs := wal.NewFaultFS(nil)
 	store, err := provstore.Open(t.TempDir(), provstore.Durability{Fsync: true, SnapshotEvery: -1, FS: ffs})
@@ -118,18 +119,20 @@ func TestChaosSlowFsyncShedsWritesServesReads(t *testing.T) {
 	ffs.SlowSyncs(60 * time.Millisecond)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var shed, admitted int
+	var shed int
+	var admitted []string
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := client.Upload(fmt.Sprintf("burst-%02d", i), chaosDoc("burst"))
+			id := fmt.Sprintf("burst-%02d", i)
+			err := client.Upload(id, chaosDoc(id))
 			mu.Lock()
 			defer mu.Unlock()
 			var apiErr *provclient.APIError
 			switch {
 			case err == nil:
-				admitted++
+				admitted = append(admitted, id)
 			case errors.As(err, &apiErr) && apiErr.Status == 429:
 				shed++
 				if apiErr.RetryAfter < time.Second {
@@ -158,15 +161,26 @@ func TestChaosSlowFsyncShedsWritesServesReads(t *testing.T) {
 	ffs.Clear()
 
 	if shed == 0 {
-		t.Fatalf("no writes shed under a stalled disk (admitted=%d)", admitted)
+		t.Fatalf("no writes shed under a stalled disk (admitted=%d)", len(admitted))
 	}
-	if admitted == 0 {
+	if len(admitted) == 0 {
 		t.Fatal("every write shed — admission should keep some throughput")
 	}
 	if worstRead > time.Second {
 		t.Fatalf("worst read took %v during overload, want well under the fsync backlog", worstRead)
 	}
-	t.Logf("burst of 12: %d admitted, %d shed, worst read %v", admitted, shed, worstRead)
+	for _, id := range admitted {
+		got, err := client.Get(id)
+		if err != nil {
+			t.Fatalf("admitted write %q lost: %v", id, err)
+		}
+		want, _ := chaosDoc(id).MarshalJSON()
+		gotJSON, _ := got.MarshalJSON()
+		if !bytes.Equal(gotJSON, want) {
+			t.Fatalf("admitted write %q reads back different bytes", id)
+		}
+	}
+	t.Logf("burst of 12: %d admitted and read back, %d shed, worst read %v", len(admitted), shed, worstRead)
 }
 
 // A follower behind a degraded network (latency, connection resets,

@@ -21,8 +21,9 @@
 // it.
 //
 // The recorder sits on the response path of every request, so the
-// unsampled fast path is held to a handful of atomic operations
-// (<100ns, enforced by BenchmarkFlightRecord); building the full
+// unsampled fast path is held to a handful of atomic operations and no
+// allocation (the zero is gated by TestObserveUnsampledAllocatesNothing;
+// BenchmarkFlightRecord reports the ns/op); building the full
 // record — span merging, allocation — is the caller's job and happens
 // only after Observe says the request is worth keeping. Every
 // exported method is safe on a nil *Recorder, so wiring is optional

@@ -395,3 +395,75 @@ func TestNilRecorder(t *testing.T) {
 	r.SetConfig([]byte("{}"))
 	r.Close()
 }
+
+// flightRecFixture builds a recorder in steady state: the p99 trigger
+// armed (so the rolling latency histogram is paid for) and the route's
+// slow log full of 50ms entries, so a 200µs request takes the longest
+// rejection path — histogram observe, trigger counter, slow-log
+// cached-min check — before being turned away.
+func flightRecFixture(tb testing.TB, sampleEvery int) *Recorder {
+	tb.Helper()
+	rec := New(Config{P99Threshold: 2 * time.Second, SampleEvery: sampleEvery})
+	for i := 0; i < 8; i++ {
+		rec.Add(&Completed{Trace: fmt.Sprintf("seed%d", i), Route: "lineage", Dur: 50 * time.Millisecond})
+	}
+	return rec
+}
+
+// TestObserveUnsampledAllocatesNothing gates the response-path
+// contract: turning an unremarkable request away allocates nothing.
+// BenchmarkFlightRecord/unsampled reports what it costs.
+func TestObserveUnsampledAllocatesNothing(t *testing.T) {
+	rec := flightRecFixture(t, -1)
+	defer rec.Close()
+	if n := testing.AllocsPerRun(1000, func() {
+		if rec.Observe("lineage", 200, false, 200*time.Microsecond) {
+			t.Fatal("unremarkable request sampled in")
+		}
+	}); n != 0 {
+		t.Fatalf("unsampled Observe allocates %.1f times per call, want 0", n)
+	}
+}
+
+// BenchmarkFlightRecord measures the recorder's cost per completed
+// request: unsampled is the fast path every unremarkable request takes;
+// sampled adds building and retaining the full record with a span
+// breakdown, the price paid only by the kept minority.
+func BenchmarkFlightRecord(b *testing.B) {
+	b.Run("unsampled", func(b *testing.B) {
+		rec := flightRecFixture(b, -1)
+		defer rec.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rec.Observe("lineage", 200, false, 200*time.Microsecond) {
+				b.Fatal("unremarkable request sampled in")
+			}
+		}
+	})
+	b.Run("unsampled-parallel", func(b *testing.B) {
+		rec := flightRecFixture(b, -1)
+		defer rec.Close()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				rec.Observe("lineage", 200, false, 200*time.Microsecond)
+			}
+		})
+	})
+	b.Run("sampled", func(b *testing.B) {
+		rec := flightRecFixture(b, 1)
+		defer rec.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rec.Observe("lineage", 200, false, 200*time.Microsecond) {
+				rec.Add(&Completed{
+					Trace: "bench-trace",
+					Route: "lineage",
+					Dur:   200 * time.Microsecond,
+					Spans: []Span{{Name: "lock", Dur: time.Microsecond}, {Name: "cache", Dur: 2 * time.Microsecond}},
+				})
+			}
+		}
+	})
+}

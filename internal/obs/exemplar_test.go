@@ -175,7 +175,7 @@ func TestExemplarConcurrent(t *testing.T) {
 }
 
 // TestParseSamples: the loose sample parser extracts every series for
-// scrape-diffing and SumSamples totals one family across label sets.
+// scrape-diffing, exemplars included, and rejects a malformed line.
 func TestParseSamples(t *testing.T) {
 	text := "# HELP a Things.\n# TYPE a counter\n" +
 		"a{reason=\"queue\"} 3\na{reason=\"wait\"} 4\n" +
@@ -184,11 +184,8 @@ func TestParseSamples(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSamples: %v", err)
 	}
-	if total, found := SumSamples(samples, "a"); !found || total != 7 {
-		t.Fatalf("SumSamples(a) = %v found=%v, want 7", total, found)
-	}
-	if _, found := SumSamples(samples, "missing"); found {
-		t.Fatal("SumSamples found a family that is not there")
+	if len(samples) != 5 || samples[1].Name != "a" || samples[1].Labels["reason"] != "wait" || samples[1].Value != 4 {
+		t.Fatalf("ParseSamples = %+v, want 5 samples, the second a{reason=\"wait\"} 4", samples)
 	}
 	if _, err := ParseSamples([]byte("9bad 1\n")); err == nil {
 		t.Fatal("ParseSamples accepted an invalid line")

@@ -198,3 +198,41 @@ func TestValidateExposition(t *testing.T) {
 		t.Errorf("rejected valid exposition: %v", err)
 	}
 }
+
+// TestHistogramObserveAllocatesNothing gates the contract every
+// request, fsync and lock acquisition relies on: an observation is
+// atomic adds on preallocated buckets and never allocates.
+// BenchmarkHistObserve reports what it costs.
+func TestHistogramObserveAllocatesNothing(t *testing.T) {
+	h := NewDurationHistogram()
+	v := int64(1)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Observe(v % int64(time.Second))
+		v += 4099
+	}); n != 0 {
+		t.Fatalf("Histogram.Observe allocates %.1f times per call, want 0", n)
+	}
+}
+
+// BenchmarkHistObserve measures one histogram observation, serially
+// and from every P at once (the contention the request path sees).
+func BenchmarkHistObserve(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		h := NewDurationHistogram()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Observe(int64(i)%int64(time.Second) + 1)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		h := NewDurationHistogram()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			v := int64(1)
+			for pb.Next() {
+				h.Observe(v % int64(time.Second))
+				v += 4099
+			}
+		})
+	})
+}

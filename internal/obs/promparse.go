@@ -323,8 +323,8 @@ type Sample struct {
 
 // ParseSamples scans a Prometheus text exposition and returns every
 // sample, checking line syntax only (ValidateExposition is the full
-// format oracle). It is the scrape half used by yprov-loadgen to diff
-// server counters across a run.
+// format oracle). The benchmark harness under bench/ uses it to diff
+// server counters across a measurement window.
 func ParseSamples(data []byte) ([]Sample, error) {
 	var out []Sample
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -346,18 +346,6 @@ func ParseSamples(data []byte) ([]Sample, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// SumSamples totals the values of every series in one family of a
-// parsed exposition (e.g. all reason= series of a shed counter).
-func SumSamples(samples []Sample, family string) (total float64, found bool) {
-	for _, s := range samples {
-		if s.Name == family {
-			total += s.Value
-			found = true
-		}
-	}
-	return total, found
 }
 
 func parsePromValue(s string) (float64, error) {

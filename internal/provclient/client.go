@@ -30,9 +30,7 @@ type Client struct {
 	// Trace stamps every outgoing request with a fresh X-Yprov-Trace ID
 	// (unless the context already carries a trace via obs.WithTrace, in
 	// which case that trace's ID is used — retries and hedges of one
-	// logical operation then share one ID). The last ID sent is kept for
-	// LastTrace, so a caller that just timed a slow operation can quote
-	// the ID the server logged it under.
+	// logical operation then share one ID).
 	Trace bool
 
 	// lastSeq is the highest X-Yprov-Seq write token observed on any
@@ -45,9 +43,6 @@ type Client struct {
 	// answer 503 so the caller fails over to a fresher replica.
 	// Installed by ReplicaSet; nil on standalone clients.
 	minSeq func() uint64
-	// lastTrace holds the most recent trace ID stamped on a request
-	// (string; see Trace above).
-	lastTrace atomic.Value
 }
 
 // sharedTransport is one connection pool for every client in the
@@ -173,11 +168,8 @@ func (c *Client) doCtxTyped(ctx context.Context, method, path string, body []byt
 	}
 	if tr := obs.FromContext(ctx); tr != nil {
 		req.Header.Set(obs.TraceHeader, tr.ID())
-		c.lastTrace.Store(tr.ID())
 	} else if c.Trace {
-		id := obs.NewTraceID()
-		req.Header.Set(obs.TraceHeader, id)
-		c.lastTrace.Store(id)
+		req.Header.Set(obs.TraceHeader, obs.NewTraceID())
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
@@ -209,17 +201,6 @@ func (c *Client) noteSeq(seq uint64) {
 // LastSeq reports the highest X-Yprov-Seq write token this client has
 // observed — pass it forward (via a ReplicaSet) for read-your-writes.
 func (c *Client) LastSeq() uint64 { return c.lastSeq.Load() }
-
-// LastTrace reports the trace ID stamped on this client's most recent
-// request ("" before the first traced request). Meaningful only when
-// the caller serializes operations per client (one client per worker),
-// as loadgen does.
-func (c *Client) LastTrace() string {
-	if v, ok := c.lastTrace.Load().(string); ok {
-		return v
-	}
-	return ""
-}
 
 // apiError extracts the error envelope (and the Retry-After hint) from
 // a non-2xx response.

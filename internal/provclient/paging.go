@@ -200,11 +200,8 @@ func (c *Client) openStream(ctx context.Context, path string) (io.ReadCloser, er
 	}
 	if tr := obs.FromContext(ctx); tr != nil {
 		req.Header.Set(obs.TraceHeader, tr.ID())
-		c.lastTrace.Store(tr.ID())
 	} else if c.Trace {
-		id := obs.NewTraceID()
-		req.Header.Set(obs.TraceHeader, id)
-		c.lastTrace.Store(id)
+		req.Header.Set(obs.TraceHeader, obs.NewTraceID())
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {

@@ -258,7 +258,7 @@ func (c *Cache) Stats() Stats {
 
 // RegisterObs exposes the cache's instruments on reg (nil-safe):
 // hit/miss/coalesced/eviction counters, entry/byte gauges, and the
-// cumulative hit-ratio gauge the loadgen report scrapes.
+// cumulative hit-ratio gauge.
 func (c *Cache) RegisterObs(reg *obs.Registry) {
 	reg.RegisterCounter("yprov_readcache_hits_total",
 		"Read-cache lookups served from a valid cached body.", nil, &c.hits)
