@@ -1,11 +1,18 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test vet layering race chaos fuzz-smoke bench bench-selftest metrics-format ci
+.PHONY: all build fmt test vet layering race chaos fuzz-smoke bench bench-selftest metrics-format ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any tracked Go file (bench/ included).
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -38,13 +45,15 @@ chaos:
 # encoding/json reference it replaced, and the two binary-codec ones.
 # zarr: the fused byte shuffle against a two-buffer transposition, and
 # Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes.
-# go test takes one -fuzz target per run.
+# provservice: the NDJSON batch envelope scan against the encoding/json
+# struct decode it replaced. go test takes one -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleRoundTrip$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkDecode$$' -fuzztime 10s ./internal/zarr
+	$(GO) test -run '^$$' -fuzz '^FuzzScanBatchLine$$' -fuzztime 10s ./internal/provservice
 
 # One iteration of every go test benchmark (the paper's tables and
 # figures, the library's hot paths and ablations, the recorder and
@@ -71,8 +80,8 @@ metrics-format:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Full gate: build, static checks (vet, import layering), unit tests,
+# Full gate: build, static checks (gofmt, vet, import layering), unit tests,
 # the race-detector pass over every package, the fault suites, the
 # fuzzer smoke, the exposition-format gate, one pass over every go test
 # benchmark, and the benchmark harness's own tests.
-ci: build vet layering test race chaos fuzz-smoke metrics-format bench bench-selftest
+ci: build fmt vet layering test race chaos fuzz-smoke metrics-format bench bench-selftest

@@ -3,26 +3,16 @@ package provclient
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/prov"
 )
 
 // Bulk ingestion client. UploadBatch posts one atomic NDJSON batch to
-// POST /api/v0/documents:batch; BatchWriter sits on top of it and
-// auto-batches a stream of Add calls, flushing on document count,
-// encoded size, or a wall-clock interval, and retrying retryable
-// batches (429/503) with capped exponential backoff + jitter that
-// honors the server's Retry-After hint.
+// POST /api/v0/documents:batch.
 
 // BatchLineError is one rejected NDJSON line reported by the service.
 type BatchLineError struct {
@@ -58,24 +48,6 @@ func EncodeBatchLine(id string, provJSON []byte) ([]byte, error) {
 	}{ID: id, Doc: provJSON})
 }
 
-// BatchBinaryContentType is the Content-Type selecting the compact
-// binary batch request encoding on documents:batch (mirrors
-// provservice.BatchBinaryContentType).
-const BatchBinaryContentType = "application/x-yprov-batch"
-
-// EncodeBinaryBatchRecord frames one binary batch record: uvarint id
-// length + id, then a 4-byte little-endian blob length + the document's
-// tagged binary encoding. Appends to dst and returns the result.
-func EncodeBinaryBatchRecord(dst []byte, id string, doc *prov.Document) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(id)))
-	dst = append(dst, id...)
-	at := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = prov.AppendBinary(dst, doc)
-	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
-	return dst
-}
-
 // UploadBatch stores every document as one atomic batch: either the
 // whole map is accepted (and durable together, one group commit
 // server-side) or nothing is stored and the returned *BatchError lists
@@ -107,37 +79,7 @@ func (c *Client) UploadBatchCtx(ctx context.Context, docs map[string]*prov.Docum
 		body.Write(line)
 		body.WriteByte('\n')
 	}
-	return c.uploadBatchNDJSON(ctx, body.Bytes())
-}
-
-// UploadBatchBinaryCtx is UploadBatchCtx using the compact binary
-// request encoding: documents ship as tagged binary blobs the server
-// journals verbatim, skipping both the client-side JSON marshal and
-// the server-side re-encode.
-func (c *Client) UploadBatchBinaryCtx(ctx context.Context, docs map[string]*prov.Document) error {
-	if len(docs) == 0 {
-		return nil
-	}
-	ids := make([]string, 0, len(docs))
-	for id := range docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var body []byte
-	for _, id := range ids {
-		body = EncodeBinaryBatchRecord(body, id, docs[id])
-	}
-	return c.uploadBatchBody(ctx, body, BatchBinaryContentType)
-}
-
-// uploadBatchNDJSON posts an already-framed NDJSON body.
-func (c *Client) uploadBatchNDJSON(ctx context.Context, body []byte) error {
-	return c.uploadBatchBody(ctx, body, "application/json")
-}
-
-// uploadBatchBody posts one framed batch body with the given encoding.
-func (c *Client) uploadBatchBody(ctx context.Context, body []byte, contentType string) error {
-	payload, status, hdr, err := c.doCtxTyped(ctx, http.MethodPost, "/api/v0/documents:batch", body, contentType)
+	payload, status, hdr, err := c.doCtx(ctx, http.MethodPost, "/api/v0/documents:batch", body.Bytes())
 	if err != nil {
 		return err
 	}
@@ -155,338 +97,4 @@ func (c *Client) uploadBatchBody(ctx context.Context, body []byte, contentType s
 		}
 	}
 	return apiError(payload, status, hdr)
-}
-
-// BatchWriterOptions tunes a BatchWriter. Zero values select defaults.
-type BatchWriterOptions struct {
-	// MaxDocs flushes once this many documents are buffered (default 100).
-	MaxDocs int
-	// MaxBytes flushes once the encoded NDJSON payload reaches this many
-	// bytes (default 4 MiB). A single oversized document still ships —
-	// the threshold triggers the flush, it does not reject the doc.
-	MaxBytes int
-	// FlushInterval flushes a non-empty buffer this long after its first
-	// Add, bounding ingestion latency under a trickle of documents
-	// (default 1s; <= 0 disables timed flushes).
-	FlushInterval time.Duration
-	// MaxRetries is how many times a retryable batch (HTTP 429/503) is
-	// re-sent before the error is surfaced (default 4; negative
-	// disables retries).
-	MaxRetries int
-	// Context, when non-nil, bounds every shipment: cancellation aborts
-	// the in-flight batch POST and interrupts backoff sleeps (the retry
-	// loop returns the context error instead of waiting out its delay).
-	// Default context.Background(), i.e. never canceled.
-	Context context.Context
-	// Binary ships batches in the compact binary encoding
-	// (BatchBinaryContentType) instead of NDJSON: documents are encoded
-	// once with the binary codec and journaled server-side verbatim.
-	Binary bool
-}
-
-func (o BatchWriterOptions) withDefaults() BatchWriterOptions {
-	if o.MaxDocs == 0 {
-		o.MaxDocs = 100
-	}
-	if o.MaxBytes == 0 {
-		o.MaxBytes = 4 << 20
-	}
-	if o.FlushInterval == 0 {
-		o.FlushInterval = time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 4
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
-	}
-	return o
-}
-
-// Backoff bounds for retryable batches: attempt n waits
-// jitter(min(retryBase<<n, retryCap)), raised to the server's
-// Retry-After when that is larger (itself capped at retryAfterCap so a
-// confused server cannot park the writer for an hour).
-const (
-	retryBase     = 100 * time.Millisecond
-	retryCap      = 5 * time.Second
-	retryAfterCap = 30 * time.Second
-)
-
-// BatchWriter accumulates documents and ships them in atomic batches.
-// Safe for concurrent Add calls; flushes happen on the caller that
-// crosses a threshold (so backpressure lands on producers) or on the
-// background interval timer. Always Close it — Close flushes the tail
-// batch.
-type BatchWriter struct {
-	c    *Client
-	opts BatchWriterOptions
-
-	// sleep and rng are swappable for tests (package-internal).
-	sleep func(time.Duration)
-	rng   *rand.Rand
-	rngMu sync.Mutex
-
-	// retries counts re-sent batches (attempts beyond each batch's
-	// first), for load-generator and operator reporting.
-	retries atomic.Uint64
-
-	mu      sync.Mutex
-	lines   [][]byte       // encoded NDJSON lines, in Add order
-	byID    map[string]int // id -> index in lines (duplicate Adds overwrite)
-	bytes   int            // encoded payload size including newlines
-	err     error          // first background-flush failure, surfaced on next call
-	timer   *time.Timer    // pending interval flush (nil when buffer is empty)
-	closed  bool
-	flushMu sync.Mutex // serializes shipments so batches stay ordered
-}
-
-// NewBatchWriter builds an auto-batching writer over the client.
-func (c *Client) NewBatchWriter(opts BatchWriterOptions) *BatchWriter {
-	return &BatchWriter{
-		c:     c,
-		opts:  opts.withDefaults(),
-		sleep: time.Sleep,
-		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
-		byID:  make(map[string]int),
-	}
-}
-
-// Add buffers one document, flushing synchronously if the buffer
-// crosses the count or byte threshold. Re-adding an id that is already
-// buffered overwrites the buffered version (last write wins, matching
-// Put semantics). Returns any error from a flush this Add triggered, or
-// a deferred error from an earlier background flush.
-func (w *BatchWriter) Add(id string, doc *prov.Document) error {
-	if id == "" {
-		return fmt.Errorf("provclient: empty document id")
-	}
-	var line []byte
-	sep := 0 // binary records are self-framing; NDJSON lines get a newline
-	if w.opts.Binary {
-		line = EncodeBinaryBatchRecord(nil, id, doc)
-	} else {
-		raw, err := doc.MarshalJSON()
-		if err != nil {
-			return fmt.Errorf("provclient: marshal %q: %w", id, err)
-		}
-		line, err = EncodeBatchLine(id, raw)
-		if err != nil {
-			return fmt.Errorf("provclient: encode %q: %w", id, err)
-		}
-		sep = 1
-	}
-
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return fmt.Errorf("provclient: BatchWriter is closed")
-	}
-	if werr := w.err; werr != nil {
-		w.err = nil
-		w.mu.Unlock()
-		return werr
-	}
-	if i, dup := w.byID[id]; dup {
-		w.bytes += len(line) - len(w.lines[i])
-		w.lines[i] = line
-	} else {
-		w.byID[id] = len(w.lines)
-		w.lines = append(w.lines, line)
-		w.bytes += len(line) + sep
-		if len(w.lines) == 1 && w.opts.FlushInterval > 0 {
-			w.timer = time.AfterFunc(w.opts.FlushInterval, w.timedFlush)
-		}
-	}
-	full := len(w.lines) >= w.opts.MaxDocs || w.bytes >= w.opts.MaxBytes
-	w.mu.Unlock()
-
-	if full {
-		return w.Flush()
-	}
-	return nil
-}
-
-// timedFlush is the interval-timer callback; its error is deferred to
-// the next Add/Flush/Close since nobody is there to receive it. The
-// deferral happens inside the flush critical section (see flush), so a
-// Close racing this flush is guaranteed to observe the error.
-func (w *BatchWriter) timedFlush() {
-	_ = w.flush(true)
-}
-
-// Flush ships the buffered batch now (no-op when empty), retrying
-// retryable failures. On a non-retryable failure — or once retries are
-// exhausted — the batch is dropped and the error returned: the service
-// rejected it wholesale, so re-queuing it could wedge the writer
-// forever behind a poison batch.
-func (w *BatchWriter) Flush() error {
-	return w.flush(false)
-}
-
-// flush is the shipment path. background flushes record their failure
-// into w.err while still holding flushMu, so any caller that
-// subsequently acquires flushMu (Close's flush in particular) is
-// ordered after the recording and cannot miss it.
-func (w *BatchWriter) flush(background bool) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-
-	w.mu.Lock()
-	if len(w.lines) == 0 {
-		w.mu.Unlock()
-		return nil
-	}
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
-	lines := w.lines
-	w.lines = nil
-	w.byID = make(map[string]int)
-	w.bytes = 0
-	w.mu.Unlock()
-
-	var body bytes.Buffer
-	for _, l := range lines {
-		body.Write(l)
-		if !w.opts.Binary {
-			body.WriteByte('\n')
-		}
-	}
-	err := w.shipWithRetry(body.Bytes())
-	if err != nil && background {
-		w.mu.Lock()
-		if w.err == nil {
-			w.err = err
-		}
-		w.mu.Unlock()
-	}
-	return err
-}
-
-// shipWithRetry posts one batch, re-sending retryable rejections with
-// capped exponential backoff + jitter, honoring Retry-After. Batch PUTs
-// are idempotent (documents overwrite), so re-sending after an
-// ambiguous failure is safe. The options' Context bounds the whole
-// loop: cancellation aborts the in-flight POST and cuts backoff sleeps
-// short, so a shutting-down producer is never parked behind a 30s
-// Retry-After it no longer cares about.
-func (w *BatchWriter) shipWithRetry(body []byte) error {
-	ctx := w.opts.Context
-	contentType := "application/json"
-	if w.opts.Binary {
-		contentType = BatchBinaryContentType
-	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = w.c.uploadBatchBody(ctx, body, contentType)
-		if err == nil || !IsRetryable(err) || attempt >= w.opts.MaxRetries {
-			return err
-		}
-		if serr := w.sleepCtx(ctx, w.retryDelay(attempt, err)); serr != nil {
-			return serr
-		}
-		w.retries.Add(1)
-	}
-}
-
-// Retries reports how many batch re-sends this writer has performed.
-func (w *BatchWriter) Retries() uint64 { return w.retries.Load() }
-
-// sleepCtx waits d or until ctx is canceled, whichever is first. A
-// context that can never be canceled takes the swappable w.sleep path
-// (tests stub it to record delays).
-func (w *BatchWriter) sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx.Done() == nil {
-		w.sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// retryDelay computes the wait before retry attempt+1: exponential from
-// retryBase, capped at retryCap, jittered over [d/2, d) so a fleet of
-// writers released together does not re-stampede — then floored at the
-// server's Retry-After (capped at retryAfterCap, with jitter added on
-// top). The floor is applied after jitter: waiting less than
-// Retry-After would burn a retry on a guaranteed second 429.
-func (w *BatchWriter) retryDelay(attempt int, err error) time.Duration {
-	d := retryBase << uint(attempt)
-	if d > retryCap || d <= 0 {
-		d = retryCap
-	}
-	wait := d/2 + w.jitter(d/2)
-	if ra := retryAfterOf(err); ra > 0 {
-		if ra > retryAfterCap {
-			ra = retryAfterCap
-		}
-		if wait < ra {
-			wait = ra + w.jitter(ra/2)
-		}
-	}
-	return wait
-}
-
-// jitter draws a uniform duration from [0, n).
-func (w *BatchWriter) jitter(n time.Duration) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	w.rngMu.Lock()
-	defer w.rngMu.Unlock()
-	return time.Duration(w.rng.Int63n(int64(n)))
-}
-
-// retryAfterOf extracts the Retry-After hint from an APIError chain.
-func retryAfterOf(err error) time.Duration {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.RetryAfter
-	}
-	return 0
-}
-
-// Close flushes the tail batch, stops the interval timer, and rejects
-// further Adds. Safe to call twice.
-func (w *BatchWriter) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		deferred := w.err
-		w.err = nil
-		w.mu.Unlock()
-		return deferred
-	}
-	w.closed = true
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
-	w.mu.Unlock()
-	err := w.Flush() // also waits out an in-flight background flush
-	// Collect the deferred error only after Flush: a background flush
-	// failing concurrently with Close records it under flushMu, which
-	// the Flush above has just held.
-	w.mu.Lock()
-	deferred := w.err
-	w.err = nil
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return deferred
-}
-
-// Len reports how many documents are currently buffered.
-func (w *BatchWriter) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.lines)
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,224 +66,5 @@ func TestUploadBatchSurfacesLineErrors(t *testing.T) {
 	}
 	if store.Count() != 0 {
 		t.Fatal("rejected batch stored documents")
-	}
-}
-
-func TestBatchWriterFlushesOnCount(t *testing.T) {
-	c, store := newBatchTestServer(t)
-	w := c.NewBatchWriter(BatchWriterOptions{MaxDocs: 3, FlushInterval: -1})
-	for i := 0; i < 7; i++ {
-		if err := w.Add(fmt.Sprintf("d-%d", i), batchDoc("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if store.Count() != 6 { // two full batches of 3 shipped, one doc buffered
-		t.Fatalf("stored %d docs before Close, want 6", store.Count())
-	}
-	if w.Len() != 1 {
-		t.Fatalf("buffered %d docs, want 1", w.Len())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if store.Count() != 7 {
-		t.Fatalf("stored %d docs after Close, want 7", store.Count())
-	}
-	if err := w.Add("late", batchDoc("x")); err == nil {
-		t.Fatal("Add after Close succeeded")
-	}
-}
-
-func TestBatchWriterFlushesOnBytes(t *testing.T) {
-	c, store := newBatchTestServer(t)
-	w := c.NewBatchWriter(BatchWriterOptions{MaxDocs: 1 << 20, MaxBytes: 256, FlushInterval: -1})
-	for i := 0; i < 4; i++ { // each encoded line is a few hundred bytes
-		if err := w.Add(fmt.Sprintf("d-%d", i), batchDoc("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if store.Count() == 0 {
-		t.Fatal("byte threshold never triggered a flush")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if store.Count() != 4 {
-		t.Fatalf("stored %d docs, want 4", store.Count())
-	}
-}
-
-func TestBatchWriterDuplicateAddOverwrites(t *testing.T) {
-	c, store := newBatchTestServer(t)
-	w := c.NewBatchWriter(BatchWriterOptions{MaxDocs: 100, FlushInterval: -1})
-	if err := w.Add("same", batchDoc("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add("same", batchDoc("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 1 {
-		t.Fatalf("buffered %d docs, want 1 (overwrite)", w.Len())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(c.BaseURL).Get("same")
-	_ = store
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.HasNode(prov.NewQName("ex", "model-v2")) {
-		t.Fatal("last Add did not win")
-	}
-}
-
-func TestBatchWriterIntervalFlush(t *testing.T) {
-	c, store := newBatchTestServer(t)
-	w := c.NewBatchWriter(BatchWriterOptions{MaxDocs: 1 << 20, FlushInterval: 20 * time.Millisecond})
-	defer w.Close()
-	if err := w.Add("trickle", batchDoc("x")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Count() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval flush never shipped the buffered doc")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// flaky429Server rejects the first `fail` batch posts with 429 +
-// Retry-After, then proxies to a real service.
-func flaky429Server(t *testing.T, fail int, retryAfter string) (*Client, *provstore.Store, *atomic.Int64) {
-	t.Helper()
-	store := provstore.New()
-	svc := provservice.New(store)
-	var attempts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/v0/documents:batch" {
-			if n := attempts.Add(1); n <= int64(fail) {
-				w.Header().Set("Retry-After", retryAfter)
-				w.WriteHeader(http.StatusTooManyRequests)
-				fmt.Fprint(w, `{"error":"rate limit exceeded"}`)
-				return
-			}
-		}
-		svc.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	return New(srv.URL), store, &attempts
-}
-
-// TestBatchWriterRetriesHonorRetryAfter is the flaky-server satellite:
-// a 429 with Retry-After must be retried after at least that long
-// (with backoff + jitter), and the batch must eventually land.
-func TestBatchWriterRetriesHonorRetryAfter(t *testing.T) {
-	c, store, attempts := flaky429Server(t, 2, "2")
-	w := c.NewBatchWriter(BatchWriterOptions{MaxDocs: 100, FlushInterval: -1})
-	var mu sync.Mutex
-	var slept []time.Duration
-	w.sleep = func(d time.Duration) { // recorded, not actually slept
-		mu.Lock()
-		slept = append(slept, d)
-		mu.Unlock()
-	}
-	if err := w.Add("retried", batchDoc("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("flush after retries: %v", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3 (2 rejections + success)", got)
-	}
-	if store.Count() != 1 {
-		t.Fatal("batch never landed")
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2 (%v)", len(slept), slept)
-	}
-	for i, d := range slept {
-		// Retry-After 2s is a hard floor; jitter lands on top of it:
-		// wait in [2s, 3s).
-		if d < 2*time.Second || d >= 3*time.Second {
-			t.Errorf("retry %d waited %v, want within [2s, 3s) (Retry-After is a floor, jitter on top)", i, d)
-		}
-	}
-}
-
-// TestBatchWriterBackoffGrowsAndCaps checks the exponential schedule
-// when the server gives no Retry-After hint.
-func TestBatchWriterBackoffGrowsAndCaps(t *testing.T) {
-	c, _, _ := flaky429Server(t, 8, "") // more failures than retries
-	w := c.NewBatchWriter(BatchWriterOptions{MaxDocs: 100, FlushInterval: -1, MaxRetries: 7})
-	var slept []time.Duration
-	w.sleep = func(d time.Duration) { slept = append(slept, d) }
-	if err := w.Add("doomed", batchDoc("x")); err != nil {
-		t.Fatal(err)
-	}
-	err := w.Flush()
-	if !IsRetryable(err) {
-		t.Fatalf("exhausted retries returned %v, want retryable APIError", err)
-	}
-	if len(slept) != 7 {
-		t.Fatalf("slept %d times, want 7", len(slept))
-	}
-	for i, d := range slept {
-		base := retryBase << uint(i)
-		if base > retryCap {
-			base = retryCap
-		}
-		if d < base/2 || d > base {
-			t.Errorf("retry %d waited %v, want within [%v, %v]", i, d, base/2, base)
-		}
-	}
-	// A poison batch is dropped, not re-queued: the writer stays usable.
-	if w.Len() != 0 {
-		t.Fatalf("failed batch still buffered (%d docs)", w.Len())
-	}
-}
-
-// TestBatchWriterCloseSeesBackgroundFlushFailure: a Close that races a
-// failing interval flush must surface the failure, not report success
-// for dropped documents.
-func TestBatchWriterCloseSeesBackgroundFlushFailure(t *testing.T) {
-	c, _, _ := flaky429Server(t, 1<<30, "") // every batch post 429s
-	w := c.NewBatchWriter(BatchWriterOptions{MaxDocs: 100, FlushInterval: 5 * time.Millisecond, MaxRetries: 2})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	w.sleep = func(time.Duration) {
-		once.Do(func() { close(entered) })
-		<-release // park the background flush mid-retry
-	}
-	if err := w.Add("doomed", batchDoc("x")); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // background flush owns flushMu and is retrying
-	done := make(chan error, 1)
-	go func() { done <- w.Close() }()
-	time.Sleep(10 * time.Millisecond) // let Close block behind the flush
-	close(release)
-	if err := <-done; err == nil {
-		t.Fatal("Close returned nil although the timed flush dropped the batch")
-	}
-}
-
-func TestRetryAfterParsing(t *testing.T) {
-	for v, want := range map[string]time.Duration{
-		"1": time.Second, "30": 30 * time.Second, "": 0, "soon": 0, "-5": 0,
-	} {
-		h := http.Header{}
-		if v != "" {
-			h.Set("Retry-After", v)
-		}
-		if got := parseRetryAfter(h); got != want {
-			t.Errorf("parseRetryAfter(%q) = %v, want %v", v, got, want)
-		}
-	}
-	if got := parseRetryAfter(nil); got != 0 {
-		t.Errorf("parseRetryAfter(nil) = %v", got)
 	}
 }

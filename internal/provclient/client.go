@@ -27,22 +27,9 @@ type Client struct {
 	Token   string
 	HTTP    *http.Client
 
-	// Trace stamps every outgoing request with a fresh X-Yprov-Trace ID
-	// (unless the context already carries a trace via obs.WithTrace, in
-	// which case that trace's ID is used — retries and hedges of one
-	// logical operation then share one ID).
-	Trace bool
-
 	// lastSeq is the highest X-Yprov-Seq write token observed on any
-	// response through this client — the read-your-writes cursor a
-	// ReplicaSet carries from writes (on the primary) to reads (on
-	// replicas).
+	// response through this client.
 	lastSeq atomic.Uint64
-	// minSeq, when set, supplies the X-Yprov-Min-Seq header attached to
-	// every request: servers that have not applied that journal sequence
-	// answer 503 so the caller fails over to a fresher replica.
-	// Installed by ReplicaSet; nil on standalone clients.
-	minSeq func() uint64
 }
 
 // sharedTransport is one connection pool for every client in the
@@ -89,7 +76,7 @@ type APIError struct {
 	Message string // server-provided error message, may be empty
 	// RetryAfter is the server's Retry-After hint (zero when absent).
 	// Retry loops should wait at least this long before the next
-	// attempt; BatchWriter does.
+	// attempt.
 	RetryAfter time.Duration
 	// Body is the raw response body, truncated to maxErrBodyBytes. When
 	// the body was not the service's JSON error envelope (a proxy's HTML
@@ -127,21 +114,12 @@ func IsRetryable(err error) bool {
 	return errors.Is(err, ErrRetryable)
 }
 
-func (c *Client) do(method, path string, body []byte) ([]byte, int, http.Header, error) {
-	return c.doCtx(context.Background(), method, path, body)
-}
-
 // doCtx issues one request bounded by ctx. A context deadline is also
 // forwarded to the server as X-Yprov-Timeout-Ms so its handlers stop
 // working on the request (and stop queueing for fsync) once the client
-// has given up, instead of only when the connection drops.
+// has given up, instead of only when the connection drops; a trace
+// carried by ctx (obs.WithTrace) names the request in X-Yprov-Trace.
 func (c *Client) doCtx(ctx context.Context, method, path string, body []byte) ([]byte, int, http.Header, error) {
-	return c.doCtxTyped(ctx, method, path, body, "application/json")
-}
-
-// doCtxTyped is doCtx with an explicit request Content-Type (the batch
-// endpoint negotiates its encoding on it).
-func (c *Client) doCtxTyped(ctx context.Context, method, path string, body []byte, contentType string) ([]byte, int, http.Header, error) {
 	var rdr io.Reader
 	if body != nil {
 		rdr = bytes.NewReader(body)
@@ -151,7 +129,7 @@ func (c *Client) doCtxTyped(ctx context.Context, method, path string, body []byt
 		return nil, 0, nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", "application/json")
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
@@ -161,15 +139,8 @@ func (c *Client) doCtxTyped(ctx context.Context, method, path string, body []byt
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
-	if c.minSeq != nil {
-		if seq := c.minSeq(); seq > 0 {
-			req.Header.Set("X-Yprov-Min-Seq", strconv.FormatUint(seq, 10))
-		}
-	}
 	if tr := obs.FromContext(ctx); tr != nil {
 		req.Header.Set(obs.TraceHeader, tr.ID())
-	} else if c.Trace {
-		req.Header.Set(obs.TraceHeader, obs.NewTraceID())
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
@@ -199,7 +170,8 @@ func (c *Client) noteSeq(seq uint64) {
 }
 
 // LastSeq reports the highest X-Yprov-Seq write token this client has
-// observed — pass it forward (via a ReplicaSet) for read-your-writes.
+// observed. A read sent with it as X-Yprov-Min-Seq is answered only by
+// a server that has applied that write (503 from a lagging follower).
 func (c *Client) LastSeq() uint64 { return c.lastSeq.Load() }
 
 // apiError extracts the error envelope (and the Retry-After hint) from

@@ -1,12 +1,16 @@
 package provclient
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/provservice"
 	"repro/internal/provstore"
@@ -163,6 +167,103 @@ func TestRetryableErrors(t *testing.T) {
 	c := New("http://127.0.0.1:1")
 	if err := c.Health(); err == nil || IsRetryable(err) {
 		t.Errorf("connection error must not be typed retryable: %v", err)
+	}
+}
+
+// TestClientRequestHeaders pins what the client stamps on a request: the
+// context's deadline as X-Yprov-Timeout-Ms, the context's trace ID as
+// X-Yprov-Trace, the bearer token, and never X-Yprov-Min-Seq — even
+// after a write handed it a sequence token.
+func TestClientRequestHeaders(t *testing.T) {
+	var mu sync.Mutex // the handler runs on the server's goroutines
+	var seen []http.Header
+	take := func() []http.Header {
+		mu.Lock()
+		defer mu.Unlock()
+		out := seen
+		seen = nil
+		return out
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Header.Clone())
+		mu.Unlock()
+		w.Header().Set("X-Yprov-Seq", "42")
+		switch r.Method {
+		case http.MethodGet:
+			_, _ = w.Write([]byte(`{"entity":{"ex:e":{}}}`))
+		default:
+			w.WriteHeader(http.StatusCreated)
+		}
+	}))
+	defer srv.Close()
+	c := New(srv.URL)
+	c.Token = "sekrit"
+
+	const timeout = 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	tr := obs.NewTrace("client-headers-1")
+	ctx = obs.WithTrace(ctx, tr)
+
+	if err := c.UploadRawCtx(ctx, "d", []byte(`{"entity":{"ex:e":{}}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if c.LastSeq() != 42 {
+		t.Fatalf("LastSeq = %d, want 42", c.LastSeq())
+	}
+	if err := c.UploadBatchCtx(ctx, map[string]*prov.Document{"b": prov.NewDocument()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetCtx(ctx, "d"); err != nil {
+		t.Fatal(err)
+	}
+	hdrs := take()
+	if len(hdrs) != 3 {
+		t.Fatalf("server saw %d requests, want 3", len(hdrs))
+	}
+	for i, h := range hdrs {
+		ms, err := strconv.ParseInt(h.Get("X-Yprov-Timeout-Ms"), 10, 64)
+		if err != nil || ms <= 0 || ms > timeout.Milliseconds() {
+			t.Errorf("request %d: X-Yprov-Timeout-Ms %q, want in (0, %d]", i, h.Get("X-Yprov-Timeout-Ms"), timeout.Milliseconds())
+		}
+		if got := h.Get(obs.TraceHeader); got != tr.ID() {
+			t.Errorf("request %d: %s %q, want %q", i, obs.TraceHeader, got, tr.ID())
+		}
+		if got := h.Get("Authorization"); got != "Bearer sekrit" {
+			t.Errorf("request %d: Authorization %q", i, got)
+		}
+		if v, ok := h["X-Yprov-Min-Seq"]; ok {
+			t.Errorf("request %d: X-Yprov-Min-Seq sent: %q", i, v)
+		}
+	}
+
+	// Without a deadline, a trace or a token, none of them is sent.
+	if err := New(srv.URL).Health(); err != nil {
+		t.Fatal(err)
+	}
+	bare := take()[0]
+	for _, k := range []string{"X-Yprov-Timeout-Ms", obs.TraceHeader, "Authorization", "X-Yprov-Min-Seq"} {
+		if v := bare.Get(k); v != "" {
+			t.Errorf("bare request carries %s %q", k, v)
+		}
+	}
+}
+
+func TestRetryAfterParsing(t *testing.T) {
+	for v, want := range map[string]time.Duration{
+		"1": time.Second, "30": 30 * time.Second, "": 0, "soon": 0, "-5": 0,
+	} {
+		h := http.Header{}
+		if v != "" {
+			h.Set("Retry-After", v)
+		}
+		if got := parseRetryAfter(h); got != want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", v, got, want)
+		}
+	}
+	if got := parseRetryAfter(nil); got != 0 {
+		t.Errorf("parseRetryAfter(nil) = %v", got)
 	}
 }
 

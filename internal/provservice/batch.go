@@ -3,12 +3,10 @@ package provservice
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/internal/jsonscan"
@@ -19,30 +17,18 @@ import (
 
 // POST /api/v0/documents:batch — bulk ingestion.
 //
-// Two request encodings are negotiated on Content-Type:
+// The request body is NDJSON: one {"id": "...", "doc": {PROV-JSON}}
+// object per line, blank lines ignored. Lines are decoded as they
+// arrive, into one pooled buffer per request (lineReader) that holds
+// their bytes until the store has journaled them, subject to a per-line
+// cap (MaxLineBytes) on top of the middleware's total body cap
+// (MaxBodyBytes).
 //
-//   - NDJSON (the default): one {"id": "...", "doc": {PROV-JSON}}
-//     object per line, blank lines ignored. Lines are decoded as they
-//     arrive, into one pooled buffer per request (lineReader) that holds
-//     their bytes until the store has journaled them, subject to a
-//     per-line cap (MaxLineBytes) on top of the middleware's total body
-//     cap (MaxBodyBytes).
-//
-//   - BatchBinaryContentType: a sequence of length-prefixed records,
-//     each a uvarint id length + id bytes followed by a 4-byte
-//     little-endian blob length + document blob. Blobs are tagged like
-//     journaled document blobs ('{' opens PROV-JSON, prov.BinaryDocTag
-//     opens the compact binary codec), so validated wire bytes flow
-//     into the WAL verbatim with no re-encode.
-//
-// Either way the batch is atomic: every record must parse and every
-// document must be valid, or the whole request is rejected with one
-// error entry per failing record and nothing is stored. Accepted
-// batches commit through one provstore Apply — one WAL record, one
-// group-commit fsync — so a crash can never surface part of a batch.
-
-// BatchBinaryContentType selects the binary batch request encoding.
-const BatchBinaryContentType = "application/x-yprov-batch"
+// The batch is atomic: every line must parse and every document must be
+// valid, or the whole request is rejected with one error entry per
+// failing line and nothing is stored. Accepted batches commit through
+// one provstore Apply — one WAL record, one group-commit fsync — so a
+// crash can never surface part of a batch.
 
 // batchLineError reports one rejected NDJSON line (1-based).
 type batchLineError struct {
@@ -115,29 +101,16 @@ func scanBatchLine(line []byte) (id string, doc []byte, err error) {
 // invalid lines must not amplify into gigabytes of error entries.
 const maxBatchLineErrors = 100
 
-// writeBatchRejected emits the all-or-nothing refusal with per-line
-// diagnostics.
-func writeBatchRejected(w http.ResponseWriter, status int, lineErrs []batchLineError) {
-	writeJSON(w, status, map[string]interface{}{
-		"error":       fmt.Sprintf("batch rejected: %d invalid line(s), nothing stored", len(lineErrs)),
-		"line_errors": lineErrs,
-	})
-}
-
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "batch ingestion is POST-only")
 		return
 	}
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, BatchBinaryContentType) {
-		s.handleBatchBinary(w, r)
-		return
-	}
 	var ops []provstore.Op // request order
 	seen := make(map[string]struct{})
 	var lineErrs []batchLineError
-	// Released after commitBatch, so only once Apply is done with the
-	// spans of the reader's buffer the ops carry as Op.Raw.
+	// Released on return, so only once Apply is done with the spans of
+	// the reader's buffer the ops carry as Op.Raw.
 	lr := newLineReader(r.Body)
 	defer lr.release()
 	// The "parse" span covers the whole NDJSON decode loop (reads are
@@ -215,14 +188,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	parseSpan.End()
-	s.commitBatch(w, r, ops, lineErrs)
-}
-
-// commitBatch is the shared tail of both batch encodings: reject on
-// accumulated per-record errors, otherwise store atomically and answer.
-func (s *Service) commitBatch(w http.ResponseWriter, r *http.Request, ops []provstore.Op, lineErrs []batchLineError) {
 	if len(lineErrs) > 0 {
-		writeBatchRejected(w, http.StatusUnprocessableEntity, lineErrs)
+		writeJSON(w, http.StatusUnprocessableEntity, map[string]interface{}{
+			"error":       fmt.Sprintf("batch rejected: %d invalid line(s), nothing stored", len(lineErrs)),
+			"line_errors": lineErrs,
+		})
 		return
 	}
 	if len(ops) == 0 {
@@ -239,101 +209,6 @@ func (s *Service) commitBatch(w http.ResponseWriter, r *http.Request, ops []prov
 	}
 	s.setSeqHeader(w)
 	writeJSON(w, http.StatusCreated, map[string]interface{}{"created": len(ids), "ids": ids})
-}
-
-// handleBatchBinary decodes the length-prefixed binary batch encoding.
-// Framing damage (a truncated or oversized prefix) aborts the scan —
-// nothing after it can be trusted — while per-document problems are
-// recorded per record and the scan continues, mirroring the NDJSON
-// path's line diagnostics.
-func (s *Service) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	var ops []provstore.Op
-	seen := make(map[string]struct{})
-	var lineErrs []batchLineError
-	parseSpan := obs.FromContext(r.Context()).StartSpan("parse")
-	pos, rec := 0, 0
-scan:
-	for pos < len(body) {
-		rec++
-		idLen, n := binary.Uvarint(body[pos:])
-		if n <= 0 || idLen > uint64(len(body)-pos-n) {
-			lineErrs = append(lineErrs, batchLineError{Line: rec, Error: "truncated id prefix"})
-			break
-		}
-		pos += n
-		id := string(body[pos : pos+int(idLen)])
-		pos += int(idLen)
-		if len(body)-pos < 4 {
-			lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id, Error: "truncated blob length"})
-			break
-		}
-		blobLen := int(binary.LittleEndian.Uint32(body[pos:]))
-		pos += 4
-		if blobLen > len(body)-pos {
-			lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id, Error: "truncated document blob"})
-			break
-		}
-		if max := s.maxLineBytes(); blobLen > max {
-			lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id,
-				Error: fmt.Sprintf("document blob exceeds %d bytes", max)})
-			pos += blobLen
-			continue
-		}
-		blob := body[pos : pos+blobLen]
-		pos += blobLen
-		switch {
-		case id == "":
-			lineErrs = append(lineErrs, batchLineError{Line: rec, Error: "missing document id"})
-		case len(blob) == 0:
-			lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id, Error: "missing doc"})
-		default:
-			if _, dup := seen[id]; dup {
-				lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id,
-					Error: fmt.Sprintf("duplicate id %q in batch", id)})
-				break
-			}
-			var doc *prov.Document
-			var perr error
-			if blob[0] == '{' {
-				doc, perr = prov.ParseJSON(blob)
-			} else {
-				doc, perr = prov.ParseBinary(blob)
-			}
-			if perr != nil {
-				lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id, Error: "invalid document: " + perr.Error()})
-				break
-			}
-			if _, verr := doc.Validate(); verr != nil {
-				lineErrs = append(lineErrs, batchLineError{Line: rec, ID: id, Error: "invalid document: " + verr.Error()})
-				break
-			}
-			// The validated wire blob is journaled verbatim (it carries
-			// its own format tag), sparing the store a re-encode.
-			seen[id] = struct{}{}
-			ops = append(ops, provstore.Op{ID: id, Doc: doc, Raw: blob})
-			if max := s.maxBatchDocs(); len(ops) > max {
-				writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d documents", max)
-				return
-			}
-		}
-		if len(lineErrs) >= maxBatchLineErrors {
-			lineErrs = append(lineErrs, batchLineError{Line: rec + 1,
-				Error: fmt.Sprintf("aborting after %d invalid records", maxBatchLineErrors)})
-			break scan
-		}
-	}
-	parseSpan.End()
-	s.commitBatch(w, r, ops, lineErrs)
 }
 
 // lineReader reads the lines of one NDJSON request body into one

@@ -3,7 +3,6 @@ package provservice
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -302,23 +301,9 @@ func TestBatchLimitsAndMiddleware(t *testing.T) {
 	}
 }
 
-// postBatchBinary posts a binary-encoded batch body.
-func postBatchBinary(t *testing.T, url string, body []byte) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(url+"/api/v0/documents:batch", BatchBinaryContentType, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, payload
-}
-
-// binRecord hand-frames one binary batch record around an arbitrary
-// blob (tests the JSON-blob passthrough and corrupt framing).
+// binRecord frames one record of the binary batch encoding the server
+// once accepted: uvarint id length + id, 4-byte little-endian blob
+// length + blob.
 func binRecord(id string, blob []byte) []byte {
 	var out []byte
 	out = binary.AppendUvarint(out, uint64(len(id)))
@@ -327,102 +312,50 @@ func binRecord(id string, blob []byte) []byte {
 	return append(out, blob...)
 }
 
-func TestBatchBinaryEncoding(t *testing.T) {
-	srv, store := newBatchServer(t, nil)
-	want := testDoc()
-	// One binary-codec record, one JSON blob inside the binary framing:
-	// both blob formats must land in the store identically.
-	body := provclient.EncodeBinaryBatchRecord(nil, "bin-0", want)
-	rawJSON, err := want.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body = append(body, binRecord("bin-1", rawJSON)...)
-	status, payload := postBatchBinary(t, srv.URL, body)
-	if status != http.StatusCreated {
-		t.Fatalf("status = %d, body %s", status, payload)
-	}
-	if store.Count() != 2 {
-		t.Fatalf("store has %d docs, want 2", store.Count())
-	}
-	for _, id := range []string{"bin-0", "bin-1"} {
-		got, ok := store.Get(id)
-		if !ok {
-			t.Fatalf("doc %q missing", id)
-		}
-		gotJSON, err := got.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(gotJSON) != string(rawJSON) {
-			t.Errorf("doc %q round-trip mismatch:\n got %s\nwant %s", id, gotJSON, rawJSON)
-		}
-	}
-}
-
+// TestBatchBinaryRejections: NDJSON is the one batch encoding. A client
+// that still sends the retired binary framing under its old
+// Content-Type is refused with nothing stored — the well-formed batch
+// the server used to accept included — instead of being half-read.
 func TestBatchBinaryRejections(t *testing.T) {
-	valid := provclient.EncodeBinaryBatchRecord(nil, "ok", testDoc())
+	valid := binRecord("ok", prov.AppendBinary(nil, testDoc()))
 	cases := []struct {
-		name      string
-		body      []byte
-		status    int
-		errSubstr string
+		name   string
+		body   []byte
+		status int
 	}{
-		{"empty body", nil, http.StatusBadRequest, ""},
-		{"truncated blob", valid[:len(valid)-3], http.StatusUnprocessableEntity, "truncated document blob"},
-		{"truncated id prefix", []byte{0xFF}, http.StatusUnprocessableEntity, "truncated id prefix"},
-		{"missing id", binRecord("", []byte("{}")), http.StatusUnprocessableEntity, "missing document id"},
-		{"missing doc", binRecord("x", nil), http.StatusUnprocessableEntity, "missing doc"},
-		{"garbage blob", binRecord("x", []byte{0x7F, 1, 2}), http.StatusUnprocessableEntity, "invalid document"},
-		{"duplicate id", append(append([]byte(nil), valid...), valid...), http.StatusUnprocessableEntity, "duplicate id"},
+		{"well formed", valid, http.StatusUnprocessableEntity},
+		{"empty body", nil, http.StatusBadRequest},
+		{"truncated blob", valid[:len(valid)-3], http.StatusUnprocessableEntity},
+		{"truncated id prefix", []byte{0xFF}, http.StatusUnprocessableEntity},
+		{"missing id", binRecord("", []byte("{}")), http.StatusUnprocessableEntity},
+		{"missing doc", binRecord("x", nil), http.StatusUnprocessableEntity},
+		{"garbage blob", binRecord("x", []byte{0x7F, 1, 2}), http.StatusUnprocessableEntity},
+		{"duplicate id", append(append([]byte(nil), valid...), valid...), http.StatusUnprocessableEntity},
 		{"invalid prov doc", binRecord("x", []byte(`{"wasGeneratedBy":{"g":{"prov:entity":"ex:ghost","prov:activity":"ex:run"}}}`)),
-			http.StatusUnprocessableEntity, "invalid document"},
+			http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, store := newBatchServer(t, nil)
-			status, payload := postBatchBinary(t, srv.URL, tc.body)
-			if status != tc.status {
-				t.Fatalf("status = %d, want %d (body %s)", status, tc.status, payload)
+			resp, err := http.Post(srv.URL+"/api/v0/documents:batch", "application/x-yprov-batch", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d (body %s)", resp.StatusCode, tc.status, payload)
 			}
 			if store.Count() != 0 {
 				t.Fatalf("rejected batch stored %d docs", store.Count())
 			}
-			if tc.errSubstr != "" && !strings.Contains(string(payload), tc.errSubstr) {
-				t.Fatalf("body %s does not contain %q", payload, tc.errSubstr)
+			if tc.status == http.StatusUnprocessableEntity && !strings.Contains(string(payload), "invalid JSON") {
+				t.Fatalf("body %s does not report the line as invalid JSON", payload)
 			}
 		})
-	}
-}
-
-func TestBatchWriterBinary(t *testing.T) {
-	srv, store := newBatchServer(t, nil)
-	c := provclient.New(srv.URL)
-	if err := c.UploadBatchBinaryCtx(context.Background(), map[string]*prov.Document{
-		"u-0": testDoc(), "u-1": testDoc(),
-	}); err != nil {
-		t.Fatalf("UploadBatchBinaryCtx: %v", err)
-	}
-	w := c.NewBatchWriter(provclient.BatchWriterOptions{Binary: true, MaxDocs: 2, FlushInterval: -1})
-	for i := 0; i < 5; i++ {
-		if err := w.Add(fmt.Sprintf("w-%d", i), testDoc()); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if store.Count() != 7 {
-		t.Fatalf("store has %d docs, want 7", store.Count())
-	}
-	want, _ := testDoc().MarshalJSON()
-	got, ok := store.Get("w-4")
-	if !ok {
-		t.Fatal("doc w-4 missing")
-	}
-	gotJSON, _ := got.MarshalJSON()
-	if string(gotJSON) != string(want) {
-		t.Errorf("binary-writer doc mismatch:\n got %s\nwant %s", gotJSON, want)
 	}
 }
 

@@ -12,46 +12,65 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jsonscan"
 	"repro/internal/prov"
 	"repro/internal/provstore"
 )
 
-// TestScanBatchLine pins how a request line is read: like the
+// scanBatchLineCases pin how a request line is read: like the
 // encoding/json struct decode it replaced, except that the doc comes
-// back as a span of the line.
+// back as a span of the line. They also seed FuzzScanBatchLine.
+var scanBatchLineCases = []struct {
+	name, line string
+	id, doc    string // doc "" = no doc member
+	errSubstr  string
+}{
+	{name: "id then doc", line: `{"id":"a","doc":{"entity":{}}}`, id: "a", doc: `{"entity":{}}`},
+	{name: "doc then id", line: `{"doc":{"entity":{}},"id":"a"}`, id: "a", doc: `{"entity":{}}`},
+	{name: "whitespace stays outside the span", line: ` { "id" : "a" , "doc" :  { "entity" : { } }  } `, id: "a", doc: `{ "entity" : { } }`},
+	{name: "unknown members skipped", line: `{"x":[1,{"id":"no"}],"id":"a","y":null,"doc":{},"z":"doc"}`, id: "a", doc: `{}`},
+	{name: "duplicate id: last wins", line: `{"id":"a","id":"b","doc":{}}`, id: "b", doc: `{}`},
+	{name: "duplicate doc: last wins", line: `{"id":"a","doc":{"entity":{}},"doc":{"agent":{}}}`, id: "a", doc: `{"agent":{}}`},
+	{name: "member names fold case", line: `{"ID":"a","Doc":{}}`, id: "a", doc: `{}`},
+	{name: "member names fold case, mixed", line: `{"iD":"a","dOC":{},"Id":"b"}`, id: "b", doc: `{}`},
+	{name: "near-miss names are unknown", line: `{"id ":"x","ids":"y","do":{},"docs":{}}`},
+	{name: "escaped names and id", line: `{"id":"a\né","doc":{}}`, id: "a\né", doc: `{}`},
+	{name: "missing id", line: `{"doc":{}}`, doc: `{}`},
+	{name: "missing doc", line: `{"id":"a"}`, id: "a"},
+	{name: "null id leaves the id alone", line: `{"id":"a","id":null,"doc":{}}`, id: "a", doc: `{}`},
+	{name: "null line has neither member", line: `null`},
+	{name: "null doc is a span for the decoder to reject", line: `{"id":"a","doc":null}`, id: "a", doc: `null`},
+	{name: "scalar doc likewise", line: `{"id":"a","doc":7}`, id: "a", doc: `7`},
+	{name: "empty object", line: `{}`},
+	{name: "non-string id", line: `{"id":7,"doc":{}}`, errSubstr: `"id" is not a string`},
+	{name: "non-string id, then a string one", line: `{"id":{"x":1},"id":"a","doc":{}}`, errSubstr: `"id" is not a string`},
+	{name: "syntax error wins over a bad id", line: `{"id":7,"doc":{]}`, errSubstr: "invalid character"},
+	{name: "not an object", line: `[{"id":"a"}]`, errSubstr: "invalid character"},
+	{name: "string line", line: `"id"`, errSubstr: "invalid character"},
+	{name: "trailing garbage", line: `{"id":"a","doc":{}} x`, errSubstr: "after top-level value"},
+	{name: "second object", line: `{"id":"a","doc":{}}{"id":"b"}`, errSubstr: "after top-level value"},
+	{name: "truncated", line: `{"id":"a","doc":{"entity":`, errSubstr: "unexpected end"},
+	{name: "bad doc syntax", line: `{"id":"a","doc":{not json}}`, errSubstr: "invalid character"},
+}
+
+// batchLineRef is the encoding/json decode scanBatchLine replaced.
+type batchLineRef struct {
+	ID  string          `json:"id"`
+	Doc json.RawMessage `json:"doc"`
+}
+
+// isSpan reports whether sub is a sub-slice of line, not a copy of it.
+func isSpan(line, sub []byte) bool {
+	for i := 0; i+len(sub) <= len(line); i++ {
+		if &line[i] == &sub[0] {
+			return true
+		}
+	}
+	return false
+}
+
 func TestScanBatchLine(t *testing.T) {
-	for _, tc := range []struct {
-		name, line string
-		id, doc    string // doc "" = no doc member
-		errSubstr  string
-	}{
-		{name: "id then doc", line: `{"id":"a","doc":{"entity":{}}}`, id: "a", doc: `{"entity":{}}`},
-		{name: "doc then id", line: `{"doc":{"entity":{}},"id":"a"}`, id: "a", doc: `{"entity":{}}`},
-		{name: "whitespace stays outside the span", line: ` { "id" : "a" , "doc" :  { "entity" : { } }  } `, id: "a", doc: `{ "entity" : { } }`},
-		{name: "unknown members skipped", line: `{"x":[1,{"id":"no"}],"id":"a","y":null,"doc":{},"z":"doc"}`, id: "a", doc: `{}`},
-		{name: "duplicate id: last wins", line: `{"id":"a","id":"b","doc":{}}`, id: "b", doc: `{}`},
-		{name: "duplicate doc: last wins", line: `{"id":"a","doc":{"entity":{}},"doc":{"agent":{}}}`, id: "a", doc: `{"agent":{}}`},
-		{name: "member names fold case", line: `{"ID":"a","Doc":{}}`, id: "a", doc: `{}`},
-		{name: "member names fold case, mixed", line: `{"iD":"a","dOC":{},"Id":"b"}`, id: "b", doc: `{}`},
-		{name: "near-miss names are unknown", line: `{"id ":"x","ids":"y","do":{},"docs":{}}`},
-		{name: "escaped names and id", line: `{"id":"a\né","doc":{}}`, id: "a\né", doc: `{}`},
-		{name: "missing id", line: `{"doc":{}}`, doc: `{}`},
-		{name: "missing doc", line: `{"id":"a"}`, id: "a"},
-		{name: "null id leaves the id alone", line: `{"id":"a","id":null,"doc":{}}`, id: "a", doc: `{}`},
-		{name: "null line has neither member", line: `null`},
-		{name: "null doc is a span for the decoder to reject", line: `{"id":"a","doc":null}`, id: "a", doc: `null`},
-		{name: "scalar doc likewise", line: `{"id":"a","doc":7}`, id: "a", doc: `7`},
-		{name: "empty object", line: `{}`},
-		{name: "non-string id", line: `{"id":7,"doc":{}}`, errSubstr: `"id" is not a string`},
-		{name: "non-string id, then a string one", line: `{"id":{"x":1},"id":"a","doc":{}}`, errSubstr: `"id" is not a string`},
-		{name: "syntax error wins over a bad id", line: `{"id":7,"doc":{]}`, errSubstr: "invalid character"},
-		{name: "not an object", line: `[{"id":"a"}]`, errSubstr: "invalid character"},
-		{name: "string line", line: `"id"`, errSubstr: "invalid character"},
-		{name: "trailing garbage", line: `{"id":"a","doc":{}} x`, errSubstr: "after top-level value"},
-		{name: "second object", line: `{"id":"a","doc":{}}{"id":"b"}`, errSubstr: "after top-level value"},
-		{name: "truncated", line: `{"id":"a","doc":{"entity":`, errSubstr: "unexpected end"},
-		{name: "bad doc syntax", line: `{"id":"a","doc":{not json}}`, errSubstr: "invalid character"},
-	} {
+	for _, tc := range scanBatchLineCases {
 		t.Run(tc.name, func(t *testing.T) {
 			line := []byte(tc.line)
 			id, doc, err := scanBatchLine(line)
@@ -67,17 +86,11 @@ func TestScanBatchLine(t *testing.T) {
 			if id != tc.id || string(doc) != tc.doc || (doc == nil) != (tc.doc == "") {
 				t.Fatalf("id %q doc %q, want id %q doc %q", id, doc, tc.id, tc.doc)
 			}
-			if doc != nil {
-				at := bytes.Index(line, doc)
-				if &doc[0] != &line[at] && &doc[0] != &line[bytes.LastIndex(line, doc)] {
-					t.Fatal("doc is a copy, not a span of the line")
-				}
+			if doc != nil && !isSpan(line, doc) {
+				t.Fatal("doc is a copy, not a span of the line")
 			}
 			// What the struct decode made of the same line.
-			var ref struct {
-				ID  string          `json:"id"`
-				Doc json.RawMessage `json:"doc"`
-			}
+			var ref batchLineRef
 			if err := json.Unmarshal(line, &ref); err != nil {
 				t.Fatalf("encoding/json rejects the line: %v", err)
 			}
@@ -86,6 +99,43 @@ func TestScanBatchLine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzScanBatchLine holds scanBatchLine to the encoding/json struct
+// decode on every line: both accept the same lines, and on an accepted
+// one read the same id and the same doc bytes, the scan's doc being a
+// span of the line.
+func FuzzScanBatchLine(f *testing.F) {
+	for _, tc := range scanBatchLineCases {
+		f.Add([]byte(tc.line))
+	}
+	// Edges the table does not reach: invalid UTF-8 and a lone surrogate
+	// in the id, an escaped member name, a non-string id after a string
+	// one, and a doc nested to just under and just over the depth cap.
+	for _, s := range []string{"{\"id\":\"\xff\",\"doc\":{}}", `{"id":"\ud800","doc":{}}`,
+		`{"\u0069d":"a","doc":{}}`, `{"id":"a","doc":{},"id":7}`} {
+		f.Add([]byte(s))
+	}
+	for _, n := range []int{jsonscan.MaxDepth - 1, jsonscan.MaxDepth} {
+		f.Add([]byte(`{"id":"a","doc":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		id, doc, err := scanBatchLine(line)
+		var ref batchLineRef
+		refErr := json.Unmarshal(line, &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("scan error %v, encoding/json error %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if id != ref.ID || string(doc) != string(ref.Doc) || (doc == nil) != (ref.Doc == nil) {
+			t.Fatalf("scan read id %q doc %q, encoding/json id %q doc %q", id, doc, ref.ID, ref.Doc)
+		}
+		if doc != nil && !isSpan(line, doc) {
+			t.Fatal("doc is a copy, not a span of the line")
+		}
+	})
 }
 
 // TestBatchLineNumbers: blank lines, rejected envelopes and rejected

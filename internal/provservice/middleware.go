@@ -268,9 +268,9 @@ func (s *Service) withFollowerGuard(next http.Handler) http.Handler {
 
 // withMinSeq enforces read-your-writes tokens: a request carrying
 // X-Yprov-Min-Seq is answered only if this server has applied at least
-// that journal sequence; otherwise 503 + Retry-After so a replica-aware
-// client fails over to a fresher replica (ultimately the primary, which
-// by construction satisfies every token it issued).
+// that journal sequence; otherwise 503 + Retry-After so the caller can
+// retry on a fresher replica (ultimately the primary, which by
+// construction satisfies every token it issued).
 func (s *Service) withMinSeq(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if v := r.Header.Get("X-Yprov-Min-Seq"); v != "" {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"strings"
 	"sync"
@@ -36,7 +37,7 @@ func revDoc(rev int) *prov.Document {
 func cachedServer(t *testing.T, shards int, opts ...Option) (*httptest.Server, *provstore.Store) {
 	t.Helper()
 	store := provstore.NewSharded(shards)
-	svc := New(store, append([]Option{WithReadCache(1024, 16 << 20)}, opts...)...)
+	svc := New(store, append([]Option{WithReadCache(1024, 16<<20)}, opts...)...)
 	srv := httptest.NewServer(svc)
 	t.Cleanup(srv.Close)
 	return srv, store
@@ -458,51 +459,79 @@ func TestListPaginationEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchPaginationEquivalence: cursor pages over /search union to
-// the unpaginated result set, in order.
+// TestSearchPaginationEquivalence: cursor pages over each store-wide
+// query — search by type, search by attribute, store-wide lineage one
+// row per page — union to the unpaginated result, in order.
 func TestSearchPaginationEquivalence(t *testing.T) {
 	srv, store := cachedServer(t, 4)
 	const n = 23
 	for i := 0; i < n; i++ {
 		d := prov.NewDocument()
-		d.AddEntity("ex:item", prov.Attrs{"prov:type": prov.Str("provml:Thing")})
+		act := prov.QName(fmt.Sprintf("ex:act%03d", i))
+		d.AddEntity("ex:item", prov.Attrs{"prov:type": prov.Str("provml:Thing"), "ex:color": prov.Str("red")})
+		d.AddActivity(act, prov.Attrs{"ex:color": prov.Str("red")})
+		d.WasGeneratedBy("ex:item", act, time.Time{})
 		if err := store.Put(fmt.Sprintf("doc-%03d", i), d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, body := get(t, srv.URL+"/api/v0/search?type=provml:Thing", nil)
-	var full struct {
-		Results []provstore.SearchResult `json:"results"`
-	}
-	if err := json.Unmarshal(body, &full); err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Results) != n {
-		t.Fatalf("unpaginated search: %d results, want %d", len(full.Results), n)
-	}
-	var paged []provstore.SearchResult
-	cursor := ""
-	for {
-		u := srv.URL + "/api/v0/search?type=provml:Thing&limit=7"
-		if cursor != "" {
-			u += "&cursor=" + cursor
-		}
-		_, body := get(t, u, nil)
-		var page struct {
-			Results    []provstore.SearchResult `json:"results"`
-			NextCursor string                   `json:"next_cursor"`
-		}
-		if err := json.Unmarshal(body, &page); err != nil {
-			t.Fatal(err)
-		}
-		paged = append(paged, page.Results...)
-		if page.NextCursor == "" {
-			break
-		}
-		cursor = page.NextCursor
-	}
-	if fmt.Sprint(paged) != fmt.Sprint(full.Results) {
-		t.Fatalf("search crawl diverged:\n paged %v\n  full %v", paged, full.Results)
+	for _, tc := range []struct {
+		name, path, field string
+		limit, want       int
+	}{
+		{"type", "/api/v0/search?type=provml:Thing", "results", 7, n},
+		{"attr", "/api/v0/search?key=ex:color&value=red", "results", 7, 2 * n},
+		{"lineage", "/api/v0/lineage?node=ex:item&direction=ancestors", "nodes", 1, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fetch := func(u string) (rows []json.RawMessage, next string) {
+				t.Helper()
+				resp, body := get(t, u, nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s = %d: %s", u, resp.StatusCode, body)
+				}
+				var page map[string]json.RawMessage
+				if err := json.Unmarshal(body, &page); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(page[tc.field], &rows); err != nil {
+					t.Fatalf("%s: %v", tc.field, err)
+				}
+				if c, ok := page["next_cursor"]; ok {
+					if err := json.Unmarshal(c, &next); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return rows, next
+			}
+			full, next := fetch(srv.URL + tc.path)
+			if len(full) != tc.want || next != "" {
+				t.Fatalf("unpaginated: %d rows, cursor %q; want %d rows, no cursor", len(full), next, tc.want)
+			}
+			var paged []json.RawMessage
+			pages := 0
+			for cursor := ""; ; {
+				u := fmt.Sprintf("%s%s&limit=%d", srv.URL, tc.path, tc.limit)
+				if cursor != "" {
+					u += "&cursor=" + url.QueryEscape(cursor)
+				}
+				rows, next := fetch(u)
+				if len(rows) > tc.limit {
+					t.Fatalf("page of %d rows exceeds limit %d", len(rows), tc.limit)
+				}
+				paged = append(paged, rows...)
+				if pages++; next == "" {
+					break
+				}
+				cursor = next
+			}
+			if want := (tc.want + tc.limit - 1) / tc.limit; pages != want {
+				t.Errorf("%d pages, want %d", pages, want)
+			}
+			if fmt.Sprintf("%s", paged) != fmt.Sprintf("%s", full) {
+				t.Fatalf("crawl diverged:\n paged %s\n  full %s", paged, full)
+			}
+		})
 	}
 }
 

@@ -370,7 +370,7 @@ func (s *Service) maxBatchDocs() int {
 
 // setSeqHeader stamps a successful mutation response with the journal
 // high-water mark as X-Yprov-Seq — the read-your-writes token a
-// replica-aware client echoes back as X-Yprov-Min-Seq on reads. The
+// client echoes back as X-Yprov-Min-Seq on reads. The
 // watermark is at least the mutation's own sequence, which is all the
 // token needs to guarantee. In-memory stores (seq 0) issue no token.
 func (s *Service) setSeqHeader(w http.ResponseWriter) {

@@ -27,12 +27,12 @@ type Op struct {
 	// Doc becomes the store's: it is installed as given, not copied, so
 	// nothing may change it once the op is handed to Apply.
 	Doc *prov.Document
-	// Raw, when set, is the encoding Doc was parsed from — PROV-JSON or
-	// a binary document blob. It is journaled verbatim, which spares the
-	// hot path a re-encode; the HTTP batch handlers pass each request
-	// record's bytes through. When nil the store encodes Doc itself.
+	// Raw, when set, is the PROV-JSON Doc was parsed from. It is
+	// journaled verbatim, which spares the hot path a re-encode; the
+	// HTTP batch handler passes each line's doc bytes through. When nil
+	// the store encodes Doc itself.
 	// Raw stays the caller's and may alias a buffer of theirs (the
-	// NDJSON handler passes a span of the request line): Apply copies
+	// batch handler passes a span of the request line): Apply copies
 	// it into the journal record before it takes a lock and reads it
 	// no more after that, so the buffer must only hold still until
 	// Apply returns.

@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -737,10 +739,10 @@ func TestFollowerRejectsLocalMutations(t *testing.T) {
 	}
 }
 
-// TestReadYourWritesAcrossReplicas: a ReplicaSet write to the primary
-// followed by a token-carrying read must never observe the past, even
-// when the replica it lands on is lagged — the min-seq check fails the
-// read over to the primary.
+// TestReadYourWritesAcrossReplicas: a read that carries a write's
+// X-Yprov-Seq token as X-Yprov-Min-Seq is refused with 503 by a replica
+// that has not applied that write, and answered by the primary — so a
+// caller that fails over on 503 never observes the past.
 func TestReadYourWritesAcrossReplicas(t *testing.T) {
 	primary := startPrimary(t, t.TempDir(), provstore.Durability{SnapshotEvery: -1})
 	if err := primary.store.Put("seed", testDoc(t, "seed")); err != nil {
@@ -759,30 +761,44 @@ func TestReadYourWritesAcrossReplicas(t *testing.T) {
 	fhttp := httptest.NewServer(fsvc)
 	defer fhttp.Close()
 
-	// Freeze the replica, then write through the set.
+	// Freeze the replica, then write to the primary.
 	f.Stop()
-
-	set := provclient.NewReplicaSet(primary.http.URL, []string{fhttp.URL})
-	set.ReadYourWrites = true
-	if err := set.Upload("fresh", testDoc(t, "fresh")); err != nil {
+	writer := provclient.New(primary.http.URL)
+	if err := writer.Upload("fresh", testDoc(t, "fresh")); err != nil {
 		t.Fatal(err)
 	}
-	if set.Primary().LastSeq() == 0 {
+	token := writer.LastSeq()
+	if token == 0 {
 		t.Fatal("write returned no X-Yprov-Seq token")
 	}
-	// The only replica is lagged: the read must fail over to the primary
-	// and still see the write.
-	doc, err := set.Get("fresh")
-	if err != nil {
-		t.Fatalf("read-your-writes Get: %v", err)
+
+	getWithToken := func(base string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+"/api/v0/documents/fresh", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Yprov-Min-Seq", strconv.FormatUint(token, 10))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
 	}
-	if doc == nil {
-		t.Fatal("read-your-writes Get returned nothing")
+	if status, body := getWithToken(fhttp.URL); status != http.StatusServiceUnavailable {
+		t.Fatalf("lagged replica answered a min-seq %d read with %d, want 503: %s", token, status, body)
 	}
-	// Without the token the lagged replica would happily answer with a
-	// stale 404 — prove the replica really is behind.
-	lagged := provclient.New(fhttp.URL)
-	if _, err := lagged.Get("fresh"); err == nil {
+	if status, body := getWithToken(primary.http.URL); status != http.StatusOK {
+		t.Fatalf("primary answered a min-seq %d read with %d, want 200: %s", token, status, body)
+	}
+	// Without the token the lagged replica answers from the past: a 404
+	// for the document it has not applied.
+	if _, err := provclient.New(fhttp.URL).Get("fresh"); err == nil {
 		t.Fatal("expected the frozen replica to miss the fresh document")
 	}
 }
