@@ -21,12 +21,15 @@ vet:
 	$(GO) vet ./...
 
 # The serving path answers lineage from one prov.Index per stored
-# document; internal/graphdb is the reference engine its tests compare
-# against and must not be imported by anything the server runs.
+# document. internal/graphdb is only the graph the bench/ probe times:
+# nothing the server runs may import it, and no root-module package may
+# import it at all, test imports included.
 layering:
 	@if $(GO) list -deps ./internal/provstore ./internal/provservice ./cmd/yprov-server | grep -qx repro/internal/graphdb; then \
 		echo "layering: the serving path imports repro/internal/graphdb"; exit 1; \
 	fi
+	@out=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | grep -w repro/internal/graphdb | awk '$$1 != "repro/internal/graphdb"'); \
+	if [ -n "$$out" ]; then echo "layering: only bench/ may import repro/internal/graphdb; these packages do:"; echo "$$out" | cut -d' ' -f1; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -1,7 +1,7 @@
 package graphdb
 
 import (
-	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -24,34 +24,20 @@ func mustRel(t testing.TB, g *Graph, from, to NodeID, typ string) RelID {
 	return id
 }
 
-func TestCreateGetNode(t *testing.T) {
-	g := New()
-	id := mustNode(t, g, []string{"Entity"}, Props{"name": "model", "size": 42})
-	n, ok := g.GetNode(id)
-	if !ok || !n.HasLabel("Entity") {
-		t.Fatalf("node = %+v", n)
-	}
-	if n.Props["name"] != "model" {
-		t.Errorf("name = %v", n.Props["name"])
-	}
-	if n.Props["size"] != int64(42) {
-		t.Errorf("int prop should normalize to int64, got %T", n.Props["size"])
-	}
-}
-
 func TestPropsIsolation(t *testing.T) {
 	g := New()
-	p := Props{"k": "v"}
+	p := Props{"k": "v", "size": 42}
 	id := mustNode(t, g, nil, p)
 	p["k"] = "mutated"
-	n, _ := g.GetNode(id)
-	if n.Props["k"] != "v" {
+	n := g.nodes[id]
+	if n.props["k"] != "v" {
 		t.Error("graph must copy props on create")
 	}
-	n.Props["k"] = "mutated2"
-	n2, _ := g.GetNode(id)
-	if n2.Props["k"] != "v" {
-		t.Error("graph must copy props on get")
+	if n.props["size"] != int64(42) {
+		t.Errorf("int prop should normalize to int64, got %T", n.props["size"])
+	}
+	if _, isInt := p["size"].(int); !isInt {
+		t.Error("normalization must not touch the caller's props")
 	}
 }
 
@@ -60,25 +46,12 @@ func TestInvalidPropType(t *testing.T) {
 	if _, err := g.CreateNode(nil, Props{"bad": []int{1}}); err == nil {
 		t.Fatal("slice prop must be rejected")
 	}
-}
-
-func TestRelLifecycle(t *testing.T) {
-	g := New()
-	a := mustNode(t, g, []string{"A"}, nil)
-	b := mustNode(t, g, []string{"B"}, nil)
-	r := mustRel(t, g, a, b, "LINKS")
-	rel, ok := g.GetRel(r)
-	if !ok || rel.From != a || rel.To != b || rel.Type != "LINKS" {
-		t.Fatalf("rel = %+v", rel)
+	a := mustNode(t, g, nil, nil)
+	if _, err := g.CreateRel(a, a, "X", Props{"bad": map[string]int{}}); err == nil {
+		t.Fatal("map prop on a relationship must be rejected")
 	}
-	if err := g.DeleteRel(r); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.GetRel(r); ok {
-		t.Error("rel should be gone")
-	}
-	if got := len(g.Neighbors(a, Outgoing, "")); got != 0 {
-		t.Errorf("neighbors after delete = %d", got)
+	if got := g.Closure(a, Both, "", 0); len(got) != 0 {
+		t.Fatalf("rejected relationship is traversable: %v", got)
 	}
 }
 
@@ -90,71 +63,6 @@ func TestRelToMissingNode(t *testing.T) {
 	}
 	if _, err := g.CreateRel(999, a, "X", nil); err == nil {
 		t.Fatal("rel from missing node must fail")
-	}
-}
-
-func TestDeleteNodeCascades(t *testing.T) {
-	g := New()
-	a := mustNode(t, g, []string{"N"}, nil)
-	b := mustNode(t, g, []string{"N"}, nil)
-	mustRel(t, g, a, b, "X")
-	mustRel(t, g, b, a, "Y")
-	if err := g.DeleteNode(a); err != nil {
-		t.Fatal(err)
-	}
-	if g.RelCount() != 0 {
-		t.Errorf("rels after cascade = %d", g.RelCount())
-	}
-	if got := g.NodesByLabel("N"); len(got) != 1 || got[0] != b {
-		t.Errorf("label index stale: %v", got)
-	}
-}
-
-func TestFindNodesScanAndIndex(t *testing.T) {
-	g := New()
-	for i := 0; i < 20; i++ {
-		mustNode(t, g, []string{"Run"}, Props{"exp": fmt.Sprintf("e%d", i%4), "i": int64(i)})
-	}
-	scan := g.FindNodes("Run", "exp", "e2")
-	if len(scan) != 5 {
-		t.Fatalf("scan found %d, want 5", len(scan))
-	}
-	g.CreateIndex("Run", "exp")
-	if !g.HasIndex("Run", "exp") {
-		t.Fatal("index missing")
-	}
-	indexed := g.FindNodes("Run", "exp", "e2")
-	if len(indexed) != len(scan) {
-		t.Fatalf("indexed %d != scan %d", len(indexed), len(scan))
-	}
-	for i := range scan {
-		if scan[i] != indexed[i] {
-			t.Fatal("index and scan disagree")
-		}
-	}
-}
-
-func TestIndexMaintainedOnMutation(t *testing.T) {
-	g := New()
-	g.CreateIndex("Run", "state")
-	a := mustNode(t, g, []string{"Run"}, Props{"state": "running"})
-	if got := g.FindNodes("Run", "state", "running"); len(got) != 1 {
-		t.Fatalf("after create: %v", got)
-	}
-	if err := g.SetProps(a, Props{"state": "done"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.FindNodes("Run", "state", "running"); len(got) != 0 {
-		t.Errorf("stale index entry: %v", got)
-	}
-	if got := g.FindNodes("Run", "state", "done"); len(got) != 1 {
-		t.Errorf("missing index entry: %v", got)
-	}
-	if err := g.DeleteNode(a); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.FindNodes("Run", "state", "done"); len(got) != 0 {
-		t.Errorf("index survives delete: %v", got)
 	}
 }
 
@@ -184,39 +92,31 @@ func TestClosureAndDepth(t *testing.T) {
 	if len(none) != 0 {
 		t.Fatalf("incoming closure from head = %v", none)
 	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := New()
-	ids := buildChain(t, g, 5)
-	// Add a shortcut 0 -> 3.
-	mustRel(t, g, ids[0], ids[3], "NEXT")
-	p := g.ShortestPath(ids[0], ids[4], Outgoing, "NEXT")
-	if len(p) != 3 { // 0 -> 3 -> 4
-		t.Fatalf("path = %v", p)
-	}
-	if g.ShortestPath(ids[4], ids[0], Outgoing, "NEXT") != nil {
-		t.Error("reverse path should not exist outgoing")
-	}
-	if p := g.ShortestPath(ids[4], ids[0], Incoming, "NEXT"); p == nil {
-		t.Error("incoming traversal should find reverse path")
+	if got := g.Closure(999, Outgoing, "", 0); got != nil {
+		t.Fatalf("closure from a missing node = %v", got)
 	}
 }
 
+// TestNeighborsTypeFilter: a depth-1 closure is the neighbor set, and
+// the type filter selects one bucket whether the adjacency is still
+// inline (one type) or has spilled into the map (two types).
 func TestNeighborsTypeFilter(t *testing.T) {
 	g := New()
 	a := mustNode(t, g, nil, nil)
 	b := mustNode(t, g, nil, nil)
 	c := mustNode(t, g, nil, nil)
 	mustRel(t, g, a, b, "X")
+	if got := g.Closure(a, Outgoing, "Y", 1); len(got) != 0 {
+		t.Fatalf("inline bucket, other type = %v", got)
+	}
 	mustRel(t, g, a, c, "Y")
-	if got := g.Neighbors(a, Outgoing, "X"); len(got) != 1 || got[0].Node != b {
+	if got := g.Closure(a, Outgoing, "X", 1); !slices.Equal(got, []NodeID{b}) {
 		t.Fatalf("filtered neighbors = %v", got)
 	}
-	if got := g.Neighbors(a, Outgoing, ""); len(got) != 2 {
+	if got := g.Closure(a, Outgoing, "", 1); !slices.Equal(got, []NodeID{b, c}) {
 		t.Fatalf("unfiltered neighbors = %v", got)
 	}
-	if got := g.Neighbors(b, Both, ""); len(got) != 1 || got[0].Node != a {
+	if got := g.Closure(b, Both, "", 1); !slices.Equal(got, []NodeID{a}) {
 		t.Fatalf("both-direction neighbors = %v", got)
 	}
 }
@@ -239,34 +139,16 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				g.Neighbors(root, Outgoing, "HAS")
-				g.FindNodes("W", "w", int64(w))
+				g.Closure(root, Outgoing, "HAS", 1)
+				g.Closure(id, Incoming, "", 0)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if g.NodeCount() != 401 {
-		t.Errorf("nodes = %d, want 401", g.NodeCount())
+	if len(g.nodes) != 401 {
+		t.Errorf("nodes = %d, want 401", len(g.nodes))
 	}
-	if got := len(g.Neighbors(root, Outgoing, "HAS")); got != 400 {
+	if got := len(g.Closure(root, Outgoing, "HAS", 1)); got != 400 {
 		t.Errorf("rels = %d, want 400", got)
-	}
-}
-
-func TestClear(t *testing.T) {
-	g := New()
-	g.CreateIndex("N", "i")
-	buildChain(t, g, 4)
-	g.Clear()
-	if g.NodeCount() != 0 || g.RelCount() != 0 {
-		t.Fatal("clear left data")
-	}
-	if got := g.FindNodes("N", "i", int64(1)); len(got) != 0 {
-		t.Fatal("clear left index entries")
-	}
-	// Graph is reusable after Clear.
-	buildChain(t, g, 3)
-	if g.NodeCount() != 3 {
-		t.Fatal("graph unusable after clear")
 	}
 }

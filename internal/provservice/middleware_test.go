@@ -3,6 +3,7 @@ package provservice
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -212,6 +213,32 @@ func TestAuthMiddlewareCoversAllMutations(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusUnauthorized {
 			t.Errorf("%s without token = %d, want 401", m, resp.StatusCode)
+		}
+	}
+	// The header must name the Bearer scheme, in any case, and carry
+	// exactly the token.
+	for i, tc := range []struct {
+		auth string
+		want int
+	}{
+		{"sekrit", http.StatusUnauthorized},
+		{"Basic sekrit", http.StatusUnauthorized},
+		{"Bearer sekri", http.StatusUnauthorized},
+		{"Bearer sekrit", http.StatusCreated},
+		{"bearer sekrit", http.StatusCreated},
+	} {
+		req, err := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/api/v0/documents/auth-%d", srv.URL, i), strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", tc.auth)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("PUT with Authorization %q = %d, want %d", tc.auth, resp.StatusCode, tc.want)
 		}
 	}
 }

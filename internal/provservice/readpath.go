@@ -75,10 +75,6 @@ func WithMaxTraversalDepth(n int) Option {
 	}
 }
 
-// ReadCache exposes the service's response cache (nil when disabled) —
-// benchmarks and tests use it to purge between phases.
-func (s *Service) ReadCache() *readcache.Cache { return s.cache }
-
 // httpError carries a response status through a cache fill, so the
 // fill can say "404, not found" without writing to the socket itself
 // (fills run once per miss and may be shared by coalesced requests).
@@ -120,14 +116,14 @@ func (s *Service) makeETag(key string, version uint64) string {
 }
 
 // etagMatches implements the If-None-Match comparison against a strong
-// validator: "*" matches any current representation; weak tags (W/...)
-// never match a strong one.
+// validator: "*" matches any current representation, and a listed tag
+// matches by weak comparison (RFC 9110 §13.1.2), so W/"x" matches "x".
 func etagMatches(header, etag string) bool {
 	if header == "" {
 		return false
 	}
 	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
+		part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
 		if part == "*" || part == etag {
 			return true
 		}
@@ -427,7 +423,7 @@ func (s *Service) streamDocuments(w http.ResponseWriter, after string, limit int
 	nw.finish()
 }
 
-// cacheObsStats surfaces the cache counters in /api/v0/stats.
+// cacheStats surfaces the cache counters in /api/v0/stats.
 func (s *Service) cacheStats() *readcache.Stats {
 	if s.cache == nil {
 		return nil

@@ -92,6 +92,12 @@ func TestETagConditionalGet(t *testing.T) {
 			if len(notModBody) != 0 {
 				t.Fatalf("304 carried %d body bytes", len(notModBody))
 			}
+			// If-None-Match compares weakly: a proxy's weakened copy of the
+			// tag still matches.
+			weak := map[string]string{"If-None-Match": `"other", W/` + etag}
+			if resp, _ := get(t, srv.URL+path, weak); resp.StatusCode != http.StatusNotModified {
+				t.Fatalf("conditional GET with the weak tag = %d, want 304", resp.StatusCode)
+			}
 			// A write to the document makes the validator stale: full 200
 			// with a fresh ETag and the new content.
 			if err := store.Put("doc1", revDoc(2)); err != nil {
@@ -103,6 +109,9 @@ func TestETagConditionalGet(t *testing.T) {
 			}
 			if newTag := resp.Header.Get("ETag"); newTag == etag || newTag == "" {
 				t.Fatalf("ETag not refreshed after write: %q", newTag)
+			}
+			if resp, _ := get(t, srv.URL+path, weak); resp.StatusCode != 200 {
+				t.Fatalf("post-write conditional GET with the weak tag = %d, want 200", resp.StatusCode)
 			}
 			if string(body2) == string(body) && strings.Contains(string(body), "rev") {
 				t.Fatal("post-write body identical to pre-write body")

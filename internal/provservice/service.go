@@ -27,6 +27,7 @@ package provservice
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -213,11 +214,6 @@ func WithSlowRequestThreshold(d time.Duration) Option {
 func WithFlightRecorder(rec *flightrec.Recorder) Option {
 	return func(s *Service) { s.flightrec = rec }
 }
-
-// FlightRecorder exposes the service's flight recorder (nil when
-// disabled) — servers use it to freeze bundles on external anomalies
-// (replication stalls, SIGQUIT dumps).
-func (s *Service) FlightRecorder() *flightrec.Recorder { return s.flightrec }
 
 // WithReplicationPrimary mounts the replication endpoints (stream,
 // status, snapshot, ack) and surfaces primary-side replication state
@@ -448,13 +444,16 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...interfac
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// authorized checks the bearer token (used by the auth middleware).
+// authorized checks the bearer token (used by the auth middleware):
+// the Authorization header must name the Bearer scheme, in any case
+// (RFC 9110 §11.1), and carry the token, compared in constant time.
 func (s *Service) authorized(r *http.Request) bool {
 	if s.token == "" {
 		return true
 	}
-	h := r.Header.Get("Authorization")
-	return strings.TrimPrefix(h, "Bearer ") == s.token
+	scheme, token, ok := strings.Cut(r.Header.Get("Authorization"), " ")
+	return ok && strings.EqualFold(scheme, "Bearer") &&
+		subtle.ConstantTimeCompare([]byte(strings.TrimLeft(token, " ")), []byte(s.token)) == 1
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {

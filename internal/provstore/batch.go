@@ -7,8 +7,9 @@ import (
 	"repro/internal/prov"
 )
 
-// Bulk conveniences over Apply: N documents as one atomic unit, one
-// journal record and one fsync (README, "Bulk ingestion").
+// A bulk convenience over Apply: N documents as one atomic unit, one
+// journal record and one fsync (README, "Bulk ingestion"). Deleting N
+// documents atomically is Apply with one Op{ID: id} per document.
 
 // PutBatch stores (or replaces) every document in docs as one atomic
 // unit. The store keeps deep copies; the documents stay the caller's.
@@ -21,17 +22,6 @@ func (s *Store) PutBatch(docs map[string]*prov.Document) error {
 			return fmt.Errorf("provstore: batch item %q has no document", id)
 		}
 		ops = append(ops, Op{ID: id, Doc: d.Clone()})
-	}
-	return s.Apply(context.Background(), ops)
-}
-
-// DeleteBatch removes every listed document as one atomic unit. If any
-// id is missing (or listed twice) the whole batch fails and nothing is
-// deleted. It is Apply with one delete per id and no deadline.
-func (s *Store) DeleteBatch(ids []string) error {
-	ops := make([]Op, len(ids))
-	for i, id := range ids {
-		ops[i] = Op{ID: id}
 	}
 	return s.Apply(context.Background(), ops)
 }

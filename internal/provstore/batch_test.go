@@ -289,24 +289,36 @@ func TestPutBatchOnClosedStore(t *testing.T) {
 	}
 }
 
+// TestDeleteBatchAtomic: an Apply of delete ops removes every listed
+// document or, when one id is missing or listed twice, none of them.
 func TestDeleteBatchAtomic(t *testing.T) {
 	dir := t.TempDir()
 	s := openTemp(t, dir, Durability{Fsync: true, SnapshotEvery: -1})
 	if err := s.PutBatch(batchDocs(t, "d", 6)); err != nil {
 		t.Fatal(err)
 	}
+	deleteAll := func(ids ...string) error {
+		ops := make([]Op, len(ids))
+		for i, id := range ids {
+			ops[i] = Op{ID: id}
+		}
+		return s.Apply(context.Background(), ops)
+	}
 	before := storeFingerprint(s)
 	// Any missing id fails the whole batch.
-	if err := s.DeleteBatch([]string{"d-00", "d-01", "ghost"}); err == nil {
+	if err := deleteAll("d-00", "d-01", "ghost"); err == nil {
 		t.Fatal("delete batch with missing id succeeded")
 	}
 	if after := storeFingerprint(s); !reflect.DeepEqual(before, after) {
 		t.Fatalf("failed delete batch changed store state")
 	}
-	if err := s.DeleteBatch([]string{"d-00", "d-00"}); err == nil {
+	if err := deleteAll("d-00", "d-00"); err == nil {
 		t.Fatal("delete batch with duplicate id succeeded")
 	}
-	if err := s.DeleteBatch([]string{"d-00", "d-03", "d-05"}); err != nil {
+	if after := storeFingerprint(s); !reflect.DeepEqual(before, after) {
+		t.Fatalf("duplicate-id delete batch changed store state")
+	}
+	if err := deleteAll("d-00", "d-03", "d-05"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.List(); !reflect.DeepEqual(got, []string{"d-01", "d-02", "d-04"}) {

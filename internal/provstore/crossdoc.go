@@ -94,28 +94,6 @@ func (s *Store) CrossDocLineage(start prov.QName, dir LineageDirection, depth in
 	return out, nil
 }
 
-// SharedNodes lists qualified names that appear in more than one
-// document — the junction points cross-document traversal pivots on.
-func (s *Store) SharedNodes() []CrossNode {
-	docsOf := nodeDocs{}
-	s.eachEntry(docsOf.add)
-
-	var out []CrossNode
-	for q, docs := range docsOf {
-		if len(docs) < 2 {
-			continue
-		}
-		var ids []string
-		for d := range docs {
-			ids = append(ids, d)
-		}
-		sort.Strings(ids)
-		out = append(out, CrossNode{Node: q, Docs: ids})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
 // nodeDocs maps an element's qualified name to the set of documents
 // declaring it.
 type nodeDocs map[prov.QName]map[string]bool

@@ -30,24 +30,6 @@ func twoRunStore(t *testing.T) *Store {
 	return s
 }
 
-func TestSharedNodes(t *testing.T) {
-	s := twoRunStore(t)
-	shared := s.SharedNodes()
-	if len(shared) != 2 {
-		t.Fatalf("shared = %v", shared)
-	}
-	names := map[prov.QName]bool{}
-	for _, n := range shared {
-		names[n.Node] = true
-		if len(n.Docs) != 2 {
-			t.Errorf("%s docs = %v", n.Node, n.Docs)
-		}
-	}
-	if !names["ex:experiment"] || !names["ex:dataset"] {
-		t.Errorf("shared names = %v", shared)
-	}
-}
-
 func TestCrossDocLineage(t *testing.T) {
 	s := twoRunStore(t)
 	// Descendants of the shared dataset must include both runs and both

@@ -45,7 +45,6 @@ func runDoc(i int) *prov.Document {
 // storeWideReads is every store-wide read's answer on the runDoc store.
 type storeWideReads struct {
 	Lineage  [][]CrossNode
-	Shared   []CrossNode
 	ByType   [][]SearchResult
 	ByAttr   [][]SearchResult
 	Decoding [][]SearchResult // the one kind that reads documents
@@ -65,7 +64,6 @@ func readStoreWide(t *testing.T, s *Store, decode bool) storeWideReads {
 		}
 		r.Lineage = append(r.Lineage, nodes)
 	}
-	r.Shared = s.SharedNodes()
 	for _, typ := range []string{"provml:Model", "provml:Dataset", "provml:RunExecution", "provml:Nothing"} {
 		r.ByType = append(r.ByType, s.FindByType(typ))
 	}
@@ -77,8 +75,8 @@ func readStoreWide(t *testing.T, s *Store, decode bool) storeWideReads {
 	return r
 }
 
-// TestStoreWideReadsSameWithoutDocuments: cross-document lineage, shared
-// nodes and type search answer from each entry's index and type hits,
+// TestStoreWideReadsSameWithoutDocuments: cross-document lineage and
+// type search answer from each entry's index and type hits,
 // attribute search from its document, and all of them answer the same
 // before a checkpoint, after it (every entry holds its blob alone) and
 // after reopening the directory (entries built from the snapshot). With
@@ -95,7 +93,7 @@ func TestStoreWideReadsSameWithoutDocuments(t *testing.T) {
 		}
 	}
 	want := readStoreWide(t, s, true)
-	if len(want.Lineage[0]) != 2*n || len(want.Shared) != n || len(want.ByType[0]) != n || len(want.Decoding[0]) == 0 {
+	if len(want.Lineage[0]) != 2*n || len(want.ByType[0]) != n || len(want.Decoding[0]) == 0 {
 		t.Fatalf("unexpected baseline: %+v", want)
 	}
 	same := func(label string, got storeWideReads) {

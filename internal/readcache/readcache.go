@@ -219,15 +219,6 @@ func (c *Cache) storeLocked(key string, version uint64, e Entry) {
 	}
 }
 
-// Purge drops every cached entry (in-flight fills are unaffected).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-	c.bytes = 0
-}
-
 // Len reports the current entry count.
 func (c *Cache) Len() int {
 	c.mu.Lock()

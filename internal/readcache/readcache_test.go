@@ -188,15 +188,3 @@ func TestSingleFlightCoalesces(t *testing.T) {
 		t.Fatalf("expected coalesced waiters, stats = %+v", st)
 	}
 }
-
-func TestPurge(t *testing.T) {
-	c := New(16, 1<<20)
-	_, _, _ = c.Do("k", 1, func() (Entry, error) { return entry("x"), nil })
-	c.Purge()
-	if c.Len() != 0 || c.Stats().Bytes != 0 {
-		t.Fatal("purge must empty the cache")
-	}
-	if _, hit, _ := c.Do("k", 1, func() (Entry, error) { return entry("x"), nil }); hit {
-		t.Fatal("purged entry must not hit")
-	}
-}

@@ -7,6 +7,7 @@ package repl_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -734,8 +735,8 @@ func TestFollowerRejectsLocalMutations(t *testing.T) {
 	if err := fs.PutBatch(map[string]*prov.Document{"x": testDoc(t, "x")}); !errors.Is(err, provstore.ErrReadOnly) {
 		t.Fatalf("PutBatch on follower = %v, want ErrReadOnly", err)
 	}
-	if err := fs.DeleteBatch([]string{"x"}); !errors.Is(err, provstore.ErrReadOnly) {
-		t.Fatalf("DeleteBatch on follower = %v, want ErrReadOnly", err)
+	if err := fs.Apply(context.Background(), []provstore.Op{{ID: "x"}}); !errors.Is(err, provstore.ErrReadOnly) {
+		t.Fatalf("Apply delete on follower = %v, want ErrReadOnly", err)
 	}
 }
 
