@@ -46,16 +46,21 @@ chaos:
 # Ten seconds of each fuzzer on top of its committed seed corpus. prov:
 # the differential one that holds the PROV-JSON decoder to the
 # encoding/json reference it replaced, and the two binary-codec ones.
-# zarr: the fused byte shuffle against a two-buffer transposition, and
-# Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes.
-# provservice: the NDJSON batch envelope scan against the encoding/json
-# struct decode it replaced. go test takes one -fuzz target per run.
+# zarr: the fused byte shuffle against a two-buffer transposition,
+# Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes, and
+# OpenStore/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
+# archive. jsonscan: Skip/End against json.Valid and String/Bytes
+# against json.Unmarshal. provservice: the NDJSON batch envelope scan
+# against the encoding/json struct decode it replaced. go test takes one
+# -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleRoundTrip$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkDecode$$' -fuzztime 10s ./internal/zarr
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenZipStore$$' -fuzztime 10s ./internal/zarr
+	$(GO) test -run '^$$' -fuzz '^FuzzSkipMatchesValid$$' -fuzztime 10s ./internal/jsonscan
 	$(GO) test -run '^$$' -fuzz '^FuzzScanBatchLine$$' -fuzztime 10s ./internal/provservice
 
 # One iteration of every go test benchmark (the paper's tables and

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"archive/zip"
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +14,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/prov"
+	"repro/internal/zarr"
 )
 
 func simRun(t testing.TB, opts ...RunOption) *Run {
@@ -319,26 +323,116 @@ func TestEndNetCDFStorage(t *testing.T) {
 
 // TestEndFailsWhenZarrStoreCannotBeCreated: metrics that cannot reach
 // <dir>/<run-id>/metrics.zarr fail End; they are not flushed into memory
-// and referenced from a prov.json that outlives them.
+// and referenced from a prov.json that outlives them. What is in the way
+// here is a directory store, as a run from before metrics.zarr became one
+// archive left it: End names the path and leaves the store alone.
 func TestEndFailsWhenZarrStoreCannotBeCreated(t *testing.T) {
 	dir := t.TempDir()
 	exp := NewExperiment("e", WithDir(dir))
 	r := exp.StartRun("r", WithClock(NewSimClock(time.Unix(0, 0), time.Second)), WithStorage(StorageZarr))
 	runDir := filepath.Join(dir, r.ID)
-	if err := os.MkdirAll(runDir, 0o755); err != nil {
+	old := filepath.Join(runDir, "metrics.zarr", "TRAINING", "loss", "value", ".zarray")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(runDir, "metrics.zarr"), []byte("in the way"), 0o644); err != nil {
+	if err := os.WriteFile(old, []byte("an old store"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.LogMetric("loss", metrics.Training, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.End(); err == nil {
-		t.Error("End succeeded with nowhere to put the metrics")
+	_, err := r.End()
+	if err == nil {
+		t.Fatal("End succeeded with nowhere to put the metrics")
+	}
+	if !strings.Contains(err.Error(), filepath.Join(runDir, "metrics.zarr")) {
+		t.Errorf("error %q does not name the store", err)
+	}
+	if got, err := os.ReadFile(old); err != nil || string(got) != "an old store" {
+		t.Errorf("the old store was touched: %q, %v", got, err)
 	}
 	if _, err := os.Stat(filepath.Join(runDir, "prov.json")); !os.IsNotExist(err) {
 		t.Errorf("prov.json written despite the failure (stat: %v)", err)
+	}
+}
+
+// TestEndWritesOneArchive: a Zarr run leaves metrics.zarr as one file
+// beside prov.json and prov.provn, a zip archive whose members are the
+// keys a MemStore flush of the same metrics produces, stored, byte for
+// byte; ending the same run again over the directory leaves one file.
+func TestEndWritesOneArchive(t *testing.T) {
+	dir := t.TempDir()
+	var res EndResult
+	var r *Run
+	for i := 0; i < 2; i++ {
+		exp := NewExperiment("e", WithDir(dir))
+		r = exp.StartRun("r", WithClock(NewSimClock(time.Unix(0, 0), time.Second)), WithStorage(StorageZarr))
+		for step := int64(0); step < 300; step++ {
+			if err := r.LogMetric("loss", metrics.Training, step, 1/float64(step+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.LogMetric("acc", metrics.Training, step, float64(step)/300); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.LogMetric("val/loss", metrics.Validation, 0, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if res, err = r.End(); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.MetricPaths) != 1 {
+			t.Fatalf("metric paths = %v", res.MetricPaths)
+		}
+		entries, err := os.ReadDir(filepath.Dir(res.MetricPaths[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			if !e.Type().IsRegular() {
+				t.Errorf("%s is not a regular file", e.Name())
+			}
+			names = append(names, e.Name())
+		}
+		if got := strings.Join(names, " "); got != "metrics.zarr prov.json prov.provn" {
+			t.Fatalf("End #%d left %q", i+1, got)
+		}
+	}
+
+	want := zarr.NewMemStore()
+	if _, err := (&metrics.ZarrSink{Store: want}).Flush(r.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := want.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := zip.OpenReader(res.MetricPaths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zr.Close()
+	if len(zr.File) != len(keys) {
+		t.Fatalf("%d members, want %d", len(zr.File), len(keys))
+	}
+	for i, f := range zr.File {
+		if f.Name != keys[i] || f.Method != zip.Store {
+			t.Fatalf("member %d: %q method %d, want %q stored", i, f.Name, f.Method, keys[i])
+		}
+		rc, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := want.Get(f.Name); !bytes.Equal(got, v) {
+			t.Errorf("member %q differs from the MemStore flush", f.Name)
+		}
 	}
 }
 

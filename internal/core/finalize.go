@@ -23,7 +23,11 @@ type EndResult struct {
 // End finalizes the run: closes any open epochs, flushes metrics to the
 // configured storage backend, builds and validates the PROV document,
 // and — when the experiment has an output directory — writes
-// prov.json / prov.provn / metric files under <dir>/<run-id>/.
+// prov.json / prov.provn / metric files under <dir>/<run-id>/. Metrics
+// are written first: when they cannot be, End fails before any PROV
+// file references them. Zarr metrics go to one archive, metrics.zarr
+// (zarr.WriteZip); a directory already there fails End and is left as
+// it is.
 func (r *Run) End() (EndResult, error) {
 	r.mu.Lock()
 	if r.ended {
@@ -49,6 +53,11 @@ func (r *Run) End() (EndResult, error) {
 	r.mu.Unlock()
 
 	var res EndResult
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return EndResult{}, err
+		}
+	}
 
 	// Flush metrics through the selected sink.
 	refs := map[metrics.Key]string{}
@@ -56,13 +65,13 @@ func (r *Run) End() (EndResult, error) {
 		var err error
 		switch storage {
 		case StorageZarr:
-			sink, sinkErr := ZarrDirSinkFor(dir)
-			if sinkErr != nil {
-				return EndResult{}, fmt.Errorf("core: flushing metrics: %w", sinkErr)
-			}
-			refs, err = sink.Flush(r.metrics)
-			if dirStore, ok := sink.Store.(*zarr.DirStore); ok && err == nil {
-				res.MetricPaths = append(res.MetricPaths, dirStore.Root())
+			store := zarr.NewMemStore()
+			refs, err = (&metrics.ZarrSink{Store: store}).Flush(r.metrics)
+			if dir != "" && err == nil {
+				path := filepath.Join(dir, "metrics.zarr")
+				if err = zarr.WriteZip(path, store); err == nil {
+					res.MetricPaths = append(res.MetricPaths, path)
+				}
 			}
 		case StorageNetCDF:
 			sink := &metrics.NetCDFSink{}
@@ -105,9 +114,6 @@ func (r *Run) End() (EndResult, error) {
 	res.ProvJSON = payload
 
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return EndResult{}, err
-		}
 		res.ProvJSONPath = filepath.Join(dir, "prov.json")
 		if err := os.WriteFile(res.ProvJSONPath, payload, 0o644); err != nil {
 			return EndResult{}, err
@@ -118,19 +124,4 @@ func (r *Run) End() (EndResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// ZarrDirSinkFor builds a Zarr sink writing under dir/metrics.zarr, or
-// into memory when dir is empty. A directory store that cannot be
-// created is an error: metrics must not end up in a store that dies
-// with the process while the document references them.
-func ZarrDirSinkFor(dir string) (*metrics.ZarrSink, error) {
-	if dir == "" {
-		return &metrics.ZarrSink{Store: zarr.NewMemStore()}, nil
-	}
-	store, err := zarr.NewDirStore(filepath.Join(dir, "metrics.zarr"))
-	if err != nil {
-		return nil, err
-	}
-	return &metrics.ZarrSink{Store: store}, nil
 }

@@ -84,13 +84,6 @@ func TestRunStartTime(t *testing.T) {
 	}
 }
 
-func TestZarrDirSinkForFallsBackToMemory(t *testing.T) {
-	s, err := ZarrDirSinkFor("")
-	if err != nil || s.Store == nil {
-		t.Fatal("nil store")
-	}
-}
-
 func TestEndWithoutDirProducesNoPaths(t *testing.T) {
 	r := simRun(t) // experiment has no Dir
 	if err := r.LogMetric("m", metrics.Training, 0, 1); err != nil {
@@ -100,7 +93,7 @@ func TestEndWithoutDirProducesNoPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProvJSONPath != "" || res.ProvNPath != "" {
+	if res.ProvJSONPath != "" || res.ProvNPath != "" || len(res.MetricPaths) != 0 {
 		t.Errorf("paths should be empty without a dir: %+v", res)
 	}
 	if len(res.ProvJSON) == 0 {

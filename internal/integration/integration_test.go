@@ -85,7 +85,7 @@ func TestFullPipeline(t *testing.T) {
 	if _, err := doc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := zarr.NewDirStore(filepath.Join(dir, run.ID, "metrics.zarr"))
+	store, err := zarr.OpenStore(endRes.MetricPaths[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,3 +138,39 @@ func TestObjectWalk(t *testing.T) {
 		t.Fatalf("walk saw %q, want %q", got, want)
 	}
 }
+
+// FuzzSkipMatchesValid holds the scanner to encoding/json on any bytes:
+// Skip then End accepts exactly what json.Valid accepts, every rejection
+// is a *SyntaxError, and a text that encoding/json reads as a string
+// reads, through String and Bytes, as the same string.
+func FuzzSkipMatchesValid(f *testing.F) {
+	for _, text := range texts {
+		f.Add([]byte(text))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := New(data)
+		err := sc.Skip()
+		if err == nil {
+			err = sc.End()
+		}
+		if want := json.Valid(data); (err == nil) != want {
+			t.Fatalf("%q: scanner says %v, json.Valid says %v", data, err, want)
+		}
+		var se *SyntaxError
+		if err != nil && !errors.As(err, &se) {
+			t.Fatalf("%q: error %v is no *SyntaxError", data, err)
+		}
+		var want string
+		if len(data) == 0 || data[0] != '"' || json.Unmarshal(data, &want) != nil {
+			return
+		}
+		sc = New(data)
+		tok, err := sc.String()
+		if err != nil {
+			t.Fatalf("%q: %v", data, err)
+		}
+		if got := sc.Bytes(tok); string(got) != want {
+			t.Fatalf("%q reads as %q, encoding/json reads %q", data, got, want)
+		}
+	})
+}

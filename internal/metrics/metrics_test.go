@@ -254,6 +254,62 @@ func TestLoadZarrSeriesFromLegacyStore(t *testing.T) {
 	}
 }
 
+// TestLoadZarrSeriesThroughArchive: series written to a zip archive
+// come back from OpenStore under the names they were logged with, not
+// the sanitized path ("val/loss" is stored as VALIDATION/val_loss).
+func TestLoadZarrSeriesThroughArchive(t *testing.T) {
+	c := NewCollection()
+	fill(c, "val/loss", Validation, 40)
+	fill(c, "gpu 0:power", Training, 300)
+	mem := zarr.NewMemStore()
+	refs, err := (&ZarrSink{Store: mem}).Flush(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "metrics.zarr")
+	if err := zarr.WriteZip(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	store, err := zarr.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ref := range refs {
+		s, err := LoadZarrSeries(store, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, _ := c.Get(k.Name, k.Context)
+		if s.Name != k.Name || s.Context != k.Context || s.Len() != orig.Len() {
+			t.Fatalf("%s reads back as %s/%s with %d points, want %d", ref, s.Context, s.Name, s.Len(), orig.Len())
+		}
+		for i, p := range orig.Points {
+			if s.Points[i].Value != p.Value || s.Points[i].Step != p.Step {
+				t.Fatalf("%s point %d: %+v, want %+v", ref, i, s.Points[i], p)
+			}
+		}
+	}
+}
+
+// TestSinksRejectNameCollisions: two series whose names sanitize to one
+// stored name fail Flush with an error naming both, in either sink; at
+// the name the second would have overwritten the first.
+func TestSinksRejectNameCollisions(t *testing.T) {
+	c := NewCollection()
+	fill(c, "a/b", Training, 5)
+	fill(c, "a_b", Training, 7)
+	for _, sink := range []Sink{&ZarrSink{}, &NetCDFSink{}} {
+		_, err := sink.Flush(c)
+		if err == nil {
+			t.Errorf("%s: Flush stored a/b and a_b under one name", sink.Name())
+			continue
+		}
+		if !strings.Contains(err.Error(), "TRAINING/a/b") || !strings.Contains(err.Error(), "TRAINING/a_b") {
+			t.Errorf("%s: error %q does not name both series", sink.Name(), err)
+		}
+	}
+}
+
 func TestNetCDFSink(t *testing.T) {
 	c := NewCollection()
 	fill(c, "loss", Training, 100)

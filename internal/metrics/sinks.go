@@ -120,9 +120,13 @@ func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 		maxChunk = 4096
 	}
 	refs := make(map[Key]string, len(snap))
+	bases := make(map[string]Key, len(snap))
 	for _, series := range snap {
 		k := Key{Name: series.Name, Context: series.Context}
 		base := sanitize(string(k.Context)) + "/" + sanitize(k.Name)
+		if err := claimBase(bases, base, k); err != nil {
+			return nil, err
+		}
 		n := len(series.Points)
 		value, step := make([]float64, n), make([]float64, n)
 		epoch, tstamp := make([]float64, n), make([]float64, n)
@@ -166,7 +170,10 @@ func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 	return refs, nil
 }
 
-// LoadZarrSeries reads a series back from a zarr store reference.
+// LoadZarrSeries reads a series back from a zarr store reference. The
+// series is named as it was logged — the "metric" and "context"
+// attributes ZarrSink puts on the value array — and, where those are
+// absent, after the reference's path.
 func LoadZarrSeries(store zarr.Store, ref string) (Series, error) {
 	base := strings.TrimPrefix(ref, "zarr:")
 	read := func(col string) ([]float64, error) {
@@ -176,7 +183,15 @@ func LoadZarrSeries(store zarr.Store, ref string) (Series, error) {
 		}
 		return arr.ReadFloat64()
 	}
-	values, err := read("value")
+	valueArr, err := zarr.Open(store, base+"/value")
+	if err != nil {
+		return Series{}, err
+	}
+	values, err := valueArr.ReadFloat64()
+	if err != nil {
+		return Series{}, err
+	}
+	attrs, err := valueArr.Attrs()
 	if err != nil {
 		return Series{}, err
 	}
@@ -199,6 +214,12 @@ func LoadZarrSeries(store zarr.Store, ref string) (Series, error) {
 	s := Series{Context: Context(parts[0])}
 	if len(parts) > 1 {
 		s.Name = parts[1]
+	}
+	if name, ok := attrs["metric"].(string); ok {
+		s.Name = name
+	}
+	if ctx, ok := attrs["context"].(string); ok {
+		s.Context = Context(ctx)
 	}
 	s.Points = make([]Point, len(values))
 	for i := range values {
@@ -233,14 +254,18 @@ func (s *NetCDFSink) Flush(c *Collection) (map[Key]string, error) {
 	f := &netcdf.File{}
 	f.Attrs = append(f.Attrs, netcdf.StrAttr("title", "yProv4ML offloaded metrics"))
 	refs := make(map[Key]string, len(snap))
+	bases := make(map[string]Key, len(snap))
 	for i, series := range snap {
 		k := Key{Name: series.Name, Context: series.Context}
 		n := len(series.Points)
 		if n == 0 {
 			continue
 		}
-		dim := f.AddDim(fmt.Sprintf("n%d", i), n)
 		base := sanitize(string(k.Context)) + "_" + sanitize(k.Name)
+		if err := claimBase(bases, base, k); err != nil {
+			return nil, err
+		}
+		dim := f.AddDim(fmt.Sprintf("n%d", i), n)
 		value := make([]float64, n)
 		step := make([]float64, n)
 		tstamp := make([]float64, n)
@@ -272,6 +297,18 @@ func (s *NetCDFSink) Flush(c *Collection) (map[Key]string, error) {
 		}
 	}
 	return refs, nil
+}
+
+// claimBase records that series k is stored under base. Two series
+// whose names sanitize alike would share one base, the second
+// overwriting the first under a reference both documents cite, so that
+// is an error naming both.
+func claimBase(bases map[string]Key, base string, k Key) error {
+	if prev, ok := bases[base]; ok {
+		return fmt.Errorf("metrics: series %q and %q are both stored as %q", prev, k, base)
+	}
+	bases[base] = k
+	return nil
 }
 
 // sanitize maps arbitrary series names to path-safe tokens.

@@ -5,7 +5,10 @@
 // bulky metric time series out of PROV-JSON (§4, Table 1): array metadata
 // is a small JSON document (".zarray"), data is split into fixed-size
 // chunks stored under "c0.c1..." keys, and each chunk is run through a
-// codec (gzip or raw). Directory and in-memory stores are provided.
+// codec (gzip or raw). A store is a directory of files (DirStore), a
+// map in memory (MemStore), or one zip archive of stored members
+// (WriteZip, ZipStore, read-only); OpenStore picks the reader from what
+// is on disk.
 //
 // Chunks of a compressed array are byte-shuffled first (the Zarr v2
 // "shuffle" filter, listed under "filters" in ".zarray"): metric columns
