@@ -51,8 +51,10 @@ chaos:
 # OpenStore/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
 # archive. jsonscan: Skip/End against json.Valid and String/Bytes
 # against json.Unmarshal. provservice: the NDJSON batch envelope scan
-# against the encoding/json struct decode it replaced. go test takes one
-# -fuzz target per run.
+# against the encoding/json struct decode it replaced. provstore: the
+# journal record envelope, which must not panic on any bytes and must
+# decode what appendRecord re-encodes from an accepted record to the same
+# mutation. go test takes one -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenZipStore$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzSkipMatchesValid$$' -fuzztime 10s ./internal/jsonscan
 	$(GO) test -run '^$$' -fuzz '^FuzzScanBatchLine$$' -fuzztime 10s ./internal/provservice
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordPayload$$' -fuzztime 10s ./internal/provstore
 
 # One iteration of every go test benchmark (the paper's tables and
 # figures, the library's hot paths and ablations, the recorder and

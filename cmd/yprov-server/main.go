@@ -4,18 +4,13 @@
 //
 // Usage:
 //
-//	yprov-server [-addr :3000] [-token SECRET]
-//	             [-shards N] [-rate-limit RPS] [-rate-burst N]
-//	             [-log-requests] [-log-format text|json] [-slow-request D]
-//	             [-pprof-addr ADDR]
+//	yprov-server [-addr :3000] [-token SECRET] [-shards N] [-pprof-addr ADDR]
 //	             [-data-dir DIR] [-fsync] [-snapshot-every N]
 //	             [-export-dir DIR]
 //	             [-replicate-from URL] [-advertise-addr ADDR] [-max-lag N]
-//	             [-max-inflight-writes N] [-max-commit-queue N]
-//	             [-shed-latency-target D] [-request-timeout D]
-//	             [-read-cache-entries N] [-read-cache-bytes N] [-max-depth N]
-//	             [-flightrec-traces N] [-flightrec-sample N]
-//	             [-flightrec-p99 D] [-flightrec-shed-spike N] [-bundle-dir DIR]
+//	             [-max-inflight-writes N] [-shed-latency-target D]
+//	             [-request-timeout D]
+//	             [-read-cache-entries N] [-read-cache-bytes N] [-bundle-dir DIR]
 //
 // The store is sharded: documents spread over -shards independent
 // graph+lock slices (default GOMAXPROCS, rounded to a power of two) so
@@ -42,35 +37,32 @@
 // against an fsync primary — the replica must not silently be less
 // durable than the history it acknowledges.
 //
-// Overload protection: with any of -max-inflight-writes,
-// -max-commit-queue, or -shed-latency-target set, admission control
-// sheds new writes with 429 + Retry-After once the corresponding
-// signal crosses its threshold; reads are never shed. -request-timeout
-// attaches a deadline to every request (repl streams exempt) that
-// clients may shorten — never extend — with an X-Yprov-Timeout-Ms
-// header; a request whose deadline expires before its write is durable
-// gets 503 without consuming journal space.
+// Overload protection: with -max-inflight-writes or
+// -shed-latency-target set, admission control sheds new writes with
+// 429 + Retry-After once the corresponding signal crosses its
+// threshold; reads are never shed, and nothing else answers 429.
+// -request-timeout attaches a deadline to every request (repl streams
+// exempt) that clients may shorten — never extend — with an
+// X-Yprov-Timeout-Ms header; a request whose deadline expires before
+// its write is durable gets 503 without consuming journal space.
 //
 // Observability: GET /metrics serves every registered instrument (HTTP
 // route histograms, WAL fsync/commit-queue, shard lock waits,
 // admission sheds, replication lag) in Prometheus text format;
 // /api/v0/metrics keeps the JSON summary. Every request carries an
-// X-Yprov-Trace ID (client-supplied or minted) that request logs, the
-// journal, and follower apply logs share. -log-format=json switches
-// request logs to one JSON object per line; -slow-request logs any
-// request at or over the threshold with its per-stage span breakdown;
-// -pprof-addr serves net/http/pprof on a separate listener (keep it
-// private — profiles are not for the public API port).
+// X-Yprov-Trace ID (client-supplied or minted) that the flight
+// recorder, the journal, and follower apply logs share. -pprof-addr
+// serves net/http/pprof on a separate listener (keep it private —
+// profiles are not for the public API port).
 //
-// The flight recorder (on by default; -flightrec-traces 0 disables it)
-// retains recently completed request traces with span breakdowns, a
-// top-K slow-query log per route class, and a rolling window of
-// runtime telemetry, served under /api/v0/debug/{traces,slowlog,bundle}
-// (see cmd/yprov-debug). Anomalies — the journal's fail-stop latch,
-// replication stalls, shed spikes (-flightrec-shed-spike), p99 over
-// threshold (-flightrec-p99) — freeze a diagnostic bundle capturing
-// the moment things went wrong; SIGQUIT dumps one to -bundle-dir and
-// keeps serving.
+// The flight recorder is always on: it retains 256 recently completed
+// request traces with span breakdowns (every error, shed and request
+// of 250ms or more, and 1 in 16 of the rest), a top-K slow-query log
+// per route class, and a rolling window of runtime telemetry, served
+// under /api/v0/debug/{traces,slowlog,bundle} (see cmd/yprov-debug).
+// The journal's fail-stop latch and replication anomalies freeze a
+// diagnostic bundle capturing the moment things went wrong; SIGQUIT
+// dumps one to -bundle-dir and keeps serving.
 package main
 
 import (
@@ -98,11 +90,6 @@ func main() {
 	addr := flag.String("addr", ":3000", "listen address")
 	token := flag.String("token", "", "bearer token required for mutating requests (empty = open)")
 	shards := flag.Int("shards", 0, "store shard count, rounded up to a power of two, max 256 (0 = GOMAXPROCS)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-client requests/second budget (0 = unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "per-client burst on top of -rate-limit (0 = 2x rate)")
-	logRequests := flag.Bool("log-requests", false, "log one line per HTTP request")
-	logFormat := flag.String("log-format", "text", "request log format: text or json")
-	slowRequest := flag.Duration("slow-request", 0, "log requests at or over this duration with their span breakdown (0 disables)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it private)")
 	dataDir := flag.String("data-dir", "", "write-ahead-logged data directory (empty = in-memory only)")
 	fsync := flag.Bool("fsync", true, "fsync the journal before acknowledging mutations (power-loss durability)")
@@ -112,16 +99,10 @@ func main() {
 	advertiseAddr := flag.String("advertise-addr", "", "address this server is reachable at, used as its follower id in replication acks (default: -addr)")
 	maxLag := flag.Uint64("max-lag", 10000, "follower: /healthz reports degraded when replication lag exceeds this many records (0 disables)")
 	maxInflightWrites := flag.Int("max-inflight-writes", 0, "shed writes with 429 when this many are already in flight (0 disables)")
-	maxCommitQueue := flag.Int64("max-commit-queue", 0, "shed writes with 429 when the journal commit queue is deeper than this (0 disables)")
 	shedLatencyTarget := flag.Duration("shed-latency-target", 0, "shed writes with 429 when the estimated commit wait exceeds this (0 disables)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline; clients may shorten it via X-Yprov-Timeout-Ms (0 disables)")
 	readCacheEntries := flag.Int("read-cache-entries", 4096, "max encoded responses held by the seq-invalidated read cache (0 disables caching)")
 	readCacheBytes := flag.Int64("read-cache-bytes", 64<<20, "max total body bytes held by the read cache (0 disables caching)")
-	maxDepth := flag.Int("max-depth", 1024, "cap on lineage/subgraph/cross-lineage ?depth= and ?hops= traversals")
-	frTraces := flag.Int("flightrec-traces", 256, "completed-request traces retained by the flight recorder (0 disables the recorder and /api/v0/debug/)")
-	frSample := flag.Int("flightrec-sample", 16, "flight recorder: record 1 in N unremarkable requests (<0 keeps only errors, sheds, and slow requests)")
-	frP99 := flag.Duration("flightrec-p99", 0, "freeze a diagnostic bundle when observed p99 request latency exceeds this (0 disables the trigger)")
-	frShedSpike := flag.Int("flightrec-shed-spike", 0, "freeze a diagnostic bundle when this many requests are shed within 10s (0 disables the trigger)")
 	bundleDir := flag.String("bundle-dir", "", "directory for SIGQUIT-dumped diagnostic bundles (default: -data-dir, else the working directory)")
 	flag.Parse()
 
@@ -195,46 +176,18 @@ func main() {
 	store.RegisterObs(reg)
 
 	// The flight recorder retains recent request traces, the slow-query
-	// log, and anomaly-frozen diagnostic bundles; the service mounts
-	// /api/v0/debug/ over it. -slow-request doubles as its always-keep
-	// threshold (0 keeps the recorder's 250ms default).
-	var rec *flightrec.Recorder
-	if *frTraces > 0 {
-		rec = flightrec.New(flightrec.Config{
-			TraceRing:      *frTraces,
-			SlowThreshold:  *slowRequest,
-			SampleEvery:    *frSample,
-			P99Threshold:   *frP99,
-			ShedSpikeCount: *frShedSpike,
-			Logf:           log.Printf,
-		})
-		defer rec.Close()
-	}
+	// log, and anomaly-frozen diagnostic bundles, at its defaults; the
+	// service mounts /api/v0/debug/ over it.
+	rec := flightrec.New(flightrec.Config{Logf: log.Printf})
+	defer rec.Close()
 
-	var opts []provservice.Option
-	opts = append(opts, provservice.WithRegistry(reg))
-	if rec != nil {
-		opts = append(opts, provservice.WithFlightRecorder(rec))
-	}
+	opts := []provservice.Option{provservice.WithRegistry(reg), provservice.WithFlightRecorder(rec)}
 	if *token != "" {
 		opts = append(opts, provservice.WithToken(*token))
 	}
-	if *rateLimit > 0 {
-		opts = append(opts, provservice.WithRateLimit(*rateLimit, *rateBurst))
-	}
-	if *logRequests {
-		opts = append(opts, provservice.WithLogger(log.Default()))
-	}
-	if *logFormat == "json" {
-		opts = append(opts, provservice.WithLogFormat(*logFormat))
-	}
-	if *slowRequest > 0 {
-		opts = append(opts, provservice.WithSlowRequestThreshold(*slowRequest))
-	}
-	if *maxInflightWrites > 0 || *maxCommitQueue > 0 || *shedLatencyTarget > 0 {
+	if *maxInflightWrites > 0 || *shedLatencyTarget > 0 {
 		opts = append(opts, provservice.WithAdmission(provservice.AdmissionConfig{
 			MaxInflightWrites: *maxInflightWrites,
-			MaxCommitQueue:    *maxCommitQueue,
 			ShedLatencyTarget: *shedLatencyTarget,
 		}))
 	}
@@ -243,9 +196,6 @@ func main() {
 	}
 	if *readCacheEntries > 0 && *readCacheBytes > 0 {
 		opts = append(opts, provservice.WithReadCache(*readCacheEntries, *readCacheBytes))
-	}
-	if *maxDepth > 0 {
-		opts = append(opts, provservice.WithMaxTraversalDepth(*maxDepth))
 	}
 	var replServer *repl.Server
 	var replFollower *repl.Follower
@@ -305,11 +255,6 @@ func main() {
 		"addr":                *addr,
 		"auth":                *token != "",
 		"shards":              store.ShardCount(),
-		"rate_limit":          *rateLimit,
-		"rate_burst":          *rateBurst,
-		"log_requests":        *logRequests,
-		"log_format":          *logFormat,
-		"slow_request_ms":     slowRequest.Milliseconds(),
 		"pprof_addr":          *pprofAddr,
 		"data_dir":            *dataDir,
 		"fsync":               *fsync,
@@ -320,16 +265,10 @@ func main() {
 		"follower_id":         followerID,
 		"max_lag":             *maxLag,
 		"max_inflight_writes": *maxInflightWrites,
-		"max_commit_queue":    *maxCommitQueue,
 		"shed_latency_ms":     shedLatencyTarget.Milliseconds(),
 		"request_timeout_ms":  requestTimeout.Milliseconds(),
 		"read_cache_entries":  *readCacheEntries,
 		"read_cache_bytes":    *readCacheBytes,
-		"max_depth":           *maxDepth,
-		"flightrec_traces":    *frTraces,
-		"flightrec_sample":    *frSample,
-		"flightrec_p99_ms":    frP99.Milliseconds(),
-		"flightrec_shed":      *frShedSpike,
 		"bundle_dir":          resolveBundleDir(*bundleDir, *dataDir),
 	})
 	log.Printf("config: %s", effective)
@@ -337,18 +276,16 @@ func main() {
 	// a dump pins down exactly how the server was running.
 	rec.SetConfig(effective)
 
-	if rec != nil {
-		// SIGQUIT dumps a diagnostic bundle to disk and keeps serving —
-		// the observability twin of the runtime's stack dump. Notify
-		// replaces the default die-with-stack-dump behavior.
-		sigquit := make(chan os.Signal, 1)
-		signal.Notify(sigquit, syscall.SIGQUIT)
-		go func() {
-			for range sigquit {
-				dumpBundle(rec, resolveBundleDir(*bundleDir, *dataDir))
-			}
-		}()
-	}
+	// SIGQUIT dumps a diagnostic bundle to disk and keeps serving — the
+	// observability twin of the runtime's stack dump. Notify replaces the
+	// default die-with-stack-dump behavior.
+	sigquit := make(chan os.Signal, 1)
+	signal.Notify(sigquit, syscall.SIGQUIT)
+	go func() {
+		for range sigquit {
+			dumpBundle(rec, resolveBundleDir(*bundleDir, *dataDir))
+		}
+	}()
 
 	errc := make(chan error, 1)
 	go func() {
@@ -356,8 +293,8 @@ func main() {
 		if follower {
 			roleDesc = "follower of " + *replicateFrom
 		}
-		log.Printf("yprov-server listening on %s (auth: %v, data: %q, fsync: %v, shards: %d, rate-limit: %g/s, role: %s)",
-			*addr, *token != "", *dataDir, *fsync, store.ShardCount(), *rateLimit, roleDesc)
+		log.Printf("yprov-server listening on %s (auth: %v, data: %q, fsync: %v, shards: %d, role: %s)",
+			*addr, *token != "", *dataDir, *fsync, store.ShardCount(), roleDesc)
 		errc <- srv.ListenAndServe()
 	}()
 

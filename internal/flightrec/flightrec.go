@@ -15,10 +15,9 @@
 //     latency), exposed as gauges on the obs registry.
 //
 // Anomaly triggers — the store's fail-stop latch, replication-stream
-// failure, a shed-rate spike, p99 over threshold — freeze all of it
-// into a diagnostic Bundle retrievable over HTTP or dumped to disk,
-// so last night's latency cliff can be explained without reproducing
-// it.
+// failure — freeze all of it into a diagnostic Bundle retrievable over
+// HTTP or dumped to disk, so last night's failure can be explained
+// without reproducing it.
 //
 // The recorder sits on the response path of every request, so the
 // unsampled fast path is held to a handful of atomic operations and no
@@ -31,7 +30,6 @@
 package flightrec
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,18 +40,15 @@ import (
 // Config shapes the recorder. Zero values take the documented
 // defaults; negative values disable where noted.
 type Config struct {
-	TraceRing       int           // retained completed-request records, rounded up to a power of two (default 256)
-	SlowLogK        int           // slow-log entries kept per route class (default 8)
-	SlowThreshold   time.Duration // requests at or over this are always recorded (default 250ms)
-	SlowLogFloor    time.Duration // requests under this never enter the slow log (default 100µs)
-	SampleEvery     int           // record 1 in N unremarkable requests (default 16; <0 disables)
-	MaxBundles      int           // frozen bundles retained (default 4)
-	FreezeCooldown  time.Duration // minimum spacing between freezes of the same trigger kind (default 1m)
-	P99Threshold    time.Duration // freeze when the recorder's rolling p99 exceeds this (0 disables)
-	ShedSpikeWindow time.Duration // window for the shed-spike trigger (default 10s)
-	ShedSpikeCount  int           // sheds within the window that freeze a bundle (0 disables)
-	RuntimeEvery    time.Duration // runtime/metrics poll interval (default 1s)
-	RuntimeWindow   int           // runtime samples retained (default 120)
+	TraceRing      int           // retained completed-request records, rounded up to a power of two (default 256)
+	SlowLogK       int           // slow-log entries kept per route class (default 8)
+	SlowThreshold  time.Duration // requests at or over this are always recorded (default 250ms)
+	SlowLogFloor   time.Duration // requests under this never enter the slow log (default 100µs)
+	SampleEvery    int           // record 1 in N unremarkable requests (default 16; <0 disables)
+	MaxBundles     int           // frozen bundles retained (default 4)
+	FreezeCooldown time.Duration // minimum spacing between freezes of the same trigger kind (default 1m)
+	RuntimeEvery   time.Duration // runtime/metrics poll interval (default 1s)
+	RuntimeWindow  int           // runtime samples retained (default 120)
 
 	// Logf, when set, announces bundle freezes (log.Printf-shaped).
 	Logf func(format string, args ...any)
@@ -80,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FreezeCooldown <= 0 {
 		c.FreezeCooldown = time.Minute
-	}
-	if c.ShedSpikeWindow <= 0 {
-		c.ShedSpikeWindow = 10 * time.Second
 	}
 	if c.RuntimeEvery <= 0 {
 		c.RuntimeEvery = time.Second
@@ -140,11 +132,7 @@ type Recorder struct {
 
 	routes sync.Map // route class -> *slowRoute
 
-	reqCtr  atomic.Uint64
-	latHist *obs.Histogram // non-nil only when the p99 trigger is armed
-
-	shedWindowStart atomic.Int64
-	shedInWindow    atomic.Uint64
+	reqCtr          atomic.Uint64
 	failStopLatched atomic.Bool
 
 	freezeMu   sync.Mutex
@@ -180,17 +168,13 @@ func New(cfg Config) *Recorder {
 	for size < cfg.TraceRing {
 		size <<= 1
 	}
-	r := &Recorder{
+	return &Recorder{
 		cfg:        cfg,
 		ring:       make([]atomic.Pointer[Completed], size),
 		mask:       uint64(size - 1),
 		lastFreeze: make(map[string]time.Time),
 		rt:         newRuntimePoller(cfg.RuntimeEvery, cfg.RuntimeWindow),
 	}
-	if cfg.P99Threshold > 0 {
-		r.latHist = obs.NewDurationHistogram()
-	}
-	return r
 }
 
 // Close stops the runtime poller. Safe on nil and safe to call twice.
@@ -221,15 +205,6 @@ func (r *Recorder) Observe(route string, status int, shed bool, dur time.Duratio
 		return false
 	}
 	n := r.reqCtr.Add(1)
-	if h := r.latHist; h != nil {
-		h.ObserveDuration(dur)
-		if n&1023 == 0 {
-			r.checkP99()
-		}
-	}
-	if shed {
-		r.noteShed()
-	}
 	// Always keep server errors, sheds, and slow requests.
 	if status >= 500 || status == 429 || shed || dur >= r.cfg.SlowThreshold {
 		return true
@@ -371,29 +346,6 @@ func (r *Recorder) NoteFailStop(reason string) {
 		return
 	}
 	r.Freeze("fail-stop", reason)
-}
-
-func (r *Recorder) noteShed() {
-	if r.cfg.ShedSpikeCount <= 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	start := r.shedWindowStart.Load()
-	if now-start > int64(r.cfg.ShedSpikeWindow) {
-		if r.shedWindowStart.CompareAndSwap(start, now) {
-			r.shedInWindow.Store(1)
-			return
-		}
-	}
-	if r.shedInWindow.Add(1) == uint64(r.cfg.ShedSpikeCount) {
-		r.Freeze("shed-spike", strconv.Itoa(r.cfg.ShedSpikeCount)+" sheds within "+r.cfg.ShedSpikeWindow.String())
-	}
-}
-
-func (r *Recorder) checkP99() {
-	if p99 := time.Duration(r.latHist.Quantile(0.99) * 1e9); p99 > r.cfg.P99Threshold {
-		r.Freeze("p99-over-threshold", "p99="+p99.String()+" threshold="+r.cfg.P99Threshold.String())
-	}
 }
 
 // RegisterObs exposes recorder and runtime-telemetry instruments and

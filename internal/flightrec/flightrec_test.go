@@ -276,8 +276,8 @@ func TestBundleFreezeDuringLoad(t *testing.T) {
 	}
 }
 
-// TestTriggers: fail-stop latches exactly once, shed spikes and p99
-// breaches freeze, and the cooldown suppresses refreezes per kind.
+// TestTriggers: fail-stop latches exactly once, and the cooldown
+// suppresses refreezes per kind.
 func TestTriggers(t *testing.T) {
 	t.Run("fail-stop latch", func(t *testing.T) {
 		r := New(testConfig())
@@ -290,37 +290,6 @@ func TestTriggers(t *testing.T) {
 		r.NoteFailStop("again")
 		if r.Frozen() != b {
 			t.Fatal("fail-stop froze twice")
-		}
-	})
-	t.Run("shed spike", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.ShedSpikeCount = 5
-		cfg.ShedSpikeWindow = time.Minute
-		r := New(cfg)
-		defer r.Close()
-		for i := 0; i < 4; i++ {
-			r.Observe("documents", 429, true, time.Millisecond)
-		}
-		if r.Frozen() != nil {
-			t.Fatal("froze before the spike threshold")
-		}
-		r.Observe("documents", 429, true, time.Millisecond)
-		b := r.Frozen()
-		if b == nil || !strings.Contains(b.Reason, "shed-spike") {
-			t.Fatalf("Frozen = %+v", b)
-		}
-	})
-	t.Run("p99 over threshold", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.P99Threshold = time.Millisecond
-		r := New(cfg)
-		defer r.Close()
-		for i := 0; i < 1024; i++ {
-			r.Observe("documents", 200, false, 10*time.Millisecond)
-		}
-		b := r.Frozen()
-		if b == nil || !strings.Contains(b.Reason, "p99-over-threshold") {
-			t.Fatalf("Frozen = %+v", b)
 		}
 	})
 	t.Run("cooldown", func(t *testing.T) {
@@ -396,14 +365,13 @@ func TestNilRecorder(t *testing.T) {
 	r.Close()
 }
 
-// flightRecFixture builds a recorder in steady state: the p99 trigger
-// armed (so the rolling latency histogram is paid for) and the route's
-// slow log full of 50ms entries, so a 200µs request takes the longest
-// rejection path — histogram observe, trigger counter, slow-log
-// cached-min check — before being turned away.
+// flightRecFixture builds a recorder in steady state: the route's slow
+// log full of 50ms entries, so a 200µs request takes the longest
+// rejection path — request counter, slow-log cached-min check — before
+// being turned away.
 func flightRecFixture(tb testing.TB, sampleEvery int) *Recorder {
 	tb.Helper()
-	rec := New(Config{P99Threshold: 2 * time.Second, SampleEvery: sampleEvery})
+	rec := New(Config{SampleEvery: sampleEvery})
 	for i := 0; i < 8; i++ {
 		rec.Add(&Completed{Trace: fmt.Sprintf("seed%d", i), Route: "lineage", Dur: 50 * time.Millisecond})
 	}

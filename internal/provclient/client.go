@@ -64,9 +64,9 @@ func New(baseURL string) *Client {
 
 // ErrRetryable matches (via errors.Is) API errors that signal a
 // transient server-side condition — the service draining for shutdown
-// or a durability outage (HTTP 503), or per-client rate limiting (HTTP
-// 429). Callers should back off and retry; every other API error is a
-// permanent verdict on the request.
+// or a durability outage (HTTP 503), or a write shed by admission
+// control (HTTP 429). Callers should back off and retry; every other API
+// error is a permanent verdict on the request.
 var ErrRetryable = errors.New("provclient: retryable server condition")
 
 // APIError is a non-2xx response decoded from the service's error

@@ -133,8 +133,8 @@ func TestClientHappyPaths(t *testing.T) {
 	}
 }
 
-// TestRetryableErrors: 503 (journal outage / draining) and 429 (rate
-// limited) surface as typed retryable errors; permanent verdicts do not.
+// TestRetryableErrors: 503 (journal outage / draining) and 429 (write
+// shed) surface as typed retryable errors; permanent verdicts do not.
 func TestRetryableErrors(t *testing.T) {
 	cases := []struct {
 		status    int

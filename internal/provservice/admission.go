@@ -18,9 +18,8 @@ import (
 // replicas keep their view of a struggling server.
 //
 // The decision is fed by two lock-free gauges: the per-class in-flight
-// counters kept by the metrics middleware, and the WAL commit-queue
-// depth + estimated wait exported by the store (wal.Log.QueueDepth /
-// EstimateCommitWait).
+// counters kept by the metrics middleware, and the estimated commit
+// wait exported by the store (wal.Log.EstimateCommitWait).
 
 // AdmissionConfig sets the write-shedding thresholds. Zero values
 // disable their check; an all-zero config disables admission control.
@@ -28,28 +27,24 @@ type AdmissionConfig struct {
 	// MaxInflightWrites sheds writes while more than this many mutation
 	// requests are already in flight (queued on shard locks or fsync).
 	MaxInflightWrites int
-	// MaxCommitQueue sheds writes while more than this many journal
-	// records are staged but not yet durable.
-	MaxCommitQueue int64
 	// ShedLatencyTarget sheds writes while the estimated group-commit
 	// wait exceeds this duration.
 	ShedLatencyTarget time.Duration
 }
 
 func (c AdmissionConfig) enabled() bool {
-	return c.MaxInflightWrites > 0 || c.MaxCommitQueue > 0 || c.ShedLatencyTarget > 0
+	return c.MaxInflightWrites > 0 || c.ShedLatencyTarget > 0
 }
 
 // admission is the middleware state: the config, a total shed counter
 // surfaced through /api/v0/metrics, and per-reason counters exposed as
 // yprov_admission_shed_total{reason=...} so operators can tell WHICH
-// threshold is tripping (queue depth vs. latency target vs. in-flight).
+// threshold is tripping (latency target vs. in-flight).
 type admission struct {
 	cfg  AdmissionConfig
 	shed atomic.Uint64
 
 	shedWait     obs.Counter // ShedLatencyTarget exceeded
-	shedQueue    obs.Counter // MaxCommitQueue exceeded
 	shedInflight obs.Counter // MaxInflightWrites exceeded
 }
 
@@ -58,7 +53,6 @@ func (a *admission) register(reg *obs.Registry) {
 	const name = "yprov_admission_shed_total"
 	const help = "Writes shed by admission control, by threshold tripped."
 	reg.RegisterCounter(name, help, obs.Labels{"reason": "est-commit-wait"}, &a.shedWait)
-	reg.RegisterCounter(name, help, obs.Labels{"reason": "commit-queue"}, &a.shedQueue)
 	reg.RegisterCounter(name, help, obs.Labels{"reason": "inflight-writes"}, &a.shedInflight)
 }
 
@@ -122,14 +116,10 @@ func (s *Service) withAdmission(next http.Handler) http.Handler {
 // gauge already counts this request (the metrics middleware wraps this
 // one), hence the strict >.
 func (a *admission) admit(s *Service) (reason string, byReason *obs.Counter, retryAfter int, ok bool) {
-	depth, estWait := s.store.CommitQueue()
+	estWait := s.store.CommitWait()
 	if t := a.cfg.ShedLatencyTarget; t > 0 && estWait > t {
 		return "estimated commit wait " + estWait.Round(time.Millisecond).String() +
 			" over target " + t.String(), &a.shedWait, retrySecs(estWait), false
-	}
-	if m := a.cfg.MaxCommitQueue; m > 0 && depth > m {
-		return "commit queue depth " + strconv.FormatInt(depth, 10) +
-			" over limit " + strconv.FormatInt(m, 10), &a.shedQueue, retrySecs(estWait), false
 	}
 	if m := a.cfg.MaxInflightWrites; m > 0 {
 		if inflight := s.metrics.inflightWrites.Load(); inflight > int64(m) {
@@ -181,10 +171,10 @@ func (s *Service) withDeadline(next http.Handler) http.Handler {
 		}
 		d := s.requestTimeout
 		if hv := r.Header.Get(timeoutHeader); hv != "" {
-			if ms, err := strconv.Atoi(hv); err == nil && ms > 0 {
-				if hd := time.Duration(ms) * time.Millisecond; hd < d {
-					d = hd
-				}
+			// Compare in milliseconds before converting: a huge header
+			// value would overflow time.Duration into a negative deadline.
+			if ms, err := strconv.ParseInt(hv, 10, 64); err == nil && ms > 0 && ms <= d.Milliseconds() {
+				d = time.Duration(ms) * time.Millisecond
 			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)

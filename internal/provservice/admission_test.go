@@ -2,11 +2,13 @@ package provservice
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,16 +17,28 @@ import (
 	"repro/internal/wal"
 )
 
-// overloadStore reports a scripted commit queue so admission decisions
-// can be tested without racing a real fsync backlog.
+// overloadStore reports a scripted commit wait, and can hold writes
+// in Apply, so admission decisions can be tested without racing a real
+// fsync backlog.
 type overloadStore struct {
 	*provstore.Store
-	depth   atomic.Int64
 	estWait atomic.Int64 // nanoseconds
+	// entered, when non-nil, receives one value per Apply, which then
+	// waits for release to close.
+	entered chan struct{}
+	release chan struct{}
 }
 
-func (o *overloadStore) CommitQueue() (int64, time.Duration) {
-	return o.depth.Load(), time.Duration(o.estWait.Load())
+func (o *overloadStore) CommitWait() time.Duration {
+	return time.Duration(o.estWait.Load())
+}
+
+func (o *overloadStore) Apply(ctx context.Context, ops []provstore.Op) error {
+	if o.entered != nil {
+		o.entered <- struct{}{}
+		<-o.release
+	}
+	return o.Store.Apply(ctx, ops)
 }
 
 func newOverloadServer(t *testing.T, cfg AdmissionConfig, opts ...Option) (*httptest.Server, *overloadStore) {
@@ -61,15 +75,38 @@ func putDoc(t *testing.T, url, id, token string, hdr map[string]string) *http.Re
 	return resp
 }
 
-// Overloaded commit queue: writes shed with 429 + Retry-After, reads
+// Writes over the in-flight limit shed with 429 + Retry-After, reads
 // and the exempt route classes keep answering.
 func TestAdmissionShedsWritesNotReads(t *testing.T) {
-	srv, os := newOverloadServer(t, AdmissionConfig{MaxCommitQueue: 10})
-	os.depth.Store(50) // well past the limit
+	os := &overloadStore{
+		Store:   provstore.New(),
+		entered: make(chan struct{}, 1), // the post-recovery write's entry goes unread
+		release: make(chan struct{}),
+	}
+	srv := httptest.NewServer(New(os, WithAdmission(AdmissionConfig{MaxInflightWrites: 1})))
+	t.Cleanup(srv.Close)
+	var once sync.Once
+	release := func() { once.Do(func() { close(os.release) }) }
+	t.Cleanup(release) // before srv.Close, which waits for the held request
+
+	// One write held inside the store: the in-flight limit is reached.
+	held := make(chan int, 1)
+	go func() {
+		body, _ := testDoc().MarshalJSON()
+		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/api/v0/documents/held", bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			held <- 0
+			return
+		}
+		_ = resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-os.entered
 
 	resp := putDoc(t, srv.URL, "shed-me", "", nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overloaded PUT = %d, want 429", resp.StatusCode)
+		t.Fatalf("PUT over the in-flight limit = %d, want 429", resp.StatusCode)
 	}
 	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
 		t.Fatalf("shed Retry-After = %q, want >= 1s", resp.Header.Get("Retry-After"))
@@ -121,8 +158,11 @@ func TestAdmissionShedsWritesNotReads(t *testing.T) {
 		t.Fatalf("shed_writes = %d, want 1", rep.ShedWrites)
 	}
 
-	// Recovery: queue drains, writes are admitted again.
-	os.depth.Store(0)
+	// Recovery: the held write completes, writes are admitted again.
+	release()
+	if code := <-held; code != http.StatusCreated {
+		t.Fatalf("held PUT = %d, want 201", code)
+	}
 	if resp := putDoc(t, srv.URL, "ok-now", "", nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("post-recovery PUT = %d, want 201", resp.StatusCode)
 	}
@@ -133,8 +173,8 @@ func TestAdmissionShedsWritesNotReads(t *testing.T) {
 // 429 must not teach clients to retry a request that will never be
 // authorized.
 func TestAdmissionAuthBeforeShed(t *testing.T) {
-	srv, os := newOverloadServer(t, AdmissionConfig{MaxCommitQueue: 10}, WithToken("s3cret"))
-	os.depth.Store(50)
+	srv, os := newOverloadServer(t, AdmissionConfig{ShedLatencyTarget: time.Second}, WithToken("s3cret"))
+	os.estWait.Store(int64(2 * time.Second))
 
 	if resp := putDoc(t, srv.URL, "x", "", nil); resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unauthenticated PUT under overload = %d, want 401", resp.StatusCode)
@@ -212,6 +252,20 @@ func TestDeadlineHeaderShortensCommitWait(t *testing.T) {
 	// Not latched: a patient write still succeeds.
 	if resp := putDoc(t, srv.URL, "patient", "", nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("post-deadline PUT = %d, want 201", resp.StatusCode)
+	}
+}
+
+// A header budget too large for time.Duration is capped at the server
+// deadline, not overflowed into a negative one that expires at once.
+func TestDeadlineHeaderOverflowCapped(t *testing.T) {
+	store := provstore.New()
+	svc := New(store, WithRequestTimeout(5*time.Second))
+	srv := httptest.NewServer(svc)
+	t.Cleanup(srv.Close)
+	for _, ms := range []string{"10000000000000", "9223372036854775807"} {
+		if resp := putDoc(t, srv.URL, "big-"+ms, "", map[string]string{"X-Yprov-Timeout-Ms": ms}); resp.StatusCode != http.StatusCreated {
+			t.Errorf("PUT with X-Yprov-Timeout-Ms %s = %d, want 201", ms, resp.StatusCode)
+		}
 	}
 }
 

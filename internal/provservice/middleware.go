@@ -1,10 +1,6 @@
 package provservice
 
 import (
-	"encoding/json"
-	"fmt"
-	"log"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -18,8 +14,8 @@ import (
 // The service's HTTP pipeline is a stack of composable middleware
 // wrapped around thin handlers (see service.go):
 //
-//	trace -> logging -> metrics -> rate limit -> auth -> admission ->
-//	follower guard -> min-seq -> deadline -> body limit -> mux
+//	trace -> metrics -> auth -> admission -> follower guard ->
+//	min-seq -> deadline -> body limit -> mux
 //
 // Each layer does one thing and knows nothing about the others; the
 // handlers at the bottom only ever talk to the StoreAPI interface.
@@ -36,12 +32,11 @@ func chain(h http.Handler, mws ...middleware) http.Handler {
 	return h
 }
 
-// statusWriter records the status code and byte count a handler wrote,
-// for the logging and metrics layers.
+// statusWriter records the status code a handler wrote, for the
+// metrics layer.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
-	bytes  int64
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -55,9 +50,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
+	return w.ResponseWriter.Write(p)
 }
 
 // Unwrap exposes the wrapped writer so http.NewResponseController can
@@ -112,86 +105,6 @@ func (w *spanWriter) Write(p []byte) (int, error) {
 // Unwrap keeps Flusher & co. reachable (see statusWriter.Unwrap).
 func (w *spanWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// requestLog is the structured request record emitted when the
-// service runs with the JSON log format. Span durations are in
-// milliseconds, keyed by span name.
-type requestLog struct {
-	Time   string             `json:"time"`
-	Trace  string             `json:"trace"`
-	Method string             `json:"method"`
-	Path   string             `json:"path"`
-	Route  string             `json:"route"`
-	Status int                `json:"status"`
-	Bytes  int64              `json:"bytes"`
-	DurMs  float64            `json:"dur_ms"`
-	Client string             `json:"client"`
-	Slow   bool               `json:"slow,omitempty"`
-	Spans  map[string]float64 `json:"spans,omitempty"`
-}
-
-// withLogging emits one line per request — classic text or structured
-// JSON (WithLogFormat). Requests at or over the slow-request threshold
-// are flagged and carry their span breakdown, and are logged even when
-// general request logging is off.
-func (s *Service) withLogging(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.logger == nil && s.slowThreshold <= 0 {
-			next.ServeHTTP(w, r)
-			return
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		d := time.Since(start)
-		slow := s.slowThreshold > 0 && d >= s.slowThreshold
-		logger := s.logger
-		if logger == nil {
-			if !slow {
-				return
-			}
-			logger = log.Default() // slow-request logging was asked for explicitly
-		}
-		tr := obs.FromContext(r.Context())
-		if s.logJSON {
-			rec := requestLog{
-				Time:   start.UTC().Format(time.RFC3339Nano),
-				Trace:  tr.ID(),
-				Method: r.Method,
-				Path:   r.URL.Path,
-				Route:  routeClass(r.URL.EscapedPath()),
-				Status: sw.status,
-				Bytes:  sw.bytes,
-				DurMs:  float64(d) / 1e6,
-				Client: clientKey(r),
-				Slow:   slow,
-			}
-			if spans := tr.Spans(); len(spans) > 0 {
-				rec.Spans = make(map[string]float64, len(spans))
-				for _, sp := range spans {
-					rec.Spans[sp.Name] = float64(sp.Dur) / 1e6
-				}
-			}
-			if b, err := json.Marshal(rec); err == nil {
-				logger.Printf("%s", b)
-			}
-			return
-		}
-		line := fmt.Sprintf("%s %s -> %d (%dB, %s, client %s, trace %s)",
-			r.Method, r.URL.Path, sw.status, sw.bytes,
-			d.Round(time.Microsecond), clientKey(r), tr.ID())
-		if slow {
-			line += " SLOW"
-			if spans := tr.SpanString(); spans != "" {
-				line += " spans=" + spans
-			}
-		}
-		logger.Print(line)
-	})
-}
-
 // withMetrics tracks in-flight requests (total and per write/read
 // class — the write gauge feeds admission control) and per-route
 // latency.
@@ -219,22 +132,6 @@ func (s *Service) withMetrics(next http.Handler) http.Handler {
 		route := routeClass(r.URL.EscapedPath())
 		m.observe(route, sw.status, d, tr.ID())
 		s.recordFlight(tr, route, sw, start, d)
-	})
-}
-
-// withRateLimit refuses requests from clients that exceed the
-// configured per-client request rate (429 + Retry-After). Health checks
-// are exempt so load balancers cannot starve themselves.
-func (s *Service) withRateLimit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.limiter != nil && r.URL.Path != "/api/v0/health" && r.URL.Path != "/healthz" {
-			if !s.limiter.allow(clientKey(r), time.Now()) {
-				w.Header().Set("Retry-After", "1")
-				writeErr(w, http.StatusTooManyRequests, "rate limit exceeded")
-				return
-			}
-		}
-		next.ServeHTTP(w, r)
 	})
 }
 
@@ -307,15 +204,6 @@ func (s *Service) withBodyLimit(next http.Handler) http.Handler {
 	})
 }
 
-// clientKey identifies the remote client for rate limiting and logs:
-// the connection's source host (ports vary per connection).
-func clientKey(r *http.Request) string {
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
-}
-
 // routeClass buckets request paths into a bounded set of route names so
 // latency series cannot grow one-per-document-id.
 func routeClass(path string) string {
@@ -354,94 +242,6 @@ func routeClass(path string) string {
 		return "explorer"
 	default:
 		return "other"
-	}
-}
-
-// --- token-bucket rate limiter ----------------------------------------
-
-// bucket is one client's token bucket.
-type bucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// clientLimiter is a per-client token-bucket rate limiter: each client
-// accrues rps tokens per second up to burst, and every request spends
-// one. The bucket map is hard-capped at maxClients: when an insert
-// would cross the cap, idle-refilled buckets are dropped first, then —
-// if an address flood leaves nothing idle — arbitrary buckets are
-// evicted down to evictTarget. Evicting a live bucket only resets that
-// client to a full burst, so the trade is a bounded rate-limit leak for
-// bounded memory and bounded prune cost.
-type clientLimiter struct {
-	mu      sync.Mutex
-	rps     float64
-	burst   float64
-	buckets map[string]*bucket
-}
-
-// maxClients is the hard cap on tracked clients; evictTarget is the
-// post-prune size, so each O(maxClients) prune pays for at least
-// maxClients/4 subsequent O(1) inserts.
-const (
-	maxClients  = 8192
-	evictTarget = maxClients * 3 / 4
-)
-
-func newClientLimiter(rps float64, burst int) *clientLimiter {
-	if burst <= 0 {
-		burst = int(2*rps + 0.5)
-		if burst < 1 {
-			burst = 1
-		}
-	}
-	return &clientLimiter{
-		rps:     rps,
-		burst:   float64(burst),
-		buckets: make(map[string]*bucket),
-	}
-}
-
-// allow reports whether the client may proceed at time now.
-func (l *clientLimiter) allow(key string, now time.Time) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b, ok := l.buckets[key]
-	if !ok {
-		if len(l.buckets) >= maxClients {
-			l.pruneLocked(now)
-		}
-		b = &bucket{tokens: l.burst, last: now}
-		l.buckets[key] = b
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * l.rps
-		if b.tokens > l.burst {
-			b.tokens = l.burst
-		}
-		b.last = now
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// pruneLocked shrinks the bucket map below evictTarget: first buckets
-// idle long enough to have refilled to full (semantically free to
-// drop), then arbitrary ones if an address flood keeps everything warm.
-func (l *clientLimiter) pruneLocked(now time.Time) {
-	idle := time.Duration(l.burst/l.rps*float64(time.Second)) + time.Second
-	for k, b := range l.buckets {
-		if now.Sub(b.last) > idle {
-			delete(l.buckets, k)
-		}
-	}
-	for k := range l.buckets {
-		if len(l.buckets) <= evictTarget {
-			break
-		}
-		delete(l.buckets, k)
 	}
 }
 

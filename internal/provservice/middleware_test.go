@@ -1,17 +1,13 @@
 package provservice
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/provclient"
 	"repro/internal/provstore"
 )
 
@@ -48,61 +44,6 @@ func TestEscapedDocumentIDs(t *testing.T) {
 	}
 	if _, err := c.Get(ids[0]); err == nil {
 		t.Errorf("get %q after delete must 404", ids[0])
-	}
-}
-
-// TestRateLimitEnforced: a client over its token-bucket budget gets 429
-// with Retry-After; the error is typed retryable on the client side;
-// health stays exempt.
-func TestRateLimitEnforced(t *testing.T) {
-	srv, c := newTestServer(t, WithRateLimit(1, 3))
-	// Burst of 3 passes, the 4th must trip the limiter (refill at 1/s is
-	// negligible within this loop).
-	var limited error
-	for i := 0; i < 10; i++ {
-		if _, err := c.List(); err != nil {
-			limited = err
-			break
-		}
-	}
-	if limited == nil {
-		t.Fatal("rate limiter never tripped")
-	}
-	if !strings.Contains(limited.Error(), "429") {
-		t.Fatalf("expected 429, got %v", limited)
-	}
-	if !provclient.IsRetryable(limited) {
-		t.Fatalf("429 must be retryable, got %v", limited)
-	}
-	// Health checks bypass the limiter even while the client is blocked.
-	for i := 0; i < 5; i++ {
-		resp, err := http.Get(srv.URL + "/api/v0/health")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("health under rate limit: %d", resp.StatusCode)
-		}
-	}
-}
-
-// TestRateLimitRefills: after waiting, the bucket accrues tokens again.
-func TestRateLimitRefills(t *testing.T) {
-	l := newClientLimiter(100, 2)
-	now := time.Unix(0, 0)
-	if !l.allow("c", now) || !l.allow("c", now) {
-		t.Fatal("burst of 2 must pass")
-	}
-	if l.allow("c", now) {
-		t.Fatal("third immediate request must be limited")
-	}
-	if !l.allow("c", now.Add(50*time.Millisecond)) { // 100 rps -> 5 tokens
-		t.Fatal("bucket did not refill")
-	}
-	// An unknown client starts with a full bucket.
-	if !l.allow("other", now) {
-		t.Fatal("fresh client must pass")
 	}
 }
 
@@ -146,26 +87,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if st, ok := rep.Routes["documents/lineage"]; !ok || st.Count < 1 {
 		t.Fatalf("no lineage route stats: %v", rep.Routes)
-	}
-}
-
-// TestRequestLogging: the logging middleware emits method, path, and
-// status per request.
-func TestRequestLogging(t *testing.T) {
-	var buf bytes.Buffer
-	logger := log.New(&buf, "", 0)
-	svc := New(provstore.New(), WithLogger(logger))
-	srv := httptest.NewServer(svc)
-	t.Cleanup(srv.Close)
-
-	resp, err := http.Get(srv.URL + "/api/v0/documents")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	line := buf.String()
-	if !strings.Contains(line, "GET /api/v0/documents -> 200") {
-		t.Fatalf("log line = %q", line)
 	}
 }
 

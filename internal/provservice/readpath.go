@@ -40,9 +40,9 @@ import (
 // a cached body can be newer than its key says, never older. These
 // responses carry no ETag.
 
-// defaultMaxTraversalDepth bounds ?depth= / ?hops= traversals when the
-// server does not override it (-max-depth).
-const defaultMaxTraversalDepth = 1024
+// maxTraversalDepth caps the ?depth= / ?hops= parameters of lineage,
+// subgraph and cross-document lineage (see parseBoundedDepth).
+const maxTraversalDepth = 1024
 
 // Pagination bounds: cursor-only requests page by defaultPageLimit;
 // explicit limits are capped at maxPageLimit.
@@ -58,19 +58,6 @@ func WithReadCache(maxEntries int, maxBytes int64) Option {
 	return func(s *Service) {
 		if maxEntries > 0 && maxBytes > 0 {
 			s.cache = readcache.New(maxEntries, maxBytes)
-		}
-	}
-}
-
-// WithMaxTraversalDepth caps the ?depth= / ?hops= query parameters on
-// lineage, subgraph, and cross-document lineage (default 1024).
-// Explicit values above the cap are rejected with 400; absent or zero
-// ("unbounded") values are clamped to it, so no request can walk an
-// arbitrarily deep closure while holding a shard read lock.
-func WithMaxTraversalDepth(n int) Option {
-	return func(s *Service) {
-		if n > 0 {
-			s.maxTraversalDepth = n
 		}
 	}
 }
@@ -241,8 +228,7 @@ func parseDirection(w http.ResponseWriter, r *http.Request) (provstore.LineageDi
 // and is kept. The resolved value doubles as the canonical form in
 // cache keys, so depth=0 and depth=<cap> share an entry — they
 // compute identical responses.
-func (s *Service) parseBoundedDepth(w http.ResponseWriter, r *http.Request, name string, def int, zeroUnbounded bool) (int, bool) {
-	max := s.maxTraversalDepth
+func parseBoundedDepth(w http.ResponseWriter, r *http.Request, name string, def int, zeroUnbounded bool) (int, bool) {
 	v := def
 	if ds := r.URL.Query().Get(name); ds != "" {
 		n, err := strconv.Atoi(ds)
@@ -250,14 +236,14 @@ func (s *Service) parseBoundedDepth(w http.ResponseWriter, r *http.Request, name
 			writeErr(w, http.StatusBadRequest, "bad %s %q", name, ds)
 			return 0, false
 		}
-		if n > max {
-			writeErr(w, http.StatusBadRequest, "%s %d exceeds the server maximum of %d", name, n, max)
+		if n > maxTraversalDepth {
+			writeErr(w, http.StatusBadRequest, "%s %d exceeds the server maximum of %d", name, n, maxTraversalDepth)
 			return 0, false
 		}
 		v = n
 	}
 	if zeroUnbounded && v == 0 {
-		v = max
+		v = maxTraversalDepth
 	}
 	return v, true
 }

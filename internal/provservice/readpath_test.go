@@ -545,25 +545,25 @@ func TestSearchPaginationEquivalence(t *testing.T) {
 }
 
 // TestDepthAndHopsClamp: explicit traversal depths above the server
-// cap are rejected with a 400 naming the cap; depth=0 (historically
+// cap (1024) are rejected with a 400 naming the cap; depth=0 (historically
 // "unbounded") silently clamps; subgraph hops=0 still means "just the
 // node".
 func TestDepthAndHopsClamp(t *testing.T) {
-	srv, store := cachedServer(t, 1, WithMaxTraversalDepth(4))
+	srv, store := cachedServer(t, 1)
 	if err := store.Put("doc1", revDoc(1)); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, body := get(t, srv.URL+"/api/v0/documents/doc1/lineage?node=ex:e&depth=5", nil)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maximum of 4") {
+	resp, body := get(t, srv.URL+"/api/v0/documents/doc1/lineage?node=ex:e&depth=1025", nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maximum of 1024") {
 		t.Fatalf("over-cap depth: %d %s", resp.StatusCode, body)
 	}
 	resp, _ = get(t, srv.URL+"/api/v0/documents/doc1/lineage?node=ex:e&depth=0", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("depth=0 (clamped) = %d, want 200", resp.StatusCode)
 	}
-	resp, body = get(t, srv.URL+"/api/v0/documents/doc1/subgraph?node=ex:e&hops=9", nil)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maximum of 4") {
+	resp, body = get(t, srv.URL+"/api/v0/documents/doc1/subgraph?node=ex:e&hops=1025", nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maximum of 1024") {
 		t.Fatalf("over-cap hops: %d %s", resp.StatusCode, body)
 	}
 	// hops=0 is a valid request for the bare node, not "unbounded".
@@ -578,8 +578,8 @@ func TestDepthAndHopsClamp(t *testing.T) {
 	if n := len(sub.EntityIDs()) + len(sub.ActivityIDs()) + len(sub.AgentIDs()); n != 1 {
 		t.Fatalf("hops=0 subgraph has %d nodes, want just ex:e", n)
 	}
-	resp, body = get(t, srv.URL+"/api/v0/lineage?node=ex:e&depth=5", nil)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maximum of 4") {
+	resp, body = get(t, srv.URL+"/api/v0/lineage?node=ex:e&depth=1025", nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maximum of 1024") {
 		t.Fatalf("cross-lineage over-cap depth: %d %s", resp.StatusCode, body)
 	}
 	resp, _ = get(t, srv.URL+"/api/v0/documents/doc1/lineage?node=ex:e&depth=bogus", nil)

@@ -17,8 +17,8 @@
 // Document ids in paths are URL-escaped; ids containing '/' or spaces
 // must be percent-encoded (%2F, %20) as provclient does.
 //
-// All responses are JSON. The service is a layered stack: request
-// logging, telemetry, per-client rate limiting, bearer-token auth, and
+// All responses are JSON. The service is a layered stack: tracing,
+// telemetry, bearer-token auth, write admission, deadlines and
 // body-size limits are middleware (see middleware.go) wrapped around
 // thin handlers that talk to the store only through the StoreAPI
 // interface.
@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -92,9 +91,9 @@ type StoreAPI interface {
 	// FailStop reports the journal's latched fail-stop reason ("" while
 	// healthy); /healthz degrades and mutations are refused once set.
 	FailStop() string
-	// CommitQueue feeds admission control: staged-but-not-durable record
-	// count and the estimated group-commit wait.
-	CommitQueue() (int64, time.Duration)
+	// CommitWait feeds admission control: the estimated group-commit
+	// wait a write admitted now would see.
+	CommitWait() time.Duration
 	Close() error
 }
 
@@ -104,20 +103,13 @@ var _ StoreAPI = (*provstore.Store)(nil)
 type Service struct {
 	store   StoreAPI
 	token   string
-	logger  *log.Logger
-	limiter *clientLimiter
 	metrics *httpMetrics
 	handler http.Handler
 
 	// Observability (see internal/obs and middleware.go). reg collects
 	// every instrument the service and its store register; GET /metrics
-	// exposes it in Prometheus text format. logJSON switches request
-	// logs to one JSON object per line; slowThreshold makes requests at
-	// or over the threshold log with their span breakdown even when no
-	// request logger is configured.
-	reg           *obs.Registry
-	logJSON       bool
-	slowThreshold time.Duration
+	// exposes it in Prometheus text format.
+	reg *obs.Registry
 	// MaxBodyBytes bounds uploaded document size (default 64 MiB). For
 	// batch requests this caps the whole NDJSON stream.
 	MaxBodyBytes int64
@@ -145,11 +137,10 @@ type Service struct {
 	flightrec *flightrec.Recorder
 
 	// Read path (see readpath.go): the version-keyed response cache
-	// (nil = disabled), the traversal-depth cap for ?depth=/?hops=, and
-	// the process epoch scoping ETag validators to this server run.
-	cache             *readcache.Cache
-	maxTraversalDepth int
-	etagEpoch         uint64
+	// (nil = disabled) and the process epoch scoping ETag validators to
+	// this server run.
+	cache     *readcache.Cache
+	etagEpoch uint64
 
 	// Graceful shutdown: Close refuses new requests, drains in-flight
 	// ones, then flushes and closes the store. In-flight requests hold
@@ -168,41 +159,11 @@ func WithToken(token string) Option {
 	return func(s *Service) { s.token = token }
 }
 
-// WithRateLimit enforces a per-client request budget of rps requests
-// per second with the given burst (burst <= 0 derives 2*rps). Clients
-// over budget get 429 with Retry-After. Health checks are exempt.
-func WithRateLimit(rps float64, burst int) Option {
-	return func(s *Service) {
-		if rps > 0 {
-			s.limiter = newClientLimiter(rps, burst)
-		}
-	}
-}
-
-// WithLogger emits one log line per request through l.
-func WithLogger(l *log.Logger) Option {
-	return func(s *Service) { s.logger = l }
-}
-
 // WithRegistry collects the service's metrics into reg instead of a
 // private registry, so a server can register store/WAL/replication
 // instruments alongside and expose all of them at GET /metrics.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *Service) { s.reg = reg }
-}
-
-// WithLogFormat selects the request-log format: "json" emits one JSON
-// object per request, anything else keeps the human-readable text line.
-func WithLogFormat(format string) Option {
-	return func(s *Service) { s.logJSON = format == "json" }
-}
-
-// WithSlowRequestThreshold logs requests taking at least d with their
-// per-span timing breakdown (lock, stage, commit, parse, ...), even
-// when no request logger is configured. 0 disables slow-request
-// flagging.
-func WithSlowRequestThreshold(d time.Duration) Option {
-	return func(s *Service) { s.slowThreshold = d }
 }
 
 // WithFlightRecorder retains recently completed request traces, the
@@ -239,10 +200,9 @@ func WithReplicationFollower(f *repl.Follower, primaryURL string, maxLag uint64)
 // New builds a service over the given store.
 func New(store StoreAPI, opts ...Option) *Service {
 	s := &Service{
-		store:             store,
-		MaxBodyBytes:      64 << 20,
-		maxTraversalDepth: defaultMaxTraversalDepth,
-		etagEpoch:         uint64(time.Now().UnixNano()),
+		store:        store,
+		MaxBodyBytes: 64 << 20,
+		etagEpoch:    uint64(time.Now().UnixNano()),
 	}
 	for _, o := range opts {
 		o(s)
@@ -282,9 +242,7 @@ func New(store StoreAPI, opts ...Option) *Service {
 	}
 	s.handler = chain(mux,
 		s.withTrace,
-		s.withLogging,
 		s.withMetrics,
-		s.withRateLimit,
 		s.withAuth,
 		s.withAdmission,
 		s.withFollowerGuard,
@@ -646,7 +604,7 @@ func (s *Service) handleLineage(w http.ResponseWriter, r *http.Request, id strin
 	if !ok {
 		return
 	}
-	depth, ok := s.parseBoundedDepth(w, r, "depth", 0, true)
+	depth, ok := parseBoundedDepth(w, r, "depth", 0, true)
 	if !ok {
 		return
 	}
@@ -672,7 +630,7 @@ func (s *Service) handleSubgraph(w http.ResponseWriter, r *http.Request, id stri
 		writeErr(w, http.StatusBadRequest, "missing ?node=")
 		return
 	}
-	hops, ok := s.parseBoundedDepth(w, r, "hops", 1, false)
+	hops, ok := parseBoundedDepth(w, r, "hops", 1, false)
 	if !ok {
 		return
 	}
@@ -768,7 +726,7 @@ func (s *Service) handleCrossLineage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	depth, ok := s.parseBoundedDepth(w, r, "depth", 0, true)
+	depth, ok := parseBoundedDepth(w, r, "depth", 0, true)
 	if !ok {
 		return
 	}

@@ -288,15 +288,14 @@ func (s *Store) FailStop() string {
 	return ""
 }
 
-// CommitQueue reports the journal's commit-queue depth (records staged
-// but not yet durable) and the estimated wait a write admitted now
-// would see. Both are zero for in-memory stores. Lock-free; admission
+// CommitWait reports the estimated group-commit wait a write admitted
+// now would see; zero for in-memory stores. Lock-free; admission
 // control calls this on every write.
-func (s *Store) CommitQueue() (depth int64, estWait time.Duration) {
+func (s *Store) CommitWait() time.Duration {
 	if s.wal == nil {
-		return 0, 0
+		return 0
 	}
-	return s.wal.QueueDepth(), s.wal.EstimateCommitWait()
+	return s.wal.EstimateCommitWait()
 }
 
 // Sync forces any pending journal records to disk. A no-op for

@@ -1,6 +1,7 @@
 package repl_test
 
 import (
+	"encoding/json"
 	"log"
 	"net/http"
 	"strings"
@@ -8,14 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flightrec"
 	"repro/internal/obs"
 	"repro/internal/provservice"
 	"repro/internal/provstore"
 	"repro/internal/repl"
 )
 
-// syncBuf is a concurrency-safe log sink: the follower's ack posts hit
-// the primary's logger while the test reads it.
+// syncBuf is a concurrency-safe log sink: the follower's apply loop
+// writes to it while the test reads it.
 type syncBuf struct {
 	mu sync.Mutex
 	b  strings.Builder
@@ -36,14 +38,14 @@ func (s *syncBuf) String() string {
 // TestTraceEndToEnd is the ISSUE-7 acceptance walk: one trace ID,
 // chosen by the client, must be visible at every hop — echoed on the
 // response (with the span breakdown including the WAL commit wait),
-// printed in the primary's request log, and printed by the follower
-// when the replicated record is applied.
+// retained by the primary's flight recorder, and printed by the
+// follower when the replicated record is applied.
 func TestTraceEndToEnd(t *testing.T) {
-	var primaryLog, followerLog syncBuf
+	var followerLog syncBuf
+	rec := flightrec.New(flightrec.Config{SampleEvery: 1, RuntimeEvery: time.Hour}) // keep every request
+	t.Cleanup(rec.Close)
 	primary := startPrimary(t, t.TempDir(), provstore.Durability{Fsync: false},
-		provservice.WithLogger(log.New(&primaryLog, "", 0)),
-		provservice.WithSlowRequestThreshold(time.Nanosecond), // every request is "slow": always log spans
-	)
+		provservice.WithFlightRecorder(rec))
 
 	fstore := startFollowerStore(t, t.TempDir(), primary.http.URL, 0, false)
 	cfg := followerConfig(primary.http.URL, "trace-follower", false)
@@ -86,9 +88,24 @@ func TestTraceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Hop 2: the primary's request log carries the ID and the spans.
-	if pl := primaryLog.String(); !strings.Contains(pl, "trace "+traceID) || !strings.Contains(pl, "commit=") {
-		t.Fatalf("primary request log missing trace/spans:\n%s", pl)
+	// Hop 2: the primary's flight recorder retains the request under the
+	// ID, with the commit span.
+	tr, err := http.Get(primary.http.URL + "/api/v0/debug/traces?trace=" + traceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got flightrec.Completed
+	err = json.NewDecoder(tr.Body).Decode(&got)
+	tr.Body.Close()
+	if tr.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("GET debug trace = %d, %v", tr.StatusCode, err)
+	}
+	hasCommit := false
+	for _, sp := range got.Spans {
+		hasCommit = hasCommit || sp.Name == "commit"
+	}
+	if got.Trace != traceID || !hasCommit {
+		t.Fatalf("retained record = %+v, want trace %s with a commit span", got, traceID)
 	}
 
 	// Hop 3: the follower logs the same ID when it applies the record.
