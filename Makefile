@@ -54,7 +54,9 @@ chaos:
 # against the encoding/json struct decode it replaced. provstore: the
 # journal record envelope, which must not panic on any bytes and must
 # decode what appendRecord re-encodes from an accepted record to the same
-# mutation. go test takes one -fuzz target per run.
+# mutation; and the snapshot payload, whose accepted inputs, applied to
+# a store and re-encoded by appendSnapshot, must rebuild an equal store
+# with byte-equal kept blobs. go test takes one -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSkipMatchesValid$$' -fuzztime 10s ./internal/jsonscan
 	$(GO) test -run '^$$' -fuzz '^FuzzScanBatchLine$$' -fuzztime 10s ./internal/provservice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordPayload$$' -fuzztime 10s ./internal/provstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/provstore
 
 # One iteration of every go test benchmark (the paper's tables and
 # figures, the library's hot paths and ablations, the recorder and

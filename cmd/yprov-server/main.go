@@ -48,8 +48,8 @@
 //
 // Observability: GET /metrics serves every registered instrument (HTTP
 // route histograms, WAL fsync/commit-queue, shard lock waits,
-// admission sheds, replication lag) in Prometheus text format;
-// /api/v0/metrics keeps the JSON summary. Every request carries an
+// admission sheds, replication lag) in Prometheus text format, the
+// server's one metrics exposition. Every request carries an
 // X-Yprov-Trace ID (client-supplied or minted) that the flight
 // recorder, the journal, and follower apply logs share. -pprof-addr
 // serves net/http/pprof on a separate listener (keep it private —

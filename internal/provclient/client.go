@@ -221,7 +221,7 @@ func (c *Client) Health() error { return c.HealthCtx(context.Background()) }
 
 // HealthCtx checks the service, bounded by ctx.
 func (c *Client) HealthCtx(ctx context.Context) error {
-	payload, status, hdr, err := c.doCtx(ctx, http.MethodGet, "/api/v0/health", nil)
+	payload, status, hdr, err := c.doCtx(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return err
 	}

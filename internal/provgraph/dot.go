@@ -49,7 +49,12 @@ func nodeLabel(id prov.QName, attrs prov.Attrs) string {
 }
 
 // ASCII renders a lineage tree rooted at the given node, following
-// edges toward origins, depth-limited. Cycles are cut with "...".
+// edges toward origins, depth-limited (maxDepth <= 0: unbounded). A node
+// with relations of its own is expanded once, where the walk first
+// reaches it with depth to spare; every later occurrence — a cycle
+// back onto the path, or a node shared by two paths of a DAG — prints
+// "..." instead. So the tree has at most one line per relation plus the
+// root, however many paths the graph holds.
 func ASCII(d *prov.Document, root prov.QName, maxDepth int) string {
 	adj := map[prov.QName][]edge{}
 	for _, r := range d.Relations {
@@ -64,12 +69,12 @@ func ASCII(d *prov.Document, root prov.QName, maxDepth int) string {
 		})
 	}
 	var sb strings.Builder
-	seen := map[prov.QName]bool{}
+	// expanded marks the nodes whose children are printed. A node is
+	// marked only when it is expanded, so one first met at the depth cap
+	// is still expanded by a shallower path that reaches it later.
+	expanded := map[prov.QName]bool{root: true}
 	var walk func(n prov.QName, prefix string, depth int)
 	walk = func(n prov.QName, prefix string, depth int) {
-		if maxDepth > 0 && depth >= maxDepth {
-			return
-		}
 		children := adj[n]
 		for i, e := range children {
 			connector := "├─"
@@ -78,18 +83,18 @@ func ASCII(d *prov.Document, root prov.QName, maxDepth int) string {
 				connector = "└─"
 				childPrefix = prefix + "  "
 			}
-			if seen[e.to] {
+			if expanded[e.to] {
 				fmt.Fprintf(&sb, "%s%s[%s]→ %s ...\n", prefix, connector, e.kind, e.to)
 				continue
 			}
 			fmt.Fprintf(&sb, "%s%s[%s]→ %s (%s)\n", prefix, connector, e.kind, e.to, d.NodeKind(e.to))
-			seen[e.to] = true
-			walk(e.to, childPrefix, depth+1)
-			seen[e.to] = false
+			if len(adj[e.to]) > 0 && (maxDepth <= 0 || depth+1 < maxDepth) {
+				expanded[e.to] = true
+				walk(e.to, childPrefix, depth+1)
+			}
 		}
 	}
 	fmt.Fprintf(&sb, "%s (%s)\n", root, d.NodeKind(root))
-	seen[root] = true
 	walk(root, "", 0)
 	return sb.String()
 }

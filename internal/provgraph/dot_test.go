@@ -1,6 +1,7 @@
 package provgraph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -80,5 +81,61 @@ func TestSummary(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q: %s", want, s)
 		}
+	}
+}
+
+// diamondLadder chains k diamonds: ex:n<i+1> derives from ex:a<i> and
+// ex:b<i>, which both derive from ex:n<i> — 3k+1 nodes, 4k relations
+// and 2^k paths from ex:n<k> down to ex:n0.
+func diamondLadder(k int) *prov.Document {
+	d := prov.NewDocument()
+	n := func(i int) prov.QName { return prov.QName(fmt.Sprintf("ex:n%d", i)) }
+	d.AddEntity(n(0), nil)
+	for i := 0; i < k; i++ {
+		d.AddEntity(n(i+1), nil)
+		for _, mid := range []prov.QName{prov.QName(fmt.Sprintf("ex:a%d", i)), prov.QName(fmt.Sprintf("ex:b%d", i))} {
+			d.AddEntity(mid, nil)
+			d.WasDerivedFrom(n(i+1), mid)
+			d.WasDerivedFrom(mid, n(i))
+		}
+	}
+	return d
+}
+
+// TestASCIIProportionalToRelations: a DAG is not unfolded into a tree.
+// Each node is expanded once, so the rendering has at most one line per
+// relation plus the root, at any depth cap; unfolded, this ladder's
+// 2^16 paths rendered 28 MB.
+func TestASCIIProportionalToRelations(t *testing.T) {
+	const k = 16
+	d := diamondLadder(k)
+	for _, maxDepth := range []int{0, 6, 1024} {
+		out := ASCII(d, prov.QName(fmt.Sprintf("ex:n%d", k)), maxDepth)
+		if lines := strings.Count(out, "\n"); lines > len(d.Relations)+1 {
+			t.Errorf("depth %d: %d lines for %d relations", maxDepth, lines, len(d.Relations))
+		}
+	}
+	out := ASCII(d, prov.QName(fmt.Sprintf("ex:n%d", k)), 0)
+	if !strings.Contains(out, "ex:n0 (entity)") || !strings.Contains(out, " ...\n") {
+		t.Errorf("unbounded walk misses the bottom of the ladder or marks no shared node:\n%s", out)
+	}
+}
+
+// TestASCIIExpandsAtShallowerRevisit: a node first met at the depth cap
+// is not expanded there, and is when a shallower path reaches it later.
+func TestASCIIExpandsAtShallowerRevisit(t *testing.T) {
+	d := prov.NewDocument()
+	for _, id := range []prov.QName{"ex:r", "ex:a", "ex:b", "ex:c", "ex:leaf", "ex:z"} {
+		d.AddEntity(id, nil)
+	}
+	d.WasDerivedFrom("ex:r", "ex:a") // ex:r → ex:a → ex:b → ex:c, ex:c met at depth 3
+	d.WasDerivedFrom("ex:a", "ex:b")
+	d.WasDerivedFrom("ex:b", "ex:c")
+	d.WasDerivedFrom("ex:r", "ex:z") // ex:r → ex:z → ex:c, ex:c met at depth 2
+	d.WasDerivedFrom("ex:z", "ex:c")
+	d.WasDerivedFrom("ex:c", "ex:leaf")
+	out := ASCII(d, "ex:r", 3)
+	if strings.Count(out, "ex:leaf (entity)") != 1 || strings.Contains(out, "ex:c ...") {
+		t.Errorf("ex:c should print twice and be expanded once, from ex:z:\n%s", out)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -36,13 +35,12 @@ func (c AdmissionConfig) enabled() bool {
 	return c.MaxInflightWrites > 0 || c.ShedLatencyTarget > 0
 }
 
-// admission is the middleware state: the config, a total shed counter
-// surfaced through /api/v0/metrics, and per-reason counters exposed as
-// yprov_admission_shed_total{reason=...} so operators can tell WHICH
-// threshold is tripping (latency target vs. in-flight).
+// admission is the middleware state: the config and per-reason shed
+// counters exposed as yprov_admission_shed_total{reason=...} on
+// /metrics, so operators can tell WHICH threshold is tripping (latency
+// target vs. in-flight).
 type admission struct {
-	cfg  AdmissionConfig
-	shed atomic.Uint64
+	cfg AdmissionConfig
 
 	shedWait     obs.Counter // ShedLatencyTarget exceeded
 	shedInflight obs.Counter // MaxInflightWrites exceeded
@@ -101,7 +99,6 @@ func (s *Service) withAdmission(next http.Handler) http.Handler {
 			return
 		}
 		if reason, byReason, retryAfter, ok := a.admit(s); !ok {
-			a.shed.Add(1)
 			byReason.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 			writeErr(w, http.StatusTooManyRequests, "write shed: %s; retry after backoff", reason)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,18 +146,24 @@ func TestAdmissionShedsWritesNotReads(t *testing.T) {
 		t.Fatal("repl route was shed by admission")
 	}
 
-	// The shed counter surfaces in /api/v0/metrics.
-	mr, err := http.Get(srv.URL + "/api/v0/metrics")
+	// The shed counter surfaces on /metrics, under the threshold that
+	// tripped.
+	mr, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mr.Body.Close()
-	var rep metricsReport
-	if err := json.NewDecoder(mr.Body).Decode(&rep); err != nil {
+	exposition, err := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ShedWrites != 1 {
-		t.Fatalf("shed_writes = %d, want 1", rep.ShedWrites)
+	for _, sample := range []string{
+		`yprov_admission_shed_total{reason="inflight-writes"} 1` + "\n",
+		`yprov_admission_shed_total{reason="est-commit-wait"} 0` + "\n",
+	} {
+		if !strings.Contains(string(exposition), sample) {
+			t.Fatalf("/metrics lacks %q:\n%s", sample, exposition)
+		}
 	}
 
 	// Recovery: the held write completes, writes are admitted again.

@@ -232,9 +232,9 @@ func routeClass(path string) string {
 		return "stats"
 	case strings.HasPrefix(path, "/api/v0/debug/"):
 		return "debug"
-	case path == "/api/v0/metrics", path == "/metrics":
+	case path == "/metrics":
 		return "metrics"
-	case path == "/api/v0/health", path == "/healthz":
+	case path == "/healthz":
 		return "health"
 	case strings.HasPrefix(path, "/api/v0/repl/"):
 		return "repl"
@@ -247,24 +247,17 @@ func routeClass(path string) string {
 
 // --- HTTP metrics ------------------------------------------------------
 
-// httpMetrics aggregates request telemetry: in-flight gauges,
-// cumulative status-class counters, and a log-bucketed latency
-// histogram per route class. The histograms replaced the old
-// bounded-rotation metrics.Collection — they are cumulative (accurate
-// p50/p95/p99 with no sampling loss across rotations), lock-free on
-// the observe path, and fixed-size regardless of traffic. Route
-// classes are a bounded set (see routeClass), so the route map cannot
-// grow per-document-id; routes materialize lazily on first hit and
+// httpMetrics aggregates request telemetry for GET /metrics: in-flight
+// gauges, and per route class a status-class counter set and a
+// log-bucketed latency histogram — cumulative, lock-free on the observe
+// path, and fixed-size regardless of traffic. Route classes are a
+// bounded set (see routeClass), so the route map cannot grow
+// per-document-id; routes materialize lazily on first hit and
 // self-register on the service's obs registry.
 type httpMetrics struct {
 	inflight       atomic.Int64
 	inflightWrites atomic.Int64 // mutating methods; feeds admission control
 	inflightReads  atomic.Int64
-	total          atomic.Uint64
-	status2x       atomic.Uint64
-	status4x       atomic.Uint64
-	status5x       atomic.Uint64
-	statusOt       atomic.Uint64 // 1xx/3xx (redirects, continues)
 
 	reg    *obs.Registry
 	mu     sync.Mutex // guards route creation (reads go through the sync.Map)
@@ -279,17 +272,17 @@ type routeMetrics struct {
 	statuses [4]*obs.Counter // indexed by statusClass
 }
 
-// statusClass maps an HTTP status to the counter index / label.
-func statusClass(status int) (int, string) {
+// statusClass maps an HTTP status to its counter index (see route).
+func statusClass(status int) int {
 	switch {
 	case status >= 500:
-		return 2, "5xx"
+		return 2
 	case status >= 400:
-		return 1, "4xx"
+		return 1
 	case status >= 200 && status < 300:
-		return 0, "2xx"
+		return 0
 	default:
-		return 3, "other" // 1xx/3xx
+		return 3 // 1xx/3xx
 	}
 }
 
@@ -336,83 +329,7 @@ func (m *httpMetrics) route(name string) *routeMetrics {
 // the latency bucket's exemplar, so a spike in the exposition links
 // straight to a retrievable trace (`yprov-debug trace <id>`).
 func (m *httpMetrics) observe(route string, status int, d time.Duration, traceID string) {
-	m.total.Add(1)
-	idx, _ := statusClass(status)
-	switch idx {
-	case 0:
-		m.status2x.Add(1)
-	case 1:
-		m.status4x.Add(1)
-	case 2:
-		m.status5x.Add(1)
-	default:
-		m.statusOt.Add(1)
-	}
 	rm := m.route(route)
-	rm.statuses[idx].Inc()
+	rm.statuses[statusClass(status)].Inc()
 	rm.hist.ObserveDurationExemplar(d, traceID)
-}
-
-// routeStats is the latency summary for one route class
-// (milliseconds), cumulative since start. The percentiles come from
-// the route's log-bucketed histogram (≤12.5% relative error).
-type routeStats struct {
-	Count  int     `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MinMs  float64 `json:"min_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// metricsReport is the /api/v0/metrics response body.
-type metricsReport struct {
-	InFlight       int64 `json:"in_flight"`
-	InFlightWrites int64 `json:"in_flight_writes"`
-	InFlightReads  int64 `json:"in_flight_reads"`
-	// ShedWrites counts mutations refused by admission control (429);
-	// filled by handleMetrics, not report, since the counter lives on
-	// the Service.
-	ShedWrites    uint64                `json:"shed_writes"`
-	TotalRequests uint64                `json:"total_requests"`
-	Status2xx     uint64                `json:"status_2xx"`
-	Status4xx     uint64                `json:"status_4xx"`
-	Status5xx     uint64                `json:"status_5xx"`
-	StatusOther   uint64                `json:"status_other"` // 1xx/3xx
-	Routes        map[string]routeStats `json:"routes"`
-}
-
-// report snapshots the aggregated telemetry.
-func (m *httpMetrics) report() metricsReport {
-	rep := metricsReport{
-		InFlight:       m.inflight.Load(),
-		InFlightWrites: m.inflightWrites.Load(),
-		InFlightReads:  m.inflightReads.Load(),
-		TotalRequests:  m.total.Load(),
-		Status2xx:      m.status2x.Load(),
-		Status4xx:      m.status4x.Load(),
-		Status5xx:      m.status5x.Load(),
-		StatusOther:    m.statusOt.Load(),
-		Routes:         map[string]routeStats{},
-	}
-	m.routes.Range(func(k, v interface{}) bool {
-		rm := v.(*routeMetrics)
-		snap := rm.hist.Snapshot()
-		if snap.Count == 0 {
-			return true
-		}
-		toMs := rm.hist.Scale() * 1e3
-		rep.Routes[k.(string)] = routeStats{
-			Count:  int(snap.Count),
-			MeanMs: float64(snap.Sum) / float64(snap.Count) * toMs,
-			P50Ms:  snap.Quantile(rm.hist, 0.50) * 1e3,
-			P95Ms:  snap.Quantile(rm.hist, 0.95) * 1e3,
-			P99Ms:  snap.Quantile(rm.hist, 0.99) * 1e3,
-			MinMs:  float64(snap.Min) * toMs,
-			MaxMs:  float64(snap.Max) * toMs,
-		}
-		return true
-	})
-	return rep
 }

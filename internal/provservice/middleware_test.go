@@ -1,10 +1,11 @@
 package provservice
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestEscapedDocumentIDs(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: request telemetry shows up on /api/v0/metrics
-// with bounded route classes.
+// TestMetricsEndpoint: request telemetry shows up on /metrics, per
+// bounded route class and status class.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, c := newTestServer(t)
 	if err := c.Upload("m1", testDoc()); err != nil {
@@ -64,29 +65,44 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("expected 404")
 	}
 
-	resp, err := http.Get(srv.URL + "/api/v0/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var rep metricsReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TotalRequests < 4 {
-		t.Fatalf("total = %d, want >= 4", rep.TotalRequests)
+	samples := map[string]float64{} // "family{labels}" -> value
+	total := 0.0
+	for _, line := range strings.Split(string(body), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			continue // a sample with an exemplar: not one read below
+		}
+		samples[series] = v
+		if strings.HasPrefix(series, "yprov_http_requests_total{") {
+			total += v
+		}
 	}
-	if rep.Status4xx < 1 {
-		t.Fatalf("missing 4xx count: %+v", rep)
+	if total != 4 {
+		t.Errorf("yprov_http_requests_total sums to %v, want 4", total)
 	}
-	if rep.Status2xx < 3 {
-		t.Fatalf("missing 2xx counts: %+v", rep)
-	}
-	if _, ok := rep.Routes["documents/id"]; !ok {
-		t.Fatalf("no documents/id route stats: %v", rep.Routes)
-	}
-	if st, ok := rep.Routes["documents/lineage"]; !ok || st.Count < 1 {
-		t.Fatalf("no lineage route stats: %v", rep.Routes)
+	for series, want := range map[string]float64{
+		`yprov_http_requests_total{code="2xx",route="documents/id"}`:      2,
+		`yprov_http_requests_total{code="4xx",route="documents/id"}`:      1,
+		`yprov_http_requests_total{code="2xx",route="documents/lineage"}`: 1,
+		`yprov_http_request_seconds_count{route="documents/id"}`:          3,
+		`yprov_http_request_seconds_count{route="documents/lineage"}`:     1,
+	} {
+		if got, ok := samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
 	}
 }
 
@@ -104,8 +120,10 @@ func TestRouteClass(t *testing.T) {
 		"/api/v0/search":                 "search",
 		"/api/v0/lineage":                "cross-lineage",
 		"/api/v0/stats":                  "stats",
-		"/api/v0/metrics":                "metrics",
-		"/api/v0/health":                 "health",
+		"/metrics":                       "metrics",
+		"/healthz":                       "health",
+		"/api/v0/metrics":                "other",
+		"/api/v0/health":                 "other",
 		"/explorer":                      "explorer",
 		"/explorer/some-doc":             "explorer",
 		"/favicon.ico":                   "other",

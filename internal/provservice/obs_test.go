@@ -14,8 +14,7 @@ import (
 
 // TestPromMetricsExposition: GET /metrics serves parseable Prometheus
 // text covering the HTTP route histograms, the WAL instruments, the
-// admission shed counters, and replication-independent store gauges —
-// while the JSON endpoint keeps working.
+// admission shed counters, and replication-independent store gauges.
 func TestPromMetricsExposition(t *testing.T) {
 	store, err := provstore.Open(t.TempDir(), provstore.Durability{Fsync: false})
 	if err != nil {
@@ -104,17 +103,6 @@ func TestPromMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, sample) {
 			t.Errorf("/metrics lacks %q", sample)
 		}
-	}
-
-	// The JSON endpoint still answers with the summary report.
-	jr, err := http.Get(srv.URL + "/api/v0/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Body.Close()
-	jb, _ := io.ReadAll(jr.Body)
-	if jr.StatusCode != http.StatusOK || !strings.Contains(string(jb), "total_requests") {
-		t.Fatalf("JSON metrics endpoint broken: %d %s", jr.StatusCode, jb)
 	}
 
 	// /stats tells the same checkpoint story beside the snapshot counter.

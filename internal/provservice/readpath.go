@@ -1,14 +1,13 @@
 package provservice
 
 import (
-	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -44,13 +43,6 @@ import (
 // subgraph and cross-document lineage (see parseBoundedDepth).
 const maxTraversalDepth = 1024
 
-// Pagination bounds: cursor-only requests page by defaultPageLimit;
-// explicit limits are capped at maxPageLimit.
-const (
-	defaultPageLimit = 1000
-	maxPageLimit     = 100000
-)
-
 // WithReadCache enables the version-keyed response cache, bounded to
 // maxEntries encoded bodies and maxBytes total body bytes. Either
 // bound <= 0 leaves caching off (reads always recompute).
@@ -76,10 +68,23 @@ func httpErrf(status int, format string, args ...interface{}) *httpError {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// readKey canonicalizes a query into a cache key. Parts are joined
-// with an unambiguous separator so distinct queries cannot collide.
+// readKey canonicalizes a query into a cache key. Every part is
+// length-prefixed (a uvarint), so distinct queries cannot collide
+// whatever bytes their ids, names and values hold: no separator byte
+// exists for a part to smuggle in.
 func readKey(parts ...string) string {
-	return strings.Join(parts, "\x1f")
+	n := 0
+	for _, p := range parts {
+		n += len(p) + 1 // a one-byte prefix covers parts under 128 bytes
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	var prefix [binary.MaxVarintLen64]byte
+	for _, p := range parts {
+		sb.Write(prefix[:binary.PutUvarint(prefix[:], uint64(len(p)))])
+		sb.WriteString(p)
+	}
+	return sb.String()
 }
 
 // jsonEntry encodes v exactly like writeJSON does (compact JSON plus
@@ -248,167 +253,6 @@ func parseBoundedDepth(w http.ResponseWriter, r *http.Request, name string, def 
 	return v, true
 }
 
-// Cursors are opaque to clients: base64url over the last id of the
-// previous page. Pages are stable under concurrent writes in the same
-// sense the unpaginated listing is per-shard consistent — ids sort
-// ascending, the cursor names a position in that order, and a crawl
-// observes every id not created or deleted mid-crawl exactly once.
-func encodeCursor(last string) string {
-	return base64.RawURLEncoding.EncodeToString([]byte(last))
-}
-
-func decodeCursor(c string) (string, error) {
-	b, err := base64.RawURLEncoding.DecodeString(c)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// parsePage parses ?limit=&cursor=. No limit and no cursor means the
-// legacy unpaginated response (limit 0); a cursor without a limit
-// pages by defaultPageLimit.
-func parsePage(w http.ResponseWriter, r *http.Request) (limit int, after string, ok bool) {
-	q := r.URL.Query()
-	if ls := q.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", ls)
-			return 0, "", false
-		}
-		if n > maxPageLimit {
-			n = maxPageLimit
-		}
-		limit = n
-	}
-	if cs := q.Get("cursor"); cs != "" {
-		a, err := decodeCursor(cs)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad cursor %q", cs)
-			return 0, "", false
-		}
-		after = a
-		if limit == 0 {
-			limit = defaultPageLimit
-		}
-	}
-	return limit, after, true
-}
-
-// searchCursorKey is the cursor position of one search hit: results
-// sort by (Doc, Node), so the pair names a unique position. \x00
-// cannot appear in either field's meaningful prefix ordering.
-func searchCursorKey(r provstore.SearchResult) string {
-	return r.Doc + "\x00" + string(r.Node)
-}
-
-// pageSearch slices sorted search results to the page after the
-// cursor. next is "" on the final page.
-func pageSearch(results []provstore.SearchResult, after string, limit int) (page []provstore.SearchResult, next string) {
-	i := 0
-	if after != "" {
-		i = sort.Search(len(results), func(j int) bool { return searchCursorKey(results[j]) > after })
-	}
-	results = results[i:]
-	if limit <= 0 || len(results) <= limit {
-		return results, ""
-	}
-	page = results[:limit]
-	return page, encodeCursor(searchCursorKey(page[len(page)-1]))
-}
-
-// pageCross is pageSearch for cross-document lineage (sorted by Node).
-func pageCross(nodes []provstore.CrossNode, after string, limit int) (page []provstore.CrossNode, next string) {
-	i := 0
-	if after != "" {
-		i = sort.Search(len(nodes), func(j int) bool { return string(nodes[j].Node) > after })
-	}
-	nodes = nodes[i:]
-	if limit <= 0 || len(nodes) <= limit {
-		return nodes, ""
-	}
-	page = nodes[:limit]
-	return page, encodeCursor(string(page[len(page)-1].Node))
-}
-
-// wantsNDJSON reports whether the client opted into streaming
-// newline-delimited JSON.
-func wantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// ndjsonWriter streams one JSON value per line, flushing every
-// flushEvery lines so a slow consumer sees steady progress instead of
-// one buffered burst. Write errors latch: streaming responses cannot
-// change status mid-body, so the best the server can do is stop
-// encoding, count the failure, and let the connection close.
-type ndjsonWriter struct {
-	rc  *http.ResponseController
-	enc *json.Encoder
-	n   int
-	err error
-}
-
-const ndjsonFlushEvery = 512
-
-func newNDJSON(w http.ResponseWriter) *ndjsonWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	return &ndjsonWriter{rc: http.NewResponseController(w), enc: json.NewEncoder(w)}
-}
-
-// write emits one line; false means the stream is dead.
-func (nw *ndjsonWriter) write(v interface{}) bool {
-	if nw.err != nil {
-		return false
-	}
-	if err := nw.enc.Encode(v); err != nil {
-		nw.err = err
-		writeFailures.Inc()
-		return false
-	}
-	nw.n++
-	if nw.n%ndjsonFlushEvery == 0 {
-		_ = nw.rc.Flush()
-	}
-	return true
-}
-
-func (nw *ndjsonWriter) finish() { _ = nw.rc.Flush() }
-
-// streamDocuments is the NDJSON document listing: one JSON string per
-// line, fetched page by page through ListAfter so no full id list is
-// ever materialized and no shard lock is held across the write. limit
-// 0 streams the whole store.
-func (s *Service) streamDocuments(w http.ResponseWriter, after string, limit int) {
-	nw := newNDJSON(w)
-	const page = 1024
-	remaining := limit
-	for {
-		n := page
-		if remaining > 0 && remaining < n {
-			n = remaining
-		}
-		ids, more := s.store.ListAfter(after, n)
-		for _, id := range ids {
-			if !nw.write(id) {
-				return
-			}
-		}
-		if len(ids) == 0 || !more {
-			break
-		}
-		if remaining > 0 {
-			remaining -= len(ids)
-			if remaining <= 0 {
-				break
-			}
-		}
-		after = ids[len(ids)-1]
-	}
-	nw.finish()
-}
-
 // cacheStats surfaces the cache counters in /api/v0/stats.
 func (s *Service) cacheStats() *readcache.Stats {
 	if s.cache == nil {
@@ -435,5 +279,5 @@ func (s *Service) registerReadObs() {
 }
 
 // encodeErrors counts writeJSON marshal failures; writeFailures counts
-// socket-level body-write failures (including NDJSON streams).
+// socket-level body-write failures.
 var encodeErrors, writeFailures obs.Counter

@@ -1,7 +1,7 @@
 package provservice
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -394,151 +394,121 @@ func TestCachedReadsNeverGoBackwards(t *testing.T) {
 	writerWG.Wait()
 }
 
-// TestListPaginationEquivalence: for every shard layout, walking the
-// cursor pages and streaming NDJSON both reproduce the unpaginated
-// listing exactly.
-func TestListPaginationEquivalence(t *testing.T) {
+// TestStoreWideReadsWholeAnswer: the listing, type search, attribute
+// search and cross-document lineage each answer with the whole result
+// in one JSON body — the store's own answer, in its order, the same
+// bytes for every shard layout. Paging parameters and an NDJSON Accept
+// header, which the service does not serve, change nothing about it.
+func TestStoreWideReadsWholeAnswer(t *testing.T) {
+	const n = 23
+	atOneShard := map[string][]byte{}
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			srv, store := cachedServer(t, shards)
-			const n = 57
 			for i := 0; i < n; i++ {
-				if err := store.Put(fmt.Sprintf("doc-%03d", i), revDoc(i)); err != nil {
+				d := prov.NewDocument()
+				act := prov.QName(fmt.Sprintf("ex:act%03d", i))
+				d.AddEntity("ex:item", prov.Attrs{"prov:type": prov.Str("provml:Thing"), "ex:color": prov.Str("red")})
+				d.AddActivity(act, prov.Attrs{"ex:color": prov.Str("red")})
+				d.WasGeneratedBy("ex:item", act, time.Time{})
+				if err := store.Put(fmt.Sprintf("doc-%03d", i), d); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// Unpaginated baseline.
-			_, body := get(t, srv.URL+"/api/v0/documents", nil)
-			var full struct {
-				Documents  []string `json:"documents"`
-				NextCursor string   `json:"next_cursor"`
-			}
-			if err := json.Unmarshal(body, &full); err != nil {
+			lineage, err := store.CrossDocLineage("ex:item", provstore.Ancestors, maxTraversalDepth)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if len(full.Documents) != n || full.NextCursor != "" {
-				t.Fatalf("unpaginated: %d ids, cursor %q", len(full.Documents), full.NextCursor)
-			}
-			// Cursor crawl at an awkward page size.
-			var paged []string
-			cursor := ""
-			for {
-				u := srv.URL + "/api/v0/documents?limit=10"
-				if cursor != "" {
-					u += "&cursor=" + cursor
-				}
-				resp, body := get(t, u, nil)
-				if resp.StatusCode != 200 {
-					t.Fatalf("page GET = %d", resp.StatusCode)
-				}
-				var page struct {
-					Documents  []string `json:"documents"`
-					NextCursor string   `json:"next_cursor"`
-				}
-				if err := json.Unmarshal(body, &page); err != nil {
-					t.Fatal(err)
-				}
-				paged = append(paged, page.Documents...)
-				if page.NextCursor == "" {
-					break
-				}
-				cursor = page.NextCursor
-			}
-			if fmt.Sprint(paged) != fmt.Sprint(full.Documents) {
-				t.Fatalf("cursor crawl diverged:\n paged %v\n  full %v", paged, full.Documents)
-			}
-			// NDJSON stream.
-			resp, body := get(t, srv.URL+"/api/v0/documents", map[string]string{"Accept": "application/x-ndjson"})
-			if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-				t.Fatalf("stream Content-Type = %q", ct)
-			}
-			var streamed []string
-			sc := bufio.NewScanner(strings.NewReader(string(body)))
-			for sc.Scan() {
-				var id string
-				if err := json.Unmarshal(sc.Bytes(), &id); err != nil {
-					t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-				}
-				streamed = append(streamed, id)
-			}
-			if fmt.Sprint(streamed) != fmt.Sprint(full.Documents) {
-				t.Fatalf("NDJSON stream diverged:\n stream %v\n   full %v", streamed, full.Documents)
+			for _, tc := range []struct {
+				name, path, field string
+				want              map[string]interface{}
+				rows              int
+			}{
+				{"list", "/api/v0/documents?", "documents",
+					map[string]interface{}{"documents": store.List()}, n},
+				{"type", "/api/v0/search?type=provml:Thing&", "results",
+					map[string]interface{}{"results": store.FindByType("provml:Thing")}, n},
+				{"attr", "/api/v0/search?key=ex:color&value=red&", "results",
+					map[string]interface{}{"results": store.FindByAttr("ex:color", "red")}, 2 * n},
+				{"lineage", "/api/v0/lineage?node=ex:item&direction=ancestors&", "nodes",
+					map[string]interface{}{"node": "ex:item", "direction": provstore.Ancestors, "depth": maxTraversalDepth, "nodes": lineage}, n},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					want, err := json.Marshal(tc.want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, '\n')
+					var body map[string]json.RawMessage
+					if err := json.Unmarshal(want, &body); err != nil {
+						t.Fatal(err)
+					}
+					var rows []json.RawMessage
+					if err := json.Unmarshal(body[tc.field], &rows); err != nil || len(rows) != tc.rows {
+						t.Fatalf("the store answers %d %s (%v), want %d", len(rows), tc.field, err, tc.rows)
+					}
+					for _, req := range []struct {
+						query string
+						hdr   map[string]string
+					}{
+						{"", nil},
+						{"limit=7&cursor=" + url.QueryEscape("ZG9jLTAwNQ"), nil},
+						{"", map[string]string{"Accept": "application/x-ndjson"}},
+					} {
+						resp, got := get(t, srv.URL+tc.path+req.query, req.hdr)
+						if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+							t.Fatalf("GET %s%s %v = %d %s", tc.path, req.query, req.hdr, resp.StatusCode, resp.Header.Get("Content-Type"))
+						}
+						if string(got) != string(want) {
+							t.Fatalf("GET %s%s %v:\n got %s\nwant %s", tc.path, req.query, req.hdr, got, want)
+						}
+					}
+					if shards == 1 {
+						atOneShard[tc.name] = want
+					} else if string(want) != string(atOneShard[tc.name]) {
+						t.Fatalf("%d shards answer\n%s\n1 shard answers\n%s", shards, want, atOneShard[tc.name])
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestSearchPaginationEquivalence: cursor pages over each store-wide
-// query — search by type, search by attribute, store-wide lineage one
-// row per page — union to the unpaginated result, in order.
-func TestSearchPaginationEquivalence(t *testing.T) {
-	srv, store := cachedServer(t, 4)
-	const n = 23
-	for i := 0; i < n; i++ {
-		d := prov.NewDocument()
-		act := prov.QName(fmt.Sprintf("ex:act%03d", i))
-		d.AddEntity("ex:item", prov.Attrs{"prov:type": prov.Str("provml:Thing"), "ex:color": prov.Str("red")})
-		d.AddActivity(act, prov.Attrs{"ex:color": prov.Str("red")})
-		d.WasGeneratedBy("ex:item", act, time.Time{})
-		if err := store.Put(fmt.Sprintf("doc-%03d", i), d); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestReadKeysNeverCollide: two different reads at the same version
+// never share a cache entry, whatever bytes their ids, qualified names
+// and query values hold. Each pair below once mapped to one key (the
+// parts were joined with a 0x1f byte that a part may carry itself), so
+// the second read was answered from the first one's entry.
+func TestReadKeysNeverCollide(t *testing.T) {
+	named := prov.NewDocument()
+	named.AddEntity("ex:e", prov.Attrs{"provml:name": prov.Str("x\x1fy")})
 	for _, tc := range []struct {
-		name, path, field string
-		limit, want       int
+		name          string
+		ops           []provstore.Op // written in one mutation: one version
+		first, second string
 	}{
-		{"type", "/api/v0/search?type=provml:Thing", "results", 7, n},
-		{"attr", "/api/v0/search?key=ex:color&value=red", "results", 7, 2 * n},
-		{"lineage", "/api/v0/lineage?node=ex:item&direction=ancestors", "nodes", 1, n},
+		{"search", []provstore.Op{{ID: "d", Doc: named}},
+			"/api/v0/search?key=provml:name%1Fx&value=y",
+			"/api/v0/search?key=provml:name&value=x%1Fy"},
+		{"lineage", []provstore.Op{{ID: "x\x1fy", Doc: revDoc(1)}, {ID: "x", Doc: revDoc(1)}},
+			"/api/v0/documents/x%1Fy/lineage?node=ex:e",
+			"/api/v0/documents/x/lineage?node=y%1Fex:e"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fetch := func(u string) (rows []json.RawMessage, next string) {
-				t.Helper()
-				resp, body := get(t, u, nil)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("GET %s = %d: %s", u, resp.StatusCode, body)
-				}
-				var page map[string]json.RawMessage
-				if err := json.Unmarshal(body, &page); err != nil {
-					t.Fatal(err)
-				}
-				if err := json.Unmarshal(page[tc.field], &rows); err != nil {
-					t.Fatalf("%s: %v", tc.field, err)
-				}
-				if c, ok := page["next_cursor"]; ok {
-					if err := json.Unmarshal(c, &next); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return rows, next
+			srv, store := cachedServer(t, 1)
+			if err := store.Apply(context.Background(), tc.ops); err != nil {
+				t.Fatal(err)
 			}
-			full, next := fetch(srv.URL + tc.path)
-			if len(full) != tc.want || next != "" {
-				t.Fatalf("unpaginated: %d rows, cursor %q; want %d rows, no cursor", len(full), next, tc.want)
+			uncached := httptest.NewServer(New(store))
+			defer uncached.Close()
+			if resp, _ := get(t, srv.URL+tc.first, nil); resp.Header.Get("X-Yprov-Cache") != "miss" {
+				t.Fatalf("GET %s: cache %q, want miss", tc.first, resp.Header.Get("X-Yprov-Cache"))
 			}
-			var paged []json.RawMessage
-			pages := 0
-			for cursor := ""; ; {
-				u := fmt.Sprintf("%s%s&limit=%d", srv.URL, tc.path, tc.limit)
-				if cursor != "" {
-					u += "&cursor=" + url.QueryEscape(cursor)
-				}
-				rows, next := fetch(u)
-				if len(rows) > tc.limit {
-					t.Fatalf("page of %d rows exceeds limit %d", len(rows), tc.limit)
-				}
-				paged = append(paged, rows...)
-				if pages++; next == "" {
-					break
-				}
-				cursor = next
-			}
-			if want := (tc.want + tc.limit - 1) / tc.limit; pages != want {
-				t.Errorf("%d pages, want %d", pages, want)
-			}
-			if fmt.Sprintf("%s", paged) != fmt.Sprintf("%s", full) {
-				t.Fatalf("crawl diverged:\n paged %s\n  full %s", paged, full)
+			want, wantBody := get(t, uncached.URL+tc.second, nil)
+			got, gotBody := get(t, srv.URL+tc.second, nil)
+			if cache := got.Header.Get("X-Yprov-Cache"); cache == "hit" || got.StatusCode != want.StatusCode || string(gotBody) != string(wantBody) {
+				t.Fatalf("GET %s after GET %s: %d (cache %q) %s\nuncached it answers %d %s",
+					tc.second, tc.first, got.StatusCode, cache, gotBody, want.StatusCode, wantBody)
 			}
 		})
 	}

@@ -1,23 +1,30 @@
 // Package provservice exposes the provstore over the yProv RESTful API:
 //
-//	GET    /api/v0/documents                 list document ids (?limit=&cursor=; NDJSON via Accept)
+//	GET    /api/v0/documents                 list document ids
 //	POST   /api/v0/documents:batch           bulk upload (NDJSON, atomic; see batch.go)
 //	PUT    /api/v0/documents/{id}            upload a PROV-JSON document
 //	GET    /api/v0/documents/{id}            fetch a document (strong ETag / If-None-Match)
 //	DELETE /api/v0/documents/{id}            delete a document
 //	GET    /api/v0/documents/{id}/lineage    ?node=ex:x&direction=ancestors&depth=3 (ETag)
 //	GET    /api/v0/documents/{id}/subgraph   ?node=ex:x&hops=2 (ETag)
-//	GET    /api/v0/search                    ?type=provml:Model | ?key=provml:name&value=x (?limit=&cursor=)
+//	GET    /api/v0/search                    ?type=provml:Model | ?key=provml:name&value=x
+//	GET    /api/v0/lineage                   cross-document lineage: ?node=ex:x&direction=&depth=
 //	GET    /api/v0/stats                     store statistics (+ replication state)
-//	GET    /api/v0/metrics                   HTTP telemetry (in-flight, latency)
+//	GET    /metrics                          Prometheus exposition of every instrument
 //	GET    /healthz                          liveness; degraded on lagged followers
+//	GET    /api/v0/debug/{traces,slowlog,bundle}  flight recorder (see debug.go)
+//	GET    /explorer, /explorer/{id}         HTML explorer (see explorer.go)
 //	GET    /api/v0/repl/{stream,status,snapshot}  replication (primaries; see internal/repl)
 //	POST   /api/v0/repl/ack                  follower progress reports
+//
+// Every read has one representation: a store-wide read (listing,
+// search, cross-document lineage) answers with the whole result in one
+// JSON body.
 //
 // Document ids in paths are URL-escaped; ids containing '/' or spaces
 // must be percent-encoded (%2F, %20) as provclient does.
 //
-// All responses are JSON. The service is a layered stack: tracing,
+// All API responses are JSON. The service is a layered stack: tracing,
 // telemetry, bearer-token auth, write admission, deadlines and
 // body-size limits are middleware (see middleware.go) wrapped around
 // thin handlers that talk to the store only through the StoreAPI
@@ -75,9 +82,6 @@ type StoreAPI interface {
 	FindByType(typeName string) []provstore.SearchResult
 	FindByAttr(key string, value interface{}) []provstore.SearchResult
 	CrossDocLineage(start prov.QName, dir provstore.LineageDirection, depth int) ([]provstore.CrossNode, error)
-	// ListAfter is the cursor-pagination primitive: up to limit ids
-	// strictly greater than after, sorted, plus whether more remain.
-	ListAfter(after string, limit int) ([]string, bool)
 	// Version is what the store-wide reads above (list, search,
 	// cross-document lineage) validate against: the sequence of the
 	// newest mutation visible to readers. Monotone; moves with every
@@ -187,8 +191,8 @@ func WithReplicationPrimary(rs *repl.Server) Option {
 // WithReplicationFollower marks the service a read-only replica fed by
 // the given follower loop: mutating requests get 403 with a Location
 // hint to the primary, /api/v0/stats gains the follower's replication
-// state, and /healthz (and /api/v0/health) report degraded once
-// replication lag exceeds maxLag records (0 disables the lag check).
+// state, and /healthz reports degraded once replication lag exceeds
+// maxLag records (0 disables the lag check).
 func WithReplicationFollower(f *repl.Follower, primaryURL string, maxLag uint64) Option {
 	return func(s *Service) {
 		s.replFollower = f
@@ -225,12 +229,10 @@ func New(store StoreAPI, opts ...Option) *Service {
 	mux.HandleFunc("/api/v0/search", s.handleSearch)
 	mux.HandleFunc("/api/v0/lineage", s.handleCrossLineage)
 	mux.HandleFunc("/api/v0/stats", s.handleStats)
-	mux.HandleFunc("/api/v0/metrics", s.handleMetrics)
 	mux.HandleFunc("/metrics", s.handlePromMetrics)
 	mux.HandleFunc("/api/v0/debug/traces", s.handleDebugTraces)
 	mux.HandleFunc("/api/v0/debug/slowlog", s.handleDebugSlowlog)
 	mux.HandleFunc("/api/v0/debug/bundle", s.handleDebugBundle)
-	mux.HandleFunc("/api/v0/health", s.handleHealth)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/explorer", s.handleExplorerIndex)
 	mux.HandleFunc("/explorer/", s.handleExplorerDoc)
@@ -351,8 +353,7 @@ const maxPooledBuf = 1 << 20
 // body; now a failed encode is counted and surfaces as a real 500.
 // Socket write failures after the header cannot change the status —
 // they are counted (yprov_response_write_errors_total) and the
-// connection is left to die. Responses too large to buffer should use
-// the streaming read path (NDJSON / pagination) instead.
+// connection is left to die.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -450,22 +451,10 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "metrics is GET-only")
-		return
-	}
-	rep := s.metrics.report()
-	if s.admission != nil {
-		rep.ShedWrites = s.admission.shed.Load()
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// handlePromMetrics is the Prometheus text-format twin of
-// /api/v0/metrics: every instrument registered with the service's
-// registry (HTTP histograms, WAL, store, replication, admission)
-// rendered in exposition format 0.0.4.
+// handlePromMetrics is the service's one metrics exposition: every
+// instrument registered with the service's registry (HTTP histograms
+// and counters, WAL, store, replication, admission) rendered in
+// Prometheus exposition format 0.0.4.
 func (s *Service) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "metrics is GET-only")
@@ -480,27 +469,8 @@ func (s *Service) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET to list, PUT /api/v0/documents/{id} to upload")
 		return
 	}
-	limit, after, ok := parsePage(w, r)
-	if !ok {
-		return
-	}
-	if wantsNDJSON(r) {
-		s.streamDocuments(w, after, limit)
-		return
-	}
-	key := readKey("list", after, strconv.Itoa(limit))
-	s.serveRead(w, r, key, s.store.Version(), "", func() (readcache.Entry, error) {
-		body := map[string]interface{}{}
-		if limit > 0 {
-			ids, more := s.store.ListAfter(after, limit)
-			body["documents"] = ids
-			if more && len(ids) > 0 {
-				body["next_cursor"] = encodeCursor(ids[len(ids)-1])
-			}
-		} else {
-			body["documents"] = s.store.List()
-		}
-		return jsonEntry(body)
+	s.serveRead(w, r, readKey("list"), s.store.Version(), "", func() (readcache.Entry, error) {
+		return jsonEntry(map[string]interface{}{"documents": s.store.List()})
 	})
 }
 
@@ -553,7 +523,7 @@ func (s *Service) handleDocumentCRUD(w http.ResponseWriter, r *http.Request, id 
 			}
 			return readcache.Entry{Body: payload, ContentType: "application/json"}, nil
 		})
-	case http.MethodPut, http.MethodPost:
+	case http.MethodPut:
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			var mbe *http.MaxBytesError
@@ -669,29 +639,8 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "need ?type= or ?key=&value=")
 		return
 	}
-	limit, after, ok := parsePage(w, r)
-	if !ok {
-		return
-	}
-	if wantsNDJSON(r) {
-		hits, _ := pageSearch(find(), after, limit)
-		nw := newNDJSON(w)
-		for _, h := range hits {
-			if !nw.write(h) {
-				return
-			}
-		}
-		nw.finish()
-		return
-	}
-	key = readKey(key, after, strconv.Itoa(limit))
 	s.serveRead(w, r, key, s.store.Version(), "", func() (readcache.Entry, error) {
-		hits, next := pageSearch(find(), after, limit)
-		body := map[string]interface{}{"results": hits}
-		if next != "" {
-			body["next_cursor"] = next
-		}
-		return jsonEntry(body)
+		return jsonEntry(map[string]interface{}{"results": find()})
 	})
 }
 
@@ -730,39 +679,14 @@ func (s *Service) handleCrossLineage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	limit, after, ok := parsePage(w, r)
-	if !ok {
-		return
-	}
-	if wantsNDJSON(r) {
-		nodes, err := s.store.CrossDocLineage(prov.QName(node), dir, depth)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		page, _ := pageCross(nodes, after, limit)
-		nw := newNDJSON(w)
-		for _, n := range page {
-			if !nw.write(n) {
-				return
-			}
-		}
-		nw.finish()
-		return
-	}
-	key := readKey("xlineage", node, string(dir), strconv.Itoa(depth), after, strconv.Itoa(limit))
+	key := readKey("xlineage", node, string(dir), strconv.Itoa(depth))
 	s.serveRead(w, r, key, s.store.Version(), "", func() (readcache.Entry, error) {
 		nodes, err := s.store.CrossDocLineage(prov.QName(node), dir, depth)
 		if err != nil {
 			return readcache.Entry{}, httpErrf(http.StatusNotFound, "%v", err)
 		}
-		page, next := pageCross(nodes, after, limit)
-		body := map[string]interface{}{
-			"node": node, "direction": dir, "depth": depth, "nodes": page,
-		}
-		if next != "" {
-			body["next_cursor"] = next
-		}
-		return jsonEntry(body)
+		return jsonEntry(map[string]interface{}{
+			"node": node, "direction": dir, "depth": depth, "nodes": nodes,
+		})
 	})
 }

@@ -1,6 +1,8 @@
 package provservice
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -186,5 +188,88 @@ func TestStatsAfterUploads(t *testing.T) {
 	}
 	if st.Documents != 1 || st.Nodes != 3 || st.Rels != 2 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestRouteSurface pins the HTTP surface: each of the service's 13
+// routes answers the methods it serves (never 404 or 405), and the
+// retired aliases are gone — the JSON metrics twin, the second health
+// path and upload by POST. The server holds one document and has a
+// flight recorder, as yprov-server always does; without one the debug
+// routes answer 404.
+func TestRouteSurface(t *testing.T) {
+	store := provstore.New()
+	if err := store.Put("doc1", revDoc(1)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(store, WithFlightRecorder(testRecorder(t))))
+	t.Cleanup(srv.Close)
+	doc, err := testDoc().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(payload)
+	}
+	type request struct{ method, path, body string }
+	routes := []struct {
+		pattern  string
+		requests []request
+	}{
+		{"/api/v0/documents", []request{{http.MethodGet, "/api/v0/documents", ""}}},
+		{"/api/v0/documents:batch", []request{{http.MethodPost, "/api/v0/documents:batch", docLine(t, "b-0")}}},
+		{"/api/v0/documents/", []request{
+			{http.MethodPut, "/api/v0/documents/doc2", string(doc)},
+			{http.MethodGet, "/api/v0/documents/doc2", ""},
+			{http.MethodDelete, "/api/v0/documents/doc2", ""},
+			{http.MethodGet, "/api/v0/documents/doc1/lineage?node=ex:e", ""},
+			{http.MethodGet, "/api/v0/documents/doc1/subgraph?node=ex:e", ""},
+		}},
+		{"/api/v0/search", []request{{http.MethodGet, "/api/v0/search?type=provml:Model", ""}}},
+		{"/api/v0/lineage", []request{{http.MethodGet, "/api/v0/lineage?node=ex:e", ""}}},
+		{"/api/v0/stats", []request{{http.MethodGet, "/api/v0/stats", ""}}},
+		{"/metrics", []request{{http.MethodGet, "/metrics", ""}}},
+		{"/healthz", []request{{http.MethodGet, "/healthz", ""}}},
+		{"/api/v0/debug/traces", []request{{http.MethodGet, "/api/v0/debug/traces", ""}}},
+		{"/api/v0/debug/slowlog", []request{{http.MethodGet, "/api/v0/debug/slowlog", ""}}},
+		{"/api/v0/debug/bundle", []request{{http.MethodGet, "/api/v0/debug/bundle", ""}}},
+		{"/explorer", []request{{http.MethodGet, "/explorer", ""}}},
+		{"/explorer/", []request{{http.MethodGet, "/explorer/doc1", ""}}},
+	}
+	if len(routes) != 13 {
+		t.Fatalf("%d routes listed, want 13", len(routes))
+	}
+	for _, route := range routes {
+		for _, r := range route.requests {
+			if status, body := do(r.method, r.path, r.body); status == http.StatusNotFound || status == http.StatusMethodNotAllowed {
+				t.Errorf("route %s: %s %s = %d %s", route.pattern, r.method, r.path, status, body)
+			}
+		}
+	}
+	for _, r := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/api/v0/metrics", http.StatusNotFound},
+		{http.MethodGet, "/api/v0/health", http.StatusNotFound},
+		{http.MethodPost, "/api/v0/documents/x", http.StatusMethodNotAllowed},
+	} {
+		if status, body := do(r.method, r.path, string(doc)); status != r.want {
+			t.Errorf("retired %s %s = %d %s, want %d", r.method, r.path, status, body, r.want)
+		}
 	}
 }

@@ -76,43 +76,6 @@ func (s *Store) List() []string {
 	return out
 }
 
-// ListAfter returns up to limit stored document ids strictly greater
-// than after, in sorted order, plus whether more remain — the store
-// half of cursor pagination (the cursor is the last id of the previous
-// page). Shards are locked briefly in turn, never across the whole
-// scan, and the working set is pruned back to limit between shards, so
-// a paginated crawl of a huge store holds O(limit + largest shard)
-// memory per page instead of materializing every id. limit <= 0
-// degenerates to the full List.
-func (s *Store) ListAfter(after string, limit int) (ids []string, more bool) {
-	if limit <= 0 {
-		return s.List(), false
-	}
-	var out []string
-	pruned := false
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id := range sh.docs {
-			if id > after {
-				out = append(out, id)
-			}
-		}
-		sh.mu.RUnlock()
-		if len(out) > 4*limit {
-			// Keep only the limit smallest so far; anything dropped sorts
-			// after every kept id, so more=true is exact.
-			sort.Strings(out)
-			out = out[:limit]
-			pruned = true
-		}
-	}
-	sort.Strings(out)
-	if len(out) > limit {
-		out, pruned = out[:limit], true
-	}
-	return out, pruned
-}
-
 // Count returns the number of stored documents across all shards.
 func (s *Store) Count() int {
 	n := 0

@@ -327,56 +327,3 @@ func TestStatsNotTorn(t *testing.T) {
 		t.Fatalf("torn stats snapshot: %s", torn[0])
 	}
 }
-
-// TestListAfterEquivalence: paging through ListAfter reconstructs
-// exactly List(), in order, for every shard layout — the server-side
-// guarantee behind cursor pagination.
-func TestListAfterEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewSharded(shards)
-			doc := watermarkDoc("d")
-			const n = 137 // not a multiple of any page size below
-			for i := 0; i < n; i++ {
-				if err := s.Put(fmt.Sprintf("doc-%04d", i), doc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			full := s.List()
-			if len(full) != n {
-				t.Fatalf("List returned %d ids", len(full))
-			}
-			for _, limit := range []int{1, 10, 64, 200} {
-				var paged []string
-				after := ""
-				for {
-					ids, more := s.ListAfter(after, limit)
-					if len(ids) > limit {
-						t.Fatalf("page of %d exceeds limit %d", len(ids), limit)
-					}
-					paged = append(paged, ids...)
-					if !more {
-						break
-					}
-					if len(ids) == 0 {
-						t.Fatal("more=true with an empty page")
-					}
-					after = ids[len(ids)-1]
-				}
-				if len(paged) != len(full) {
-					t.Fatalf("limit %d: paged %d ids, want %d", limit, len(paged), len(full))
-				}
-				for i := range full {
-					if paged[i] != full[i] {
-						t.Fatalf("limit %d: paged[%d] = %s, want %s", limit, i, paged[i], full[i])
-					}
-				}
-			}
-			// limit <= 0 degrades to the full listing with no cursor.
-			ids, more := s.ListAfter("", 0)
-			if more || len(ids) != n {
-				t.Fatalf("ListAfter(_, 0) = %d ids, more=%v", len(ids), more)
-			}
-		})
-	}
-}

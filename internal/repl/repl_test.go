@@ -536,7 +536,11 @@ func TestFollowerServesReadsWhileLaggedWithAccurateStats(t *testing.T) {
 	}
 
 	// Mutations on the follower get 403 with a Location hint.
-	resp, err := http.Post(fhttp.URL+"/api/v0/documents/x", "application/json", strings.NewReader("{}"))
+	req, err := http.NewRequest(http.MethodPut, fhttp.URL+"/api/v0/documents/x", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
