@@ -394,27 +394,93 @@ func TestCachedReadsNeverGoBackwards(t *testing.T) {
 	writerWG.Wait()
 }
 
-// TestStoreWideReadsWholeAnswer: the listing, type search, attribute
-// search and cross-document lineage each answer with the whole result
-// in one JSON body — the store's own answer, in its order, the same
-// bytes for every shard layout. Paging parameters and an NDJSON Accept
-// header, which the service does not serve, change nothing about it.
-func TestStoreWideReadsWholeAnswer(t *testing.T) {
+// wholeAnswerServer serves a cached store holding n documents, each
+// with one red provml:Thing entity ex:item generated by its own red
+// activity, so every store-wide read has n or 2n rows.
+func wholeAnswerServer(t *testing.T, shards, n int) (*httptest.Server, *provstore.Store) {
+	t.Helper()
+	srv, store := cachedServer(t, shards)
+	for i := 0; i < n; i++ {
+		d := prov.NewDocument()
+		act := prov.QName(fmt.Sprintf("ex:act%03d", i))
+		d.AddEntity("ex:item", prov.Attrs{"prov:type": prov.Str("provml:Thing"), "ex:color": prov.Str("red")})
+		d.AddActivity(act, prov.Attrs{"ex:color": prov.Str("red")})
+		d.WasGeneratedBy("ex:item", act, time.Time{})
+		if err := store.Put(fmt.Sprintf("doc-%03d", i), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, store
+}
+
+// checkWholeAnswer asserts that GET path answers with exactly the JSON
+// encoding of want, whose field holds rows rows, and that paging
+// parameters and an NDJSON Accept header, which the service does not
+// serve, change nothing about it. It returns that encoding.
+func checkWholeAnswer(t *testing.T, srv *httptest.Server, path, field string, want map[string]interface{}, rows int) []byte {
+	t.Helper()
+	wantBody, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBody = append(wantBody, '\n')
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(wantBody, &body); err != nil {
+		t.Fatal(err)
+	}
+	var got []json.RawMessage
+	if err := json.Unmarshal(body[field], &got); err != nil || len(got) != rows {
+		t.Fatalf("the store answers %d %s (%v), want %d", len(got), field, err, rows)
+	}
+	for _, req := range []struct {
+		query string
+		hdr   map[string]string
+	}{
+		{"", nil},
+		{"limit=7&cursor=" + url.QueryEscape("ZG9jLTAwNQ"), nil},
+		{"", map[string]string{"Accept": "application/x-ndjson"}},
+	} {
+		resp, got := get(t, srv.URL+path+req.query, req.hdr)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("GET %s%s %v = %d %s", path, req.query, req.hdr, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if string(got) != string(wantBody) {
+			t.Fatalf("GET %s%s %v:\n got %s\nwant %s", path, req.query, req.hdr, got, wantBody)
+		}
+	}
+	return wantBody
+}
+
+// TestListWholeAnswer: the listing answers with every id in one JSON
+// body — the store's own sorted order, the same bytes for every shard
+// layout.
+func TestListWholeAnswer(t *testing.T) {
+	const n = 23
+	var atOneShard []byte
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, store := wholeAnswerServer(t, shards, n)
+			got := checkWholeAnswer(t, srv, "/api/v0/documents?", "documents",
+				map[string]interface{}{"documents": store.List()}, n)
+			if shards == 1 {
+				atOneShard = got
+			} else if string(got) != string(atOneShard) {
+				t.Fatalf("%d shards answer\n%s\n1 shard answers\n%s", shards, got, atOneShard)
+			}
+		})
+	}
+}
+
+// TestSearchWholeAnswer: type search, attribute search and
+// cross-document lineage each answer with the whole result in one JSON
+// body — the store's own answer, in its order, the same bytes for every
+// shard layout.
+func TestSearchWholeAnswer(t *testing.T) {
 	const n = 23
 	atOneShard := map[string][]byte{}
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, store := cachedServer(t, shards)
-			for i := 0; i < n; i++ {
-				d := prov.NewDocument()
-				act := prov.QName(fmt.Sprintf("ex:act%03d", i))
-				d.AddEntity("ex:item", prov.Attrs{"prov:type": prov.Str("provml:Thing"), "ex:color": prov.Str("red")})
-				d.AddActivity(act, prov.Attrs{"ex:color": prov.Str("red")})
-				d.WasGeneratedBy("ex:item", act, time.Time{})
-				if err := store.Put(fmt.Sprintf("doc-%03d", i), d); err != nil {
-					t.Fatal(err)
-				}
-			}
+			srv, store := wholeAnswerServer(t, shards, n)
 			lineage, err := store.CrossDocLineage("ex:item", provstore.Ancestors, maxTraversalDepth)
 			if err != nil {
 				t.Fatal(err)
@@ -424,8 +490,6 @@ func TestStoreWideReadsWholeAnswer(t *testing.T) {
 				want              map[string]interface{}
 				rows              int
 			}{
-				{"list", "/api/v0/documents?", "documents",
-					map[string]interface{}{"documents": store.List()}, n},
 				{"type", "/api/v0/search?type=provml:Thing&", "results",
 					map[string]interface{}{"results": store.FindByType("provml:Thing")}, n},
 				{"attr", "/api/v0/search?key=ex:color&value=red&", "results",
@@ -434,39 +498,11 @@ func TestStoreWideReadsWholeAnswer(t *testing.T) {
 					map[string]interface{}{"node": "ex:item", "direction": provstore.Ancestors, "depth": maxTraversalDepth, "nodes": lineage}, n},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
-					want, err := json.Marshal(tc.want)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = append(want, '\n')
-					var body map[string]json.RawMessage
-					if err := json.Unmarshal(want, &body); err != nil {
-						t.Fatal(err)
-					}
-					var rows []json.RawMessage
-					if err := json.Unmarshal(body[tc.field], &rows); err != nil || len(rows) != tc.rows {
-						t.Fatalf("the store answers %d %s (%v), want %d", len(rows), tc.field, err, tc.rows)
-					}
-					for _, req := range []struct {
-						query string
-						hdr   map[string]string
-					}{
-						{"", nil},
-						{"limit=7&cursor=" + url.QueryEscape("ZG9jLTAwNQ"), nil},
-						{"", map[string]string{"Accept": "application/x-ndjson"}},
-					} {
-						resp, got := get(t, srv.URL+tc.path+req.query, req.hdr)
-						if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-							t.Fatalf("GET %s%s %v = %d %s", tc.path, req.query, req.hdr, resp.StatusCode, resp.Header.Get("Content-Type"))
-						}
-						if string(got) != string(want) {
-							t.Fatalf("GET %s%s %v:\n got %s\nwant %s", tc.path, req.query, req.hdr, got, want)
-						}
-					}
+					got := checkWholeAnswer(t, srv, tc.path, tc.field, tc.want, tc.rows)
 					if shards == 1 {
-						atOneShard[tc.name] = want
-					} else if string(want) != string(atOneShard[tc.name]) {
-						t.Fatalf("%d shards answer\n%s\n1 shard answers\n%s", shards, want, atOneShard[tc.name])
+						atOneShard[tc.name] = got
+					} else if string(got) != string(atOneShard[tc.name]) {
+						t.Fatalf("%d shards answer\n%s\n1 shard answers\n%s", shards, got, atOneShard[tc.name])
 					}
 				})
 			}
