@@ -54,9 +54,14 @@ chaos:
 # against the encoding/json struct decode it replaced. provstore: the
 # journal record envelope, which must not panic on any bytes and must
 # decode what appendRecord re-encodes from an accepted record to the same
-# mutation; and the snapshot payload, whose accepted inputs, applied to
+# mutation; the snapshot payload, whose accepted inputs, applied to
 # a store and re-encoded by appendSnapshot, must rebuild an equal store
-# with byte-equal kept blobs. go test takes one -fuzz target per run.
+# with byte-equal kept blobs; and any PROV-JSON a put or a batch
+# accepts, which must read back Equal from the live store, the reopened
+# journal, a follower and a checkpoint, with the snapshot's blob the
+# journal record's. wal: any bytes as a frame stream, which the stream
+# scanner must split exactly as parseFrame does. go test takes one
+# -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
@@ -68,6 +73,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanBatchLine$$' -fuzztime 10s ./internal/provservice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordPayload$$' -fuzztime 10s ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/provstore
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyRecoversEqual$$' -fuzztime 10s ./internal/provstore
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameScan$$' -fuzztime 10s ./internal/wal
 
 # One iteration of every go test benchmark (the paper's tables and
 # figures, the library's hot paths and ablations, the recorder and

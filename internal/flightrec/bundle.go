@@ -34,10 +34,13 @@ func (r *Recorder) Capture(reason string) *Bundle {
 		return nil
 	}
 	b := &Bundle{
-		Reason:       reason,
-		FrozenAt:     time.Now(),
-		Requests:     r.reqCtr.Load(),
+		Reason:   reason,
+		FrozenAt: time.Now(),
+		// Records before Requests: a request is counted before it is
+		// recorded, so read in this order the two cannot show more
+		// records than requests however many arrive meanwhile.
 		Records:      r.recorded.Value(),
+		Requests:     r.reqCtr.Load(),
 		NumGoroutine: runtime.NumGoroutine(),
 		Traces:       r.Traces(0),
 		SlowLog:      r.SlowLog(),

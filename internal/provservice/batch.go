@@ -19,10 +19,11 @@ import (
 //
 // The request body is NDJSON: one {"id": "...", "doc": {PROV-JSON}}
 // object per line, blank lines ignored. Lines are decoded as they
-// arrive, into one pooled buffer per request (lineReader) that holds
-// their bytes until the store has journaled them, subject to a per-line
-// cap (MaxLineBytes) on top of the middleware's total body cap
-// (MaxBodyBytes).
+// arrive, each into the one pooled line buffer of the request
+// (lineReader), subject to a per-line cap (MaxLineBytes) on top of the
+// middleware's total body cap (MaxBodyBytes). Nothing of a line outlives
+// its decode: the document decoder keeps no reference to the bytes, and
+// the id is copied.
 //
 // The batch is atomic: every line must parse and every document must be
 // valid, or the whole request is rejected with one error entry per
@@ -109,8 +110,6 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var ops []provstore.Op // request order
 	seen := make(map[string]struct{})
 	var lineErrs []batchLineError
-	// Released on return, so only once Apply is done with the spans of
-	// the reader's buffer the ops carry as Op.Raw.
 	lr := newLineReader(r.Body)
 	defer lr.release()
 	// The "parse" span covers the whole NDJSON decode loop (reads are
@@ -167,12 +166,8 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: "invalid PROV-JSON: " + verr.Error()})
 				break
 			}
-			// The wire bytes go through for the store to journal
-			// verbatim: raw is a span of the request's line buffer,
-			// capped at its own end so that nothing appended to it can
-			// reach the next line, and left alone until Apply returns.
 			seen[id] = struct{}{}
-			ops = append(ops, provstore.Op{ID: id, Doc: doc, Raw: raw[:len(raw):len(raw)]})
+			ops = append(ops, provstore.Op{ID: id, Doc: doc})
 			if max := s.maxBatchDocs(); len(ops) > max {
 				writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d documents", max)
 				return
@@ -211,20 +206,17 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]interface{}{"created": len(ids), "ids": ids})
 }
 
-// lineReader reads the lines of one NDJSON request body into one
-// buffer, whose spans the batch handler hands the store as Op.Raw; they
-// stay valid until release. A buffer that has to grow leaves the spans
-// already handed out in its old array, which they keep alive, so growth
-// never moves a line under its reader. Readers are recycled with their
-// buffers through lineReaders, so once the pool is warm a request
-// allocates no line storage at all.
+// lineReader reads the lines of one NDJSON request body, each into the
+// same buffer: a line is valid until the next call of next. Readers are
+// recycled with their buffers through lineReaders, so once the pool is
+// warm a request allocates no line storage at all.
 type lineReader struct {
 	br  *bufio.Reader
 	buf []byte
 }
 
 // lineReaders pools lineReaders. A buffer grown past maxPooledLineBuf
-// (a huge batch) is dropped rather than pinned in the pool, as
+// (a huge line) is dropped rather than pinned in the pool, as
 // provstore's record buffers are.
 var lineReaders = sync.Pool{
 	New: func() interface{} { return &lineReader{br: bufio.NewReader(nil)} },
@@ -248,22 +240,21 @@ func (lr *lineReader) release() {
 	lineReaders.Put(lr)
 }
 
-// next reads one line (without its trailing newline), capped at limit
-// content bytes — the line terminator ("\n" or "\r\n") does not count
-// against the cap. The line is a span of lr's buffer ending at its own
-// capacity, so appending to it cannot reach the next line. An over-long
-// line is consumed to its newline, keeps no bytes and is reported
-// truncated, so parsing can continue on the next line with a per-line
-// error instead of failing the whole stream. Returns io.EOF (possibly
-// alongside a final unterminated line) at end of body.
+// next reads one line (without its trailing newline) into lr's buffer,
+// capped at limit content bytes — the line terminator ("\n" or "\r\n")
+// does not count against the cap. An over-long line is consumed to its
+// newline, keeps no bytes and is reported truncated, so parsing can
+// continue on the next line with a per-line error instead of failing
+// the whole stream. Returns io.EOF (possibly alongside a final
+// unterminated line) at end of body.
 func (lr *lineReader) next(limit int) (line []byte, truncated bool, err error) {
-	start := len(lr.buf)
+	lr.buf = lr.buf[:0]
 	for {
 		chunk, rerr := lr.br.ReadSlice('\n')
 		if !truncated {
 			lr.buf = append(lr.buf, chunk...)
-			if len(lr.buf)-start > limit+2 { // room for a trailing \r\n within the cap
-				lr.buf, truncated = lr.buf[:start], true
+			if len(lr.buf) > limit+2 { // room for a trailing \r\n within the cap
+				lr.buf, truncated = lr.buf[:0], true
 			}
 		}
 		switch rerr {
@@ -271,13 +262,12 @@ func (lr *lineReader) next(limit int) (line []byte, truncated bool, err error) {
 			continue
 		case nil, io.EOF: // hit the newline, or the end of the body
 			if !truncated {
-				if line = trimEOL(lr.buf[start:]); len(line) > limit {
-					lr.buf, line, truncated = lr.buf[:start], nil, true
+				if line = trimEOL(lr.buf); len(line) > limit {
+					line, truncated = nil, true
 				}
 			}
-			return line[:len(line):len(line)], truncated, rerr
+			return line, truncated, rerr
 		default:
-			lr.buf = lr.buf[:start]
 			return nil, truncated, rerr
 		}
 	}

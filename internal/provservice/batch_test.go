@@ -216,11 +216,11 @@ func TestReadLimitedLineBoundary(t *testing.T) {
 	}
 }
 
-// TestLineReaderSequence: the lines of one body come back in order from
-// one buffer — CRLF and LF framing, blank lines, an over-long line
-// consumed and reported with the line after it still read, a final
-// line without a terminator — and every span keeps its bytes, and its
-// capacity ends with it, however often the buffer grew meanwhile.
+// TestLineReaderSequence: the lines of one body come back in order —
+// CRLF and LF framing, blank lines, an over-long line consumed and
+// reported with the line after it still read, a final line without a
+// terminator — each read into the reader's one buffer, which the next
+// line reuses.
 func TestLineReaderSequence(t *testing.T) {
 	const max = 24
 	long := strings.Repeat("x", 3*max)
@@ -233,7 +233,6 @@ func TestLineReaderSequence(t *testing.T) {
 		{strings.Repeat("y", max), false}, {"last", false},
 	}
 	lr := &lineReader{br: bufio.NewReaderSize(strings.NewReader(body), 16)}
-	var got [][]byte
 	for i := 0; ; i++ {
 		line, truncated, err := lr.next(max)
 		if err != nil && err != io.EOF {
@@ -242,17 +241,11 @@ func TestLineReaderSequence(t *testing.T) {
 		if i >= len(want) || string(line) != want[i].line || truncated != want[i].truncated {
 			t.Fatalf("line %d = (%q, %v), want %+v", i+1, line, truncated, want[min(i, len(want)-1)])
 		}
-		if cap(line) != len(line) {
-			t.Fatalf("line %d: cap %d beyond its length %d", i+1, cap(line), len(line))
+		if len(line) > 0 && &line[0] != &lr.buf[0] {
+			t.Fatalf("line %d was not read to the start of the reader's buffer", i+1)
 		}
-		got = append(got, line)
 		if err == io.EOF {
 			break
-		}
-	}
-	for i, line := range got {
-		if string(line) != want[i].line {
-			t.Errorf("line %d now reads %q, want %q: a later line overwrote it", i+1, line, want[i].line)
 		}
 	}
 }
@@ -388,15 +381,15 @@ func serveBatch(t *testing.T, svc http.Handler, body []byte) {
 
 // TestBatchJournalsLinesAcrossBufferGrowth: a batch larger than any
 // pooled line buffer, of lines that each span several reads, makes the
-// request's buffer grow while earlier lines' Op.Raw spans are held; the
-// journal record still carries every line's document bytes, in order.
+// line buffer grow and reuses it line after line; the journal record
+// still carries every line's document, as its binary encoding, in order.
 func TestBatchJournalsLinesAcrossBufferGrowth(t *testing.T) {
 	dir := t.TempDir()
 	store, err := provstore.Open(dir, provstore.Durability{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _, docs := chainBatch(t, "grow", 32, 128)
+	body, ids, docs := chainBatch(t, "grow", 32, 128)
 	if len(body) <= maxPooledLineBuf || len(docs[0]) < 8*4096 {
 		t.Fatalf("batch of %d B with %d-B documents: too small to outgrow a pooled buffer through many reads", len(body), len(docs[0]))
 	}
@@ -409,18 +402,25 @@ func TestBatchJournalsLinesAcrossBufferGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	if len(rec.Records) != 1 {
 		t.Fatalf("journal holds %d records, want the batch's one", len(rec.Records))
 	}
-	payload := rec.Records[0].Payload
-	at := 0
-	for i, doc := range docs { // ids sort in request order: the record's order too
-		n := bytes.Index(payload[at:], doc)
-		if n < 0 {
-			t.Fatalf("document %d is not in the journal record after offset %d as the request sent it", i, at)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = provstore.Open(dir, provstore.Durability{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for i, raw := range docs {
+		doc, err := prov.ParseJSON(raw)
+		if err != nil {
+			t.Fatal(err)
 		}
-		at += n + len(doc)
+		if v, ok := store.View(ids[i]); !ok || !v.Document().Equal(doc) {
+			t.Errorf("%s: the journal record does not hold the document the request sent", ids[i])
+		}
 	}
 }
 

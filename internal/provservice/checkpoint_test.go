@@ -44,9 +44,10 @@ func checkpointRunDoc(i int) *prov.Document {
 	return d
 }
 
-// TestRepliesSurviveBlobOnlyEntries: a checkpoint leaves every entry of
-// a journaled store holding its blob alone, a restart builds the
-// snapshot's entries that way, and no reply changes for it. Each
+// TestRepliesSurviveBlobOnlyEntries: every entry holds its document as
+// its blob alone, and no reply changes across a checkpoint, which
+// concatenates the blobs, or a restart, which builds the entries from
+// the snapshot's and the journal's. Each
 // document's GET (body and ETag), lineage, subgraph and explorer
 // replies, and the store-wide searches and lineage, read the same
 // before the checkpoint and after it. After a restart the bodies read
@@ -121,16 +122,10 @@ func TestRepliesSurviveBlobOnlyEntries(t *testing.T) {
 	always := func(string) bool { return true }
 
 	before := replies(svc)
-	if st := store.Stats(); st.DecodedDocuments != n+1 {
-		t.Fatalf("%d documents held decoded before any checkpoint, want %d", st.DecodedDocuments, n+1)
-	}
 	if err := store.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	snapSeq := store.Version()
-	if st := store.Stats(); st.DecodedDocuments != 0 {
-		t.Fatalf("%d documents held decoded after the checkpoint, want 0", st.DecodedDocuments)
-	}
 	same("after the checkpoint", replies(svc), before, always)
 
 	// The journal tail rewrites run-0 with the bytes it already holds.
@@ -145,9 +140,6 @@ func TestRepliesSurviveBlobOnlyEntries(t *testing.T) {
 	store, restarted := open()
 	defer store.Close()
 	restarted.etagEpoch = svc.etagEpoch // the same server run, as far as validators go
-	if st := store.Stats(); st.DecodedDocuments != 1 {
-		t.Fatalf("%d documents held decoded after the restart, want 1 (the journal tail's)", st.DecodedDocuments)
-	}
 	after := replies(restarted)
 	same("after the restart", after, tail, func(p string) bool { return strings.Contains(p, "/run-0") })
 	for p, r := range after {

@@ -44,7 +44,7 @@ func (s *Service) handleExplorerDoc(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "document %q does not exist", id)
 		return
 	}
-	doc := v.Document() // shared with other readers: only read below
+	doc := v.Document()
 	root := prov.QName(r.URL.Query().Get("node"))
 	if root == "" {
 		// Default root: the first activity (typically the run execution).

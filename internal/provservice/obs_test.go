@@ -82,9 +82,7 @@ func TestPromMetricsExposition(t *testing.T) {
 		"yprov_wal_commit_queue_depth",
 		"yprov_shard_lock_wait_seconds",
 		"yprov_store_documents",
-		"yprov_store_decoded_documents",
 		"yprov_store_checkpoint_seconds",
-		"yprov_store_checkpoint_docs_encoded_total",
 		"yprov_store_checkpoint_bytes_total",
 		"yprov_admission_shed_total",
 	} {
@@ -96,10 +94,8 @@ func TestPromMetricsExposition(t *testing.T) {
 	if !strings.Contains(out, `yprov_http_requests_total{code="2xx",route="documents/id"}`) {
 		t.Errorf("missing per-route status counter:\n%s", out)
 	}
-	// So did the checkpoint: one timed, one document encoded for it, which
-	// the store now holds as its blob alone.
-	for _, sample := range []string{"yprov_store_checkpoint_seconds_count 1\n", "yprov_store_checkpoint_docs_encoded_total 1\n",
-		"yprov_store_documents 1\n", "yprov_store_decoded_documents 0\n"} {
+	// So did the checkpoint: one timed, of the one document stored.
+	for _, sample := range []string{"yprov_store_checkpoint_seconds_count 1\n", "yprov_store_documents 1\n"} {
 		if !strings.Contains(out, sample) {
 			t.Errorf("/metrics lacks %q", sample)
 		}
@@ -112,7 +108,7 @@ func TestPromMetricsExposition(t *testing.T) {
 	}
 	defer sr.Body.Close()
 	sb, _ := io.ReadAll(sr.Body)
-	for _, field := range []string{`"snapshots":1`, `"last_checkpoint_ms":`, `"checkpoint_docs_encoded":1`, `"checkpoint_docs":1`, `"decoded_documents":0`} {
+	for _, field := range []string{`"snapshots":1`, `"last_checkpoint_ms":`, `"checkpoint_docs":1`} {
 		if !strings.Contains(string(sb), field) {
 			t.Errorf("/api/v0/stats lacks %s: %s", field, sb)
 		}

@@ -67,10 +67,8 @@ type StoreAPI interface {
 	// acquisition and the group-commit wait, so abandoned requests stop
 	// consuming fsync tickets. Context expiry surfaces as
 	// context.Canceled / context.DeadlineExceeded, never wrapped in
-	// store error types. Apply keeps each Op.Doc — the store installs
-	// the document itself, so a handler passes one nothing else
-	// references and only reads it afterwards — while Op.Raw stays the
-	// caller's and need only hold still until Apply returns.
+	// store error types. Apply reads each Op.Doc only until it returns
+	// and keeps nothing of it.
 	Apply(ctx context.Context, ops []provstore.Op) error
 	// View is the one single-document read: a handle on id's current
 	// version from which a handler takes the 404 (false: not stored),

@@ -80,43 +80,6 @@ func TestPutBatchBasicInMemory(t *testing.T) {
 	}
 }
 
-// TestApplyRawJournalsWireBytes: ops carrying Raw (what the HTTP batch
-// handlers pass) journal the caller's encoded bytes verbatim and
-// recover identically; ops without Raw fall back to encoding the doc.
-func TestApplyRawJournalsWireBytes(t *testing.T) {
-	dir := t.TempDir()
-	s := openTemp(t, dir, Durability{Fsync: true, SnapshotEvery: -1})
-	var ops []Op
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("raw-%d", i)
-		doc := testDoc(t, id)
-		raw, err := doc.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops = append(ops, Op{ID: id, Doc: doc, Raw: raw})
-	}
-	ops = append(ops, Op{ID: "noraw", Doc: testDoc(t, "noraw")}) // encode fallback
-	if err := s.Apply(context.Background(), ops); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutBatch(map[string]*prov.Document{"bad": nil}); err == nil {
-		t.Fatal("nil-Doc batch item accepted")
-	}
-	if err := s.Put("bad", nil); err == nil {
-		t.Fatal("nil-Doc put accepted")
-	}
-	s.Close()
-	s2 := openTemp(t, dir, Durability{})
-	if s2.Count() != 4 {
-		t.Fatalf("recovered %d docs, want 4", s2.Count())
-	}
-	got, err := s2.Lineage("raw-1", prov.NewQName("ex", "model-raw-1"), Ancestors, 0)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("lineage after raw-batch recovery: %v %v", got, err)
-	}
-}
-
 // TestPutBatchSingleFsync is the group-commit acceptance point: one
 // batch of N documents is one journal record, one commit, one fsync.
 func TestPutBatchSingleFsync(t *testing.T) {
@@ -184,7 +147,7 @@ func TestPutBatchStageFailureRollsBack(t *testing.T) {
 		{name: "put", mutate: func(s *Store) error { return s.Put("pre-00", replacement()) }},
 		{name: "delete", mutate: func(s *Store) error { return s.Delete("pre-00") }},
 		{name: "replicated", follower: true, mutate: func(s *Store) error {
-			_, _, err := s.ApplyReplicated(wal.Record{Seq: 3, Payload: appendRecord(nil, []Op{
+			_, _, err := s.ApplyReplicated(wal.Record{Seq: 3, Payload: encodeRecord([]Op{
 				{ID: "ghost"}, // delete of a missing id: tolerated, and unwound as a no-op
 				{ID: "lost-00", Doc: testDoc(t, "lost-00")},
 				{ID: "pre-00", Doc: replacement()},

@@ -1,6 +1,8 @@
 package provstore
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,9 +13,9 @@ import (
 )
 
 // checkpointCost runs one checkpoint and returns how many documents it
-// put into the snapshot, how many of them it had to encode and how many
-// payload bytes it wrote, all read off the store's own counters.
-func checkpointCost(t *testing.T, s *Store) (docs, encoded, payload uint64) {
+// put into the snapshot and how many payload bytes it wrote, both read
+// off the store's own counters.
+func checkpointCost(t *testing.T, s *Store) (docs, payload uint64) {
 	t.Helper()
 	before := s.Stats().Durability
 	bytesBefore := s.checkpointBytes.Load()
@@ -24,14 +26,19 @@ func checkpointCost(t *testing.T, s *Store) (docs, encoded, payload uint64) {
 	if after.LastCheckpointMs <= 0 {
 		t.Errorf("last_checkpoint_ms = %v after a checkpoint", after.LastCheckpointMs)
 	}
-	return after.CheckpointDocs - before.CheckpointDocs,
-		after.CheckpointDocsEncoded - before.CheckpointDocsEncoded,
-		s.checkpointBytes.Load() - bytesBefore
+	return after.CheckpointDocs - before.CheckpointDocs, s.checkpointBytes.Load() - bytesBefore
 }
 
 // snapshotOnDisk returns the payload of dir's newest snapshot. The
 // store using dir must be closed.
 func snapshotOnDisk(t *testing.T, dir string) []byte {
+	t.Helper()
+	return recovered(t, dir).SnapshotPayload
+}
+
+// recovered is what wal.Open finds in dir. The store using dir must be
+// closed.
+func recovered(t *testing.T, dir string) *wal.RecoveredState {
 	t.Helper()
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -40,115 +47,214 @@ func snapshotOnDisk(t *testing.T, dir string) []byte {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return rec.SnapshotPayload
+	return rec
 }
 
-// TestCheckpointEncodesOnlyWhatChanged: a checkpoint encodes the
-// documents written since the previous one and copies the blobs of the
-// rest, in this process and across a restart, where recovery hands each
-// entry the blob its document was decoded from.
-func TestCheckpointEncodesOnlyWhatChanged(t *testing.T) {
-	const n, replaced, tail = 64, 5, 3
-	dir := t.TempDir()
-	opts := Durability{SnapshotEvery: -1, Shards: 4}
-	id := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
-	stored := make(map[string]string) // id -> JSON of the document put last
-	put := func(s *Store, i int, version string) {
-		t.Helper()
-		doc := compatDoc(t, fmt.Sprintf("%s-%d", version, i), 40)
-		if err := s.Put(id(i), doc); err != nil {
-			t.Fatal(err)
-		}
-		stored[id(i)] = string(mustJSON(t, doc))
-	}
-	wantCost := func(s *Store, label string, wantDocs, wantEncoded int) {
-		t.Helper()
-		docs, encoded, _ := checkpointCost(t, s)
-		if docs != uint64(wantDocs) || encoded != uint64(wantEncoded) {
-			t.Fatalf("%s: checkpoint stored %d documents and encoded %d, want %d and %d", label, docs, encoded, wantDocs, wantEncoded)
-		}
-	}
-
-	s := openTemp(t, dir, opts)
-	for i := 0; i < n; i++ {
-		put(s, i, "v1")
-	}
-	wantCost(s, "first checkpoint", n, n)
-
-	for i := 0; i < replaced; i++ {
-		put(s, i, "v2")
-	}
-	if err := s.Delete(id(n - 1)); err != nil {
+// diskBlobs is, per stored id, the blob dir holds for its current
+// version: the newest snapshot's, overridden by the journal tail's
+// records in order. The store using dir must be closed.
+func diskBlobs(t *testing.T, dir string) (snap, tail map[string][]byte) {
+	t.Helper()
+	rec := recovered(t, dir)
+	m, err := decodeSnapshot(rec.SnapshotPayload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	put(s, n, "v1")
-	wantCost(s, "after replacing, deleting and adding", n, replaced+1)
+	snap = map[string][]byte{}
+	for i, op := range m.ops {
+		snap[op.ID] = m.blobs[i]
+	}
+	tail = map[string][]byte{}
+	for _, r := range rec.Records {
+		m, err := decodeRecordPayload(r.Payload, r.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range m.ops {
+			tail[op.ID] = m.blobs[i] // nil for a delete
+		}
+	}
+	return snap, tail
+}
 
-	// Nothing written: nothing encoded, and nothing allocated beyond the
-	// payload itself. Growing the payload from nil cost about 3x.
+// entryBlobs is every entry's blob, each checked to be exactly sized
+// and to encode the document last put under its id (want: id -> JSON).
+func entryBlobs(t *testing.T, s *Store, want map[string]string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	s.eachEntry(func(e *entry) {
+		if len(e.blob) == 0 || cap(e.blob) != len(e.blob) || e.blob[0] != prov.BinaryDocTag {
+			t.Errorf("%s: blob len %d cap %d, want a binary blob with cap == len", e.id, len(e.blob), cap(e.blob))
+		}
+		if got := string(mustJSON(t, e.document())); got != want[e.id] {
+			t.Errorf("%s: blob encodes\n%s\nwant\n%s", e.id, got, want[e.id])
+		}
+		out[e.id] = e.blob
+	})
+	if len(out) != len(want) {
+		t.Errorf("%d entries, want %d", len(out), len(want))
+	}
+	return out
+}
+
+// sameBlobs fails unless got holds, byte for byte, want's blob for
+// every id of want.
+func sameBlobs(t *testing.T, label string, got, want map[string][]byte) {
+	t.Helper()
+	for id, w := range want {
+		if g, ok := got[id]; !ok || !bytes.Equal(g, w) {
+			t.Errorf("%s: %s holds %d bytes (present %v), not the entry's %d-byte blob", label, id, len(g), ok, len(w))
+		}
+	}
+}
+
+// blobStore is a store in a temporary directory and the JSON of the
+// document last put under each id, for the blob tests below.
+type blobStore struct {
+	t      *testing.T
+	dir    string
+	opts   Durability
+	s      *Store
+	stored map[string]string // id -> JSON of the document put last
+}
+
+func newBlobStore(t *testing.T) *blobStore {
+	dir := t.TempDir()
+	opts := Durability{SnapshotEvery: -1, Shards: 4}
+	return &blobStore{t: t, dir: dir, opts: opts, s: openTemp(t, dir, opts), stored: map[string]string{}}
+}
+
+func blobID(i int) string { return fmt.Sprintf("doc-%02d", i) }
+
+// version is a new document for blobID(i), recorded as the one put last.
+func (b *blobStore) version(i int, tag string) *prov.Document {
+	doc := compatDoc(b.t, fmt.Sprintf("%s-%d", tag, i), 40)
+	b.stored[blobID(i)] = string(mustJSON(b.t, doc))
+	return doc
+}
+
+// restart closes the store, reads the blobs its directory holds and
+// reopens it.
+func (b *blobStore) restart() (snap, tail map[string][]byte) {
+	b.t.Helper()
+	if err := b.s.Close(); err != nil {
+		b.t.Fatal(err)
+	}
+	snap, tail = diskBlobs(b.t, b.dir)
+	b.s = openTemp(b.t, b.dir, b.opts)
+	return snap, tail
+}
+
+// journaled checks that every entry's blob is the one the directory
+// holds for its id, and still the entry's after a restart replays the
+// journal. It returns the blobs.
+func (b *blobStore) journaled(label string) map[string][]byte {
+	b.t.Helper()
+	kept := entryBlobs(b.t, b.s, b.stored)
+	onDisk, tail := b.restart()
+	for id, blob := range tail {
+		onDisk[id] = blob
+	}
+	sameBlobs(b.t, label+": snapshot and journal records", onDisk, kept)
+	sameBlobs(b.t, label+": entries replayed from the journal", entryBlobs(b.t, b.s, b.stored), kept)
+	return kept
+}
+
+// TestPutBlobSameInRecordAndEntry: a document is encoded once, when it
+// is written. The blob its entry keeps is byte for byte the one its
+// journal record carries — for a single put, a batch and a mixed op —
+// and a restart that replays the records hands it back to the entry.
+// A nil document is refused.
+func TestPutBlobSameInRecordAndEntry(t *testing.T) {
+	const n = 64
+	b := newBlobStore(t)
+	for i := 0; i < 4; i++ {
+		if err := b.s.Put(blobID(i), b.version(i, "single")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.journaled("single puts")
+
+	batch := map[string]*prov.Document{}
+	for i := 2; i < n; i++ { // replaces 2 and 3
+		batch[blobID(i)] = b.version(i, "batch")
+	}
+	if err := b.s.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.s.Apply(context.Background(), []Op{{ID: blobID(0)}, {ID: blobID(n), Doc: b.version(n, "mixed")}}); err != nil {
+		t.Fatal(err)
+	}
+	delete(b.stored, blobID(0))
+	if err := b.s.PutBatch(map[string]*prov.Document{"bad": nil}); err == nil {
+		t.Fatal("nil-Doc batch item accepted")
+	}
+	if err := b.s.Put("bad", nil); err == nil {
+		t.Fatal("nil-Doc put accepted")
+	}
+	b.journaled("batches")
+	lineage, err := b.s.Lineage(blobID(2), prov.NewQName("ex", "batch-2-e0"), Ancestors, 0)
+	if err != nil || len(lineage) != 1 || lineage[0] != prov.NewQName("ex", "batch-2-a0") {
+		t.Fatalf("lineage after replaying the journal: %v %v", lineage, err)
+	}
+}
+
+// TestCheckpointStoresEntryBlobs: a checkpoint encodes nothing. The
+// snapshot stores every entry's blob byte for byte, a restart from it
+// hands each blob back to its entry, and a journal tail on top of it
+// ends up in the next snapshot the same way. A checkpoint of an
+// unchanged store allocates no more than its payload.
+func TestCheckpointStoresEntryBlobs(t *testing.T) {
+	const n = 64
+	b := newBlobStore(t)
+	batch := map[string]*prov.Document{}
+	for i := 0; i < n; i++ {
+		batch[blobID(i)] = b.version(i, "batch")
+	}
+	if err := b.s.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.s.Delete(blobID(0)); err != nil {
+		t.Fatal(err)
+	}
+	delete(b.stored, blobID(0))
+	kept := b.journaled("writes")
+
+	docs, _ := checkpointCost(t, b.s)
+	if docs != uint64(len(b.stored)) {
+		t.Fatalf("checkpoint stored %d documents, want %d", docs, len(b.stored))
+	}
+	// Nothing written since: nothing allocated beyond the payload
+	// itself. Growing the payload from nil cost about 3x.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	docs, encoded, payload := checkpointCost(t, s)
+	_, payload := checkpointCost(t, b.s)
 	runtime.ReadMemStats(&after)
-	if docs != n || encoded != 0 {
-		t.Fatalf("unchanged store: checkpoint stored %d documents and encoded %d, want %d and 0", docs, encoded, n)
-	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && float64(alloc) > 1.1*float64(payload) {
 		t.Errorf("checkpoint of an unchanged store allocated %d bytes for a %d-byte payload, want <= 1.1x", alloc, payload)
 	}
+	snap, tail := b.restart()
+	if len(tail) != 0 || len(snap) != len(b.stored) {
+		t.Fatalf("after the checkpoint the directory holds %d snapshot documents and a %d-document tail, want %d and none", len(snap), len(tail), len(b.stored))
+	}
+	sameBlobs(t, "snapshot", snap, kept)
+	sameBlobs(t, "entries recovered from the snapshot", entryBlobs(t, b.s, b.stored), kept)
 
-	// Every entry now holds its own document's encoding, exactly sized,
-	// in place of the decoded document.
-	s.eachEntry(func(e *entry) {
-		if e.blob == nil || cap(e.blob) != len(e.blob) {
-			t.Errorf("%s: blob len %d cap %d, want a blob with cap == len", e.id, len(e.blob), cap(e.blob))
-			return
-		}
-		if e.doc.Load() != nil {
-			t.Errorf("%s: still holds its decoded document after a checkpoint", e.id)
-		}
-		d, err := prov.ParseBinary(e.blob)
-		if err != nil {
-			t.Errorf("%s: blob does not decode: %v", e.id, err)
-			return
-		}
-		if string(mustJSON(t, d)) != stored[e.id] {
-			t.Errorf("%s: blob encodes a different document than the one put", e.id)
-		}
-	})
-	want := snapshotJSON(t, s)
-	if err := s.Close(); err != nil {
+	// A journal tail on top of the snapshot.
+	if err := b.s.Put(blobID(1), b.version(1, "tail")); err != nil {
 		t.Fatal(err)
 	}
-
-	// Recovered from the snapshot alone: every blob was handed over.
-	s = openTemp(t, dir, opts)
-	s.eachEntry(func(e *entry) {
-		if e.blob == nil || cap(e.blob) != len(e.blob) {
-			t.Errorf("%s recovered with blob len %d cap %d, want the snapshot's blob with cap == len", e.id, len(e.blob), cap(e.blob))
-		}
-	})
-	sameState(t, snapshotJSON(t, s), want, "store recovered from the snapshot")
-	wantCost(s, "after a restart", n, 0)
-
-	// A journal tail replays as ordinary writes: those are encoded.
-	put(s, 0, "v3")
-	put(s, 1, "v3")
-	put(s, n+1, "v1")
-	want = snapshotJSON(t, s)
-	if err := s.Close(); err != nil {
+	kept = b.journaled("journal tail")
+	if err := b.s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s = openTemp(t, dir, opts)
-	wantCost(s, "after a restart with a journal tail", n+1, tail)
-	sameState(t, snapshotJSON(t, s), want, "reopened store")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	snap, _ = b.restart()
+	sameBlobs(t, "snapshot after the tail", snap, kept)
+	sameBlobs(t, "entries recovered from that snapshot", entryBlobs(t, b.s, b.stored), kept)
+	lineage, err := b.s.Lineage(blobID(1), prov.NewQName("ex", "tail-1-e0"), Ancestors, 0)
+	if err != nil || len(lineage) != 1 || lineage[0] != prov.NewQName("ex", "tail-1-a0") {
+		t.Fatalf("lineage after recovery: %v %v", lineage, err)
 	}
-
-	// What the checkpoints concatenated reads back as the same store.
-	s = openTemp(t, dir, opts)
-	sameState(t, snapshotJSON(t, s), want, "store recovered from the concatenated snapshot")
 }
 
 // TestCheckpointConcurrentWithWritersAndReaders (run under -race):

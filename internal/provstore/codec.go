@@ -29,10 +29,11 @@ import (
 //	        byte op (put/delete), varint shard, varint len + id,
 //	        puts: varint len + doc blob
 //
-// A doc blob is itself tagged by its first byte: '{' = PROV-JSON
-// (parsed with prov.ParseJSON — this is how validated wire bytes pass
-// through the journal without a re-encode), prov.BinaryDocTag = the
-// compact document codec (prov.ParseBinary). Snapshots reuse the same
+// A doc blob is itself tagged by its first byte: prov.BinaryDocTag = the
+// compact document codec (prov.ParseBinary), the only kind this build
+// writes — the blob the entry keeps (entry.blob) — and '{' = PROV-JSON
+// (prov.ParseJSON), which journals and snapshots of earlier builds
+// hold and every decoder here still reads. Snapshots reuse the same
 // convention (see appendSnapshot / decodeSnapshot).
 const (
 	recBinaryTag = 0x01
@@ -75,28 +76,27 @@ func appendLenString(dst []byte, s string) []byte {
 }
 
 // appendRecord encodes ops as one journal record into dst: a plain put
-// or delete record for a single op, a batch envelope otherwise. Each
-// op carries the index of the shard that owns it under mask — a
-// write-time hint, never routing truth. Sub-op doc bytes given as Raw
-// are appended verbatim, so journaling a batch of wire documents costs
-// one buffer write, not a re-encode.
-func appendRecord(dst []byte, ops []Op, mask uint32, trace string) []byte {
+// or delete record for a single op, a batch envelope otherwise. blobs
+// runs parallel to ops and holds each put's binary blob, which is
+// appended verbatim. Each op carries the index of the shard that owns it
+// under mask — a write-time hint, never routing truth.
+func appendRecord(dst []byte, ops []Op, blobs [][]byte, mask uint32, trace string) []byte {
 	need := len(trace) + 16
 	for i := range ops {
-		need += len(ops[i].Raw) + len(ops[i].ID) + 16
+		need += len(blobs[i]) + len(ops[i].ID) + 16
 	}
 	dst = slices.Grow(dst, need)
 	if len(ops) == 1 {
 		dst = append(dst, recBinaryTag, recOpByte(&ops[0]))
 		dst = appendLenString(dst, trace)
-		return appendOpBody(dst, &ops[0], mask)
+		return appendOpBody(dst, &ops[0], blobs[0], mask)
 	}
 	dst = append(dst, recBinaryTag, recOpBatch)
 	dst = appendLenString(dst, trace)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
 	for i := range ops {
 		dst = append(dst, recOpByte(&ops[i]))
-		dst = appendOpBody(dst, &ops[i], mask)
+		dst = appendOpBody(dst, &ops[i], blobs[i], mask)
 	}
 	return dst
 }
@@ -110,29 +110,19 @@ func recOpByte(op *Op) byte {
 
 // appendOpBody appends what put/delete records and batch sub-ops share:
 // shard hint, id and, for puts, the doc blob.
-func appendOpBody(dst []byte, op *Op, mask uint32) []byte {
+func appendOpBody(dst []byte, op *Op, blob []byte, mask uint32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(shardHash(op.ID)&mask))
 	dst = appendLenString(dst, op.ID)
 	if op.Doc == nil {
 		return dst
 	}
-	return appendBlob(dst, op.Raw, op.Doc)
+	return appendBlob(dst, blob)
 }
 
-// appendBlob appends a length-prefixed doc blob: raw bytes verbatim
-// when raw is non-nil (already-encoded JSON or binary), else the binary
-// encoding of doc. The length prefix is fixed-width 4 bytes so the blob
-// can be encoded straight into dst without a sizing pass.
-func appendBlob(dst []byte, raw []byte, doc *prov.Document) []byte {
-	if raw != nil {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(raw)))
-		return append(dst, raw...)
-	}
-	at := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = prov.AppendBinary(dst, doc)
-	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
-	return dst
+// appendBlob appends a doc blob behind its fixed-width 4-byte length.
+func appendBlob(dst []byte, blob []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
+	return append(dst, blob...)
 }
 
 // recReader is a bounds-checked cursor over a binary record payload.
@@ -201,19 +191,30 @@ func (r *recReader) blob() ([]byte, error) {
 	return b, nil
 }
 
-// parseDocBlob decodes a tagged doc blob: PROV-JSON or binary.
-func parseDocBlob(blob []byte) (*prov.Document, error) {
+// parseDocBlob decodes a tagged doc blob, PROV-JSON or binary, and
+// returns with the document the blob its entry keeps: an exactly sized
+// copy of a binary blob — a slice of the record or snapshot would hold
+// the whole buffer for as long as the entry lives — or nil for JSON,
+// which the entry encodes once (newEntry).
+func parseDocBlob(blob []byte) (doc *prov.Document, kept []byte, err error) {
 	if len(blob) == 0 {
-		return nil, fmt.Errorf("provstore: empty document blob")
+		return nil, nil, fmt.Errorf("provstore: empty document blob")
 	}
 	if blob[0] == '{' {
-		return prov.ParseJSON(blob)
+		doc, err = prov.ParseJSON(blob)
+		return doc, nil, err
 	}
-	return prov.ParseBinary(blob)
+	if doc, err = prov.ParseBinary(blob); err != nil {
+		return nil, nil, err
+	}
+	kept = make([]byte, len(blob))
+	copy(kept, blob)
+	return doc, kept, nil
 }
 
 // decodeRecordPayload turns one journal/replication payload into a
-// parse-validated mutation — missing deletes tolerated —
+// parse-validated mutation — missing deletes tolerated, the binary
+// blobs kept (mutation.blobs) —
 // dispatching on the payload tag, before anything is staged or applied:
 // a malformed record is rejected while the store is still untouched.
 // Both recovery replay and the follower apply path come through here.
@@ -283,9 +284,9 @@ func decodeRecordInto(m *mutation, payload []byte) error {
 	return nil
 }
 
-// decodeOpBody reads one put/delete body (see appendOpBody) onto m.ops.
-// The recorded shard hint is skipped: placement is re-derived from the
-// id hash.
+// decodeOpBody reads one put/delete body (see appendOpBody) onto m.ops
+// and its kept blob onto m.blobs. The recorded shard hint is skipped:
+// placement is re-derived from the id hash.
 func decodeOpBody(m *mutation, r *recReader, opByte byte) error {
 	if _, err := r.uvarint(); err != nil {
 		return err
@@ -295,21 +296,24 @@ func decodeOpBody(m *mutation, r *recReader, opByte byte) error {
 		return err
 	}
 	op := Op{ID: id}
+	var kept []byte
 	if opByte == recOpPut {
 		blob, err := r.blob()
 		if err != nil {
 			return err
 		}
-		if op.Doc, err = parseDocBlob(blob); err != nil {
+		if op.Doc, kept, err = parseDocBlob(blob); err != nil {
 			return fmt.Errorf("%q: %w", id, err)
 		}
 	}
 	m.ops = append(m.ops, op)
+	m.blobs = append(m.blobs, kept)
 	return nil
 }
 
 // decodeLegacyOp lifts a legacy JSON journalOp — the only place the
 // "put"/"delete"/"batch" op strings are still interpreted — onto m.ops.
+// It keeps no blobs: its documents are JSON.
 func decodeLegacyOp(m *mutation, op journalOp, batchOK bool) error {
 	switch op.Op {
 	case "put":
@@ -336,25 +340,12 @@ func decodeLegacyOp(m *mutation, op journalOp, batchOK bool) error {
 }
 
 // appendSnapshot encodes the full-state snapshot in binary: tag, the
-// writer's shard count, then per entry a length-prefixed id and a tagged
-// doc blob. An entry that holds its blob is copied; one that does not is
-// encoded first and keeps the result in place of its decoded document,
-// so the next snapshot copies it too. dst grows once, to a size worked
-// out from the blob lengths. encoded is the number of entries it had to
-// encode. The caller holds Store.snapMu (see entry.blob).
-func appendSnapshot(dst []byte, entries []*entry, shards int) (_ []byte, encoded int) {
-	var scratch []byte
+// writer's shard count, then per entry a length-prefixed id and the
+// entry's blob. dst grows once, to a size worked out from the blob
+// lengths.
+func appendSnapshot(dst []byte, entries []*entry, shards int) []byte {
 	need := 32
 	for _, e := range entries {
-		if e.blob == nil {
-			scratch = prov.AppendBinary(scratch[:0], e.doc.Load())
-			e.blob = make([]byte, len(scratch)) // exactly sized: append's slack would stay live with the entry
-			copy(e.blob, scratch)
-			// Blob first, then the pointer: a reader that loads nil finds
-			// the blob it decodes instead.
-			e.doc.Store(nil)
-			encoded++
-		}
 		need += len(e.id) + len(e.blob) + 16
 	}
 	dst = slices.Grow(dst, need)
@@ -363,14 +354,14 @@ func appendSnapshot(dst []byte, entries []*entry, shards int) (_ []byte, encoded
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
 		dst = appendLenString(dst, e.id)
-		dst = appendBlob(dst, e.blob, nil)
+		dst = appendBlob(dst, e.blob)
 	}
-	return dst, encoded
+	return dst
 }
 
 // decodeSnapshot turns a snapshot payload — legacy JSON (storeSnapshot)
 // or binary — into one mutation of puts. For a binary payload the
-// mutation also carries each document's blob (mutation.blobs).
+// mutation also carries the blobs it keeps (mutation.blobs).
 func decodeSnapshot(payload []byte) (mutation, error) {
 	m := mutation{lenient: true}
 	if err := decodeSnapshotInto(&m, payload); err != nil {
@@ -422,21 +413,11 @@ func decodeSnapshotInto(m *mutation, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("doc %q: %w", id, err)
 		}
-		doc, err := parseDocBlob(blob)
+		doc, kept, err := parseDocBlob(blob)
 		if err != nil {
 			return fmt.Errorf("doc %q: %w", id, err)
 		}
 		m.ops = append(m.ops, Op{ID: id, Doc: doc})
-		// The entry keeps a binary blob (entry.blob): the next snapshot
-		// stores these very bytes. It gets its own exactly-sized copy — a
-		// slice of payload would hold the whole store-sized buffer for as
-		// long as one recovered document survives. A '{' blob is not
-		// kept: a snapshot never stores JSON again.
-		var kept []byte
-		if blob[0] == prov.BinaryDocTag {
-			kept = make([]byte, len(blob))
-			copy(kept, blob)
-		}
 		m.blobs = append(m.blobs, kept)
 	}
 	if r.pos != len(payload) {

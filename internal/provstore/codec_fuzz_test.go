@@ -3,19 +3,25 @@ package provstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/prov"
+	"repro/internal/wal"
 )
 
 // FuzzDecodeRecordPayload holds the journal record decoder to two
 // properties: no input makes it panic, and a payload it accepts,
-// re-encoded by appendRecord, decodes to the same mutation — the same
-// ids in the same order, the same puts and deletes, the same trace and
-// Equal documents.
+// re-encoded by appendRecord over the blobs it kept (a JSON blob
+// encoded, as apply encodes it), decodes to the same mutation — the
+// same ids in the same order, the same puts and deletes, the same
+// trace, Equal documents and byte-equal blobs.
 func FuzzDecodeRecordPayload(f *testing.F) {
 	docB := goldenDoc("b")
 	rawB, err := docB.MarshalJSON()
@@ -28,9 +34,11 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 	}
 	mask := uint32(goldenShards - 1)
 	seeds := [][]byte{
-		appendRecord(nil, []Op{{ID: "run/a", Doc: goldenDoc("a")}}, mask, goldenTrace),
-		appendRecord(nil, []Op{{ID: "run/a"}}, mask, ""),
-		appendRecord(nil, []Op{{ID: "run/b", Doc: docB, Raw: rawB}, {ID: "run/c", Doc: goldenDoc("c")}, {ID: "run/d"}}, mask, goldenTrace),
+		encodeRecord([]Op{{ID: "run/a", Doc: goldenDoc("a")}}, mask, goldenTrace),
+		encodeRecord([]Op{{ID: "run/a"}}, mask, ""),
+		encodeRecord([]Op{{ID: "run/b", Doc: docB}, {ID: "run/c", Doc: goldenDoc("c")}, {ID: "run/d"}}, mask, goldenTrace),
+		// As earlier builds journaled a batch line: its PROV-JSON.
+		appendRecord(nil, []Op{{ID: "run/b", Doc: docB}, {ID: "run/d"}}, [][]byte{rawB, nil}, mask, goldenTrace),
 		legacy,
 	}
 	for _, s := range seeds {
@@ -42,7 +50,14 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeRecordPayload(appendRecord(nil, m.ops, mask, m.trace), 1)
+		blobs := make([][]byte, len(m.ops))
+		copy(blobs, m.blobs)
+		for i, op := range m.ops {
+			if op.Doc != nil && blobs[i] == nil {
+				blobs[i] = encodeBlob(op.Doc)
+			}
+		}
+		again, err := decodeRecordPayload(appendRecord(nil, m.ops, blobs, mask, m.trace), 1)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
@@ -56,6 +71,9 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 			}
 			if op.Doc != nil && !got.Doc.Equal(op.Doc) {
 				t.Fatalf("op %d (%q): document changed through the record codec", i, op.ID)
+			}
+			if !bytes.Equal(again.blobs[i], blobs[i]) {
+				t.Fatalf("op %d (%q): blob changed through the record codec", i, op.ID)
 			}
 		}
 	})
@@ -77,16 +95,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	entryOf := func(id string, doc *prov.Document, blob []byte) *entry {
-		e, err := newEntry(id, doc, blob)
+	entryOf := func(id string, doc *prov.Document) *entry {
+		e, err := newEntry(id, doc, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return e
 	}
-	binarySnap, _ := appendSnapshot(nil, []*entry{entryOf("run/a", docA, nil), entryOf("run/b", docB, nil)}, goldenShards)
+	binarySnap := appendSnapshot(nil, []*entry{entryOf("run/a", docA), entryOf("run/b", docB)}, goldenShards)
 	// A binary snapshot may carry a PROV-JSON blob, which no entry keeps.
-	jsonBlobSnap, _ := appendSnapshot(nil, []*entry{entryOf("run/b", docB, rawB)}, goldenShards)
+	jsonBlobSnap := appendBlob(appendLenString(binary.AppendUvarint([]byte{recBinaryTag, goldenShards}, 1), "run/b"), rawB)
 	legacy, err := json.Marshal(storeSnapshot{Docs: map[string]json.RawMessage{"run/a": rawA, "run/b": rawB}, Shards: goldenShards})
 	if err != nil {
 		f.Fatal(err)
@@ -110,7 +128,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		var entries []*entry
 		first.eachEntry(func(e *entry) { entries = append(entries, e) })
 		slices.SortFunc(entries, func(a, b *entry) int { return strings.Compare(a.id, b.id) })
-		reencoded, _ := appendSnapshot(nil, entries, 1)
+		reencoded := appendSnapshot(nil, entries, 1)
 		again, err := decodeSnapshot(reencoded)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
@@ -127,14 +145,128 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		for _, id := range ids {
 			e1, e2 := first.shardFor(id).docs[id], second.shardFor(id).docs[id]
-			d1, _ := e1.document()
-			d2, _ := e2.document()
-			if !d2.Equal(d1) {
+			if !e2.document().Equal(e1.document()) {
 				t.Fatalf("%q: document changed through the snapshot codec", id)
 			}
 			if !bytes.Equal(e1.blob, e2.blob) {
 				t.Fatalf("%q: kept blob changed through the snapshot codec", id)
 			}
 		}
+	})
+}
+
+// corpusSeeds reads the byte inputs of a committed go-fuzz corpus
+// directory ("go test fuzz v1" files holding one []byte each).
+func corpusSeeds(f *testing.F, dir string) [][]byte {
+	f.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no corpus under %s (%v)", dir, err)
+	}
+	var out [][]byte
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, []byte(s))
+	}
+	return out
+}
+
+// FuzzApplyRecoversEqual: whatever PROV-JSON the local write path
+// accepts — stored by a put and, beside another document, by a 2-op
+// batch — reads back Equal to the document decoded from it from the
+// live store, from the store reopened on its journal, from a follower
+// fed the primary's records, and from the store reopened after a
+// checkpoint; and the snapshot stores each document's blob byte for
+// byte as its journal record carried it.
+func FuzzApplyRecoversEqual(f *testing.F) {
+	// compatDoc takes a *testing.T only to mark itself a helper.
+	for _, d := range []*prov.Document{goldenDoc("a"), compatDoc(&testing.T{}, "c", 3)} {
+		raw, err := d.MarshalJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, seed := range corpusSeeds(f, "../prov/testdata/fuzz/FuzzParseJSONMatchesReference") {
+		f.Add(seed)
+	}
+	other := goldenDoc("other")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := prov.ParseJSON(data)
+		if err != nil {
+			return
+		}
+		if _, err := doc.Validate(); err != nil {
+			return
+		}
+		want, err := prov.ParseJSON(data) // Apply reads doc; want is nobody's
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants := map[string]*prov.Document{"put": want, "batched": want, "other": other}
+		holdsWanted := func(s *Store, label string) {
+			t.Helper()
+			for id, w := range wants {
+				if got, ok := s.Get(id); !ok || !got.Equal(w) {
+					t.Fatalf("%s: %s reads back different (stored %v)", label, id, ok)
+				}
+			}
+		}
+
+		dir := t.TempDir()
+		opts := Durability{SnapshotEvery: -1, Shards: 2}
+		s := openTemp(t, dir, opts)
+		ctx := context.Background()
+		if err := s.Apply(ctx, []Op{{ID: "put", Doc: doc}}); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		if err := s.Apply(ctx, []Op{{ID: "batched", Doc: doc}, {ID: "other", Doc: other}}); err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		holdsWanted(s, "live store")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec := recovered(t, dir)
+		_, journaled := diskBlobs(t, dir)
+
+		s = openTemp(t, dir, opts)
+		holdsWanted(s, "store reopened on its journal")
+
+		follower := openTemp(t, t.TempDir(), Durability{SnapshotEvery: -1, Follower: true})
+		var last wal.Ticket
+		for _, r := range rec.Records {
+			tk, ok, err := follower.ApplyReplicated(r)
+			if err != nil || !ok {
+				t.Fatalf("follower: record %d: applied %v, %v", r.Seq, ok, err)
+			}
+			last = tk
+		}
+		if err := last.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		holdsWanted(follower, "follower")
+
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := diskBlobs(t, dir)
+		for id := range wants {
+			if !bytes.Equal(snap[id], journaled[id]) {
+				t.Fatalf("%s: the snapshot's blob is not the journal record's", id)
+			}
+		}
+		holdsWanted(openTemp(t, dir, opts), "store reopened after a checkpoint")
 	})
 }

@@ -183,9 +183,9 @@ func TestLegacyJournalOpensAndExtends(t *testing.T) {
 
 // TestJSONSnapshotBlobsRewrittenInBinary: a directory whose snapshot
 // holds its documents as JSON — the legacy JSON snapshot, or a binary
-// envelope around '{' blobs — opens, and its first checkpoint encodes
-// every document (a JSON blob is never kept for the next snapshot) and
-// writes binary blobs, which the checkpoint after a restart copies.
+// envelope around '{' blobs — opens, recovery encodes every document
+// once (a JSON blob is never kept), and its first checkpoint writes
+// binary blobs, which the checkpoint after a restart copies.
 func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 	const n = 5
 	docs := map[string]json.RawMessage{}
@@ -199,7 +199,7 @@ func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 	}
 	envelope := binary.AppendUvarint([]byte{recBinaryTag, 1}, n)
 	for id, raw := range docs {
-		envelope = appendBlob(appendLenString(envelope, id), raw, nil)
+		envelope = appendBlob(appendLenString(envelope, id), raw)
 	}
 
 	for name, payload := range map[string][]byte{"legacy JSON snapshot": legacy, "binary envelope of JSON blobs": envelope} {
@@ -213,8 +213,8 @@ func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 			if len(want) != n {
 				t.Fatalf("recovered %d docs, want %d", len(want), n)
 			}
-			if docs, encoded, _ := checkpointCost(t, s); docs != n || encoded != n {
-				t.Fatalf("first checkpoint stored %d documents and encoded %d, want %d and %d", docs, encoded, n, n)
+			if docs, _ := checkpointCost(t, s); docs != n {
+				t.Fatalf("first checkpoint stored %d documents, want %d", docs, n)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -231,8 +231,8 @@ func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 
 			s = openTemp(t, dir, Durability{SnapshotEvery: -1, Shards: 4})
 			sameState(t, snapshotJSON(t, s), want, "reopen on the rewritten snapshot")
-			if docs, encoded, _ := checkpointCost(t, s); docs != n || encoded != 0 {
-				t.Fatalf("checkpoint after the restart stored %d documents and encoded %d, want %d and 0", docs, encoded, n)
+			if docs, _ := checkpointCost(t, s); docs != n {
+				t.Fatalf("checkpoint after the restart stored %d documents, want %d", docs, n)
 			}
 		})
 	}
@@ -252,8 +252,8 @@ func TestMixedFormatReplication(t *testing.T) {
 
 			docA := compatDoc(t, "alpha", 2)
 			docB := compatDoc(t, "beta", 2)
-			binPut := appendRecord(nil, []Op{{ID: "beta", Doc: docB}}, 0, "")
-			binBatch := appendRecord(nil, []Op{{ID: "gamma", Doc: compatDoc(t, "gamma", 1)}, {ID: "alpha"}}, 0, "")
+			binPut := encodeRecord([]Op{{ID: "beta", Doc: docB}}, 0, "")
+			binBatch := encodeRecord([]Op{{ID: "gamma", Doc: compatDoc(t, "gamma", 1)}, {ID: "alpha"}}, 0, "")
 
 			records := []wal.Record{
 				{Seq: 1, Payload: legacyPutPayload(t, "alpha", docA, 0)}, // old primary

@@ -1,23 +1,20 @@
 package provstore
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/prov"
 )
 
-// An entry holds its decoded document only until the document's binary
-// encoding exists (see entry). These tests pin what that changes —
-// nothing any read returns — and what it saves.
+// An entry holds its document as its binary blob alone (see entry).
+// These tests pin what that changes — nothing any read returns — and
+// what it saves.
 
 // runDoc is run i of an experiment: documents share the dataset and
 // each names the previous run's model, so cross-document traversal has
@@ -78,8 +75,8 @@ func readStoreWide(t *testing.T, s *Store, decode bool) storeWideReads {
 // TestStoreWideReadsSameWithoutDocuments: cross-document lineage and
 // type search answer from each entry's index and type hits,
 // attribute search from its document, and all of them answer the same
-// before a checkpoint, after it (every entry holds its blob alone) and
-// after reopening the directory (entries built from the snapshot). With
+// before a checkpoint, after it and after reopening the directory
+// (entries built from the snapshot). With
 // every blob made undecodable, all but the attribute search on another
 // key still answer: they never read a document.
 func TestStoreWideReadsSameWithoutDocuments(t *testing.T) {
@@ -131,118 +128,11 @@ func TestStoreWideReadsSameWithoutDocuments(t *testing.T) {
 	same("after reopening", readStoreWide(t, openTemp(t, dir, opts), true))
 }
 
-// holdsDocument reports, per id, whether the entry holds its decoded
-// document, and checks that exactly one of document and blob is set.
-func holdsDocument(t *testing.T, s *Store) map[string]bool {
-	t.Helper()
-	out := map[string]bool{}
-	s.eachEntry(func(e *entry) {
-		holds := e.doc.Load() != nil
-		if holds == (e.blob != nil) {
-			t.Errorf("%s: holds its document %v and a %d-byte blob: want exactly one", e.id, holds, len(e.blob))
-		}
-		out[e.id] = holds
-	})
-	return out
-}
-
-// TestCheckpointDropsDecodedDocuments: a checkpoint leaves no entry of a
-// journaled store holding its decoded document; an entry recovered from
-// a snapshot never holds one, an entry written after it (journal tail)
-// holds its own until the next checkpoint. The count is on /stats and
-// on the yprov_store_decoded_documents gauge, and the documents read
-// back the same whichever form they are held in.
-func TestCheckpointDropsDecodedDocuments(t *testing.T) {
-	const n = 8
-	dir := t.TempDir()
-	opts := Durability{SnapshotEvery: -1, Shards: 2}
-	s := openTemp(t, dir, opts)
-	gauge := func(s *Store, want int) {
-		t.Helper()
-		reg := obs.NewRegistry()
-		s.RegisterObs(reg)
-		var b bytes.Buffer
-		reg.WritePrometheus(&b)
-		sample := fmt.Sprintf("yprov_store_decoded_documents %d\n", want)
-		if got := s.Stats().DecodedDocuments; got != want || !strings.Contains(b.String(), sample) {
-			t.Errorf("decoded documents: stats %d, want %d; /metrics has %q: %v", got, want, sample, strings.Contains(b.String(), sample))
-		}
-	}
-	wantJSON := map[string]string{}
-	put := func(s *Store, id string, i int) {
-		t.Helper()
-		doc := runDoc(i)
-		if err := s.Put(id, doc); err != nil {
-			t.Fatal(err)
-		}
-		wantJSON[id] = string(mustJSON(t, doc))
-	}
-	readsBack := func(s *Store, label string) {
-		t.Helper()
-		for id, w := range wantJSON {
-			v, ok := s.View(id)
-			if !ok {
-				t.Fatalf("%s: %s missing", label, id)
-			}
-			if got := string(mustJSON(t, v.Document())); got != w {
-				t.Errorf("%s: %s reads\n%s\nwant\n%s", label, id, got, w)
-			}
-			if got, _ := s.Get(id); string(mustJSON(t, got)) != w {
-				t.Errorf("%s: Get(%s) differs", label, id)
-			}
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		put(s, fmt.Sprintf("run-%d", i), i)
-	}
-	for id, holds := range holdsDocument(t, s) {
-		if !holds {
-			t.Errorf("%s holds no document before any checkpoint", id)
-		}
-	}
-	gauge(s, n)
-
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for id, holds := range holdsDocument(t, s) {
-		if holds {
-			t.Errorf("%s still holds its document after the checkpoint", id)
-		}
-	}
-	gauge(s, 0)
-	readsBack(s, "after the checkpoint")
-
-	// Two writes after the checkpoint: the journal tail.
-	tail := map[string]bool{"run-0": true, "run-new": true}
-	put(s, "run-0", n)
-	put(s, "run-new", n+1)
-	gauge(s, len(tail))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s = openTemp(t, dir, opts)
-	for id, holds := range holdsDocument(t, s) {
-		if holds != tail[id] {
-			t.Errorf("reopened: %s holds its document %v, want %v (journal tail: %v)", id, holds, tail[id], tail[id])
-		}
-	}
-	gauge(s, len(tail))
-	readsBack(s, "after reopening")
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	gauge(s, 0)
-	readsBack(s, "after the second checkpoint")
-}
-
 // TestBlobOnlyReadsRace (run under -race): readers take views, decode
 // documents, extract subgraphs and run attribute and cross-document
 // searches while writers replace the same ids and checkpoints run back
-// to back, each one turning the entries it meets blob-only under the
-// readers' feet. Every view reads as one of the versions written.
+// to back, each one reading every entry's blob under the readers' feet.
+// Every view reads as one of the versions written.
 func TestBlobOnlyReadsRace(t *testing.T) {
 	s := openTemp(t, t.TempDir(), Durability{SnapshotEvery: -1, Shards: 2})
 	const ids, writers, rounds = 6, 2, 25
@@ -359,8 +249,8 @@ func corpusDoc(i int) *prov.Document {
 }
 
 // fillCorpus stores corpus documents 0..n-1 the way the service does:
-// batches of 32, each document decoded from its PROV-JSON, which goes to
-// the journal verbatim. It returns the PROV-JSON bytes stored.
+// batches of 32, each document decoded from its PROV-JSON. It returns
+// the PROV-JSON bytes stored.
 func fillCorpus(tb testing.TB, s *Store, n int) (jsonBytes int) {
 	tb.Helper()
 	for b := 0; b < n; b += 32 {
@@ -374,7 +264,7 @@ func fillCorpus(tb testing.TB, s *Store, n int) (jsonBytes int) {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			ops = append(ops, Op{ID: fmt.Sprintf("doc-%04d", i), Doc: doc, Raw: raw})
+			ops = append(ops, Op{ID: fmt.Sprintf("doc-%04d", i), Doc: doc})
 			jsonBytes += len(raw)
 		}
 		if err := s.Apply(context.Background(), ops); err != nil {
@@ -385,34 +275,38 @@ func fillCorpus(tb testing.TB, s *Store, n int) (jsonBytes int) {
 }
 
 // liveHeap is the heap in use after two full collections.
-func liveHeap() uint64 {
+func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	return int64(ms.HeapAlloc)
 }
 
-// TestCheckpointHalvesRetainedHeap: what a journaled store of
-// corpus-shaped documents keeps on the heap more than halves once a
-// checkpoint has turned its entries blob-only — the decoded documents
-// were most of it.
-func TestCheckpointHalvesRetainedHeap(t *testing.T) {
+// TestRetainedHeapPerJSONByte: a journaled store of corpus-shaped
+// documents retains under 2 B of heap per PROV-JSON byte it was sent —
+// no entry holds a decoded document — from the first write, and a
+// checkpoint, which only concatenates blobs the entries already hold,
+// moves that by under 10 %.
+func TestRetainedHeapPerJSONByte(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting under the race detector is not the program's")
 	}
 	base := liveHeap()
 	s := openTemp(t, t.TempDir(), Durability{SnapshotEvery: -1, Shards: 2})
-	jsonBytes := fillCorpus(t, s, 256)
+	jsonBytes := int64(fillCorpus(t, s, 256))
 	held := liveHeap() - base
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	kept := liveHeap() - base
-	t.Logf("%d B of PROV-JSON: the store retains %d B (%.2f B/B) holding documents decoded, %d B (%.2f B/B) holding blobs",
+	t.Logf("%d B of PROV-JSON: the store retains %d B (%.2f B/B) before a checkpoint, %d B (%.2f B/B) after one",
 		jsonBytes, held, float64(held)/float64(jsonBytes), kept, float64(kept)/float64(jsonBytes))
-	if kept >= held/2 {
-		t.Errorf("after the checkpoint the store retains %d B, not under half the %d B it did before", kept, held)
+	if held >= 2*jsonBytes {
+		t.Errorf("the store retains %d B for %d B of PROV-JSON, not under 2 B/B", held, jsonBytes)
+	}
+	if d := kept - held; 10*d >= held || -10*d >= held {
+		t.Errorf("a checkpoint moved the retained heap from %d B to %d B, not by under 10 %%", held, kept)
 	}
 	runtime.KeepAlive(s)
 }

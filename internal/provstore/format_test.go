@@ -16,10 +16,13 @@ import (
 )
 
 // Format pin. testdata/format_golden.txt holds payloads the parent of
-// the one-pipeline refactor wrote for a put, a delete, a mixed 3-op
-// batch and a snapshot. The encoder must reproduce them byte for byte —
-// directly and end to end through a durable store — and the decoder must
-// turn each, and its legacy-JSON equivalent, into the same mutation.
+// the one-pipeline refactor wrote for a put, a delete and a snapshot,
+// and a mixed 3-op batch whose documents are all binary blobs. The
+// encoder must reproduce them byte for byte — directly and end to end
+// through a durable store — and the decoder must turn each, and its
+// legacy-JSON equivalent, into the same mutation. The decoder must also
+// read batch-jsonblob, the batch as earlier builds journaled it, with
+// one document held as the PROV-JSON the request carried.
 
 const (
 	goldenTrace  = "golden-1"
@@ -81,18 +84,26 @@ func goldenOps(t *testing.T) (put, del, batch []Op) {
 	docB := goldenDoc("b")
 	put = []Op{{ID: "run/a", Doc: goldenDoc("a")}}
 	del = []Op{{ID: "run/a"}}
-	batch = []Op{
-		{ID: "run/d"},
-		{ID: "run/c", Doc: goldenDoc("c")},               // binary blob
-		{ID: "run/b", Doc: docB, Raw: mustJSON(t, docB)}, // raw-JSON blob
-	}
+	batch = []Op{{ID: "run/d"}, {ID: "run/c", Doc: goldenDoc("c")}, {ID: "run/b", Doc: docB}}
 	return put, del, batch
+}
+
+// encodeRecord is the record a primary journals for ops: appendRecord
+// over each put's binary blob.
+func encodeRecord(ops []Op, mask uint32, trace string) []byte {
+	blobs := make([][]byte, len(ops))
+	for i, op := range ops {
+		if op.Doc != nil {
+			blobs[i] = encodeBlob(op.Doc)
+		}
+	}
+	return appendRecord(nil, ops, blobs, mask, trace)
 }
 
 func wantBytes(t *testing.T, what string, got, want []byte) {
 	t.Helper()
 	if string(got) != string(want) {
-		t.Errorf("%s differs from the parent's bytes:\n got %x\nwant %x", what, got, want)
+		t.Errorf("%s differs from the golden bytes:\n got %x\nwant %x", what, got, want)
 	}
 }
 
@@ -101,18 +112,14 @@ func TestRecordFormatGoldenEncode(t *testing.T) {
 	put, del, batch := goldenOps(t)
 
 	sorted := []Op{batch[2], batch[1], batch[0]}
-	wantBytes(t, "put record", appendRecord(nil, put, goldenShards-1, goldenTrace), golden["put"])
-	wantBytes(t, "delete record", appendRecord(nil, del, goldenShards-1, goldenTrace), golden["del"])
-	wantBytes(t, "batch record", appendRecord(nil, sorted, goldenShards-1, goldenTrace), golden["batch"])
+	wantBytes(t, "put record", encodeRecord(put, goldenShards-1, goldenTrace), golden["put"])
+	wantBytes(t, "delete record", encodeRecord(del, goldenShards-1, goldenTrace), golden["del"])
+	wantBytes(t, "batch record", encodeRecord(sorted, goldenShards-1, goldenTrace), golden["batch"])
 	e, err := newEntry("run/a", put[0].Doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, encoded := appendSnapshot(nil, []*entry{e}, goldenShards)
-	wantBytes(t, "snapshot", snap, golden["snap"])
-	if encoded != 1 {
-		t.Errorf("snapshot of one blob-less entry encoded %d documents, want 1", encoded)
-	}
+	wantBytes(t, "snapshot", appendSnapshot(nil, []*entry{e}, goldenShards), golden["snap"])
 
 	// End to end: the same bytes reach the journal through the store.
 	dir := t.TempDir()
@@ -201,6 +208,7 @@ func TestRecordFormatGoldenDecode(t *testing.T) {
 		{"binary put", record, golden["put"], goldenTrace, putA},
 		{"binary delete", record, golden["del"], goldenTrace, delA},
 		{"binary batch", record, golden["batch"], goldenTrace, batch},
+		{"binary batch with a JSON blob", record, golden["batch-jsonblob"], goldenTrace, batch},
 		{"binary snapshot", decodeSnapshot, golden["snap"], "", putA},
 		{"legacy put", record, legacyPutPayload(t, "run/a", docA, 2), "", putA},
 		{"legacy delete", record, legacyDeletePayload(t, "run/a"), "", delA},

@@ -24,11 +24,11 @@ var ErrReadOnly = errors.New("provstore: store is a read-only replica")
 // Durability: the store journals every Put/Delete to a single
 // write-ahead log before acknowledging it (one log, global sequencing,
 // regardless of shard count), periodically snapshots the full document
-// set, and compacts the log down to snapshot + tail. A snapshot stores
-// each document as its binary blob, and an entry keeps the blob it was
-// last snapshotted or recovered with, so a checkpoint encodes only the
-// documents written since the previous one and copies the rest; the
-// file it writes is still the whole store. Open replays whatever a
+// set, and compacts the log down to snapshot + tail. A journal record
+// and a snapshot store each document as the binary blob its entry
+// keeps, encoded once when the document was written, so a checkpoint
+// concatenates blobs and encodes nothing; the file it writes is still
+// the whole store. Open replays whatever a
 // previous process left behind — including a torn final record from a
 // crash mid-write, which is truncated, not fatal.
 //
@@ -117,13 +117,10 @@ type DurabilityStats struct {
 	// /healthz reports the primary degraded with this string.
 	FailStop string `json:"fail_stop,omitempty"`
 	// LastCheckpointMs is how long the most recent checkpoint took,
-	// encode to compaction. CheckpointDocs counts the documents all
-	// checkpoints so far put into a snapshot, CheckpointDocsEncoded those
-	// of them that had to be encoded for it: their ratio is the share of
-	// checkpoint work spent on documents that had changed.
-	LastCheckpointMs      float64 `json:"last_checkpoint_ms"`
-	CheckpointDocsEncoded uint64  `json:"checkpoint_docs_encoded"`
-	CheckpointDocs        uint64  `json:"checkpoint_docs"`
+	// capture to compaction. CheckpointDocs counts the documents all
+	// checkpoints so far put into a snapshot.
+	LastCheckpointMs float64 `json:"last_checkpoint_ms"`
+	CheckpointDocs   uint64  `json:"checkpoint_docs"`
 }
 
 // Open builds a store whose state is durably backed by a write-ahead
@@ -189,7 +186,7 @@ func (s *Store) restore(rec *wal.RecoveredState) error {
 
 // maybeSnapshot triggers a checkpoint every SnapshotEvery mutations,
 // on a background goroutine so the unlucky SnapshotEvery-th writer does
-// not absorb the encode + full-snapshot write + fsync latency. Errors
+// not absorb the full-snapshot write + fsync latency. Errors
 // are counted (surfaced via Stats), not returned: the mutation itself
 // is already durable in the log, so a failed snapshot only delays
 // compaction. If a checkpoint is still running, the trigger is skipped
@@ -236,10 +233,8 @@ func (s *Store) Checkpoint() error {
 // while the entry set is captured: staging happens under shard write
 // locks, so the quiesced view contains exactly the mutations up to the
 // lastApplied high-water mark — nothing in flight, nothing missing.
-// Outside the locks, appendSnapshot encodes the entries no checkpoint
-// has met yet and concatenates everyone's blob, so the encode cost is
-// that of the documents written since the last checkpoint; writing the
-// payload and compacting remain proportional to the store.
+// Outside the locks, appendSnapshot concatenates the entries' blobs;
+// writing the payload and compacting are proportional to the store.
 func (s *Store) checkpointLocked() error {
 	start := time.Now()
 	defer func() {
@@ -261,9 +256,8 @@ func (s *Store) checkpointLocked() error {
 		sh.mu.RUnlock()
 	}
 
-	payload, encoded := appendSnapshot(nil, entries, len(s.shards))
+	payload := appendSnapshot(nil, entries, len(s.shards))
 	s.checkpointDocs.Add(uint64(len(entries)))
-	s.checkpointDocsEncoded.Add(uint64(encoded))
 	if err := s.wal.WriteSnapshot(seq, payload); err != nil {
 		return fmt.Errorf("provstore: checkpoint: %w", err)
 	}

@@ -24,19 +24,10 @@ import (
 // nil, delete ID.
 type Op struct {
 	ID string
-	// Doc becomes the store's: it is installed as given, not copied, so
-	// nothing may change it once the op is handed to Apply.
+	// Doc is read, never changed, and only until Apply returns: the
+	// store keeps the document's index and binary encoding, not the
+	// document.
 	Doc *prov.Document
-	// Raw, when set, is the PROV-JSON Doc was parsed from. It is
-	// journaled verbatim, which spares the hot path a re-encode; the
-	// HTTP batch handler passes each line's doc bytes through. When nil
-	// the store encodes Doc itself.
-	// Raw stays the caller's and may alias a buffer of theirs (the
-	// batch handler passes a span of the request line): Apply copies
-	// it into the journal record before it takes a lock and reads it
-	// no more after that, so the buffer must only hold still until
-	// Apply returns.
-	Raw []byte
 }
 
 // mutation is an ordered list of ops applied all-or-nothing, plus the
@@ -50,19 +41,21 @@ type mutation struct {
 	// trace is the originating request's trace ID: primaries encode it
 	// into the record, followers hand it to the apply observer.
 	trace string
-	// record, when non-nil, is staged to the journal under the shard
-	// locks: a primary's encoding of ops, or on a follower the primary's
-	// payload verbatim (it lands on the primary's sequence because the
-	// local log's next sequence is the replication cursor). With no
-	// record, seq is the sequence the mutation already holds in the
-	// journal (recovery); zero takes the next tick of the store's applied
+	// record is staged to the journal under the shard locks. A follower
+	// sets it to the primary's payload verbatim (it lands on the
+	// primary's sequence because the local log's next sequence is the
+	// replication cursor); on a primary, apply encodes it from ops and
+	// blobs. With no journal (recovery, in-memory stores) there is none:
+	// seq is then the sequence the mutation already holds in the journal
+	// (recovery), and zero takes the next tick of the store's applied
 	// counter (in-memory stores, which have no journal to number them).
 	record []byte
 	seq    uint64
 	// blobs, when non-nil, runs parallel to ops: blobs[i] is the binary
 	// encoding of ops[i].Doc that the entry built for it keeps
-	// (entry.blob) instead of the document, or nil. The mutation owns
-	// them. Only a decoded snapshot has any (decodeSnapshotInto).
+	// (entry.blob), or nil. A decoded record or snapshot carries copies
+	// of the binary blobs it held; apply encodes the rest and fills them
+	// in.
 	blobs [][]byte
 }
 
@@ -87,10 +80,9 @@ func (m *mutation) opLabel() string {
 // all of it or none of it. Apply returns once that record is durable.
 // ops is sorted by ID in place (the journal order is deterministic
 // whatever order the caller collected them in); an empty list is a
-// no-op. Apply keeps every Op.Doc: the documents are stored as given,
-// with no copy made, and must not be touched again by the caller,
-// whether the call succeeds or fails. Put and PutBatch are the
-// wrappers for callers that go on using their documents.
+// no-op. Apply reads each Op.Doc and keeps none of them: the store
+// holds each document as its index and binary encoding, so the caller
+// may change or reuse a document once Apply returns.
 //
 // ctx bounds the two points a request can queue: the shard locks (an
 // expired request applies nothing, stages nothing and consumes no
@@ -125,65 +117,63 @@ func (s *Store) Apply(ctx context.Context, ops []Op) error {
 		}
 	}
 	m := mutation{ops: ops, trace: obs.FromContext(ctx).ID()}
-	if s.wal != nil {
-		// Encoded before the locks are taken, into pooled scratch:
-		// wal.Stage copies the payload, so the buffer is recyclable once
-		// this call returns.
-		m.record = appendRecord(getOpBuf(), ops, s.mask, m.trace)
-		defer putOpBuf(m.record)
-	}
 	t, err := s.apply(ctx, &m)
-	if err != nil || m.record == nil {
+	if m.record != nil {
+		putOpBuf(m.record) // wal.Stage copied it
+	}
+	if err != nil || s.wal == nil {
 		return err
 	}
 	return s.commit(ctx, t, len(ops))
 }
 
-// apply is the mutation pipeline: build the entry — document plus
-// traversal index — of every document the mutation stores, then take
-// the owning shard locks in ascending order, swap the entries in
-// remembering what each displaced, stage the record, and — if an op or
-// staging failed — swap the displaced entries back, so a failed
-// mutation is invisible to readers, later snapshots and replay (an
-// un-journaled change left readable would be made durable by the next
-// checkpoint although its caller was told it failed). All the work
-// proportional to a document happens before the locks; under them a
-// put, replace or delete is a pointer swap. Staging under the locks
-// makes log order match apply order per document. On success every
-// installed entry is stamped with the mutation's sequence and the
-// store's applied counter advances, both before the locks drop, so no
-// reader can observe the new state under an old version. The returned
-// ticket is not yet committed.
+// apply is the mutation pipeline. It builds the entry of every document
+// the mutation stores — traversal index plus binary blob — and, on a
+// primary's journal, encodes the record from those blobs; then it takes
+// the owning shard locks in ascending order, checks that every delete
+// names a stored id, stages the record and swaps the entries in. A
+// mutation that fails changes nothing: every check and the staging come
+// before the first swap, so no reader, later snapshot or replay sees
+// part of it (an un-journaled change left readable would be made
+// durable by the next checkpoint although its caller was told it
+// failed). All the work proportional to a document happens before the
+// locks; under them a put, replace or delete is a pointer swap. Staging
+// under the locks makes log order match apply order per document. Every
+// installed entry is stamped with the mutation's sequence before it is
+// swapped in, and the store's applied counter advances before the locks
+// drop, so no reader can observe the new state under an old version.
+// The returned ticket is not yet committed.
 func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error) {
 	if err = ctx.Err(); err != nil {
 		return t, err
 	}
 	tr := obs.FromContext(ctx)
-	// slots[i] holds what ops[i] installs (nil deletes) and, once it is
-	// swapped in, what it displaced. A one-op mutation allocates neither
-	// list.
-	type slot struct{ installed, displaced *entry }
-	var oneSlot [1]slot
-	slots := oneSlot[:]
+	// installed[i] is what ops[i] installs, nil for a delete. A one-op
+	// mutation does not allocate the list.
+	var oneEntry [1]*entry
+	installed := oneEntry[:]
 	if len(m.ops) > 1 {
-		slots = make([]slot, len(m.ops))
+		installed = make([]*entry, len(m.ops))
+	}
+	if m.blobs == nil {
+		m.blobs = make([][]byte, len(m.ops))
 	}
 	span := tr.StartSpan("project")
 	for i := range m.ops {
 		if op := &m.ops[i]; op.Doc != nil {
-			var blob []byte
-			if m.blobs != nil {
-				blob = m.blobs[i]
-			}
-			if slots[i].installed, err = newEntry(op.ID, op.Doc, blob); err != nil {
+			if installed[i], err = newEntry(op.ID, op.Doc, m.blobs[i]); err != nil {
 				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
 				break
 			}
+			m.blobs[i] = installed[i].blob
 		}
 	}
 	span.End()
 	if err != nil {
 		return t, err
+	}
+	if m.record == nil && s.wal != nil {
+		m.record = appendRecord(getOpBuf(), m.ops, m.blobs, s.mask, m.trace)
 	}
 
 	var oneShard [1]uint32
@@ -193,48 +183,38 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	if err = ctx.Err(); err != nil {
 		return t, err // expired while queued on the locks
 	}
-
-	swapped := 0
-	for ; swapped < len(m.ops); swapped++ {
-		id := m.ops[swapped].ID
-		sh := s.shardFor(id)
-		if slots[swapped].installed == nil && sh.docs[id] == nil && !m.lenient {
-			err = fmt.Errorf("provstore: document %q does not exist", id)
-			break
+	if !m.lenient {
+		for i := range m.ops {
+			if id := m.ops[i].ID; installed[i] == nil && s.shardFor(id).docs[id] == nil {
+				return t, fmt.Errorf("provstore: document %q does not exist", id)
+			}
 		}
-		slots[swapped].displaced = sh.swap(id, slots[swapped].installed)
 	}
 
 	span = tr.StartSpan("stage")
-	if err == nil && m.record != nil {
-		if t, err = s.wal.Stage(m.record); err != nil {
-			err = fmt.Errorf("%w: %v", ErrJournal, err)
-		}
+	if m.record != nil {
+		t, err = s.wal.Stage(m.record)
 	}
 	span.End()
-
 	if err != nil {
-		for i := swapped - 1; i >= 0; i-- {
-			id := m.ops[i].ID
-			s.shardFor(id).swap(id, slots[i].displaced)
-		}
-		return wal.Ticket{}, err
+		return wal.Ticket{}, fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 
 	seq := m.seq
 	if m.record != nil {
 		seq = t.Seq()
 	}
-	if seq != 0 {
-		s.noteApplied(seq)
-	} else {
+	if seq == 0 {
 		seq = s.lastApplied.Add(1)
 	}
-	for i := range slots {
-		if e := slots[i].installed; e != nil {
+	for i := range m.ops {
+		if e := installed[i]; e != nil {
 			e.seq = seq
 		}
+		id := m.ops[i].ID
+		s.shardFor(id).swap(id, installed[i])
 	}
+	s.noteApplied(seq)
 	return t, nil
 }
 

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"repro/internal/prov"
 	"repro/internal/wal"
@@ -65,7 +68,6 @@ func (s *Store) LoadFrom(dir string) ([]string, error) {
 			return ids, fmt.Errorf("provstore: load %q: %w", e.Name(), err)
 		}
 		id := decodeID(strings.TrimSuffix(e.Name(), ".json"))
-		// Freshly parsed and referenced nowhere else: hand it over.
 		if err := s.Apply(context.Background(), []Op{{ID: id, Doc: doc}}); err != nil {
 			return ids, fmt.Errorf("provstore: load %q: %w", e.Name(), err)
 		}
@@ -75,33 +77,64 @@ func (s *Store) LoadFrom(dir string) ([]string, error) {
 	return ids, nil
 }
 
-// encodeID makes a document id filesystem-safe ('%' escapes).
+// encodeID makes a document id filesystem-safe. Letters, digits and
+// "_-." stay as they are; any other rune is '%' and four uppercase hex
+// digits, a rune beyond the BMP two such escapes (its UTF-16 surrogate
+// pair), and a byte that is not UTF-8 "%%" and two hex digits. A valid
+// rune is never a lone surrogate, so every Go string has exactly one
+// name and decodeID inverts it; ids of BMP runes alone are named as
+// they always were.
 func encodeID(id string) string {
 	var sb strings.Builder
-	for _, r := range id {
+	for i := 0; i < len(id); {
+		r, size := utf8.DecodeRuneInString(id[i:])
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == '-', r == '.':
 			sb.WriteRune(r)
+		case r == utf8.RuneError && size == 1:
+			fmt.Fprintf(&sb, "%%%%%02X", id[i])
+		case r > 0xFFFF:
+			hi, lo := utf16.EncodeRune(r)
+			fmt.Fprintf(&sb, "%%%04X%%%04X", hi, lo)
 		default:
 			fmt.Fprintf(&sb, "%%%04X", r)
 		}
+		i += size
 	}
 	return sb.String()
 }
 
+// decodeID is encodeID's inverse.
 func decodeID(name string) string {
 	var sb strings.Builder
 	for i := 0; i < len(name); {
-		if name[i] == '%' && i+5 <= len(name) {
-			var r rune
-			if _, err := fmt.Sscanf(name[i+1:i+5], "%04X", &r); err == nil {
-				sb.WriteRune(r)
-				i += 5
-				continue
+		if b, ok := hexAt(name, i, "%%", 2); ok {
+			sb.WriteByte(byte(b))
+			i += 4
+			continue
+		}
+		if r, ok := hexAt(name, i, "%", 4); ok {
+			i += 5
+			if lo, ok := hexAt(name, i, "%", 4); ok && utf16.IsSurrogate(rune(r)) {
+				if pair := utf16.DecodeRune(rune(r), rune(lo)); pair != utf8.RuneError {
+					r = uint64(pair)
+					i += 5
+				}
 			}
+			sb.WriteRune(rune(r))
+			continue
 		}
 		sb.WriteByte(name[i])
 		i++
 	}
 	return sb.String()
+}
+
+// hexAt parses the n hex digits that follow prefix at name[i:].
+func hexAt(name string, i int, prefix string, n int) (uint64, bool) {
+	if !strings.HasPrefix(name[i:], prefix) || len(name)-i-len(prefix) < n {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(name[i+len(prefix):i+len(prefix)+n], 16, 32)
+	return v, err == nil
 }

@@ -1,6 +1,7 @@
 package provstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,4 +68,41 @@ func TestEncodeDecodeID(t *testing.T) {
 			t.Errorf("id %q round-tripped to %q (encoded %q)", id, got, encodeID(id))
 		}
 	}
+}
+
+// TestSaveLoadKeepsEveryID: an export names each document's file after
+// its id, and loading the directory gives every document back under
+// its own id — ids holding runes beyond the BMP or bytes that are not
+// UTF-8 included, two of which once shared a file name. A file named
+// by an earlier build for an id of BMP runes loads under that id.
+func TestSaveLoadKeepsEveryID(t *testing.T) {
+	ids := []string{"run/😀", "run/ὠ0", "a\xffb", "a\xff\xfeb", "run/�", "%%41", "%D83D%DE00"}
+	s := New()
+	want := map[string]string{}
+	for i, id := range ids {
+		doc := testDoc(t, fmt.Sprintf("doc-%d", i))
+		if err := s.Put(id, doc); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = string(mustJSON(t, doc))
+	}
+	dir := t.TempDir()
+	if err := s.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != len(ids) {
+		t.Fatalf("export wrote %d files for %d ids (%v)", len(files), len(ids), err)
+	}
+	// What an earlier build wrote for the id "run/café 1".
+	legacy := testDoc(t, "legacy")
+	if err := os.WriteFile(filepath.Join(dir, "run%002Fcaf%00E9%00201.json"), mustJSON(t, legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want["run/café 1"] = string(mustJSON(t, legacy))
+
+	fresh := New()
+	if _, err := fresh.LoadFrom(dir); err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, snapshotJSON(t, fresh), want, "loaded export")
 }

@@ -15,25 +15,22 @@ const typeKey = "prov:type"
 
 // entry is one stored version of a document: its traversal index, what
 // the store answers without the document (counts, prov:type hits), the
-// sequence it was installed under, and the document itself — decoded,
-// or as its binary blob once it has one. A reader fetches the pointer
-// under the shard's read lock and works on it unlocked: it sees exactly
-// one version, and that version's number, however the id is replaced or
-// deleted meanwhile. Everything but doc and blob is immutable from
-// installation; those two change representation, never content.
+// sequence it was installed under, and the document's binary encoding.
+// Every field is set before the entry is installed and none changes
+// after: a reader fetches the pointer under the shard's read lock and
+// works on it unlocked, and sees exactly one version, and that
+// version's number, however the id is replaced or deleted meanwhile.
+// The decoded document an entry was built from is not kept; the reads
+// that need it decode the blob (entry.document).
 type entry struct {
 	id string
-	// doc is the decoded document while the entry has no blob, nil from
-	// the moment it has one (see blob); read it through document.
-	doc atomic.Pointer[prov.Document]
-	ix  *prov.Index
+	ix *prov.Index
 	// seq is the sequence of the mutation that installed the entry: its
 	// journal record's, the snapshot's for a document recovered from one,
 	// a tick of the store's applied counter on an in-memory store.
-	// Store.apply writes it after staging and before the shard locks
-	// drop, so it is set before any reader can reach the entry. It is
-	// not persisted: replay reads it off the record or snapshot that
-	// carries the document.
+	// Store.apply writes it after staging and before installing the
+	// entry. It is not persisted: replay reads it off the record or
+	// snapshot that carries the document.
 	seq uint64
 	// nodes and rels are the document's element (per class) and relation
 	// counts.
@@ -42,13 +39,8 @@ type entry struct {
 	// FindByType answers, and the keys of the entry's shard.byType posts.
 	types []typeHit
 	// blob is the document's binary encoding (prov.AppendBinary), exactly
-	// sized (cap == len), as every snapshot stores it; nil until someone
-	// has encoded the document. It is written once: by newEntry for a
-	// recovered snapshot's document (mutation.blobs: a copy of the bytes
-	// the document was decoded from), which then never sets doc, or else
-	// by the first checkpoint that meets the entry, under Store.snapMu,
-	// before that checkpoint clears doc. A reader that finds doc nil
-	// therefore finds blob set. A blob belongs to its entry and entries
+	// sized (cap == len): the bytes the entry's journal record carries
+	// and every snapshot stores. A blob belongs to its entry and entries
 	// are swapped, never edited, so a blob cannot outlive the version it
 	// encodes.
 	blob []byte
@@ -62,11 +54,13 @@ type typeHit struct {
 	class string
 }
 
-// newEntry builds the entry storing doc under id: it keeps blob, doc's
-// encoding, when there is one, and doc itself, which every mutation
-// owns, when there is not. A relation naming an element the document
-// does not declare is an error: Apply's validation rejects it earlier,
-// a replicated or replayed record gets no other check.
+// newEntry builds the entry storing doc under id. blob is doc's binary
+// encoding when the caller has it — an exactly sized copy of a binary
+// record or snapshot blob, which the entry keeps — and nil otherwise,
+// when newEntry encodes doc once. The entry keeps no reference to doc.
+// A relation naming an element the document does not declare is an
+// error: Apply's validation rejects it earlier, a replicated or
+// replayed record gets no other check.
 func newEntry(id string, doc *prov.Document, blob []byte) (*entry, error) {
 	e := &entry{id: id, ix: prov.NewIndex(doc), blob: blob}
 	if r := e.ix.Dangling(); r != nil {
@@ -81,26 +75,32 @@ func newEntry(id string, doc *prov.Document, blob []byte) (*entry, error) {
 			}
 		}
 	})
-	if blob == nil {
-		e.doc.Store(doc)
+	if e.blob == nil {
+		e.blob = encodeBlob(doc)
 	}
 	return e, nil
 }
 
-// document returns the entry's document, shared and not to be modified:
-// the decoded one while the entry holds it, else a fresh decode of the
-// blob, which fresh reports — a document nobody else references.
-func (e *entry) document() (doc *prov.Document, fresh bool) {
-	if doc := e.doc.Load(); doc != nil {
-		return doc, false
-	}
+// encodeBlob is doc's binary encoding, exactly sized: append's slack
+// would stay live with the entry.
+func encodeBlob(doc *prov.Document) []byte {
+	scratch := prov.AppendBinary(getOpBuf(), doc)
+	blob := make([]byte, len(scratch))
+	copy(blob, scratch)
+	putOpBuf(scratch)
+	return blob
+}
+
+// document decodes the entry's blob: a document nobody else
+// references.
+func (e *entry) document() *prov.Document {
 	doc, err := prov.ParseBinary(e.blob)
 	if err != nil {
-		// The blob is AppendBinary's output, or bytes a recovered
-		// document was decoded from: it cannot fail to decode.
+		// The blob is AppendBinary's output, or a binary blob that
+		// decoded when the entry was built: it cannot fail to decode.
 		panic(fmt.Sprintf("provstore: stored blob of %q does not decode: %v", e.id, err))
 	}
-	return doc, true
+	return doc
 }
 
 // eachElement calls fn for every element of doc with its class name.
@@ -130,10 +130,9 @@ func (e *entry) appendTypeMatches(out []SearchResult, want string) []SearchResul
 // appendMatches appends the elements whose attribute key equals want.
 // Two keys are synthetic: "qname" is the element's qualified name and
 // "doc" the document id (an attribute of that name shadows them). It
-// reads the document, decoding the blob of an entry that holds none.
+// decodes the document.
 func (e *entry) appendMatches(out []SearchResult, key string, want interface{}) []SearchResult {
-	doc, _ := e.document()
-	eachElement(doc, func(class string, el *prov.Element) {
+	eachElement(e.document(), func(class string, el *prov.Element) {
 		v, ok := el.Attrs[key]
 		switch {
 		case ok:
@@ -214,12 +213,10 @@ func newShard() *shard {
 	}
 }
 
-// swap installs e under id — nil deletes — and returns the entry it
-// displaced, nil when the id was free. Putting the returned entry back
-// with a second swap undoes the first exactly. sh.mu must be held
-// exclusively.
-func (sh *shard) swap(id string, e *entry) (prev *entry) {
-	if prev = sh.docs[id]; prev != nil {
+// swap installs e under id, in place of the entry the id held; nil
+// deletes. sh.mu must be held exclusively.
+func (sh *shard) swap(id string, e *entry) {
+	if prev := sh.docs[id]; prev != nil {
 		sh.account(prev, -1)
 		for _, h := range prev.types {
 			delete(sh.byType[h.typ], id)
@@ -230,7 +227,7 @@ func (sh *shard) swap(id string, e *entry) (prev *entry) {
 	}
 	if e == nil {
 		delete(sh.docs, id)
-		return prev
+		return
 	}
 	sh.docs[id] = e
 	sh.account(e, 1)
@@ -240,7 +237,6 @@ func (sh *shard) swap(id string, e *entry) (prev *entry) {
 		}
 		sh.byType[h.typ][id] = struct{}{}
 	}
-	return prev
 }
 
 // account adds (sign 1) or removes (sign -1) e's element and relation
@@ -248,19 +244,6 @@ func (sh *shard) swap(id string, e *entry) (prev *entry) {
 func (sh *shard) account(e *entry, sign int) {
 	sh.nodes += sign * e.nodes
 	sh.rels += sign * e.rels
-}
-
-// decoded counts the shard's entries that hold a decoded document;
-// sh.mu must be held, read or write. The pointers are loaded
-// atomically, so it races with no checkpoint clearing one.
-func (sh *shard) decoded() int {
-	n := 0
-	for _, e := range sh.docs {
-		if e.doc.Load() != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // entries appends the shard's entries to buf under a brief read lock;

@@ -5,16 +5,15 @@
 // id; each shard owns its own entry map and lock, so uploads and lineage
 // queries on different documents never contend. A stored document is
 // one immutable entry — the prov.Index built from the document when it
-// was written, plus the document — so a replace or delete swaps or
-// drops a pointer, and a read fetches the pointer under the shard's
-// read lock and traverses unlocked: one lock level, work proportional
-// to the document, exactly one version seen. An entry holds its
-// document decoded only until the document's binary encoding exists:
-// the checkpoint that encodes it for a snapshot drops the decoded form,
-// and an entry recovered from a snapshot never has one. Lineage, type
-// search and cross-document traversal answer from the index and what
-// the entry extracted when it was built; the few reads that need the
-// document itself decode the blob (entry.document). Cross-document
+// was written, plus the document's binary encoding, the same bytes its
+// journal record carries and every snapshot stores — so a replace or
+// delete swaps or drops a pointer, and a read fetches the pointer under
+// the shard's read lock and traverses unlocked: one lock level, work
+// proportional to the document, exactly one version seen. No entry
+// holds a decoded document. Lineage, type search and cross-document
+// traversal answer from the index and what the entry extracted when it
+// was built; the few reads that need the document itself decode the
+// blob (entry.document). Cross-document
 // operations fan out over the shards and merge with deterministic
 // ordering. Every write — a local Apply, a replicated record, a record
 // replayed at recovery — runs through one mutation pipeline
@@ -66,14 +65,12 @@ type Store struct {
 	snapMu        sync.Mutex
 
 	// What checkpoints cost, as RegisterObs and Stats report it: time per
-	// checkpoint, the documents put into snapshots, those of them that
-	// had to be encoded for it, and the snapshot payload bytes written.
-	// Always live, like lockWait.
-	checkpointTime        *obs.Histogram
-	lastCheckpointNanos   atomic.Int64
-	checkpointDocs        atomic.Uint64
-	checkpointDocsEncoded atomic.Uint64
-	checkpointBytes       atomic.Uint64
+	// checkpoint, the documents put into snapshots and the snapshot
+	// payload bytes written. Always live, like lockWait.
+	checkpointTime      *obs.Histogram
+	lastCheckpointNanos atomic.Int64
+	checkpointDocs      atomic.Uint64
+	checkpointBytes     atomic.Uint64
 
 	// lockWait is the store-wide shard-lock wait histogram (per-shard
 	// cumulative counters live on the shards). Always live; RegisterObs
@@ -125,7 +122,7 @@ func (s *Store) SetApplyObserver(fn func(seq uint64, op, trace string)) {
 // lock-wait histogram, per-shard cumulative wait counters, document /
 // applied-sequence gauges, and — for journaled stores — the WAL's own
 // instruments, snapshot-failure counts and what checkpoints cost (time,
-// documents encoded, bytes written). Nil-safe on reg.
+// bytes written). Nil-safe on reg.
 func (s *Store) RegisterObs(reg *obs.Registry) {
 	reg.RegisterHistogram("yprov_shard_lock_wait_seconds",
 		"Time mutations wait for their shard's write lock.", nil, s.lockWait)
@@ -139,9 +136,6 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 	reg.RegisterGaugeFunc("yprov_store_documents",
 		"Documents currently stored.", nil,
 		func() float64 { return float64(s.Count()) })
-	reg.RegisterGaugeFunc("yprov_store_decoded_documents",
-		"Stored documents held decoded rather than as their binary blob alone.", nil,
-		func() float64 { return float64(s.Stats().DecodedDocuments) })
 	reg.RegisterGaugeFunc("yprov_store_applied_seq",
 		"Journal sequence high-water mark applied to the store.", nil,
 		func() float64 { return float64(s.AppliedSeq()) })
@@ -151,24 +145,20 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 			"Failed background checkpoints.", nil,
 			func() float64 { return float64(atomic.LoadUint64(&s.snapErrs)) })
 		reg.RegisterHistogram("yprov_store_checkpoint_seconds",
-			"Time per checkpoint: encode, snapshot write, compaction.", nil, s.checkpointTime)
-		reg.RegisterCounterFunc("yprov_store_checkpoint_docs_encoded_total",
-			"Documents checkpoints had to encode; the rest of each snapshot is copied.", nil,
-			func() float64 { return float64(s.checkpointDocsEncoded.Load()) })
+			"Time per checkpoint: capture, snapshot write, compaction.", nil, s.checkpointTime)
 		reg.RegisterCounterFunc("yprov_store_checkpoint_bytes_total",
 			"Snapshot payload bytes written by checkpoints.", nil,
 			func() float64 { return float64(s.checkpointBytes.Load()) })
 	}
 }
 
-// Put stores (or replaces) a document under id. The store keeps a deep
-// copy; doc stays the caller's. It is Apply with one op, on a clone,
-// and no deadline.
+// Put stores (or replaces) a document under id; doc stays the
+// caller's (see Apply). It is Apply with one op and no deadline.
 func (s *Store) Put(id string, doc *prov.Document) error {
 	if doc == nil {
 		return fmt.Errorf("provstore: put %q: no document", id)
 	}
-	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc.Clone()}})
+	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc}})
 }
 
 // View is a read handle on one stored version of a document: the
@@ -204,17 +194,13 @@ func (v View) Seq() uint64 {
 	return v.e.seq
 }
 
-// Document returns the viewed version's document, which must not be
-// modified: the stored document itself while its entry holds it decoded
-// (it is shared with every other reader), else a decode of the entry's
-// blob, made on every call. Store.Get is the form the caller may keep
-// and change.
+// Document returns the viewed version's document, decoded from the
+// entry's blob on every call: the caller's to keep and change.
 func (v View) Document() *prov.Document {
 	if v.e == nil {
 		return nil
 	}
-	doc, _ := v.e.document()
-	return doc
+	return v.e.document()
 }
 
 // Lineage returns the qualified names reachable from node in the given
@@ -246,23 +232,17 @@ func (v View) Subgraph(node prov.QName, hops int) (*prov.Document, error) {
 	if !v.e.ix.Has(node) {
 		return nil, fmt.Errorf("provstore: node %s not found in document %q", node, v.id)
 	}
-	doc, _ := v.e.document()
-	return v.e.ix.Neighborhood(doc, node, hops), nil
+	return v.e.ix.Neighborhood(v.e.document(), node, hops), nil
 }
 
-// Get returns the stored document as a copy of the caller's own: a
-// clone of the document the entry holds, or the one decoded from its
-// blob, which nothing else references and so is not cloned again.
+// Get returns the stored document, decoded from its blob: a copy of the
+// caller's own.
 func (s *Store) Get(id string) (*prov.Document, bool) {
 	v, ok := s.View(id)
 	if !ok {
 		return nil, false
 	}
-	doc, fresh := v.e.document()
-	if !fresh {
-		doc = doc.Clone()
-	}
-	return doc, true
+	return v.e.document(), true
 }
 
 // Delete removes a document; a missing id is an error. It is Apply with
@@ -314,8 +294,7 @@ func (s *Store) FindByType(typeName string) []SearchResult {
 // "provml:name"), or one of two synthetic keys: "qname" (the element's
 // qualified name) and "doc" (the id of the document holding it).
 // Equality is typed — see attrMatches. Every key but prov:type scans
-// the store and reads every document, decoding each one a checkpoint
-// left held as its blob alone (see entry). The int64
+// the store and decodes every document from its blob (see entry). The int64
 // "startTime"/"endTime" keys of the former graph projection, which no
 // HTTP request could reach (query values arrive as strings), are gone.
 func (s *Store) FindByAttr(key string, value interface{}) []SearchResult {
@@ -324,16 +303,11 @@ func (s *Store) FindByAttr(key string, value interface{}) []SearchResult {
 
 // Stats summarizes the store. Durability is nil for in-memory stores.
 type Stats struct {
-	Documents int
-	// DecodedDocuments counts the documents held decoded; the rest are
-	// held as their binary blob alone (see entry). After a checkpoint of
-	// a quiet journaled store it is 0; a store without a journal holds
-	// every document decoded.
-	DecodedDocuments int `json:"decoded_documents"`
-	Nodes            int
-	Rels             int
-	Shards           int
-	Durability       *DurabilityStats `json:"durability,omitempty"`
+	Documents  int
+	Nodes      int
+	Rels       int
+	Shards     int
+	Durability *DurabilityStats `json:"durability,omitempty"`
 }
 
 // Stats returns store-wide counts (plus journal state when durable),
@@ -341,11 +315,10 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	st := Stats{Shards: len(s.shards)}
 	for _, sh := range s.shards {
-		// One RLock for all four, so the counts come from the same
+		// One RLock for all three, so the counts come from the same
 		// instant.
 		sh.mu.RLock()
 		st.Documents += len(sh.docs)
-		st.DecodedDocuments += sh.decoded()
 		st.Nodes += sh.nodes
 		st.Rels += sh.rels
 		sh.mu.RUnlock()
@@ -358,9 +331,8 @@ func (s *Store) Stats() Stats {
 			SuspectBitRot:  s.suspectBitRot,
 			FailStop:       s.FailStop(),
 
-			LastCheckpointMs:      float64(s.lastCheckpointNanos.Load()) / 1e6,
-			CheckpointDocsEncoded: s.checkpointDocsEncoded.Load(),
-			CheckpointDocs:        s.checkpointDocs.Load(),
+			LastCheckpointMs: float64(s.lastCheckpointNanos.Load()) / 1e6,
+			CheckpointDocs:   s.checkpointDocs.Load(),
 		}
 		if msg, ok := s.lastSnapErr.Load().(string); ok {
 			st.Durability.LastSnapshotError = msg

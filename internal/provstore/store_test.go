@@ -278,10 +278,10 @@ func TestFindByAttr(t *testing.T) {
 	}
 }
 
-// TestPutKeepsItsOwnCopy: Apply stores the documents it is handed
-// without copying them; Put and PutBatch, for callers that go on using
-// theirs, store clones — changing the caller's document afterwards
-// leaves the stored one, its lineage and its type postings untouched.
+// TestPutKeepsItsOwnCopy: the store keeps nothing of a document it is
+// handed — Apply, and Put and PutBatch on top of it, index and encode
+// it — so changing the caller's document afterwards leaves the stored
+// one, its lineage and its type postings untouched.
 func TestPutKeepsItsOwnCopy(t *testing.T) {
 	s := New()
 	single, batched, handed := testDoc(t, "p"), testDoc(t, "b"), testDoc(t, "h")
@@ -294,11 +294,8 @@ func TestPutKeepsItsOwnCopy(t *testing.T) {
 	if err := s.Apply(context.Background(), []Op{{ID: "handed", Doc: handed}}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.View("handed"); v.Document() != handed {
-		t.Error("Apply copied the document it was handed")
-	}
 
-	for id, doc := range map[string]*prov.Document{"single": single, "batched": batched} {
+	for id, doc := range map[string]*prov.Document{"single": single, "batched": batched, "handed": handed} {
 		if v, _ := s.View(id); v.Document() == doc {
 			t.Fatalf("%s: the store holds the caller's document", id)
 		}

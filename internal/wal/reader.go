@@ -2,12 +2,11 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // ErrCompacted reports that the requested records are no longer on
@@ -219,15 +218,21 @@ func (r *SegmentReader) Close() error {
 // side of the replication protocol, where the frames arrive over HTTP
 // instead of from a segment file. Checksums are verified frame by
 // frame, so a corrupted transfer surfaces as an error, never as a bad
-// record handed to the caller.
+// record handed to the caller, and the first error ends the stream:
+// every later Next returns it again.
 type StreamScanner struct {
 	r   *bufio.Reader
 	hdr [recordHeader]byte
+	err error
 }
+
+// streamChunk is the StreamScanner's read buffer size, and the most it
+// allocates for a frame ahead of the frame's bytes.
+const streamChunk = 64 << 10
 
 // NewStreamScanner wraps rd for frame decoding.
 func NewStreamScanner(rd io.Reader) *StreamScanner {
-	return &StreamScanner{r: bufio.NewReaderSize(rd, 64<<10)}
+	return &StreamScanner{r: bufio.NewReaderSize(rd, streamChunk)}
 }
 
 // Buffered reports whether at least one byte of a further frame is
@@ -235,27 +240,47 @@ func NewStreamScanner(rd io.Reader) *StreamScanner {
 // journal writes exactly when the stream momentarily runs dry.
 func (s *StreamScanner) Buffered() bool { return s.r.Buffered() > 0 }
 
-// Next reads one frame. io.EOF at a clean end-of-stream;
-// io.ErrUnexpectedEOF when the stream dies mid-frame.
+// Next reads one frame: the header, then as many bytes as parseFrame
+// says the frame needs. io.EOF at a clean end-of-stream; an error
+// wrapping io.ErrUnexpectedEOF when the stream dies mid-frame.
 func (s *StreamScanner) Next() (Record, error) {
+	if s.err != nil {
+		return Record{}, s.err
+	}
+	rec, err := s.next()
+	s.err = err
+	return rec, err
+}
+
+func (s *StreamScanner) next() (Record, error) {
 	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
 		if err == io.EOF {
 			return Record{}, io.EOF
 		}
 		return Record{}, fmt.Errorf("wal: stream header: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint32(s.hdr[0:4]))
-	if n > maxRecordBytes {
-		return Record{}, fmt.Errorf("wal: stream record of %d bytes exceeds limit %d", n, maxRecordBytes)
+	frame := s.hdr[:]
+	seq, payload, n, status := parseFrame(frame)
+	if status == frameShort {
+		// Past its first streamChunk bytes a frame is allocated as its
+		// bytes arrive, so a length field a broken stream made up costs
+		// no more memory than the stream sent.
+		frame = append(make([]byte, 0, min(n, streamChunk)), frame...)
+		for len(frame) < n {
+			chunk := min(n-len(frame), max(len(frame), streamChunk))
+			frame = slices.Grow(frame, chunk)
+			if _, err := io.ReadFull(s.r, frame[len(frame):len(frame)+chunk]); err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return Record{}, fmt.Errorf("wal: stream payload: %w", err)
+			}
+			frame = frame[:len(frame)+chunk]
+		}
+		seq, payload, _, status = parseFrame(frame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(s.r, payload); err != nil {
-		return Record{}, fmt.Errorf("wal: stream payload: %w", err)
+	if status != frameOK {
+		return Record{}, fmt.Errorf("wal: stream record corrupt: length over the limit or checksum mismatch")
 	}
-	crc := crc32.Update(0, castagnoli, s.hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != binary.LittleEndian.Uint32(s.hdr[4:8]) {
-		return Record{}, fmt.Errorf("wal: stream record checksum mismatch")
-	}
-	return Record{Seq: binary.LittleEndian.Uint64(s.hdr[8:16]), Payload: payload}, nil
+	return Record{Seq: seq, Payload: payload}, nil
 }

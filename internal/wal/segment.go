@@ -67,11 +67,13 @@ const (
 )
 
 // parseFrame reads one framed record from the front of data. The
-// returned n is the total frame size (header + payload) when status is
-// frameOK. The payload slice aliases data — callers that retain it must
-// copy. Shared by segment recovery, the SegmentReader, and the network
-// StreamScanner so every consumer of the frame format agrees on what a
-// valid record is.
+// returned n is a total frame size (header + payload): the parsed
+// frame's when status is frameOK, and when status is frameShort the size
+// the frame data begins with needs, once data holds its whole header (0
+// before). The payload slice aliases data — callers that retain it must
+// copy. It is the one definition of a valid frame: segment recovery,
+// the search for intact frames behind a torn tail, the SegmentReader and
+// the network StreamScanner all parse with it.
 func parseFrame(data []byte) (seq uint64, payload []byte, n int, status frameStatus) {
 	if len(data) < recordHeader {
 		return 0, nil, 0, frameShort
@@ -83,7 +85,7 @@ func parseFrame(data []byte) (seq uint64, payload []byte, n int, status frameSta
 		return 0, nil, 0, frameCorrupt
 	}
 	if recordHeader+pl > len(data) {
-		return 0, nil, 0, frameShort
+		return 0, nil, recordHeader + pl, frameShort
 	}
 	want := binary.LittleEndian.Uint32(data[4:8])
 	if crc32.Checksum(data[8:recordHeader+pl], castagnoli) != want {
@@ -155,16 +157,7 @@ func scanSegment(path string) (scanResult, error) {
 // toward data loss.
 func hasValidFrameAfter(data []byte, start int, prevSeq uint64) bool {
 	for off := start; off+recordHeader <= len(data); off++ {
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n > maxRecordBytes || off+recordHeader+n > len(data) {
-			continue
-		}
-		seq := binary.LittleEndian.Uint64(data[off+8 : off+16])
-		if seq <= prevSeq {
-			continue
-		}
-		want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if crc32.Checksum(data[off+8:off+recordHeader+n], castagnoli) == want {
+		if seq, _, _, status := parseFrame(data[off:]); status == frameOK && seq > prevSeq {
 			return true
 		}
 	}
