@@ -23,8 +23,12 @@ vet:
 # The serving path answers lineage from one prov.Index per stored
 # document. internal/graphdb is only the graph the bench/ probe times:
 # nothing the server runs may import it, and no root-module package may
-# import it at all, test imports included.
+# import it at all, test imports included. The server also imports none
+# of the training library (core, metrics, zarr, telemetry), which is
+# what makes the server workloads controls for a library change.
 layering:
+	@out=$$($(GO) list -deps ./cmd/yprov-server | grep -xE 'repro/internal/(core|metrics|zarr|telemetry)'); \
+	if [ -n "$$out" ]; then echo "layering: cmd/yprov-server imports the training library:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./internal/provstore ./internal/provservice ./cmd/yprov-server | grep -qx repro/internal/graphdb; then \
 		echo "layering: the serving path imports repro/internal/graphdb"; exit 1; \
 	fi

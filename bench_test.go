@@ -7,7 +7,7 @@
 //	BenchmarkTable2            — PROV vs RO-Crate feature verification (Table 2)
 //	BenchmarkFigure1           — example multi-context document (Figure 1)
 //	BenchmarkFigure3*          — energy x loss scaling grids (Figure 3), bare and tracked
-//	BenchmarkLog*, BuildProv, ProvJSONMarshal — logging hot paths ("minimal overhead")
+//	BenchmarkLog*, CollectOnce, BuildProv, ProvJSONMarshal — logging hot paths ("minimal overhead")
 //	BenchmarkZarrChunking/*    — chunk-size ablation
 //	BenchmarkSinks/*           — storage backend ablation
 //	BenchmarkLineage/*         — stored-index lineage vs per-call document scan
@@ -118,6 +118,20 @@ func BenchmarkLogMetric(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := run.LogMetric("loss", metrics.Training, int64(i), float64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCollectOnce measures one telemetry step: a two-GPU fleet's
+// ten readings logged as metrics, power integrated into energy.
+func BenchmarkCollectOnce(b *testing.B) {
+	run := benchRun(b)
+	run.RegisterCollector(core.NewGPUFleetCollector(2, 1, telemetry.ConstantLoad(0.85)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run.CollectOnce(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

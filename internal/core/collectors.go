@@ -1,7 +1,7 @@
 package core
 
 import (
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"time"
 
 	"repro/internal/telemetry"
@@ -29,9 +29,19 @@ func (t *TelemetryCollector) Collect(elapsed time.Duration) []telemetry.Reading 
 	if t.Load != nil {
 		load = t.Load(elapsed)
 	}
-	var out []telemetry.Reading
+	// Sample first and size the output once; the parts of a fleet of up
+	// to eight samplers stay on the stack.
+	var buf [8][]telemetry.Reading
+	parts := buf[:0]
+	n := 0
 	for _, s := range t.Samplers {
-		out = append(out, s.Sample(elapsed, load)...)
+		part := s.Sample(elapsed, load)
+		parts = append(parts, part)
+		n += len(part)
+	}
+	out := make([]telemetry.Reading, 0, n)
+	for _, part := range parts {
+		out = append(out, part...)
 	}
 	return out
 }
@@ -49,20 +59,36 @@ func NewGPUFleetCollector(gpus int, seed int64, load telemetry.LoadFunc) *Teleme
 
 // RuntimeCollector reports Go runtime statistics of the tracking process
 // itself — the library's own overhead, which the paper argues must stay
-// minimal.
+// minimal. It reads runtime/metrics, which, unlike runtime.ReadMemStats,
+// does not stop the world.
 type RuntimeCollector struct{}
+
+// runtimeSamples are the runtime/metrics a RuntimeCollector reads, in
+// the order of its readings.
+var runtimeSamples = [...]struct {
+	metric string
+	name   string
+	scale  float64
+}{
+	{"heap_alloc_mb", "/memory/classes/heap/objects:bytes", 1 << 20},
+	{"total_alloc_mb", "/gc/heap/allocs:bytes", 1 << 20},
+	{"num_gc", "/gc/cycles/total:gc-cycles", 1},
+	{"goroutines", "/sched/goroutines:goroutines", 1},
+}
 
 // Name implements Collector.
 func (RuntimeCollector) Name() string { return "goruntime" }
 
 // Collect implements Collector.
 func (RuntimeCollector) Collect(time.Duration) []telemetry.Reading {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return []telemetry.Reading{
-		{Metric: "heap_alloc_mb", Value: float64(ms.HeapAlloc) / (1 << 20)},
-		{Metric: "total_alloc_mb", Value: float64(ms.TotalAlloc) / (1 << 20)},
-		{Metric: "num_gc", Value: float64(ms.NumGC)},
-		{Metric: "goroutines", Value: float64(runtime.NumGoroutine())},
+	var samples [len(runtimeSamples)]rtmetrics.Sample
+	for i, s := range runtimeSamples {
+		samples[i].Name = s.name
 	}
+	rtmetrics.Read(samples[:])
+	out := make([]telemetry.Reading, len(samples))
+	for i, s := range runtimeSamples {
+		out[i] = telemetry.Reading{Metric: s.metric, Value: float64(samples[i].Value.Uint64()) / s.scale}
+	}
+	return out
 }

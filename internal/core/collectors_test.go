@@ -1,0 +1,141 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/telemetry"
+)
+
+// TestCollectOnceStampsTrainingEpoch: a telemetry reading belongs to the
+// open TRAINING epoch, as a LogMetric of the same step does.
+func TestCollectOnceStampsTrainingEpoch(t *testing.T) {
+	r := simRun(t)
+	r.RegisterCollector(NewGPUFleetCollector(1, 3, telemetry.ConstantLoad(0.5)))
+	step := int64(0)
+	for epoch := 0; epoch < 3; epoch++ {
+		if err := r.StartEpoch(metrics.Training, epoch); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if err := r.LogMetric("loss", metrics.Training, step, 1/float64(step+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.CollectOnce(step); err != nil {
+				t.Fatal(err)
+			}
+			step++
+		}
+		if err := r.EndEpoch(metrics.Training); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loss, _ := r.Metrics().Get("loss", metrics.Training)
+	for _, name := range []string{"hw_gpu0_util", "hw_cpu_power_w"} {
+		hw, ok := r.Metrics().Get(name, metrics.Training)
+		if !ok || hw.Len() != loss.Len() {
+			t.Fatalf("%s: %d points, want %d", name, hw.Len(), loss.Len())
+		}
+		for i, p := range hw.Points {
+			if p.Epoch != loss.Points[i].Epoch {
+				t.Errorf("%s step %d: epoch %d, loss has %d", name, p.Step, p.Epoch, loss.Points[i].Epoch)
+			}
+		}
+	}
+}
+
+// TestCollectOnceAllocs: at steady state one CollectOnce of a two-GPU
+// fleet allocates the samplers' reading slices and the collector's
+// output, and nothing per reading.
+func TestCollectOnceAllocs(t *testing.T) {
+	r := simRun(t)
+	r.RegisterCollector(NewGPUFleetCollector(2, 7, telemetry.ConstantLoad(0.8)))
+	step := int64(0)
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := r.CollectOnce(step); err != nil {
+			t.Fatal(err)
+		}
+		step++
+	})
+	if allocs > 4 {
+		t.Errorf("CollectOnce allocates %.0f times per call, want <= 4", allocs)
+	}
+}
+
+// TestCollectOnceConcurrent runs CollectOnce beside RegisterCollector
+// and LogMetric; run with -race.
+func TestCollectOnceConcurrent(t *testing.T) {
+	r := simRun(t)
+	r.RegisterCollector(NewGPUFleetCollector(1, 1, telemetry.ConstantLoad(0.5)))
+	const steps = 200
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < steps; i++ {
+			if err := r.CollectOnce(int64(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4; i++ {
+			r.RegisterCollector(RuntimeCollector{})
+			r.RegisterCollector(&TelemetryCollector{Label: fmt.Sprintf("cpu%d", i), Samplers: []telemetry.Sampler{telemetry.NewCPUSampler(int64(i))}})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < steps; i++ {
+			if err := r.LogMetric("loss", metrics.Training, int64(i), float64(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if err := r.CollectOnce(steps); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := r.Metrics().Get("hw_gpu0_util", metrics.Training); s.Len() != steps+1 {
+		t.Errorf("hw_gpu0_util: %d points, want %d", s.Len(), steps+1)
+	}
+	if s, _ := r.Metrics().Get("cpu3_cpu_util", metrics.Training); s.Len() < 1 {
+		t.Error("a collector registered mid-run was never sampled")
+	}
+}
+
+// TestRuntimeCollectorReadings: the four readings are present under
+// their names, the heap is non-empty and the counters do not go back.
+func TestRuntimeCollectorReadings(t *testing.T) {
+	read := func() map[string]float64 {
+		got := map[string]float64{}
+		for _, r := range (RuntimeCollector{}).Collect(0) {
+			got[r.Metric] = r.Value
+		}
+		return got
+	}
+	first := read()
+	_ = make([]byte, 1<<20)
+	second := read()
+	for _, name := range []string{"heap_alloc_mb", "total_alloc_mb", "num_gc", "goroutines"} {
+		if _, ok := second[name]; !ok {
+			t.Errorf("reading %s missing", name)
+		}
+	}
+	if second["heap_alloc_mb"] <= 0 {
+		t.Errorf("heap_alloc_mb = %v, want > 0", second["heap_alloc_mb"])
+	}
+	if second["goroutines"] < 1 {
+		t.Errorf("goroutines = %v, want >= 1", second["goroutines"])
+	}
+	for _, name := range []string{"total_alloc_mb", "num_gc"} {
+		if second[name] < first[name] {
+			t.Errorf("%s went back: %v then %v", name, first[name], second[name])
+		}
+	}
+}

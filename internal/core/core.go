@@ -186,7 +186,7 @@ type Run struct {
 	mu         sync.RWMutex
 	params     []param
 	artifacts  []Artifact
-	collectors []Collector
+	collectors []*collectorSlot
 	contexts   map[metrics.Context]bool
 	epochs     map[metrics.Context][]EpochRecord
 	curEpoch   map[metrics.Context]*EpochRecord
@@ -494,46 +494,79 @@ func (r *Run) Param(name string) (prov.Value, bool) {
 
 // RegisterCollector attaches a plugin collector to the run.
 func (r *Run) RegisterCollector(c Collector) {
+	slot := &collectorSlot{c: c, prefix: c.Name() + "_", names: make(map[string]string)}
 	r.mu.Lock()
-	r.collectors = append(r.collectors, c)
+	r.collectors = append(r.collectors, slot)
 	r.mu.Unlock()
+}
+
+// collectorSlot is a registered collector with the series name of each
+// metric it has reported, so a reading is logged under a name built
+// once per run, not once per step.
+type collectorSlot struct {
+	c      Collector
+	prefix string // "<collector>_"
+	mu     sync.Mutex
+	names  map[string]string // reading metric -> prefix + metric
+}
+
+// name returns the series a reading of metric is logged under.
+func (s *collectorSlot) name(metric string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	name, ok := s.names[metric]
+	if !ok {
+		name = s.prefix + metric
+		s.names[metric] = name
+	}
+	return name
 }
 
 // CollectOnce samples every registered collector at the current elapsed
 // time, logging readings as TRAINING-context metrics named
-// "<collector>_<metric>" and integrating *_power_w readings into energy.
+// "<collector>_<metric>" in the open TRAINING epoch and integrating
+// *_power_w readings into energy.
 func (r *Run) CollectOnce(step int64) error {
 	now := r.clock.Now()
 	elapsed := now.Sub(r.started)
-	r.mu.Lock()
-	collectors := append([]Collector(nil), r.collectors...)
+	r.mu.RLock()
+	// RegisterCollector only appends, so this view never changes under us.
+	collectors := r.collectors[:len(r.collectors):len(r.collectors)]
 	ended := r.ended
-	r.mu.Unlock()
+	epoch := 0
+	if cur := r.curEpoch[metrics.Training]; cur != nil {
+		epoch = cur.Index
+	}
+	r.mu.RUnlock()
 	if ended {
 		return errEnded(r.ID)
 	}
-	for _, c := range collectors {
-		for _, reading := range c.Collect(elapsed) {
-			name := c.Name() + "_" + reading.Metric
+	for _, slot := range collectors {
+		for _, reading := range slot.c.Collect(elapsed) {
+			name := slot.name(reading.Metric)
 			r.metrics.Log(name, metrics.Training, metrics.Point{
-				Step: step, Time: now, Value: reading.Value,
+				Step: step, Epoch: epoch, Time: now, Value: reading.Value,
 			})
 			if isPowerMetric(reading.Metric) {
-				r.mu.Lock()
-				m := r.energy[name]
-				if m == nil {
-					m = &telemetry.EnergyMeter{}
-					r.energy[name] = m
-				}
-				err := m.Observe(elapsed, reading.Value)
-				r.mu.Unlock()
-				if err != nil {
+				if err := r.observePower(name, elapsed, reading.Value); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// observePower integrates one power reading into the named meter.
+func (r *Run) observePower(name string, elapsed time.Duration, watts float64) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.energy[name]
+	if m == nil {
+		m = &telemetry.EnergyMeter{}
+		r.energy[name] = m
+	}
+	return m.Observe(elapsed, watts)
 }
 
 // EnergyJoules returns total integrated energy across power collectors.

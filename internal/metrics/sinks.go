@@ -106,7 +106,9 @@ func (s *ZarrSink) Name() string { return "zarr" }
 
 // Flush implements Sink. It holds every series whole, so each column is
 // created at its final shape and written once: per series four
-// ".zarray", the chunks and one ".zattrs", no key twice.
+// ".zarray", the chunks and one ".zattrs", no key twice. Each distinct
+// chunk payload is compressed once: series share their step column,
+// telemetry readings of one CollectOnce share their timestamps.
 func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 	snap := c.Snapshot()
 	if len(snap) == 0 {
@@ -121,6 +123,7 @@ func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 	}
 	refs := make(map[Key]string, len(snap))
 	bases := make(map[string]Key, len(snap))
+	codec := &gzipOnce{seen: make(map[string][]byte)}
 	for _, series := range snap {
 		k := Key{Name: series.Name, Context: series.Context}
 		base := sanitize(string(k.Context)) + "/" + sanitize(k.Name)
@@ -147,7 +150,7 @@ func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 			{"epoch", zarr.Int32, epoch},
 			{"tstamp", zarr.Float64, tstamp},
 		} {
-			arr, err := zarr.Create(s.Store, base+"/"+col.name, []int{n}, []int{chunk}, col.dtype, zarr.GzipCodec{})
+			arr, err := zarr.Create(s.Store, base+"/"+col.name, []int{n}, []int{chunk}, col.dtype, codec)
 			if err == nil {
 				err = arr.WriteFloat64(col.data)
 			}
@@ -168,6 +171,28 @@ func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 		refs[k] = "zarr:" + base
 	}
 	return refs, nil
+}
+
+// gzipOnce is zarr.GzipCodec with a memo: a payload byte-equal to one
+// it has already compressed gets that stream again. The map compares
+// whole keys, so a hit is an exact match, never only a hash collision.
+// The store copies what it is given, so the streams can be shared.
+type gzipOnce struct {
+	zarr.GzipCodec
+	seen map[string][]byte // payload -> its gzip stream
+}
+
+// Encode implements zarr.Codec.
+func (g *gzipOnce) Encode(src []byte) ([]byte, error) {
+	if enc, ok := g.seen[string(src)]; ok {
+		return enc, nil
+	}
+	enc, err := g.GzipCodec.Encode(src)
+	if err != nil {
+		return nil, err
+	}
+	g.seen[string(src)] = enc
+	return enc, nil
 }
 
 // LoadZarrSeries reads a series back from a zarr store reference. The

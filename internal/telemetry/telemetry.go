@@ -73,11 +73,16 @@ type GPUSampler struct {
 	rng   *rand.Rand
 	// MemUsedGB is the resident memory the workload claims.
 	MemUsedGB float64
+	// names are the metric names of Sample's readings, built once.
+	names [4]string
 }
 
 // NewGPUSampler builds a deterministic sampler for GPU index.
 func NewGPUSampler(spec GPUSpec, index int, seed int64) *GPUSampler {
-	return &GPUSampler{Spec: spec, Index: index, rng: rand.New(rand.NewSource(seed + int64(index)*7919))}
+	g := &GPUSampler{Spec: spec, Index: index, rng: rand.New(rand.NewSource(seed + int64(index)*7919))}
+	prefix := g.Name()
+	g.names = [4]string{prefix + "_util", prefix + "_power_w", prefix + "_mem_gb", prefix + "_temp_c"}
+	return g
 }
 
 // Name implements Sampler.
@@ -89,12 +94,11 @@ func (g *GPUSampler) Sample(t time.Duration, load float64) []Reading {
 	util := clamp01(load * jitter)
 	power := g.Spec.Watts(util)
 	temp := 35 + 55*util + 2*math.Sin(t.Seconds()/30)
-	prefix := g.Name()
 	return []Reading{
-		{prefix + "_util", util},
-		{prefix + "_power_w", power},
-		{prefix + "_mem_gb", math.Min(g.MemUsedGB, g.Spec.MemGB)},
-		{prefix + "_temp_c", temp},
+		{g.names[0], util},
+		{g.names[1], power},
+		{g.names[2], math.Min(g.MemUsedGB, g.Spec.MemGB)},
+		{g.names[3], temp},
 	}
 }
 
