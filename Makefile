@@ -54,8 +54,10 @@ chaos:
 # Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes, and
 # OpenStore/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
 # archive. jsonscan: Skip/End against json.Valid and String/Bytes
-# against json.Unmarshal. provservice: the NDJSON batch envelope scan
-# against the encoding/json struct decode it replaced. provstore: the
+# against json.Unmarshal. provservice: the one-scan batch line read
+# (envelope and document decoded together) against the two-pass read it
+# replaced (envelope span, ParseJSON, Validate), whose envelope scan is
+# in turn held to the encoding/json struct decode before it. provstore: the
 # journal record envelope, which must not panic on any bytes and must
 # decode what appendRecord re-encodes from an accepted record to the same
 # mutation; the snapshot payload, whose accepted inputs, applied to
@@ -75,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenZipStore$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzSkipMatchesValid$$' -fuzztime 10s ./internal/jsonscan
 	$(GO) test -run '^$$' -fuzz '^FuzzScanBatchLine$$' -fuzztime 10s ./internal/provservice
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchLineMatchesTwoPass$$' -fuzztime 10s ./internal/provservice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordPayload$$' -fuzztime 10s ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyRecoversEqual$$' -fuzztime 10s ./internal/provstore

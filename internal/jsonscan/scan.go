@@ -47,6 +47,9 @@ func New(data []byte) Scanner { return Scanner{data: data} }
 // Pos is the offset of the next unread byte.
 func (s *Scanner) Pos() int { return s.pos }
 
+// Remaining is the number of input bytes from the cursor on.
+func (s *Scanner) Remaining() int { return len(s.data) - s.pos }
+
 // unexpected reports the byte at the cursor (or the end of input) as
 // out of place in ctx.
 func (s *Scanner) unexpected(ctx string) error {
@@ -110,6 +113,10 @@ func (s *Scanner) String() (Str, error) {
 	data := s.data
 	for i := s.pos; i < len(data); {
 		c := data[i]
+		if !stringStop[c] {
+			i++
+			continue
+		}
 		switch {
 		case c == '"':
 			t.End = i
@@ -140,8 +147,6 @@ func (s *Scanner) String() (Str, error) {
 		case c < ' ':
 			s.pos = i
 			return Str{}, s.unexpected("in string literal")
-		case c < utf8.RuneSelf:
-			i++
 		default:
 			r, size := utf8.DecodeRune(data[i:])
 			if r == utf8.RuneError && size == 1 {
@@ -153,6 +158,17 @@ func (s *Scanner) String() (Str, error) {
 	s.pos = len(data)
 	return Str{}, s.unexpected("")
 }
+
+// stringStop marks the bytes String has to look at: the closing quote,
+// the escape character, control characters and every byte of 0x80 and
+// above, where a UTF-8 sequence (or invalid UTF-8) starts. Any other
+// byte stands for itself.
+var stringStop = func() (stop [256]bool) {
+	for c := range stop {
+		stop[c] = c < ' ' || c == '"' || c == '\\' || c >= utf8.RuneSelf
+	}
+	return stop
+}()
 
 func isHex(c byte) bool {
 	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'

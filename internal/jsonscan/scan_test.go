@@ -15,6 +15,9 @@ var texts = []string{
 	`""`, `"a"`, `"a`, `"\"\\\/\b\f\n\r\t"`, `"\a"`, `"\'"`, `"A"`, `"é€"`, `"\u004"`, `"\u00g1"`, `"\u"`, `"\`,
 	`"😀"`, `"\ud83d"`, `"\ude00"`, `"\ud83dx"`, `"\ud83dA"`, `"\ud83d😀"`, `"\udc00𐀀"`, `"\ud800\udbff"`, `"a\ud800"`,
 	"\"a\x01b\"", "\"a\x1fb\"", "\"a\x7fb\"", "\"a\tb\"", "\"a\nb\"", "\"\x00\"",
+	// The edges of String's stop table, inside a string and at its end,
+	// and escapes cut off by the end of the input.
+	"\"\x1f\"", "\"a b\"", "\" \"", "\"\x7f\"", "\"a\x80b\"", "\"\x80\"", "\"a\xffb\"", `"ab\`, `"ab\"`, `"ab\u00`,
 	"\"caf\xc3\xa9\"", "\"\xe2\x82\xac\"", "\"\xf0\x9f\x98\x80\"", "\"\xff\"", "\"a\xc3\"", "\"\xc3(\"", "\"\xed\xa0\x80\"", "\"\xf0\x9f\x98\"", "\"\xc0\xaf\"",
 	`[]`, `[ ]`, `[1]`, `[1,2]`, `[1,]`, `[,1]`, `[1 2]`, `[`, `]`, `[1`, `[[]]`, `[[],[]]`, `[{}]`, `[1,[2,[3,[]]]]`,
 	`{}`, `{ }`, `{"a":1}`, `{"a":1,"b":2}`, `{"a":1,}`, `{,}`, `{"a"}`, `{"a":}`, `{"a" 1}`, `{a:1}`, `{'a':1}`, `{1:1}`, `{`, `}`, `{"a":1`, `{"a":1]`, `[1}`,

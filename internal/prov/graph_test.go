@@ -151,6 +151,45 @@ func TestValidateWrongClass(t *testing.T) {
 	}
 }
 
+// TestValidateRelationEndpoints pins the issue list, in relation order,
+// for missing and wrong-class subjects and objects, one relation kind
+// that takes any node class included.
+func TestValidateRelationEndpoints(t *testing.T) {
+	d := NewDocument()
+	d.AddEntity("ex:e", nil)
+	d.AddActivity("ex:a", nil)
+	d.AddAgent("ex:g", nil)
+	d.Used("ex:a", "ex:e", time.Time{})    // fine
+	d.Used("ex:gone", "ex:e", time.Time{}) // missing subject
+	d.Used("ex:a", "ex:none", time.Time{}) // missing object
+	d.Used("ex:e", "ex:a", time.Time{})    // both of the wrong class
+	d.WasAssociatedWith("ex:gone", "ex:e") // missing subject, object of the wrong class
+	d.WasAttributedTo("ex:g", "ex:none")   // subject of the wrong class, missing object
+	d.AddRelation(Relation{Kind: RelationKind("ex:any"), Subject: "ex:e", Object: "ex:a"})
+	issues, err := d.Validate()
+	var got []string
+	for _, iss := range issues {
+		got = append(got, iss.String())
+	}
+	want := []string{
+		"error: relation _:u2 (used) references missing subject ex:gone",
+		"error: relation _:u3 (used) references missing object ex:none",
+		"error: relation _:u4 (used) subject ex:e is a entity, want activity",
+		"error: relation _:u4 (used) object ex:a is a activity, want entity",
+		"error: relation _:assoc5 (wasAssociatedWith) references missing subject ex:gone",
+		"error: relation _:assoc5 (wasAssociatedWith) object ex:e is a entity, want agent",
+		"error: relation _:attr6 (wasAttributedTo) subject ex:g is a agent, want entity",
+		"error: relation _:attr6 (wasAttributedTo) references missing object ex:none",
+		`error: relation _:r7 has unsupported kind "ex:any"`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("issues:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if err == nil || !strings.Contains(err.Error(), "9 issue(s), first: "+strings.TrimPrefix(want[0], "error: ")) {
+		t.Fatalf("error %v", err)
+	}
+}
+
 func TestValidateTimeOrder(t *testing.T) {
 	d := NewDocument()
 	a := d.AddActivity("ex:a", nil)

@@ -12,10 +12,13 @@ import (
 
 // The PROV-JSON decoder: one pass of a jsonscan.Scanner over the input
 // that fills a Document directly — no encoding/json, no reflection, no
-// intermediate value tree. What it accepts, and what it makes of it:
+// intermediate value tree. The scanner may be the caller's, positioned
+// on a document inside a larger text (DecodeJSON); ParseJSON is that
+// over a text that is one document. What it accepts, and what it makes
+// of it:
 //
-//   - The input is one JSON object (anything else, null included, is an
-//     error), well-formed to its last byte — unknown sections too.
+//   - The value is one JSON object (anything else, null included, is
+//     invalid), well-formed to its last byte — unknown sections too.
 //   - Top-level members named "prefix", "entity", "agent", "activity"
 //     or after a relation kind are sections; names match exactly, and
 //     any other member ("bundle", "Entity") is ignored. A section is an
@@ -59,15 +62,49 @@ func (d *Document) UnmarshalJSON(data []byte) error {
 // ParseJSON parses PROV-JSON bytes into a new document. It keeps no
 // reference to data.
 func ParseJSON(data []byte) (*Document, error) {
-	dec := decoder{sc: jsonscan.New(data), ns: NewNamespaceSet()}
-	// Kept strings are a fraction of the input — typically a fifth to a
-	// third; a chunk an eighth its size wastes little at either end.
-	dec.strs.chunk = min(4096, max(64, len(data)/8))
-	if err := dec.document(); err != nil {
+	sc := jsonscan.New(data)
+	doc, invalid, err := DecodeJSON(&sc)
+	if err == nil {
+		err = sc.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("prov: invalid PROV-JSON: %w", err)
 	}
-	return dec.finish()
+	return doc, invalid
 }
+
+// DecodeJSON decodes the one JSON value at sc's cursor as a PROV-JSON
+// document, consuming exactly that value, so that a caller can decode a
+// document that stands inside a larger JSON text without a separate
+// scan. err is a syntax error of the scanner's input: it ends the scan
+// and leaves the cursor anywhere. Otherwise the value has been consumed
+// and validated to its last byte, and either doc is the document or
+// invalid says why the value is none — not an object, or content the
+// decoder rejects. The document keeps no reference to the input.
+func DecodeJSON(sc *jsonscan.Scanner) (doc *Document, invalid, err error) {
+	if sc.Peek() != '{' {
+		if err := sc.Skip(); err != nil {
+			return nil, nil, err
+		}
+		return nil, errNotObject, nil
+	}
+	// The decoder scans with a copy of sc, which it hands back: a
+	// pointer kept in the decoder would move the caller's scanner to
+	// the heap.
+	dec := decoder{sc: *sc, ns: NewNamespaceSet()}
+	// Kept strings are a fraction of the input — typically a fifth to a
+	// third; a chunk an eighth its size wastes little at either end.
+	dec.strs.chunk = min(4096, max(64, sc.Remaining()/8))
+	err = dec.document()
+	*sc = dec.sc
+	if err != nil {
+		return nil, nil, err
+	}
+	doc, invalid = dec.finish()
+	return doc, invalid, nil
+}
+
+var errNotObject = errors.New("prov: invalid PROV-JSON: the top-level value is not an object")
 
 // Sections in the order their errors are reported: the prefix block,
 // the three element classes, then one per relation kind.
@@ -102,7 +139,7 @@ func sectionOf(name []byte) int {
 	return -1
 }
 
-// decoder is the state of one ParseJSON call. Records are collected in
+// decoder is the state of one DecodeJSON call. Records are collected in
 // one slice per section and only linked into the document's maps by
 // finish, so a repeated section simply starts its slice over.
 type decoder struct {
@@ -135,13 +172,10 @@ func (d *decoder) fail(err error) {
 	}
 }
 
-// document scans the whole input. The errors it returns end the scan:
-// malformed JSON, or a top-level value that is no object.
+// document scans the object at the cursor. The errors it returns are
+// syntax errors and end the scan.
 func (d *decoder) document() error {
-	if d.sc.Peek() != '{' {
-		return errors.New("the top-level value is not an object")
-	}
-	err := d.object(func(key jsonscan.Str) error {
+	return d.object(func(key jsonscan.Str) error {
 		d.sec = sectionOf(d.sc.Bytes(key))
 		if d.sec < 0 {
 			return d.sc.Skip()
@@ -161,10 +195,6 @@ func (d *decoder) document() error {
 		}
 		return d.object(d.member)
 	})
-	if err != nil {
-		return err
-	}
-	return d.sc.End()
 }
 
 // object walks the members of the object at the cursor, calling member

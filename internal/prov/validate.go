@@ -76,22 +76,24 @@ func (d *Document) Validate() ([]ValidationIssue, error) {
 		}
 	}
 
+	// checkEnd looks a relation endpoint up once: NodeKind's "" is a
+	// missing node.
+	checkEnd := func(r *Relation, role string, id QName, want string) {
+		switch got := d.NodeKind(id); {
+		case got == "":
+			addErr("relation %s (%s) references missing %s %s", r.ID, r.Kind, role, id)
+		case want != "" && got != want:
+			addErr("relation %s (%s) %s %s is a %s, want %s", r.ID, r.Kind, role, id, got, want)
+		}
+	}
 	for _, r := range d.Relations {
 		want, ok := expectedNodeKinds[r.Kind]
 		if !ok {
 			addErr("relation %s has unsupported kind %q", r.ID, r.Kind)
 			continue
 		}
-		if !d.HasNode(r.Subject) {
-			addErr("relation %s (%s) references missing subject %s", r.ID, r.Kind, r.Subject)
-		} else if got := d.NodeKind(r.Subject); want[0] != "" && got != want[0] {
-			addErr("relation %s (%s) subject %s is a %s, want %s", r.ID, r.Kind, r.Subject, got, want[0])
-		}
-		if !d.HasNode(r.Object) {
-			addErr("relation %s (%s) references missing object %s", r.ID, r.Kind, r.Object)
-		} else if got := d.NodeKind(r.Object); want[1] != "" && got != want[1] {
-			addErr("relation %s (%s) object %s is a %s, want %s", r.ID, r.Kind, r.Object, got, want[1])
-		}
+		checkEnd(r, "subject", r.Subject, want[0])
+		checkEnd(r, "object", r.Object, want[1])
 	}
 
 	for _, iss := range issues {

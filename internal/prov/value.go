@@ -325,6 +325,11 @@ func scanValue(sc *jsonscan.Scanner, strs *stringArena) (v Value, bad, err error
 		v, bad = typedLiteral(dollar, typ, strs)
 		return v, bad, nil
 	default:
+		if c != '-' && (c < '0' || c > '9') {
+			// No value starts here: Skip reports it as any value's
+			// scanner would, not as a malformed number.
+			return v, nil, sc.Skip()
+		}
 		num, integer, err := sc.Number()
 		if err != nil {
 			return v, nil, err

@@ -21,9 +21,11 @@ import (
 // object per line, blank lines ignored. Lines are decoded as they
 // arrive, each into the one pooled line buffer of the request
 // (lineReader), subject to a per-line cap (MaxLineBytes) on top of the
-// middleware's total body cap (MaxBodyBytes). Nothing of a line outlives
-// its decode: the document decoder keeps no reference to the bytes, and
-// the id is copied.
+// middleware's total body cap (MaxBodyBytes). A line is read by one
+// scan: the envelope's scanner hands its "doc" value to the PROV-JSON
+// decoder in place, so every byte of the line is looked at once.
+// Nothing of a line outlives its decode: the document decoder keeps no
+// reference to the bytes, and the id is copied.
 //
 // The batch is atomic: every line must parse and every document must be
 // valid, or the whole request is rejected with one error entry per
@@ -38,31 +40,34 @@ type batchLineError struct {
 	Error string `json:"error"`
 }
 
-// scanBatchLine finds, in one NDJSON request line, the "id" string and
-// the span of the "doc" value — a sub-slice of line, never a copy — in
-// a single validating scan. It reads the line as encoding/json read it
-// into a struct with those two fields: member names match whatever
-// their case ("ID", "Doc"), unknown members are skipped, of a repeated
-// member the last one counts, a null id leaves the id as it was, and a
-// line that is null is a line with neither member. doc is nil when the
-// line has no such member; a doc of the wrong type is the document
-// decoder's to reject.
-func scanBatchLine(line []byte) (id string, doc []byte, err error) {
+// decodeBatchLine reads one NDJSON request line in a single validating
+// scan: the "id" string, and the "doc" value decoded where it stands
+// (prov.DecodeJSON). It reads the line as encoding/json read it into a
+// struct with those two fields: member names match whatever their case
+// ("ID", "Doc"), unknown members are skipped, of a repeated member the
+// last one counts, a null id leaves the id as it was, and a line that
+// is null is a line with neither member.
+//
+// err is a syntax error anywhere in the line, or an id that is no
+// string. Otherwise invalid is what the decoder made of a doc that is
+// no PROV-JSON document (null and scalars included), and doc and
+// invalid are both nil when the line has no doc member.
+func decodeBatchLine(line []byte) (id string, doc *prov.Document, invalid, err error) {
 	sc := jsonscan.New(line)
 	if sc.Peek() == 'n' {
 		if err := sc.Literal("null"); err != nil {
-			return "", nil, err
+			return "", nil, nil, err
 		}
-		return "", nil, sc.End()
+		return "", nil, nil, sc.End()
 	}
 	if err := sc.OpenObject(); err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	var badID error
 	for {
 		key, ok, err := sc.NextKey()
 		if err != nil {
-			return "", nil, err
+			return "", nil, nil, err
 		}
 		if !ok {
 			break
@@ -73,27 +78,63 @@ func scanBatchLine(line []byte) (id string, doc []byte, err error) {
 		case isID && sc.Peek() == '"':
 			t, err := sc.String()
 			if err != nil {
-				return "", nil, err
+				return "", nil, nil, err
 			}
 			id = sc.Text(t)
 			continue
 		case isID && sc.Peek() != 'n':
 			badID = errors.New(`member "id" is not a string`)
+		case bytes.EqualFold(name, []byte("doc")):
+			if doc, invalid, err = prov.DecodeJSON(&sc); err != nil {
+				return "", nil, nil, err
+			}
+			continue
 		}
-		sc.Peek()
-		start := sc.Pos()
 		if err := sc.Skip(); err != nil {
-			return "", nil, err
-		}
-		if bytes.EqualFold(name, []byte("doc")) {
-			doc = line[start:sc.Pos()]
+			return "", nil, nil, err
 		}
 	}
 	if err := sc.End(); err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
-	return id, doc, badID
+	return id, doc, invalid, badID
 }
+
+// batchLine reads one non-blank line of a batch whose earlier lines
+// were accepted under the ids in seen: the id and document the line
+// contributes, or the error it is rejected with (and the id it names,
+// if the envelope parsed). Of several things wrong with a line the
+// first of these is reported: malformed JSON or a non-string id, no
+// id, no doc, an id already in the batch, a doc that is no PROV-JSON
+// document, a document Validate rejects.
+func batchLine(line []byte, seen map[string]struct{}) (id string, doc *prov.Document, lineErr string) {
+	id, doc, invalid, err := decodeBatchLine(line)
+	switch {
+	case err != nil:
+		return "", nil, "invalid JSON: " + err.Error()
+	case id == "":
+		return "", nil, "missing document id"
+	case doc == nil && invalid == nil:
+		return id, nil, "missing doc"
+	}
+	if _, dup := seen[id]; dup {
+		return id, nil, fmt.Sprintf("duplicate id %q in batch", id)
+	}
+	if invalid == nil {
+		// Validate here, not just in Apply, so a structurally broken
+		// document is pinned to its line in the response.
+		_, invalid = doc.Validate()
+	}
+	if invalid != nil {
+		return id, nil, "invalid PROV-JSON: " + invalid.Error()
+	}
+	return id, doc, ""
+}
+
+// jsonSpace is the whitespace JSON allows around a value. A line of
+// nothing else is blank; any other byte is the scanner's to accept or
+// reject (bytes.TrimSpace would also drop \v, \f, U+0085 and U+00A0).
+const jsonSpace = " \t\r\n"
 
 // maxBatchLineErrors bounds the per-line diagnostics kept (and
 // marshaled back) for one rejected batch: the batch is already doomed
@@ -131,39 +172,15 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		done := err == io.EOF
-		line = bytes.TrimSpace(line) // blank (or whitespace-only) lines are ignored
+		line = bytes.Trim(line, jsonSpace) // blank lines are ignored
 		switch {
 		case truncated:
 			lineErrs = append(lineErrs, batchLineError{Line: lineNo,
 				Error: fmt.Sprintf("line exceeds %d bytes", s.maxLineBytes())})
 		case len(line) > 0:
-			id, raw, jerr := scanBatchLine(line)
-			if jerr != nil {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, Error: "invalid JSON: " + jerr.Error()})
-				break
-			}
-			if id == "" {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, Error: "missing document id"})
-				break
-			}
-			if raw == nil {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: "missing doc"})
-				break
-			}
-			if _, dup := seen[id]; dup {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id,
-					Error: fmt.Sprintf("duplicate id %q in batch", id)})
-				break
-			}
-			doc, perr := prov.ParseJSON(raw)
-			if perr != nil {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: "invalid PROV-JSON: " + perr.Error()})
-				break
-			}
-			// Validate here, not just in PutBatch, so a structurally
-			// broken document is pinned to its line in the response.
-			if _, verr := doc.Validate(); verr != nil {
-				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: "invalid PROV-JSON: " + verr.Error()})
+			id, doc, lineErr := batchLine(line, seen)
+			if lineErr != "" {
+				lineErrs = append(lineErrs, batchLineError{Line: lineNo, ID: id, Error: lineErr})
 				break
 			}
 			seen[id] = struct{}{}

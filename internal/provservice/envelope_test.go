@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -19,7 +21,8 @@ import (
 
 // scanBatchLineCases pin how a request line is read: like the
 // encoding/json struct decode it replaced, except that the doc comes
-// back as a span of the line. They also seed FuzzScanBatchLine.
+// back as a span of the line. They also seed FuzzScanBatchLine and
+// FuzzBatchLineMatchesTwoPass.
 var scanBatchLineCases = []struct {
 	name, line string
 	id, doc    string // doc "" = no doc member
@@ -57,6 +60,65 @@ var scanBatchLineCases = []struct {
 type batchLineRef struct {
 	ID  string          `json:"id"`
 	Doc json.RawMessage `json:"doc"`
+}
+
+// scanBatchLine is the envelope scan the service ran before it decoded
+// the doc in place (decodeBatchLine), kept as the first pass of the
+// reference twoPassLine: it finds, in one NDJSON request line, the "id"
+// string and the span of the "doc" value — a sub-slice of line, never a
+// copy — in a single validating scan. It reads the line as
+// encoding/json read it into a struct with those two fields: member
+// names match whatever their case ("ID", "Doc"), unknown members are
+// skipped, of a repeated member the last one counts, a null id leaves
+// the id as it was, and a line that is null is a line with neither
+// member. doc is nil when the line has no such member; a doc of the
+// wrong type is the document decoder's to reject.
+func scanBatchLine(line []byte) (id string, doc []byte, err error) {
+	sc := jsonscan.New(line)
+	if sc.Peek() == 'n' {
+		if err := sc.Literal("null"); err != nil {
+			return "", nil, err
+		}
+		return "", nil, sc.End()
+	}
+	if err := sc.OpenObject(); err != nil {
+		return "", nil, err
+	}
+	var badID error
+	for {
+		key, ok, err := sc.NextKey()
+		if err != nil {
+			return "", nil, err
+		}
+		if !ok {
+			break
+		}
+		name := sc.Bytes(key)
+		isID := bytes.EqualFold(name, []byte("id"))
+		switch {
+		case isID && sc.Peek() == '"':
+			t, err := sc.String()
+			if err != nil {
+				return "", nil, err
+			}
+			id = sc.Text(t)
+			continue
+		case isID && sc.Peek() != 'n':
+			badID = errors.New(`member "id" is not a string`)
+		}
+		sc.Peek()
+		start := sc.Pos()
+		if err := sc.Skip(); err != nil {
+			return "", nil, err
+		}
+		if bytes.EqualFold(name, []byte("doc")) {
+			doc = line[start:sc.Pos()]
+		}
+	}
+	if err := sc.End(); err != nil {
+		return "", nil, err
+	}
+	return id, doc, badID
 }
 
 // isSpan reports whether sub is a sub-slice of line, not a copy of it.
@@ -136,6 +198,168 @@ func FuzzScanBatchLine(f *testing.F) {
 			t.Fatal("doc is a copy, not a span of the line")
 		}
 	})
+}
+
+// twoPassLine reads a line the way the service did before the envelope
+// scan decoded the doc in place: scanBatchLine's span, then
+// prov.ParseJSON over it, then Validate, with batchLine's order of
+// errors (the duplicate-id check aside, which needs a batch).
+func twoPassLine(line []byte) (id string, doc *prov.Document, lineErr string) {
+	id, raw, err := scanBatchLine(line)
+	switch {
+	case err != nil:
+		return "", nil, "invalid JSON: " + err.Error()
+	case id == "":
+		return "", nil, "missing document id"
+	case raw == nil:
+		return id, nil, "missing doc"
+	}
+	doc, err = prov.ParseJSON(raw)
+	if err == nil {
+		_, err = doc.Validate()
+	}
+	if err != nil {
+		return id, nil, "invalid PROV-JSON: " + err.Error()
+	}
+	return id, doc, ""
+}
+
+// FuzzBatchLineMatchesTwoPass holds the one-scan line read (batchLine)
+// to the two-pass one it replaced (twoPassLine): on every line both
+// name the same id, reject it with the same error text or accept the
+// same document. Documents are compared by MarshalJSON, whose output is
+// canonical; the binary blob is not (map order). Besides the envelope
+// cases and documents nested to the depth cap counted from the line's
+// top level, testdata/batch_line_seeds.ndjson seeds it with
+// FuzzParseJSONMatchesReference's seeds, each the doc of a line.
+func FuzzBatchLineMatchesTwoPass(f *testing.F) {
+	for _, tc := range scanBatchLineCases {
+		f.Add([]byte(tc.line))
+	}
+	seeds, err := os.ReadFile("testdata/batch_line_seeds.ndjson")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(seeds, []byte("\n")), []byte("\n")) {
+		f.Add(line)
+	}
+	// Nested n deep counting the line's object: at the cap, and past it.
+	for _, n := range []int{jsonscan.MaxDepth, jsonscan.MaxDepth + 1} {
+		f.Add([]byte(`{"id":"a","doc":{"x":` + strings.Repeat("[", n-2) + strings.Repeat("]", n-2) + `}}`))
+		f.Add([]byte(`{"id":"a","doc":{"entity":{"ex:e":{"k":` + strings.Repeat(`{"$":`, n-4) + `"v"` + strings.Repeat("}", n-4) + `}}}}`))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		id, doc, lineErr := batchLine(line, nil)
+		wantID, want, wantErr := twoPassLine(line)
+		if id != wantID || !sameLineError(lineErr, wantErr) {
+			t.Fatalf("one scan: id %q, error %q\ntwo passes: id %q, error %q", id, lineErr, wantID, wantErr)
+		}
+		if (doc == nil) != (want == nil) {
+			t.Fatalf("one scan decoded %v, two passes %v", doc != nil, want != nil)
+		}
+		if doc == nil {
+			return
+		}
+		got, err := doc.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := want.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantJSON) {
+			t.Fatalf("one scan decoded\n%s\ntwo passes\n%s", got, wantJSON)
+		}
+	})
+}
+
+// sameLineError compares two line error texts. Validate names the
+// first of several issues of a document's elements in map order, so two
+// rejections of one document for several such issues may differ in
+// that name; they must agree on the rest.
+func sameLineError(a, b string) bool {
+	if a == b {
+		return true
+	}
+	pa, _, oka := strings.Cut(a, ", first: ")
+	pb, _, okb := strings.Cut(b, ", first: ")
+	return oka && okb && pa == pb && strings.HasPrefix(pa, "invalid PROV-JSON: "+prov.ErrInvalidDocument.Error())
+}
+
+// TestBatchLinesTrimOnlyJSONWhitespace: a line is blank, and a line's
+// ends are trimmed, only of the whitespace JSON allows (space, tab, CR,
+// LF). \v, \f, U+0085 and U+00A0 are bytes of the line, which the
+// scanner rejects as encoding/json does; bytes.TrimSpace used to strip
+// them, accepting the first two lines and skipping the third.
+func TestBatchLinesTrimOnlyJSONWhitespace(t *testing.T) {
+	srv, store := newBatchServer(t, nil)
+	body := strings.Join([]string{
+		"\v" + docLine(t, "vt") + "\f",     // 1
+		" " + docLine(t, "nel") + "\u0085", // 2
+		"\u00a0",                           // 3
+		" \t \r",                           // 4: blank
+		"\t" + docLine(t, "ok") + " \r",    // 5
+	}, "\n")
+	for _, line := range strings.Split(body, "\n")[:3] {
+		if json.Valid([]byte(line)) {
+			t.Fatalf("encoding/json accepts %q", line)
+		}
+	}
+	status, payload := postBatch(t, srv.URL, body)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, body %s", status, payload)
+	}
+	var rej struct {
+		Lines []batchLineError `json:"line_errors"`
+	}
+	if err := json.Unmarshal(payload, &rej); err != nil {
+		t.Fatal(err)
+	}
+	if len(rej.Lines) != 3 {
+		t.Fatalf("line errors %+v, want lines 1, 2 and 3", rej.Lines)
+	}
+	for i, le := range rej.Lines {
+		if le.Line != i+1 || !strings.HasPrefix(le.Error, "invalid JSON: invalid character") {
+			t.Errorf("line error %+v, want line %d rejected as invalid JSON", le, i+1)
+		}
+	}
+	if store.Count() != 0 {
+		t.Fatalf("rejected batch stored %v", store.List())
+	}
+	if status, payload := postBatch(t, srv.URL, strings.Join(strings.Split(body, "\n")[3:], "\n")); status != http.StatusCreated {
+		t.Fatalf("JSON whitespace only: status %d, body %s", status, payload)
+	}
+}
+
+// BenchmarkBatchLines reads one 32-line batch the way handleBatch does
+// (batchLine on every line: envelope, document decode, Validate), with
+// bench/'s ingest corpus mix of chain documents: 24 of depth 12, 7 of
+// depth 64 and 1 of depth 256.
+func BenchmarkBatchLines(b *testing.B) {
+	var lines [][]byte
+	size := 0
+	for i := 0; i < 32; i++ {
+		depth := 12
+		switch {
+		case i == 31:
+			depth = 256
+		case i >= 24:
+			depth = 64
+		}
+		lines = append(lines, chainLine(b, fmt.Sprintf("doc-%02d", i), depth))
+		size += len(lines[i]) + 1
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, line := range lines {
+			if _, _, lineErr := batchLine(line, nil); lineErr != "" {
+				b.Fatal(lineErr)
+			}
+		}
+	}
 }
 
 // TestBatchLineNumbers: blank lines, rejected envelopes and rejected
@@ -262,7 +486,7 @@ func TestPutNonObjectBodyRejected(t *testing.T) {
 
 // chainLine is one batch line carrying a chain document of the shape
 // and size the service ingests in bulk; its attribute values name id.
-func chainLine(t *testing.T, id string, depth int) []byte {
+func chainLine(t testing.TB, id string, depth int) []byte {
 	t.Helper()
 	d := prov.NewDocument()
 	for i := 0; i < depth; i++ {
