@@ -40,12 +40,13 @@ race:
 
 # Fault-injection suite under the race detector: disk faults
 # (wal.FaultFS), what a kill -9 in mid-checkpoint leaves in the data
-# directory, network faults (internal/faultnet), and the end-to-end
-# chaos scenarios (internal/chaos), which read back every acknowledged
-# write.
+# directory, what an upgrade stopped part way leaves (provstore.Upgrade),
+# network faults (internal/faultnet), and the end-to-end chaos scenarios
+# (internal/chaos), which read back every acknowledged write.
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/faultnet/ -run 'TestChaos|TestProxy'
 	$(GO) test -race ./internal/wal/ -run 'TestFault|TestStaleSnapshotTemp'
+	$(GO) test -race ./internal/provstore/ -run 'TestUpgradeInterrupted'
 
 # Ten seconds of each fuzzer on top of its committed seed corpus. prov:
 # the differential one that holds the PROV-JSON decoder to the

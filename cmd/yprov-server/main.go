@@ -6,7 +6,6 @@
 //
 //	yprov-server [-addr :3000] [-token SECRET] [-shards N] [-pprof-addr ADDR]
 //	             [-data-dir DIR] [-fsync] [-snapshot-every N]
-//	             [-export-dir DIR]
 //	             [-replicate-from URL] [-advertise-addr ADDR] [-max-lag N]
 //	             [-max-inflight-writes N] [-shed-latency-target D]
 //	             [-request-timeout D]
@@ -21,11 +20,10 @@
 // With -data-dir, every accepted mutation is journaled before it is
 // acknowledged and the store recovers snapshot + journal tail on boot —
 // including after kill -9 (a torn final record is truncated, not
-// fatal). A data directory holding only legacy *.json exports (the old
-// persistence format) is imported into the journal on first boot.
+// fatal). A data directory an earlier build wrote in an older on-disk
+// format is refused at boot; `yprov upgrade DIR` converts it offline.
 // SIGINT/SIGTERM trigger a graceful shutdown: stop accepting requests,
-// drain in-flight ones, flush the journal, optionally export PROV-JSON
-// to -export-dir, and exit.
+// drain in-flight ones, flush the journal, and exit.
 //
 // Replication: every journaled server doubles as a replication primary
 // (its WAL is streamed verbatim from /api/v0/repl/stream). Started with
@@ -75,7 +73,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -94,7 +91,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "write-ahead-logged data directory (empty = in-memory only)")
 	fsync := flag.Bool("fsync", true, "fsync the journal before acknowledging mutations (power-loss durability)")
 	snapshotEvery := flag.Int("snapshot-every", 256, "mutations between snapshot+compaction cycles (<0 disables)")
-	exportDir := flag.String("export-dir", "", "also export documents as PROV-JSON files here on graceful shutdown")
 	replicateFrom := flag.String("replicate-from", "", "primary base URL; run this server as a read-only follower of it (requires -data-dir)")
 	advertiseAddr := flag.String("advertise-addr", "", "address this server is reachable at, used as its follower id in replication acks (default: -addr)")
 	maxLag := flag.Uint64("max-lag", 10000, "follower: /healthz reports degraded when replication lag exceeds this many records (0 disables)")
@@ -106,11 +102,6 @@ func main() {
 	bundleDir := flag.String("bundle-dir", "", "directory for SIGQUIT-dumped diagnostic bundles (default: -data-dir, else the working directory)")
 	flag.Parse()
 
-	if *exportDir != "" && *dataDir != "" && samePath(*exportDir, *dataDir) {
-		// Exports into the journal directory would be re-imported as
-		// legacy documents on the next boot (and renamed away).
-		log.Fatalf("-export-dir must differ from -data-dir (%s)", *dataDir)
-	}
 	follower := *replicateFrom != ""
 	if follower && *dataDir == "" {
 		log.Fatalf("-replicate-from requires -data-dir: a follower keeps its own WAL copy so restarts resume from local state")
@@ -154,17 +145,6 @@ func main() {
 		if store.SuspectBitRot() {
 			log.Printf("WARNING: recovery truncated the journal tail ahead of intact record frames in %s — "+
 				"if this boot does not follow a crash/power loss, suspect disk corruption and verify the document set", *dataDir)
-		}
-		// Gate on un-imported *.json files, not on store emptiness: a
-		// previously failed partial import must resume, and imported
-		// files (renamed *.json.imported) must never re-import. Followers
-		// never import — their journal is the primary's history.
-		if !follower {
-			if n, err := importLegacyJSON(store, *dataDir); err != nil {
-				log.Fatalf("importing legacy documents from %s: %v", *dataDir, err)
-			} else if n > 0 {
-				log.Printf("imported %d legacy PROV-JSON document(s) into the journal", n)
-			}
 		}
 	} else {
 		store = provstore.NewSharded(*shards)
@@ -259,7 +239,6 @@ func main() {
 		"data_dir":            *dataDir,
 		"fsync":               *fsync,
 		"snapshot_every":      *snapshotEvery,
-		"export_dir":          *exportDir,
 		"role":                role,
 		"replicate_from":      *replicateFrom,
 		"follower_id":         followerID,
@@ -324,13 +303,6 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if *exportDir != "" {
-		if err := store.SaveTo(*exportDir); err != nil {
-			log.Printf("exporting to %s: %v", *exportDir, err)
-		} else {
-			log.Printf("exported %d document(s) to %s", store.Count(), *exportDir)
-		}
-	}
 	if err := svc.Close(); err != nil {
 		log.Fatalf("closing store: %v", err)
 	}
@@ -373,61 +345,4 @@ func dumpBundle(rec *flightrec.Recorder, dir string) {
 		return
 	}
 	log.Printf("SIGQUIT: diagnostic bundle dumped to %s (%d traces, %dB)", path, len(b.Traces), len(data))
-}
-
-// samePath reports whether two paths name the same directory, seeing
-// through relative/absolute aliases and symlinks (best-effort: paths
-// that do not resolve fall back to lexical comparison).
-func samePath(a, b string) bool {
-	ra, errA := filepath.EvalSymlinks(a)
-	rb, errB := filepath.EvalSymlinks(b)
-	if errA == nil && errB == nil {
-		if ia, err := os.Stat(ra); err == nil {
-			if ib, err := os.Stat(rb); err == nil {
-				return os.SameFile(ia, ib)
-			}
-		}
-		a, b = ra, rb
-	}
-	aa, errA := filepath.Abs(a)
-	ab, errB := filepath.Abs(b)
-	if errA == nil && errB == nil {
-		return aa == ab
-	}
-	return filepath.Clean(a) == filepath.Clean(b)
-}
-
-// importLegacyJSON migrates a pre-WAL data directory (one PROV-JSON
-// file per document, the SaveTo format) into the journaled store.
-func importLegacyJSON(store *provstore.Store, dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	hasJSON := false
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			hasJSON = true
-			break
-		}
-	}
-	if !hasJSON {
-		return 0, nil
-	}
-	ids, err := store.LoadFrom(dir)
-	if err != nil {
-		return len(ids), err
-	}
-	// The documents are journaled now; move the originals aside so the
-	// import does not repeat on every boot.
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		old := filepath.Join(dir, e.Name())
-		if err := os.Rename(old, old+".imported"); err != nil {
-			return len(ids), err
-		}
-	}
-	return len(ids), nil
 }

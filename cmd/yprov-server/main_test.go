@@ -12,7 +12,7 @@ import (
 // serverFlags is every flag yprov-server accepts. A flag is added here
 // only together with the caller that sets it.
 var serverFlags = []string{
-	"addr", "advertise-addr", "bundle-dir", "data-dir", "export-dir",
+	"addr", "advertise-addr", "bundle-dir", "data-dir",
 	"fsync", "max-inflight-writes", "max-lag", "pprof-addr",
 	"read-cache-bytes", "read-cache-entries", "replicate-from",
 	"request-timeout", "shards", "shed-latency-target", "snapshot-every",

@@ -17,6 +17,11 @@
 //	stats                            store statistics
 //	plan <prov.json>                 print the reproduction plan of a local document
 //	rerun <prov.json>                re-execute a scaling-study run from its document
+//	upgrade <data-dir>               convert a data directory an earlier build wrote
+//
+// upgrade works on the directory, not through -server, and fails while
+// a server has it open. The server refuses a directory in an older
+// on-disk format and names this command.
 package main
 
 import (
@@ -148,6 +153,15 @@ func main() {
 			}
 			fmt.Printf("re-executed in %v (simulated): recorded loss %.6g, reproduced %.6g (rel err %.3g) -> match=%v\n",
 				rep.Elapsed, rep.RecordedLoss, rep.ReproducedLoss, rep.RelError, rep.Match)
+		}
+	case "upgrade":
+		if len(args) != 2 {
+			fail("usage: upgrade <data-dir>")
+		}
+		var n int
+		n, err = provstore.Upgrade(args[1])
+		if err == nil {
+			fmt.Printf("%s: %d document(s) in this build's format\n", args[1], n)
 		}
 	default:
 		fail("unknown command %q", args[0])

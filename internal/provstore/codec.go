@@ -2,7 +2,7 @@ package provstore
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -10,13 +10,14 @@ import (
 	"repro/internal/prov"
 )
 
-// Binary WAL record codec. The WAL's frame format is untouched
-// (length|crc32c|seq|payload); only the payload encoding changes. Every
-// payload opens with a one-byte tag: '{' (0x7B) marks a legacy JSON
-// journalOp — the PR 2–7 format, still decoded everywhere — and
-// recBinaryTag marks the compact binary envelope below. Old data dirs
-// and mixed-format journals therefore replay with no migration, and a
-// follower on this build applies either format a primary ships.
+// Binary WAL record codec. The WAL's frame format is
+// length|crc32c|seq|payload; every payload this build writes opens with
+// recBinaryTag and is the compact binary envelope below. It is the one
+// format recovery, replication and the snapshot decoder read: a payload
+// or a doc blob that opens with '{' (0x7B) is what an earlier build
+// wrote, and is refused with ErrLegacyFormat before anything is applied
+// or staged. Only Upgrade (upgrade.go) reads those, through the same
+// envelope walkers with a decoder that also takes JSON.
 //
 // Envelope layout (varints are unsigned LEB128 via encoding/binary):
 //
@@ -29,12 +30,9 @@ import (
 //	        byte op (put/delete), varint shard, varint len + id,
 //	        puts: varint len + doc blob
 //
-// A doc blob is itself tagged by its first byte: prov.BinaryDocTag = the
-// compact document codec (prov.ParseBinary), the only kind this build
-// writes — the blob the entry keeps (entry.blob) — and '{' = PROV-JSON
-// (prov.ParseJSON), which journals and snapshots of earlier builds
-// hold and every decoder here still reads. Snapshots reuse the same
-// convention (see appendSnapshot / decodeSnapshot).
+// A doc blob is the compact document codec (prov.ParseBinary), tagged
+// prov.BinaryDocTag: the blob the entry keeps (entry.blob). Snapshots
+// reuse the same convention (see appendSnapshot / decodeSnapshot).
 const (
 	recBinaryTag = 0x01
 
@@ -191,18 +189,24 @@ func (r *recReader) blob() ([]byte, error) {
 	return b, nil
 }
 
-// parseDocBlob decodes a tagged doc blob, PROV-JSON or binary, and
-// returns with the document the blob its entry keeps: an exactly sized
-// copy of a binary blob — a slice of the record or snapshot would hold
-// the whole buffer for as long as the entry lives — or nil for JSON,
-// which the entry encodes once (newEntry).
+// ErrLegacyFormat is how every decoder on the serving path refuses a
+// record, snapshot or doc blob an earlier build wrote, and how Open
+// refuses a pre-WAL directory. Upgrade converts such a directory.
+var ErrLegacyFormat = errors.New("provstore: on-disk format of an earlier build; convert the data directory offline with `yprov upgrade DIR`")
+
+// blobReader decodes one doc blob into its document and the blob the
+// entry built for it keeps (nil: the entry encodes one).
+type blobReader func(blob []byte) (doc *prov.Document, kept []byte, err error)
+
+// parseDocBlob is the serving path's blobReader: a binary blob, kept as
+// an exactly sized copy — a slice of the record or snapshot would hold
+// the whole buffer for as long as the entry lives.
 func parseDocBlob(blob []byte) (doc *prov.Document, kept []byte, err error) {
 	if len(blob) == 0 {
 		return nil, nil, fmt.Errorf("provstore: empty document blob")
 	}
 	if blob[0] == '{' {
-		doc, err = prov.ParseJSON(blob)
-		return doc, nil, err
+		return nil, nil, ErrLegacyFormat
 	}
 	if doc, err = prov.ParseBinary(blob); err != nil {
 		return nil, nil, err
@@ -214,29 +218,30 @@ func parseDocBlob(blob []byte) (doc *prov.Document, kept []byte, err error) {
 
 // decodeRecordPayload turns one journal/replication payload into a
 // parse-validated mutation — missing deletes tolerated, the binary
-// blobs kept (mutation.blobs) —
-// dispatching on the payload tag, before anything is staged or applied:
-// a malformed record is rejected while the store is still untouched.
-// Both recovery replay and the follower apply path come through here.
+// blobs kept (mutation.blobs) — before anything is staged or applied:
+// a malformed or legacy record is rejected while the store is still
+// untouched. Both recovery replay and the follower apply path come
+// through here.
 func decodeRecordPayload(payload []byte, seq uint64) (mutation, error) {
+	return decodeRecord(payload, seq, parseDocBlob)
+}
+
+// decodeRecord is the binary record walker, reading each doc blob with
+// blob.
+func decodeRecord(payload []byte, seq uint64, blob blobReader) (mutation, error) {
 	m := mutation{lenient: true}
-	if err := decodeRecordInto(&m, payload); err != nil {
+	if err := decodeRecordInto(&m, payload, blob); err != nil {
 		return mutation{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
 	}
 	return m, nil
 }
 
-func decodeRecordInto(m *mutation, payload []byte) error {
+func decodeRecordInto(m *mutation, payload []byte, blob blobReader) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("empty payload")
 	}
-	if payload[0] == '{' { // legacy JSON journalOp
-		var op journalOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return err
-		}
-		m.trace = op.Trace
-		return decodeLegacyOp(m, op, true)
+	if payload[0] == '{' {
+		return ErrLegacyFormat
 	}
 	if payload[0] != recBinaryTag {
 		return fmt.Errorf("unknown payload tag 0x%02x", payload[0])
@@ -251,7 +256,7 @@ func decodeRecordInto(m *mutation, payload []byte) error {
 	}
 	switch opByte {
 	case recOpPut, recOpDelete:
-		if err := decodeOpBody(m, r, opByte); err != nil {
+		if err := decodeOpBody(m, r, opByte, blob); err != nil {
 			return err
 		}
 	case recOpBatch:
@@ -271,7 +276,7 @@ func decodeRecordInto(m *mutation, payload []byte) error {
 			if ob != recOpPut && ob != recOpDelete {
 				return fmt.Errorf("bad batch sub-op 0x%02x", ob)
 			}
-			if err := decodeOpBody(m, r, ob); err != nil {
+			if err := decodeOpBody(m, r, ob, blob); err != nil {
 				return err
 			}
 		}
@@ -287,7 +292,7 @@ func decodeRecordInto(m *mutation, payload []byte) error {
 // decodeOpBody reads one put/delete body (see appendOpBody) onto m.ops
 // and its kept blob onto m.blobs. The recorded shard hint is skipped:
 // placement is re-derived from the id hash.
-func decodeOpBody(m *mutation, r *recReader, opByte byte) error {
+func decodeOpBody(m *mutation, r *recReader, opByte byte, blob blobReader) error {
 	if _, err := r.uvarint(); err != nil {
 		return err
 	}
@@ -298,44 +303,16 @@ func decodeOpBody(m *mutation, r *recReader, opByte byte) error {
 	op := Op{ID: id}
 	var kept []byte
 	if opByte == recOpPut {
-		blob, err := r.blob()
+		b, err := r.blob()
 		if err != nil {
 			return err
 		}
-		if op.Doc, kept, err = parseDocBlob(blob); err != nil {
+		if op.Doc, kept, err = blob(b); err != nil {
 			return fmt.Errorf("%q: %w", id, err)
 		}
 	}
 	m.ops = append(m.ops, op)
 	m.blobs = append(m.blobs, kept)
-	return nil
-}
-
-// decodeLegacyOp lifts a legacy JSON journalOp — the only place the
-// "put"/"delete"/"batch" op strings are still interpreted — onto m.ops.
-// It keeps no blobs: its documents are JSON.
-func decodeLegacyOp(m *mutation, op journalOp, batchOK bool) error {
-	switch op.Op {
-	case "put":
-		doc, err := prov.ParseJSON(op.Doc)
-		if err != nil {
-			return fmt.Errorf("%q: %w", op.ID, err)
-		}
-		m.ops = append(m.ops, Op{ID: op.ID, Doc: doc})
-	case "delete":
-		m.ops = append(m.ops, Op{ID: op.ID})
-	case "batch":
-		if !batchOK {
-			return fmt.Errorf("nested batch")
-		}
-		for _, sub := range op.Ops {
-			if err := decodeLegacyOp(m, sub, false); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown op %q", op.Op)
-	}
 	return nil
 }
 
@@ -359,34 +336,28 @@ func appendSnapshot(dst []byte, entries []*entry, shards int) []byte {
 	return dst
 }
 
-// decodeSnapshot turns a snapshot payload — legacy JSON (storeSnapshot)
-// or binary — into one mutation of puts. For a binary payload the
-// mutation also carries the blobs it keeps (mutation.blobs).
+// decodeSnapshot turns a binary snapshot payload into one mutation of
+// puts carrying the blobs it keeps (mutation.blobs).
 func decodeSnapshot(payload []byte) (mutation, error) {
+	return decodeSnapshotWith(payload, parseDocBlob)
+}
+
+// decodeSnapshotWith is the binary snapshot walker, reading each doc
+// blob with blob.
+func decodeSnapshotWith(payload []byte, blob blobReader) (mutation, error) {
 	m := mutation{lenient: true}
-	if err := decodeSnapshotInto(&m, payload); err != nil {
+	if err := decodeSnapshotInto(&m, payload, blob); err != nil {
 		return mutation{}, fmt.Errorf("provstore: recover snapshot: %w", err)
 	}
 	return m, nil
 }
 
-func decodeSnapshotInto(m *mutation, payload []byte) error {
+func decodeSnapshotInto(m *mutation, payload []byte, blob blobReader) error {
 	if len(payload) == 0 {
 		return nil
 	}
 	if payload[0] == '{' {
-		var snap storeSnapshot
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return err
-		}
-		for id, raw := range snap.Docs {
-			doc, err := prov.ParseJSON(raw)
-			if err != nil {
-				return fmt.Errorf("doc %q: %w", id, err)
-			}
-			m.ops = append(m.ops, Op{ID: id, Doc: doc})
-		}
-		return nil
+		return ErrLegacyFormat
 	}
 	if payload[0] != recBinaryTag {
 		return fmt.Errorf("unknown payload tag 0x%02x", payload[0])
@@ -409,11 +380,11 @@ func decodeSnapshotInto(m *mutation, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		blob, err := r.blob()
+		b, err := r.blob()
 		if err != nil {
 			return fmt.Errorf("doc %q: %w", id, err)
 		}
-		doc, kept, err := parseDocBlob(blob)
+		doc, kept, err := blob(b)
 		if err != nil {
 			return fmt.Errorf("doc %q: %w", id, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,12 +17,16 @@ import (
 	"repro/internal/wal"
 )
 
-// FuzzDecodeRecordPayload holds the journal record decoder to two
-// properties: no input makes it panic, and a payload it accepts,
-// re-encoded by appendRecord over the blobs it kept (a JSON blob
-// encoded, as apply encodes it), decodes to the same mutation — the
-// same ids in the same order, the same puts and deletes, the same
-// trace, Equal documents and byte-equal blobs.
+// FuzzDecodeRecordPayload holds the journal record decoders to three
+// properties: no input makes either panic; the serving decoder refuses,
+// with ErrLegacyFormat and no mutation, every payload that opens with
+// '{' and every record the upgrade decoder reads a PROV-JSON document
+// from, and keeps only binary blobs from what it accepts; and a payload
+// the upgrade decoder accepts, re-encoded by appendRecord over the
+// blobs it kept (a JSON blob encoded, as apply encodes it), decodes on
+// the serving path to the same mutation — the same ids in the same
+// order, the same puts and deletes, the same trace, Equal documents and
+// byte-equal blobs.
 func FuzzDecodeRecordPayload(f *testing.F) {
 	docB := goldenDoc("b")
 	rawB, err := docB.MarshalJSON()
@@ -46,8 +51,10 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 		f.Add(s[:len(s)-1])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeRecordPayload(payload, 1)
-		if err != nil {
+		served, err := decodeRecordPayload(payload, 1)
+		m, upErr := upgradeRecord(payload, 1)
+		checkRefusal(t, payload, &served, err, upErr == nil && holdsJSONDoc(&m))
+		if upErr != nil {
 			return
 		}
 		blobs := make([][]byte, len(m.ops))
@@ -79,12 +86,15 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSnapshot holds the snapshot decoder, which also decides the
-// blob each recovered entry keeps, to two properties: no input makes it
-// panic, and a payload it accepts, applied to a fresh store as recovery
-// applies it and re-encoded by appendSnapshot, decodes and applies to
-// an equal store — the same ids, Equal documents and byte-equal kept
-// blobs.
+// FuzzDecodeSnapshot holds the snapshot decoders, which also decide
+// the blob each recovered entry keeps, to three properties: no input
+// makes either panic; the serving decoder refuses, as
+// FuzzDecodeRecordPayload has it refuse records, every snapshot that
+// opens with '{' or that the upgrade decoder reads a PROV-JSON document
+// from; and a payload the upgrade decoder accepts, applied to a fresh
+// store as recovery applies it and re-encoded by appendSnapshot,
+// decodes on the serving path and applies to an equal store — the same
+// ids, Equal documents and byte-equal kept blobs.
 func FuzzDecodeSnapshot(f *testing.F) {
 	docA, docB := goldenDoc("a"), goldenDoc("b")
 	rawA, err := docA.MarshalJSON()
@@ -115,8 +125,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Add(s[:len(s)-1])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeSnapshot(payload)
-		if err != nil {
+		served, err := decodeSnapshot(payload)
+		m, upErr := upgradeSnapshot(payload)
+		checkRefusal(t, payload, &served, err, upErr == nil && holdsJSONDoc(&m))
+		if upErr != nil {
 			return
 		}
 		first := New()
@@ -153,6 +165,40 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// holdsJSONDoc reports whether m, as the upgrade decoder read it, holds
+// a document decoded from PROV-JSON: one whose entry keeps no blob.
+func holdsJSONDoc(m *mutation) bool {
+	for i, op := range m.ops {
+		if op.Doc != nil && (i >= len(m.blobs) || m.blobs[i] == nil) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkRefusal holds the serving decoder's result on payload, m and
+// err, to the format contract: a payload that opens with '{', or one
+// holding a PROV-JSON document (holdsJSON), is refused with
+// ErrLegacyFormat and no mutation; an accepted one keeps only binary
+// blobs.
+func checkRefusal(t *testing.T, payload []byte, m *mutation, err error, holdsJSON bool) {
+	t.Helper()
+	if (len(payload) > 0 && payload[0] == '{') || holdsJSON {
+		if !errors.Is(err, ErrLegacyFormat) || m.ops != nil {
+			t.Fatalf("an earlier build's format decodes to %d ops, %v; want ErrLegacyFormat", len(m.ops), err)
+		}
+		return
+	}
+	if err != nil {
+		return
+	}
+	for i, op := range m.ops {
+		if op.Doc != nil && (len(m.blobs[i]) == 0 || m.blobs[i][0] != prov.BinaryDocTag) {
+			t.Fatalf("op %d (%q) keeps a blob tagged %.1q", i, op.ID, m.blobs[i])
+		}
+	}
 }
 
 // corpusSeeds reads the byte inputs of a committed go-fuzz corpus

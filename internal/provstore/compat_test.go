@@ -3,6 +3,7 @@ package provstore
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,10 +14,12 @@ import (
 	"repro/internal/wal"
 )
 
-// Cross-format compatibility: data dirs journaled by pre-codec builds
-// hold JSON journalOp records; this build appends binary records behind
-// the same frame format. Recovery, snapshots, and replication must
-// treat the two interchangeably — record by record, within one segment.
+// Earlier formats: data dirs journaled by pre-codec builds hold JSON
+// journalOp records, JSON snapshots, and binary records or snapshots
+// around PROV-JSON doc blobs. Open and replication refuse each of them
+// with ErrLegacyFormat before applying anything; Upgrade converts such
+// a directory — record by record, within one segment — into the state
+// Open recovered from it before the format narrowed.
 
 func compatDoc(t *testing.T, tag string, n int) *prov.Document {
 	t.Helper()
@@ -127,10 +130,10 @@ func sameState(t *testing.T, got, want map[string]string, label string) {
 	}
 }
 
-// TestLegacyJournalOpensAndExtends: a JSON-journaled dir must open
-// cleanly, accept binary-record writes, and replay the mixed segment on
-// every reopen — across shard counts, since shard placement is re-derived
-// from id hashes, not from the journal.
+// TestLegacyJournalOpensAndExtends: a JSON-journaled dir is refused,
+// opens once upgraded, accepts binary-record writes, and replays on
+// every reopen — across shard counts, since shard placement is
+// re-derived from id hashes, not from the journal.
 func TestLegacyJournalOpensAndExtends(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -144,13 +147,10 @@ func TestLegacyJournalOpensAndExtends(t *testing.T) {
 				legacyDeletePayload(t, "doomed"),
 			)
 
-			s, err := Open(dir, Durability{Shards: shards, SnapshotEvery: -1})
-			if err != nil {
-				t.Fatalf("open legacy dir: %v", err)
-			}
-			if s.Count() != 3 {
-				t.Fatalf("legacy replay recovered %d docs, want 3", s.Count())
-			}
+			s := refusedThenUpgraded(t, dir, Durability{Shards: shards, SnapshotEvery: -1})
+			sameState(t, snapshotJSON(t, s), stateOf(t, map[string]*prov.Document{
+				"alpha": docA, "beta": docB, "gamma": compatDoc(t, "gamma", 1),
+			}), "upgraded legacy journal")
 			// Extend with binary records: puts, a batch, a delete.
 			if err := s.Put("delta", compatDoc(t, "delta", 2)); err != nil {
 				t.Fatal(err)
@@ -169,29 +169,30 @@ func TestLegacyJournalOpensAndExtends(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Reopen: replay now crosses a JSON->binary format boundary
-			// mid-segment.
+			// Reopen: replay crosses from the upgrade's snapshot into
+			// the records written after it.
 			s2, err := Open(dir, Durability{Shards: shards, SnapshotEvery: -1})
 			if err != nil {
-				t.Fatalf("reopen mixed dir: %v", err)
+				t.Fatalf("reopen upgraded dir: %v", err)
 			}
 			defer s2.Close()
-			sameState(t, snapshotJSON(t, s2), want, "mixed-journal reopen")
+			sameState(t, snapshotJSON(t, s2), want, "upgraded-journal reopen")
 		})
 	}
 }
 
 // TestJSONSnapshotBlobsRewrittenInBinary: a directory whose snapshot
 // holds its documents as JSON — the legacy JSON snapshot, or a binary
-// envelope around '{' blobs — opens, recovery encodes every document
-// once (a JSON blob is never kept), and its first checkpoint writes
-// binary blobs, which the checkpoint after a restart copies.
+// envelope around '{' blobs — is refused, and once upgraded its
+// snapshot holds binary blobs, which every later checkpoint copies.
 func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 	const n = 5
 	docs := map[string]json.RawMessage{}
+	want := map[string]*prov.Document{}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("doc-%d", i)
-		docs[id] = mustJSON(t, compatDoc(t, id, 2))
+		want[id] = compatDoc(t, id, 2)
+		docs[id] = mustJSON(t, want[id])
 	}
 	legacy, err := json.Marshal(storeSnapshot{Docs: docs, Shards: 1})
 	if err != nil {
@@ -208,11 +209,8 @@ func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 			if err := wal.WriteSnapshotTo(dir, 9, payload); err != nil {
 				t.Fatal(err)
 			}
-			s := openTemp(t, dir, Durability{SnapshotEvery: -1, Shards: 4})
-			want := snapshotJSON(t, s)
-			if len(want) != n {
-				t.Fatalf("recovered %d docs, want %d", len(want), n)
-			}
+			s := refusedThenUpgraded(t, dir, Durability{SnapshotEvery: -1, Shards: 4})
+			sameState(t, snapshotJSON(t, s), stateOf(t, want), "upgraded snapshot")
 			if docs, _ := checkpointCost(t, s); docs != n {
 				t.Fatalf("first checkpoint stored %d documents, want %d", docs, n)
 			}
@@ -230,7 +228,7 @@ func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 			}
 
 			s = openTemp(t, dir, Durability{SnapshotEvery: -1, Shards: 4})
-			sameState(t, snapshotJSON(t, s), want, "reopen on the rewritten snapshot")
+			sameState(t, snapshotJSON(t, s), stateOf(t, want), "reopen on the checkpoint")
 			if docs, _ := checkpointCost(t, s); docs != n {
 				t.Fatalf("checkpoint after the restart stored %d documents, want %d", docs, n)
 			}
@@ -238,9 +236,11 @@ func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 	}
 }
 
-// TestMixedFormatReplication: a follower must converge byte-identically
-// when the replicated stream interleaves JSON and binary records —
-// the cross-version primary/follower pair — whatever its shard count.
+// TestMixedFormatReplication: a follower applies the binary records a
+// primary ships and refuses a JSON record, as an earlier build's
+// primary shipped it, with ErrLegacyFormat — staging nothing, so the
+// records before it stay applied and its local journal stays at the
+// replication cursor — whatever its shard count.
 func TestMixedFormatReplication(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -250,64 +250,51 @@ func TestMixedFormatReplication(t *testing.T) {
 			}
 			defer f.Close()
 
-			docA := compatDoc(t, "alpha", 2)
 			docB := compatDoc(t, "beta", 2)
 			binPut := encodeRecord([]Op{{ID: "beta", Doc: docB}}, 0, "")
 			binBatch := encodeRecord([]Op{{ID: "gamma", Doc: compatDoc(t, "gamma", 1)}, {ID: "alpha"}}, 0, "")
 
-			records := []wal.Record{
-				{Seq: 1, Payload: legacyPutPayload(t, "alpha", docA, 0)}, // old primary
-				{Seq: 2, Payload: binPut},                                // new primary
-				{Seq: 3, Payload: legacyBatchPayload(t, map[string]*prov.Document{"delta": compatDoc(t, "delta", 1)})},
-				{Seq: 4, Payload: binBatch},
-			}
 			var last wal.Ticket
-			for _, rec := range records {
+			for _, rec := range []wal.Record{{Seq: 1, Payload: binPut}, {Seq: 2, Payload: binBatch}} {
 				tk, ok, err := f.ApplyReplicated(rec)
-				if err != nil {
-					t.Fatalf("apply seq %d: %v", rec.Seq, err)
-				}
-				if !ok {
-					t.Fatalf("record seq %d skipped", rec.Seq)
+				if err != nil || !ok {
+					t.Fatalf("apply seq %d: applied %v, %v", rec.Seq, ok, err)
 				}
 				last = tk
+			}
+			for _, payload := range [][]byte{
+				legacyPutPayload(t, "alpha", compatDoc(t, "alpha", 2), 0),
+				legacyBatchPayload(t, map[string]*prov.Document{"delta": compatDoc(t, "delta", 1)}),
+			} {
+				_, ok, err := f.ApplyReplicated(wal.Record{Seq: 3, Payload: payload})
+				if !errors.Is(err, ErrLegacyFormat) || ok {
+					t.Fatalf("JSON record: applied %v, %v; want ErrLegacyFormat", ok, err)
+				}
+				if f.AppliedSeq() != 2 || f.Log().NextSeq() != 3 {
+					t.Fatalf("after a refused record: applied seq %d, next journal seq %d; want 2, 3", f.AppliedSeq(), f.Log().NextSeq())
+				}
 			}
 			if err := last.Commit(); err != nil {
 				t.Fatal(err)
 			}
-
-			// Expected state built through the public API.
-			ref := New()
-			for id, d := range map[string]*prov.Document{
-				"beta": docB, "gamma": compatDoc(t, "gamma", 1), "delta": compatDoc(t, "delta", 1),
-			} {
-				if err := ref.Put(id, d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sameState(t, snapshotJSON(t, f), snapshotJSON(t, ref), "mixed replication")
+			sameState(t, snapshotJSON(t, f), stateOf(t, map[string]*prov.Document{
+				"beta": docB, "gamma": compatDoc(t, "gamma", 1),
+			}), "mixed replication")
 		})
 	}
 }
 
 // TestMixedJournalTornTail: a torn frame at the end of a mixed-format
-// segment must truncate to the last durable record, never corrupt the
-// decoded state before it.
+// segment — JSON records, then the binary record a later build
+// appended — truncates to the last durable record, and the upgrade
+// converts every record before it.
 func TestMixedJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	writeLegacyJournal(t, dir, legacyPutPayload(t, "alpha", compatDoc(t, "alpha", 2), 0))
-
-	s, err := Open(dir, Durability{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("beta", compatDoc(t, "beta", 1)); err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotJSON(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	docA, docB := compatDoc(t, "alpha", 2), compatDoc(t, "beta", 1)
+	writeLegacyJournal(t, dir,
+		legacyPutPayload(t, "alpha", docA, 0),
+		encodeRecord([]Op{{ID: "beta", Doc: docB}}, 0, ""),
+	)
 
 	// Tear the tail: append half a frame's worth of garbage to the
 	// newest segment, as a crash mid-write would.
@@ -324,10 +311,6 @@ func TestMixedJournalTornTail(t *testing.T) {
 	}
 	fh.Close()
 
-	s2, err := Open(dir, Durability{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatalf("open with torn tail: %v", err)
-	}
-	defer s2.Close()
-	sameState(t, snapshotJSON(t, s2), want, "torn-tail recovery")
+	s := refusedThenUpgraded(t, dir, Durability{SnapshotEvery: -1})
+	sameState(t, snapshotJSON(t, s), stateOf(t, map[string]*prov.Document{"alpha": docA, "beta": docB}), "torn-tail upgrade")
 }

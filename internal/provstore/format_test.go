@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -19,10 +20,12 @@ import (
 // the one-pipeline refactor wrote for a put, a delete and a snapshot,
 // and a mixed 3-op batch whose documents are all binary blobs. The
 // encoder must reproduce them byte for byte — directly and end to end
-// through a durable store — and the decoder must turn each, and its
-// legacy-JSON equivalent, into the same mutation. The decoder must also
-// read batch-jsonblob, the batch as earlier builds journaled it, with
-// one document held as the PROV-JSON the request carried.
+// through a durable store — and the decoder must turn each into the
+// same mutation. Each one's legacy-JSON equivalent, and batch-jsonblob,
+// the batch as earlier builds journaled it with one document held as
+// the PROV-JSON the request carried, must be refused with
+// ErrLegacyFormat by the serving decoders and read by the upgrade's
+// into that same mutation.
 
 const (
 	goldenTrace  = "golden-1"
@@ -197,55 +200,70 @@ func TestRecordFormatGoldenDecode(t *testing.T) {
 	delA := []wantOp{{"run/a", nil}}
 	batch := []wantOp{{"run/b", docB}, {"run/c", docC}, {"run/d", nil}}
 	record := func(p []byte) (mutation, error) { return decodeRecordPayload(p, 7) }
+	upgradeRec := func(p []byte) (mutation, error) { return upgradeRecord(p, 7) }
 
 	for _, tc := range []struct {
-		name    string
-		decode  func([]byte) (mutation, error)
-		payload []byte
-		trace   string
-		ops     []wantOp
+		name             string
+		decode, upgraded func([]byte) (mutation, error)
+		payload          []byte
+		trace            string
+		ops              []wantOp
+		legacy           bool // refused by decode, read by upgraded
 	}{
-		{"binary put", record, golden["put"], goldenTrace, putA},
-		{"binary delete", record, golden["del"], goldenTrace, delA},
-		{"binary batch", record, golden["batch"], goldenTrace, batch},
-		{"binary batch with a JSON blob", record, golden["batch-jsonblob"], goldenTrace, batch},
-		{"binary snapshot", decodeSnapshot, golden["snap"], "", putA},
-		{"legacy put", record, legacyPutPayload(t, "run/a", docA, 2), "", putA},
-		{"legacy delete", record, legacyDeletePayload(t, "run/a"), "", delA},
-		{"legacy batch", record, legacy(journalOp{Op: "batch", Trace: goldenTrace, Ops: []journalOp{
+		{"binary put", record, upgradeRec, golden["put"], goldenTrace, putA, false},
+		{"binary delete", record, upgradeRec, golden["del"], goldenTrace, delA, false},
+		{"binary batch", record, upgradeRec, golden["batch"], goldenTrace, batch, false},
+		{"binary batch with a JSON blob", record, upgradeRec, golden["batch-jsonblob"], goldenTrace, batch, true},
+		{"binary snapshot", decodeSnapshot, upgradeSnapshot, golden["snap"], "", putA, false},
+		{"legacy put", record, upgradeRec, legacyPutPayload(t, "run/a", docA, 2), "", putA, true},
+		{"legacy delete", record, upgradeRec, legacyDeletePayload(t, "run/a"), "", delA, true},
+		{"legacy batch", record, upgradeRec, legacy(journalOp{Op: "batch", Trace: goldenTrace, Ops: []journalOp{
 			{Op: "put", ID: "run/b", Shard: 3, Doc: mustJSON(t, docB)},
 			{Op: "put", ID: "run/c", Doc: mustJSON(t, docC)},
 			{Op: "delete", ID: "run/d", Shard: 1},
-		}}), goldenTrace, batch},
-		{"legacy snapshot", decodeSnapshot, legacySnap, "", putA},
+		}}), goldenTrace, batch, true},
+		{"legacy snapshot", decodeSnapshot, upgradeSnapshot, legacySnap, "", putA, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := tc.decode(tc.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Decoded mutations tolerate missing deletes and carry
-			// nothing to stage until a caller says so.
-			if !m.lenient || m.record != nil || m.seq != 0 || m.trace != tc.trace {
-				t.Fatalf("mutation = {lenient:%v record:%x seq:%d trace:%q}, want lenient, unstaged, trace %q",
-					m.lenient, m.record, m.seq, m.trace, tc.trace)
-			}
-			if len(m.ops) != len(tc.ops) {
-				t.Fatalf("%d ops, want %d", len(m.ops), len(tc.ops))
-			}
-			for i, w := range tc.ops {
-				op := m.ops[i]
-				if op.ID != w.id || (op.Doc == nil) != (w.doc == nil) {
-					t.Fatalf("op %d = {%q, delete=%v}, want {%q, delete=%v}", i, op.ID, op.Doc == nil, w.id, w.doc == nil)
+			check := func(label string, m mutation, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				if w.doc != nil && string(mustJSON(t, op.Doc)) != string(mustJSON(t, w.doc)) {
-					t.Fatalf("op %d (%q) decoded to a different document:\n got %s\nwant %s", i, op.ID, mustJSON(t, op.Doc), mustJSON(t, w.doc))
+				// Decoded mutations tolerate missing deletes and carry
+				// nothing to stage until a caller says so.
+				if !m.lenient || m.record != nil || m.seq != 0 || m.trace != tc.trace {
+					t.Fatalf("%s: mutation = {lenient:%v record:%x seq:%d trace:%q}, want lenient, unstaged, trace %q",
+						label, m.lenient, m.record, m.seq, m.trace, tc.trace)
+				}
+				if len(m.ops) != len(tc.ops) {
+					t.Fatalf("%s: %d ops, want %d", label, len(m.ops), len(tc.ops))
+				}
+				for i, w := range tc.ops {
+					op := m.ops[i]
+					if op.ID != w.id || (op.Doc == nil) != (w.doc == nil) {
+						t.Fatalf("%s: op %d = {%q, delete=%v}, want {%q, delete=%v}", label, i, op.ID, op.Doc == nil, w.id, w.doc == nil)
+					}
+					if w.doc != nil && string(mustJSON(t, op.Doc)) != string(mustJSON(t, w.doc)) {
+						t.Fatalf("%s: op %d (%q) decoded to a different document:\n got %s\nwant %s", label, i, op.ID, mustJSON(t, op.Doc), mustJSON(t, w.doc))
+					}
 				}
 			}
+			m, err := tc.upgraded(tc.payload)
+			check("upgrade decoder", m, err)
+			m, err = tc.decode(tc.payload)
+			if tc.legacy {
+				if !errors.Is(err, ErrLegacyFormat) || m.ops != nil {
+					t.Fatalf("serving decoder: %d ops, %v; want ErrLegacyFormat", len(m.ops), err)
+				}
+				return
+			}
+			check("serving decoder", m, err)
 		})
 	}
 
-	// Damage is rejected before anything could be applied.
+	// Damage is rejected before anything could be applied, by either
+	// decoder.
 	for name, p := range map[string][]byte{
 		"truncated":      golden["batch"][:len(golden["batch"])-3],
 		"trailing bytes": append(append([]byte(nil), golden["del"]...), 0),
@@ -254,6 +272,9 @@ func TestRecordFormatGoldenDecode(t *testing.T) {
 	} {
 		if _, err := record(p); err == nil {
 			t.Errorf("%s record accepted", name)
+		}
+		if _, err := upgradeRec(p); err == nil {
+			t.Errorf("%s record accepted by the upgrade", name)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package provstore
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -34,10 +33,14 @@ var ErrReadOnly = errors.New("provstore: store is a read-only replica")
 //
 // Shard compatibility: each journaled record carries the shard index it
 // was applied to at write time, but recovery always re-derives the
-// owning shard from the document id hash. A data directory written by
-// an earlier single-lock revision (records without a shard field) or
-// under a different -shards value therefore replays correctly into any
-// shard layout — no migration step is needed.
+// owning shard from the document id hash, so a data directory written
+// under one -shards value replays into any other.
+//
+// Format: Open reads only what this build writes (codec.go). A
+// directory holding an earlier build's records, snapshot or document
+// blobs, or a pre-WAL directory of PROV-JSON files, is refused with
+// ErrLegacyFormat; Upgrade (upgrade.go, `yprov upgrade`) converts it
+// offline.
 
 // Durability configures the journaled store returned by Open.
 type Durability struct {
@@ -68,34 +71,6 @@ type Durability struct {
 }
 
 const defaultSnapshotEvery = 256
-
-// journalOp is one logged mutation — or, for Op "batch", one atomic
-// group of them. A batch is journaled as a single WAL record, so the
-// log's record-level atomicity (a torn record is truncated whole)
-// extends to the entire batch: recovery replays all of its sub-ops or
-// none of them.
-type journalOp struct {
-	Op string `json:"op"` // "put" | "delete" | "batch"
-	ID string `json:"id,omitempty"`
-	// Shard is the shard index the mutation was applied to at write
-	// time — a debugging/observability hint, not routing truth (see the
-	// shard-compatibility note above). Absent in pre-sharding journals.
-	Shard uint32          `json:"shard,omitempty"`
-	Doc   json.RawMessage `json:"doc,omitempty"` // PROV-JSON for puts
-	Ops   []journalOp     `json:"ops,omitempty"` // sub-ops for batches
-	// Trace is the originating request's trace ID, carried so follower
-	// apply logs can name the request a replicated record came from.
-	// Purely observational: replay ignores it, and omitempty keeps
-	// pre-tracing journals byte-compatible.
-	Trace string `json:"trace,omitempty"`
-}
-
-// storeSnapshot is the full-state snapshot payload. Shards records the
-// writer's shard count (informational; restore re-derives placement).
-type storeSnapshot struct {
-	Docs   map[string]json.RawMessage `json:"docs"`
-	Shards int                        `json:"shards,omitempty"`
-}
 
 // DurabilityStats extends the raw WAL counters with store-level
 // checkpoint state for the /stats endpoint.
@@ -131,12 +106,18 @@ func Open(dir string, d Durability) (*Store, error) {
 	if d.SnapshotEvery == 0 {
 		d.SnapshotEvery = defaultSnapshotEvery
 	}
+	// Checked before wal.Open, which would start a journal beside the
+	// files and so hide them from this check for good. A missing or
+	// unreadable dir lists none: wal.Open creates it or fails on it.
+	if names, _ := preWALFiles(dir); len(names) > 0 {
+		return nil, fmt.Errorf("%w: %s holds %d PROV-JSON file(s) and no journal", ErrLegacyFormat, dir, len(names))
+	}
 	l, rec, err := wal.Open(dir, wal.Options{Fsync: d.Fsync, SegmentBytes: d.SegmentBytes, FS: d.FS})
 	if err != nil {
 		return nil, err
 	}
 	s := NewSharded(d.Shards)
-	if err := s.restore(rec); err != nil {
+	if err := s.restore(rec, decodeRecordPayload, decodeSnapshot); err != nil {
 		_ = l.Close()
 		return nil, err
 	}
@@ -153,15 +134,15 @@ func Open(dir string, d Durability) (*Store, error) {
 // Callers running a server should log this loudly at boot.
 func (s *Store) SuspectBitRot() bool { return s.suspectBitRot }
 
-// restore replays a recovered snapshot and journal tail into the
-// (not-yet-journaling, not-yet-published) store through the ordinary
-// mutation pipeline; its shard locks are uncontended here. Every
-// document routes to its hash-derived shard — the recorded shard hints
-// are ignored, which is what makes old journals and different shard
-// counts interchangeable.
-func (s *Store) restore(rec *wal.RecoveredState) error {
+// restore replays a recovered snapshot and journal tail, read by
+// decodeSnap and decodeRec, into the (not-yet-journaling,
+// not-yet-published) store through the ordinary mutation pipeline; its
+// shard locks are uncontended here. Every document routes to its
+// hash-derived shard — the recorded shard hints are ignored, which is
+// what makes different shard counts interchangeable.
+func (s *Store) restore(rec *wal.RecoveredState, decodeRec func([]byte, uint64) (mutation, error), decodeSnap func([]byte) (mutation, error)) error {
 	ctx := context.TODO() // Open takes no context; recovery is not cancellable
-	snap, err := decodeSnapshot(rec.SnapshotPayload)
+	snap, err := decodeSnap(rec.SnapshotPayload)
 	if err != nil {
 		return err
 	}
@@ -172,7 +153,7 @@ func (s *Store) restore(rec *wal.RecoveredState) error {
 		}
 	}
 	for _, r := range rec.Records {
-		m, err := decodeRecordPayload(r.Payload, r.Seq)
+		m, err := decodeRec(r.Payload, r.Seq)
 		if err != nil {
 			return err
 		}

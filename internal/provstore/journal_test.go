@@ -302,30 +302,26 @@ func TestConcurrentPutsAndCheckpoints(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONImport: a pre-WAL data directory of *.json exports loads
-// via LoadFrom into a journaled store and becomes durable.
+// TestLegacyJSONImportIntoJournaledStore: a pre-WAL data directory of
+// *.json files is refused, upgrades into a journaled store, and stays
+// durable across a reopen.
 func TestLegacyJSONImportIntoJournaledStore(t *testing.T) {
-	legacy := t.TempDir()
-	mem := New()
+	dir := t.TempDir()
+	files := map[string]*prov.Document{}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("old-%d", i)
-		if err := mem.Put(id, testDoc(t, id)); err != nil {
-			t.Fatal(err)
-		}
+		files[id+".json"] = testDoc(t, id)
 	}
-	if err := mem.SaveTo(legacy); err != nil {
-		t.Fatal(err)
-	}
+	writePreWAL(t, dir, files)
 
-	dir := t.TempDir()
-	s := openTemp(t, dir, Durability{})
-	if _, err := s.LoadFrom(legacy); err != nil {
+	s := refusedThenUpgraded(t, dir, Durability{})
+	if err := s.Put("new", testDoc(t, "new")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s2 := openTemp(t, dir, Durability{})
-	if s2.Count() != 3 {
-		t.Fatalf("imported docs not durable: %d", s2.Count())
+	if s2.Count() != 4 {
+		t.Fatalf("upgraded docs not durable: %d", s2.Count())
 	}
 }
 
@@ -347,32 +343,5 @@ func TestInMemoryStoreDurabilityNoops(t *testing.T) {
 	}
 	if st := s.Stats(); st.Durability != nil {
 		t.Fatal("in-memory store reported durability stats")
-	}
-}
-
-// TestSaveToAtomicLeavesNoTempFiles: the export path cleans up after
-// itself and round-trips through LoadFrom.
-func TestSaveToAtomicExport(t *testing.T) {
-	dir := t.TempDir()
-	s := New()
-	if err := s.Put("a/b weird:id", testDoc(t, "x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveTo(dir); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".json") {
-			t.Fatalf("stray non-export file %q", e.Name())
-		}
-	}
-	s2 := New()
-	ids, err := s2.LoadFrom(dir)
-	if err != nil || len(ids) != 1 || ids[0] != "a/b weird:id" {
-		t.Fatalf("round-trip ids=%v err=%v", ids, err)
 	}
 }

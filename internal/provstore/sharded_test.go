@@ -205,9 +205,9 @@ func TestRecoveryAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalWithoutShardField: a PR-2-era journal (records carry
-// no shard field at all) replays into a sharded store — the migration
-// path for existing data directories.
+// TestLegacyJournalWithoutShardField: a journal from before sharding
+// (records carry no shard field at all) is refused, and once upgraded
+// opens into a sharded store.
 func TestLegacyJournalWithoutShardField(t *testing.T) {
 	dir := t.TempDir()
 	l, rec, err := wal.Open(dir, wal.Options{})
@@ -234,11 +234,7 @@ func TestLegacyJournalWithoutShardField(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir, Durability{Shards: 8})
-	if err != nil {
-		t.Fatalf("open legacy journal sharded: %v", err)
-	}
-	defer s.Close()
+	s := refusedThenUpgraded(t, dir, Durability{Shards: 8})
 	if got := s.Count(); got != 2 {
 		t.Fatalf("recovered %d docs from legacy journal, want 2", got)
 	}
@@ -247,8 +243,7 @@ func TestLegacyJournalWithoutShardField(t *testing.T) {
 			t.Fatalf("legacy doc %s missing", id)
 		}
 	}
-	// And new mutations journal with shard hints without disturbing the
-	// legacy tail.
+	// And new mutations journal with shard hints after the upgrade.
 	if err := s.Put("modern", testDoc(t, "modern")); err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func TestStaleSnapshotTempRemoved(t *testing.T) {
 	wantDisk := l.Stats().DiskBytes
 	l.Close()
 
-	// One named the way WriteFileAtomic names them, one bare.
+	// One named the way writeFileAtomic names them, one bare.
 	temps := []string{
 		filepath.Join(dir, snapshotName(4)+".tmp123456789"),
 		filepath.Join(dir, snapshotName(4)+".tmp"),
@@ -191,8 +191,9 @@ func TestStaleSnapshotTempRemoved(t *testing.T) {
 		}
 	}
 	// Not the log's: names that merely contain ".snap.tmp" — a pre-WAL
-	// JSON export the server imports after Open, its renamed form, a temp
-	// of something that is not a snapshot.
+	// document file left beside an upgraded journal, the name an earlier
+	// build's boot import renamed one to, a temp of something that is not
+	// a snapshot.
 	bystanders := []string{
 		filepath.Join(dir, "ckpt.snap.tmp1.json"),
 		filepath.Join(dir, snapshotName(4)+".tmp1.json"),

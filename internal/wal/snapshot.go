@@ -16,17 +16,16 @@ var snapshotMagic = [8]byte{'Y', 'P', 'W', 'S', 'N', 'A', 'P', '1'}
 // snapshotHeader is magic(8) + seq(8) + payloadLen(8) + crc32c(4).
 const snapshotHeader = 28
 
-// tmpInfix follows the final name in the name of a WriteFileAtomic temp
+// tmpInfix follows the final name in the name of a writeFileAtomic temp
 // file; os.CreateTemp appends a random number.
 const tmpInfix = ".tmp"
 
-// WriteFileAtomic writes the concatenation of chunks to path via a
+// writeFileAtomic writes the concatenation of chunks to path via a
 // temp file in the same directory (write, fsync, rename, directory
 // fsync): a crash leaves either the old file or the complete new one
 // under the live name, never a partial — and possibly the temp file,
-// which only a returned error removes. Shared by WAL snapshots and
-// provstore's PROV-JSON exports.
-func WriteFileAtomic(path string, chunks ...[]byte) error {
+// which only a returned error removes.
+func writeFileAtomic(path string, chunks ...[]byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tmpInfix+"*")
 	if err != nil {
 		return err
@@ -58,14 +57,14 @@ func WriteFileAtomic(path string, chunks ...[]byte) error {
 }
 
 // WriteSnapshotTo writes one snapshot file covering every record with
-// sequence <= seq into dir, atomically (see WriteFileAtomic).
+// sequence <= seq into dir, atomically (see writeFileAtomic).
 func WriteSnapshotTo(dir string, seq uint64, payload []byte) error {
 	var hdr [snapshotHeader]byte
 	copy(hdr[0:8], snapshotMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:16], seq)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(payload, castagnoli))
-	if err := WriteFileAtomic(filepath.Join(dir, snapshotName(seq)), hdr[:], payload); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, snapshotName(seq)), hdr[:], payload); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	return nil
@@ -91,11 +90,11 @@ func removeSnapshotTemps(dir string) error {
 	return nil
 }
 
-// isSnapshotTemp reports whether name is one WriteFileAtomic can have
+// isSnapshotTemp reports whether name is one writeFileAtomic can have
 // given the temp file of a snapshot: a snapshot name, tmpInfix, then
 // nothing but digits. Anything else in the directory is not the log's to
-// delete — a pre-WAL export awaiting import may be named
-// "x.snap.tmp1.json".
+// delete — a pre-WAL document file left beside an upgraded journal may
+// be named "x.snap.tmp1.json".
 func isSnapshotTemp(name string) bool {
 	snap, random, ok := strings.Cut(name, tmpInfix)
 	if !ok {
