@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt test vet layering race chaos fuzz-smoke bench bench-selftest metrics-format ci
+.PHONY: all build fmt test vet layering linkcheck race chaos fuzz-smoke bench bench-selftest metrics-format ci
 
 all: build
 
@@ -35,6 +35,18 @@ layering:
 	@out=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | grep -w repro/internal/graphdb | awk '$$1 != "repro/internal/graphdb"'); \
 	if [ -n "$$out" ]; then echo "layering: only bench/ may import repro/internal/graphdb; these packages do:"; echo "$$out" | cut -d' ' -f1; exit 1; fi
 
+# Link gate: every non-test function is linked by a program that ships
+# (a main package under cmd/ or examples/, or the bench/ harness) or is
+# on testdata/unlinked.txt with the test, fuzzer, Make target or
+# interface that needs it; a line there whose function is now linked or
+# gone fails too. It rebuilds all twelve programs with inlining off and
+# -ldflags=-dumpdep, a build cache of its own that takes seconds warm
+# and minutes cold, so it runs here and not in the tier-1 `go test
+# ./...`. The gate is linkcheck_gate_test.go behind the linkcheck build
+# tag; its symbol matcher is tested on fixture dumps in linkcheck_test.go.
+linkcheck:
+	$(GO) test -tags linkcheck -count=1 -run '^TestLinkcheck$$' .
+
 race:
 	$(GO) test -race ./...
 
@@ -53,7 +65,7 @@ chaos:
 # encoding/json reference it replaced, and the two binary-codec ones.
 # zarr: the fused byte shuffle against a two-buffer transposition,
 # Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes, and
-# OpenStore/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
+# OpenZip/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
 # archive. jsonscan: Skip/End against json.Valid and String/Bytes
 # against json.Unmarshal. provservice: the one-scan batch line read
 # (envelope and document decoded together) against the two-pass read it
@@ -109,8 +121,8 @@ metrics-format:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Full gate: build, static checks (gofmt, vet, import layering), unit tests,
-# the race-detector pass over every package, the fault suites, the
-# fuzzer smoke, the exposition-format gate, one pass over every go test
-# benchmark, and the benchmark harness's own tests.
-ci: build fmt vet layering test race chaos fuzz-smoke metrics-format bench bench-selftest
+# Full gate: build, static checks (gofmt, vet, import layering, the link
+# gate), unit tests, the race-detector pass over every package, the
+# fault suites, the fuzzer smoke, the exposition-format gate, one pass
+# over every go test benchmark, and the benchmark harness's own tests.
+ci: build fmt vet layering linkcheck test race chaos fuzz-smoke metrics-format bench bench-selftest

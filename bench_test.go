@@ -12,8 +12,6 @@
 //	BenchmarkSinks/*           — storage backend ablation
 //	BenchmarkLineage/*         — stored-index lineage vs per-call document scan
 //	BenchmarkAllreduce/*       — ring vs naive collective model ablation
-//	BenchmarkTelemetry/*       — collector sampling-period ablation
-//	BenchmarkZarrAppend        — one buffered metric append
 //	BenchmarkTrainsimRun       — one full simulated training run
 package repro
 
@@ -264,8 +262,8 @@ func lineageFixture(b *testing.B, depth int) (*provstore.Store, *prov.Document) 
 }
 
 // BenchmarkLineage compares provstore.Lineage, which walks the
-// prov.Index stored with the document, against Document.Ancestors,
-// which builds an index on every call.
+// prov.Index stored with the document, against building an index for
+// every call.
 func BenchmarkLineage(b *testing.B) {
 	store, doc := lineageFixture(b, 400)
 	leaf := prov.NewQName("ex", "e399")
@@ -279,7 +277,7 @@ func BenchmarkLineage(b *testing.B) {
 	})
 	b.Run("document-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := doc.Ancestors(leaf); len(got) == 0 {
+			if got, _ := prov.NewIndex(doc).Reach(leaf, prov.Forward, 0); len(got) == 0 {
 				b.Fatal("no ancestors")
 			}
 		}
@@ -307,42 +305,6 @@ func BenchmarkAllreduce(b *testing.B) {
 			b.ReportMetric(c.NaiveAllreduceSeconds(2.8e9)*1e3, "model-ms")
 			_ = acc
 		})
-	}
-}
-
-// BenchmarkTelemetry ablates the collector sampling period over a fixed
-// simulated hour: finer sampling costs linearly more.
-func BenchmarkTelemetry(b *testing.B) {
-	for _, period := range []time.Duration{time.Second, 10 * time.Second, time.Minute} {
-		b.Run(fmt.Sprintf("period-%s", period), func(b *testing.B) {
-			col := &telemetry.Collector{
-				Samplers: []telemetry.Sampler{telemetry.NewGPUSampler(telemetry.MI250XGCD(), 0, 1)},
-				Period:   period,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, _, err := col.Collect(time.Hour, telemetry.ConstantLoad(0.8)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkZarrAppend measures the incremental metric-logging hot path
-// (one small append per training step).
-func BenchmarkZarrAppend(b *testing.B) {
-	store := zarr.NewMemStore()
-	arr, err := zarr.Create(store, "loss", []int{0}, []int{4096}, zarr.Float64, zarr.GzipCodec{Level: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := []float64{0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf[0] = float64(i)
-		if err := arr.Append(buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

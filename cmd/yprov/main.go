@@ -25,10 +25,10 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
-
-	"flag"
+	"strconv"
 
 	"repro/internal/prov"
 	"repro/internal/provclient"
@@ -84,7 +84,7 @@ func main() {
 		}
 		err = c.Delete(args[1])
 	case "lineage":
-		if len(args) < 3 {
+		if len(args) < 3 || len(args) > 4 {
 			fail("usage: lineage <id> <node> [ancestors|descendants]")
 		}
 		dir := provstore.Ancestors
@@ -100,8 +100,8 @@ func main() {
 		if len(args) != 4 {
 			fail("usage: subgraph <id> <node> <hops>")
 		}
-		hops := 0
-		if _, serr := fmt.Sscanf(args[3], "%d", &hops); serr != nil {
+		hops, serr := strconv.Atoi(args[3])
+		if serr != nil {
 			fail("bad hops %q", args[3])
 		}
 		var doc *prov.Document

@@ -74,11 +74,6 @@ func New(cfg Config) *Advisor {
 	return &Advisor{cfg: cfg}
 }
 
-// History returns the observations seen so far.
-func (a *Advisor) History() []Observation {
-	return append([]Observation(nil), a.hist...)
-}
-
 // Observe records a sample and returns the current recommendation.
 // Rules are evaluated in severity order: budgets first, then target,
 // then diminishing-returns heuristics.

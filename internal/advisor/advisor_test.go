@@ -81,8 +81,8 @@ func TestDisabledRulesNeverStop(t *testing.T) {
 			t.Fatalf("disabled advisor stopped: %+v", adv)
 		}
 	}
-	if len(a.History()) != 50 {
-		t.Errorf("history = %d", len(a.History()))
+	if len(a.hist) != 50 {
+		t.Errorf("history = %d", len(a.hist))
 	}
 }
 

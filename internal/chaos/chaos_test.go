@@ -79,7 +79,7 @@ func TestChaosFsyncErrorLosesNoAckedWrite(t *testing.T) {
 	}
 	defer reopened.Close()
 	for _, id := range acked {
-		got, ok := reopened.Get(id)
+		got, ok := storeGet(reopened, id)
 		if !ok {
 			t.Fatalf("acked write %q lost after reopen", id)
 		}
@@ -290,8 +290,8 @@ func TestChaosPartitionedFollowerConverges(t *testing.T) {
 		t.Fatalf("List mismatch after heal:\nprimary:  %v\nfollower: %v", pIDs, fIDs)
 	}
 	for _, id := range pIDs {
-		pd, _ := pstore.Get(id)
-		fd, ok := fstore.Get(id)
+		pd, _ := storeGet(pstore, id)
+		fd, ok := storeGet(fstore, id)
 		if !ok {
 			t.Fatalf("follower missing %q after heal", id)
 		}
@@ -301,4 +301,10 @@ func TestChaosPartitionedFollowerConverges(t *testing.T) {
 			t.Fatalf("document %q differs between primary and follower after heal", id)
 		}
 	}
+}
+
+// storeGet reads one document through the store's View.
+func storeGet(s *provstore.Store, id string) (*prov.Document, bool) {
+	v, ok := s.View(id)
+	return v.Document(), ok
 }

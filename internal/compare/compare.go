@@ -44,16 +44,6 @@ func Best(runs []RunInfo, metric string, minimize bool) (RunInfo, error) {
 	return runs[bestIdx], nil
 }
 
-// GroupBy buckets runs by the value of a tag (string) parameter.
-func GroupBy(runs []RunInfo, tag string) map[string][]RunInfo {
-	out := make(map[string][]RunInfo)
-	for _, r := range runs {
-		key := r.Tags[tag]
-		out[key] = append(out[key], r)
-	}
-	return out
-}
-
 // Correlation computes the Pearson correlation between a numeric
 // parameter and a metric over the runs that report both.
 func Correlation(runs []RunInfo, param, metric string) (float64, int) {

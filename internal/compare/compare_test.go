@@ -47,13 +47,6 @@ func TestBestSkipsNaN(t *testing.T) {
 	}
 }
 
-func TestGroupBy(t *testing.T) {
-	groups := GroupBy(sampleRuns(), "arch")
-	if len(groups["mae"]) != 2 || len(groups["swin"]) != 2 {
-		t.Fatalf("groups = %v", groups)
-	}
-}
-
 func TestCorrelationSign(t *testing.T) {
 	// Larger batch associates with lower loss in the sample.
 	corr, n := Correlation(sampleRuns(), "batch", "loss")

@@ -32,9 +32,9 @@ func TestCollectOnceStampsTrainingEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loss, _ := r.Metrics().Get("loss", metrics.Training)
+	loss, _ := seriesOf(r.metrics, "loss", metrics.Training)
 	for _, name := range []string{"hw_gpu0_util", "hw_cpu_power_w"} {
-		hw, ok := r.Metrics().Get(name, metrics.Training)
+		hw, ok := seriesOf(r.metrics, name, metrics.Training)
 		if !ok || hw.Len() != loss.Len() {
 			t.Fatalf("%s: %d points, want %d", name, hw.Len(), loss.Len())
 		}
@@ -84,7 +84,6 @@ func TestCollectOnceConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 4; i++ {
-			r.RegisterCollector(RuntimeCollector{})
 			r.RegisterCollector(&TelemetryCollector{Label: fmt.Sprintf("cpu%d", i), Samplers: []telemetry.Sampler{telemetry.NewCPUSampler(int64(i))}})
 		}
 	}()
@@ -101,41 +100,10 @@ func TestCollectOnceConcurrent(t *testing.T) {
 	if err := r.CollectOnce(steps); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := r.Metrics().Get("hw_gpu0_util", metrics.Training); s.Len() != steps+1 {
+	if s, _ := seriesOf(r.metrics, "hw_gpu0_util", metrics.Training); s.Len() != steps+1 {
 		t.Errorf("hw_gpu0_util: %d points, want %d", s.Len(), steps+1)
 	}
-	if s, _ := r.Metrics().Get("cpu3_cpu_util", metrics.Training); s.Len() < 1 {
+	if s, _ := seriesOf(r.metrics, "cpu3_cpu_util", metrics.Training); s.Len() < 1 {
 		t.Error("a collector registered mid-run was never sampled")
-	}
-}
-
-// TestRuntimeCollectorReadings: the four readings are present under
-// their names, the heap is non-empty and the counters do not go back.
-func TestRuntimeCollectorReadings(t *testing.T) {
-	read := func() map[string]float64 {
-		got := map[string]float64{}
-		for _, r := range (RuntimeCollector{}).Collect(0) {
-			got[r.Metric] = r.Value
-		}
-		return got
-	}
-	first := read()
-	_ = make([]byte, 1<<20)
-	second := read()
-	for _, name := range []string{"heap_alloc_mb", "total_alloc_mb", "num_gc", "goroutines"} {
-		if _, ok := second[name]; !ok {
-			t.Errorf("reading %s missing", name)
-		}
-	}
-	if second["heap_alloc_mb"] <= 0 {
-		t.Errorf("heap_alloc_mb = %v, want > 0", second["heap_alloc_mb"])
-	}
-	if second["goroutines"] < 1 {
-		t.Errorf("goroutines = %v, want >= 1", second["goroutines"])
-	}
-	for _, name := range []string{"total_alloc_mb", "num_gc"} {
-		if second[name] < first[name] {
-			t.Errorf("%s went back: %v then %v", name, first[name], second[name])
-		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // TestConcurrentLogMetricAndBuildProv hammers the logging hot path from
 // data-parallel workers while provenance documents are generated
 // concurrently — the access pattern the sharded metric collection and
-// the run's read-locked fast path exist for. Run with -race.
+// the run's read-locked fast path exist for — and while the experiment
+// starts other runs, whose count each document reports. Run with -race.
 func TestConcurrentLogMetricAndBuildProv(t *testing.T) {
 	exp := NewExperiment("conc")
 	run := exp.StartRun("r",
@@ -24,8 +25,16 @@ func TestConcurrentLogMetricAndBuildProv(t *testing.T) {
 		pointsPerWorker  = 500
 		builders         = 2
 		buildsPerBuilder = 20
+		otherRuns        = 50
 	)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < otherRuns; i++ {
+			exp.StartRun("other")
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -57,7 +66,7 @@ func TestConcurrentLogMetricAndBuildProv(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := run.Metrics().TotalPoints(); got != workers*pointsPerWorker {
+	if got := run.metrics.TotalPoints(); got != workers*pointsPerWorker {
 		t.Fatalf("TotalPoints = %d, want %d", got, workers*pointsPerWorker)
 	}
 	doc, err := run.BuildProv(nil)
@@ -66,6 +75,9 @@ func TestConcurrentLogMetricAndBuildProv(t *testing.T) {
 	}
 	if _, err := doc.Validate(); err != nil {
 		t.Fatalf("final document invalid: %v", err)
+	}
+	if n, _ := doc.Entities[run.qExperiment()].Attrs["provml:n_runs"].AsInt(); n != 1+otherRuns {
+		t.Fatalf("provml:n_runs = %d, want %d", n, 1+otherRuns)
 	}
 }
 
@@ -84,7 +96,7 @@ func TestConcurrentCollectionLog(t *testing.T) {
 			for i := 0; i < points; i++ {
 				c.Log(fmt.Sprintf("m%d", w%3), metrics.Training, metrics.Point{Step: int64(i), Value: float64(i)})
 				if i%97 == 0 {
-					c.Each(func(metrics.Series) {})
+					c.Snapshot()
 					c.TotalPoints()
 				}
 			}

@@ -9,11 +9,7 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -75,13 +71,6 @@ func (c *SimClock) Now() time.Time {
 	return now
 }
 
-// Advance moves the clock forward by d without producing a tick.
-func (c *SimClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // MetricStorage selects where metric time series are persisted.
 type MetricStorage int
 
@@ -109,9 +98,8 @@ type Experiment struct {
 	Dir  string
 	User string
 
-	mu   sync.Mutex
-	runs []*Run
-	seq  int
+	mu  sync.Mutex
+	seq int // runs started so far; the last one's number
 }
 
 // ExperimentOption configures NewExperiment.
@@ -134,13 +122,6 @@ func NewExperiment(name string, opts ...ExperimentOption) *Experiment {
 		o(e)
 	}
 	return e
-}
-
-// Runs returns the runs started so far.
-func (e *Experiment) Runs() []*Run {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*Run(nil), e.runs...)
 }
 
 // param is one logged parameter.
@@ -241,24 +222,14 @@ func (e *Experiment) StartRun(name string, opts ...RunOption) *Run {
 		o(r)
 	}
 	r.started = r.clock.Now()
-
-	e.mu.Lock()
-	e.runs = append(e.runs, r)
-	e.mu.Unlock()
 	return r
 }
 
-// Experiment returns the owning experiment.
-func (r *Run) Experiment() *Experiment { return r.exp }
-
-// StartTime returns when the run began.
-func (r *Run) StartTime() time.Time { return r.started }
-
-// Ended reports whether End has been called.
-func (r *Run) Ended() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ended
+// runCount is the number of runs started so far.
+func (e *Experiment) runCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.seq
 }
 
 // LogOption modifies a single log call.
@@ -343,9 +314,6 @@ func (r *Run) LogMetric(name string, ctx metrics.Context, step int64, value floa
 	return nil
 }
 
-// Metrics exposes the run's metric collection (read-mostly).
-func (r *Run) Metrics() *metrics.Collection { return r.metrics }
-
 // StartEpoch opens epoch index within the context.
 func (r *Run) StartEpoch(ctx metrics.Context, index int) error {
 	r.mu.Lock()
@@ -374,34 +342,6 @@ func (r *Run) EndEpoch(ctx metrics.Context) error {
 	r.epochs[ctx] = append(r.epochs[ctx], *cur)
 	r.curEpoch[ctx] = nil
 	return nil
-}
-
-// Epochs returns the closed epochs of a context.
-func (r *Run) Epochs(ctx metrics.Context) []EpochRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]EpochRecord(nil), r.epochs[ctx]...)
-}
-
-// LogArtifact records a file by path, hashing its content.
-func (r *Run) LogArtifact(path string, opts ...LogOption) (Artifact, error) {
-	s := applyOpts(opts)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Artifact{}, fmt.Errorf("core: LogArtifact: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	a := Artifact{
-		Name:      filepath.Base(path),
-		Path:      path,
-		SHA256:    hex.EncodeToString(sum[:]),
-		SizeBytes: int64(len(data)),
-		Kind:      "file",
-		Direction: s.direction,
-		Context:   s.context,
-		LoggedAt:  r.clock.Now(),
-	}
-	return a, r.addArtifact(a)
 }
 
 // LogArtifactRef records an artifact that is not a readable local file
@@ -460,36 +400,6 @@ func (r *Run) addArtifact(a Artifact) error {
 	}
 	r.artifacts = append(r.artifacts, a)
 	return nil
-}
-
-// Artifacts returns logged artifacts.
-func (r *Run) Artifacts() []Artifact {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Artifact(nil), r.artifacts...)
-}
-
-// Params returns logged parameter names in log order.
-func (r *Run) ParamNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.params))
-	for i, p := range r.params {
-		out[i] = p.name
-	}
-	return out
-}
-
-// Param returns a logged parameter's value as a prov.Value.
-func (r *Run) Param(name string) (prov.Value, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.params) - 1; i >= 0; i-- {
-		if r.params[i].name == name {
-			return r.params[i].value, true
-		}
-	}
-	return prov.Value{}, false
 }
 
 // RegisterCollector attaches a plugin collector to the run.

@@ -14,8 +14,19 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/prov"
+	"repro/internal/telemetry"
 	"repro/internal/zarr"
 )
+
+// seriesOf returns a copy of the named series of c.
+func seriesOf(c *metrics.Collection, name string, ctx metrics.Context) (metrics.Series, bool) {
+	for _, s := range c.Snapshot() {
+		if s.Name == name && s.Context == ctx {
+			return s, true
+		}
+	}
+	return metrics.Series{}, false
+}
 
 func simRun(t testing.TB, opts ...RunOption) *Run {
 	t.Helper()
@@ -32,8 +43,8 @@ func TestRunIDsUnique(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatalf("duplicate run ids %q", a.ID)
 	}
-	if len(exp.Runs()) != 2 {
-		t.Fatalf("runs = %d", len(exp.Runs()))
+	if n := exp.runCount(); n != 2 {
+		t.Fatalf("runs = %d", n)
 	}
 }
 
@@ -84,7 +95,7 @@ func TestLogMetricEpochTagging(t *testing.T) {
 	if err := r.LogMetric("loss", metrics.Training, 2, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := r.Metrics().Get("loss", metrics.Training)
+	s, _ := seriesOf(r.metrics, "loss", metrics.Training)
 	if s.Points[0].Epoch != 0 || s.Points[1].Epoch != 1 {
 		t.Errorf("epoch tags = %v, %v", s.Points[0].Epoch, s.Points[1].Epoch)
 	}
@@ -111,7 +122,7 @@ func TestEndClosesOpenEpochs(t *testing.T) {
 	if _, err := r.End(); err != nil {
 		t.Fatal(err)
 	}
-	eps := r.Epochs(metrics.Validation)
+	eps := r.epochs[metrics.Validation]
 	if len(eps) != 1 || eps[0].Duration <= 0 {
 		t.Fatalf("epochs = %+v", eps)
 	}
@@ -131,27 +142,8 @@ func TestLoggingAfterEndFails(t *testing.T) {
 	if _, err := r.End(); err == nil {
 		t.Error("double End must fail")
 	}
-	if !r.Ended() {
-		t.Error("Ended() should be true")
-	}
-}
-
-func TestLogArtifactHashes(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "checkpoint.bin")
-	if err := os.WriteFile(path, []byte("weights"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := simRun(t)
-	a, err := r.LogArtifact(path, AsInput())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SHA256 == "" || a.SizeBytes != 7 || a.Direction != Input {
-		t.Fatalf("artifact = %+v", a)
-	}
-	if _, err := r.LogArtifact(filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing file must fail")
+	if !r.ended {
+		t.Error("the run is not marked ended")
 	}
 }
 
@@ -402,7 +394,7 @@ func TestEndWritesOneArchive(t *testing.T) {
 	}
 
 	want := zarr.NewMemStore()
-	if _, err := (&metrics.ZarrSink{Store: want}).Flush(r.Metrics()); err != nil {
+	if _, err := (&metrics.ZarrSink{Store: want}).Flush(r.metrics); err != nil {
 		t.Fatal(err)
 	}
 	keys, err := want.List("")
@@ -439,7 +431,7 @@ func TestEndWritesOneArchive(t *testing.T) {
 func TestCollectors(t *testing.T) {
 	r := simRun(t)
 	r.RegisterCollector(NewGPUFleetCollector(2, 7, func(time.Duration) float64 { return 0.8 }))
-	r.RegisterCollector(RuntimeCollector{})
+	r.RegisterCollector(&TelemetryCollector{Label: "cpu", Samplers: []telemetry.Sampler{telemetry.NewCPUSampler(3)}})
 	for i := 0; i < 10; i++ {
 		if err := r.CollectOnce(int64(i)); err != nil {
 			t.Fatal(err)
@@ -448,17 +440,17 @@ func TestCollectors(t *testing.T) {
 	if r.EnergyJoules() <= 0 {
 		t.Error("energy must accumulate from power readings")
 	}
-	if _, ok := r.Metrics().Get("hw_gpu0_power_w", metrics.Training); !ok {
+	if _, ok := seriesOf(r.metrics, "hw_gpu0_power_w", metrics.Training); !ok {
 		t.Error("gpu power metric missing")
 	}
-	if _, ok := r.Metrics().Get("goruntime_heap_alloc_mb", metrics.Training); !ok {
-		t.Error("runtime metric missing")
+	if _, ok := seriesOf(r.metrics, "cpu_cpu_util", metrics.Training); !ok {
+		t.Error("cpu metric missing")
 	}
 }
 
 func TestCollectOnceAfterEnd(t *testing.T) {
 	r := simRun(t)
-	r.RegisterCollector(RuntimeCollector{})
+	r.RegisterCollector(&TelemetryCollector{Label: "cpu", Samplers: []telemetry.Sampler{telemetry.NewCPUSampler(3)}})
 	if _, err := r.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -481,8 +473,8 @@ func TestConcurrentLoggingRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if r.Metrics().TotalPoints() != 400 {
-		t.Errorf("points = %d", r.Metrics().TotalPoints())
+	if r.metrics.TotalPoints() != 400 {
+		t.Errorf("points = %d", r.metrics.TotalPoints())
 	}
 	if _, err := r.End(); err != nil {
 		t.Fatal(err)
@@ -496,8 +488,28 @@ func TestSimClock(t *testing.T) {
 	if !b.After(a) || b.Sub(a) != time.Second {
 		t.Errorf("ticks: %v then %v", a, b)
 	}
-	c.Advance(time.Hour)
-	if got := c.Now().Sub(b); got < time.Hour {
-		t.Errorf("advance ignored: %v", got)
+}
+
+// Param returns a logged parameter's latest value; ParamNames lists the
+// logged names in log order. The library reads parameters only when it
+// builds the document, so these lookups live with the tests.
+func (r *Run) Param(name string) (prov.Value, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := len(r.params) - 1; i >= 0; i-- {
+		if r.params[i].name == name {
+			return r.params[i].value, true
+		}
 	}
+	return prov.Value{}, false
+}
+
+func (r *Run) ParamNames() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, len(r.params))
+	for i, p := range r.params {
+		out[i] = p.name
+	}
+	return out
 }

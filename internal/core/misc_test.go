@@ -79,8 +79,8 @@ func TestRunStartTime(t *testing.T) {
 	base := time.Date(2025, 7, 1, 0, 0, 0, 0, time.UTC)
 	exp := NewExperiment("t")
 	r := exp.StartRun("r", WithClock(NewSimClock(base, time.Second)))
-	if !r.StartTime().Equal(base) {
-		t.Errorf("start = %v", r.StartTime())
+	if !r.started.Equal(base) {
+		t.Errorf("start = %v", r.started)
 	}
 }
 

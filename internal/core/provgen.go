@@ -54,7 +54,7 @@ func (r *Run) BuildProv(metricRefs map[metrics.Key]string) (*prov.Document, erro
 		"prov:type":        prov.Str("provml:Experiment"),
 		"provml:name":      prov.Str(r.exp.Name),
 		"provml:user":      prov.Str(r.exp.User),
-		"provml:n_runs":    prov.Int(int64(len(r.exp.runs))),
+		"provml:n_runs":    prov.Int(int64(r.exp.runCount())),
 		"provml:directory": prov.Str(r.exp.Dir),
 	})
 	runAct := d.AddActivity(r.qRun(), prov.Attrs{

@@ -1,6 +1,7 @@
 package devtrack
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -88,13 +89,6 @@ func TestDiffApplyQuick(t *testing.T) {
 	}
 }
 
-func TestApplyRejectsMismatch(t *testing.T) {
-	ops := DiffLines([]string{"a"}, []string{"b"})
-	if _, err := Apply([]string{"DIFFERENT"}, ops); err == nil {
-		t.Fatal("mismatched base must fail")
-	}
-}
-
 func TestUnified(t *testing.T) {
 	out := Unified(DiffLines([]string{"keep", "old"}, []string{"keep", "new"}))
 	for _, want := range []string{"  keep", "- old", "+ new"} {
@@ -107,12 +101,12 @@ func TestUnified(t *testing.T) {
 func TestSnapshotDedup(t *testing.T) {
 	s := NewSnapshotStore()
 	s.TakeSnapshotFiles(map[string][]byte{"a.go": []byte("same"), "b.go": []byte("same")}, "first")
-	if s.BlobCount() != 1 {
-		t.Errorf("identical contents must dedup: %d blobs", s.BlobCount())
+	if len(s.blobs) != 1 {
+		t.Errorf("identical contents must dedup: %d blobs", len(s.blobs))
 	}
 	s.TakeSnapshotFiles(map[string][]byte{"a.go": []byte("same")}, "second")
-	if s.BlobCount() != 1 {
-		t.Errorf("cross-snapshot dedup failed: %d blobs", s.BlobCount())
+	if len(s.blobs) != 1 {
+		t.Errorf("cross-snapshot dedup failed: %d blobs", len(s.blobs))
 	}
 }
 
@@ -167,31 +161,6 @@ func TestSnapshotLinkRun(t *testing.T) {
 	}
 }
 
-func TestTakeSnapshotFromDisk(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{"main.go": "package main\n", "README.md": "# hi\n", "data.bin": "\x00\x01"}
-	for name, content := range files {
-		if err := writeFile(dir, name, content); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := NewSnapshotStore()
-	snap, err := s.TakeSnapshot(dir, "from disk", []string{".go", ".md"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Files) != 2 {
-		t.Errorf("extension filter failed: %v", snap.Files)
-	}
-	all, err := s.TakeSnapshot(dir, "everything", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all.Files) != 3 {
-		t.Errorf("unfiltered = %v", all.Files)
-	}
-}
-
 func TestJournalAndProv(t *testing.T) {
 	s := NewSnapshotStore()
 	t0 := time.Date(2025, 2, 1, 0, 0, 0, 0, time.UTC)
@@ -204,8 +173,8 @@ func TestJournalAndProv(t *testing.T) {
 	j.Record("python train.py", "loss=2.1", 0, snap.ID)
 	j.Record("python train.py --lr 0.01", "loss=1.7", 0, snap.ID)
 	j.Record("rm -rf results", "", 1, "")
-	if j.Len() != 3 {
-		t.Fatalf("len = %d", j.Len())
+	if len(j.entries) != 3 {
+		t.Fatalf("len = %d", len(j.entries))
 	}
 
 	doc, err := j.BuildProv(s)
@@ -272,4 +241,34 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// Apply reconstructs b from a and a diff; it errors if the diff does
+// not match a. It is the oracle DiffLines is checked against.
+func Apply(a []string, ops []Op) ([]string, error) {
+	var out []string
+	i := 0
+	for _, op := range ops {
+		switch op.Kind {
+		case OpEqual:
+			if i >= len(a) || a[i] != op.Line {
+				return nil, fmt.Errorf("devtrack: diff mismatch at line %d", i)
+			}
+			out = append(out, a[i])
+			i++
+		case OpDelete:
+			if i >= len(a) || a[i] != op.Line {
+				return nil, fmt.Errorf("devtrack: diff mismatch at line %d", i)
+			}
+			i++
+		case OpInsert:
+			out = append(out, op.Line)
+		default:
+			return nil, fmt.Errorf("devtrack: bad op %q", op.Kind)
+		}
+	}
+	if i != len(a) {
+		return nil, fmt.Errorf("devtrack: diff did not consume input (%d of %d lines)", i, len(a))
+	}
+	return out, nil
 }

@@ -1,14 +1,11 @@
 // Package devtrack implements the paper's §3.1 development-tracking use
 // case without shelling out to git: a content-addressed snapshot store
-// over a source tree, a Myers line-diff between snapshots, and a command
-// journal capturing the console history ("development graph") that can
-// be linked to training runs and exported as PROV.
+// over a set of source files, a Myers line-diff between snapshots, and a
+// command journal capturing the console history ("development graph")
+// that can be linked to training runs and exported as PROV.
 package devtrack
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // OpKind is one diff operation type.
 type OpKind byte
@@ -114,36 +111,6 @@ func DiffLines(a, b []string) []Op {
 		ops[i], ops[j] = ops[j], ops[i]
 	}
 	return ops
-}
-
-// Apply reconstructs b from a and a diff; it errors if the diff does
-// not match a.
-func Apply(a []string, ops []Op) ([]string, error) {
-	var out []string
-	i := 0
-	for _, op := range ops {
-		switch op.Kind {
-		case OpEqual:
-			if i >= len(a) || a[i] != op.Line {
-				return nil, fmt.Errorf("devtrack: diff mismatch at line %d", i)
-			}
-			out = append(out, a[i])
-			i++
-		case OpDelete:
-			if i >= len(a) || a[i] != op.Line {
-				return nil, fmt.Errorf("devtrack: diff mismatch at line %d", i)
-			}
-			i++
-		case OpInsert:
-			out = append(out, op.Line)
-		default:
-			return nil, fmt.Errorf("devtrack: bad op %q", op.Kind)
-		}
-	}
-	if i != len(a) {
-		return nil, fmt.Errorf("devtrack: diff did not consume input (%d of %d lines)", i, len(a))
-	}
-	return out, nil
 }
 
 // Unified renders ops in a unified-diff-like text form (full context).

@@ -59,13 +59,6 @@ func (j *Journal) Entries() []CommandEntry {
 	return append([]CommandEntry(nil), j.entries...)
 }
 
-// Len returns the number of entries.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
-}
-
 // BuildProv exports the development history as a PROV document: each
 // command is an activity informed by its predecessor (the console
 // timeline); outputs are entities; snapshots are entities used by the

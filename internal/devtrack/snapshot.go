@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -72,13 +71,6 @@ func (s *SnapshotStore) Blob(hash string) ([]byte, bool) {
 	return out, true
 }
 
-// BlobCount returns the number of unique blobs stored.
-func (s *SnapshotStore) BlobCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blobs)
-}
-
 // TakeSnapshotFiles records an in-memory file set.
 func (s *SnapshotStore) TakeSnapshotFiles(files map[string][]byte, message string) Snapshot {
 	snap := Snapshot{Message: message, Time: s.clock(), Files: make(map[string]string, len(files))}
@@ -91,50 +83,6 @@ func (s *SnapshotStore) TakeSnapshotFiles(files map[string][]byte, message strin
 	s.snaps = append(s.snaps, snap)
 	s.mu.Unlock()
 	return snap
-}
-
-// TakeSnapshot walks root and records every regular file matching the
-// extension filter (nil = all files).
-func (s *SnapshotStore) TakeSnapshot(root, message string, exts []string) (Snapshot, error) {
-	files := map[string][]byte{}
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if exts != nil {
-			match := false
-			for _, e := range exts {
-				if strings.HasSuffix(path, e) {
-					match = true
-					break
-				}
-			}
-			if !match {
-				return nil
-			}
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		files[rel] = data
-		return nil
-	})
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("devtrack: snapshot walk: %w", err)
-	}
-	return s.TakeSnapshotFiles(files, message), nil
-}
-
-// Snapshots lists snapshots in creation order.
-func (s *SnapshotStore) Snapshots() []Snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Snapshot(nil), s.snaps...)
 }
 
 // Get returns a snapshot by id.

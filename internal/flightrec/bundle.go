@@ -109,13 +109,3 @@ func (r *Recorder) Frozen() *Bundle {
 	}
 	return r.latest.Load()
 }
-
-// Bundles snapshots the retained frozen bundles, oldest first.
-func (r *Recorder) Bundles() []*Bundle {
-	if r == nil {
-		return nil
-	}
-	r.freezeMu.Lock()
-	defer r.freezeMu.Unlock()
-	return append([]*Bundle(nil), r.bundles...)
-}

@@ -2,9 +2,7 @@
 // performance estimation without training": fitting Chinchilla-style
 // scaling laws to historical run records harvested from provenance, and
 // answering "what would this configuration cost" queries with a single
-// inference step instead of a training run. It also provides the
-// similar-run retrieval (§3.2) used to seed estimates from a knowledge
-// base of previous experiments.
+// inference step instead of a training run.
 package forecast
 
 import (
@@ -214,46 +212,3 @@ func (c CostModel) EstimateTime(params, tokens float64, gpus int) (float64, erro
 	}
 	return c.SecondsPerFlop[bestG] * flops * float64(bestG) / float64(gpus), nil
 }
-
-// Similar returns the k records closest to the query in log-feature
-// space (params, tokens, gpus) — the §3.2 "identify similar processes"
-// operation.
-func Similar(records []RunRecord, query RunRecord, k int) []RunRecord {
-	type scored struct {
-		r RunRecord
-		d float64
-	}
-	logOr := func(v float64) float64 {
-		if v <= 0 {
-			return 0
-		}
-		return math.Log(v)
-	}
-	var all []scored
-	for _, r := range records {
-		d := 0.0
-		d += sq(logOr(r.Params) - logOr(query.Params))
-		d += sq(logOr(r.Tokens) - logOr(query.Tokens))
-		d += sq(logOr(float64(r.GPUs)) - logOr(float64(query.GPUs)))
-		if r.Family != query.Family && query.Family != "" {
-			d += 1.0 // architecture mismatch penalty
-		}
-		all = append(all, scored{r, d})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].r.RunID < all[j].r.RunID
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]RunRecord, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].r
-	}
-	return out
-}
-
-func sq(x float64) float64 { return x * x }

@@ -167,25 +167,3 @@ func TestCostModel(t *testing.T) {
 		t.Error("empty cost fit must fail")
 	}
 }
-
-func TestSimilar(t *testing.T) {
-	recs := []RunRecord{
-		{RunID: "tiny", Family: "MAE", Params: 1e7, Tokens: 1e8, GPUs: 4},
-		{RunID: "mid", Family: "MAE", Params: 2e8, Tokens: 8e8, GPUs: 32},
-		{RunID: "mid-swin", Family: "Swin", Params: 2e8, Tokens: 8e8, GPUs: 32},
-		{RunID: "huge", Family: "MAE", Params: 1.4e9, Tokens: 3e9, GPUs: 128},
-	}
-	q := RunRecord{Family: "MAE", Params: 1.8e8, Tokens: 7e8, GPUs: 32}
-	got := Similar(recs, q, 2)
-	if len(got) != 2 || got[0].RunID != "mid" {
-		t.Fatalf("similar = %v", got)
-	}
-	// Family mismatch penalized: mid-swin ranks below mid.
-	if got[1].RunID == "mid-swin" {
-		t.Log("swin ranked second (allowed): distance dominated by size")
-	}
-	all := Similar(recs, q, 99)
-	if len(all) != len(recs) {
-		t.Errorf("k clamp failed: %d", len(all))
-	}
-}

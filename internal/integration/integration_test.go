@@ -54,7 +54,7 @@ func trackSimulatedRun(t *testing.T, dir string) (*core.Run, core.EndResult, tra
 	must(run.LogParam("global_batch", spec.GlobalBatch))
 	must(run.LogParam("epochs", spec.Epochs))
 	must(run.LogParam("patches", spec.Dataset.Patches))
-	_, err = run.LogArtifactRef("modis", "data/modis", "file", spec.Dataset.SizeBytes(), core.AsInput())
+	_, err = run.LogArtifactRef("modis", "data/modis", "file", int64(spec.Dataset.Patches)*int64(spec.Dataset.PatchDim)*int64(spec.Dataset.PatchDim)*int64(spec.Dataset.Channels)*4, core.AsInput())
 	must(err)
 	for _, ep := range simRes.Epochs {
 		must(run.StartEpoch(metrics.Training, ep.Index))
@@ -71,7 +71,7 @@ func trackSimulatedRun(t *testing.T, dir string) (*core.Run, core.EndResult, tra
 
 func TestFullPipeline(t *testing.T) {
 	dir := t.TempDir()
-	run, endRes, _ := trackSimulatedRun(t, dir)
+	run, endRes, simRes := trackSimulatedRun(t, dir)
 
 	// 1. Files on disk: prov.json parses, metrics read back from zarr.
 	raw, err := os.ReadFile(endRes.ProvJSONPath)
@@ -85,7 +85,7 @@ func TestFullPipeline(t *testing.T) {
 	if _, err := doc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := zarr.OpenStore(endRes.MetricPaths[0])
+	store, err := zarr.OpenZip(endRes.MetricPaths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +93,13 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := run.Metrics().Get("loss", metrics.Training)
-	if series.Len() != orig.Len() {
-		t.Fatalf("zarr round trip: %d != %d points", series.Len(), orig.Len())
+	if series.Len() != len(simRes.Epochs) {
+		t.Fatalf("zarr round trip: %d != %d points", series.Len(), len(simRes.Epochs))
+	}
+	for i, ep := range simRes.Epochs {
+		if p := series.Points[i]; p.Value != ep.Loss || p.Step != int64(ep.Index) {
+			t.Fatalf("zarr round trip point %d: %+v, want loss %v at step %d", i, p, ep.Loss, ep.Index)
+		}
 	}
 
 	// 2. Upload to the service, query lineage of the produced model.
@@ -223,37 +227,6 @@ func TestWorkflowServicePairing(t *testing.T) {
 	}
 	if _, err := client.Get(runID); err != nil {
 		t.Errorf("paired run document unreachable: %v", err)
-	}
-}
-
-func TestCombinedExperimentUpload(t *testing.T) {
-	exp := core.NewExperiment("combined-int")
-	for i := 0; i < 2; i++ {
-		r := exp.StartRun("probe", core.WithClock(core.NewSimClock(time.Unix(int64(i*1000), 0), time.Second)), core.WithStorage(core.StorageInline))
-		if err := r.LogMetric("loss", metrics.Training, 0, float64(2-i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.End(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	combined, err := exp.BuildCombinedProv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(provservice.New(provstore.New()))
-	defer srv.Close()
-	client := provclient.New(srv.URL)
-	if err := client.Upload("combined", combined); err != nil {
-		t.Fatal(err)
-	}
-	// Both run activities searchable inside the single document.
-	hits, err := client.SearchByType("provml:RunExecution")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Fatalf("runs in combined doc = %v", hits)
 	}
 }
 

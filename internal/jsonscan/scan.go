@@ -44,9 +44,6 @@ type Scanner struct {
 // modifies or retains beyond the Scanner's own lifetime.
 func New(data []byte) Scanner { return Scanner{data: data} }
 
-// Pos is the offset of the next unread byte.
-func (s *Scanner) Pos() int { return s.pos }
-
 // Remaining is the number of input bytes from the cursor on.
 func (s *Scanner) Remaining() int { return len(s.data) - s.pos }
 

@@ -84,7 +84,7 @@ func TestNumber(t *testing.T) {
 			t.Errorf("Number(%q) = %q, integer %v, err %v", tc.text, num, integer, err)
 		}
 		if sc.Peek() != ',' {
-			t.Errorf("Number(%q) left the cursor at %d", tc.text, sc.Pos())
+			t.Errorf("Number(%q) left the cursor at %d", tc.text, sc.pos)
 		}
 	}
 }
@@ -110,11 +110,11 @@ func TestObjectWalk(t *testing.T) {
 		keys = append(keys, name)
 		if name != "a" {
 			sc.Peek()
-			start := sc.Pos()
+			start := sc.pos
 			if err := sc.Skip(); err != nil {
 				t.Fatal(err)
 			}
-			keys = append(keys, string(text[start:sc.Pos()]))
+			keys = append(keys, string(text[start:sc.pos]))
 			continue
 		}
 		if err := sc.OpenObject(); err != nil {

@@ -47,15 +47,6 @@ func (s *Series) Append(p Point) { s.Points = append(s.Points, p) }
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Values returns the raw values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Value
-	}
-	return out
-}
-
 // Stats summarizes a series.
 type Stats struct {
 	Count     int
@@ -92,27 +83,6 @@ func (s *Series) Stats() Stats {
 	}
 	st.Mean = sum / float64(len(s.Points))
 	return st
-}
-
-// Downsample returns at most n points, evenly strided, always keeping
-// the final point.
-func (s *Series) Downsample(n int) []Point {
-	if n <= 0 || len(s.Points) == 0 {
-		return nil
-	}
-	if len(s.Points) <= n {
-		return append([]Point(nil), s.Points...)
-	}
-	if n == 1 {
-		return []Point{s.Points[len(s.Points)-1]}
-	}
-	out := make([]Point, 0, n)
-	stride := float64(len(s.Points)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		out = append(out, s.Points[int(float64(i)*stride+0.5)])
-	}
-	out[len(out)-1] = s.Points[len(s.Points)-1]
-	return out
 }
 
 // Key identifies a series within a collection.
@@ -179,20 +149,6 @@ func (c *Collection) Log(name string, ctx Context, p Point) {
 	}
 	s.Append(p)
 	sh.mu.Unlock()
-}
-
-// Get returns a copy of the series for the key.
-func (c *Collection) Get(name string, ctx Context) (Series, bool) {
-	k := Key{Name: name, Context: ctx}
-	sh := c.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s, ok := sh.series[k]
-	if !ok {
-		return Series{}, false
-	}
-	cp := Series{Name: s.Name, Context: s.Context, Points: append([]Point(nil), s.Points...)}
-	return cp, true
 }
 
 // Keys lists all series keys in sorted order.
@@ -267,18 +223,9 @@ func (c *Collection) StatsSnapshot() []SeriesStats {
 	return out
 }
 
-// Each invokes fn with a snapshot of every series, in key order.
-func (c *Collection) Each(fn func(Series)) {
-	for _, s := range c.Snapshot() {
-		fn(s)
-	}
-}
-
 // Sink persists a collection and returns, per series, a reference
 // string that the provenance document can embed in place of raw points.
 type Sink interface {
-	// Name identifies the backend ("json-inline", "zarr", "netcdf").
-	Name() string
 	// Flush writes all series and returns series-key -> reference.
 	Flush(c *Collection) (map[Key]string, error)
 }

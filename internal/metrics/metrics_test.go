@@ -1,16 +1,33 @@
 package metrics
 
 import (
+	"encoding/json"
+	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/zarr"
 )
+
+// Get returns a copy of the series for the key; the library has no
+// caller for a lookup by key.
+func (c *Collection) Get(name string, ctx Context) (Series, bool) {
+	k := Key{Name: name, Context: ctx}
+	sh := c.shardFor(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	s, ok := sh.series[k]
+	if !ok {
+		return Series{}, false
+	}
+	cp := Series{Name: s.Name, Context: s.Context, Points: append([]Point(nil), s.Points...)}
+	return cp, true
+}
 
 func fill(c *Collection, name string, ctx Context, n int) {
 	base := time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -83,25 +100,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	c := NewCollection()
-	fill(c, "m", Training, 1000)
-	s, _ := c.Get("m", Training)
-	ds := s.Downsample(10)
-	if len(ds) != 10 {
-		t.Fatalf("downsample len = %d", len(ds))
-	}
-	if ds[0].Step != 0 || ds[9].Step != 999 {
-		t.Errorf("endpoints = %v .. %v", ds[0].Step, ds[9].Step)
-	}
-	if got := s.Downsample(5000); len(got) != 1000 {
-		t.Errorf("oversample len = %d", len(got))
-	}
-	if s.Downsample(0) != nil {
-		t.Error("n=0 must return nil")
-	}
-}
-
 func TestConcurrentLogging(t *testing.T) {
 	c := NewCollection()
 	var wg sync.WaitGroup
@@ -140,7 +138,7 @@ func TestInlineJSONSink(t *testing.T) {
 func TestSinkEmptyCollection(t *testing.T) {
 	for _, sink := range []Sink{&InlineJSONSink{}, &ZarrSink{}, &NetCDFSink{}} {
 		if _, err := sink.Flush(NewCollection()); err == nil {
-			t.Errorf("%s: empty flush must fail", sink.Name())
+			t.Errorf("%T: empty flush must fail", sink)
 		}
 	}
 }
@@ -216,11 +214,15 @@ func TestZarrSinkWritesEachKeyOnce(t *testing.T) {
 	}
 	for series, extent := range map[string]int{"TRAINING/short": 4, "TRAINING/exact": 64, "VALIDATION/long": 64} {
 		for _, col := range []string{"value", "step", "epoch", "tstamp"} {
-			arr, err := zarr.Open(store, series+"/"+col)
+			raw, err := store.Get(series + "/" + col + "/.zarray")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := arr.Meta().Chunks[0]; got != extent {
+			var meta zarr.Meta
+			if err := json.Unmarshal(raw, &meta); err != nil {
+				t.Fatal(err)
+			}
+			if got := meta.Chunks[0]; got != extent {
 				t.Errorf("%s/%s: chunk extent %d, want %d", series, col, got, extent)
 			}
 		}
@@ -231,7 +233,22 @@ func TestZarrSinkWritesEachKeyOnce(t *testing.T) {
 // before the shuffle filter wrote (internal/zarr/testdata/legacy, see
 // compat_test.go there for what it holds).
 func TestLoadZarrSeriesFromLegacyStore(t *testing.T) {
-	store, err := zarr.NewDirStore(filepath.Join("..", "zarr", "testdata", "legacy"))
+	store := zarr.NewMemStore()
+	root := filepath.Join("..", "zarr", "testdata", "legacy")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		v, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		return store.Set(filepath.ToSlash(rel), v)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +272,7 @@ func TestLoadZarrSeriesFromLegacyStore(t *testing.T) {
 }
 
 // TestLoadZarrSeriesThroughArchive: series written to a zip archive
-// come back from OpenStore under the names they were logged with, not
+// come back from OpenZip under the names they were logged with, not
 // the sanitized path ("val/loss" is stored as VALIDATION/val_loss).
 func TestLoadZarrSeriesThroughArchive(t *testing.T) {
 	c := NewCollection()
@@ -270,7 +287,7 @@ func TestLoadZarrSeriesThroughArchive(t *testing.T) {
 	if err := zarr.WriteZip(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	store, err := zarr.OpenStore(path)
+	store, err := zarr.OpenZip(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +318,11 @@ func TestSinksRejectNameCollisions(t *testing.T) {
 	for _, sink := range []Sink{&ZarrSink{}, &NetCDFSink{}} {
 		_, err := sink.Flush(c)
 		if err == nil {
-			t.Errorf("%s: Flush stored a/b and a_b under one name", sink.Name())
+			t.Errorf("%T: Flush stored a/b and a_b under one name", sink)
 			continue
 		}
 		if !strings.Contains(err.Error(), "TRAINING/a/b") || !strings.Contains(err.Error(), "TRAINING/a_b") {
-			t.Errorf("%s: error %q does not name both series", sink.Name(), err)
+			t.Errorf("%T: error %q does not name both series", sink, err)
 		}
 	}
 }
@@ -382,38 +399,5 @@ func TestSanitize(t *testing.T) {
 		if got := sanitize(in); got != want {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestDownsampleQuick(t *testing.T) {
-	f := func(total, n uint16) bool {
-		s := &Series{}
-		for i := 0; i < int(total)%3000; i++ {
-			s.Append(Point{Step: int64(i), Value: float64(i)})
-		}
-		k := int(n)%100 + 1
-		ds := s.Downsample(k)
-		if len(s.Points) == 0 {
-			return ds == nil || len(ds) == 0
-		}
-		if len(s.Points) <= k {
-			return len(ds) == len(s.Points)
-		}
-		if k == 1 {
-			return len(ds) == 1 && ds[0].Step == s.Points[len(s.Points)-1].Step
-		}
-		// Strictly increasing steps, endpoints preserved.
-		if len(ds) != k || ds[0].Step != 0 || ds[len(ds)-1].Step != s.Points[len(s.Points)-1].Step {
-			return false
-		}
-		for i := 1; i < len(ds); i++ {
-			if ds[i].Step <= ds[i-1].Step {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

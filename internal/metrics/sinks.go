@@ -46,9 +46,6 @@ type InlineJSONSink struct {
 	lastPayload []byte
 }
 
-// Name implements Sink.
-func (s *InlineJSONSink) Name() string { return "json-inline" }
-
 // LastPayload returns the bytes produced by the most recent Flush.
 func (s *InlineJSONSink) LastPayload() []byte { return s.lastPayload }
 
@@ -100,9 +97,6 @@ type ZarrSink struct {
 	Store     zarr.Store
 	ChunkSize int
 }
-
-// Name implements Sink.
-func (s *ZarrSink) Name() string { return "zarr" }
 
 // Flush implements Sink. It holds every series whole, so each column is
 // created at its final shape and written once: per series four
@@ -263,9 +257,6 @@ type NetCDFSink struct {
 	Path        string
 	lastPayload []byte
 }
-
-// Name implements Sink.
-func (s *NetCDFSink) Name() string { return "netcdf" }
 
 // LastPayload returns the bytes produced by the most recent Flush.
 func (s *NetCDFSink) LastPayload() []byte { return s.lastPayload }

@@ -89,20 +89,6 @@ func StrAttr(name, value string) Attr {
 	return Attr{Name: name, Type: Char, Str: value}
 }
 
-// DoubleAttr builds a double attribute.
-func DoubleAttr(name string, values ...float64) Attr {
-	return Attr{Name: name, Type: Double, Nums: values}
-}
-
-// IntAttr builds an int attribute.
-func IntAttr(name string, values ...int32) Attr {
-	nums := make([]float64, len(values))
-	for i, v := range values {
-		nums[i] = float64(v)
-	}
-	return Attr{Name: name, Type: Int, Nums: nums}
-}
-
 // Var is a variable over zero or more dimensions. Data is stored as
 // float64 regardless of external type (Char variables use Text instead).
 type Var struct {
@@ -131,16 +117,6 @@ func (f *File) AddDim(name string, length int) int {
 func (f *File) AddVar(v Var) int {
 	f.Vars = append(f.Vars, v)
 	return len(f.Vars) - 1
-}
-
-// VarByName returns the variable with the given name.
-func (f *File) VarByName(name string) (*Var, bool) {
-	for i := range f.Vars {
-		if f.Vars[i].Name == name {
-			return &f.Vars[i], true
-		}
-	}
-	return nil, false
 }
 
 // elemCount returns the number of elements in v given the file dims.

@@ -274,3 +274,29 @@ func TestFuzzDecodeNoPanic(t *testing.T) {
 		_, _ = Decode(mut) // must not panic
 	}
 }
+
+// Attribute builders and a variable lookup that only the tests use.
+
+// DoubleAttr builds a double attribute.
+func DoubleAttr(name string, values ...float64) Attr {
+	return Attr{Name: name, Type: Double, Nums: values}
+}
+
+// IntAttr builds an int attribute.
+func IntAttr(name string, values ...int32) Attr {
+	nums := make([]float64, len(values))
+	for i, v := range values {
+		nums[i] = float64(v)
+	}
+	return Attr{Name: name, Type: Int, Nums: nums}
+}
+
+// VarByName returns the variable with the given name.
+func (f *File) VarByName(name string) (*Var, bool) {
+	for i := range f.Vars {
+		if f.Vars[i].Name == name {
+			return &f.Vars[i], true
+		}
+	}
+	return nil, false
+}

@@ -14,7 +14,7 @@ import (
 // cases, the clamped bottom bucket, and the +Inf bucket.
 func TestExemplarBucketAttribution(t *testing.T) {
 	h := NewHistogram(4, 8, 2, 1).EnableExemplars()
-	bounds := h.Bounds()
+	bounds := h.rawUppers
 	for i, upper := range bounds {
 		id := fmt.Sprintf("on-%d", i)
 		h.ObserveExemplar(int64(upper), id) // exactly on the bound → this bucket
@@ -53,8 +53,8 @@ func TestExemplarBucketAttribution(t *testing.T) {
 func TestExemplarDisabled(t *testing.T) {
 	h := NewDurationHistogram()
 	h.ObserveExemplar(int64(time.Millisecond), "tr1")
-	if h.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", h.Count())
+	if h.count.Load() != 1 {
+		t.Fatalf("Count = %d, want 1", h.count.Load())
 	}
 	if _, ok := h.ExemplarAt(0); ok {
 		t.Fatal("exemplar reported on a histogram without exemplars enabled")
@@ -62,7 +62,7 @@ func TestExemplarDisabled(t *testing.T) {
 	// Empty trace IDs never publish even when enabled.
 	h2 := NewDurationHistogram().EnableExemplars()
 	h2.ObserveExemplar(int64(time.Millisecond), "")
-	for i := 0; i <= len(h2.Bounds()); i++ {
+	for i := 0; i <= len(h2.rawUppers); i++ {
 		if _, ok := h2.ExemplarAt(i); ok {
 			t.Fatalf("empty trace ID published an exemplar at bucket %d", i)
 		}

@@ -164,50 +164,8 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Quantile returns the q-quantile (0 < q <= 1) in scaled units,
-// approximated as the upper bound of the bucket holding the q-th
-// observation. Returns 0 with no observations; observations in the
-// +Inf bucket resolve to the maximum seen.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(h, q)
-}
-
-// Quantile is Histogram.Quantile evaluated over an existing snapshot,
-// so one snapshot can answer several quantiles consistently. h must be
-// the histogram the snapshot came from.
-func (s HistSnapshot) Quantile(h *Histogram, q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(s.Count))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.rawUppers) {
-				return float64(h.rawUppers[i]) * h.scale
-			}
-			return float64(s.Max) * h.scale // +Inf bucket
-		}
-	}
-	return float64(s.Max) * h.scale
-}
-
 // ObserveDuration records a duration into a nanosecond-unit histogram.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // ObserveSince records the elapsed time from start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Scale returns the raw-unit → exposition-unit factor.
-func (h *Histogram) Scale() float64 { return h.scale }
-
-// Bounds returns the finite bucket upper bounds in raw units (shared
-// slice; callers must not modify).
-func (h *Histogram) Bounds() []uint64 { return h.rawUppers }

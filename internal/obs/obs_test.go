@@ -14,7 +14,7 @@ import (
 // and the next integer counts into the following bucket.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	h := NewHistogram(4, 8, 2, 1)
-	bounds := h.Bounds()
+	bounds := h.rawUppers
 	for i, upper := range bounds {
 		if got := h.bucketIdx(int64(upper)); got != i {
 			t.Errorf("bucketIdx(%d) = %d, want %d (on-bound value must fall into its own bucket)", upper, got, i)
@@ -34,18 +34,25 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile: quantiles resolve to the upper bound of the
-// bucket holding the ranked observation.
-func TestHistogramQuantile(t *testing.T) {
+// TestHistogramBucketOfOneValue: equal observations land in one bucket
+// whose upper bound is within one sub-bucket of their value.
+func TestHistogramBucketOfOneValue(t *testing.T) {
 	h := NewDurationHistogram()
 	for i := 0; i < 100; i++ {
 		h.Observe(int64(time.Millisecond)) // 1ms, all in one bucket
 	}
-	p99 := h.Quantile(0.99)
-	if p99 < 0.0009 || p99 > 0.0015 {
-		t.Errorf("p99 = %v s, want ~0.001 (within one sub-bucket of 1ms)", p99)
-	}
 	s := h.Snapshot()
+	for i, c := range s.Counts {
+		if c == 0 {
+			continue
+		}
+		if c != 100 || i >= len(h.rawUppers) {
+			t.Fatalf("bucket %d holds %d of 100", i, c)
+		}
+		if le := float64(h.rawUppers[i]) * h.scale; le < 0.0009 || le > 0.0015 {
+			t.Errorf("bucket bound %v s, want ~0.001 (within one sub-bucket of 1ms)", le)
+		}
+	}
 	if s.Count != 100 {
 		t.Errorf("Count = %d, want 100", s.Count)
 	}
@@ -91,7 +98,7 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	for h.Count() < goroutines*perG {
+	for h.count.Load() < goroutines*perG {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
@@ -145,7 +152,7 @@ func TestTraceSpans(t *testing.T) {
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
 	var c Counter
-	c.Add(7)
+	c.v.Add(7)
 	reg.RegisterCounter("test_ops_total", "Operations.", Labels{"kind": "put"}, &c)
 	reg.RegisterGaugeFunc("test_depth", "Queue depth.", nil, func() float64 { return 3.5 })
 	h := NewDurationHistogram()

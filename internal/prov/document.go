@@ -1,6 +1,7 @@
 package prov
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -271,16 +272,6 @@ func (d *Document) ActedOnBehalfOf(delegate, responsible QName) *Relation {
 	return d.AddRelation(Relation{Kind: RelActedOnBehalfOf, Subject: delegate, Object: responsible})
 }
 
-// HadMember records collection membership.
-func (d *Document) HadMember(collection, member QName) *Relation {
-	return d.AddRelation(Relation{Kind: RelHadMember, Subject: collection, Object: member})
-}
-
-// SpecializationOf records that specific specializes general.
-func (d *Document) SpecializationOf(specific, general QName) *Relation {
-	return d.AddRelation(Relation{Kind: RelSpecializationOf, Subject: specific, Object: general})
-}
-
 // RelationsOfKind returns all relations of the given kind in insertion order.
 func (d *Document) RelationsOfKind(kind RelationKind) []*Relation {
 	var out []*Relation
@@ -361,29 +352,60 @@ func (d *Document) Stats() Stats {
 	}
 }
 
-// Clone returns a deep copy of the document.
-func (d *Document) Clone() *Document {
-	c := NewDocument()
-	c.Namespaces = d.Namespaces.Clone()
-	for id, e := range d.Entities {
-		c.Entities[id] = &Element{ID: e.ID, Attrs: e.Attrs.Clone()}
+// Equal reports whether two documents contain the same elements and
+// relations (ignoring relation identifiers and insertion order).
+func (d *Document) Equal(other *Document) bool {
+	if len(d.Entities) != len(other.Entities) ||
+		len(d.Activities) != len(other.Activities) ||
+		len(d.Agents) != len(other.Agents) ||
+		len(d.Relations) != len(other.Relations) {
+		return false
 	}
-	for id, a := range d.Activities {
-		c.Activities[id] = &Activity{
-			Element:   Element{ID: a.ID, Attrs: a.Attrs.Clone()},
-			StartTime: a.StartTime,
-			EndTime:   a.EndTime,
+	for id, e := range d.Entities {
+		oe, ok := other.Entities[id]
+		if !ok || !attrsEqual(e.Attrs, oe.Attrs) {
+			return false
 		}
 	}
 	for id, g := range d.Agents {
-		c.Agents[id] = &Element{ID: g.ID, Attrs: g.Attrs.Clone()}
+		og, ok := other.Agents[id]
+		if !ok || !attrsEqual(g.Attrs, og.Attrs) {
+			return false
+		}
 	}
-	c.Relations = make([]*Relation, len(d.Relations))
-	for i, r := range d.Relations {
-		cr := *r
-		cr.Attrs = r.Attrs.Clone()
-		c.Relations[i] = &cr
+	for id, a := range d.Activities {
+		oa, ok := other.Activities[id]
+		if !ok || !attrsEqual(a.Attrs, oa.Attrs) ||
+			!a.StartTime.Equal(oa.StartTime) || !a.EndTime.Equal(oa.EndTime) {
+			return false
+		}
 	}
-	c.relSeq = d.relSeq
-	return c
+	// Relations: compare as multisets keyed by (kind, subject, object, time).
+	count := make(map[string]int, len(d.Relations))
+	key := func(r *Relation) string {
+		return fmt.Sprintf("%s|%s|%s|%d", r.Kind, r.Subject, r.Object, r.Time.UnixNano())
+	}
+	for _, r := range d.Relations {
+		count[key(r)]++
+	}
+	for _, r := range other.Relations {
+		count[key(r)]--
+		if count[key(r)] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func attrsEqual(a, b Attrs) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		bv, ok := b[k]
+		if !ok || !v.Equal(bv) {
+			return false
+		}
+	}
+	return true
 }

@@ -78,22 +78,6 @@ func TestNodeKind(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	d := sampleDoc(t)
-	c := d.Clone()
-	c.AddEntity("ex:extra", nil)
-	c.Entities["ex:dataset"].Attrs["ex:patches"] = Int(1)
-	if _, ok := d.Entities["ex:extra"]; ok {
-		t.Error("clone shares entity map with original")
-	}
-	if got, _ := d.Entities["ex:dataset"].Attrs["ex:patches"].AsInt(); got != 800000 {
-		t.Error("clone shares attribute maps with original")
-	}
-	if !d.Equal(sampleDoc(t)) {
-		t.Error("original mutated by clone edits")
-	}
-}
-
 func TestRelationsOfKind(t *testing.T) {
 	d := sampleDoc(t)
 	if got := len(d.RelationsOfKind(RelUsed)); got != 1 {
@@ -114,29 +98,6 @@ func TestQName(t *testing.T) {
 	}
 	if QName(":x").Valid() || QName("x:").Valid() {
 		t.Error("QName with empty prefix or local must be invalid")
-	}
-}
-
-func TestNamespaceExpand(t *testing.T) {
-	ns := NewNamespaceSet()
-	uri, err := ns.Expand("prov:Entity")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uri != NSProv+"Entity" {
-		t.Errorf("expand = %q", uri)
-	}
-	if _, err := ns.Expand("zzz:x"); err == nil {
-		t.Error("expand of unknown prefix should fail")
-	}
-}
-
-func TestNamespaceMergeConflict(t *testing.T) {
-	a := NewNamespaceSet()
-	b := NewNamespaceSet()
-	b.Register("ex", "http://different/")
-	if err := a.Merge(b); err == nil {
-		t.Fatal("conflicting merge should error")
 	}
 }
 

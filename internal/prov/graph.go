@@ -206,71 +206,6 @@ func appendUnvisited(queue []int32, visited []bool, row []int32) []int32 {
 	return queue
 }
 
-// path returns one shortest chain of nodes from -> ... -> to following
-// Forward edges, or nil if there is none; from and to differ.
-func (ix *Index) path(from, to QName) []QName {
-	s, ok := ix.ids[from]
-	t, ok2 := ix.ids[to]
-	if !ok || !ok2 {
-		return nil
-	}
-	// prev[n] is the node n was reached from, offset by one so that the
-	// zero value means unvisited.
-	prev := make([]int32, len(ix.names))
-	prev[s] = s + 1
-	queue := make([]int32, 1, len(ix.names))
-	queue[0] = s
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, next := range ix.fwd.row(cur) {
-			if prev[next] != 0 {
-				continue
-			}
-			prev[next] = cur + 1
-			if next != t {
-				queue = append(queue, next)
-				continue
-			}
-			var path []QName
-			for n := t; ; n = prev[n] - 1 {
-				path = append(path, ix.names[n])
-				if n == s {
-					break
-				}
-			}
-			slices.Reverse(path)
-			return path
-		}
-	}
-	return nil
-}
-
-// Ancestors returns every node reachable from start by following relation
-// edges in their natural orientation (toward origins), excluding start
-// itself, in sorted order. Like Descendants, Path and Neighborhood it
-// indexes the document anew on every call; callers asking more than
-// once about a document that no longer changes keep a NewIndex.
-func (d *Document) Ancestors(start QName) []QName {
-	reach, _ := NewIndex(d).Reach(start, Forward, 0)
-	return reach
-}
-
-// Descendants returns every node that can reach start, i.e. everything
-// derived (directly or transitively) from it, in sorted order.
-func (d *Document) Descendants(start QName) []QName {
-	reach, _ := NewIndex(d).Reach(start, Reverse, 0)
-	return reach
-}
-
-// Path returns one shortest chain of node ids from -> ... -> to following
-// edges in natural orientation, or nil if no path exists.
-func (d *Document) Path(from, to QName) []QName {
-	if from == to {
-		return []QName{from}
-	}
-	return NewIndex(d).path(from, to)
-}
-
 // Subgraph extracts the sub-document induced by the given node set:
 // those elements plus every relation whose both endpoints are in the set.
 func (d *Document) Subgraph(nodes []QName) *Document {
@@ -304,14 +239,9 @@ func (d *Document) Subgraph(nodes []QName) *Document {
 	return sub
 }
 
-// Neighborhood returns the sub-document within the given number of hops
-// of start, ignoring edge direction.
-func (d *Document) Neighborhood(start QName, hops int) *Document {
-	return NewIndex(d).Neighborhood(d, start, hops)
-}
-
-// Neighborhood is Document.Neighborhood for the document d the index
-// was built from; hops <= 0 selects start alone.
+// Neighborhood returns the sub-document of d, the document the index
+// was built from, within the given number of hops of start, ignoring
+// edge direction; hops <= 0 selects start alone.
 func (ix *Index) Neighborhood(d *Document, start QName, hops int) *Document {
 	nodes := []QName{start}
 	if hops > 0 {

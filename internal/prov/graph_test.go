@@ -21,9 +21,21 @@ func chainDoc() *Document {
 	return d
 }
 
+// ancestors and descendants are the whole forward and reverse reach
+// of a node over a fresh index.
+func ancestors(d *Document, start QName) []QName {
+	reach, _ := NewIndex(d).Reach(start, Forward, 0)
+	return reach
+}
+
+func descendants(d *Document, start QName) []QName {
+	reach, _ := NewIndex(d).Reach(start, Reverse, 0)
+	return reach
+}
+
 func TestAncestors(t *testing.T) {
 	d := chainDoc()
-	anc := d.Ancestors("ex:model")
+	anc := ancestors(d, "ex:model")
 	want := map[QName]bool{"ex:train": true, "ex:curated": true, "ex:prep": true, "ex:raw": true}
 	if len(anc) != len(want) {
 		t.Fatalf("ancestors = %v", anc)
@@ -37,7 +49,7 @@ func TestAncestors(t *testing.T) {
 
 func TestDescendants(t *testing.T) {
 	d := chainDoc()
-	desc := d.Descendants("ex:raw")
+	desc := descendants(d, "ex:raw")
 	want := map[QName]bool{"ex:prep": true, "ex:curated": true, "ex:train": true, "ex:model": true}
 	if len(desc) != len(want) {
 		t.Fatalf("descendants = %v", desc)
@@ -46,22 +58,8 @@ func TestDescendants(t *testing.T) {
 
 func TestAncestorsOfRootEmpty(t *testing.T) {
 	d := chainDoc()
-	if anc := d.Ancestors("ex:raw"); len(anc) != 0 {
+	if anc := ancestors(d, "ex:raw"); len(anc) != 0 {
 		t.Errorf("raw should have no ancestors, got %v", anc)
-	}
-}
-
-func TestPath(t *testing.T) {
-	d := chainDoc()
-	p := d.Path("ex:model", "ex:raw")
-	if len(p) != 5 || p[0] != "ex:model" || p[4] != "ex:raw" {
-		t.Fatalf("path = %v", p)
-	}
-	if d.Path("ex:raw", "ex:model") != nil {
-		t.Error("no forward path should exist from raw to model")
-	}
-	if p := d.Path("ex:raw", "ex:raw"); len(p) != 1 {
-		t.Errorf("self path = %v", p)
 	}
 }
 
@@ -81,12 +79,12 @@ func TestSubgraph(t *testing.T) {
 
 func TestNeighborhood(t *testing.T) {
 	d := chainDoc()
-	n1 := d.Neighborhood("ex:curated", 1)
+	n1 := NewIndex(d).Neighborhood(d, "ex:curated", 1)
 	// 1 hop from curated: prep (generatedBy) and train (used).
 	if n1.Stats().Entities != 1 || n1.Stats().Activities != 2 {
 		t.Fatalf("1-hop stats = %+v", n1.Stats())
 	}
-	nAll := d.Neighborhood("ex:curated", 10)
+	nAll := NewIndex(d).Neighborhood(d, "ex:curated", 10)
 	if nAll.Stats().Entities != 3 || nAll.Stats().Activities != 2 {
 		t.Fatalf("full neighborhood stats = %+v", nAll.Stats())
 	}
@@ -98,36 +96,8 @@ func TestCycleSafety(t *testing.T) {
 	d.AddEntity("ex:b", nil)
 	d.WasDerivedFrom("ex:a", "ex:b")
 	d.WasDerivedFrom("ex:b", "ex:a") // cycle
-	if got := len(d.Ancestors("ex:a")); got != 1 {
+	if got := len(ancestors(d, "ex:a")); got != 1 {
 		t.Errorf("cyclic ancestors = %d, want 1", got)
-	}
-}
-
-func TestMergeDedupes(t *testing.T) {
-	a := chainDoc()
-	b := chainDoc()
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(a.Relations); got != 4 {
-		t.Errorf("merge duplicated relations: %d, want 4", got)
-	}
-	if !a.Equal(chainDoc()) {
-		t.Error("merging an identical doc must be a no-op")
-	}
-}
-
-func TestMergeAddsNew(t *testing.T) {
-	a := chainDoc()
-	b := NewDocument()
-	b.AddEntity("ex:report", nil)
-	b.AddActivity("ex:eval", nil)
-	b.Used("ex:eval", "ex:report", time.Time{})
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.HasNode("ex:report") || len(a.Relations) != 5 {
-		t.Fatalf("merge lost additions: %+v", a.Stats())
 	}
 }
 
@@ -169,7 +139,7 @@ func TestValidateRelationEndpoints(t *testing.T) {
 	issues, err := d.Validate()
 	var got []string
 	for _, iss := range issues {
-		got = append(got, iss.String())
+		got = append(got, iss.Severity+": "+iss.Message)
 	}
 	want := []string{
 		"error: relation _:u2 (used) references missing subject ex:gone",

@@ -1,6 +1,6 @@
 // Package prov implements the W3C PROV data model (PROV-DM) with
-// PROV-JSON and PROV-N serializations, document validation, merging and
-// graph traversal. It is the foundation of the yProv4ML provenance
+// PROV-JSON and PROV-N serializations, document validation and graph
+// traversal. It is the foundation of the yProv4ML provenance
 // producer and of the yProv service (provstore/provservice).
 //
 // The subset implemented covers everything the yProv4ML data model needs:
@@ -24,7 +24,6 @@
 package prov
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -108,15 +107,6 @@ func (n *NamespaceSet) Prefixes() []string {
 	return out
 }
 
-// Expand resolves a QName to its full URI form.
-func (n *NamespaceSet) Expand(q QName) (string, error) {
-	uri, ok := n.byPrefix[q.Prefix()]
-	if !ok {
-		return "", fmt.Errorf("prov: unknown namespace prefix %q in %q", q.Prefix(), q)
-	}
-	return uri + q.Local(), nil
-}
-
 // Clone returns a deep copy of the namespace set.
 func (n *NamespaceSet) Clone() *NamespaceSet {
 	c := &NamespaceSet{byPrefix: make(map[string]string, len(n.byPrefix))}
@@ -124,16 +114,4 @@ func (n *NamespaceSet) Clone() *NamespaceSet {
 		c.byPrefix[k] = v
 	}
 	return c
-}
-
-// Merge adds all bindings from other that do not conflict; conflicting
-// bindings (same prefix, different URI) are reported as an error.
-func (n *NamespaceSet) Merge(other *NamespaceSet) error {
-	for p, uri := range other.byPrefix {
-		if existing, ok := n.byPrefix[p]; ok && existing != uri {
-			return fmt.Errorf("prov: namespace conflict for prefix %q: %q vs %q", p, existing, uri)
-		}
-		n.byPrefix[p] = uri
-	}
-	return nil
 }

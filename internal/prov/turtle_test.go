@@ -1,6 +1,7 @@
 package prov
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,13 +37,27 @@ func TestTurtleRoundTrip(t *testing.T) {
 	}
 }
 
+// dedupeRelations drops each relation equal to an earlier one in kind,
+// subject, object and time: Turtle writes a set of triples, so a repeat
+// does not come back.
+func dedupeRelations(d *Document) *Document {
+	seen := map[string]bool{}
+	kept := d.Relations[:0]
+	for _, r := range d.Relations {
+		k := fmt.Sprintf("%s|%s|%s|%d", r.Kind, r.Subject, r.Object, r.Time.UnixNano())
+		if !seen[k] {
+			seen[k] = true
+			kept = append(kept, r)
+		}
+	}
+	d.Relations = kept
+	return d
+}
+
 func TestTurtleRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 40; i++ {
-		d := NewDocument()
-		if err := d.Merge(randomDoc(rng)); err != nil { // normalize duplicates
-			t.Fatal(err)
-		}
+		d := dedupeRelations(randomDoc(rng))
 		back, err := ParseTurtle(d.Turtle())
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, d.Turtle())

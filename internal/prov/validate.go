@@ -11,10 +11,6 @@ type ValidationIssue struct {
 	Message  string
 }
 
-func (v ValidationIssue) String() string {
-	return v.Severity + ": " + v.Message
-}
-
 // ErrInvalidDocument is wrapped by Validate when errors are present.
 var ErrInvalidDocument = errors.New("prov: invalid document")
 
@@ -102,12 +98,4 @@ func (d *Document) Validate() ([]ValidationIssue, error) {
 		}
 	}
 	return issues, nil
-}
-
-// MustValidate panics when the document is invalid; intended for tests
-// and examples where an invalid document is a programming error.
-func (d *Document) MustValidate() {
-	if _, err := d.Validate(); err != nil {
-		panic(err)
-	}
 }

@@ -109,11 +109,6 @@ func (e *APIError) Is(target error) bool {
 	return target == ErrRetryable && e.Retryable()
 }
 
-// IsRetryable reports whether err is an APIError worth retrying.
-func IsRetryable(err error) bool {
-	return errors.Is(err, ErrRetryable)
-}
-
 // doCtx issues one request bounded by ctx. A context deadline is also
 // forwarded to the server as X-Yprov-Timeout-Ms so its handlers stop
 // working on the request (and stop queueing for fsync) once the client
@@ -373,35 +368,6 @@ func (c *Client) SubgraphCtx(ctx context.Context, id string, node prov.QName, ho
 		return nil, apiError(payload, status, hdr)
 	}
 	return prov.ParseJSON(payload)
-}
-
-// CrossLineage queries lineage across every stored document.
-func (c *Client) CrossLineage(node prov.QName, dir provstore.LineageDirection, depth int) ([]provstore.CrossNode, error) {
-	return c.CrossLineageCtx(context.Background(), node, dir, depth)
-}
-
-// CrossLineageCtx queries lineage across every document, bounded by ctx.
-func (c *Client) CrossLineageCtx(ctx context.Context, node prov.QName, dir provstore.LineageDirection, depth int) ([]provstore.CrossNode, error) {
-	q := url.Values{}
-	q.Set("node", string(node))
-	q.Set("direction", string(dir))
-	if depth > 0 {
-		q.Set("depth", strconv.Itoa(depth))
-	}
-	payload, status, hdr, err := c.doCtx(ctx, http.MethodGet, "/api/v0/lineage?"+q.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, apiError(payload, status, hdr)
-	}
-	var out struct {
-		Nodes []provstore.CrossNode `json:"nodes"`
-	}
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, err
-	}
-	return out.Nodes, nil
 }
 
 // SearchByType finds elements by prov:type across all documents.

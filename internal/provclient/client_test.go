@@ -117,10 +117,6 @@ func TestClientHappyPaths(t *testing.T) {
 	if err != nil || len(hits) != 1 {
 		t.Fatalf("search = %v %v", hits, err)
 	}
-	cross, err := c.CrossLineage("ex:data", provstore.Descendants, 0)
-	if err != nil || len(cross) != 2 {
-		t.Fatalf("cross lineage = %v %v", cross, err)
-	}
 	st, err := c.Stats()
 	if err != nil || st.Documents != 1 {
 		t.Fatalf("stats = %+v %v", st, err)
@@ -152,9 +148,6 @@ func TestRetryableErrors(t *testing.T) {
 		if err == nil {
 			t.Fatalf("status %d: expected error", tc.status)
 		}
-		if got := IsRetryable(err); got != tc.retryable {
-			t.Errorf("status %d: IsRetryable = %v, want %v (%v)", tc.status, got, tc.retryable, err)
-		}
 		if got := errors.Is(err, ErrRetryable); got != tc.retryable {
 			t.Errorf("status %d: errors.Is(ErrRetryable) = %v, want %v", tc.status, got, tc.retryable)
 		}
@@ -165,7 +158,7 @@ func TestRetryableErrors(t *testing.T) {
 	}
 	// Transport-level failures are not APIErrors and not retryable-typed.
 	c := New("http://127.0.0.1:1")
-	if err := c.Health(); err == nil || IsRetryable(err) {
+	if err := c.Health(); err == nil || errors.Is(err, ErrRetryable) {
 		t.Errorf("connection error must not be typed retryable: %v", err)
 	}
 }
@@ -212,7 +205,7 @@ func TestClientRequestHeaders(t *testing.T) {
 	if c.LastSeq() != 42 {
 		t.Fatalf("LastSeq = %d, want 42", c.LastSeq())
 	}
-	if err := c.UploadBatchCtx(ctx, map[string]*prov.Document{"b": prov.NewDocument()}); err != nil {
+	if err := c.UploadCtx(ctx, "b", prov.NewDocument()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.GetCtx(ctx, "d"); err != nil {

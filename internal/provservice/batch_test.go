@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/prov"
-	"repro/internal/provclient"
 	"repro/internal/provstore"
 	"repro/internal/wal"
 )
@@ -39,7 +38,10 @@ func docLine(t *testing.T, id string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	line, err := provclient.EncodeBatchLine(id, raw)
+	line, err := json.Marshal(struct {
+		ID  string          `json:"id"`
+		Doc json.RawMessage `json:"doc"`
+	}{ID: id, Doc: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +286,18 @@ func TestBatchLimitsAndMiddleware(t *testing.T) {
 	if store3.Count() != 0 {
 		t.Fatal("unauthenticated batch stored documents")
 	}
-	c := provclient.New(srv3.URL)
-	c.Token = "sekrit"
-	if err := c.UploadBatch(map[string]*prov.Document{"a": testDoc()}); err != nil {
-		t.Fatalf("authenticated UploadBatch: %v", err)
+	req, err := http.NewRequest(http.MethodPost, srv3.URL+"/api/v0/documents:batch", strings.NewReader(docLine(t, "a")+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer sekrit")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("authenticated batch = %d, want 201", resp.StatusCode)
 	}
 	if store3.Count() != 1 {
 		t.Fatal("authenticated batch not stored")

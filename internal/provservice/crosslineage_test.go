@@ -1,6 +1,9 @@
 package provservice
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/url"
 	"testing"
 	"time"
 
@@ -9,7 +12,24 @@ import (
 )
 
 func TestCrossLineageEndpoint(t *testing.T) {
-	_, c := newTestServer(t)
+	srv, c := newTestServer(t)
+	cross := func(node, dir string) (int, []provstore.CrossNode) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/api/v0/lineage?node=" + url.QueryEscape(node) + "&direction=" + dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Nodes []provstore.CrossNode `json:"nodes"`
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, out.Nodes
+	}
 	// Two documents sharing the dataset entity.
 	for i, run := range []string{"a", "b"} {
 		d := prov.NewDocument()
@@ -24,19 +44,16 @@ func TestCrossLineageEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nodes, err := c.CrossLineage("ex:dataset", provstore.Descendants, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 4 { // run_a, run_b, model_a, model_b
-		t.Fatalf("nodes = %v", nodes)
+	status, nodes := cross("ex:dataset", string(provstore.Descendants))
+	if status != http.StatusOK || len(nodes) != 4 { // run_a, run_b, model_a, model_b
+		t.Fatalf("status %d, nodes = %v", status, nodes)
 	}
 	for _, n := range nodes {
 		if len(n.Docs) == 0 {
 			t.Errorf("node %s has no doc attribution", n.Node)
 		}
 	}
-	if _, err := c.CrossLineage("ex:ghost", provstore.Ancestors, 0); err == nil {
-		t.Error("unknown node must 404")
+	if status, _ := cross("ex:ghost", string(provstore.Ancestors)); status != http.StatusNotFound {
+		t.Errorf("unknown node: status %d, want 404", status)
 	}
 }

@@ -107,12 +107,12 @@ func scanBatchLine(line []byte) (id string, doc []byte, err error) {
 			badID = errors.New(`member "id" is not a string`)
 		}
 		sc.Peek()
-		start := sc.Pos()
+		start := (len(line) - sc.Remaining())
 		if err := sc.Skip(); err != nil {
 			return "", nil, err
 		}
 		if bytes.EqualFold(name, []byte("doc")) {
-			doc = line[start:sc.Pos()]
+			doc = line[start:(len(line) - sc.Remaining())]
 		}
 	}
 	if err := sc.End(); err != nil {

@@ -258,7 +258,7 @@ func TestRewritingADocumentRetiresItsValidators(t *testing.T) {
 	for _, path := range docReadPaths {
 		read("after replace", path)
 	}
-	if err := store.Delete("doc1"); err != nil {
+	if err := storeDelete(store, "doc1"); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range docReadPaths {

@@ -1,6 +1,7 @@
 package provservice
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -272,4 +273,15 @@ func TestRouteSurface(t *testing.T) {
 			t.Errorf("retired %s %s = %d %s, want %d", r.method, r.path, status, body, r.want)
 		}
 	}
+}
+
+// storeGet and storeDelete are one-document reads and deletes through
+// the store's View and Apply.
+func storeGet(s *provstore.Store, id string) (*prov.Document, bool) {
+	v, ok := s.View(id)
+	return v.Document(), ok
+}
+
+func storeDelete(s *provstore.Store, id string) error {
+	return s.Apply(context.Background(), []provstore.Op{{ID: id}})
 }

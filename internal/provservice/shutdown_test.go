@@ -49,7 +49,7 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.Get("before-close"); !ok {
+	if _, ok := storeGet(s2, "before-close"); !ok {
 		t.Fatal("acknowledged document lost across Close + reopen")
 	}
 }
@@ -97,7 +97,7 @@ func TestCloseUnderLoad(t *testing.T) {
 	defer s2.Close()
 	for w := range acked {
 		for _, id := range acked[w] {
-			if _, ok := s2.Get(id); !ok {
+			if _, ok := storeGet(s2, id); !ok {
 				t.Fatalf("acknowledged upload %q missing after close", id)
 			}
 		}

@@ -63,11 +63,6 @@ func putOpBuf(b []byte) {
 	opBufPool.Put(&b)
 }
 
-func appendLenBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 func appendLenString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)

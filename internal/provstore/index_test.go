@@ -22,7 +22,7 @@ func TestLineageSeesOneVersion(t *testing.T) {
 	start := prov.QName("ex:e0")
 	var want [2][]prov.QName
 	for i, d := range versions {
-		want[i] = d.Descendants(start)
+		want[i], _ = prov.NewIndex(d).Reach(start, prov.Reverse, 0)
 	}
 
 	s := NewSharded(1)

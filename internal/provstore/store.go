@@ -235,22 +235,6 @@ func (v View) Subgraph(node prov.QName, hops int) (*prov.Document, error) {
 	return v.e.ix.Neighborhood(v.e.document(), node, hops), nil
 }
 
-// Get returns the stored document, decoded from its blob: a copy of the
-// caller's own.
-func (s *Store) Get(id string) (*prov.Document, bool) {
-	v, ok := s.View(id)
-	if !ok {
-		return nil, false
-	}
-	return v.e.document(), true
-}
-
-// Delete removes a document; a missing id is an error. It is Apply with
-// one op and no deadline.
-func (s *Store) Delete(id string) error {
-	return s.Apply(context.Background(), []Op{{ID: id}})
-}
-
 // LineageDirection selects ancestors (toward origins) or descendants.
 type LineageDirection string
 
@@ -264,12 +248,6 @@ const (
 func (s *Store) Lineage(doc string, node prov.QName, dir LineageDirection, depth int) ([]prov.QName, error) {
 	v, _ := s.View(doc)
 	return v.Lineage(node, dir, depth)
-}
-
-// Subgraph is View.Subgraph on doc's current version.
-func (s *Store) Subgraph(doc string, node prov.QName, hops int) (*prov.Document, error) {
-	v, _ := s.View(doc)
-	return v.Subgraph(node, hops)
 }
 
 // SearchResult is one match of a cross-document search.

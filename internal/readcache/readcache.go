@@ -101,22 +101,6 @@ func New(maxEntries int, maxBytes int64) *Cache {
 // enabled reports whether both bounds admit storage.
 func (c *Cache) enabled() bool { return c.maxEntries > 0 && c.maxBytes > 0 }
 
-// Get returns the entry cached under key if its version matches.
-func (c *Cache) Get(key string, version uint64) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ce := el.Value.(*cacheEntry)
-		if ce.version == version {
-			c.ll.MoveToFront(el)
-			c.hits.Inc()
-			return ce.e, true
-		}
-	}
-	c.misses.Inc()
-	return Entry{}, false
-}
-
 // Do returns the response for (key, version), computing it with fill
 // on a miss. hit reports whether the entry was served from the cache
 // (coalesced waiters count as hits: their response came from another

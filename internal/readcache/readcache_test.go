@@ -70,10 +70,10 @@ func TestEntryBound(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", c.Len())
 	}
 	// Oldest keys evicted, newest retained.
-	if _, ok := c.Get("k0", 1); ok {
+	if _, ok := c.items["k0"]; ok {
 		t.Fatal("k0 should have been evicted")
 	}
-	if _, ok := c.Get("k7", 1); !ok {
+	if _, ok := c.items["k7"]; !ok {
 		t.Fatal("k7 should be cached")
 	}
 	if st := c.Stats(); st.Evictions != 4 {

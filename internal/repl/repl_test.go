@@ -120,8 +120,8 @@ func assertIdentical(t *testing.T, primary, follower *provstore.Store) {
 		t.Fatalf("List mismatch:\nprimary:  %v\nfollower: %v", pIDs, fIDs)
 	}
 	for _, id := range pIDs {
-		pd, _ := primary.Get(id)
-		fd, ok := follower.Get(id)
+		pd, _ := storeGet(primary, id)
+		fd, ok := storeGet(follower, id)
 		if !ok {
 			t.Fatalf("follower missing %q", id)
 		}
@@ -189,7 +189,7 @@ func TestFollowerConvergesAcrossShardCounts(t *testing.T) {
 			if err := primary.store.Put(gone, testDoc(t, gone)); err != nil {
 				t.Fatal(err)
 			}
-			if err := primary.store.Delete(gone); err != nil {
+			if err := storeDelete(primary.store, gone); err != nil {
 				t.Fatal(err)
 			}
 			waitApplied(t, fs, primary.store.AppliedSeq())
@@ -364,7 +364,7 @@ func TestFollowerKill9ResumesFromLocalWAL(t *testing.T) {
 		t.Fatalf("recovered seq %d, want pre-batch %d (batch must vanish whole)", got, preBatchSeq)
 	}
 	for id := range batch {
-		if _, ok := fs2.Get(id); ok {
+		if _, ok := storeGet(fs2, id); ok {
 			t.Fatalf("partial batch survived the torn record: %q present", id)
 		}
 	}
@@ -733,7 +733,7 @@ func TestFollowerRejectsLocalMutations(t *testing.T) {
 	if err := fs.Put("x", testDoc(t, "x")); !errors.Is(err, provstore.ErrReadOnly) {
 		t.Fatalf("Put on follower = %v, want ErrReadOnly", err)
 	}
-	if err := fs.Delete("x"); !errors.Is(err, provstore.ErrReadOnly) {
+	if err := storeDelete(fs, "x"); !errors.Is(err, provstore.ErrReadOnly) {
 		t.Fatalf("Delete on follower = %v, want ErrReadOnly", err)
 	}
 	if err := fs.PutBatch(map[string]*prov.Document{"x": testDoc(t, "x")}); !errors.Is(err, provstore.ErrReadOnly) {
@@ -817,4 +817,15 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// storeGet and storeDelete are one-document reads and deletes through
+// the store's View and Apply.
+func storeGet(s *provstore.Store, id string) (*prov.Document, bool) {
+	v, ok := s.View(id)
+	return v.Document(), ok
+}
+
+func storeDelete(s *provstore.Store, id string) error {
+	return s.Apply(context.Background(), []provstore.Op{{ID: id}})
 }

@@ -122,7 +122,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// And the document really is on the follower.
-	if _, ok := fstore.Get("traced-doc"); !ok {
+	if _, ok := storeGet(fstore, "traced-doc"); !ok {
 		t.Fatal("traced-doc not applied on follower")
 	}
 }

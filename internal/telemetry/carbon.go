@@ -23,17 +23,6 @@ var (
 	GridHydro = CarbonModel{GridIntensity: 25, PUE: 1.1}
 )
 
-// Validate checks the model parameters.
-func (c CarbonModel) Validate() error {
-	if c.GridIntensity < 0 {
-		return fmt.Errorf("telemetry: negative grid intensity %v", c.GridIntensity)
-	}
-	if c.PUE < 1 {
-		return fmt.Errorf("telemetry: PUE %v < 1", c.PUE)
-	}
-	return nil
-}
-
 // JoulesToKWh converts joules to kilowatt hours.
 func JoulesToKWh(j float64) float64 { return j / 3.6e6 }
 

@@ -30,18 +30,6 @@ func TestCarbonPresetsOrdering(t *testing.T) {
 	}
 }
 
-func TestCarbonValidate(t *testing.T) {
-	if err := (CarbonModel{GridIntensity: -1, PUE: 1.1}).Validate(); err == nil {
-		t.Error("negative intensity must fail")
-	}
-	if err := (CarbonModel{GridIntensity: 100, PUE: 0.5}).Validate(); err == nil {
-		t.Error("PUE < 1 must fail")
-	}
-	if err := GridUSSoutheast.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCarbonDescribeUnits(t *testing.T) {
 	m := CarbonModel{GridIntensity: 400, PUE: 1}
 	cases := []struct {

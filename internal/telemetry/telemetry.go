@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -162,84 +161,10 @@ func (m *EnergyMeter) Observe(t time.Duration, watts float64) error {
 // Joules returns the accumulated energy.
 func (m *EnergyMeter) Joules() float64 { return m.joules }
 
-// Point is one time-series sample.
-type Point struct {
-	T time.Duration
-	V float64
-}
-
-// Series is an ordered metric time series.
-type Series []Point
-
-// Values extracts the sample values.
-func (s Series) Values() []float64 {
-	out := make([]float64, len(s))
-	for i, p := range s {
-		out[i] = p.V
-	}
-	return out
-}
-
 // LoadFunc gives the device load at elapsed time t.
 type LoadFunc func(t time.Duration) float64
 
 // ConstantLoad returns a LoadFunc pinned at l.
 func ConstantLoad(l float64) LoadFunc {
 	return func(time.Duration) float64 { return l }
-}
-
-// Collector drives a set of samplers over simulated time.
-type Collector struct {
-	Samplers []Sampler
-	Period   time.Duration
-}
-
-// Collect samples every Period from 0 to total (inclusive of the final
-// instant) and returns per-metric series plus total energy in joules
-// summed over all *_power_w metrics.
-func (c *Collector) Collect(total time.Duration, load LoadFunc) (map[string]Series, float64, error) {
-	if c.Period <= 0 {
-		return nil, 0, fmt.Errorf("telemetry: non-positive period %v", c.Period)
-	}
-	series := make(map[string]Series)
-	meters := make(map[string]*EnergyMeter)
-	for t := time.Duration(0); ; t += c.Period {
-		if t > total {
-			t = total
-		}
-		l := clamp01(load(t))
-		for _, s := range c.Samplers {
-			for _, r := range s.Sample(t, l) {
-				series[r.Metric] = append(series[r.Metric], Point{T: t, V: r.Value})
-				if isPowerMetric(r.Metric) {
-					m := meters[r.Metric]
-					if m == nil {
-						m = &EnergyMeter{}
-						meters[r.Metric] = m
-					}
-					if err := m.Observe(t, r.Value); err != nil {
-						return nil, 0, err
-					}
-				}
-			}
-		}
-		if t >= total {
-			break
-		}
-	}
-	var joules float64
-	keys := make([]string, 0, len(meters))
-	for k := range meters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		joules += meters[k].Joules()
-	}
-	return series, joules, nil
-}
-
-func isPowerMetric(name string) bool {
-	const suffix = "_power_w"
-	return len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix
 }

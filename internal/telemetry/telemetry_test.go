@@ -118,66 +118,24 @@ func TestGPUSamplerMetrics(t *testing.T) {
 	}
 }
 
-func TestCollector(t *testing.T) {
-	col := &Collector{
-		Samplers: []Sampler{NewGPUSampler(MI250XGCD(), 0, 7), NewCPUSampler(7)},
-		Period:   time.Second,
-	}
-	series, joules, err := col.Collect(10*time.Second, ConstantLoad(0.8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series["gpu0_power_w"]) != 11 {
-		t.Errorf("samples = %d, want 11", len(series["gpu0_power_w"]))
-	}
-	if joules <= 0 {
-		t.Errorf("joules = %v", joules)
-	}
-	// Energy should roughly equal (gpu+cpu power at 0.8 load) * 10 s.
-	approxGPU := MI250XGCD().Watts(0.8) * 10
-	if joules < approxGPU*0.8 || joules > approxGPU*1.6 {
-		t.Errorf("joules = %v implausible vs gpu-only %v", joules, approxGPU)
-	}
-}
-
-func TestCollectorFinalInstant(t *testing.T) {
-	col := &Collector{Samplers: []Sampler{NewCPUSampler(1)}, Period: 3 * time.Second}
-	series, _, err := col.Collect(10*time.Second, ConstantLoad(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := series["cpu_power_w"]
-	if pts[len(pts)-1].T != 10*time.Second {
-		t.Errorf("last sample at %v, want exactly 10s", pts[len(pts)-1].T)
-	}
-}
-
-func TestCollectorBadPeriod(t *testing.T) {
-	col := &Collector{Samplers: []Sampler{NewCPUSampler(1)}}
-	if _, _, err := col.Collect(time.Second, ConstantLoad(1)); err == nil {
-		t.Fatal("zero period must error")
-	}
-}
-
 func TestVaryingLoadAffectsEnergy(t *testing.T) {
 	mk := func(load float64) float64 {
-		col := &Collector{Samplers: []Sampler{NewGPUSampler(MI250XGCD(), 0, 3)}, Period: time.Second}
-		_, j, err := col.Collect(60*time.Second, ConstantLoad(load))
-		if err != nil {
-			t.Fatal(err)
+		s := NewGPUSampler(MI250XGCD(), 0, 3)
+		var m EnergyMeter
+		for at := time.Duration(0); at <= 60*time.Second; at += time.Second {
+			for _, r := range s.Sample(at, load) {
+				if r.Metric != "gpu0_power_w" {
+					continue
+				}
+				if err := m.Observe(at, r.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		return j
+		return m.Joules()
 	}
 	low, high := mk(0.1), mk(0.9)
 	if high <= low {
 		t.Errorf("energy at high load (%v) must exceed low load (%v)", high, low)
-	}
-}
-
-func TestSeriesValues(t *testing.T) {
-	s := Series{{0, 1.5}, {time.Second, 2.5}}
-	v := s.Values()
-	if len(v) != 2 || v[0] != 1.5 || v[1] != 2.5 {
-		t.Errorf("values = %v", v)
 	}
 }

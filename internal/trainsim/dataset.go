@@ -1,15 +1,11 @@
 package trainsim
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "fmt"
 
 // DatasetSpec describes the training corpus. The paper's MODIS-FM study
 // uses ~800,000 patches of 128x128 pixels with 6 atmospheric channels
-// extracted from 23 years of MODIS 1km L1B radiance data; here the
-// content is synthesized but the cardinality and shape metadata match.
+// extracted from 23 years of MODIS 1km L1B radiance data; here only its
+// cardinality and shape are modelled, not its pixels.
 type DatasetSpec struct {
 	Name     string
 	Patches  int
@@ -23,91 +19,10 @@ func MODISLike() DatasetSpec {
 	return DatasetSpec{Name: "MODIS-1km-L1B", Patches: 800_000, PatchDim: 128, Channels: 6, Years: 23}
 }
 
-// SizeBytes returns the nominal float32 corpus size.
-func (d DatasetSpec) SizeBytes() int64 {
-	return int64(d.Patches) * int64(d.PatchDim) * int64(d.PatchDim) * int64(d.Channels) * 4
-}
-
 // Validate checks the spec.
 func (d DatasetSpec) Validate() error {
 	if d.Patches <= 0 || d.PatchDim <= 0 || d.Channels <= 0 {
 		return fmt.Errorf("trainsim: invalid dataset spec %+v", d)
 	}
 	return nil
-}
-
-// Patch is one synthetic training sample.
-type Patch struct {
-	Index int
-	// Data is flattened [Channels][PatchDim][PatchDim] values.
-	Data []float32
-}
-
-// PatchGenerator deterministically synthesizes patches whose per-channel
-// statistics mimic banded radiance fields (smooth gradients + noise), so
-// data-pipeline code paths see realistic non-constant input.
-type PatchGenerator struct {
-	spec DatasetSpec
-	seed int64
-}
-
-// NewPatchGenerator builds a generator for the dataset.
-func NewPatchGenerator(spec DatasetSpec, seed int64) *PatchGenerator {
-	return &PatchGenerator{spec: spec, seed: seed}
-}
-
-// Patch synthesizes sample i. The same (seed, i) always yields the same
-// bytes.
-func (g *PatchGenerator) Patch(i int) Patch {
-	rng := rand.New(rand.NewSource(g.seed ^ int64(i)*2654435761))
-	dim, ch := g.spec.PatchDim, g.spec.Channels
-	data := make([]float32, ch*dim*dim)
-	for c := 0; c < ch; c++ {
-		base := 200 + 30*float64(c) // channel-dependent radiance floor
-		fx := 1 + rng.Float64()*3
-		fy := 1 + rng.Float64()*3
-		phase := rng.Float64() * 2 * math.Pi
-		for y := 0; y < dim; y++ {
-			for x := 0; x < dim; x++ {
-				v := base +
-					20*math.Sin(fx*float64(x)/float64(dim)*2*math.Pi+phase) +
-					20*math.Cos(fy*float64(y)/float64(dim)*2*math.Pi) +
-					3*rng.NormFloat64()
-				data[c*dim*dim+y*dim+x] = float32(v)
-			}
-		}
-	}
-	return Patch{Index: i, Data: data}
-}
-
-// Stats summarizes a patch for provenance logging.
-type PatchStats struct {
-	Mean, Std, Min, Max float64
-}
-
-// Stats computes per-patch summary statistics.
-func (p Patch) Stats() PatchStats {
-	if len(p.Data) == 0 {
-		return PatchStats{}
-	}
-	var sum, sumsq float64
-	mn, mx := float64(p.Data[0]), float64(p.Data[0])
-	for _, v := range p.Data {
-		f := float64(v)
-		sum += f
-		sumsq += f * f
-		if f < mn {
-			mn = f
-		}
-		if f > mx {
-			mx = f
-		}
-	}
-	n := float64(len(p.Data))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return PatchStats{Mean: mean, Std: math.Sqrt(variance), Min: mn, Max: mx}
 }

@@ -40,13 +40,6 @@ func (m ModelConfig) FlopsPerSample() float64 {
 // GradBytes returns the gradient payload exchanged per step (bf16).
 func (m ModelConfig) GradBytes() float64 { return 2 * float64(m.Params) }
 
-// MemoryGB estimates the per-GPU resident footprint under plain DDP:
-// ~18 bytes/param (bf16 weights + grads + fp32 Adam state) plus a fixed
-// activation budget.
-func (m ModelConfig) MemoryGB() float64 {
-	return 18*float64(m.Params)/1e9 + 6
-}
-
 // Paper model sizes: 100M, 200M, 600M and 1.4B parameters.
 var paperParams = map[string]int64{
 	"100M": 100_000_000,
@@ -83,13 +76,4 @@ func NewModel(family Family, size string) (ModelConfig, error) {
 		return ModelConfig{}, fmt.Errorf("trainsim: unknown family %q", family)
 	}
 	return m, nil
-}
-
-// MustModel is NewModel that panics on bad input (for tables and tests).
-func MustModel(family Family, size string) ModelConfig {
-	m, err := NewModel(family, size)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

@@ -41,14 +41,3 @@ func LawFor(family Family) (ScalingLaw, error) {
 	}
 	return ScalingLaw{}, fmt.Errorf("trainsim: no scaling law for family %q", family)
 }
-
-// OptimalParams returns the parameter count minimizing loss at a fixed
-// compute budget C = 6*N*D, i.e. the compute-optimal frontier of the
-// law. Used by the forecast package's "estimate without training" path.
-func (s ScalingLaw) OptimalParams(computeFlops float64) float64 {
-	// At fixed C, D = C/(6N); minimize f(N) = A/N^a + B*(6N/C)^b.
-	// Closed form: N* = ((A*a*C^b)/(B*b*6^b))^(1/(a+b)).
-	num := s.A * s.Alpha * math.Pow(computeFlops, s.Beta)
-	den := s.B * s.Beta * math.Pow(6, s.Beta)
-	return math.Pow(num/den, 1/(s.Alpha+s.Beta))
-}

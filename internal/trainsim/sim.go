@@ -172,16 +172,3 @@ func (s TrainSpec) Run() (Result, error) {
 	res.SamplesSeen = samples
 	return res, nil
 }
-
-// LoadProfile returns a telemetry load function matching the run's
-// steady-state utilization, with the sawtooth dip of periodic validation
-// every ~10 minutes of simulated time.
-func (r Result) LoadProfile() func(t time.Duration) float64 {
-	util := r.Profile.Utilization
-	return func(t time.Duration) float64 {
-		if int(t.Minutes())%10 == 9 { // validation minute: lighter load
-			return util * 0.55
-		}
-		return util
-	}
-}

@@ -3,7 +3,6 @@ package trainsim
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestModelPresets(t *testing.T) {
@@ -74,21 +73,6 @@ func TestSwinLossLowerScale(t *testing.T) {
 	for _, n := range []int64{1e8, 6e8, 14e8} {
 		if swin.Loss(n, 8e8) >= mae.Loss(n, 8e8) {
 			t.Errorf("SwinV2 loss scale must sit below MAE at N=%d", n)
-		}
-	}
-}
-
-func TestOptimalParamsOnFrontier(t *testing.T) {
-	law, _ := LawFor(MaskedAutoencoder)
-	c := 1e21
-	nStar := law.OptimalParams(c)
-	dStar := c / (6 * nStar)
-	best := law.Loss(int64(nStar), dStar)
-	for _, scale := range []float64{0.5, 0.8, 1.25, 2} {
-		n := nStar * scale
-		d := c / (6 * n)
-		if law.Loss(int64(n), d) < best-1e-9 {
-			t.Errorf("N*=%g is not optimal: scale %v does better", nStar, scale)
 		}
 	}
 }
@@ -264,6 +248,9 @@ func TestWalltimeTruncationAccounting(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
+	if err := MODISLike().Validate(); err != nil {
+		t.Fatalf("the paper's dataset spec: %v", err)
+	}
 	spec, _ := PaperSpec(MaskedAutoencoder, "100M", 8)
 	bad := spec
 	bad.Epochs = 0
@@ -287,52 +274,11 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestDatasetGenerator(t *testing.T) {
-	spec := MODISLike()
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if spec.SizeBytes() <= 0 {
-		t.Error("size must be positive")
-	}
-	g := NewPatchGenerator(spec, 42)
-	p1 := g.Patch(17)
-	p2 := g.Patch(17)
-	if len(p1.Data) != spec.Channels*spec.PatchDim*spec.PatchDim {
-		t.Fatalf("patch size = %d", len(p1.Data))
-	}
-	for i := range p1.Data {
-		if p1.Data[i] != p2.Data[i] {
-			t.Fatal("patch generation must be deterministic")
-		}
-	}
-	p3 := g.Patch(18)
-	same := true
-	for i := range p1.Data {
-		if p1.Data[i] != p3.Data[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different indexes must differ")
-	}
-	st := p1.Stats()
-	if st.Std <= 0 || st.Min >= st.Max || st.Mean <= 0 {
-		t.Errorf("implausible stats %+v", st)
-	}
-}
-
-func TestLoadProfileDips(t *testing.T) {
-	spec, _ := PaperSpec(MaskedAutoencoder, "200M", 16)
-	res, err := spec.Run()
+// MustModel is NewModel that panics on bad input.
+func MustModel(family Family, size string) ModelConfig {
+	m, err := NewModel(family, size)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	load := res.LoadProfile()
-	steady := load(0)
-	dip := load(9 * time.Minute)
-	if dip >= steady {
-		t.Errorf("validation dip %v must be below steady %v", dip, steady)
-	}
+	return m
 }

@@ -55,8 +55,6 @@ type FaultFS struct {
 	syncsLeft  int  // successful syncs before the sync fault fires; -1 = never
 	syncErr    error
 	syncDelay  time.Duration // injected before every sync (slow disk)
-	writes     int           // total write calls observed
-	syncs      int           // total sync calls observed
 }
 
 // NewFaultFS returns a FaultFS over inner (nil = DefaultFS) with no
@@ -107,7 +105,7 @@ func (f *FaultFS) SlowSyncs(d time.Duration) {
 	f.mu.Unlock()
 }
 
-// Clear disarms every fault (counters are kept).
+// Clear disarms every fault.
 func (f *FaultFS) Clear() {
 	f.mu.Lock()
 	f.writesLeft = -1
@@ -117,14 +115,6 @@ func (f *FaultFS) Clear() {
 	f.syncErr = nil
 	f.syncDelay = 0
 	f.mu.Unlock()
-}
-
-// Counts reports the total write and sync calls observed across all
-// files opened through this FS.
-func (f *FaultFS) Counts() (writes, syncs int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writes, f.syncs
 }
 
 // OpenFile opens through the inner FS and wraps the file with the
@@ -141,7 +131,6 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 func (f *FaultFS) writeDecision() (fail, short bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.writes++
 	if f.writesLeft < 0 {
 		return false, false, nil
 	}
@@ -156,7 +145,6 @@ func (f *FaultFS) writeDecision() (fail, short bool, err error) {
 func (f *FaultFS) syncDecision() (delay time.Duration, fail bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.syncs++
 	delay = f.syncDelay
 	if f.syncsLeft < 0 {
 		return delay, false, nil

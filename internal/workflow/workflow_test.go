@@ -201,7 +201,7 @@ func TestBuildProv(t *testing.T) {
 		t.Error("curated artifact missing")
 	}
 	// Lineage: model's ancestors must include both tasks and raw.
-	anc := doc.Ancestors("ex:artifact_model")
+	anc, _ := prov.NewIndex(doc).Reach("ex:artifact_model", prov.Forward, 0)
 	found := map[prov.QName]bool{}
 	for _, a := range anc {
 		found[a] = true

@@ -2,11 +2,11 @@ package zarr
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // DType identifies an element type, using NumPy-style codes.
@@ -47,7 +47,7 @@ const shuffleID = "shuffle"
 // decides how a chunk's bytes are laid out: Filters holds the byte
 // shuffle for an array Create made with a compressing codec and is
 // absent (no "filters" key) for a raw array and for every array written
-// before the filter existed, which is read and appended to unshuffled.
+// before the filter existed, which is read unshuffled.
 type Meta struct {
 	ZarrFormat int      `json:"zarr_format"`
 	Shape      []int    `json:"shape"`
@@ -98,25 +98,14 @@ func (m *Meta) validate() error {
 	return nil
 }
 
-// Array is a chunked N-dimensional array bound to a store path.
-//
-// One-dimensional arrays support buffered appends: Append stages values
-// for the open (unsealed) tail chunk in memory and only compresses and
-// stores a chunk once it fills. Read paths and metadata accessors see
-// through the buffer, but the backing store lags the in-memory state
-// until Flush (or Sync) is called — callers that reopen the array from
-// the store, or that hand the store to another reader, must Flush first.
+// Array is a chunked N-dimensional array bound to a store path. Its
+// metadata is fixed when Create writes it or Open reads it; WriteFloat64
+// stores every chunk of the array in one call.
 type Array struct {
 	store Store
 	path  string // key prefix, e.g. "metrics/loss"
 	codec Codec
-
-	mu        sync.Mutex
-	meta      Meta
-	tail      []float64 // staged elements of the open tail chunk (1-D only)
-	tailStart int       // flat index where tail begins; multiple of the chunk size
-	tailDirty bool      // tail holds values the store has not seen
-	metaDirty bool      // in-memory shape not yet persisted to the store
+	meta  Meta
 }
 
 const (
@@ -187,11 +176,7 @@ func (a *Array) writeMeta() error {
 	if err != nil {
 		return err
 	}
-	if err := a.store.Set(a.path+"/"+metaKey, raw); err != nil {
-		return err
-	}
-	a.metaDirty = false
-	return nil
+	return a.store.Set(a.path+"/"+metaKey, raw)
 }
 
 // SetAttrs writes the array's user attributes (".zattrs" document).
@@ -209,7 +194,7 @@ func (a *Array) SetAttrs(attrs map[string]interface{}) error {
 func (a *Array) Attrs() (map[string]interface{}, error) {
 	raw, err := a.store.Get(a.path + "/" + attrsKey)
 	if err != nil {
-		if IsNotExist(err) {
+		if errors.Is(err, ErrNotExist) {
 			return map[string]interface{}{}, nil
 		}
 		return nil, err
@@ -221,33 +206,8 @@ func (a *Array) Attrs() (map[string]interface{}, error) {
 	return attrs, nil
 }
 
-// Meta returns a copy of the array metadata, including any appended but
-// not yet flushed extent.
-func (a *Array) Meta() Meta {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.meta
-	m.Shape = append([]int(nil), a.meta.Shape...)
-	m.Chunks = append([]int(nil), a.meta.Chunks...)
-	m.Filters = append([]Filter(nil), a.meta.Filters...)
-	return m
-}
-
-// Shape returns the current array shape.
-func (a *Array) Shape() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]int(nil), a.meta.Shape...)
-}
-
-// Len returns the total number of elements.
-func (a *Array) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lenLocked()
-}
-
-func (a *Array) lenLocked() int {
+// elems returns the total number of elements.
+func (a *Array) elems() int {
 	n := 1
 	for _, s := range a.meta.Shape {
 		n *= s
@@ -282,18 +242,11 @@ func (a *Array) chunkElems() int {
 	return n
 }
 
-// WriteFloat64 writes the full array contents from a flat C-order slice,
-// replacing any buffered tail data.
+// WriteFloat64 writes the full array contents from a flat C-order slice.
 func (a *Array) WriteFloat64(data []float64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(data) != a.lenLocked() {
-		return fmt.Errorf("zarr: data length %d != array size %d", len(data), a.lenLocked())
+	if len(data) != a.elems() {
+		return fmt.Errorf("zarr: data length %d != array size %d", len(data), a.elems())
 	}
-	// The incoming data supersedes anything staged for the tail chunk.
-	a.tail = nil
-	a.tailStart = 0
-	a.tailDirty = false
 	grid := a.gridDims()
 	coords := make([]int, len(grid))
 	for {
@@ -304,18 +257,12 @@ func (a *Array) WriteFloat64(data []float64) error {
 			break
 		}
 	}
-	if a.metaDirty {
-		return a.writeMeta()
-	}
 	return nil
 }
 
-// ReadFloat64 reads the full array into a flat C-order slice. Buffered
-// appends are visible even before Flush.
+// ReadFloat64 reads the full array into a flat C-order slice.
 func (a *Array) ReadFloat64() ([]float64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]float64, a.lenLocked())
+	out := make([]float64, a.elems())
 	for i := range out {
 		out[i] = a.meta.FillValue
 	}
@@ -332,9 +279,6 @@ func (a *Array) ReadFloat64() ([]float64, error) {
 			break
 		}
 	}
-	// The open tail chunk lives in memory; overlay it over whatever the
-	// store holds (a stale flushed copy, or nothing).
-	copy(out[a.tailStart:a.tailStart+len(a.tail)], a.tail)
 	return out, nil
 }
 
@@ -366,8 +310,8 @@ func (a *Array) chunkRegion(coords []int) (start, extent []int) {
 }
 
 // writeChunk encodes the sub-block of data at chunk coords and stores it.
-// Chunks are always stored at full chunk shape with fill-value padding so
-// that append/resize never rewrites interior chunks.
+// Chunks are always stored at full chunk shape, an edge chunk padded with
+// the fill value, as Zarr v2 lays them out.
 func (a *Array) writeChunk(coords []int, data []float64) error {
 	start, extent := a.chunkRegion(coords)
 	buf := make([]float64, a.chunkElems())
@@ -416,7 +360,7 @@ func (a *Array) getChunk(key string) ([]float64, error) {
 func (a *Array) readChunk(coords []int, dst []float64) error {
 	buf, err := a.getChunk(a.chunkKey(coords))
 	if err != nil {
-		if IsNotExist(err) {
+		if errors.Is(err, ErrNotExist) {
 			return nil // missing chunk = fill value
 		}
 		return fmt.Errorf("zarr: chunk %v: %w", coords, err)
@@ -546,119 +490,3 @@ func decodeElems(raw []byte, dt DType, want int, shuffle bool) ([]float64, error
 	}
 	return out, nil
 }
-
-// Append extends a 1-D array with more values. It is the hot path for
-// incremental metric logging: values are staged in the in-memory tail
-// buffer and a chunk is compressed and stored only once it fills, making
-// each call amortized O(1). Call Flush to persist the open tail chunk
-// and metadata before the store is read by anyone else.
-func (a *Array) Append(values []float64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.meta.Shape) != 1 {
-		return fmt.Errorf("zarr: Append requires a 1-D array, got rank %d", len(a.meta.Shape))
-	}
-	if len(values) == 0 {
-		return nil
-	}
-	if a.tail == nil {
-		if err := a.activateTailLocked(); err != nil {
-			return err
-		}
-	}
-	chunk := a.meta.Chunks[0]
-	for len(values) > 0 {
-		n := chunk - len(a.tail)
-		if n > len(values) {
-			n = len(values)
-		}
-		a.tail = append(a.tail, values[:n]...)
-		values = values[n:]
-		a.meta.Shape[0] += n
-		a.metaDirty = true
-		a.tailDirty = true
-		if len(a.tail) == chunk {
-			if err := a.sealTailLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// activateTailLocked loads any existing partial tail chunk from the
-// store into the staging buffer, switching the array to buffered mode.
-func (a *Array) activateTailLocked() error {
-	chunk := a.meta.Chunks[0]
-	tailChunk := a.meta.Shape[0] / chunk
-	tailStart := tailChunk * chunk
-	a.tailStart = tailStart
-	a.tail = make([]float64, 0, chunk)
-	if rem := a.meta.Shape[0] - tailStart; rem > 0 {
-		full, err := a.getChunk(a.chunkKey([]int{tailChunk}))
-		if err != nil {
-			if !IsNotExist(err) {
-				return err
-			}
-			// Missing chunk reads as fill values.
-			a.tail = a.tail[:rem]
-			for i := range a.tail {
-				a.tail[i] = a.meta.FillValue
-			}
-			return nil
-		}
-		a.tail = append(a.tail, full[:rem]...)
-	}
-	return nil
-}
-
-// sealTailLocked compresses and stores the (full) tail chunk and opens
-// the next one.
-func (a *Array) sealTailLocked() error {
-	if err := a.storeTailLocked(); err != nil {
-		return err
-	}
-	a.tailStart += a.meta.Chunks[0]
-	a.tail = a.tail[:0]
-	return nil
-}
-
-// storeTailLocked writes the current tail buffer as a full-shape chunk,
-// padding a partial tail with fill values — byte-identical to the layout
-// an unbuffered write produces.
-func (a *Array) storeTailLocked() error {
-	chunk := a.meta.Chunks[0]
-	buf := a.tail
-	if len(buf) < chunk {
-		buf = make([]float64, chunk)
-		copy(buf, a.tail)
-		for i := len(a.tail); i < chunk; i++ {
-			buf[i] = a.meta.FillValue
-		}
-	}
-	if err := a.putChunk(a.chunkKey([]int{a.tailStart / chunk}), buf); err != nil {
-		return err
-	}
-	a.tailDirty = false
-	return nil
-}
-
-// Flush persists the open tail chunk (if any) and any pending metadata
-// update to the store. It is cheap when nothing is pending. After Flush
-// the store holds a complete, self-describing array readable by Open.
-func (a *Array) Flush() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tailDirty && len(a.tail) > 0 {
-		if err := a.storeTailLocked(); err != nil {
-			return err
-		}
-	}
-	if a.metaDirty {
-		return a.writeMeta()
-	}
-	return nil
-}
-
-// Sync is an alias for Flush.
-func (a *Array) Sync() error { return a.Flush() }

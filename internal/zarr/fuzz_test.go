@@ -79,12 +79,12 @@ func FuzzChunkDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		a, err := Open(store, "x")
-		if err != nil || a.Len() > 1<<16 {
+		if err != nil || a.elems() > 1<<16 {
 			return
 		}
 		out, err := a.ReadFloat64()
-		if err == nil && len(out) != a.Len() {
-			t.Fatalf("ReadFloat64 returned %d elements of %d", len(out), a.Len())
+		if err == nil && len(out) != a.elems() {
+			t.Fatalf("ReadFloat64 returned %d elements of %d", len(out), a.elems())
 		}
 	})
 }

@@ -135,11 +135,6 @@ func (z *ZipStore) Set(key string, _ []byte) error {
 	return fmt.Errorf("%w: set %q", errReadOnly, key)
 }
 
-// Delete implements Store; an archive is not written in place.
-func (z *ZipStore) Delete(key string) error {
-	return fmt.Errorf("%w: delete %q", errReadOnly, key)
-}
-
 // List implements Store, from the central directory.
 func (z *ZipStore) List(prefix string) ([]string, error) {
 	var keys []string
@@ -149,19 +144,4 @@ func (z *ZipStore) List(prefix string) ([]string, error) {
 		}
 	}
 	return keys, nil
-}
-
-// OpenStore opens the store at path, which decides the reader: a
-// directory is a DirStore, a regular file a ZipStore.
-func OpenStore(path string) (Store, error) {
-	fi, err := os.Stat(path)
-	switch {
-	case err != nil:
-		return nil, err
-	case fi.IsDir():
-		return NewDirStore(path)
-	case fi.Mode().IsRegular():
-		return OpenZip(path)
-	}
-	return nil, fmt.Errorf("zarr: %s is neither a directory nor a regular file", path)
 }

@@ -50,7 +50,7 @@ func totalAlloc() uint64 {
 const allocSlack = 64 << 10
 
 // FuzzOpenZipStore writes arbitrary bytes as metrics.zarr and reads them
-// the way metrics.LoadZarrSeries does: OpenStore, List, then Open and
+// the way metrics.LoadZarrSeries does: OpenZip, List, then Open and
 // ReadFloat64 of every array listed. Any of those may fail; none may
 // panic, and no Get allocates more than the file holds, whatever sizes
 // the archive's headers claim. Chunk decoding under ReadFloat64 has its
@@ -74,7 +74,7 @@ func FuzzOpenZipStore(f *testing.F) {
 		if err := os.WriteFile(file, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		store, err := zarr.OpenStore(file)
+		store, err := zarr.OpenZip(file)
 		if err != nil {
 			return
 		}

@@ -96,8 +96,8 @@ func TestZipStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestZipStoreRejects: a missing key is ErrNotExist, writes fail and
-// change nothing, and a member whose bytes or CRC were altered, or that
+// TestZipStoreRejects: a missing key is ErrNotExist, a write fails and
+// changes nothing, and a member whose bytes or CRC were altered, or that
 // is deflated, is an error and never data.
 func TestZipStoreRejects(t *testing.T) {
 	path, _ := writeZipFixture(t)
@@ -105,14 +105,11 @@ func TestZipStoreRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := z.Get("TRAINING/loss/value/9"); !IsNotExist(err) {
+	if _, err := z.Get("TRAINING/loss/value/9"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("missing key: %v, want ErrNotExist", err)
 	}
 	if err := z.Set("TRAINING/loss/value/0", []byte("x")); err == nil {
 		t.Error("Set succeeded on an archive")
-	}
-	if err := z.Delete("TRAINING/loss/value/0"); err == nil {
-		t.Error("Delete succeeded on an archive")
 	}
 	if _, err := z.Get("TRAINING/loss/value/0"); err != nil {
 		t.Errorf("after the refused writes: %v", err)
@@ -183,52 +180,18 @@ func TestZipStoreRejects(t *testing.T) {
 	}
 }
 
-// TestOpenStorePicksReader: a directory opens as a DirStore — the
-// committed legacy store included, which still reads and appends — a
-// file as a ZipStore, and WriteZip fails on a directory in its way and
-// leaves it be.
-func TestOpenStorePicksReader(t *testing.T) {
-	root := copyLegacyStore(t).Root()
-	s, err := OpenStore(root)
-	if err != nil {
+// TestWriteZipRefusesDirectory: WriteZip fails on a directory in its
+// way, naming it, and leaves what the directory holds be.
+func TestWriteZipRefusesDirectory(t *testing.T) {
+	root := t.TempDir()
+	inside := filepath.Join(root, ".zgroup")
+	if err := os.WriteFile(inside, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.(*DirStore); !ok {
-		t.Fatalf("directory opened as %T", s)
-	}
-	const p = "VALIDATION/val_acc/value"
-	a, err := Open(s, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := legacyColumns()[p]
-	requireColumn(t, a, p, want)
-	if err := a.Append([]float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(s, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireColumn(t, b, p, append(append([]float64(nil), want...), 1))
-
-	path, _ := writeZipFixture(t)
-	if s, err := OpenStore(path); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*ZipStore); !ok {
-		t.Fatalf("file opened as %T", s)
-	}
-	if _, err := OpenStore(filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Error("a missing path opened")
-	}
-
 	if err := WriteZip(root, NewMemStore()); err == nil || !strings.Contains(err.Error(), root) {
 		t.Errorf("WriteZip over a directory: %v", err)
 	}
-	if _, err := Open(s, p); err != nil {
-		t.Errorf("the directory store was damaged: %v", err)
+	if b, err := os.ReadFile(inside); err != nil || string(b) != "{}" {
+		t.Errorf("the directory was damaged: %q, %v", b, err)
 	}
 }
