@@ -86,13 +86,6 @@ func (r *Recorder) Freeze(kind, detail string) *Bundle {
 		reason += ": " + detail
 	}
 	b := r.Capture(reason)
-
-	r.freezeMu.Lock()
-	r.bundles = append(r.bundles, b)
-	if len(r.bundles) > r.cfg.MaxBundles {
-		r.bundles = r.bundles[len(r.bundles)-r.cfg.MaxBundles:]
-	}
-	r.freezeMu.Unlock()
 	r.latest.Store(b)
 	r.freezes.Inc()
 	if r.cfg.Logf != nil {

@@ -45,7 +45,6 @@ type Config struct {
 	SlowThreshold  time.Duration // requests at or over this are always recorded (default 250ms)
 	SlowLogFloor   time.Duration // requests under this never enter the slow log (default 100µs)
 	SampleEvery    int           // record 1 in N unremarkable requests (default 16; <0 disables)
-	MaxBundles     int           // frozen bundles retained (default 4)
 	FreezeCooldown time.Duration // minimum spacing between freezes of the same trigger kind (default 1m)
 	RuntimeEvery   time.Duration // runtime/metrics poll interval (default 1s)
 	RuntimeWindow  int           // runtime samples retained (default 120)
@@ -69,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 16
-	}
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = 4
 	}
 	if c.FreezeCooldown <= 0 {
 		c.FreezeCooldown = time.Minute
@@ -137,7 +133,6 @@ type Recorder struct {
 
 	freezeMu   sync.Mutex
 	lastFreeze map[string]time.Time
-	bundles    []*Bundle
 	latest     atomic.Pointer[Bundle]
 
 	reg      *obs.Registry // set by RegisterObs; snapshotted into bundles

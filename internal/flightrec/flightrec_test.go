@@ -212,11 +212,11 @@ func TestRingAndSlowLogConcurrent(t *testing.T) {
 }
 
 // TestBundleFreezeDuringLoad: freezing while writers are adding
-// records yields internally consistent, JSON-marshalable bundles.
+// records yields internally consistent, JSON-marshalable bundles, and
+// the recorder serves the last one frozen.
 func TestBundleFreezeDuringLoad(t *testing.T) {
 	cfg := testConfig()
 	cfg.SampleEvery = 1
-	cfg.MaxBundles = 3
 	cfg.FreezeCooldown = time.Nanosecond
 	r := New(cfg)
 	defer r.Close()
@@ -243,11 +243,13 @@ func TestBundleFreezeDuringLoad(t *testing.T) {
 			}
 		}(g)
 	}
+	var last *Bundle
 	for i := 0; i < 25; i++ {
 		b := r.Freeze("load-test", "")
 		if b == nil {
 			continue // suppressed by a same-instant freeze
 		}
+		last = b
 		if b.Requests < b.Records {
 			t.Fatalf("bundle says %d requests < %d records", b.Requests, b.Records)
 		}
@@ -271,11 +273,8 @@ func TestBundleFreezeDuringLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	r.freezeMu.Lock()
-	kept := len(r.bundles)
-	r.freezeMu.Unlock()
-	if kept > cfg.MaxBundles {
-		t.Fatalf("bundle retention grew past the cap: %d", kept)
+	if last == nil || r.Frozen() != last {
+		t.Fatalf("Frozen() = %p, not the last bundle Freeze returned (%p)", r.Frozen(), last)
 	}
 }
 

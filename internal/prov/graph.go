@@ -1,6 +1,11 @@
 package prov
 
-import "slices"
+import (
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+)
 
 // Direction selects which way a traversal follows relation edges. A
 // relation is oriented subject -> object (used: activity -> entity;
@@ -24,14 +29,18 @@ const (
 // qualified-name order, and the relations are stored in both
 // orientations as compressed sparse rows, so a traversal runs over
 // int32 slices with a flat visited array whose size is the document's,
-// and results come out name-sorted by sorting ids. An element declared
-// in more than one class is one node. Endpoints a relation names
-// without declaring them (Validate rejects such a document, the
-// traversal methods on Document never did) are nodes as well; Dangling
-// reports them.
+// and results come out name-sorted by sorting ids. The names are one
+// string, sorted and concatenated, and a name is found by binary search
+// over it: an index is a few flat arrays, with no map and no string of
+// the document it was built from. An element declared in more than one
+// class is one node. Endpoints a relation names without declaring them
+// (Validate rejects such a document, the traversal methods on Document
+// never did) are nodes as well; Dangling reports them.
 type Index struct {
-	ids      map[QName]int32
-	names    []QName // sorted; a node's id is its position
+	// names holds every node's name, sorted and concatenated: node id's
+	// name is names[offs[id]:offs[id+1]].
+	names    string
+	offs     []uint32
 	fwd      csrRows
 	rev      csrRows
 	dangling *Relation
@@ -46,96 +55,150 @@ func (c *csrRows) row(id int32) []int32 {
 	return c.targets[c.rowStart[id]:c.rowStart[id+1]]
 }
 
-// NewIndex indexes d. The index keeps no reference to d, which must not
-// change while the index is used to answer for it.
+type edge struct{ from, to int32 }
+
+// indexBuild is what NewIndex needs only while it builds: the node
+// names, a name -> id map that resolves relation endpoints with one
+// probe each, and the resolved edges. It is pooled, and emptied before
+// it goes back, so a pooled one pins no document.
+type indexBuild struct {
+	ids   map[QName]int32
+	names []QName
+	edges []edge
+}
+
+var indexBuilds = sync.Pool{New: func() any { return &indexBuild{ids: map[QName]int32{}} }}
+
+// NewIndex indexes d. The index keeps no reference to d, except for
+// the relation Dangling returns; d must not change while NewIndex runs.
 func NewIndex(d *Document) *Index {
-	n := len(d.Entities) + len(d.Activities) + len(d.Agents)
-	ix := &Index{ids: make(map[QName]int32, n), names: make([]QName, 0, n)}
+	b := indexBuilds.Get().(*indexBuild)
+	defer b.release()
 	for q := range d.Entities {
-		ix.names = append(ix.names, q)
+		b.names = append(b.names, q)
 	}
 	for q := range d.Activities {
-		ix.names = append(ix.names, q)
+		b.names = append(b.names, q)
 	}
 	for q := range d.Agents {
-		ix.names = append(ix.names, q)
+		b.names = append(b.names, q)
 	}
-	ix.number()
+	b.number()
 
-	type edge struct{ from, to int32 }
-	edges := make([]edge, len(d.Relations))
-	// resolve maps every relation to node ids and returns the endpoints
-	// that are not nodes yet.
-	resolve := func() (missing []QName) {
+	ix := &Index{}
+	b.edges = slices.Grow(b.edges, len(d.Relations))[:len(d.Relations)]
+	// resolve maps every relation to node ids and appends the endpoints
+	// that are not nodes yet to b.names.
+	resolve := func() {
 		for i, r := range d.Relations {
-			from, ok1 := ix.ids[r.Subject]
-			to, ok2 := ix.ids[r.Object]
+			from, ok1 := b.ids[r.Subject]
+			to, ok2 := b.ids[r.Object]
 			if !ok1 {
-				missing = append(missing, r.Subject)
+				b.names = append(b.names, r.Subject)
 			}
 			if !ok2 {
-				missing = append(missing, r.Object)
+				b.names = append(b.names, r.Object)
 			}
 			if !(ok1 && ok2) && ix.dangling == nil {
 				ix.dangling = r
 			}
-			edges[i] = edge{from, to}
+			b.edges[i] = edge{from, to}
 		}
-		return missing
 	}
-	if missing := resolve(); len(missing) > 0 {
-		ix.names = append(ix.names, missing...)
-		ix.number()
+	if resolve(); ix.dangling != nil {
+		b.number()
 		resolve()
 	}
 
-	n = len(ix.names)
-	build := func(reverse bool) csrRows {
-		rows := csrRows{rowStart: make([]int32, n+1), targets: make([]int32, len(edges))}
-		for _, e := range edges {
-			from := e.from
-			if reverse {
-				from = e.to
-			}
-			rows.rowStart[from+1]++
-		}
-		for i := 0; i < n; i++ {
-			rows.rowStart[i+1] += rows.rowStart[i]
-		}
-		fill := make([]int32, n)
-		for _, e := range edges {
-			from, to := e.from, e.to
-			if reverse {
-				from, to = to, from
-			}
-			rows.targets[rows.rowStart[from]+fill[from]] = to
-			fill[from]++
-		}
-		// Name order within a row keeps traversal order — which of two
-		// equally short paths Path returns — independent of the order
-		// relations were added in.
-		for i := int32(0); i < int32(n); i++ {
-			slices.Sort(rows.row(i))
-		}
-		return rows
+	size := 0
+	for _, q := range b.names {
+		size += len(q)
 	}
-	ix.fwd = build(false)
-	ix.rev = build(true)
+	var arena strings.Builder
+	arena.Grow(size)
+	ix.offs = make([]uint32, len(b.names)+1)
+	for i, q := range b.names {
+		arena.WriteString(string(q))
+		ix.offs[i+1] = uint32(arena.Len())
+	}
+	ix.names = arena.String()
+	ix.fwd = b.rows(false)
+	ix.rev = b.rows(true)
 	return ix
 }
 
 // number sorts and deduplicates names and assigns ids by position.
-func (ix *Index) number() {
-	slices.Sort(ix.names)
-	ix.names = slices.Compact(ix.names)
-	for i, q := range ix.names {
-		ix.ids[q] = int32(i)
+func (b *indexBuild) number() {
+	slices.Sort(b.names)
+	b.names = slices.Compact(b.names)
+	for i, q := range b.names {
+		b.ids[q] = int32(i)
 	}
+}
+
+// rows lays the edges out as compressed sparse rows, subject -> object,
+// or object -> subject when reverse.
+func (b *indexBuild) rows(reverse bool) csrRows {
+	n := len(b.names)
+	rows := csrRows{rowStart: make([]int32, n+1), targets: make([]int32, len(b.edges))}
+	for _, e := range b.edges {
+		from := e.from
+		if reverse {
+			from = e.to
+		}
+		rows.rowStart[from+1]++
+	}
+	for i := 0; i < n; i++ {
+		rows.rowStart[i+1] += rows.rowStart[i]
+	}
+	// Each row's start is its fill cursor, which ends at the next row's
+	// start; shifting the starts up one slot restores them.
+	for _, e := range b.edges {
+		from, to := e.from, e.to
+		if reverse {
+			from, to = to, from
+		}
+		rows.targets[rows.rowStart[from]] = to
+		rows.rowStart[from]++
+	}
+	copy(rows.rowStart[1:], rows.rowStart[:n])
+	rows.rowStart[0] = 0
+	// Name order within a row keeps traversal order — which of two
+	// equally short paths Path returns — independent of the order
+	// relations were added in.
+	for i := int32(0); i < int32(n); i++ {
+		slices.Sort(rows.row(i))
+	}
+	return rows
+}
+
+// release empties b — the names it drops are the document's — and
+// pools it.
+func (b *indexBuild) release() {
+	clear(b.ids)
+	clear(b.names)
+	b.names = b.names[:0]
+	b.edges = b.edges[:0]
+	indexBuilds.Put(b)
+}
+
+// Len returns the number of nodes; ids run from 0 to Len()-1.
+func (ix *Index) Len() int { return len(ix.offs) - 1 }
+
+// Name returns the name of node id. Names sort as ids do.
+func (ix *Index) Name(id int32) QName {
+	return QName(ix.names[ix.offs[id]:ix.offs[id+1]])
+}
+
+// id returns q's node id, found by binary search over the names.
+func (ix *Index) id(q QName) (int32, bool) {
+	i := sort.Search(ix.Len(), func(i int) bool { return ix.Name(int32(i)) >= q })
+	return int32(i), i < ix.Len() && ix.Name(int32(i)) == q
 }
 
 // Has reports whether q is a node of the index.
 func (ix *Index) Has(q QName) bool {
-	_, ok := ix.ids[q]
+	_, ok := ix.id(q)
 	return ok
 }
 
@@ -143,9 +206,12 @@ func (ix *Index) Has(q QName) bool {
 // does not declare, or nil when every endpoint is an element.
 func (ix *Index) Dangling() *Relation { return ix.dangling }
 
-// Names returns every node, sorted: a node's id is its position. The
-// slice is the index's own and must not be modified.
-func (ix *Index) Names() []QName { return ix.names }
+// Bytes returns the size of the index's arrays, in bytes.
+func (ix *Index) Bytes() int {
+	return len(ix.names) + 4*(len(ix.offs)+
+		len(ix.fwd.rowStart)+len(ix.fwd.targets)+
+		len(ix.rev.rowStart)+len(ix.rev.targets))
+}
 
 // Row returns the ids of the nodes one relation away from node id, in
 // id order: away from origins for Reverse, toward them for any other
@@ -161,13 +227,14 @@ func (ix *Index) Row(id int32, dir Direction) []int32 {
 // (maxDepth <= 0 means unlimited), excluding start, in sorted order. ok
 // is false when start is not a node.
 func (ix *Index) Reach(start QName, dir Direction, maxDepth int) (reach []QName, ok bool) {
-	s, ok := ix.ids[start]
+	s, ok := ix.id(start)
 	if !ok {
 		return nil, false
 	}
-	visited := make([]bool, len(ix.names))
+	n := ix.Len()
+	visited := make([]bool, n)
 	visited[s] = true
-	queue := make([]int32, 1, len(ix.names))
+	queue := make([]int32, 1, n)
 	queue[0] = s
 	head, depth, levelEnd := 0, 0, 1
 	for head < len(queue) {
@@ -191,7 +258,7 @@ func (ix *Index) Reach(start QName, dir Direction, maxDepth int) (reach []QName,
 	slices.Sort(found)
 	reach = make([]QName, len(found))
 	for i, id := range found {
-		reach[i] = ix.names[id]
+		reach[i] = ix.Name(id)
 	}
 	return reach, true
 }

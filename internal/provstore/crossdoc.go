@@ -43,10 +43,10 @@ func (s *Store) CrossDocLineage(start prov.QName, dir LineageDirection, depth in
 	docsOf := nodeDocs{}
 	s.eachEntry(func(e *entry) {
 		docsOf.add(e)
-		names := e.ix.Names()
-		for i, from := range names {
-			for _, to := range e.ix.Row(int32(i), pdir) {
-				adj[from] = append(adj[from], names[to])
+		for i := int32(0); i < int32(e.ix.Len()); i++ {
+			from := e.ix.Name(i)
+			for _, to := range e.ix.Row(i, pdir) {
+				adj[from] = append(adj[from], e.ix.Name(to))
 			}
 		}
 	})
@@ -101,7 +101,8 @@ type nodeDocs map[prov.QName]map[string]bool
 // add records e's elements: its index's nodes, which are exactly the
 // declared elements because newEntry refuses a relation to any other.
 func (nd nodeDocs) add(e *entry) {
-	for _, q := range e.ix.Names() {
+	for i := int32(0); i < int32(e.ix.Len()); i++ {
+		q := e.ix.Name(i)
 		if nd[q] == nil {
 			nd[q] = map[string]bool{}
 		}

@@ -3,6 +3,7 @@ package provstore
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -71,7 +72,9 @@ func newEntry(id string, doc *prov.Document, blob []byte) (*entry, error) {
 	eachElement(doc, func(class string, el *prov.Element) {
 		if v, ok := el.Attrs[typeKey]; ok {
 			if t, ok := stringForm(v); ok {
-				e.types = append(e.types, typeHit{t, el.ID, class})
+				// Copies: the decoder cuts both from chunks it shares
+				// with every string of the document.
+				e.types = append(e.types, typeHit{strings.Clone(t), prov.QName(strings.Clone(string(el.ID))), class})
 			}
 		}
 	})
@@ -199,6 +202,10 @@ type shard struct {
 	byType map[string]map[string]struct{}
 	// nodes and rels count the elements and relations of docs.
 	nodes, rels int
+	// blobBytes and indexBytes total the entries' blobs and index
+	// arrays: what the shard keeps resident, read unlocked by the
+	// yprov_store_resident_bytes gauges.
+	blobBytes, indexBytes atomic.Int64
 
 	// lockWaitNanos accumulates how long mutations waited for mu, the
 	// per-shard contention signal behind the
@@ -240,10 +247,12 @@ func (sh *shard) swap(id string, e *entry) {
 }
 
 // account adds (sign 1) or removes (sign -1) e's element and relation
-// counts.
+// counts and resident bytes.
 func (sh *shard) account(e *entry, sign int) {
 	sh.nodes += sign * e.nodes
 	sh.rels += sign * e.rels
+	sh.blobBytes.Add(int64(sign * len(e.blob)))
+	sh.indexBytes.Add(int64(sign * e.ix.Bytes()))
 }
 
 // entries appends the shard's entries to buf under a brief read lock;

@@ -119,10 +119,10 @@ func (s *Store) SetApplyObserver(fn func(seq uint64, op, trace string)) {
 }
 
 // RegisterObs exposes the store's instruments on reg: the shard
-// lock-wait histogram, per-shard cumulative wait counters, document /
-// applied-sequence gauges, and — for journaled stores — the WAL's own
-// instruments, snapshot-failure counts and what checkpoints cost (time,
-// bytes written). Nil-safe on reg.
+// lock-wait histogram, per-shard cumulative wait counters and resident
+// bytes, document / applied-sequence gauges, and — for journaled
+// stores — the WAL's own instruments, snapshot-failure counts and what
+// checkpoints cost (time, bytes written). Nil-safe on reg.
 func (s *Store) RegisterObs(reg *obs.Registry) {
 	reg.RegisterHistogram("yprov_shard_lock_wait_seconds",
 		"Time mutations wait for their shard's write lock.", nil, s.lockWait)
@@ -132,6 +132,15 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 			"Cumulative mutation wait per shard lock.",
 			obs.Labels{"shard": strconv.Itoa(i)},
 			func() float64 { return float64(sh.lockWaitNanos.Load()) * 1e-9 })
+		for _, p := range []struct {
+			part  string
+			bytes *atomic.Int64
+		}{{"blob", &sh.blobBytes}, {"index", &sh.indexBytes}} {
+			reg.RegisterGaugeFunc("yprov_store_resident_bytes",
+				"Bytes the shard's stored documents keep resident: binary blobs and traversal index arrays.",
+				obs.Labels{"shard": strconv.Itoa(i), "part": p.part},
+				func() float64 { return float64(p.bytes.Load()) })
+		}
 	}
 	reg.RegisterGaugeFunc("yprov_store_documents",
 		"Documents currently stored.", nil,
