@@ -62,7 +62,11 @@ chaos:
 
 # Ten seconds of each fuzzer on top of its committed seed corpus. prov:
 # the differential one that holds the PROV-JSON decoder to the
-# encoding/json reference it replaced, and the two binary-codec ones.
+# encoding/json reference it replaced, the two binary-codec ones, and
+# the differential one that holds the index and census IndexBinary
+# builds from a blob to those of the document ParseBinary decodes from
+# it (same accepted inputs, nodes, rows, dangling relation, counts and
+# prov:type hits).
 # zarr: the fused byte shuffle against a two-buffer transposition,
 # Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes, and
 # OpenZip/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
@@ -85,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexBinaryMatchesDecode$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleRoundTrip$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkDecode$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenZipStore$$' -fuzztime 10s ./internal/zarr

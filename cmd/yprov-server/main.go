@@ -141,7 +141,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("opening data dir %s: %v", *dataDir, err)
 		}
-		log.Printf("recovered %d document(s) from %s", store.Count(), *dataDir)
+		r := store.Stats().Durability.Recovery
+		log.Printf("recovered %d document(s) from %s in %.1f ms: snapshot %d document(s), %d bytes, %.1f ms; journal tail %d record(s), %d bytes, %.1f ms",
+			store.Count(), *dataDir, r.TotalMs, r.SnapshotDocs, r.SnapshotBytes, r.SnapshotMs, r.TailRecords, r.TailBytes, r.TailMs)
 		if store.SuspectBitRot() {
 			log.Printf("WARNING: recovery truncated the journal tail ahead of intact record frames in %s — "+
 				"if this boot does not follow a crash/power loss, suspect disk corruption and verify the document set", *dataDir)

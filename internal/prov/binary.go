@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Compact binary serialization for documents. This is the journal/wire
@@ -178,6 +179,9 @@ type binReader struct {
 	buf []byte
 	pos int
 	tab []string
+	// views makes the strings of tab views of buf rather than copies,
+	// for a walk none of whose strings outlives it (IndexBinary).
+	views bool
 }
 
 var errBinTruncated = fmt.Errorf("prov: truncated binary document")
@@ -185,6 +189,10 @@ var errBinTruncated = fmt.Errorf("prov: truncated binary document")
 func (r *binReader) remaining() int { return len(r.buf) - r.pos }
 
 func (r *binReader) uvarint() (uint64, error) {
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 { // one byte: most tokens and counts
+		r.pos++
+		return uint64(r.buf[r.pos-1]), nil
+	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, errBinTruncated
@@ -211,42 +219,70 @@ func (r *binReader) byte() (byte, error) {
 	return b, nil
 }
 
-// count reads a collection length and sanity-bounds it against the
-// bytes left: every item costs at least one byte, so a count beyond
-// that is corrupt — caught here before it sizes an allocation.
-func (r *binReader) count() (int, error) {
+// The fewest bytes one item of each collection encodes in: a string, a
+// varint and a time take a byte at least, a value two (its kind byte,
+// then a payload), so a count of more items than could fit in the bytes
+// left is corrupt.
+const (
+	minNamespaceBytes = 2 // prefix, uri
+	minElementBytes   = 2 // id, attribute count
+	minActivityBytes  = 4 // id, attribute count, start, end
+	minRelationBytes  = 6 // id, kind, subject, object, time, attribute count
+	minAttrBytes      = 3 // key, value kind, payload
+)
+
+// count reads a collection length and bounds it by the bytes left over
+// the smallest encoding of one item, minBytes: a count beyond that is
+// corrupt — caught here, before it sizes an allocation.
+func (r *binReader) count(minBytes int) (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(r.remaining()) {
+	if v > uint64(r.remaining()/minBytes) {
 		return 0, fmt.Errorf("prov: binary document count %d exceeds input", v)
 	}
 	return int(v), nil
 }
 
 func (r *binReader) str() (string, error) {
-	tok, err := r.uvarint()
+	tok, err := r.tok()
 	if err != nil {
 		return "", err
+	}
+	return r.tab[tok], nil
+}
+
+// tok reads a string reference and returns the string's index in the
+// intern table, adding a new string to the table.
+func (r *binReader) tok() (int32, error) {
+	tok, err := r.uvarint()
+	if err != nil {
+		return 0, err
 	}
 	if tok != 0 {
 		if tok > uint64(len(r.tab)) {
-			return "", fmt.Errorf("prov: binary document string ref %d out of range", tok)
+			return 0, fmt.Errorf("prov: binary document string ref %d out of range", tok)
 		}
-		return r.tab[tok-1], nil
+		return int32(tok - 1), nil
 	}
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	if n > uint64(r.remaining()) {
-		return "", errBinTruncated
+		return 0, errBinTruncated
 	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
+	b := r.buf[r.pos : r.pos+int(n)]
+	var s string
+	if r.views && n > 0 {
+		s = unsafe.String(&b[0], n)
+	} else {
+		s = string(b)
+	}
 	r.pos += int(n)
 	r.tab = append(r.tab, s)
-	return s, nil
+	return int32(len(r.tab) - 1), nil
 }
 
 func (r *binReader) time() (time.Time, error) {
@@ -276,7 +312,7 @@ func (r *binReader) time() (time.Time, error) {
 }
 
 func (r *binReader) attrs() (Attrs, error) {
-	n, err := r.count()
+	n, err := r.count(minAttrBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +388,7 @@ func ParseBinary(data []byte) (*Document, error) {
 
 	d := &Document{Namespaces: NewNamespaceSet()}
 
-	nNS, err := r.count()
+	nNS, err := r.count(minNamespaceBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +404,7 @@ func ParseBinary(data []byte) (*Document, error) {
 		d.Namespaces.Register(p, uri)
 	}
 
-	nEnt, err := r.count()
+	nEnt, err := r.count(minElementBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +423,7 @@ func ParseBinary(data []byte) (*Document, error) {
 		d.Entities[QName(id)] = &ents[i]
 	}
 
-	nAct, err := r.count()
+	nAct, err := r.count(minActivityBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +450,7 @@ func ParseBinary(data []byte) (*Document, error) {
 		d.Activities[QName(id)] = &acts[i]
 	}
 
-	nAg, err := r.count()
+	nAg, err := r.count(minElementBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +469,7 @@ func ParseBinary(data []byte) (*Document, error) {
 		d.Agents[QName(id)] = &ags[i]
 	}
 
-	nRel, err := r.count()
+	nRel, err := r.count(minRelationBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -92,24 +92,31 @@ func FuzzBinaryDocRoundTrip(f *testing.F) {
 	})
 }
 
+// binaryDecodeSeeds are FuzzBinaryDocDecode's seeds: the fuzz seed
+// documents' encodings, then hostile shapes — wrong tag, truncations,
+// absurd counts.
+func binaryDecodeSeeds() [][]byte {
+	var seeds [][]byte
+	for _, d := range fuzzSeedDocs() {
+		seeds = append(seeds, AppendBinary(nil, d))
+	}
+	seeds = append(seeds, []byte{}, []byte{BinaryDocTag}, []byte{0x02, 0x00}, []byte{BinaryDocTag, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	kitchen := AppendBinary(nil, fuzzSeedDocs()[1])
+	for _, cut := range []int{1, 2, len(kitchen) / 2, len(kitchen) - 1} {
+		if cut < len(kitchen) {
+			seeds = append(seeds, kitchen[:cut])
+		}
+	}
+	return seeds
+}
+
 // FuzzBinaryDocDecode throws arbitrary bytes at the decoder: it must
 // never panic, and anything it does accept must re-encode and re-decode
 // to the same canonical JSON (decode is a fixpoint, so corrupt input
 // can never silently morph a document).
 func FuzzBinaryDocDecode(f *testing.F) {
-	for _, d := range fuzzSeedDocs() {
-		f.Add(AppendBinary(nil, d))
-	}
-	// Hostile shapes: wrong tag, truncations, absurd counts.
-	f.Add([]byte{})
-	f.Add([]byte{BinaryDocTag})
-	f.Add([]byte{0x02, 0x00})
-	f.Add([]byte{BinaryDocTag, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	kitchen := AppendBinary(nil, fuzzSeedDocs()[1])
-	for _, cut := range []int{1, 2, len(kitchen) / 2, len(kitchen) - 1} {
-		if cut < len(kitchen) {
-			f.Add(kitchen[:cut])
-		}
+	for _, s := range binaryDecodeSeeds() {
+		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := ParseBinary(data)

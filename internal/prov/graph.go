@@ -3,8 +3,6 @@ package prov
 import (
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 )
 
 // Direction selects which way a traversal follows relation edges. A
@@ -35,12 +33,13 @@ const (
 // the document it was built from. An element declared in more than one
 // class is one node. Endpoints a relation names without declaring them
 // (Validate rejects such a document, the traversal methods on Document
-// never did) are nodes as well; Dangling reports them.
+// never did) are nodes as well; Dangling reports them. IndexBinary
+// builds one from a document's binary encoding.
 type Index struct {
 	// names holds every node's name, sorted and concatenated: node id's
 	// name is names[offs[id]:offs[id+1]].
 	names    string
-	offs     []uint32
+	offs     []int32
 	fwd      csrRows
 	rev      csrRows
 	dangling *Relation
@@ -57,91 +56,32 @@ func (c *csrRows) row(id int32) []int32 {
 
 type edge struct{ from, to int32 }
 
-// indexBuild is what NewIndex needs only while it builds: the node
-// names, a name -> id map that resolves relation endpoints with one
-// probe each, and the resolved edges. It is pooled, and emptied before
-// it goes back, so a pooled one pins no document.
-type indexBuild struct {
-	ids   map[QName]int32
-	names []QName
-	edges []edge
-}
-
-var indexBuilds = sync.Pool{New: func() any { return &indexBuild{ids: map[QName]int32{}} }}
-
-// NewIndex indexes d. The index keeps no reference to d, except for
-// the relation Dangling returns; d must not change while NewIndex runs.
-func NewIndex(d *Document) *Index {
-	b := indexBuilds.Get().(*indexBuild)
-	defer b.release()
-	for q := range d.Entities {
-		b.names = append(b.names, q)
+// newIndexArrays allocates an index of n nodes and m relations: its
+// offsets and both row sets are slices of one int32 slab.
+func newIndexArrays(n, m int) *Index {
+	slab := make([]int32, 3*(n+1)+2*m)
+	cut := func(k int) []int32 {
+		s := slab[:k:k]
+		slab = slab[k:]
+		return s
 	}
-	for q := range d.Activities {
-		b.names = append(b.names, q)
-	}
-	for q := range d.Agents {
-		b.names = append(b.names, q)
-	}
-	b.number()
-
-	ix := &Index{}
-	b.edges = slices.Grow(b.edges, len(d.Relations))[:len(d.Relations)]
-	// resolve maps every relation to node ids and appends the endpoints
-	// that are not nodes yet to b.names.
-	resolve := func() {
-		for i, r := range d.Relations {
-			from, ok1 := b.ids[r.Subject]
-			to, ok2 := b.ids[r.Object]
-			if !ok1 {
-				b.names = append(b.names, r.Subject)
-			}
-			if !ok2 {
-				b.names = append(b.names, r.Object)
-			}
-			if !(ok1 && ok2) && ix.dangling == nil {
-				ix.dangling = r
-			}
-			b.edges[i] = edge{from, to}
-		}
-	}
-	if resolve(); ix.dangling != nil {
-		b.number()
-		resolve()
-	}
-
-	size := 0
-	for _, q := range b.names {
-		size += len(q)
-	}
-	var arena strings.Builder
-	arena.Grow(size)
-	ix.offs = make([]uint32, len(b.names)+1)
-	for i, q := range b.names {
-		arena.WriteString(string(q))
-		ix.offs[i+1] = uint32(arena.Len())
-	}
-	ix.names = arena.String()
-	ix.fwd = b.rows(false)
-	ix.rev = b.rows(true)
+	ix := &Index{offs: cut(n + 1)}
+	ix.fwd = csrRows{rowStart: cut(n + 1), targets: cut(m)}
+	ix.rev = csrRows{rowStart: cut(n + 1), targets: cut(m)}
 	return ix
 }
 
-// number sorts and deduplicates names and assigns ids by position.
-func (b *indexBuild) number() {
-	slices.Sort(b.names)
-	b.names = slices.Compact(b.names)
-	for i, q := range b.names {
-		b.ids[q] = int32(i)
-	}
+// setRows lays the edges, given as node ids, out as ix's rows.
+func (ix *Index) setRows(edges []edge) {
+	ix.fwd.fill(edges, false)
+	ix.rev.fill(edges, true)
 }
 
-// rows lays the edges out as compressed sparse rows, subject -> object,
-// or object -> subject when reverse.
-func (b *indexBuild) rows(reverse bool) csrRows {
-	n := len(b.names)
-	rows := csrRows{rowStart: make([]int32, n+1), targets: make([]int32, len(b.edges))}
-	for _, e := range b.edges {
+// fill lays the edges out as compressed sparse rows, subject -> object,
+// or object -> subject when reverse, into rows' zeroed arrays.
+func (rows *csrRows) fill(edges []edge, reverse bool) {
+	n := len(rows.rowStart) - 1
+	for _, e := range edges {
 		from := e.from
 		if reverse {
 			from = e.to
@@ -153,7 +93,7 @@ func (b *indexBuild) rows(reverse bool) csrRows {
 	}
 	// Each row's start is its fill cursor, which ends at the next row's
 	// start; shifting the starts up one slot restores them.
-	for _, e := range b.edges {
+	for _, e := range edges {
 		from, to := e.from, e.to
 		if reverse {
 			from, to = to, from
@@ -169,17 +109,6 @@ func (b *indexBuild) rows(reverse bool) csrRows {
 	for i := int32(0); i < int32(n); i++ {
 		slices.Sort(rows.row(i))
 	}
-	return rows
-}
-
-// release empties b — the names it drops are the document's — and
-// pools it.
-func (b *indexBuild) release() {
-	clear(b.ids)
-	clear(b.names)
-	b.names = b.names[:0]
-	b.edges = b.edges[:0]
-	indexBuilds.Put(b)
 }
 
 // Len returns the number of nodes; ids run from 0 to Len()-1.

@@ -95,6 +95,17 @@ func (v Value) AsString() string {
 	return ""
 }
 
+// StringForm returns what a string search operand is compared with,
+// and whether the value has it: a string or reference as it is, a time
+// in RFC 3339 with nanoseconds; a number or a boolean has none.
+func (v Value) StringForm() (string, bool) {
+	switch v.Kind() {
+	case KindInt, KindFloat, KindBool:
+		return "", false
+	}
+	return v.AsString(), true
+}
+
 // AsInt returns the integer held by the value; float values are truncated.
 func (v Value) AsInt() (int64, bool) {
 	switch v.Kind() {

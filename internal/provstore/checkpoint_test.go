@@ -62,7 +62,7 @@ func diskBlobs(t *testing.T, dir string) (snap, tail map[string][]byte) {
 	}
 	snap = map[string][]byte{}
 	for i, op := range m.ops {
-		snap[op.ID] = m.blobs[i]
+		snap[op.ID] = opBlob(&m, i)
 	}
 	tail = map[string][]byte{}
 	for _, r := range rec.Records {
@@ -71,7 +71,7 @@ func diskBlobs(t *testing.T, dir string) (snap, tail map[string][]byte) {
 			t.Fatal(err)
 		}
 		for i, op := range m.ops {
-			tail[op.ID] = m.blobs[i] // nil for a delete
+			tail[op.ID] = opBlob(&m, i) // nil for a delete
 		}
 	}
 	return snap, tail

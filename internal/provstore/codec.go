@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-
-	"repro/internal/prov"
 )
 
 // Binary WAL record codec. The WAL's frame format is
@@ -30,9 +28,10 @@ import (
 //	        byte op (put/delete), varint shard, varint len + id,
 //	        puts: varint len + doc blob
 //
-// A doc blob is the compact document codec (prov.ParseBinary), tagged
-// prov.BinaryDocTag: the blob the entry keeps (entry.blob). Snapshots
-// reuse the same convention (see appendSnapshot / decodeSnapshot).
+// A doc blob is the compact document codec (prov.AppendBinary), tagged
+// prov.BinaryDocTag: the blob the entry keeps (entry.blob), indexed as
+// it is (prov.IndexBinary). Snapshots reuse the same convention (see
+// appendSnapshot / decodeSnapshot).
 const (
 	recBinaryTag = 0x01
 
@@ -69,47 +68,50 @@ func appendLenString(dst []byte, s string) []byte {
 }
 
 // appendRecord encodes ops as one journal record into dst: a plain put
-// or delete record for a single op, a batch envelope otherwise. blobs
-// runs parallel to ops and holds each put's binary blob, which is
+// or delete record for a single op, a batch envelope otherwise. entries
+// runs parallel to ops, nil for a delete, and each put's entry blob is
 // appended verbatim. Each op carries the index of the shard that owns it
 // under mask — a write-time hint, never routing truth.
-func appendRecord(dst []byte, ops []Op, blobs [][]byte, mask uint32, trace string) []byte {
+func appendRecord(dst []byte, ops []Op, entries []*entry, mask uint32, trace string) []byte {
 	need := len(trace) + 16
 	for i := range ops {
-		need += len(blobs[i]) + len(ops[i].ID) + 16
+		need += len(ops[i].ID) + 16
+		if entries[i] != nil {
+			need += len(entries[i].blob)
+		}
 	}
 	dst = slices.Grow(dst, need)
 	if len(ops) == 1 {
-		dst = append(dst, recBinaryTag, recOpByte(&ops[0]))
+		dst = append(dst, recBinaryTag, recOpByte(entries[0]))
 		dst = appendLenString(dst, trace)
-		return appendOpBody(dst, &ops[0], blobs[0], mask)
+		return appendOpBody(dst, ops[0].ID, entries[0], mask)
 	}
 	dst = append(dst, recBinaryTag, recOpBatch)
 	dst = appendLenString(dst, trace)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
 	for i := range ops {
-		dst = append(dst, recOpByte(&ops[i]))
-		dst = appendOpBody(dst, &ops[i], blobs[i], mask)
+		dst = append(dst, recOpByte(entries[i]))
+		dst = appendOpBody(dst, ops[i].ID, entries[i], mask)
 	}
 	return dst
 }
 
-func recOpByte(op *Op) byte {
-	if op.Doc == nil {
+func recOpByte(e *entry) byte {
+	if e == nil {
 		return recOpDelete
 	}
 	return recOpPut
 }
 
 // appendOpBody appends what put/delete records and batch sub-ops share:
-// shard hint, id and, for puts, the doc blob.
-func appendOpBody(dst []byte, op *Op, blob []byte, mask uint32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(shardHash(op.ID)&mask))
-	dst = appendLenString(dst, op.ID)
-	if op.Doc == nil {
+// shard hint, id and, for a put (e non-nil), the doc blob.
+func appendOpBody(dst []byte, id string, e *entry, mask uint32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(shardHash(id)&mask))
+	dst = appendLenString(dst, id)
+	if e == nil {
 		return dst
 	}
-	return appendBlob(dst, blob)
+	return appendBlob(dst, e.blob)
 }
 
 // appendBlob appends a doc blob behind its fixed-width 4-byte length.
@@ -189,41 +191,40 @@ func (r *recReader) blob() ([]byte, error) {
 // refuses a pre-WAL directory. Upgrade converts such a directory.
 var ErrLegacyFormat = errors.New("provstore: on-disk format of an earlier build; convert the data directory offline with `yprov upgrade DIR`")
 
-// blobReader decodes one doc blob into its document and the blob the
-// entry built for it keeps (nil: the entry encodes one).
-type blobReader func(blob []byte) (doc *prov.Document, kept []byte, err error)
+// entryReader builds the entry storing under id the doc blob a record
+// or snapshot carries, a slice of its buffer.
+type entryReader func(id string, blob []byte) (*entry, error)
 
-// parseDocBlob is the serving path's blobReader: a binary blob, kept as
-// an exactly sized copy — a slice of the record or snapshot would hold
-// the whole buffer for as long as the entry lives.
-func parseDocBlob(blob []byte) (doc *prov.Document, kept []byte, err error) {
+// blobEntry is the serving path's entryReader: the entry of a binary
+// blob, which keeps an exactly sized copy of it — a slice of the record
+// or snapshot would hold the whole buffer for as long as the entry
+// lives.
+func blobEntry(id string, blob []byte) (*entry, error) {
 	if len(blob) == 0 {
-		return nil, nil, fmt.Errorf("provstore: empty document blob")
+		return nil, fmt.Errorf("provstore: empty document blob")
 	}
 	if blob[0] == '{' {
-		return nil, nil, ErrLegacyFormat
+		return nil, ErrLegacyFormat
 	}
-	if doc, err = prov.ParseBinary(blob); err != nil {
-		return nil, nil, err
-	}
-	kept = make([]byte, len(blob))
+	kept := make([]byte, len(blob))
 	copy(kept, blob)
-	return doc, kept, nil
+	return newEntry(id, kept)
 }
 
 // decodeRecordPayload turns one journal/replication payload into a
-// parse-validated mutation — missing deletes tolerated, the binary
-// blobs kept (mutation.blobs) — before anything is staged or applied:
+// mutation whose entries are built — missing deletes tolerated, each
+// binary blob kept by its entry (mutation.entries) — before anything is
+// staged or applied:
 // a malformed or legacy record is rejected while the store is still
 // untouched. Both recovery replay and the follower apply path come
 // through here.
 func decodeRecordPayload(payload []byte, seq uint64) (mutation, error) {
-	return decodeRecord(payload, seq, parseDocBlob)
+	return decodeRecord(payload, seq, blobEntry)
 }
 
-// decodeRecord is the binary record walker, reading each doc blob with
-// blob.
-func decodeRecord(payload []byte, seq uint64, blob blobReader) (mutation, error) {
+// decodeRecord is the binary record walker, building each put's entry
+// with blob.
+func decodeRecord(payload []byte, seq uint64, blob entryReader) (mutation, error) {
 	m := mutation{lenient: true}
 	if err := decodeRecordInto(&m, payload, blob); err != nil {
 		return mutation{}, fmt.Errorf("provstore: record seq %d: %w", seq, err)
@@ -231,7 +232,7 @@ func decodeRecord(payload []byte, seq uint64, blob blobReader) (mutation, error)
 	return m, nil
 }
 
-func decodeRecordInto(m *mutation, payload []byte, blob blobReader) error {
+func decodeRecordInto(m *mutation, payload []byte, blob entryReader) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("empty payload")
 	}
@@ -285,9 +286,9 @@ func decodeRecordInto(m *mutation, payload []byte, blob blobReader) error {
 }
 
 // decodeOpBody reads one put/delete body (see appendOpBody) onto m.ops
-// and its kept blob onto m.blobs. The recorded shard hint is skipped:
-// placement is re-derived from the id hash.
-func decodeOpBody(m *mutation, r *recReader, opByte byte, blob blobReader) error {
+// and, for a put, builds its entry onto m.entries. The recorded shard
+// hint is skipped: placement is re-derived from the id hash.
+func decodeOpBody(m *mutation, r *recReader, opByte byte, blob entryReader) error {
 	if _, err := r.uvarint(); err != nil {
 		return err
 	}
@@ -295,19 +296,18 @@ func decodeOpBody(m *mutation, r *recReader, opByte byte, blob blobReader) error
 	if err != nil {
 		return err
 	}
-	op := Op{ID: id}
-	var kept []byte
+	var e *entry
 	if opByte == recOpPut {
 		b, err := r.blob()
 		if err != nil {
 			return err
 		}
-		if op.Doc, kept, err = blob(b); err != nil {
+		if e, err = blob(id, b); err != nil {
 			return fmt.Errorf("%q: %w", id, err)
 		}
 	}
-	m.ops = append(m.ops, op)
-	m.blobs = append(m.blobs, kept)
+	m.ops = append(m.ops, Op{ID: id})
+	m.entries = append(m.entries, e)
 	return nil
 }
 
@@ -332,14 +332,15 @@ func appendSnapshot(dst []byte, entries []*entry, shards int) []byte {
 }
 
 // decodeSnapshot turns a binary snapshot payload into one mutation of
-// puts carrying the blobs it keeps (mutation.blobs).
+// puts, building each document's entry as it walks (mutation.entries):
+// no decoded document is held, and none is made.
 func decodeSnapshot(payload []byte) (mutation, error) {
-	return decodeSnapshotWith(payload, parseDocBlob)
+	return decodeSnapshotWith(payload, blobEntry)
 }
 
-// decodeSnapshotWith is the binary snapshot walker, reading each doc
-// blob with blob.
-func decodeSnapshotWith(payload []byte, blob blobReader) (mutation, error) {
+// decodeSnapshotWith is the binary snapshot walker, building each
+// document's entry with blob.
+func decodeSnapshotWith(payload []byte, blob entryReader) (mutation, error) {
 	m := mutation{lenient: true}
 	if err := decodeSnapshotInto(&m, payload, blob); err != nil {
 		return mutation{}, fmt.Errorf("provstore: recover snapshot: %w", err)
@@ -347,7 +348,7 @@ func decodeSnapshotWith(payload []byte, blob blobReader) (mutation, error) {
 	return m, nil
 }
 
-func decodeSnapshotInto(m *mutation, payload []byte, blob blobReader) error {
+func decodeSnapshotInto(m *mutation, payload []byte, blob entryReader) error {
 	if len(payload) == 0 {
 		return nil
 	}
@@ -369,7 +370,7 @@ func decodeSnapshotInto(m *mutation, payload []byte, blob blobReader) error {
 		return fmt.Errorf("doc count %d exceeds payload", n)
 	}
 	m.ops = make([]Op, 0, n)
-	m.blobs = make([][]byte, 0, n)
+	m.entries = make([]*entry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id, err := r.lenString()
 		if err != nil {
@@ -379,12 +380,12 @@ func decodeSnapshotInto(m *mutation, payload []byte, blob blobReader) error {
 		if err != nil {
 			return fmt.Errorf("doc %q: %w", id, err)
 		}
-		doc, kept, err := blob(b)
+		e, err := blob(id, b)
 		if err != nil {
 			return fmt.Errorf("doc %q: %w", id, err)
 		}
-		m.ops = append(m.ops, Op{ID: id, Doc: doc})
-		m.blobs = append(m.blobs, kept)
+		m.ops = append(m.ops, Op{ID: id})
+		m.entries = append(m.entries, e)
 	}
 	if r.pos != len(payload) {
 		return fmt.Errorf("%d trailing bytes", len(payload)-r.pos)

@@ -23,10 +23,10 @@ import (
 // '{' and every record the upgrade decoder reads a PROV-JSON document
 // from, and keeps only binary blobs from what it accepts; and a payload
 // the upgrade decoder accepts, re-encoded by appendRecord over the
-// blobs it kept (a JSON blob encoded, as apply encodes it), decodes on
-// the serving path to the same mutation — the same ids in the same
-// order, the same puts and deletes, the same trace, Equal documents and
-// byte-equal blobs.
+// entries it built (a JSON blob encoded, as Apply encodes a document),
+// decodes on the serving path to the same mutation — the same ids in
+// the same order, the same puts and deletes, the same trace, Equal
+// documents and byte-equal blobs.
 func FuzzDecodeRecordPayload(f *testing.F) {
 	docB := goldenDoc("b")
 	rawB, err := docB.MarshalJSON()
@@ -43,7 +43,7 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 		encodeRecord([]Op{{ID: "run/a"}}, mask, ""),
 		encodeRecord([]Op{{ID: "run/b", Doc: docB}, {ID: "run/c", Doc: goldenDoc("c")}, {ID: "run/d"}}, mask, goldenTrace),
 		// As earlier builds journaled a batch line: its PROV-JSON.
-		appendRecord(nil, []Op{{ID: "run/b", Doc: docB}, {ID: "run/d"}}, [][]byte{rawB, nil}, mask, goldenTrace),
+		appendRecord(nil, []Op{{ID: "run/b"}, {ID: "run/d"}}, []*entry{{blob: rawB}, nil}, mask, goldenTrace),
 		legacy,
 	}
 	for _, s := range seeds {
@@ -53,18 +53,15 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		served, err := decodeRecordPayload(payload, 1)
 		m, upErr := upgradeRecord(payload, 1)
-		checkRefusal(t, payload, &served, err, upErr == nil && holdsJSONDoc(&m))
+		spy, readJSON := jsonBlobSpy()
+		if len(payload) > 0 && payload[0] != '{' {
+			_, _ = decodeRecord(payload, 1, spy)
+		}
+		checkRefusal(t, payload, &served, err, upErr == nil && *readJSON)
 		if upErr != nil {
 			return
 		}
-		blobs := make([][]byte, len(m.ops))
-		copy(blobs, m.blobs)
-		for i, op := range m.ops {
-			if op.Doc != nil && blobs[i] == nil {
-				blobs[i] = encodeBlob(op.Doc)
-			}
-		}
-		again, err := decodeRecordPayload(appendRecord(nil, m.ops, blobs, mask, m.trace), 1)
+		again, err := decodeRecordPayload(appendRecord(nil, m.ops, m.entries, mask, m.trace), 1)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
@@ -72,14 +69,14 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 			t.Fatalf("trace %q, %d ops re-decode as trace %q, %d ops", m.trace, len(m.ops), again.trace, len(again.ops))
 		}
 		for i, op := range m.ops {
-			got := again.ops[i]
-			if got.ID != op.ID || (got.Doc == nil) != (op.Doc == nil) {
-				t.Fatalf("op %d: %q (put %v) re-decodes as %q (put %v)", i, op.ID, op.Doc != nil, got.ID, got.Doc != nil)
+			got, doc, gotDoc := again.ops[i], opDoc(&m, i), opDoc(&again, i)
+			if got.ID != op.ID || (gotDoc == nil) != (doc == nil) {
+				t.Fatalf("op %d: %q (put %v) re-decodes as %q (put %v)", i, op.ID, doc != nil, got.ID, gotDoc != nil)
 			}
-			if op.Doc != nil && !got.Doc.Equal(op.Doc) {
+			if doc != nil && !gotDoc.Equal(doc) {
 				t.Fatalf("op %d (%q): document changed through the record codec", i, op.ID)
 			}
-			if !bytes.Equal(again.blobs[i], blobs[i]) {
+			if !bytes.Equal(opBlob(&again, i), opBlob(&m, i)) {
 				t.Fatalf("op %d (%q): blob changed through the record codec", i, op.ID)
 			}
 		}
@@ -105,14 +102,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	entryOf := func(id string, doc *prov.Document) *entry {
-		e, err := newEntry(id, doc, nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return e
-	}
-	binarySnap := appendSnapshot(nil, []*entry{entryOf("run/a", docA), entryOf("run/b", docB)}, goldenShards)
+	binarySnap := appendSnapshot(nil, entriesOf([]Op{{ID: "run/a", Doc: docA}, {ID: "run/b", Doc: docB}}), goldenShards)
 	// A binary snapshot may carry a PROV-JSON blob, which no entry keeps.
 	jsonBlobSnap := appendBlob(appendLenString(binary.AppendUvarint([]byte{recBinaryTag, goldenShards}, 1), "run/b"), rawB)
 	legacy, err := json.Marshal(storeSnapshot{Docs: map[string]json.RawMessage{"run/a": rawA, "run/b": rawB}, Shards: goldenShards})
@@ -127,7 +117,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		served, err := decodeSnapshot(payload)
 		m, upErr := upgradeSnapshot(payload)
-		checkRefusal(t, payload, &served, err, upErr == nil && holdsJSONDoc(&m))
+		spy, readJSON := jsonBlobSpy()
+		if len(payload) > 0 && payload[0] != '{' {
+			_, _ = decodeSnapshotWith(payload, spy)
+		}
+		checkRefusal(t, payload, &served, err, upErr == nil && *readJSON)
 		if upErr != nil {
 			return
 		}
@@ -167,15 +161,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// holdsJSONDoc reports whether m, as the upgrade decoder read it, holds
-// a document decoded from PROV-JSON: one whose entry keeps no blob.
-func holdsJSONDoc(m *mutation) bool {
-	for i, op := range m.ops {
-		if op.Doc != nil && (i >= len(m.blobs) || m.blobs[i] == nil) {
-			return true
-		}
-	}
-	return false
+// jsonBlobSpy is the upgrade decoder's entryReader, and whether it has
+// read a PROV-JSON document blob.
+func jsonBlobSpy() (entryReader, *bool) {
+	readJSON := new(bool)
+	return func(id string, blob []byte) (*entry, error) {
+		*readJSON = *readJSON || (len(blob) > 0 && blob[0] == '{')
+		return legacyEntry(id, blob)
+	}, readJSON
 }
 
 // checkRefusal holds the serving decoder's result on payload, m and
@@ -195,8 +188,8 @@ func checkRefusal(t *testing.T, payload []byte, m *mutation, err error, holdsJSO
 		return
 	}
 	for i, op := range m.ops {
-		if op.Doc != nil && (len(m.blobs[i]) == 0 || m.blobs[i][0] != prov.BinaryDocTag) {
-			t.Fatalf("op %d (%q) keeps a blob tagged %.1q", i, op.ID, m.blobs[i])
+		if blob := opBlob(m, i); op.Doc != nil || (blob != nil && blob[0] != prov.BinaryDocTag) {
+			t.Fatalf("op %d (%q) keeps a blob tagged %.1q", i, op.ID, blob)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func TestJSONSnapshotBlobsRewrittenInBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, op := range m.ops {
-				if blob := m.blobs[i]; len(blob) == 0 || blob[0] != prov.BinaryDocTag {
+				if blob := opBlob(&m, i); len(blob) == 0 || blob[0] != prov.BinaryDocTag {
 					t.Fatalf("the checkpoint stored %q as %.1q..., want a binary blob", op.ID, blob)
 				}
 			}

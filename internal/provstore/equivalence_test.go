@@ -121,8 +121,8 @@ func checkpointAndVerify(t *testing.T, s *Store) {
 		t.Fatal(err)
 	}
 	got := make(map[string]string)
-	for _, op := range m.ops {
-		got[op.ID] = string(mustJSON(t, op.Doc))
+	for i, op := range m.ops {
+		got[op.ID] = string(mustJSON(t, opDoc(&m, i)))
 	}
 	sameState(t, got, snapshotJSON(t, s), fmt.Sprintf("snapshot at seq %d", seq))
 }

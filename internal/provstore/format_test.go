@@ -92,15 +92,41 @@ func goldenOps(t *testing.T) (put, del, batch []Op) {
 }
 
 // encodeRecord is the record a primary journals for ops: appendRecord
-// over each put's binary blob.
+// over the entries Apply builds for them.
 func encodeRecord(ops []Op, mask uint32, trace string) []byte {
-	blobs := make([][]byte, len(ops))
+	return appendRecord(nil, ops, entriesOf(ops), mask, trace)
+}
+
+// entriesOf is what the record and snapshot encoders read of the
+// entries ops install: each put's id and blob, as Apply encodes it; nil
+// for a delete. The documents are not checked, so a record can carry
+// one that recovery refuses.
+func entriesOf(ops []Op) []*entry {
+	entries := make([]*entry, len(ops))
 	for i, op := range ops {
 		if op.Doc != nil {
-			blobs[i] = encodeBlob(op.Doc)
+			entries[i] = &entry{id: op.ID, blob: encodeBlob(op.Doc)}
 		}
 	}
-	return appendRecord(nil, ops, blobs, mask, trace)
+	return entries
+}
+
+// opBlob is the blob the entry m's op i installs keeps; nil for a
+// delete.
+func opBlob(m *mutation, i int) []byte {
+	if e := m.entries[i]; e != nil {
+		return e.blob
+	}
+	return nil
+}
+
+// opDoc is the document a decoded mutation's op i stores, decoded from
+// its entry's blob; nil for a delete.
+func opDoc(m *mutation, i int) *prov.Document {
+	if e := m.entries[i]; e != nil {
+		return e.document()
+	}
+	return nil
 }
 
 func wantBytes(t *testing.T, what string, got, want []byte) {
@@ -118,7 +144,7 @@ func TestRecordFormatGoldenEncode(t *testing.T) {
 	wantBytes(t, "put record", encodeRecord(put, goldenShards-1, goldenTrace), golden["put"])
 	wantBytes(t, "delete record", encodeRecord(del, goldenShards-1, goldenTrace), golden["del"])
 	wantBytes(t, "batch record", encodeRecord(sorted, goldenShards-1, goldenTrace), golden["batch"])
-	e, err := newEntry("run/a", put[0].Doc, nil)
+	e, err := newEntry("run/a", encodeBlob(put[0].Doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +266,12 @@ func TestRecordFormatGoldenDecode(t *testing.T) {
 					t.Fatalf("%s: %d ops, want %d", label, len(m.ops), len(tc.ops))
 				}
 				for i, w := range tc.ops {
-					op := m.ops[i]
-					if op.ID != w.id || (op.Doc == nil) != (w.doc == nil) {
-						t.Fatalf("%s: op %d = {%q, delete=%v}, want {%q, delete=%v}", label, i, op.ID, op.Doc == nil, w.id, w.doc == nil)
+					op, doc := m.ops[i], opDoc(&m, i)
+					if op.ID != w.id || op.Doc != nil || (doc == nil) != (w.doc == nil) {
+						t.Fatalf("%s: op %d = {%q, delete=%v}, want {%q, delete=%v}", label, i, op.ID, doc == nil, w.id, w.doc == nil)
 					}
-					if w.doc != nil && string(mustJSON(t, op.Doc)) != string(mustJSON(t, w.doc)) {
-						t.Fatalf("%s: op %d (%q) decoded to a different document:\n got %s\nwant %s", label, i, op.ID, mustJSON(t, op.Doc), mustJSON(t, w.doc))
+					if w.doc != nil && string(mustJSON(t, doc)) != string(mustJSON(t, w.doc)) {
+						t.Fatalf("%s: op %d (%q) decoded to a different document:\n got %s\nwant %s", label, i, op.ID, mustJSON(t, doc), mustJSON(t, w.doc))
 					}
 				}
 			}

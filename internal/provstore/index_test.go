@@ -22,7 +22,11 @@ func TestLineageSeesOneVersion(t *testing.T) {
 	start := prov.QName("ex:e0")
 	var want [2][]prov.QName
 	for i, d := range versions {
-		want[i], _ = prov.NewIndex(d).Reach(start, prov.Reverse, 0)
+		ix, _, err := prov.IndexBinary(prov.AppendBinary(nil, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], _ = ix.Reach(start, prov.Reverse, 0)
 	}
 
 	s := NewSharded(1)

@@ -96,6 +96,22 @@ type DurabilityStats struct {
 	// checkpoints so far put into a snapshot.
 	LastCheckpointMs float64 `json:"last_checkpoint_ms"`
 	CheckpointDocs   uint64  `json:"checkpoint_docs"`
+	// Recovery is what Open read back and how long it took.
+	Recovery RecoveryStats `json:"recovery"`
+}
+
+// RecoveryStats reports Open's recovery: the snapshot's documents and
+// payload bytes, the journal tail's records and payload bytes, the time
+// each took to decode and apply, and the time of the whole Open, which
+// reads the files too.
+type RecoveryStats struct {
+	SnapshotDocs  int     `json:"snapshot_docs"`
+	SnapshotBytes int     `json:"snapshot_bytes"`
+	SnapshotMs    float64 `json:"snapshot_ms"`
+	TailRecords   int     `json:"tail_records"`
+	TailBytes     int     `json:"tail_bytes"`
+	TailMs        float64 `json:"tail_ms"`
+	TotalMs       float64 `json:"total_ms"`
 }
 
 // Open builds a store whose state is durably backed by a write-ahead
@@ -103,6 +119,7 @@ type DurabilityStats struct {
 // mutation after it, then resumes journaling. The returned store must
 // be Closed to flush the final batch.
 func Open(dir string, d Durability) (*Store, error) {
+	start := time.Now()
 	if d.SnapshotEvery == 0 {
 		d.SnapshotEvery = defaultSnapshotEvery
 	}
@@ -126,8 +143,11 @@ func Open(dir string, d Durability) (*Store, error) {
 	s.lastApplied.Store(rec.LastSeq())
 	s.suspectBitRot = rec.SuspectBitRot
 	s.follower = d.Follower
+	s.recovery.TotalMs = msSince(start)
 	return s, nil
 }
+
+func msSince(t time.Time) float64 { return float64(time.Since(t)) / 1e6 }
 
 // SuspectBitRot reports whether recovery truncated the journal tail
 // ahead of intact record frames (see wal.RecoveredState.SuspectBitRot).
@@ -139,9 +159,11 @@ func (s *Store) SuspectBitRot() bool { return s.suspectBitRot }
 // not-yet-published) store through the ordinary mutation pipeline; its
 // shard locks are uncontended here. Every document routes to its
 // hash-derived shard — the recorded shard hints are ignored, which is
-// what makes different shard counts interchangeable.
+// what makes different shard counts interchangeable. It records what
+// it read, and how long each part took, in s.recovery.
 func (s *Store) restore(rec *wal.RecoveredState, decodeRec func([]byte, uint64) (mutation, error), decodeSnap func([]byte) (mutation, error)) error {
 	ctx := context.TODO() // Open takes no context; recovery is not cancellable
+	start := time.Now()
 	snap, err := decodeSnap(rec.SnapshotPayload)
 	if err != nil {
 		return err
@@ -152,6 +174,10 @@ func (s *Store) restore(rec *wal.RecoveredState, decodeRec func([]byte, uint64) 
 			return fmt.Errorf("provstore: recover snapshot: %w", err)
 		}
 	}
+	s.recovery.SnapshotDocs = len(snap.ops)
+	s.recovery.SnapshotBytes = len(rec.SnapshotPayload)
+	s.recovery.SnapshotMs = msSince(start)
+	start = time.Now()
 	for _, r := range rec.Records {
 		m, err := decodeRec(r.Payload, r.Seq)
 		if err != nil {
@@ -161,7 +187,10 @@ func (s *Store) restore(rec *wal.RecoveredState, decodeRec func([]byte, uint64) 
 		if _, err := s.apply(ctx, &m); err != nil {
 			return fmt.Errorf("provstore: recover journal seq %d: %w", r.Seq, err)
 		}
+		s.recovery.TailBytes += len(r.Payload)
 	}
+	s.recovery.TailRecords = len(rec.Records)
+	s.recovery.TailMs = msSince(start)
 	return nil
 }
 

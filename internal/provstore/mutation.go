@@ -16,17 +16,19 @@ import (
 // The write path. Every state change — a local put, delete or batch, a
 // record replicated from a primary, a record or snapshot replayed at
 // recovery — is a mutation run through Store.apply, the only code that
-// indexes documents, locks shards, stages to the journal, rolls back,
-// stamps each installed entry with its sequence and advances the store's
-// applied counter (README, "Write path").
+// locks shards, stages to the journal, rolls back, stamps each installed
+// entry with its sequence and advances the store's applied counter
+// (README, "Write path"). Every entry comes from newEntry, over the
+// document's blob: apply's for a local write, the record or snapshot
+// decoder's for the others.
 
 // Op is one step of a mutation: store Doc under ID, or, when Doc is
 // nil, delete ID.
 type Op struct {
 	ID string
-	// Doc is read, never changed, and only until Apply returns: the
-	// store keeps the document's index and binary encoding, not the
-	// document.
+	// Doc is read, never changed, and only until Apply returns: Apply
+	// encodes it once, and the store keeps that binary encoding and the
+	// index built from it, not the document.
 	Doc *prov.Document
 }
 
@@ -45,26 +47,25 @@ type mutation struct {
 	// sets it to the primary's payload verbatim (it lands on the
 	// primary's sequence because the local log's next sequence is the
 	// replication cursor); on a primary, apply encodes it from ops and
-	// blobs. With no journal (recovery, in-memory stores) there is none:
+	// entries. With no journal (recovery, in-memory stores) there is none:
 	// seq is then the sequence the mutation already holds in the journal
 	// (recovery), and zero takes the next tick of the store's applied
 	// counter (in-memory stores, which have no journal to number them).
 	record []byte
 	seq    uint64
-	// blobs, when non-nil, runs parallel to ops: blobs[i] is the binary
-	// encoding of ops[i].Doc that the entry built for it keeps
-	// (entry.blob), or nil. A decoded record or snapshot carries copies
-	// of the binary blobs it held; apply encodes the rest and fills them
-	// in.
-	blobs [][]byte
+	// entries, when non-nil, runs parallel to ops: entries[i] is the
+	// entry ops[i] installs, nil for a delete. A decoded record or
+	// snapshot carries the entries it built from its blobs, and its ops
+	// no document; with none, apply builds them from the ops' documents.
+	entries []*entry
 }
 
-// opLabel names the mutation for the apply observer.
+// opLabel names a decoded mutation for the apply observer.
 func (m *mutation) opLabel() string {
 	switch {
 	case len(m.ops) != 1:
 		return "batch"
-	case m.ops[0].Doc == nil:
+	case m.entries[0] == nil:
 		return "delete"
 	default:
 		return "put"
@@ -128,8 +129,9 @@ func (s *Store) Apply(ctx context.Context, ops []Op) error {
 }
 
 // apply is the mutation pipeline. It builds the entry of every document
-// the mutation stores — traversal index plus binary blob — and, on a
-// primary's journal, encodes the record from those blobs; then it takes
+// the mutation stores that a decoder did not — binary blob, then the
+// index built from it — and, on a primary's journal, encodes the record
+// from the entries' blobs; then it takes
 // the owning shard locks in ascending order, checks that every delete
 // names a stored id, stages the record and swaps the entries in. A
 // mutation that fails changes nothing: every check and the staging come
@@ -149,31 +151,30 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 	}
 	tr := obs.FromContext(ctx)
 	// installed[i] is what ops[i] installs, nil for a delete. A one-op
-	// mutation does not allocate the list.
+	// mutation built here does not allocate the list.
 	var oneEntry [1]*entry
-	installed := oneEntry[:]
-	if len(m.ops) > 1 {
-		installed = make([]*entry, len(m.ops))
-	}
-	if m.blobs == nil {
-		m.blobs = make([][]byte, len(m.ops))
-	}
-	span := tr.StartSpan("project")
-	for i := range m.ops {
-		if op := &m.ops[i]; op.Doc != nil {
-			if installed[i], err = newEntry(op.ID, op.Doc, m.blobs[i]); err != nil {
-				err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
-				break
+	installed := m.entries
+	if installed == nil {
+		installed = oneEntry[:]
+		if len(m.ops) > 1 {
+			installed = make([]*entry, len(m.ops))
+		}
+		span := tr.StartSpan("project")
+		for i := range m.ops {
+			if op := &m.ops[i]; op.Doc != nil {
+				if installed[i], err = newEntry(op.ID, encodeBlob(op.Doc)); err != nil {
+					err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
+					break
+				}
 			}
-			m.blobs[i] = installed[i].blob
+		}
+		span.End()
+		if err != nil {
+			return t, err
 		}
 	}
-	span.End()
-	if err != nil {
-		return t, err
-	}
 	if m.record == nil && s.wal != nil {
-		m.record = appendRecord(getOpBuf(), m.ops, m.blobs, s.mask, m.trace)
+		m.record = appendRecord(getOpBuf(), m.ops, installed, s.mask, m.trace)
 	}
 
 	var oneShard [1]uint32
@@ -191,7 +192,7 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 		}
 	}
 
-	span = tr.StartSpan("stage")
+	span := tr.StartSpan("stage")
 	if m.record != nil {
 		t, err = s.wal.Stage(m.record)
 	}

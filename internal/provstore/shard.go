@@ -3,7 +3,6 @@ package provstore
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +20,8 @@ const typeKey = "prov:type"
 // after: a reader fetches the pointer under the shard's read lock and
 // works on it unlocked, and sees exactly one version, and that
 // version's number, however the id is replaced or deleted meanwhile.
-// The decoded document an entry was built from is not kept; the reads
-// that need it decode the blob (entry.document).
+// An entry is built from the blob alone (newEntry); the reads that need
+// the document decode the blob (entry.document).
 type entry struct {
 	id string
 	ix *prov.Index
@@ -38,7 +37,7 @@ type entry struct {
 	nodes, rels int
 	// types lists every element whose prov:type has a string form: what
 	// FindByType answers, and the keys of the entry's shard.byType posts.
-	types []typeHit
+	types []prov.TypeHit
 	// blob is the document's binary encoding (prov.AppendBinary), exactly
 	// sized (cap == len): the bytes the entry's journal record carries
 	// and every snapshot stores. A blob belongs to its entry and entries
@@ -47,41 +46,29 @@ type entry struct {
 	blob []byte
 }
 
-// typeHit is one element with a prov:type: the type's string form, the
-// element and its class.
-type typeHit struct {
-	typ   string
-	node  prov.QName
-	class string
-}
-
-// newEntry builds the entry storing doc under id. blob is doc's binary
-// encoding when the caller has it — an exactly sized copy of a binary
-// record or snapshot blob, which the entry keeps — and nil otherwise,
-// when newEntry encodes doc once. The entry keeps no reference to doc.
-// A relation naming an element the document does not declare is an
-// error: Apply's validation rejects it earlier, a replicated or
-// replayed record gets no other check.
-func newEntry(id string, doc *prov.Document, blob []byte) (*entry, error) {
-	e := &entry{id: id, ix: prov.NewIndex(doc), blob: blob}
-	if r := e.ix.Dangling(); r != nil {
+// newEntry builds the entry storing the document blob encodes under id,
+// from the blob alone: prov.IndexBinary gives the index, the counts and
+// the prov:type hits. The entry keeps blob, which must be exactly sized
+// and the caller's no longer: Apply's encoding of a put's document, or
+// a copy of a record's or snapshot's blob. A relation naming an element
+// the document does not declare is an error: Apply's validation rejects
+// it earlier, a replicated or replayed record gets no other check.
+func newEntry(id string, blob []byte) (*entry, error) {
+	ix, census, err := prov.IndexBinary(blob)
+	if err != nil {
+		return nil, err
+	}
+	if r := ix.Dangling(); r != nil {
 		return nil, fmt.Errorf("relation %s references unknown nodes", r.ID)
 	}
-	st := doc.Stats()
-	e.nodes, e.rels = st.Entities+st.Activities+st.Agents, st.Relations
-	eachElement(doc, func(class string, el *prov.Element) {
-		if v, ok := el.Attrs[typeKey]; ok {
-			if t, ok := stringForm(v); ok {
-				// Copies: the decoder cuts both from chunks it shares
-				// with every string of the document.
-				e.types = append(e.types, typeHit{strings.Clone(t), prov.QName(strings.Clone(string(el.ID))), class})
-			}
-		}
-	})
-	if e.blob == nil {
-		e.blob = encodeBlob(doc)
-	}
-	return e, nil
+	return &entry{
+		id:    id,
+		ix:    ix,
+		nodes: census.Entities + census.Activities + census.Agents,
+		rels:  census.Relations,
+		types: census.Types,
+		blob:  blob,
+	}, nil
 }
 
 // encodeBlob is doc's binary encoding, exactly sized: append's slack
@@ -99,8 +86,9 @@ func encodeBlob(doc *prov.Document) []byte {
 func (e *entry) document() *prov.Document {
 	doc, err := prov.ParseBinary(e.blob)
 	if err != nil {
-		// The blob is AppendBinary's output, or a binary blob that
-		// decoded when the entry was built: it cannot fail to decode.
+		// The entry was built by indexing the blob, and IndexBinary
+		// accepts exactly what ParseBinary does: it cannot fail to
+		// decode.
 		panic(fmt.Sprintf("provstore: stored blob of %q does not decode: %v", e.id, err))
 	}
 	return doc
@@ -123,8 +111,8 @@ func eachElement(doc *prov.Document, fn func(class string, el *prov.Element)) {
 // form want.
 func (e *entry) appendTypeMatches(out []SearchResult, want string) []SearchResult {
 	for _, h := range e.types {
-		if h.typ == want {
-			out = append(out, SearchResult{Doc: e.id, Node: h.node, Class: h.class})
+		if h.Type == want {
+			out = append(out, SearchResult{Doc: e.id, Node: e.ix.Name(h.Node), Class: h.Class})
 		}
 	}
 	return out
@@ -161,7 +149,7 @@ func (e *entry) appendMatches(out []SearchResult, key string, want interface{}) 
 func attrMatches(v prov.Value, want interface{}) bool {
 	switch w := want.(type) {
 	case string:
-		s, ok := stringForm(v)
+		s, ok := v.StringForm()
 		return ok && s == w
 	case int:
 		i, _ := v.AsInt()
@@ -177,16 +165,6 @@ func attrMatches(v prov.Value, want interface{}) bool {
 		return ok && b == w
 	}
 	return false
-}
-
-// stringForm is what a string operand is compared with: the string
-// form of any value but a number or a boolean, which have none.
-func stringForm(v prov.Value) (string, bool) {
-	switch v.Kind() {
-	case prov.KindInt, prov.KindFloat, prov.KindBool:
-		return "", false
-	}
-	return v.AsString(), true
 }
 
 // shard is one independent slice of the store: its own entry map, type
@@ -226,9 +204,9 @@ func (sh *shard) swap(id string, e *entry) {
 	if prev := sh.docs[id]; prev != nil {
 		sh.account(prev, -1)
 		for _, h := range prev.types {
-			delete(sh.byType[h.typ], id)
-			if len(sh.byType[h.typ]) == 0 {
-				delete(sh.byType, h.typ)
+			delete(sh.byType[h.Type], id)
+			if len(sh.byType[h.Type]) == 0 {
+				delete(sh.byType, h.Type)
 			}
 		}
 	}
@@ -239,10 +217,10 @@ func (sh *shard) swap(id string, e *entry) {
 	sh.docs[id] = e
 	sh.account(e, 1)
 	for _, h := range e.types {
-		if sh.byType[h.typ] == nil {
-			sh.byType[h.typ] = make(map[string]struct{})
+		if sh.byType[h.Type] == nil {
+			sh.byType[h.Type] = make(map[string]struct{})
 		}
-		sh.byType[h.typ][id] = struct{}{}
+		sh.byType[h.Type][id] = struct{}{}
 	}
 }
 

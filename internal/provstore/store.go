@@ -64,6 +64,9 @@ type Store struct {
 	follower      bool         // read-only apply mode (see replica.go)
 	snapMu        sync.Mutex
 
+	// recovery is what Open read back, and how long it took.
+	recovery RecoveryStats
+
 	// What checkpoints cost, as RegisterObs and Stats report it: time per
 	// checkpoint, the documents put into snapshots and the snapshot
 	// payload bytes written. Always live, like lockWait.
@@ -320,6 +323,7 @@ func (s *Store) Stats() Stats {
 
 			LastCheckpointMs: float64(s.lastCheckpointNanos.Load()) / 1e6,
 			CheckpointDocs:   s.checkpointDocs.Load(),
+			Recovery:         s.recovery,
 		}
 		if msg, ok := s.lastSnapErr.Load().(string); ok {
 			st.Durability.LastSnapshotError = msg

@@ -138,7 +138,7 @@ func preWALFiles(dir string) ([]string, error) {
 // or a binary envelope whose doc blobs may be PROV-JSON.
 func upgradeRecord(payload []byte, seq uint64) (mutation, error) {
 	if len(payload) == 0 || payload[0] != '{' {
-		return decodeRecord(payload, seq, parseLegacyBlob)
+		return decodeRecord(payload, seq, legacyEntry)
 	}
 	m := mutation{lenient: true}
 	var op journalOp
@@ -157,7 +157,7 @@ func upgradeRecord(payload []byte, seq uint64) (mutation, error) {
 // or a binary one whose doc blobs may be PROV-JSON.
 func upgradeSnapshot(payload []byte) (mutation, error) {
 	if len(payload) == 0 || payload[0] != '{' {
-		return decodeSnapshotWith(payload, parseLegacyBlob)
+		return decodeSnapshotWith(payload, legacyEntry)
 	}
 	m := mutation{lenient: true}
 	var snap storeSnapshot
@@ -165,23 +165,41 @@ func upgradeSnapshot(payload []byte) (mutation, error) {
 		return mutation{}, fmt.Errorf("provstore: recover snapshot: %w", err)
 	}
 	for id, raw := range snap.Docs {
-		doc, err := prov.ParseJSON(raw)
-		if err != nil {
+		if err := m.putJSON(id, raw); err != nil {
 			return mutation{}, fmt.Errorf("provstore: recover snapshot: doc %q: %w", id, err)
 		}
-		m.ops = append(m.ops, Op{ID: id, Doc: doc})
 	}
 	return m, nil
 }
 
-// parseLegacyBlob is parseDocBlob that also reads a PROV-JSON blob,
-// which no entry keeps: newEntry encodes the document once.
-func parseLegacyBlob(blob []byte) (*prov.Document, []byte, error) {
+// legacyEntry is blobEntry that also reads a PROV-JSON blob, which no
+// entry keeps: the entry keeps its document's binary encoding.
+func legacyEntry(id string, blob []byte) (*entry, error) {
 	if len(blob) > 0 && blob[0] == '{' {
-		doc, err := prov.ParseJSON(blob)
-		return doc, nil, err
+		return jsonEntry(id, blob)
 	}
-	return parseDocBlob(blob)
+	return blobEntry(id, blob)
+}
+
+// jsonEntry is the entry of a PROV-JSON document, built from its binary
+// encoding.
+func jsonEntry(id string, raw []byte) (*entry, error) {
+	doc, err := prov.ParseJSON(raw)
+	if err != nil {
+		return nil, err
+	}
+	return newEntry(id, encodeBlob(doc))
+}
+
+// putJSON appends a put of the PROV-JSON document raw under id to m.
+func (m *mutation) putJSON(id string, raw []byte) error {
+	e, err := jsonEntry(id, raw)
+	if err != nil {
+		return err
+	}
+	m.ops = append(m.ops, Op{ID: id})
+	m.entries = append(m.entries, e)
+	return nil
 }
 
 // decodeLegacyOp lifts a journalOp — the only place the
@@ -189,13 +207,12 @@ func parseLegacyBlob(blob []byte) (*prov.Document, []byte, error) {
 func decodeLegacyOp(m *mutation, op journalOp, batchOK bool) error {
 	switch op.Op {
 	case "put":
-		doc, err := prov.ParseJSON(op.Doc)
-		if err != nil {
+		if err := m.putJSON(op.ID, op.Doc); err != nil {
 			return fmt.Errorf("%q: %w", op.ID, err)
 		}
-		m.ops = append(m.ops, Op{ID: op.ID, Doc: doc})
 	case "delete":
 		m.ops = append(m.ops, Op{ID: op.ID})
+		m.entries = append(m.entries, nil)
 	case "batch":
 		if !batchOK {
 			return fmt.Errorf("nested batch")

@@ -201,7 +201,11 @@ func TestBuildProv(t *testing.T) {
 		t.Error("curated artifact missing")
 	}
 	// Lineage: model's ancestors must include both tasks and raw.
-	anc, _ := prov.NewIndex(doc).Reach("ex:artifact_model", prov.Forward, 0)
+	ix, _, err := prov.IndexBinary(prov.AppendBinary(nil, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anc, _ := ix.Reach("ex:artifact_model", prov.Forward, 0)
 	found := map[prov.QName]bool{}
 	for _, a := range anc {
 		found[a] = true
