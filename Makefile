@@ -62,11 +62,13 @@ chaos:
 
 # Ten seconds of each fuzzer on top of its committed seed corpus. prov:
 # the differential one that holds the PROV-JSON decoder to the
-# encoding/json reference it replaced, the two binary-codec ones, and
-# the differential one that holds the index and census IndexBinary
-# builds from a blob to those of the document ParseBinary decodes from
-# it (same accepted inputs, nodes, rows, dangling relation, counts and
-# prov:type hits).
+# encoding/json reference it replaced, the two binary-codec ones (the
+# decode one also holds ElementAttr, attribute search's walk, to the
+# attributes ParseBinary decodes), and the differential one that holds
+# the index and census IndexBinary builds from a blob to those of the
+# document ParseBinary decodes from it (nodes, rows, dangling relation,
+# counts and prov:type hits; IndexBinary accepts what ParseBinary does
+# but a node name the string table spells twice).
 # zarr: the fused byte shuffle against a two-buffer transposition,
 # Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes, and
 # OpenZip/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr

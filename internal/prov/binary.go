@@ -174,17 +174,29 @@ func appendTime(dst []byte, t time.Time) []byte {
 }
 
 // binReader walks a binary document, bounds-checking every read so
-// corrupt or truncated input yields an error, never a panic.
+// corrupt or truncated input yields an error, never a panic. Its walk is
+// the one reader of the layout AppendBinary writes.
 type binReader struct {
 	buf []byte
 	pos int
 	tab []string
+	// attrs is the attribute list read last; the next one overwrites it.
+	attrs []binAttr
 	// views makes the strings of tab views of buf rather than copies,
-	// for a walk none of whose strings outlives it (IndexBinary).
+	// for a walk none of whose strings outlives it (IndexBinary,
+	// ElementAttr).
 	views bool
 }
 
 var errBinTruncated = fmt.Errorf("prov: truncated binary document")
+
+// reuse readies r, pooled and reading views, to walk blob; nil drops
+// every view of the blob it walked last.
+func (r *binReader) reuse(blob []byte) {
+	clear(r.tab)
+	clear(r.attrs[:cap(r.attrs)])
+	*r = binReader{buf: blob, tab: r.tab[:0], attrs: r.attrs[:0], views: true}
+}
 
 func (r *binReader) remaining() int { return len(r.buf) - r.pos }
 
@@ -311,32 +323,6 @@ func (r *binReader) time() (time.Time, error) {
 	}
 }
 
-func (r *binReader) attrs() (Attrs, error) {
-	n, err := r.count(minAttrBytes)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		// Attribute-less elements keep nil Attrs: MarshalJSON renders nil
-		// and empty identically, and Document's Add* merge paths are
-		// nil-tolerant, so decode skips ~one map allocation per element.
-		return nil, nil
-	}
-	a := make(Attrs, n)
-	for i := 0; i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.value()
-		if err != nil {
-			return nil, err
-		}
-		a[k] = v
-	}
-	return a, nil
-}
-
 func (r *binReader) value() (Value, error) {
 	kind, err := r.byte()
 	if err != nil {
@@ -376,136 +362,253 @@ func (r *binReader) value() (Value, error) {
 	}
 }
 
+// binAttr is one attribute as walk reads it: its key, an index in the
+// intern table, and its value.
+type binAttr struct {
+	key int32
+	val Value
+}
+
+// attr returns the value of the last attribute of attrs named key.
+func (r *binReader) attr(attrs []binAttr, key string) (v Value, ok bool) {
+	for _, a := range attrs {
+		if r.tab[a.key] == key {
+			v, ok = a.val, true
+		}
+	}
+	return v, ok
+}
+
+// elementClasses names the element classes in the order the binary
+// format lists them.
+var elementClasses = [3]string{"Entity", "Activity", "Agent"}
+
+const (
+	activityClass = 1
+	// relSection is the section walk reads after the element classes.
+	relSection = len(elementClasses)
+)
+
+// binVisitor is what walk hands a document's items to, in the blob's
+// order. A string is its index in the reader's intern table, and an
+// attribute list is the reader's, valid until the next item.
+type binVisitor interface {
+	namespace(prefix, uri int32)
+	// section opens the n items of element class sec, or of the
+	// relations for relSection.
+	section(sec, n int)
+	// element is one element of class c; start and end are an
+	// activity's times, zero for the other classes.
+	element(c uint8, id int32, attrs []binAttr, start, end time.Time) error
+	relation(id, kind, subject, object int32, t time.Time, attrs []binAttr) error
+}
+
+// walk reads the binary document r.buf holds and hands v its items. It
+// is the one reader of the layout: the tag, the section order, the
+// bound on every count, the fields of every item, and that nothing
+// trails the document.
+func (r *binReader) walk(v binVisitor) error {
+	if len(r.buf) == 0 || r.buf[0] != BinaryDocTag {
+		return fmt.Errorf("prov: not a binary document")
+	}
+	r.pos = 1
+	n, err := r.count(minNamespaceBytes)
+	if err != nil {
+		return err
+	}
+	for range n {
+		prefix, err := r.tok()
+		if err != nil {
+			return err
+		}
+		uri, err := r.tok()
+		if err != nil {
+			return err
+		}
+		v.namespace(prefix, uri)
+	}
+	for c := range uint8(len(elementClasses)) {
+		minBytes := minElementBytes
+		if c == activityClass {
+			minBytes = minActivityBytes
+		}
+		if n, err = r.count(minBytes); err != nil {
+			return err
+		}
+		v.section(int(c), n)
+		for range n {
+			if err := r.element(v, c); err != nil {
+				return err
+			}
+		}
+	}
+	if n, err = r.count(minRelationBytes); err != nil {
+		return err
+	}
+	v.section(relSection, n)
+	for range n {
+		if err := r.relation(v); err != nil {
+			return err
+		}
+	}
+	if r.pos != len(r.buf) {
+		return fmt.Errorf("prov: %d trailing bytes after binary document", len(r.buf)-r.pos)
+	}
+	return nil
+}
+
+// element reads one element of class c: its id, its attributes and, for
+// an activity, its times.
+func (r *binReader) element(v binVisitor, c uint8) error {
+	id, err := r.tok()
+	if err != nil {
+		return err
+	}
+	attrs, err := r.attrList()
+	if err != nil {
+		return err
+	}
+	var start, end time.Time
+	if c == activityClass {
+		if start, err = r.time(); err != nil {
+			return err
+		}
+		if end, err = r.time(); err != nil {
+			return err
+		}
+	}
+	return v.element(c, id, attrs, start, end)
+}
+
+// relation reads one relation: its id, kind, subject, object, time and
+// attributes.
+func (r *binReader) relation(v binVisitor) error {
+	var s [4]int32
+	for i := range s {
+		var err error
+		if s[i], err = r.tok(); err != nil {
+			return err
+		}
+	}
+	t, err := r.time()
+	if err != nil {
+		return err
+	}
+	attrs, err := r.attrList()
+	if err != nil {
+		return err
+	}
+	return v.relation(s[0], s[1], s[2], s[3], t, attrs)
+}
+
+// attrList reads an attribute list into r.attrs.
+func (r *binReader) attrList() ([]binAttr, error) {
+	n, err := r.count(minAttrBytes)
+	if err != nil {
+		return nil, err
+	}
+	r.attrs = r.attrs[:0]
+	for range n {
+		k, err := r.tok()
+		if err != nil {
+			return nil, err
+		}
+		v, err := r.value()
+		if err != nil {
+			return nil, err
+		}
+		r.attrs = append(r.attrs, binAttr{k, v})
+	}
+	return r.attrs, nil
+}
+
 // ParseBinary decodes a binary document blob produced by AppendBinary.
 // Elements are slab-allocated (one backing array per class, not one
 // heap object per element) and strings come out of the intern table, so
-// decode allocates per unique string, not per field.
+// decode allocates per unique string, not per field. A repeated
+// attribute key's last value counts; an id declared twice in one class,
+// which AppendBinary never writes, is refused.
 func ParseBinary(data []byte) (*Document, error) {
-	if len(data) == 0 || data[0] != BinaryDocTag {
-		return nil, fmt.Errorf("prov: not a binary document")
-	}
-	r := &binReader{buf: data, pos: 1}
-
-	d := &Document{Namespaces: NewNamespaceSet()}
-
-	nNS, err := r.count(minNamespaceBytes)
-	if err != nil {
+	b := &docBuilder{r: binReader{buf: data}, d: &Document{Namespaces: NewNamespaceSet()}}
+	if err := b.r.walk(b); err != nil {
 		return nil, err
 	}
-	for i := 0; i < nNS; i++ {
-		p, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		uri, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		d.Namespaces.Register(p, uri)
-	}
+	return b.d, nil
+}
 
-	nEnt, err := r.count(minElementBytes)
-	if err != nil {
-		return nil, err
-	}
-	ents := make([]Element, nEnt)
-	d.Entities = make(map[QName]*Element, nEnt)
-	for i := 0; i < nEnt; i++ {
-		id, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		attrs, err := r.attrs()
-		if err != nil {
-			return nil, err
-		}
-		ents[i] = Element{ID: QName(id), Attrs: attrs}
-		d.Entities[QName(id)] = &ents[i]
-	}
+// docBuilder is ParseBinary's visitor: each section's items go into one
+// slab sized by the section's count.
+type docBuilder struct {
+	r    binReader
+	d    *Document
+	ents []Element // the entities', then the agents'
+	acts []Activity
+	rels []Relation
+}
 
-	nAct, err := r.count(minActivityBytes)
-	if err != nil {
-		return nil, err
-	}
-	acts := make([]Activity, nAct)
-	d.Activities = make(map[QName]*Activity, nAct)
-	for i := 0; i < nAct; i++ {
-		id, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		attrs, err := r.attrs()
-		if err != nil {
-			return nil, err
-		}
-		start, err := r.time()
-		if err != nil {
-			return nil, err
-		}
-		end, err := r.time()
-		if err != nil {
-			return nil, err
-		}
-		acts[i] = Activity{Element: Element{ID: QName(id), Attrs: attrs}, StartTime: start, EndTime: end}
-		d.Activities[QName(id)] = &acts[i]
-	}
+func (b *docBuilder) namespace(prefix, uri int32) {
+	b.d.Namespaces.Register(b.r.tab[prefix], b.r.tab[uri])
+}
 
-	nAg, err := r.count(minElementBytes)
-	if err != nil {
-		return nil, err
-	}
-	ags := make([]Element, nAg)
-	d.Agents = make(map[QName]*Element, nAg)
-	for i := 0; i < nAg; i++ {
-		id, err := r.str()
-		if err != nil {
-			return nil, err
+func (b *docBuilder) section(sec, n int) {
+	switch sec {
+	case activityClass:
+		b.acts = make([]Activity, 0, n)
+		b.d.Activities = make(map[QName]*Activity, n)
+	case relSection:
+		b.rels = make([]Relation, 0, n)
+		b.d.Relations = make([]*Relation, 0, n)
+	default:
+		b.ents = make([]Element, 0, n)
+		if sec == 0 {
+			b.d.Entities = make(map[QName]*Element, n)
+		} else {
+			b.d.Agents = make(map[QName]*Element, n)
 		}
-		attrs, err := r.attrs()
-		if err != nil {
-			return nil, err
-		}
-		ags[i] = Element{ID: QName(id), Attrs: attrs}
-		d.Agents[QName(id)] = &ags[i]
 	}
+}
 
-	nRel, err := r.count(minRelationBytes)
-	if err != nil {
-		return nil, err
+func (b *docBuilder) element(c uint8, id int32, attrs []binAttr, start, end time.Time) error {
+	el := Element{ID: QName(b.r.tab[id]), Attrs: b.attrs(attrs)}
+	var declared, read int
+	switch c {
+	case activityClass:
+		b.acts = append(b.acts, Activity{Element: el, StartTime: start, EndTime: end})
+		b.d.Activities[el.ID] = &b.acts[len(b.acts)-1]
+		declared, read = len(b.d.Activities), len(b.acts)
+	default:
+		m := b.d.Entities
+		if c != 0 {
+			m = b.d.Agents
+		}
+		b.ents = append(b.ents, el)
+		m[el.ID] = &b.ents[len(b.ents)-1]
+		declared, read = len(m), len(b.ents)
 	}
-	rels := make([]Relation, nRel)
-	d.Relations = make([]*Relation, nRel)
-	for i := 0; i < nRel; i++ {
-		id, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		kind, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		subj, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		obj, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		t, err := r.time()
-		if err != nil {
-			return nil, err
-		}
-		attrs, err := r.attrs()
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = Relation{ID: id, Kind: RelationKind(kind), Subject: QName(subj), Object: QName(obj), Time: t, Attrs: attrs}
-		d.Relations[i] = &rels[i]
+	if declared < read {
+		return fmt.Errorf("prov: binary document declares %s %s twice", elementClasses[c], el.ID)
 	}
+	return nil
+}
 
-	if r.pos != len(r.buf) {
-		return nil, fmt.Errorf("prov: %d trailing bytes after binary document", len(r.buf)-r.pos)
+func (b *docBuilder) relation(id, kind, subject, object int32, t time.Time, attrs []binAttr) error {
+	tab := b.r.tab
+	b.rels = append(b.rels, Relation{ID: tab[id], Kind: RelationKind(tab[kind]), Subject: QName(tab[subject]), Object: QName(tab[object]), Time: t, Attrs: b.attrs(attrs)})
+	b.d.Relations = append(b.d.Relations, &b.rels[len(b.rels)-1])
+	return nil
+}
+
+// attrs makes an attribute list's map. An empty list is nil Attrs:
+// MarshalJSON renders nil and empty identically, and Document's Add*
+// merge paths are nil-tolerant, so decode skips ~one map allocation per
+// element.
+func (b *docBuilder) attrs(list []binAttr) Attrs {
+	if len(list) == 0 {
+		return nil
 	}
-	return d, nil
+	a := make(Attrs, len(list))
+	for _, kv := range list {
+		a[b.r.tab[kv.key]] = kv.val
+	}
+	return a
 }

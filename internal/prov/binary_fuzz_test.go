@@ -2,6 +2,9 @@ package prov
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -113,7 +116,8 @@ func binaryDecodeSeeds() [][]byte {
 // FuzzBinaryDocDecode throws arbitrary bytes at the decoder: it must
 // never panic, and anything it does accept must re-encode and re-decode
 // to the same canonical JSON (decode is a fixpoint, so corrupt input
-// can never silently morph a document).
+// can never silently morph a document). ElementAttr must see in what it
+// accepts exactly the attributes ParseBinary decodes (checkElementAttr).
 func FuzzBinaryDocDecode(f *testing.F) {
 	for _, s := range binaryDecodeSeeds() {
 		f.Add(s)
@@ -123,6 +127,7 @@ func FuzzBinaryDocDecode(f *testing.F) {
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}
+		checkElementAttr(t, data, doc)
 		j1, err := doc.MarshalJSON()
 		if err != nil {
 			t.Fatalf("accepted document fails to marshal: %v", err)
@@ -139,4 +144,58 @@ func FuzzBinaryDocDecode(f *testing.F) {
 			t.Fatalf("decode not a fixpoint:\n first %s\nsecond %s", j1, j2)
 		}
 	})
+}
+
+// checkElementAttr holds ElementAttr over data to doc, the document
+// ParseBinary decodes from it: for every attribute key doc holds, and
+// one it does not, ElementAttr visits every element of every class
+// once, with the value its attribute map holds under the key.
+func checkElementAttr(t *testing.T, data []byte, doc *Document) {
+	t.Helper()
+	keys := map[string]bool{"ex:none": true}
+	type seen struct {
+		class string
+		id    QName
+		v     Value
+		ok    bool
+	}
+	var want []seen
+	eachClass := func(fn func(class string, id QName, a Attrs)) {
+		for id, el := range doc.Entities {
+			fn("Entity", id, el.Attrs)
+		}
+		for id, a := range doc.Activities {
+			fn("Activity", id, a.Attrs)
+		}
+		for id, el := range doc.Agents {
+			fn("Agent", id, el.Attrs)
+		}
+	}
+	eachClass(func(_ string, _ QName, a Attrs) {
+		for k := range a {
+			keys[k] = true
+		}
+	})
+	order := func(a, b seen) int {
+		return cmp.Or(strings.Compare(a.class, b.class), strings.Compare(string(a.id), string(b.id)))
+	}
+	for key := range keys {
+		want = want[:0]
+		eachClass(func(class string, id QName, a Attrs) {
+			v, ok := a[key]
+			want = append(want, seen{class, id, v, ok})
+		})
+		var got []seen
+		err := ElementAttr(data, key, func(class string, id QName, v Value, ok bool) {
+			got = append(got, seen{class, QName(strings.Clone(string(id))), v, ok})
+		})
+		if err != nil {
+			t.Fatalf("ElementAttr refuses what ParseBinary accepts: %v", err)
+		}
+		slices.SortFunc(want, order)
+		slices.SortFunc(got, order)
+		if !slices.Equal(got, want) {
+			t.Fatalf("ElementAttr(%q) sees %v, the decoded document holds %v", key, got, want)
+		}
+	}
 }

@@ -15,20 +15,32 @@ import (
 	"unsafe"
 )
 
-// checkIndexBinary holds IndexBinary to its oracle on data: it accepts
-// exactly what ParseBinary accepts, and on an accepted blob it equals
-// NewIndex over the decoded document — node names and order, both row
-// sets, Dangling (nil or not, and which relation) — and its census
-// equals the document's Stats and the multiset of its elements'
-// prov:type string forms.
+// checkIndexBinary holds IndexBinary to its oracle on data. When it
+// accepts, ParseBinary accepts, and its index equals NewIndex over the
+// decoded document — node names and order, both row sets, Dangling (nil
+// or not, and which relation) — and its census equals the document's
+// Stats and the multiset of its elements' prov:type string forms. When
+// only ParseBinary accepts, the blob's string table spells a node name
+// of the decoded document twice, and IndexBinary's error names it. They
+// never disagree otherwise.
 func checkIndexBinary(t *testing.T, data []byte) (*Index, Census) {
 	t.Helper()
 	doc, derr := ParseBinary(data)
 	ix, census, err := IndexBinary(data)
-	if (err == nil) != (derr == nil) {
-		t.Fatalf("IndexBinary error %v, ParseBinary error %v", err, derr)
-	}
-	if err != nil {
+	switch {
+	case err == nil && derr != nil:
+		t.Fatalf("IndexBinary accepts what ParseBinary refuses: %v", derr)
+	case err != nil && derr == nil:
+		twice := nodeNamesWrittenTwice(data, doc)
+		if len(twice) == 0 {
+			t.Fatalf("IndexBinary refuses what ParseBinary accepts, and no node name is written twice: %v", err)
+		}
+		name, ok := strings.CutPrefix(err.Error(), "prov: binary document writes node name ")
+		if name, _ = strings.CutSuffix(name, " twice"); !ok || !slices.Contains(twice, QName(name)) {
+			t.Fatalf("IndexBinary refuses with %q; the names written twice are %q", err, twice)
+		}
+		return nil, Census{}
+	case err != nil:
 		return nil, Census{}
 	}
 	want := NewIndex(doc)
@@ -90,6 +102,53 @@ func typeHitsOf(d *Document) []string {
 	return sorted(out)
 }
 
+// nodeNamesWrittenTwice lists the node names of d — its elements' ids
+// and its relations' endpoints — that two strings of the string table
+// of data, d's blob, spell.
+func nodeNamesWrittenTwice(data []byte, d *Document) []QName {
+	r := binReader{buf: data}
+	if err := r.walk(nopVisitor{}); err != nil {
+		return nil
+	}
+	spelled := map[string]int{}
+	for _, s := range r.tab {
+		spelled[s]++
+	}
+	nodes := map[QName]bool{}
+	for q := range d.Entities {
+		nodes[q] = true
+	}
+	for q := range d.Activities {
+		nodes[q] = true
+	}
+	for q := range d.Agents {
+		nodes[q] = true
+	}
+	for _, rel := range d.Relations {
+		nodes[rel.Subject], nodes[rel.Object] = true, true
+	}
+	var twice []QName
+	for q := range nodes {
+		if spelled[string(q)] > 1 {
+			twice = append(twice, q)
+		}
+	}
+	return twice
+}
+
+// nopVisitor walks a blob and keeps nothing but the reader's string
+// table.
+type nopVisitor struct{}
+
+func (nopVisitor) namespace(prefix, uri int32) {}
+func (nopVisitor) section(sec, n int)          {}
+func (nopVisitor) element(c uint8, id int32, attrs []binAttr, start, end time.Time) error {
+	return nil
+}
+func (nopVisitor) relation(id, kind, subject, object int32, t time.Time, attrs []binAttr) error {
+	return nil
+}
+
 func sorted(s []string) []string {
 	slices.Sort(s)
 	return s
@@ -119,9 +178,10 @@ func binaryDecodeCorpus(f *testing.F) [][]byte {
 	return out
 }
 
-// FuzzIndexBinaryMatchesDecode holds IndexBinary to the index and
-// census of the document ParseBinary decodes from the same bytes
-// (checkIndexBinary), seeded with FuzzBinaryDocDecode's seeds and
+// FuzzIndexBinaryMatchesDecode holds IndexBinary to ParseBinary on the
+// same bytes (checkIndexBinary): what IndexBinary accepts decodes, to a
+// document with the same index and census, and what only ParseBinary
+// accepts spells a node name twice. Seeded with FuzzBinaryDocDecode's seeds and
 // corpus and the hand-written shapes of TestIndexBinaryShapes.
 func FuzzIndexBinaryMatchesDecode(f *testing.F) {
 	for _, s := range binaryDecodeSeeds() {
@@ -153,17 +213,18 @@ func (b rawBlob) ref(tok int) rawBlob { return b.uv(uint64(tok)) }
 func (b rawBlob) typed(v ...byte) rawBlob { return append(b.uv(1).str(typeKey), v...) }
 
 type indexBinaryShape struct {
-	name      string
-	blob      []byte
-	stats     Stats
-	nodes     []QName
-	hits      []string // sorted "class node type"
-	dangling  bool
-	wantError bool
+	name     string
+	blob     []byte
+	stats    Stats
+	nodes    []QName
+	hits     []string // sorted "class node type"
+	dangling bool
+	refused  string // in IndexBinary's error, when it refuses
+	parses   bool   // ParseBinary accepts what IndexBinary refuses
 }
 
 // indexBinaryShapes are the corners where the binary format can say
-// more than a Document holds.
+// more than a Document holds, and what each decoder makes of them.
 func indexBinaryShapes() []indexBinaryShape {
 	// no namespaces; clipped, so that no two shapes share its array
 	head := slices.Clip(rawBlob{BinaryDocTag}.uv(0))
@@ -172,12 +233,11 @@ func indexBinaryShapes() []indexBinaryShape {
 	timeVal := appendTime([]byte{binKindTime}, when)
 	// 16 entities, then a relation from each to the next whose endpoints
 	// are new copies of their names: 48 node strings for 16 names, more
-	// than an unstable sort keeps in order.
+	// than an unstable sort keeps in order, which once made IndexBinary
+	// panic.
 	ring := head.uv(16)
-	var ringNodes []QName
 	for i := range 16 {
 		ring = ring.str(fmt.Sprintf("ex:n%02d", 15-i)).uv(0)
-		ringNodes = append(ringNodes, QName(fmt.Sprintf("ex:n%02d", i)))
 	}
 	ring = ring.uv(0).uv(0).uv(16)
 	for i := range 16 {
@@ -185,14 +245,21 @@ func indexBinaryShapes() []indexBinaryShape {
 	}
 	return []indexBinaryShape{
 		{
-			name: "duplicate id within a class: the last declaration wins, counted once",
-			// entities: ex:e {prov:type "a"}, ex:e {prov:type "b"}, ex:f {prov:type "c"}, ex:f {}
-			blob: head.uv(4).str("ex:e").typed(strVal("a")...).ref(1).uv(1).ref(2).append(strVal("b")...).
-				str("ex:f").uv(1).ref(2).append(strVal("c")...).ref(5).uv(0).
+			name: "an entity declared twice: refused",
+			// entities: ex:e {prov:type "a"}, ex:e {prov:type "b"}
+			blob: head.uv(2).str("ex:e").typed(strVal("a")...).ref(1).uv(1).ref(2).append(strVal("b")...).
 				uv(0).uv(0).uv(0),
-			stats: Stats{Entities: 2},
-			nodes: []QName{"ex:e", "ex:f"},
-			hits:  []string{"Entity ex:e b"},
+			refused: "declares Entity ex:e twice",
+		},
+		{
+			name:    "an activity declared twice: refused",
+			blob:    head.uv(0).uv(2).str("ex:a").uv(0).uv(0).uv(0).ref(1).uv(0).uv(0).uv(0).uv(0).uv(0),
+			refused: "declares Activity ex:a twice",
+		},
+		{
+			name:    "an agent declared twice: refused",
+			blob:    head.uv(0).uv(0).uv(2).str("ex:g").uv(0).ref(1).uv(0).uv(0),
+			refused: "declares Agent ex:g twice",
 		},
 		{
 			name: "an id in two classes: one node, two hits",
@@ -232,41 +299,44 @@ func indexBinaryShapes() []indexBinaryShape {
 			hits:  []string{"Entity ex:r ex:Model"},
 		},
 		{
-			name: "a name written twice in the string table: one node",
+			name: "a name twice in the string table: IndexBinary refuses",
 			// entity ex:e, activity ex:e (a new copy), a relation to a third copy and from an undeclared ex:u
 			blob: head.uv(1).str("ex:e").uv(0).uv(1).str("ex:e").uv(0).uv(0).uv(0).uv(0).
 				uv(1).str("_:r").str("used").str("ex:u").str("ex:e").uv(0).uv(0),
-			stats:    Stats{Entities: 1, Activities: 1, Relations: 1},
-			nodes:    []QName{"ex:e", "ex:u"},
-			dangling: true,
+			parses:  true,
+			refused: "writes node name ex:e twice",
 		},
 		{
-			name:  "names written again as the endpoints of many relations: one node each",
-			blob:  ring,
-			stats: Stats{Entities: 16, Relations: 16},
-			nodes: ringNodes,
+			name:    "a 16-name ring of copied names: IndexBinary refuses",
+			blob:    ring,
+			parses:  true,
+			refused: "writes node name ex:n",
 		},
 		{
-			name:      "a count beyond the bytes left",
-			blob:      head.uv(0).uv(0).uv(0).uv(3).append(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-			wantError: true,
+			name:    "a count beyond the bytes left",
+			blob:    head.uv(0).uv(0).uv(0).uv(3).append(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+			refused: "count 3 exceeds input",
 		},
 	}
 }
 
 func (b rawBlob) append(v ...byte) rawBlob { return append(b, v...) }
 
-// TestIndexBinaryShapes: the shapes AppendBinary never writes — an id
-// declared twice in a class, an id in two classes, a repeated attribute
-// key, a name twice in the string table — and every kind of prov:type
-// value index and count as the decoded document has them.
+// TestIndexBinaryShapes: an id in two classes, a repeated attribute key
+// and every kind of prov:type value index and count as the decoded
+// document has them; an id declared twice in a class, which AppendBinary
+// never writes, is refused by both decoders, and a name twice in the
+// string table by IndexBinary.
 func TestIndexBinaryShapes(t *testing.T) {
 	for _, tc := range indexBinaryShapes() {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, census := checkIndexBinary(t, tc.blob)
-			if tc.wantError {
-				if ix != nil {
-					t.Fatal("accepted")
+			if tc.refused != "" {
+				if _, _, err := IndexBinary(tc.blob); err == nil || !strings.Contains(err.Error(), tc.refused) {
+					t.Fatalf("IndexBinary error %v, want one saying %q", err, tc.refused)
+				}
+				if _, err := ParseBinary(tc.blob); (err == nil) != tc.parses {
+					t.Fatalf("ParseBinary error %v, want one: %v", err, !tc.parses)
 				}
 				return
 			}
@@ -426,6 +496,27 @@ func BenchmarkIndexBinary(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := IndexBinary(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkParseBinary decodes the blob of a chain document of the
+// benchmark corpus's three depths, beside BenchmarkIndexBinary over the
+// same blobs.
+func BenchmarkParseBinary(b *testing.B) {
+	for _, depth := range []int{12, 64, 256} {
+		d, err := ParseJSON(chainDocJSON(depth))
+		if err != nil {
+			b.Fatal(err)
+		}
+		blob := AppendBinary(nil, d)
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseBinary(blob); err != nil {
 					b.Fatal(err)
 				}
 			}

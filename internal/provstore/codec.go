@@ -120,6 +120,14 @@ func appendBlob(dst []byte, blob []byte) []byte {
 	return append(dst, blob...)
 }
 
+// The fewest bytes one batch sub-op and one snapshot document encode
+// in, so a count of more than the bytes left could hold is corrupt —
+// caught before it sizes an allocation.
+const (
+	minSubOpBytes       = 3 // op, shard, id length
+	minSnapshotDocBytes = 5 // id length, 4-byte blob length
+)
+
 // recReader is a bounds-checked cursor over a binary record payload.
 type recReader struct {
 	buf []byte
@@ -260,7 +268,7 @@ func decodeRecordInto(m *mutation, payload []byte, blob entryReader) error {
 		if err != nil {
 			return err
 		}
-		if uint64(n) > uint64(len(payload)-r.pos) {
+		if uint64(n) > uint64((len(payload)-r.pos)/minSubOpBytes) {
 			return fmt.Errorf("batch count %d exceeds payload", n)
 		}
 		m.ops = make([]Op, 0, n)
@@ -366,7 +374,7 @@ func decodeSnapshotInto(m *mutation, payload []byte, blob entryReader) error {
 	if err != nil {
 		return err
 	}
-	if n > uint64(len(payload)-r.pos) {
+	if n > uint64((len(payload)-r.pos)/minSnapshotDocBytes) {
 		return fmt.Errorf("doc count %d exceeds payload", n)
 	}
 	m.ops = make([]Op, 0, n)

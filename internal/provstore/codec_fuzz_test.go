@@ -8,6 +8,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -159,6 +160,45 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecordCountsBoundedByInput: a snapshot payload declaring more
+// documents, or a batch record more sub-ops, than its bytes could hold
+// is refused before the count sizes anything. Before the counts were
+// bounded by the smallest encoding of an item, a 1 MiB snapshot payload
+// made the decoder allocate 33.6 MB before it failed, and a 1 MiB batch
+// record 25.2 MB.
+func TestRecordCountsBoundedByInput(t *testing.T) {
+	filler := make([]byte, 1<<20)
+	// A shard count of 1, then as many documents as bytes follow.
+	snapshot := binary.AppendUvarint([]byte{recBinaryTag, 1}, uint64(len(filler)))
+	// No trace, then as many sub-ops as bytes follow.
+	batch := binary.LittleEndian.AppendUint32([]byte{recBinaryTag, recOpBatch, 0}, uint32(len(filler)))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"snapshot", append(snapshot, filler...), func(p []byte) error { _, err := decodeSnapshot(p); return err }},
+		{"batch record", append(batch, filler...), func(p []byte) error { _, err := decodeRecordPayload(p, 1); return err }},
+	} {
+		if tc.decode(tc.payload) == nil {
+			t.Fatalf("the %s decoder accepts a count beyond its payload", tc.name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 5
+		for range runs {
+			_ = tc.decode(tc.payload)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s decoder on a %d-byte payload declaring %d items: %.0f bytes allocated", tc.name, len(tc.payload), len(filler), bytes)
+		if bytes > 2*float64(len(tc.payload)) {
+			t.Errorf("the %s decoder allocates %.0f bytes on a %d-byte payload, over twice its length", tc.name, bytes, len(tc.payload))
+		}
+	}
 }
 
 // jsonBlobSpy is the upgrade decoder's entryReader, and whether it has

@@ -44,7 +44,7 @@ type storeWideReads struct {
 	Lineage  [][]CrossNode
 	ByType   [][]SearchResult
 	ByAttr   [][]SearchResult
-	Decoding [][]SearchResult // the one kind that reads documents
+	Decoding [][]SearchResult // the one kind that reads blobs
 }
 
 func readStoreWide(t *testing.T, s *Store, decode bool) storeWideReads {
@@ -74,11 +74,11 @@ func readStoreWide(t *testing.T, s *Store, decode bool) storeWideReads {
 
 // TestStoreWideReadsSameWithoutDocuments: cross-document lineage and
 // type search answer from each entry's index and type hits,
-// attribute search from its document, and all of them answer the same
+// attribute search from its blob, and all of them answer the same
 // before a checkpoint, after it and after reopening the directory
 // (entries built from the snapshot). With
-// every blob made undecodable, all but the attribute search on another
-// key still answer: they never read a document.
+// every blob made unreadable, all but the attribute search on another
+// key still answer: they never read a blob.
 func TestStoreWideReadsSameWithoutDocuments(t *testing.T) {
 	const n = 10
 	dir := t.TempDir()
@@ -109,11 +109,11 @@ func TestStoreWideReadsSameWithoutDocuments(t *testing.T) {
 	s.eachEntry(func(e *entry) { blobs[e], e.blob = e.blob, []byte{0xFF} })
 	got := readStoreWide(t, s, false)
 	got.Decoding = want.Decoding
-	same("with undecodable blobs", got)
+	same("with unreadable blobs", got)
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("an attribute search decoded no document")
+				t.Error("an attribute search read no blob")
 			}
 		}()
 		s.FindByAttr("ex:owner", "team-1")
@@ -337,6 +337,19 @@ func BenchmarkCrossDocLineage(b *testing.B) {
 		nodes, err := s.CrossDocLineage("ex:e0", Descendants, 0)
 		if err != nil || len(nodes) != 2*256-2 {
 			b.Fatalf("%d nodes, %v", len(nodes), err)
+		}
+	}
+}
+
+// BenchmarkFindByAttr: an attribute search matching no element of a
+// 1 024-document corpus, which walks every blob.
+func BenchmarkFindByAttr(b *testing.B) {
+	s := chainStore(b, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if hits := s.FindByAttr("bench:tag", "none"); len(hits) != 0 {
+			b.Fatalf("%d hits", len(hits))
 		}
 	}
 }

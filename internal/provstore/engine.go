@@ -1,8 +1,11 @@
 package provstore
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Shard routing. A document lives on exactly one shard, chosen by a
@@ -101,10 +104,11 @@ func (s *Store) eachEntry(fn func(*entry)) {
 }
 
 // search returns the elements whose attribute key equals want, in
-// (Doc, Node) order so the output is identical for any shard count. A
-// string search on prov:type visits only the documents the shards'
-// type postings name and answers from the prov:type hits each entry
-// keeps; any other reads every document, decoding those held as a blob.
+// (Doc, Node, Class) order so the output is identical for any shard
+// count: a node declared in two classes is two results. A string search
+// on prov:type visits only the documents the shards' type postings name
+// and answers from the prov:type hits each entry keeps; any other walks
+// every document's blob.
 func (s *Store) search(key string, want interface{}) []SearchResult {
 	var out []SearchResult
 	if typeName, ok := want.(string); ok && key == typeKey {
@@ -123,11 +127,11 @@ func (s *Store) search(key string, want interface{}) []SearchResult {
 	} else {
 		s.eachEntry(func(e *entry) { out = e.appendMatches(out, key, want) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Doc != out[j].Doc {
-			return out[i].Doc < out[j].Doc
-		}
-		return out[i].Node < out[j].Node
-	})
+	slices.SortFunc(out, compareResults)
 	return out
+}
+
+// compareResults orders search results by document, node and class.
+func compareResults(a, b SearchResult) int {
+	return cmp.Or(strings.Compare(a.Doc, b.Doc), strings.Compare(string(a.Node), string(b.Node)), strings.Compare(a.Class, b.Class))
 }

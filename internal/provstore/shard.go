@@ -3,6 +3,7 @@ package provstore
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,8 +21,9 @@ const typeKey = "prov:type"
 // after: a reader fetches the pointer under the shard's read lock and
 // works on it unlocked, and sees exactly one version, and that
 // version's number, however the id is replaced or deleted meanwhile.
-// An entry is built from the blob alone (newEntry); the reads that need
-// the document decode the blob (entry.document).
+// An entry is built from the blob alone (newEntry); attribute search
+// walks the blob in place, and the reads that need the document decode
+// it (entry.document).
 type entry struct {
 	id string
 	ix *prov.Index
@@ -86,25 +88,11 @@ func encodeBlob(doc *prov.Document) []byte {
 func (e *entry) document() *prov.Document {
 	doc, err := prov.ParseBinary(e.blob)
 	if err != nil {
-		// The entry was built by indexing the blob, and IndexBinary
-		// accepts exactly what ParseBinary does: it cannot fail to
-		// decode.
+		// The entry was built by indexing the blob, and ParseBinary
+		// accepts every blob IndexBinary does: it cannot fail to decode.
 		panic(fmt.Sprintf("provstore: stored blob of %q does not decode: %v", e.id, err))
 	}
 	return doc
-}
-
-// eachElement calls fn for every element of doc with its class name.
-func eachElement(doc *prov.Document, fn func(class string, el *prov.Element)) {
-	for _, el := range doc.Entities {
-		fn("Entity", el)
-	}
-	for _, a := range doc.Activities {
-		fn("Activity", &a.Element)
-	}
-	for _, el := range doc.Agents {
-		fn("Agent", el)
-	}
 }
 
 // appendTypeMatches appends the elements whose prov:type has the string
@@ -121,23 +109,27 @@ func (e *entry) appendTypeMatches(out []SearchResult, want string) []SearchResul
 // appendMatches appends the elements whose attribute key equals want.
 // Two keys are synthetic: "qname" is the element's qualified name and
 // "doc" the document id (an attribute of that name shadows them). It
-// decodes the document.
+// walks the blob in place (prov.ElementAttr) and decodes nothing.
 func (e *entry) appendMatches(out []SearchResult, key string, want interface{}) []SearchResult {
-	eachElement(e.document(), func(class string, el *prov.Element) {
-		v, ok := el.Attrs[key]
+	err := prov.ElementAttr(e.blob, key, func(class string, id prov.QName, v prov.Value, ok bool) {
 		switch {
 		case ok:
 		case key == "qname":
-			v = prov.Str(string(el.ID))
+			v = prov.Str(string(id))
 		case key == "doc":
 			v = prov.Str(e.id)
 		default:
 			return
 		}
 		if attrMatches(v, want) {
-			out = append(out, SearchResult{Doc: e.id, Node: el.ID, Class: class})
+			// id is a view of the blob: the result gets a copy.
+			out = append(out, SearchResult{Doc: e.id, Node: prov.QName(strings.Clone(string(id))), Class: class})
 		}
 	})
+	if err != nil {
+		// IndexBinary walked the same blob when it built the entry.
+		panic(fmt.Sprintf("provstore: stored blob of %q does not walk: %v", e.id, err))
+	}
 	return out
 }
 

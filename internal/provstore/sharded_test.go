@@ -1,8 +1,11 @@
 package provstore
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,6 +75,45 @@ func TestFanOutDeterminism(t *testing.T) {
 		// Repeated calls must be byte-for-byte identical.
 		if !reflect.DeepEqual(s.FindByType("provml:Model"), hits) {
 			t.Errorf("shards=%d: FindByType not deterministic across calls", n)
+		}
+	}
+}
+
+// TestSearchOrderIgnoresShardCount: a node declared in two classes is
+// two results that tie on (Doc, Node). Type and attribute search return
+// them in (Doc, Node, Class) order, the same list for every shard
+// count; an unstable sort on (Doc, Node) alone let the shard layout
+// order the ties.
+func TestSearchOrderIgnoresShardCount(t *testing.T) {
+	var want map[string][]SearchResult
+	for _, n := range []int{1, 2, 4, 16, 64} {
+		s := NewSharded(n)
+		for d := range 12 {
+			doc := prov.NewDocument()
+			for i := range 3 {
+				q := prov.QName(fmt.Sprintf("ex:n%d", i))
+				doc.AddEntity(q, prov.Attrs{"prov:type": prov.Str("T"), "ex:k": prov.Int(1)})
+				doc.AddActivity(q, prov.Attrs{"prov:type": prov.Str("T"), "ex:k": prov.Int(1)})
+			}
+			if err := s.Put(fmt.Sprintf("doc-%02d", d), doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := map[string][]SearchResult{"FindByType": s.FindByType("T"), "FindByAttr": s.FindByAttr("ex:k", 1)}
+		for name, hits := range got {
+			if len(hits) != 12*3*2 {
+				t.Fatalf("shards=%d: %s returns %d results, want %d", n, name, len(hits), 12*3*2)
+			}
+			if !slices.IsSortedFunc(hits, func(a, b SearchResult) int {
+				return cmp.Or(strings.Compare(a.Doc, b.Doc), strings.Compare(string(a.Node), string(b.Node)), strings.Compare(a.Class, b.Class))
+			}) {
+				t.Errorf("shards=%d: %s is not in (Doc, Node, Class) order: %v", n, name, hits)
+			}
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: searches %v, with one shard %v", n, got, want)
 		}
 	}
 }

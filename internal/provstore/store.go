@@ -12,12 +12,12 @@
 // proportional to the document, exactly one version seen. No entry
 // holds a decoded document. Lineage, type search and cross-document
 // traversal answer from the index and what the entry extracted when it
-// was built; the few reads that need the document itself decode the
-// blob (entry.document). Cross-document
-// operations fan out over the shards and merge with deterministic
-// ordering. Every write — a local Apply, a replicated record, a record
-// replayed at recovery — runs through one mutation pipeline
-// (mutation.go).
+// was built, attribute search walks the blob in place, and the few
+// reads that need the document itself decode the blob
+// (entry.document). Cross-document operations fan out over the shards
+// and merge with deterministic ordering. Every write — a local Apply, a
+// replicated record, a record replayed at recovery — runs through one
+// mutation pipeline (mutation.go).
 //
 // There is one notion of version. Every mutation has a sequence: its
 // journal record's, or on an in-memory store the next tick of the same
@@ -272,9 +272,9 @@ type SearchResult struct {
 // FindByType returns all elements whose prov:type attribute equals
 // typeName, across every stored document. This is the "knowledge base
 // of previous runs" query of the paper's §3.2/§3.4, fanned out over
-// every shard and merged in (Doc, Node) order. It reads no document:
-// the shards' postings name the entries, and each entry lists its
-// elements' types from when it was built.
+// every shard and merged in (Doc, Node, Class) order. It reads no
+// document: the shards' postings name the entries, and each entry lists
+// its elements' types from when it was built.
 func (s *Store) FindByType(typeName string) []SearchResult {
 	return s.search(typeKey, typeName)
 }
@@ -284,9 +284,10 @@ func (s *Store) FindByType(typeName string) []SearchResult {
 // "provml:name"), or one of two synthetic keys: "qname" (the element's
 // qualified name) and "doc" (the id of the document holding it).
 // Equality is typed — see attrMatches. Every key but prov:type scans
-// the store and decodes every document from its blob (see entry). The int64
-// "startTime"/"endTime" keys of the former graph projection, which no
-// HTTP request could reach (query values arrive as strings), are gone.
+// the store and walks every document's blob in place, decoding none
+// (see entry). The int64 "startTime"/"endTime" keys of the former graph
+// projection, which no HTTP request could reach (query values arrive
+// as strings), are gone.
 func (s *Store) FindByAttr(key string, value interface{}) []SearchResult {
 	return s.search(key, value)
 }
