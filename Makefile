@@ -62,7 +62,11 @@ chaos:
 
 # Ten seconds of each fuzzer on top of its committed seed corpus. prov:
 # the differential one that holds the PROV-JSON decoder to the
-# encoding/json reference it replaced, the two binary-codec ones (the
+# encoding/json reference it replaced, the differential one that holds
+# TranscodeJSON (PROV-JSON straight to a blob, the server's write path)
+# to ParseJSON, Validate and AppendBinary — same blob byte for byte,
+# same error text, same stats — the two binary-codec ones (the
+# round-trip one also re-encodes a canonical blob to the same bytes, the
 # decode one also holds ElementAttr, attribute search's walk, to the
 # attributes ParseBinary decodes), and the differential one that holds
 # the index and census IndexBinary builds from a blob to those of the
@@ -74,21 +78,23 @@ chaos:
 # OpenZip/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
 # archive. jsonscan: Skip/End against json.Valid and String/Bytes
 # against json.Unmarshal. provservice: the one-scan batch line read
-# (envelope and document decoded together) against the two-pass read it
-# replaced (envelope span, ParseJSON, Validate), whose envelope scan is
-# in turn held to the encoding/json struct decode before it. provstore: the
+# (envelope read and document transcoded together) against the two-pass read it
+# replaced (envelope span, ParseJSON, Validate, AppendBinary: same id,
+# same line error text, same blob), whose envelope scan is in turn held
+# to the encoding/json struct decode before it. provstore: the
 # journal record envelope, which must not panic on any bytes and must
 # decode what appendRecord re-encodes from an accepted record to the same
 # mutation; the snapshot payload, whose accepted inputs, applied to
 # a store and re-encoded by appendSnapshot, must rebuild an equal store
 # with byte-equal kept blobs; and any PROV-JSON a put or a batch
-# accepts, which must read back Equal from the live store, the reopened
-# journal, a follower and a checkpoint, with the snapshot's blob the
-# journal record's. wal: any bytes as a frame stream, which the stream
-# scanner must split exactly as parseFrame does. go test takes one
-# -fuzz target per run.
+# accepts, whose transcoded blob the live store, the reopened journal, a
+# follower and a checkpoint must each hold byte for byte, with the
+# snapshot's blob the journal record's. wal: any bytes as a frame
+# stream, which the stream scanner must split exactly as parseFrame
+# does. go test takes one -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzTranscodeJSONMatchesEncode$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexBinaryMatchesDecode$$' -fuzztime 10s ./internal/prov

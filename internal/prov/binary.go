@@ -3,7 +3,10 @@ package prov
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -55,90 +58,228 @@ const (
 	binKindRef    = 5
 )
 
-// binEncoder holds the per-document intern table. Pooled: the map is
-// cleared, not reallocated, between documents.
-type binEncoder struct {
-	tab map[string]uint32
+// A document is written from its records (docRecords): the namespace
+// bindings, each class's elements and the relations, in the order the
+// blob lists them, with each record's attributes a span of one flat
+// slice. AppendBinary fills the records from a *Document, TranscodeJSON
+// from the PROV-JSON it decodes, and binEmitter.emit, the one writer of
+// the layout, writes them.
+
+// recAttr is one attribute of a record.
+type recAttr struct {
+	key string
+	val Value
 }
 
-var binEncPool = sync.Pool{
-	New: func() interface{} { return &binEncoder{tab: make(map[string]uint32, 64)} },
+// attrSpan is a record's attributes: docRecords.attrs[off:end].
+type attrSpan struct{ off, end int }
+
+// elemRec is one element: its id, its attributes and, for an activity,
+// its times.
+type elemRec struct {
+	id         string
+	attrs      attrSpan
+	start, end time.Time
 }
 
-// AppendBinary appends the binary encoding of d to dst and returns the
-// extended slice. Encoding cannot fail: every in-memory document is
-// representable.
-func AppendBinary(dst []byte, d *Document) []byte {
-	e := binEncPool.Get().(*binEncoder)
-	clear(e.tab)
+// relRec is one relation.
+type relRec struct {
+	id, subject, object string
+	kind                RelationKind
+	t                   time.Time
+	attrs               attrSpan
+}
 
-	dst = append(dst, BinaryDocTag)
+// nsBinding binds a namespace prefix to its URI.
+type nsBinding struct{ prefix, uri string }
 
-	prefixes := d.Namespaces.Prefixes()
-	dst = binary.AppendUvarint(dst, uint64(len(prefixes)))
-	for _, p := range prefixes {
-		uri, _ := d.Namespaces.Lookup(p)
-		dst = e.appendStr(dst, p)
-		dst = e.appendStr(dst, uri)
-	}
+// docRecords is a document as its blob lists it. In the canonical
+// order AppendBinary writes, the bindings are sorted by prefix, each
+// class's elements by id and each record's attributes by key, none of
+// them repeated; the relations keep the document's order, which is by
+// kind, then id, for a document decoded from PROV-JSON.
+type docRecords struct {
+	ns    []nsBinding
+	elems [len(elementClasses)][]elemRec
+	rels  []relRec
+	attrs []recAttr
+	ids   []QName // fromDocument's scratch
+}
 
-	dst = binary.AppendUvarint(dst, uint64(len(d.Entities)))
-	for id, el := range d.Entities {
-		dst = e.appendStr(dst, string(id))
-		dst = e.appendAttrs(dst, el.Attrs)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(d.Activities)))
-	for id, a := range d.Activities {
-		dst = e.appendStr(dst, string(id))
-		dst = e.appendAttrs(dst, a.Attrs)
-		dst = appendTime(dst, a.StartTime)
-		dst = appendTime(dst, a.EndTime)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(d.Agents)))
-	for id, el := range d.Agents {
-		dst = e.appendStr(dst, string(id))
-		dst = e.appendAttrs(dst, el.Attrs)
-	}
+func (rs *docRecords) attrsOf(s attrSpan) []recAttr { return rs.attrs[s.off:s.end] }
 
-	dst = binary.AppendUvarint(dst, uint64(len(d.Relations)))
+// reset empties rs and drops every string it refers to.
+func (rs *docRecords) reset() {
+	rs.ns = clearSlice(rs.ns)
+	for c := range rs.elems {
+		rs.elems[c] = clearSlice(rs.elems[c])
+	}
+	rs.rels = clearSlice(rs.rels)
+	rs.attrs = clearSlice(rs.attrs)
+}
+
+// clearSlice zeroes s and returns it empty.
+func clearSlice[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// The strings canonical order sorts each kind of record by, and their
+// comparisons.
+func nsPrefix(b *nsBinding) string { return b.prefix }
+func elemID(el *elemRec) string    { return el.id }
+func relRecID(r *relRec) string    { return r.id }
+func attrKey(a *recAttr) string    { return a.key }
+func byPrefix(a, b nsBinding) int  { return strings.Compare(a.prefix, b.prefix) }
+func byKey(a, b recAttr) int       { return strings.Compare(a.key, b.key) }
+
+// fromDocument fills the empty rs with d's records in canonical order.
+func (rs *docRecords) fromDocument(d *Document) {
+	for p, uri := range d.Namespaces.byPrefix {
+		rs.ns = append(rs.ns, nsBinding{p, uri})
+	}
+	slices.SortFunc(rs.ns, byPrefix)
+	// Sorting the ids and looking each up moves 16-byte strings, where
+	// sorting the records would move 80-byte ones.
+	for _, id := range recordIDs(rs, d.Entities) {
+		rs.elems[0] = append(rs.elems[0], elemRec{id: string(id), attrs: rs.addAttrs(d.Entities[id].Attrs)})
+	}
+	for _, id := range recordIDs(rs, d.Activities) {
+		a := d.Activities[id]
+		rs.elems[activityClass] = append(rs.elems[activityClass], elemRec{id: string(id), attrs: rs.addAttrs(a.Attrs), start: a.StartTime, end: a.EndTime})
+	}
+	for _, id := range recordIDs(rs, d.Agents) {
+		rs.elems[2] = append(rs.elems[2], elemRec{id: string(id), attrs: rs.addAttrs(d.Agents[id].Attrs)})
+	}
+	rs.ids = clearSlice(rs.ids)
 	for _, r := range d.Relations {
-		dst = e.appendStr(dst, r.ID)
-		dst = e.appendStr(dst, string(r.Kind))
-		dst = e.appendStr(dst, string(r.Subject))
-		dst = e.appendStr(dst, string(r.Object))
-		dst = appendTime(dst, r.Time)
-		dst = e.appendAttrs(dst, r.Attrs)
+		rs.rels = append(rs.rels, relRec{id: r.ID, subject: string(r.Subject), object: string(r.Object), kind: r.Kind, t: r.Time, attrs: rs.addAttrs(r.Attrs)})
 	}
+}
 
-	binEncPool.Put(e)
+// recordIDs returns the keys of m in order, in rs.ids.
+func recordIDs[V any](rs *docRecords, m map[QName]V) []QName {
+	rs.ids = rs.ids[:0]
+	for id := range m {
+		rs.ids = append(rs.ids, id)
+	}
+	slices.Sort(rs.ids)
+	return rs.ids
+}
+
+// addAttrs appends an attribute bag to rs.attrs in key order.
+func (rs *docRecords) addAttrs(a Attrs) attrSpan {
+	s := attrSpan{off: len(rs.attrs)}
+	for k, v := range a {
+		rs.attrs = append(rs.attrs, recAttr{k, v})
+	}
+	s.end = len(rs.attrs)
+	slices.SortFunc(rs.attrsOf(s), byKey)
+	return s
+}
+
+// binEmitter writes the binary layout. Its intern table is open
+// addressing over the strings written so far, sized by the document
+// being written: begin clears the slots this document needs, whatever
+// the largest document the emitter wrote before.
+type binEmitter struct {
+	// slots holds, where a string hashes, its token + 1; 0 is empty.
+	slots []int32
+	// strs is the intern table: token i stands for strs[i].
+	strs []string
+	// classes has bit c of token i set when strs[i] is the id of an
+	// element of class c.
+	classes []uint8
+	// ends holds each relation's subject and object tokens, in the
+	// order the relations are written.
+	ends []int32
+}
+
+var internSeed = maphash.MakeSeed()
+
+// begin readies e for a document of at most n string references.
+func (e *binEmitter) begin(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(e.slots) < size {
+		e.slots = make([]int32, size)
+	} else {
+		e.slots = e.slots[:size]
+		clear(e.slots)
+	}
+	e.strs, e.classes, e.ends = clearSlice(e.strs), e.classes[:0], e.ends[:0]
+}
+
+// emit appends the blob of the records rs to dst.
+func (e *binEmitter) emit(dst []byte, rs *docRecords) []byte {
+	e.begin(2*len(rs.ns) + len(rs.elems[0]) + len(rs.elems[1]) + len(rs.elems[2]) + 4*len(rs.rels) + 2*len(rs.attrs))
+	dst = append(dst, BinaryDocTag)
+	dst = binary.AppendUvarint(dst, uint64(len(rs.ns)))
+	for _, b := range rs.ns {
+		dst, _ = e.str(dst, b.prefix)
+		dst, _ = e.str(dst, b.uri)
+	}
+	for c, els := range rs.elems {
+		dst = binary.AppendUvarint(dst, uint64(len(els)))
+		for i := range els {
+			el := &els[i]
+			var tok int32
+			dst, tok = e.str(dst, el.id)
+			e.classes[tok] |= 1 << c
+			dst = e.attrs(dst, rs.attrsOf(el.attrs))
+			if c == activityClass {
+				dst = appendTime(dst, el.start)
+				dst = appendTime(dst, el.end)
+			}
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(rs.rels)))
+	for i := range rs.rels {
+		r := &rs.rels[i]
+		var subject, object int32
+		dst, _ = e.str(dst, r.id)
+		dst, _ = e.str(dst, string(r.kind))
+		dst, subject = e.str(dst, r.subject)
+		dst, object = e.str(dst, r.object)
+		e.ends = append(e.ends, subject, object)
+		dst = appendTime(dst, r.t)
+		dst = e.attrs(dst, rs.attrsOf(r.attrs))
+	}
 	return dst
 }
 
-// MarshalBinary returns the binary encoding of d in a fresh buffer.
-func (d *Document) MarshalBinary() ([]byte, error) {
-	return AppendBinary(nil, d), nil
-}
-
-func (e *binEncoder) appendStr(dst []byte, s string) []byte {
-	if idx, ok := e.tab[s]; ok {
-		return binary.AppendUvarint(dst, uint64(idx))
+// str appends a reference to s — its token, or 0 and s itself the first
+// time — and returns s's token.
+func (e *binEmitter) str(dst []byte, s string) ([]byte, int32) {
+	mask := uint64(len(e.slots) - 1)
+	for i := maphash.String(internSeed, s) & mask; ; i = (i + 1) & mask {
+		t := e.slots[i]
+		if t == 0 {
+			e.strs = append(e.strs, s)
+			e.classes = append(e.classes, 0)
+			e.slots[i] = int32(len(e.strs))
+			dst = append(dst, 0)
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			return append(dst, s...), int32(len(e.strs) - 1)
+		}
+		if e.strs[t-1] == s {
+			return binary.AppendUvarint(dst, uint64(t)), t - 1
+		}
 	}
-	e.tab[s] = uint32(len(e.tab)) + 1
-	dst = append(dst, 0)
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
-func (e *binEncoder) appendAttrs(dst []byte, attrs Attrs) []byte {
+func (e *binEmitter) attrs(dst []byte, attrs []recAttr) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
-	for k, v := range attrs {
-		dst = e.appendStr(dst, k)
-		dst = e.appendValue(dst, v)
+	for _, a := range attrs {
+		dst, _ = e.str(dst, a.key)
+		dst = e.value(dst, a.val)
 	}
 	return dst
 }
 
-func (e *binEncoder) appendValue(dst []byte, v Value) []byte {
+func (e *binEmitter) value(dst []byte, v Value) []byte {
 	switch v.Kind() {
 	case KindInt:
 		dst = append(dst, binKindInt)
@@ -157,11 +298,43 @@ func (e *binEncoder) appendValue(dst []byte, v Value) []byte {
 		return appendTime(dst, v.time())
 	case KindRef:
 		dst = append(dst, binKindRef)
-		return e.appendStr(dst, v.s)
+		dst, _ = e.str(dst, v.s)
+		return dst
 	default: // KindString and anything unknown (the zero Value is Str(""))
 		dst = append(dst, binKindString)
-		return e.appendStr(dst, v.s)
+		dst, _ = e.str(dst, v.s)
+		return dst
 	}
+}
+
+// encodeState is the scratch of one encode: the records and the
+// emitter. Pooled.
+type encodeState struct {
+	rs docRecords
+	e  binEmitter
+}
+
+var encodeStates = sync.Pool{New: func() any { return new(encodeState) }}
+
+// AppendBinary appends the binary encoding of d to dst and returns the
+// extended slice. Encoding cannot fail: every in-memory document is
+// representable. The encoding is canonical: elements are written in id
+// order within each class, attributes in key order and relations in
+// the document's order, so equal documents with equally ordered
+// relations encode to equal bytes.
+func AppendBinary(dst []byte, d *Document) []byte {
+	x := encodeStates.Get().(*encodeState)
+	x.rs.fromDocument(d)
+	dst = x.e.emit(dst, &x.rs)
+	x.rs.reset()
+	x.e.strs = clearSlice(x.e.strs)
+	encodeStates.Put(x)
+	return dst
+}
+
+// MarshalBinary returns the binary encoding of d in a fresh buffer.
+func (d *Document) MarshalBinary() ([]byte, error) {
+	return AppendBinary(nil, d), nil
 }
 
 func appendTime(dst []byte, t time.Time) []byte {
@@ -523,7 +696,7 @@ func (r *binReader) attrList() ([]binAttr, error) {
 }
 
 // ParseBinary decodes a binary document blob produced by AppendBinary.
-// Elements are slab-allocated (one backing array per class, not one
+// Elements are slab-allocated (a few backing arrays per class, not one
 // heap object per element) and strings come out of the intern table, so
 // decode allocates per unique string, not per field. A repeated
 // attribute key's last value counts; an id declared twice in one class,
@@ -536,14 +709,54 @@ func ParseBinary(data []byte) (*Document, error) {
 	return b.d, nil
 }
 
-// docBuilder is ParseBinary's visitor: each section's items go into one
-// slab sized by the section's count.
+// docBuilder is ParseBinary's visitor: each section's items go into
+// slabs, so a decode allocates per slab, not per item.
 type docBuilder struct {
 	r    binReader
 	d    *Document
 	ents []Element // the entities', then the agents'
 	acts []Activity
 	rels []Relation
+	// read and pending count the items of the open section read so far
+	// and still to read.
+	read, pending int
+}
+
+// The heap bytes one decoded item takes — its slab slot, and its map
+// entry or pointer — against which section caps its pre-sizing.
+const (
+	elementHeapBytes  = int(unsafe.Sizeof(Element{})) + 40
+	activityHeapBytes = int(unsafe.Sizeof(Activity{})) + 40
+	relationHeapBytes = int(unsafe.Sizeof(Relation{})) + 8
+)
+
+// presize is how many of the n items a section declares its slab and
+// map are first sized for: n, unless that is more than presizeFloor
+// items and would take more than the bytes left in the blob. A count is
+// only bounded by the wire size of the smallest item, which is a
+// fraction of a decoded one, so a blob that declares more than it holds
+// allocates about its own size, or the floor's few kilobytes, before it
+// fails; the items it does hold grow the slabs (grow).
+func (b *docBuilder) presize(n, itemBytes int) int {
+	b.read, b.pending = 0, n
+	return min(n, max(presizeFloor, b.r.remaining()/itemBytes))
+}
+
+// presizeFloor is the section size presize always allows: a section of
+// the benchmark corpus's deepest documents (256 elements per class)
+// gets its slab and map in one allocation each, as it did when the
+// count alone sized them.
+const presizeFloor = 256
+
+// grow returns slab with room for one more item: slab itself, or a new
+// slab when it is full, so that the items the document already points
+// to stay where they are. A new slab doubles what the section has read
+// so far, up to the items it still declares.
+func grow[T any](slab []T, pending int) []T {
+	if len(slab) < cap(slab) {
+		return slab
+	}
+	return make([]T, 0, min(pending, max(16, cap(slab))))
 }
 
 func (b *docBuilder) namespace(prefix, uri int32) {
@@ -553,12 +766,15 @@ func (b *docBuilder) namespace(prefix, uri int32) {
 func (b *docBuilder) section(sec, n int) {
 	switch sec {
 	case activityClass:
+		n = b.presize(n, activityHeapBytes)
 		b.acts = make([]Activity, 0, n)
 		b.d.Activities = make(map[QName]*Activity, n)
 	case relSection:
+		n = b.presize(n, relationHeapBytes)
 		b.rels = make([]Relation, 0, n)
 		b.d.Relations = make([]*Relation, 0, n)
 	default:
+		n = b.presize(n, elementHeapBytes)
 		b.ents = make([]Element, 0, n)
 		if sec == 0 {
 			b.d.Entities = make(map[QName]*Element, n)
@@ -570,22 +786,24 @@ func (b *docBuilder) section(sec, n int) {
 
 func (b *docBuilder) element(c uint8, id int32, attrs []binAttr, start, end time.Time) error {
 	el := Element{ID: QName(b.r.tab[id]), Attrs: b.attrs(attrs)}
-	var declared, read int
+	var declared int
 	switch c {
 	case activityClass:
-		b.acts = append(b.acts, Activity{Element: el, StartTime: start, EndTime: end})
+		b.acts = append(grow(b.acts, b.pending), Activity{Element: el, StartTime: start, EndTime: end})
 		b.d.Activities[el.ID] = &b.acts[len(b.acts)-1]
-		declared, read = len(b.d.Activities), len(b.acts)
+		declared = len(b.d.Activities)
 	default:
 		m := b.d.Entities
 		if c != 0 {
 			m = b.d.Agents
 		}
-		b.ents = append(b.ents, el)
+		b.ents = append(grow(b.ents, b.pending), el)
 		m[el.ID] = &b.ents[len(b.ents)-1]
-		declared, read = len(m), len(b.ents)
+		declared = len(m)
 	}
-	if declared < read {
+	b.read++
+	b.pending--
+	if declared < b.read {
 		return fmt.Errorf("prov: binary document declares %s %s twice", elementClasses[c], el.ID)
 	}
 	return nil
@@ -593,8 +811,9 @@ func (b *docBuilder) element(c uint8, id int32, attrs []binAttr, start, end time
 
 func (b *docBuilder) relation(id, kind, subject, object int32, t time.Time, attrs []binAttr) error {
 	tab := b.r.tab
-	b.rels = append(b.rels, Relation{ID: tab[id], Kind: RelationKind(tab[kind]), Subject: QName(tab[subject]), Object: QName(tab[object]), Time: t, Attrs: b.attrs(attrs)})
+	b.rels = append(grow(b.rels, b.pending), Relation{ID: tab[id], Kind: RelationKind(tab[kind]), Subject: QName(tab[subject]), Object: QName(tab[object]), Time: t, Attrs: b.attrs(attrs)})
 	b.d.Relations = append(b.d.Relations, &b.rels[len(b.rels)-1])
+	b.pending--
 	return nil
 }
 

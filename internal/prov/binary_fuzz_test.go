@@ -61,7 +61,9 @@ func fuzzSeedDocs() []*Document {
 
 // FuzzBinaryDocRoundTrip feeds PROV-JSON through the binary codec and
 // demands byte-identical canonical JSON back: ParseJSON -> AppendBinary
-// -> ParseBinary -> MarshalJSON must equal the direct MarshalJSON.
+// -> ParseBinary -> MarshalJSON must equal the direct MarshalJSON. The
+// blob is canonical, so encoding the decoded document again must give
+// it back byte for byte.
 func FuzzBinaryDocRoundTrip(f *testing.F) {
 	for _, d := range fuzzSeedDocs() {
 		j, err := d.MarshalJSON()
@@ -91,6 +93,9 @@ func FuzzBinaryDocRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round-trip mismatch:\n got %s\nwant %s", got, want)
+		}
+		if again := AppendBinary(nil, back); !bytes.Equal(again, bin) {
+			t.Fatalf("a canonical blob re-encodes to other bytes:\n got %x\nwant %x", again, bin)
 		}
 	})
 }

@@ -190,7 +190,13 @@ func mergeAttrs(dst, src Attrs) Attrs {
 // relation-heavy document builds.
 func (d *Document) nextRelID(kind RelationKind) string {
 	d.relSeq++
-	return "_:" + shortKind(kind) + strconv.Itoa(d.relSeq)
+	return relID(kind, d.relSeq)
+}
+
+// relID is the seq-th generated relation identifier, of a relation of
+// kind.
+func relID(kind RelationKind, seq int) string {
+	return "_:" + shortKind(kind) + strconv.Itoa(seq)
 }
 
 func shortKind(kind RelationKind) string {

@@ -84,9 +84,16 @@ type nodeKey struct {
 // each slice grows by append as the walk finds items, never to a count
 // the blob declares. Its reader's strings are views of the blob.
 type indexWalk struct {
-	r         binReader
-	strs      []binString // parallel to r.tab
-	nodes     []nodeKey
+	r     binReader
+	strs  []binString // parallel to r.tab
+	nodes []nodeKey
+	// runs[c] ends class c's nodes in nodes: the names it declares that
+	// no earlier class did. ascending holds while every run is in
+	// ascending order and no relation endpoint has added a node, as in
+	// every blob AppendBinary writes; sortNodes then merges the runs.
+	runs      [len(elementClasses)]int
+	ascending bool
+	merged    []nodeKey // sortNodes' scratch
 	edges     []edge
 	hits      []typeSpan
 	types     []byte
@@ -113,8 +120,10 @@ func (w *indexWalk) release() {
 func (w *indexWalk) reset(blob []byte) {
 	w.r.reuse(blob)
 	clear(w.nodes)
+	clear(w.merged)
 	w.strs = w.strs[:0]
-	w.nodes = w.nodes[:0]
+	w.nodes, w.merged = w.nodes[:0], w.merged[:0]
+	w.runs, w.ascending = [len(elementClasses)]int{}, true
 	w.edges = w.edges[:0]
 	w.hits = w.hits[:0]
 	w.types = w.types[:0]
@@ -135,6 +144,9 @@ func (w *indexWalk) addNode(s int32) {
 func (w *indexWalk) namespace(prefix, uri int32) {}
 
 func (w *indexWalk) section(sec, n int) {
+	if sec > 0 {
+		w.runs[sec-1] = len(w.nodes)
+	}
 	if sec == relSection {
 		w.rels = n
 	}
@@ -152,6 +164,9 @@ func (w *indexWalk) element(c uint8, s int32, attrs []binAttr, _, _ time.Time) e
 	}
 	w.counts[c]++
 	if bs.classes&allClasses == 0 {
+		if start := w.runStart(c); len(w.nodes) > start && w.nodes[len(w.nodes)-1].name >= w.r.tab[s] {
+			w.ascending = false
+		}
 		w.addNode(s)
 	}
 	bs.classes |= bit
@@ -185,6 +200,7 @@ func (w *indexWalk) relation(id, kind, from, to int32, _ time.Time, _ []binAttr)
 			if bs.classes == 0 {
 				bs.classes = endpointBit
 				w.addNode(s)
+				w.ascending = false
 			}
 		}
 	}
@@ -196,17 +212,62 @@ func (w *indexWalk) relation(id, kind, from, to int32, _ time.Time, _ []binAttr)
 	return nil
 }
 
-// sortNodes sorts the nodes by name and refuses a name two strings of
-// the table spell, which AppendBinary never writes: the sort puts them
-// side by side.
+// runStart is where class c's nodes start in w.nodes.
+func (w *indexWalk) runStart(c uint8) int {
+	if c == 0 {
+		return 0
+	}
+	return w.runs[c-1]
+}
+
+// sortNodes sorts the nodes by name — merging the classes' runs when
+// they are ascending, sorting otherwise — and refuses a name two
+// strings of the table spell, which AppendBinary never writes: the
+// order puts them side by side.
 func (w *indexWalk) sortNodes() error {
-	slices.SortFunc(w.nodes, func(a, b nodeKey) int { return strings.Compare(a.name, b.name) })
+	if w.ascending {
+		w.mergeRuns()
+	} else {
+		slices.SortFunc(w.nodes, func(a, b nodeKey) int { return strings.Compare(a.name, b.name) })
+	}
 	for i := 1; i < len(w.nodes); i++ {
 		if w.nodes[i].name == w.nodes[i-1].name {
 			return fmt.Errorf("prov: binary document writes node name %s twice", w.nodes[i].name)
 		}
 	}
 	return nil
+}
+
+// mergeRuns sorts w.nodes, the three ascending runs of the element
+// classes, by merging the entities' and the activities' into w.merged,
+// then that into the agents' run, which ends w.nodes: writing from the
+// front never overtakes an agent not yet read.
+func (w *indexWalk) mergeRuns() {
+	nodes := w.nodes
+	w.merged = mergeNodes(w.merged[:0], nodes[:w.runs[0]], nodes[w.runs[0]:w.runs[1]])
+	m, j, k := w.merged, w.runs[1], 0
+	for len(m) > 0 && j < len(nodes) {
+		if m[0].name < nodes[j].name {
+			nodes[k], m = m[0], m[1:]
+		} else {
+			nodes[k] = nodes[j]
+			j++
+		}
+		k++
+	}
+	copy(nodes[k:], m)
+}
+
+// mergeNodes appends the merge of the ascending runs a and b to dst.
+func mergeNodes(dst, a, b []nodeKey) []nodeKey {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].name < b[0].name {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 // index numbers the sorted nodes, copies their names into the index's

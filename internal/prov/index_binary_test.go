@@ -1,6 +1,7 @@
 package prov
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -435,13 +436,24 @@ func TestIndexBinaryKeepsNoBlob(t *testing.T) {
 // sizes anything, by ParseBinary and IndexBinary alike. Before counts
 // were bounded by the smallest encoding of an item, a 100 KB blob
 // declaring 100 000 relations made ParseBinary allocate 13.8 MB, and
-// one declaring 100 000 attributes 10.7 MB.
+// one declaring 100 000 attributes 10.7 MB. A count exactly at that
+// bound passes the check, and the first item then fails to decode (the
+// filler is no valid varint); it allocated 51 times the blob for
+// relations, when ParseBinary sized its slabs by the count alone.
 func TestBinaryCountsBoundedByInput(t *testing.T) {
 	filler := make([]byte, 100_000)
+	bad := bytes.Repeat([]byte{0xFF}, len(filler))
 	head := rawBlob{BinaryDocTag}.uv(0)
+	n := uint64(len(filler))
 	for name, blob := range map[string][]byte{
-		"relations":  head.uv(0).uv(0).uv(0).uv(100_000).append(filler...),
-		"attributes": head.uv(1).str("ex:e").uv(100_000).append(filler...),
+		"100 000 relations":            head.uv(0).uv(0).uv(0).uv(100_000).append(filler...),
+		"100 000 attributes":           head.uv(1).str("ex:e").uv(100_000).append(filler...),
+		"entities at the bound":        head.uv(n / minElementBytes).append(bad...),
+		"activities at the bound":      head.uv(0).uv(n / minActivityBytes).append(bad...),
+		"agents at the bound":          head.uv(0).uv(0).uv(n / minElementBytes).append(bad...),
+		"relations at the bound":       head.uv(0).uv(0).uv(0).uv(n / minRelationBytes).append(bad...),
+		"attributes at the bound":      head.uv(1).str("ex:e").uv(n / minAttrBytes).append(bad...),
+		"relation attributes at bound": head.uv(0).uv(0).uv(0).uv(1).uv(0).uv(0).uv(0).uv(0).uv(0).uv(n / minAttrBytes).append(bad...),
 	} {
 		for decoder, decode := range map[string]func([]byte) error{
 			"ParseBinary": func(b []byte) error { _, err := ParseBinary(b); return err },
@@ -451,9 +463,9 @@ func TestBinaryCountsBoundedByInput(t *testing.T) {
 				t.Fatalf("%s accepts %s", decoder, name)
 			}
 			_, bytes := allocsAndBytes(5, func() { _ = decode(blob) })
-			t.Logf("%s on a %d-byte blob declaring 100 000 %s: %.0f bytes allocated", decoder, len(blob), name, bytes)
+			t.Logf("%s on a %d-byte blob declaring %s: %.0f bytes allocated", decoder, len(blob), name, bytes)
 			if bytes > 2*float64(len(blob)) {
-				t.Errorf("%s allocates %.0f bytes on a %d-byte blob declaring 100 000 %s, over twice its length", decoder, bytes, len(blob), name)
+				t.Errorf("%s allocates %.0f bytes on a %d-byte blob declaring %s, over twice its length", decoder, bytes, len(blob), name)
 			}
 		}
 	}

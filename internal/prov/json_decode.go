@@ -5,17 +5,19 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/jsonscan"
 )
 
 // The PROV-JSON decoder: one pass of a jsonscan.Scanner over the input
-// that fills a Document directly — no encoding/json, no reflection, no
-// intermediate value tree. The scanner may be the caller's, positioned
-// on a document inside a larger text (DecodeJSON); ParseJSON is that
-// over a text that is one document. What it accepts, and what it makes
-// of it:
+// that collects the document's records (docRecords) — no encoding/json,
+// no reflection, no intermediate value tree — which ParseJSON links
+// into a Document and TranscodeJSON writes as a binary blob. The
+// scanner may be the caller's, positioned on a document inside a larger
+// text (TranscodeJSON); ParseJSON reads a text that is one document.
+// What it accepts, and what it makes of it:
 //
 //   - The value is one JSON object (anything else, null included, is
 //     invalid), well-formed to its last byte — unknown sections too.
@@ -44,10 +46,12 @@ import (
 //     ordered by kind (AllRelationKinds), then by id; an empty id is
 //     replaced by a generated one.
 //
-// The strings the document keeps are cut from a few shared chunks (see
-// stringArena) and its records from one slice per section, so a decode
+// The strings a parsed document keeps are cut from a few shared chunks
+// (see stringArena) and its records from one slab per class, so a parse
 // allocates per attribute bag, not per field or record, and the
-// document holds on to nothing of the input.
+// document holds on to nothing of the input. The transcoder's strings
+// are views of the input and its records pooled scratch: past an
+// escaped string, the blob is all it allocates.
 
 // UnmarshalJSON parses a PROV-JSON document.
 func (d *Document) UnmarshalJSON(data []byte) error {
@@ -63,45 +67,77 @@ func (d *Document) UnmarshalJSON(data []byte) error {
 // reference to data.
 func ParseJSON(data []byte) (*Document, error) {
 	sc := jsonscan.New(data)
-	doc, invalid, err := DecodeJSON(&sc)
+	d, invalid, err := decode(&sc, false)
+	if d != nil {
+		defer d.release()
+	}
 	if err == nil {
 		err = sc.End()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("prov: invalid PROV-JSON: %w", err)
 	}
-	return doc, invalid
+	if invalid != nil {
+		return nil, invalid
+	}
+	return d.link(), nil
 }
 
-// DecodeJSON decodes the one JSON value at sc's cursor as a PROV-JSON
-// document, consuming exactly that value, so that a caller can decode a
-// document that stands inside a larger JSON text without a separate
-// scan. err is a syntax error of the scanner's input: it ends the scan
-// and leaves the cursor anywhere. Otherwise the value has been consumed
-// and validated to its last byte, and either doc is the document or
-// invalid says why the value is none — not an object, or content the
-// decoder rejects. The document keeps no reference to the input.
-func DecodeJSON(sc *jsonscan.Scanner) (doc *Document, invalid, err error) {
+// TranscodeJSON decodes the one JSON value at sc's cursor as a
+// PROV-JSON document, consuming exactly that value, and appends the
+// document's binary encoding to dst: the bytes AppendBinary writes for
+// the document ParseJSON makes of the value, without making it. A
+// caller can thus transcode a document that stands inside a larger JSON
+// text without a separate scan. err is a syntax error of the scanner's
+// input: it ends the scan and leaves the cursor anywhere. Otherwise the
+// value has been consumed and checked to its last byte, and invalid
+// says what is wrong with it, if anything:
+//
+//   - the value is no PROV-JSON document (not an object, or content the
+//     decoder rejects): blob is dst and st is zero;
+//   - the document fails Validate, and invalid is Validate's error,
+//     ErrInvalidDocument with the same count and first issue: blob and
+//     st are still the document's.
+//
+// The checks run over the records the encoder sorts, not a Document,
+// and the blob keeps no reference to the input.
+func TranscodeJSON(dst []byte, sc *jsonscan.Scanner) (blob []byte, st Stats, invalid, err error) {
+	d, invalid, err := decode(sc, true)
+	if d != nil {
+		defer d.release()
+	}
+	if err != nil || invalid != nil {
+		return dst, Stats{}, invalid, err
+	}
+	blob = d.e.emit(dst, &d.rs)
+	return blob, d.rs.stats(), d.rs.validate(&d.e), nil
+}
+
+// decode scans the value at sc's cursor, a JSON object, into a pooled
+// decoder — nil for any other value — and puts its records in canonical
+// order, or reports why they make no document. A viewing decoder's
+// strings are views of the input (stringArena).
+func decode(sc *jsonscan.Scanner, view bool) (d *decoder, invalid, err error) {
 	if sc.Peek() != '{' {
 		if err := sc.Skip(); err != nil {
 			return nil, nil, err
 		}
 		return nil, errNotObject, nil
 	}
+	d = decoders.Get().(*decoder)
 	// The decoder scans with a copy of sc, which it hands back: a
 	// pointer kept in the decoder would move the caller's scanner to
 	// the heap.
-	dec := decoder{sc: *sc, ns: NewNamespaceSet()}
+	d.sc = *sc
 	// Kept strings are a fraction of the input — typically a fifth to a
 	// third; a chunk an eighth its size wastes little at either end.
-	dec.strs.chunk = min(4096, max(64, sc.Remaining()/8))
-	err = dec.document()
-	*sc = dec.sc
+	d.strs = stringArena{view: view, chunk: min(4096, max(64, sc.Remaining()/8))}
+	err = d.scan()
+	*sc = d.sc
 	if err != nil {
-		return nil, nil, err
+		return d, nil, err
 	}
-	doc, invalid = dec.finish()
-	return doc, invalid, nil
+	return d, d.canonical(), nil
 }
 
 var errNotObject = errors.New("prov: invalid PROV-JSON: the top-level value is not an object")
@@ -139,18 +175,38 @@ func sectionOf(name []byte) int {
 	return -1
 }
 
-// decoder is the state of one DecodeJSON call. Records are collected in
-// one slice per section and only linked into the document's maps by
-// finish, so a repeated section simply starts its slice over.
+// classOf is the element class of an element section.
+func classOf(sec int) int {
+	switch sec {
+	case secEntity:
+		return 0
+	case secActivity:
+		return activityClass
+	}
+	return 2
+}
+
+// decoder is the state of one ParseJSON or TranscodeJSON call. Elements
+// are collected in d.rs.elems, relations per kind, namespace bindings
+// apart, every record's attributes in input order in one span of
+// d.rs.attrs; a repeated section simply starts its records over, and
+// canonical puts what the last occurrences left in canonical order.
+// Pooled.
 type decoder struct {
+	// encodeState holds the records and TranscodeJSON's emitter.
+	encodeState
 	sc   jsonscan.Scanner
 	strs stringArena
 
-	ns       *NamespaceSet
-	entities []Element
-	agents   []Element
-	acts     []Activity
-	rels     [numRelationKinds][]Relation
+	ns   []nsBinding // the prefix section's bindings, in input order
+	rels [numRelationKinds][]relRec
+	// relSeq counts the relation ids canonical generates.
+	relSeq int
+	// canonical's sort scratch, one per kind of record.
+	nsSort   sortScratch[nsBinding]
+	elemSort sortScratch[elemRec]
+	relSort  sortScratch[relRec]
+	attrSort sortScratch[recAttr]
 
 	// bad holds, per section, the first thing wrong with the content of
 	// its latest occurrence. Such an error does not stop the scan: the
@@ -160,8 +216,23 @@ type decoder struct {
 	sec int // the section being decoded
 }
 
-// keep returns the value of string token t as a string the document
-// may hold on to.
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+// release empties d, dropping every string of the input and every
+// chunk of kept strings it refers to, and pools it.
+func (d *decoder) release() {
+	d.rs.reset()
+	d.e.strs = clearSlice(d.e.strs)
+	d.ns = clearSlice(d.ns)
+	for i := range d.rels {
+		d.rels[i] = clearSlice(d.rels[i])
+	}
+	d.sc, d.strs, d.relSeq, d.bad = jsonscan.Scanner{}, stringArena{}, 0, [len(d.bad)]error{}
+	decoders.Put(d)
+}
+
+// keep returns the value of string token t as a string the decoder's
+// records may hold (stringArena).
 func (d *decoder) keep(t jsonscan.Str) string { return d.strs.keep(d.sc.Bytes(t)) }
 
 // fail records err against the current section unless an earlier error
@@ -172,9 +243,9 @@ func (d *decoder) fail(err error) {
 	}
 }
 
-// document scans the object at the cursor. The errors it returns are
+// scan scans the object at the cursor. The errors it returns are
 // syntax errors and end the scan.
-func (d *decoder) document() error {
+func (d *decoder) scan() error {
 	return d.object(func(key jsonscan.Str) error {
 		d.sec = sectionOf(d.sc.Bytes(key))
 		if d.sec < 0 {
@@ -183,15 +254,12 @@ func (d *decoder) document() error {
 		d.bad[d.sec] = nil
 		switch d.sec {
 		case secPrefix:
-			d.ns = NewNamespaceSet()
-		case secEntity:
-			d.entities = d.entities[:0]
-		case secAgent:
-			d.agents = d.agents[:0]
-		case secActivity:
-			d.acts = d.acts[:0]
+			d.ns = clearSlice(d.ns)
+		case secEntity, secAgent, secActivity:
+			c := classOf(d.sec)
+			d.rs.elems[c] = clearSlice(d.rs.elems[c])
 		default:
-			d.rels[d.sec-secRelations] = d.rels[d.sec-secRelations][:0]
+			d.rels[d.sec-secRelations] = clearSlice(d.rels[d.sec-secRelations])
 		}
 		return d.object(d.member)
 	})
@@ -246,53 +314,32 @@ func (d *decoder) member(key jsonscan.Str) error {
 			d.fail(fmt.Errorf("namespace %q is not a string", id))
 			return d.sc.Skip()
 		}
-		d.ns.Register(id, uri)
+		d.ns = append(d.ns, nsBinding{id, uri})
 		return nil
-	case secEntity:
-		d.entities = append(d.entities, Element{ID: QName(id)})
-		e := &d.entities[len(d.entities)-1]
-		return d.attrs(func(k []byte, v Value) { d.setAttr(&e.Attrs, k, v) })
-	case secAgent:
-		d.agents = append(d.agents, Element{ID: QName(id)})
-		g := &d.agents[len(d.agents)-1]
-		return d.attrs(func(k []byte, v Value) { d.setAttr(&g.Attrs, k, v) })
-	case secActivity:
-		d.acts = append(d.acts, Activity{Element: Element{ID: QName(id)}})
-		a := &d.acts[len(d.acts)-1]
-		return d.attrs(func(k []byte, v Value) {
-			switch string(k) {
-			case "prov:startTime":
-				a.StartTime = d.liftTime(&a.Attrs, k, v)
-			case "prov:endTime":
-				a.EndTime = d.liftTime(&a.Attrs, k, v)
-			default:
-				d.setAttr(&a.Attrs, k, v)
-			}
-		})
+	case secEntity, secAgent, secActivity:
+		attrs, err := d.attrs(nil)
+		c := classOf(d.sec)
+		d.rs.elems[c] = append(d.rs.elems[c], elemRec{id: id, attrs: attrs})
+		return err
 	}
 	i := d.sec - secRelations
-	kind := AllRelationKinds[i]
-	subjRole, objRole, _ := RelationRoles(kind)
-	d.rels[i] = append(d.rels[i], Relation{ID: id, Kind: kind})
-	r := &d.rels[i][len(d.rels[i])-1]
-	return d.attrs(func(k []byte, v Value) {
-		switch string(k) {
-		case subjRole:
-			r.Subject = roleName(v)
-		case objRole:
-			r.Object = roleName(v)
-		case "prov:time":
-			r.Time = d.liftTime(&r.Attrs, k, v)
-		default:
-			d.setAttr(&r.Attrs, k, v)
-		}
-	})
+	r := relRec{id: id, kind: AllRelationKinds[i]}
+	var err error
+	r.attrs, err = d.attrs(&r)
+	d.rels[i] = append(d.rels[i], r)
+	return err
 }
 
-// attrs decodes the record at the cursor, handing each attribute to
-// set in input order, so the last occurrence of a key wins.
-func (d *decoder) attrs(set func(key []byte, v Value)) error {
-	return d.object(func(key jsonscan.Str) error {
+// attrs decodes the record at the cursor, appending its attributes to
+// d.rs.attrs in input order. Of a relation r, the two role members are
+// its endpoints instead, the last of each counting.
+func (d *decoder) attrs(r *relRec) (attrSpan, error) {
+	s := attrSpan{off: len(d.rs.attrs)}
+	var subjRole, objRole string
+	if r != nil {
+		subjRole, objRole, _ = RelationRoles(r.kind)
+	}
+	err := d.object(func(key jsonscan.Str) error {
 		v, bad, err := scanValue(&d.sc, &d.strs)
 		if err != nil {
 			return err
@@ -301,32 +348,21 @@ func (d *decoder) attrs(set func(key []byte, v Value)) error {
 			d.fail(bad)
 			return nil
 		}
-		set(d.sc.Bytes(key), v)
+		k := d.sc.Bytes(key)
+		switch {
+		case r == nil:
+		case string(k) == subjRole:
+			r.subject = string(roleName(v))
+			return nil
+		case string(k) == objRole:
+			r.object = string(roleName(v))
+			return nil
+		}
+		d.rs.attrs = append(d.rs.attrs, recAttr{d.strs.keep(k), v})
 		return nil
 	})
-}
-
-// setAttr stores v under k, allocating the bag on its first attribute:
-// records without attributes keep nil Attrs, as ParseBinary's do.
-func (d *decoder) setAttr(attrs *Attrs, k []byte, v Value) {
-	if *attrs == nil {
-		*attrs = make(Attrs)
-	}
-	(*attrs)[d.strs.keep(k)] = v
-}
-
-// liftTime reads the value of key k — prov:startTime, prov:endTime or
-// prov:time, which the caller keeps in a field — as that field's new
-// time, and removes an earlier k from attrs. A value that is no time
-// (see timeOf) is stored under k like any attribute instead, and the
-// field is cleared: of a repeated key the last value counts.
-func (d *decoder) liftTime(attrs *Attrs, k []byte, v Value) time.Time {
-	if t, ok := timeOf(v); ok {
-		delete(*attrs, string(k))
-		return t
-	}
-	d.setAttr(attrs, k, v)
-	return time.Time{}
+	s.end = len(d.rs.attrs)
+	return s, err
 }
 
 // w3cDateTime is the zone-less xsd:dateTime form the W3C PROV-JSON
@@ -360,9 +396,21 @@ func roleName(v Value) QName {
 	return QName(v.AsString())
 }
 
-// finish reports the first section error, orders the relations and
-// links the collected records into a document.
-func (d *decoder) finish() (*Document, error) {
+// canonical reports the first section error, in section order, or the
+// first relation left without an endpoint, or puts the records in
+// canonical order (docRecords):
+//   - the bindings are the default namespaces' and the prefix
+//     section's, sorted by prefix, a later binding of a prefix
+//     replacing an earlier one;
+//   - each class's elements and each kind's relations are sorted by id,
+//     and of several with one id the one decoded last is kept, whole;
+//   - each record's attributes are sorted by key, and of a key that
+//     occurs twice the last value is kept;
+//   - prov:startTime / prov:endTime of an activity and prov:time of a
+//     relation are lifted into their fields when timeOf reads a time;
+//   - relations come by kind (AllRelationKinds), then by id, an empty
+//     id replaced by a generated one.
+func (d *decoder) canonical() error {
 	sectionErr := func(sec int, name string) error {
 		if d.bad[sec] == nil {
 			return nil
@@ -371,73 +419,169 @@ func (d *decoder) finish() (*Document, error) {
 	}
 	for sec, name := range [...]string{"prefix", "entity", "agent", "activity"} {
 		if err := sectionErr(sec, name); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	doc := &Document{
-		Namespaces: d.ns,
-		Entities:   make(map[QName]*Element, len(d.entities)),
-		Activities: make(map[QName]*Activity, len(d.acts)),
-		Agents:     make(map[QName]*Element, len(d.agents)),
-	}
-	// Later records overwrite earlier ones of the same id.
-	for i := range d.entities {
-		doc.Entities[d.entities[i].ID] = &d.entities[i]
-	}
-	for i := range d.agents {
-		doc.Agents[d.agents[i].ID] = &d.agents[i]
-	}
-	for i := range d.acts {
-		doc.Activities[d.acts[i].ID] = &d.acts[i]
-	}
-
-	nRels := 0
-	for i := range d.rels {
-		nRels += len(d.rels[i])
-	}
-	if nRels > 0 {
-		doc.Relations = make([]*Relation, 0, nRels)
+	rs := &d.rs
+	rs.ns = append(append(rs.ns[:0], defaultBindings...), d.ns...)
+	rs.ns = lastOfEach(rs.ns, nsPrefix, &d.nsSort)
+	for c := range rs.elems {
+		rs.elems[c] = lastOfEach(rs.elems[c], elemID, &d.elemSort)
+		for i := range rs.elems[c] {
+			el := &rs.elems[c][i]
+			el.attrs = d.resolve(el.attrs)
+			if c == activityClass {
+				el.attrs, el.start = rs.lift(el.attrs, "prov:startTime")
+				el.attrs, el.end = rs.lift(el.attrs, "prov:endTime")
+			}
+		}
 	}
 	for i, kind := range AllRelationKinds {
 		if err := sectionErr(secRelations+i, string(kind)); err != nil {
-			return nil, err
+			return err
 		}
-		first := len(doc.Relations)
-		for j := range d.rels[i] {
-			doc.Relations = append(doc.Relations, &d.rels[i][j])
-		}
-		doc.Relations = doc.Relations[:first+len(lastByID(doc.Relations[first:]))]
+		rels := lastOfEach(d.rels[i], relRecID, &d.relSort)
 		subjRole, objRole, _ := RelationRoles(kind)
-		for _, r := range doc.Relations[first:] {
-			if r.Subject == "" || r.Object == "" {
-				return nil, fmt.Errorf("prov: relation %s/%s missing %s or %s", kind, r.ID, subjRole, objRole)
+		for j := range rels {
+			r := &rels[j]
+			if r.subject == "" || r.object == "" {
+				return fmt.Errorf("prov: relation %s/%s missing %s or %s", kind, r.id, subjRole, objRole)
 			}
-			if r.ID == "" {
-				r.ID = doc.nextRelID(kind)
+			if r.id == "" {
+				d.relSeq++
+				r.id = relID(kind, d.relSeq)
 			}
+			r.attrs = d.resolve(r.attrs)
+			r.attrs, r.t = rs.lift(r.attrs, "prov:time")
 		}
+		rs.rels = append(rs.rels, rels...)
 	}
-	return doc, nil
+	return nil
 }
 
-// lastByID orders one kind's relations, given in input order, by id,
-// and keeps of several with the same id the one decoded last. It works
-// in place and returns the shortened slice.
-func lastByID(rels []*Relation) []*Relation {
-	inOrder := true
-	for i := 1; i < len(rels) && inOrder; i++ {
-		inOrder = rels[i-1].ID < rels[i].ID
+// lastOfEach sorts s stably by key and keeps, of several items with one
+// key, the last. It works in place, zeroes what it drops and returns
+// the shortened slice. It sorts the items' positions and then moves
+// each kept item once, where sorting the items would move records of
+// up to a hundred bytes at every step; x is its scratch.
+func lastOfEach[T any](s []T, key func(*T) string, x *sortScratch[T]) []T {
+	sorted := true
+	for i := 1; i < len(s) && sorted; i++ {
+		sorted = key(&s[i-1]) < key(&s[i])
 	}
-	if inOrder {
-		return rels // as MarshalJSON writes them
+	if sorted {
+		return s // as MarshalJSON writes a document
 	}
-	slices.SortStableFunc(rels, func(a, b *Relation) int { return strings.Compare(a.ID, b.ID) })
-	out := rels[:0]
-	for i, r := range rels {
-		if i+1 < len(rels) && rels[i+1].ID == r.ID {
+	order := x.order[:0]
+	for i := range s {
+		order = append(order, int32(i))
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(key(&s[a]), key(&s[b])) })
+	kept := x.kept[:0]
+	for j, i := range order {
+		if j+1 < len(order) && key(&s[i]) == key(&s[order[j+1]]) {
 			continue
 		}
-		out = append(out, r)
+		kept = append(kept, s[i])
 	}
-	return out
+	n := copy(s, kept)
+	clear(s[n:])
+	x.order, x.kept = order, clearSlice(kept)
+	return s[:n]
+}
+
+// sortScratch is lastOfEach's scratch: the positions it sorts and the
+// items it keeps.
+type sortScratch[T any] struct {
+	order []int32
+	kept  []T
+}
+
+// resolve sorts the attributes of s by key and keeps the last value of
+// a repeated key; it returns the shortened span.
+func (d *decoder) resolve(s attrSpan) attrSpan {
+	s.end = s.off + len(lastOfEach(d.rs.attrsOf(s), attrKey, &d.attrSort))
+	return s
+}
+
+// lift takes attribute key out of the resolved span s when timeOf reads
+// its value as a time, and returns the time; a value that is no time
+// stays an attribute, and the time is zero.
+func (rs *docRecords) lift(s attrSpan, key string) (attrSpan, time.Time) {
+	a := rs.attrsOf(s)
+	i, found := slices.BinarySearchFunc(a, key, func(kv recAttr, key string) int { return strings.Compare(kv.key, key) })
+	if !found {
+		return s, time.Time{}
+	}
+	t, ok := timeOf(a[i].val)
+	if !ok {
+		return s, time.Time{}
+	}
+	copy(a[i:], a[i+1:])
+	a[len(a)-1] = recAttr{}
+	s.end--
+	return s, t
+}
+
+// link makes a Document of the canonical records. It copies them into
+// one slab per class and one for the relations, and each record's
+// attributes into an Attrs map, nil for none; the strings are the
+// records'.
+func (d *decoder) link() *Document {
+	rs := &d.rs
+	ns := &NamespaceSet{byPrefix: make(map[string]string, len(rs.ns))}
+	for _, b := range rs.ns {
+		ns.byPrefix[b.prefix] = b.uri
+	}
+	ents, acts, agents := rs.elems[0], rs.elems[activityClass], rs.elems[2]
+	doc := &Document{
+		Namespaces: ns,
+		Entities:   make(map[QName]*Element, len(ents)),
+		Activities: make(map[QName]*Activity, len(acts)),
+		Agents:     make(map[QName]*Element, len(agents)),
+		relSeq:     d.relSeq,
+	}
+	els := make([]Element, len(ents)+len(agents))
+	for i, el := range ents {
+		els[i] = Element{ID: QName(el.id), Attrs: rs.bag(el.attrs)}
+		doc.Entities[els[i].ID] = &els[i]
+	}
+	for i, el := range agents {
+		g := &els[len(ents)+i]
+		*g = Element{ID: QName(el.id), Attrs: rs.bag(el.attrs)}
+		doc.Agents[g.ID] = g
+	}
+	activities := make([]Activity, len(acts))
+	for i, el := range acts {
+		activities[i] = Activity{Element: Element{ID: QName(el.id), Attrs: rs.bag(el.attrs)}, StartTime: el.start, EndTime: el.end}
+		doc.Activities[activities[i].ID] = &activities[i]
+	}
+	if len(rs.rels) > 0 {
+		rels := make([]Relation, len(rs.rels))
+		doc.Relations = make([]*Relation, len(rs.rels))
+		for i, r := range rs.rels {
+			rels[i] = Relation{ID: r.id, Kind: r.kind, Subject: QName(r.subject), Object: QName(r.object), Time: r.t, Attrs: rs.bag(r.attrs)}
+			doc.Relations[i] = &rels[i]
+		}
+	}
+	return doc
+}
+
+// bag is the attributes of s as an Attrs map; nil for none, as
+// ParseBinary decodes them.
+func (rs *docRecords) bag(s attrSpan) Attrs {
+	if s.end == s.off {
+		return nil
+	}
+	a := make(Attrs, s.end-s.off)
+	for _, kv := range rs.attrsOf(s) {
+		a[kv.key] = kv.val
+	}
+	return a
+}
+
+// stats counts the canonical records as Document.Stats counts the
+// document they make.
+func (rs *docRecords) stats() Stats {
+	return Stats{Entities: len(rs.elems[0]), Activities: len(rs.elems[activityClass]), Agents: len(rs.elems[2]), Relations: len(rs.rels)}
 }

@@ -78,13 +78,14 @@ type NamespaceSet struct {
 // and yprov namespaces.
 func NewNamespaceSet() *NamespaceSet {
 	ns := &NamespaceSet{byPrefix: make(map[string]string)}
-	ns.Register("prov", NSProv)
-	ns.Register("xsd", NSXSD)
-	ns.Register("provml", NSProvML)
-	ns.Register("yprov", NSYProv)
-	ns.Register("ex", NSDefault)
+	for _, b := range defaultBindings {
+		ns.Register(b.prefix, b.uri)
+	}
 	return ns
 }
+
+// defaultBindings are the namespaces every new Document registers.
+var defaultBindings = []nsBinding{{"prov", NSProv}, {"xsd", NSXSD}, {"provml", NSProvML}, {"yprov", NSYProv}, {"ex", NSDefault}}
 
 // Register binds prefix to uri, replacing any previous binding.
 func (n *NamespaceSet) Register(prefix, uri string) {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/jsonscan"
 )
@@ -248,15 +249,22 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 // the document then holds a few chunks of nothing but string data, not
 // one allocation per string and not the input, most of which is
 // punctuation, role names and type tags it has no use for. Chunks are
-// append-only, so the strings cut from them never change.
+// append-only, so the strings cut from them never change. A viewing
+// arena copies nothing: its strings are views of the bytes it is
+// handed, for a decode none of whose strings outlives the input
+// (TranscodeJSON).
 type stringArena struct {
 	// chunk is the size of a fresh chunk. A string of more than a quarter
 	// of it is allocated on its own — with the zero arena, every string.
 	chunk int
 	buf   strings.Builder
+	view  bool
 }
 
 func (a *stringArena) keep(p []byte) string {
+	if a.view {
+		return unsafe.String(unsafe.SliceData(p), len(p))
+	}
 	if len(p) > a.chunk/4 {
 		return string(p)
 	}

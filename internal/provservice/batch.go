@@ -23,9 +23,10 @@ import (
 // (lineReader), subject to a per-line cap (MaxLineBytes) on top of the
 // middleware's total body cap (MaxBodyBytes). A line is read by one
 // scan: the envelope's scanner hands its "doc" value to the PROV-JSON
-// decoder in place, so every byte of the line is looked at once.
-// Nothing of a line outlives its decode: the document decoder keeps no
-// reference to the bytes, and the id is copied.
+// transcoder in place, which checks the document and writes the binary
+// blob the store keeps, so every byte of the line is looked at once and
+// no *prov.Document is made. Nothing of a line outlives its read: the
+// blob and the id are copies.
 //
 // The batch is atomic: every line must parse and every document must be
 // valid, or the whole request is rejected with one error entry per
@@ -41,18 +42,19 @@ type batchLineError struct {
 }
 
 // decodeBatchLine reads one NDJSON request line in a single validating
-// scan: the "id" string, and the "doc" value decoded where it stands
-// (prov.DecodeJSON). It reads the line as encoding/json read it into a
+// scan: the "id" string, and the "doc" value transcoded where it stands
+// (transcodeBlob). It reads the line as encoding/json read it into a
 // struct with those two fields: member names match whatever their case
 // ("ID", "Doc"), unknown members are skipped, of a repeated member the
 // last one counts, a null id leaves the id as it was, and a line that
 // is null is a line with neither member.
 //
 // err is a syntax error anywhere in the line, or an id that is no
-// string. Otherwise invalid is what the decoder made of a doc that is
-// no PROV-JSON document (null and scalars included), and doc and
-// invalid are both nil when the line has no doc member.
-func decodeBatchLine(line []byte) (id string, doc *prov.Document, invalid, err error) {
+// string. Otherwise invalid is what the transcoder found wrong with a
+// doc — no PROV-JSON document (null and scalars included), or one
+// Validate rejects — and doc and invalid are both nil when the line
+// has no doc member.
+func decodeBatchLine(line []byte) (id string, doc []byte, invalid, err error) {
 	sc := jsonscan.New(line)
 	if sc.Peek() == 'n' {
 		if err := sc.Literal("null"); err != nil {
@@ -85,7 +87,7 @@ func decodeBatchLine(line []byte) (id string, doc *prov.Document, invalid, err e
 		case isID && sc.Peek() != 'n':
 			badID = errors.New(`member "id" is not a string`)
 		case bytes.EqualFold(name, []byte("doc")):
-			if doc, invalid, err = prov.DecodeJSON(&sc); err != nil {
+			if doc, _, invalid, err = transcodeBlob(&sc); err != nil {
 				return "", nil, nil, err
 			}
 			continue
@@ -100,14 +102,37 @@ func decodeBatchLine(line []byte) (id string, doc *prov.Document, invalid, err e
 	return id, doc, invalid, badID
 }
 
+// transcodeBlob transcodes the PROV-JSON document at sc's cursor
+// (prov.TranscodeJSON) through pooled scratch and returns its blob
+// exactly sized, as the store keeps it: append's slack would stay
+// resident with the entry. blob is nil when invalid or err is set.
+func transcodeBlob(sc *jsonscan.Scanner) (blob []byte, st prov.Stats, invalid, err error) {
+	buf := transcodeScratch.Get().(*[]byte)
+	out, st, invalid, err := prov.TranscodeJSON((*buf)[:0], sc)
+	if err == nil && invalid == nil {
+		blob = make([]byte, len(out))
+		copy(blob, out)
+	}
+	if cap(out) <= maxPooledLineBuf {
+		*buf = out[:0]
+		transcodeScratch.Put(buf)
+	}
+	return blob, st, invalid, err
+}
+
+// transcodeScratch pools the buffers transcodeBlob writes into.
+var transcodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // batchLine reads one non-blank line of a batch whose earlier lines
-// were accepted under the ids in seen: the id and document the line
-// contributes, or the error it is rejected with (and the id it names,
-// if the envelope parsed). Of several things wrong with a line the
-// first of these is reported: malformed JSON or a non-string id, no
+// were accepted under the ids in seen: the id and document blob the
+// line contributes, or the error it is rejected with (and the id it
+// names, if the envelope parsed). Of several things wrong with a line
+// the first of these is reported: malformed JSON or a non-string id, no
 // id, no doc, an id already in the batch, a doc that is no PROV-JSON
-// document, a document Validate rejects.
-func batchLine(line []byte, seen map[string]struct{}) (id string, doc *prov.Document, lineErr string) {
+// document or that Validate rejects. The transcoder checks the document
+// as it encodes it, so a structurally broken document is pinned to its
+// line in the response.
+func batchLine(line []byte, seen map[string]struct{}) (id string, doc []byte, lineErr string) {
 	id, doc, invalid, err := decodeBatchLine(line)
 	switch {
 	case err != nil:
@@ -119,11 +144,6 @@ func batchLine(line []byte, seen map[string]struct{}) (id string, doc *prov.Docu
 	}
 	if _, dup := seen[id]; dup {
 		return id, nil, fmt.Sprintf("duplicate id %q in batch", id)
-	}
-	if invalid == nil {
-		// Validate here, not just in Apply, so a structurally broken
-		// document is pinned to its line in the response.
-		_, invalid = doc.Validate()
 	}
 	if invalid != nil {
 		return id, nil, "invalid PROV-JSON: " + invalid.Error()
@@ -184,7 +204,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			seen[id] = struct{}{}
-			ops = append(ops, provstore.Op{ID: id, Doc: doc})
+			ops = append(ops, provstore.Op{ID: id, Blob: doc})
 			if max := s.maxBatchDocs(); len(ops) > max {
 				writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d documents", max)
 				return

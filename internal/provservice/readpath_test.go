@@ -523,10 +523,10 @@ func TestReadKeysNeverCollide(t *testing.T) {
 		ops           []provstore.Op // written in one mutation: one version
 		first, second string
 	}{
-		{"search", []provstore.Op{{ID: "d", Doc: named}},
+		{"search", []provstore.Op{putOp("d", named)},
 			"/api/v0/search?key=provml:name%1Fx&value=y",
 			"/api/v0/search?key=provml:name&value=x%1Fy"},
-		{"lineage", []provstore.Op{{ID: "x\x1fy", Doc: revDoc(1)}, {ID: "x", Doc: revDoc(1)}},
+		{"lineage", []provstore.Op{putOp("x\x1fy", revDoc(1)), putOp("x", revDoc(1))},
 			"/api/v0/documents/x%1Fy/lineage?node=ex:e",
 			"/api/v0/documents/x/lineage?node=y%1Fex:e"},
 	} {
@@ -667,4 +667,10 @@ func TestMetricsExposeReadCache(t *testing.T) {
 			t.Fatalf("metrics missing %s", series)
 		}
 	}
+}
+
+// putOp is the store op putting doc under id, encoded as the library's
+// Put encodes it.
+func putOp(id string, doc *prov.Document) provstore.Op {
+	return provstore.Op{ID: id, Blob: prov.AppendBinary(nil, doc)}
 }

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/flightrec"
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/prov"
 	"repro/internal/provstore"
@@ -67,8 +68,8 @@ type StoreAPI interface {
 	// acquisition and the group-commit wait, so abandoned requests stop
 	// consuming fsync tickets. Context expiry surfaces as
 	// context.Canceled / context.DeadlineExceeded, never wrapped in
-	// store error types. Apply reads each Op.Doc only until it returns
-	// and keeps nothing of it.
+	// store error types. Apply keeps each Op.Blob as the stored
+	// document's blob.
 	Apply(ctx context.Context, ops []provstore.Op) error
 	// View is the one single-document read: a handle on id's current
 	// version from which a handler takes the 404 (false: not stored),
@@ -534,18 +535,29 @@ func (s *Service) handleDocumentCRUD(w http.ResponseWriter, r *http.Request, id 
 		}
 		tr := obs.FromContext(r.Context())
 		parseSpan := tr.StartSpan("parse")
-		doc, err := prov.ParseJSON(body)
+		sc := jsonscan.New(body)
+		blob, stats, invalid, err := transcodeBlob(&sc)
+		if err == nil {
+			err = sc.End()
+		}
 		parseSpan.End()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid PROV-JSON: %v", err)
+		switch {
+		case err != nil:
+			writeErr(w, http.StatusBadRequest, "invalid PROV-JSON: prov: invalid PROV-JSON: %v", err)
+			return
+		case errors.Is(invalid, prov.ErrInvalidDocument):
+			writeErr(w, http.StatusUnprocessableEntity, "provstore: refusing invalid document %q: %v", id, invalid)
+			return
+		case invalid != nil:
+			writeErr(w, http.StatusBadRequest, "invalid PROV-JSON: %v", invalid)
 			return
 		}
-		if err := s.store.Apply(r.Context(), []provstore.Op{{ID: id, Doc: doc}}); err != nil {
+		if err := s.store.Apply(r.Context(), []provstore.Op{{ID: id, Blob: blob}}); err != nil {
 			writeStoreErr(w, err, http.StatusUnprocessableEntity)
 			return
 		}
 		s.setSeqHeader(w)
-		writeJSON(w, http.StatusCreated, map[string]interface{}{"id": id, "stats": doc.Stats()})
+		writeJSON(w, http.StatusCreated, map[string]interface{}{"id": id, "stats": stats})
 	case http.MethodDelete:
 		if err := s.store.Apply(r.Context(), []provstore.Op{{ID: id}}); err != nil {
 			writeStoreErr(w, err, http.StatusNotFound)

@@ -3,6 +3,8 @@ package provstore
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/prov"
 )
@@ -12,15 +14,29 @@ import (
 // documents atomically is Apply with one Op{ID: id} per document.
 
 // PutBatch stores (or replaces) every document in docs as one atomic
-// unit; the documents stay the caller's (see Apply). It is Apply with
-// one put per entry and no deadline; an empty batch is a no-op.
+// unit; the documents stay the caller's, as Put's do. It is Apply with
+// one put per entry (docOp) and no deadline; an empty batch is a no-op.
 func (s *Store) PutBatch(docs map[string]*prov.Document) error {
 	ops := make([]Op, 0, len(docs))
-	for id, d := range docs {
+	for _, id := range slices.Sorted(maps.Keys(docs)) {
+		d := docs[id]
 		if d == nil {
 			return fmt.Errorf("provstore: batch item %q has no document", id)
 		}
-		ops = append(ops, Op{ID: id, Doc: d})
+		op, err := docOp(id, d)
+		if err != nil {
+			return err
+		}
+		ops = append(ops, op)
 	}
 	return s.Apply(context.Background(), ops)
+}
+
+// docOp is the put of doc under id: doc is validated, then encoded
+// (encodeBlob).
+func docOp(id string, doc *prov.Document) (Op, error) {
+	if _, err := doc.Validate(); err != nil {
+		return Op{}, fmt.Errorf("provstore: refusing invalid document %q: %w", id, err)
+	}
+	return Op{ID: id, Blob: encodeBlob(doc)}, nil
 }

@@ -149,8 +149,8 @@ func TestPutBatchStageFailureRollsBack(t *testing.T) {
 		{name: "replicated", follower: true, mutate: func(s *Store) error {
 			_, _, err := s.ApplyReplicated(wal.Record{Seq: 3, Payload: encodeRecord([]Op{
 				{ID: "ghost"}, // delete of a missing id: tolerated, and unwound as a no-op
-				{ID: "lost-00", Doc: testDoc(t, "lost-00")},
-				{ID: "pre-00", Doc: replacement()},
+				putOp("lost-00", testDoc(t, "lost-00")),
+				putOp("pre-00", replacement()),
 			}, 0, "")})
 			return err
 		}},

@@ -182,7 +182,7 @@ func TestPutBlobSameInRecordAndEntry(t *testing.T) {
 	if err := b.s.PutBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.s.Apply(context.Background(), []Op{{ID: blobID(0)}, {ID: blobID(n), Doc: b.version(n, "mixed")}}); err != nil {
+	if err := b.s.Apply(context.Background(), []Op{{ID: blobID(0)}, putOp(blobID(n), b.version(n, "mixed"))}); err != nil {
 		t.Fatal(err)
 	}
 	delete(b.stored, blobID(0))

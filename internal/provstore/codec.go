@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Binary WAL record codec. The WAL's frame format is
@@ -127,6 +128,21 @@ const (
 	minSubOpBytes       = 3 // op, shard, id length
 	minSnapshotDocBytes = 5 // id length, 4-byte blob length
 )
+
+// opHeapBytes is what one decoded op takes in a mutation's two lists.
+const opHeapBytes = int(unsafe.Sizeof(Op{}) + unsafe.Sizeof((*entry)(nil)))
+
+// presize sizes m's op and entry lists for the n ops a record or
+// snapshot declares in its left bytes, but to no more than those bytes:
+// a count is only bounded by the wire size of the smallest op, a
+// fraction of a decoded one, so a payload that declares more than it
+// holds allocates about its own size before it fails. The ops it does
+// hold grow the lists by append.
+func (m *mutation) presize(n uint64, left int) {
+	n = min(n, uint64(left/opHeapBytes))
+	m.ops = make([]Op, 0, n)
+	m.entries = make([]*entry, 0, n)
+}
 
 // recReader is a bounds-checked cursor over a binary record payload.
 type recReader struct {
@@ -271,7 +287,7 @@ func decodeRecordInto(m *mutation, payload []byte, blob entryReader) error {
 		if uint64(n) > uint64((len(payload)-r.pos)/minSubOpBytes) {
 			return fmt.Errorf("batch count %d exceeds payload", n)
 		}
-		m.ops = make([]Op, 0, n)
+		m.presize(uint64(n), len(payload)-r.pos)
 		for i := uint32(0); i < n; i++ {
 			ob, err := r.byte()
 			if err != nil {
@@ -377,8 +393,7 @@ func decodeSnapshotInto(m *mutation, payload []byte, blob entryReader) error {
 	if n > uint64((len(payload)-r.pos)/minSnapshotDocBytes) {
 		return fmt.Errorf("doc count %d exceeds payload", n)
 	}
-	m.ops = make([]Op, 0, n)
-	m.entries = make([]*entry, 0, n)
+	m.presize(n, len(payload)-r.pos)
 	for i := uint64(0); i < n; i++ {
 		id, err := r.lenString()
 		if err != nil {

@@ -24,7 +24,7 @@ import (
 // '{' and every record the upgrade decoder reads a PROV-JSON document
 // from, and keeps only binary blobs from what it accepts; and a payload
 // the upgrade decoder accepts, re-encoded by appendRecord over the
-// entries it built (a JSON blob encoded, as Apply encodes a document),
+// entries it built (a JSON blob transcoded, as a put's is),
 // decodes on the serving path to the same mutation — the same ids in
 // the same order, the same puts and deletes, the same trace, Equal
 // documents and byte-equal blobs.
@@ -40,9 +40,9 @@ func FuzzDecodeRecordPayload(f *testing.F) {
 	}
 	mask := uint32(goldenShards - 1)
 	seeds := [][]byte{
-		encodeRecord([]Op{{ID: "run/a", Doc: goldenDoc("a")}}, mask, goldenTrace),
+		encodeRecord([]Op{putOp("run/a", goldenDoc("a"))}, mask, goldenTrace),
 		encodeRecord([]Op{{ID: "run/a"}}, mask, ""),
-		encodeRecord([]Op{{ID: "run/b", Doc: docB}, {ID: "run/c", Doc: goldenDoc("c")}, {ID: "run/d"}}, mask, goldenTrace),
+		encodeRecord([]Op{putOp("run/b", docB), putOp("run/c", goldenDoc("c")), {ID: "run/d"}}, mask, goldenTrace),
 		// As earlier builds journaled a batch line: its PROV-JSON.
 		appendRecord(nil, []Op{{ID: "run/b"}, {ID: "run/d"}}, []*entry{{blob: rawB}, nil}, mask, goldenTrace),
 		legacy,
@@ -103,7 +103,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	binarySnap := appendSnapshot(nil, entriesOf([]Op{{ID: "run/a", Doc: docA}, {ID: "run/b", Doc: docB}}), goldenShards)
+	binarySnap := appendSnapshot(nil, entriesOf([]Op{putOp("run/a", docA), putOp("run/b", docB)}), goldenShards)
 	// A binary snapshot may carry a PROV-JSON blob, which no entry keeps.
 	jsonBlobSnap := appendBlob(appendLenString(binary.AppendUvarint([]byte{recBinaryTag, goldenShards}, 1), "run/b"), rawB)
 	legacy, err := json.Marshal(storeSnapshot{Docs: map[string]json.RawMessage{"run/a": rawA, "run/b": rawB}, Shards: goldenShards})
@@ -167,24 +167,38 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // is refused before the count sizes anything. Before the counts were
 // bounded by the smallest encoding of an item, a 1 MiB snapshot payload
 // made the decoder allocate 33.6 MB before it failed, and a 1 MiB batch
-// record 25.2 MB.
+// record 25.2 MB. A count exactly at that bound passes the check; when
+// the op and entry lists were sized by the count alone, a snapshot
+// payload declaring that many documents allocated 6.4 times its length
+// before its first document failed.
 func TestRecordCountsBoundedByInput(t *testing.T) {
 	filler := make([]byte, 1<<20)
-	// A shard count of 1, then as many documents as bytes follow.
-	snapshot := binary.AppendUvarint([]byte{recBinaryTag, 1}, uint64(len(filler)))
-	// No trace, then as many sub-ops as bytes follow.
-	batch := binary.LittleEndian.AppendUint32([]byte{recBinaryTag, recOpBatch, 0}, uint32(len(filler)))
+	n := len(filler)
+	// A shard count of 1, then a document count.
+	snapshot := func(docs int) []byte {
+		return append(binary.AppendUvarint([]byte{recBinaryTag, 1}, uint64(docs)), filler...)
+	}
+	// No trace, then a sub-op count.
+	batch := func(ops int) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte{recBinaryTag, recOpBatch, 0}, uint32(ops)), filler...)
+	}
+	decodeSnap := func(p []byte) error { _, err := decodeSnapshot(p); return err }
+	decodeBatch := func(p []byte) error { _, err := decodeRecordPayload(p, 1); return err }
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The count exactly at the bound passes the check; the first item
+	// then fails (an empty blob, an unknown sub-op byte).
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		decode  func([]byte) error
 	}{
-		{"snapshot", append(snapshot, filler...), func(p []byte) error { _, err := decodeSnapshot(p); return err }},
-		{"batch record", append(batch, filler...), func(p []byte) error { _, err := decodeRecordPayload(p, 1); return err }},
+		{"snapshot declaring one document per byte", snapshot(n), decodeSnap},
+		{"batch record declaring one sub-op per byte", batch(n), decodeBatch},
+		{"snapshot at the bound", snapshot(n / minSnapshotDocBytes), decodeSnap},
+		{"batch record at the bound", batch(n / minSubOpBytes), decodeBatch},
 	} {
 		if tc.decode(tc.payload) == nil {
-			t.Fatalf("the %s decoder accepts a count beyond its payload", tc.name)
+			t.Fatalf("the %s decoder accepts its payload", tc.name)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -194,9 +208,9 @@ func TestRecordCountsBoundedByInput(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		t.Logf("%s decoder on a %d-byte payload declaring %d items: %.0f bytes allocated", tc.name, len(tc.payload), len(filler), bytes)
+		t.Logf("%s: %d-byte payload, %.0f bytes allocated", tc.name, len(tc.payload), bytes)
 		if bytes > 2*float64(len(tc.payload)) {
-			t.Errorf("the %s decoder allocates %.0f bytes on a %d-byte payload, over twice its length", tc.name, bytes, len(tc.payload))
+			t.Errorf("%s: the decoder allocates %.0f bytes on a %d-byte payload, over twice its length", tc.name, bytes, len(tc.payload))
 		}
 	}
 }
@@ -228,7 +242,7 @@ func checkRefusal(t *testing.T, payload []byte, m *mutation, err error, holdsJSO
 		return
 	}
 	for i, op := range m.ops {
-		if blob := opBlob(m, i); op.Doc != nil || (blob != nil && blob[0] != prov.BinaryDocTag) {
+		if blob := opBlob(m, i); op.Blob != nil || (blob != nil && blob[0] != prov.BinaryDocTag) {
 			t.Fatalf("op %d (%q) keeps a blob tagged %.1q", i, op.ID, blob)
 		}
 	}
@@ -259,12 +273,13 @@ func corpusSeeds(f *testing.F, dir string) [][]byte {
 }
 
 // FuzzApplyRecoversEqual: whatever PROV-JSON the local write path
-// accepts — stored by a put and, beside another document, by a 2-op
-// batch — reads back Equal to the document decoded from it from the
-// live store, from the store reopened on its journal, from a follower
-// fed the primary's records, and from the store reopened after a
-// checkpoint; and the snapshot stores each document's blob byte for
-// byte as its journal record carried it.
+// accepts — transcoded to its blob (the blob AppendBinary writes for
+// the document ParseJSON decodes, byte for byte), and stored by a put
+// and, beside another document, by a 2-op batch — is held byte for byte
+// as that blob by the live store, the store reopened on its journal, a
+// follower fed the primary's records and the store reopened after a
+// checkpoint; and the snapshot stores each document's blob as its
+// journal record carried it.
 func FuzzApplyRecoversEqual(f *testing.F) {
 	// compatDoc takes a *testing.T only to mark itself a helper.
 	for _, d := range []*prov.Document{goldenDoc("a"), compatDoc(&testing.T{}, "c", 3)} {
@@ -277,25 +292,25 @@ func FuzzApplyRecoversEqual(f *testing.F) {
 	for _, seed := range corpusSeeds(f, "../prov/testdata/fuzz/FuzzParseJSONMatchesReference") {
 		f.Add(seed)
 	}
-	other := goldenDoc("other")
+	other := encodeBlob(goldenDoc("other"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		blob, invalid, err := jsonBlob(data)
+		if err != nil || invalid != nil {
+			return
+		}
 		doc, err := prov.ParseJSON(data)
 		if err != nil {
-			return
+			t.Fatalf("the transcoder accepts what ParseJSON refuses: %v", err)
 		}
-		if _, err := doc.Validate(); err != nil {
-			return
+		if want := prov.AppendBinary(nil, doc); !bytes.Equal(blob, want) {
+			t.Fatalf("transcoded blob\n%x\nAppendBinary(ParseJSON)\n%x", blob, want)
 		}
-		want, err := prov.ParseJSON(data) // Apply reads doc; want is nobody's
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants := map[string]*prov.Document{"put": want, "batched": want, "other": other}
+		wants := map[string][]byte{"put": blob, "batched": blob, "other": other}
 		holdsWanted := func(s *Store, label string) {
 			t.Helper()
 			for id, w := range wants {
-				if got, ok := s.Get(id); !ok || !got.Equal(w) {
-					t.Fatalf("%s: %s reads back different (stored %v)", label, id, ok)
+				if v, ok := s.View(id); !ok || !bytes.Equal(v.e.blob, w) {
+					t.Fatalf("%s: %s holds another blob (stored %v)", label, id, ok)
 				}
 			}
 		}
@@ -304,10 +319,10 @@ func FuzzApplyRecoversEqual(f *testing.F) {
 		opts := Durability{SnapshotEvery: -1, Shards: 2}
 		s := openTemp(t, dir, opts)
 		ctx := context.Background()
-		if err := s.Apply(ctx, []Op{{ID: "put", Doc: doc}}); err != nil {
+		if err := s.Apply(ctx, []Op{{ID: "put", Blob: bytes.Clone(blob)}}); err != nil {
 			t.Fatalf("put: %v", err)
 		}
-		if err := s.Apply(ctx, []Op{{ID: "batched", Doc: doc}, {ID: "other", Doc: other}}); err != nil {
+		if err := s.Apply(ctx, []Op{{ID: "batched", Blob: bytes.Clone(blob)}, {ID: "other", Blob: bytes.Clone(other)}}); err != nil {
 			t.Fatalf("batch: %v", err)
 		}
 		holdsWanted(s, "live store")

@@ -251,8 +251,8 @@ func TestMixedFormatReplication(t *testing.T) {
 			defer f.Close()
 
 			docB := compatDoc(t, "beta", 2)
-			binPut := encodeRecord([]Op{{ID: "beta", Doc: docB}}, 0, "")
-			binBatch := encodeRecord([]Op{{ID: "gamma", Doc: compatDoc(t, "gamma", 1)}, {ID: "alpha"}}, 0, "")
+			binPut := encodeRecord([]Op{putOp("beta", docB)}, 0, "")
+			binBatch := encodeRecord([]Op{putOp("gamma", compatDoc(t, "gamma", 1)), {ID: "alpha"}}, 0, "")
 
 			var last wal.Ticket
 			for _, rec := range []wal.Record{{Seq: 1, Payload: binPut}, {Seq: 2, Payload: binBatch}} {
@@ -293,7 +293,7 @@ func TestMixedJournalTornTail(t *testing.T) {
 	docA, docB := compatDoc(t, "alpha", 2), compatDoc(t, "beta", 1)
 	writeLegacyJournal(t, dir,
 		legacyPutPayload(t, "alpha", docA, 0),
-		encodeRecord([]Op{{ID: "beta", Doc: docB}}, 0, ""),
+		encodeRecord([]Op{putOp("beta", docB)}, 0, ""),
 	)
 
 	// Tear the tail: append half a frame's worth of garbage to the

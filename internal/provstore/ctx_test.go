@@ -23,9 +23,9 @@ func TestApplyExpiredConsumesNoTicket(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, ops := range map[string][]Op{
-		"put":    {{ID: "late", Doc: testDoc(t, "late")}},
+		"put":    {putOp("late", testDoc(t, "late"))},
 		"delete": {{ID: "keep"}},
-		"batch":  {{ID: "b1", Doc: testDoc(t, "b1")}, {ID: "b2", Doc: testDoc(t, "b2")}, {ID: "keep"}},
+		"batch":  {putOp("b1", testDoc(t, "b1")), putOp("b2", testDoc(t, "b2")), {ID: "keep"}},
 	} {
 		if err := s.Apply(ctx, ops); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s on dead context: got %v, want context.Canceled", name, err)
@@ -39,7 +39,7 @@ func TestApplyExpiredConsumesNoTicket(t *testing.T) {
 		t.Fatalf("dead-context mutations changed the store: %v", got)
 	}
 	// A live context is business as usual.
-	if err := s.Apply(context.Background(), []Op{{ID: "ok", Doc: testDoc(t, "ok")}}); err != nil {
+	if err := s.Apply(context.Background(), []Op{putOp("ok", testDoc(t, "ok"))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,7 +53,7 @@ func TestApplyDeadlineDuringCommit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := s.Apply(ctx, []Op{{ID: "slow", Doc: testDoc(t, "slow")}})
+	err := s.Apply(ctx, []Op{putOp("slow", testDoc(t, "slow"))})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Apply under slow fsync: got %v, want deadline exceeded", err)
 	}

@@ -264,7 +264,7 @@ func fillCorpus(tb testing.TB, s *Store, n int) (jsonBytes int) {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			ops = append(ops, Op{ID: fmt.Sprintf("doc-%04d", i), Doc: doc})
+			ops = append(ops, putOp(fmt.Sprintf("doc-%04d", i), doc))
 			jsonBytes += len(raw)
 		}
 		if err := s.Apply(context.Background(), ops); err != nil {

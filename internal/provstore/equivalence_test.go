@@ -28,7 +28,7 @@ type equivStep struct {
 }
 
 func equivScript(t *testing.T) []equivStep {
-	put := func(id, version string) Op { return Op{ID: id, Doc: testDoc(t, version)} }
+	put := func(id, version string) Op { return putOp(id, testDoc(t, version)) }
 	return []equivStep{
 		{ops: []Op{put("a", "a-v1")}},
 		{ops: []Op{put("b", "b-v1")}},

@@ -2,10 +2,12 @@ package provstore
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -43,6 +45,59 @@ func goldenDoc(tag string) *prov.Document {
 	d.AddActivity(a, nil).StartTime = time.Date(2025, 7, 1, 0, 0, 0, 0, time.UTC)
 	d.WasGeneratedBy(e, a, time.Date(2025, 7, 1, 1, 0, 0, 0, time.UTC))
 	return d
+}
+
+// goldenManyDoc has several elements of every class and several
+// attributes per record, so that a map-order encoder would write its
+// blob differently from call to call; its relations are in PROV-JSON
+// order (kind, then id).
+func goldenManyDoc() *prov.Document {
+	d := prov.NewDocument()
+	d.Namespaces.Register("run", "http://example.org/run#")
+	t0 := time.Date(2025, 7, 1, 0, 0, 0, 0, time.UTC)
+	for i := range 6 {
+		d.AddEntity(prov.QName(fmt.Sprintf("ex:ckpt%d", i)), prov.Attrs{
+			"prov:type": prov.Str("provml:Checkpoint"), "run:step": prov.Int(int64(100 * i)),
+			"run:loss": prov.Float(1 / float64(i+1)), "run:best": prov.Bool(i == 5),
+			"run:saved": prov.Time(t0.Add(time.Duration(i) * time.Hour)),
+		})
+	}
+	for i := range 3 {
+		a := d.AddActivity(prov.QName(fmt.Sprintf("ex:epoch%d", i)), prov.Attrs{"prov:type": prov.Str("provml:Epoch"), "run:lr": prov.Float(0.01), "run:index": prov.Int(int64(i))})
+		a.StartTime = t0.Add(time.Duration(2*i) * time.Hour)
+		a.EndTime = a.StartTime.Add(2 * time.Hour)
+	}
+	for i := range 3 {
+		d.AddAgent(prov.QName(fmt.Sprintf("ex:worker%d", i)), prov.Attrs{"provml:name": prov.Str(fmt.Sprintf("worker %d", i)), "run:rank": prov.Int(int64(i))})
+	}
+	for i := range 3 {
+		d.Used(prov.QName(fmt.Sprintf("ex:epoch%d", i)), prov.QName(fmt.Sprintf("ex:ckpt%d", 2*i)), t0)
+	}
+	for i := range 3 {
+		d.WasGeneratedBy(prov.QName(fmt.Sprintf("ex:ckpt%d", 2*i+1)), prov.QName(fmt.Sprintf("ex:epoch%d", i)), t0.Add(time.Duration(2*i+1)*time.Hour))
+	}
+	for i := range 3 {
+		d.WasAssociatedWith(prov.QName(fmt.Sprintf("ex:epoch%d", i)), prov.QName(fmt.Sprintf("ex:worker%d", i))).Attrs["prov:role"] = prov.Str("trainer")
+	}
+	return d
+}
+
+// TestCanonicalBlobGolden: goldenManyDoc encodes to the pinned bytes
+// every time, and the store keeps exactly them.
+func TestCanonicalBlobGolden(t *testing.T) {
+	want := loadGolden(t)["blob-many"]
+	for i := range 20 {
+		if got := prov.AppendBinary(nil, goldenManyDoc()); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d differs from the golden bytes:\n got %x\nwant %x", i, got, want)
+		}
+	}
+	s := New()
+	if err := s.Put("many", goldenManyDoc()); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.View("many"); !bytes.Equal(v.e.blob, want) {
+		t.Fatalf("the store keeps\n%x\nwant %x", v.e.blob, want)
+	}
 }
 
 func loadGolden(t *testing.T) map[string][]byte {
@@ -85,9 +140,9 @@ func mustJSON(t *testing.T, d *prov.Document) []byte {
 // in id order (Apply sorts).
 func goldenOps(t *testing.T) (put, del, batch []Op) {
 	docB := goldenDoc("b")
-	put = []Op{{ID: "run/a", Doc: goldenDoc("a")}}
+	put = []Op{putOp("run/a", goldenDoc("a"))}
 	del = []Op{{ID: "run/a"}}
-	batch = []Op{{ID: "run/d"}, {ID: "run/c", Doc: goldenDoc("c")}, {ID: "run/b", Doc: docB}}
+	batch = []Op{{ID: "run/d"}, putOp("run/c", goldenDoc("c")), putOp("run/b", docB)}
 	return put, del, batch
 }
 
@@ -97,15 +152,21 @@ func encodeRecord(ops []Op, mask uint32, trace string) []byte {
 	return appendRecord(nil, ops, entriesOf(ops), mask, trace)
 }
 
+// putOp is the put of doc under id, its blob encoded as Put encodes it
+// but not validated.
+func putOp(id string, doc *prov.Document) Op {
+	return Op{ID: id, Blob: encodeBlob(doc)}
+}
+
 // entriesOf is what the record and snapshot encoders read of the
-// entries ops install: each put's id and blob, as Apply encodes it; nil
-// for a delete. The documents are not checked, so a record can carry
-// one that recovery refuses.
+// entries ops install: each put's id and blob; nil for a delete. The
+// blobs are not indexed, so a record can carry one that recovery
+// refuses.
 func entriesOf(ops []Op) []*entry {
 	entries := make([]*entry, len(ops))
 	for i, op := range ops {
-		if op.Doc != nil {
-			entries[i] = &entry{id: op.ID, blob: encodeBlob(op.Doc)}
+		if op.Blob != nil {
+			entries[i] = &entry{id: op.ID, blob: op.Blob}
 		}
 	}
 	return entries
@@ -144,7 +205,7 @@ func TestRecordFormatGoldenEncode(t *testing.T) {
 	wantBytes(t, "put record", encodeRecord(put, goldenShards-1, goldenTrace), golden["put"])
 	wantBytes(t, "delete record", encodeRecord(del, goldenShards-1, goldenTrace), golden["del"])
 	wantBytes(t, "batch record", encodeRecord(sorted, goldenShards-1, goldenTrace), golden["batch"])
-	e, err := newEntry("run/a", encodeBlob(put[0].Doc))
+	e, err := newEntry("run/a", put[0].Blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +328,7 @@ func TestRecordFormatGoldenDecode(t *testing.T) {
 				}
 				for i, w := range tc.ops {
 					op, doc := m.ops[i], opDoc(&m, i)
-					if op.ID != w.id || op.Doc != nil || (doc == nil) != (w.doc == nil) {
+					if op.ID != w.id || op.Blob != nil || (doc == nil) != (w.doc == nil) {
 						t.Fatalf("%s: op %d = {%q, delete=%v}, want {%q, delete=%v}", label, i, op.ID, doc == nil, w.id, w.doc == nil)
 					}
 					if w.doc != nil && string(mustJSON(t, doc)) != string(mustJSON(t, w.doc)) {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/prov"
 	"repro/internal/wal"
 )
 
@@ -22,14 +21,16 @@ import (
 // document's blob: apply's for a local write, the record or snapshot
 // decoder's for the others.
 
-// Op is one step of a mutation: store Doc under ID, or, when Doc is
-// nil, delete ID.
+// Op is one step of a mutation: store the document Blob encodes under
+// ID, or, when Blob is nil, delete ID.
 type Op struct {
 	ID string
-	// Doc is read, never changed, and only until Apply returns: Apply
-	// encodes it once, and the store keeps that binary encoding and the
-	// index built from it, not the document.
-	Doc *prov.Document
+	// Blob is the document's binary encoding: prov.AppendBinary's
+	// layout, which prov.TranscodeJSON writes straight from PROV-JSON.
+	// The store keeps it as the entry's blob, so it should be exactly
+	// sized (cap == len), and the caller must not change it once Apply
+	// is called.
+	Blob []byte
 }
 
 // mutation is an ordered list of ops applied all-or-nothing, plus the
@@ -56,7 +57,7 @@ type mutation struct {
 	// entries, when non-nil, runs parallel to ops: entries[i] is the
 	// entry ops[i] installs, nil for a delete. A decoded record or
 	// snapshot carries the entries it built from its blobs, and its ops
-	// no document; with none, apply builds them from the ops' documents.
+	// no blob; with none, apply builds them from the ops' blobs.
 	entries []*entry
 }
 
@@ -74,16 +75,18 @@ func (m *mutation) opLabel() string {
 
 // Apply runs ops as one atomic unit: either all of them become visible
 // and durable together, or none do and the store is left exactly as it
-// was. A delete of a missing id, an empty or repeated id, or an invalid
-// document fails the whole call. On journaled stores the mutation is
+// was. A delete of a missing id, an empty or repeated id, or a blob
+// that does not index (prov.IndexBinary) or names an element it does
+// not declare fails the whole call. Apply does not run
+// prov.Document.Validate: a writer checks its documents first
+// (prov.TranscodeJSON does as it encodes; Put and PutBatch call
+// Validate). On journaled stores the mutation is
 // one log record — one Stage, one group-commit ticket, one fsync — and,
 // because a record is the WAL's atomicity unit, crash recovery replays
 // all of it or none of it. Apply returns once that record is durable.
 // ops is sorted by ID in place (the journal order is deterministic
 // whatever order the caller collected them in); an empty list is a
-// no-op. Apply reads each Op.Doc and keeps none of them: the store
-// holds each document as its index and binary encoding, so the caller
-// may change or reuse a document once Apply returns.
+// no-op.
 //
 // ctx bounds the two points a request can queue: the shard locks (an
 // expired request applies nothing, stages nothing and consumes no
@@ -101,20 +104,14 @@ func (s *Store) Apply(ctx context.Context, ops []Op) error {
 	if len(ops) > 1 {
 		slices.SortFunc(ops, func(a, b Op) int { return cmp.Compare(a.ID, b.ID) })
 	}
-	// Validate everything before touching any shard: a bad op must
-	// reject the mutation without lock traffic or partial application.
+	// Check the ids before touching any shard: a bad op must reject the
+	// mutation without lock traffic or partial application.
 	for i := range ops {
-		op := &ops[i]
-		if op.ID == "" {
+		if ops[i].ID == "" {
 			return fmt.Errorf("provstore: empty document id")
 		}
-		if i > 0 && ops[i-1].ID == op.ID {
-			return fmt.Errorf("provstore: duplicate id %q in one mutation", op.ID)
-		}
-		if op.Doc != nil {
-			if _, err := op.Doc.Validate(); err != nil {
-				return fmt.Errorf("provstore: refusing invalid document %q: %w", op.ID, err)
-			}
+		if i > 0 && ops[i-1].ID == ops[i].ID {
+			return fmt.Errorf("provstore: duplicate id %q in one mutation", ops[i].ID)
 		}
 	}
 	m := mutation{ops: ops, trace: obs.FromContext(ctx).ID()}
@@ -129,9 +126,9 @@ func (s *Store) Apply(ctx context.Context, ops []Op) error {
 }
 
 // apply is the mutation pipeline. It builds the entry of every document
-// the mutation stores that a decoder did not — binary blob, then the
-// index built from it — and, on a primary's journal, encodes the record
-// from the entries' blobs; then it takes
+// the mutation stores that a decoder did not, from the op's blob
+// (newEntry), and, on a primary's journal, encodes the record from the
+// entries' blobs; then it takes
 // the owning shard locks in ascending order, checks that every delete
 // names a stored id, stages the record and swaps the entries in. A
 // mutation that fails changes nothing: every check and the staging come
@@ -161,8 +158,8 @@ func (s *Store) apply(ctx context.Context, m *mutation) (t wal.Ticket, err error
 		}
 		span := tr.StartSpan("project")
 		for i := range m.ops {
-			if op := &m.ops[i]; op.Doc != nil {
-				if installed[i], err = newEntry(op.ID, encodeBlob(op.Doc)); err != nil {
+			if op := &m.ops[i]; op.Blob != nil {
+				if installed[i], err = newEntry(op.ID, op.Blob); err != nil {
 					err = fmt.Errorf("provstore: put %q: %w", op.ID, err)
 					break
 				}

@@ -100,7 +100,7 @@ func TestRecoverAllocsPerDoc(t *testing.T) {
 // name of its index, not a prov:type hit — so a recovered or replicated
 // store does not pin the records it was read from.
 func TestEntriesKeepNoRecordBytes(t *testing.T) {
-	ops := []Op{{ID: "doc-a", Doc: corpusDoc(0)}, {ID: "doc-b", Doc: corpusDoc(1)}}
+	ops := []Op{putOp("doc-a", corpusDoc(0)), putOp("doc-b", corpusDoc(1))}
 	entries := entriesOf(ops)
 	record := appendRecord(nil, ops, entries, 0, "")
 	snap := appendSnapshot(nil, entries, 1)

@@ -29,7 +29,7 @@ func openFollower(t *testing.T, dir string) *Store {
 
 func putRecord(t *testing.T, seq uint64, id string, doc *prov.Document) wal.Record {
 	t.Helper()
-	return wal.Record{Seq: seq, Payload: encodeRecord([]Op{{ID: id, Doc: doc}}, 0, "")}
+	return wal.Record{Seq: seq, Payload: encodeRecord([]Op{putOp(id, doc)}, 0, "")}
 }
 
 // TestApplyReplicatedGapLeavesJournalUntouched: a rejected record — a
@@ -119,8 +119,8 @@ func TestApplyReplicatedRejectsDanglingRelation(t *testing.T) {
 	bad := replicaDoc(t, "bad")
 	bad.Used("ex:a", "ex:undeclared", time.Time{})
 	rec := wal.Record{Seq: 1, Payload: encodeRecord([]Op{
-		{ID: "good", Doc: replicaDoc(t, "good")},
-		{ID: "torn", Doc: bad},
+		putOp("good", replicaDoc(t, "good")),
+		putOp("torn", bad),
 	}, 0, "")}
 	if _, _, err := s.ApplyReplicated(rec); err == nil {
 		t.Fatal("record with a dangling relation accepted")

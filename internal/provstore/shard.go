@@ -51,10 +51,11 @@ type entry struct {
 // newEntry builds the entry storing the document blob encodes under id,
 // from the blob alone: prov.IndexBinary gives the index, the counts and
 // the prov:type hits. The entry keeps blob, which must be exactly sized
-// and the caller's no longer: Apply's encoding of a put's document, or
-// a copy of a record's or snapshot's blob. A relation naming an element
-// the document does not declare is an error: Apply's validation rejects
-// it earlier, a replicated or replayed record gets no other check.
+// and the caller's no longer: a put's Op.Blob, or a copy of a record's
+// or snapshot's blob. A relation naming an element the document does
+// not declare is an error: it is the one check of a document that
+// Apply makes (writers validate before, prov.TranscodeJSON as it
+// encodes), and a replicated or replayed record gets no other.
 func newEntry(id string, blob []byte) (*entry, error) {
 	ix, census, err := prov.IndexBinary(blob)
 	if err != nil {
@@ -73,10 +74,15 @@ func newEntry(id string, blob []byte) (*entry, error) {
 	}, nil
 }
 
-// encodeBlob is doc's binary encoding, exactly sized: append's slack
-// would stay live with the entry.
+// encodeBlob is doc's binary encoding, exactly sized (keepBlob).
 func encodeBlob(doc *prov.Document) []byte {
-	scratch := prov.AppendBinary(getOpBuf(), doc)
+	return keepBlob(prov.AppendBinary(getOpBuf(), doc))
+}
+
+// keepBlob returns an exactly sized copy of scratch, a blob encoded
+// into a pooled record buffer, and pools the buffer again: append's
+// slack would stay live with the entry.
+func keepBlob(scratch []byte) []byte {
 	blob := make([]byte, len(scratch))
 	copy(blob, scratch)
 	putOpBuf(scratch)

@@ -165,12 +165,17 @@ func (s *Store) RegisterObs(reg *obs.Registry) {
 }
 
 // Put stores (or replaces) a document under id; doc stays the
-// caller's (see Apply). It is Apply with one op and no deadline.
+// caller's, who may change it once Put returns. It is Apply with one
+// op, doc's validated encoding (docOp), and no deadline.
 func (s *Store) Put(id string, doc *prov.Document) error {
 	if doc == nil {
 		return fmt.Errorf("provstore: put %q: no document", id)
 	}
-	return s.Apply(context.Background(), []Op{{ID: id, Doc: doc}})
+	op, err := docOp(id, doc)
+	if err != nil {
+		return err
+	}
+	return s.Apply(context.Background(), []Op{op})
 }
 
 // View is a read handle on one stored version of a document: the

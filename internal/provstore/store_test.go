@@ -291,7 +291,7 @@ func TestPutKeepsItsOwnCopy(t *testing.T) {
 	if err := s.PutBatch(map[string]*prov.Document{"batched": batched}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply(context.Background(), []Op{{ID: "handed", Doc: handed}}); err != nil {
+	if err := s.Apply(context.Background(), []Op{putOp("handed", handed)}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,6 +3,7 @@ package provstore
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"repro/internal/jsonscan"
 	"repro/internal/prov"
 	"repro/internal/wal"
 )
@@ -80,7 +82,8 @@ func Upgrade(dir string) (docs int, err error) {
 }
 
 // upgradePreWAL imports a pre-WAL directory's *.json files, in name
-// order, one Apply each, and writes them as the snapshot at sequence 1.
+// order, one Apply each of a document that passes Validate, and writes
+// them as the snapshot at sequence 1.
 func upgradePreWAL(dir string) (int, error) {
 	names, err := preWALFiles(dir)
 	if err != nil || names == nil {
@@ -92,12 +95,15 @@ func upgradePreWAL(dir string) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("provstore: upgrade %q: %w", name, err)
 		}
-		doc, err := prov.ParseJSON(raw)
+		id := decodeID(strings.TrimSuffix(name, ".json"))
+		blob, invalid, err := jsonBlob(raw)
+		if err == nil && invalid != nil {
+			err = fmt.Errorf("provstore: refusing invalid document %q: %w", id, invalid)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("provstore: upgrade %q: %w", name, err)
 		}
-		id := decodeID(strings.TrimSuffix(name, ".json"))
-		if err := s.Apply(context.Background(), []Op{{ID: id, Doc: doc}}); err != nil {
+		if err := s.Apply(context.Background(), []Op{{ID: id, Blob: blob}}); err != nil {
 			return 0, fmt.Errorf("provstore: upgrade %q: %w", name, err)
 		}
 	}
@@ -182,13 +188,35 @@ func legacyEntry(id string, blob []byte) (*entry, error) {
 }
 
 // jsonEntry is the entry of a PROV-JSON document, built from its binary
-// encoding.
+// encoding. The document was accepted when it was journaled, so only
+// what newEntry checks is checked again, not Validate.
 func jsonEntry(id string, raw []byte) (*entry, error) {
-	doc, err := prov.ParseJSON(raw)
+	blob, _, err := jsonBlob(raw)
 	if err != nil {
 		return nil, err
 	}
-	return newEntry(id, encodeBlob(doc))
+	return newEntry(id, blob)
+}
+
+// jsonBlob is the exactly sized binary encoding of the PROV-JSON
+// document raw (prov.TranscodeJSON), or the error ParseJSON reports for
+// raw; invalid is the error Validate reports for the document, if any.
+func jsonBlob(raw []byte) (blob []byte, invalid, err error) {
+	sc := jsonscan.New(raw)
+	scratch, _, invalid, err := prov.TranscodeJSON(getOpBuf(), &sc)
+	if err == nil {
+		err = sc.End()
+	}
+	if err != nil {
+		err = fmt.Errorf("prov: invalid PROV-JSON: %w", err)
+	} else if invalid != nil && !errors.Is(invalid, prov.ErrInvalidDocument) {
+		err = invalid
+	}
+	if err != nil {
+		putOpBuf(scratch)
+		return nil, nil, err
+	}
+	return keepBlob(scratch), invalid, nil
 }
 
 // putJSON appends a put of the PROV-JSON document raw under id to m.
