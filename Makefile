@@ -76,7 +76,11 @@ chaos:
 # zarr: the fused byte shuffle against a two-buffer transposition,
 # Open/ReadFloat64 over hostile ".zarray" documents and chunk bytes, and
 # OpenZip/List/Open/ReadFloat64 over arbitrary bytes as a metrics.zarr
-# archive. jsonscan: Skip/End against json.Valid and String/Bytes
+# archive. metrics: random collections (lengths across block and chunk
+# boundaries, NaN and infinite values, negative steps, epochs past 2^31,
+# times in any zone and outside UnixNano's years) through the three
+# sinks against the []Point series and Flush bodies they replaced: the
+# same bytes from every sink, the same points and Stats. jsonscan: Skip/End against json.Valid and String/Bytes
 # against json.Unmarshal. provservice: the one-scan batch line read
 # (envelope read and document transcoded together) against the two-pass read it
 # replaced (envelope span, ParseJSON, Validate, AppendBinary: same id,
@@ -101,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleRoundTrip$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkDecode$$' -fuzztime 10s ./internal/zarr
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenZipStore$$' -fuzztime 10s ./internal/zarr
+	$(GO) test -run '^$$' -fuzz '^FuzzSeriesSinksMatchPoints$$' -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzSkipMatchesValid$$' -fuzztime 10s ./internal/jsonscan
 	$(GO) test -run '^$$' -fuzz '^FuzzScanBatchLine$$' -fuzztime 10s ./internal/provservice
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchLineMatchesTwoPass$$' -fuzztime 10s ./internal/provservice

@@ -17,6 +17,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -130,6 +131,58 @@ func BenchmarkCollectOnce(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := run.CollectOnce(int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// trainShapedRun logs what one bench/ train_run operation logs: 4
+// epochs of 250 steps, each step two metrics and one sweep of a two-GPU
+// fleet, one validation metric per epoch, writing under dir.
+func trainShapedRun(b *testing.B, dir string) *core.Run {
+	b.Helper()
+	exp := core.NewExperiment("bench", core.WithDir(dir))
+	run := exp.StartRun("r", core.WithStorage(core.StorageZarr),
+		core.WithClock(core.NewSimClock(time.Date(2025, 6, 1, 9, 0, 0, 0, time.UTC), time.Second)))
+	run.RegisterCollector(core.NewGPUFleetCollector(2, 1, telemetry.ConstantLoad(0.85)))
+	step := int64(0)
+	for epoch := 0; epoch < 4; epoch++ {
+		if err := run.StartEpoch(metrics.Training, epoch); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 250; i++ {
+			loss := 2 / math.Sqrt(float64(step+1))
+			if err := run.LogMetric("loss", metrics.Training, step, loss); err != nil {
+				b.Fatal(err)
+			}
+			if err := run.LogMetric("accuracy", metrics.Training, step, 1-loss/3); err != nil {
+				b.Fatal(err)
+			}
+			if err := run.CollectOnce(step); err != nil {
+				b.Fatal(err)
+			}
+			step++
+		}
+		if err := run.EndEpoch(metrics.Training); err != nil {
+			b.Fatal(err)
+		}
+		if err := run.LogMetric("val_loss", metrics.Validation, int64(epoch), 2.1/math.Sqrt(float64(step))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return run
+}
+
+// BenchmarkRunEnd measures the End of a train_run-shaped run: the
+// metrics.zarr archive, prov.json and prov.provn.
+func BenchmarkRunEnd(b *testing.B) {
+	dir := b.TempDir()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		run := trainShapedRun(b, dir)
+		b.StartTimer()
+		if _, err := run.End(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,9 +38,9 @@ func TestCollectOnceStampsTrainingEpoch(t *testing.T) {
 		if !ok || hw.Len() != loss.Len() {
 			t.Fatalf("%s: %d points, want %d", name, hw.Len(), loss.Len())
 		}
-		for i, p := range hw.Points {
-			if p.Epoch != loss.Points[i].Epoch {
-				t.Errorf("%s step %d: epoch %d, loss has %d", name, p.Step, p.Epoch, loss.Points[i].Epoch)
+		for i := range hw.Len() {
+			if p := hw.At(i); p.Epoch != loss.At(i).Epoch {
+				t.Errorf("%s step %d: epoch %d, loss has %d", name, p.Step, p.Epoch, loss.At(i).Epoch)
 			}
 		}
 	}

@@ -404,32 +404,46 @@ func (r *Run) addArtifact(a Artifact) error {
 
 // RegisterCollector attaches a plugin collector to the run.
 func (r *Run) RegisterCollector(c Collector) {
-	slot := &collectorSlot{c: c, prefix: c.Name() + "_", names: make(map[string]string)}
+	slot := &collectorSlot{c: c, prefix: c.Name() + "_"}
 	r.mu.Lock()
 	r.collectors = append(r.collectors, slot)
 	r.mu.Unlock()
 }
 
-// collectorSlot is a registered collector with the series name of each
-// metric it has reported, so a reading is logged under a name built
-// once per run, not once per step.
+// collectorSlot is a registered collector with, for each position of
+// its readings, the series the reading there was last logged to. A
+// collector reports the same metrics in the same order at every step,
+// so a reading is logged through a handle found once per run, not
+// through a name built, hashed and looked up once per step.
 type collectorSlot struct {
 	c      Collector
 	prefix string // "<collector>_"
 	mu     sync.Mutex
-	names  map[string]string // reading metric -> prefix + metric
+	at     []slotSeries // by reading position
 }
 
-// name returns the series a reading of metric is logged under.
-func (s *collectorSlot) name(metric string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	name, ok := s.names[metric]
-	if !ok {
-		name = s.prefix + metric
-		s.names[metric] = name
+// slotSeries is where the readings of one metric go.
+type slotSeries struct {
+	metric string // the reading's metric
+	h      metrics.Handle
+	meter  *telemetry.EnergyMeter // for a *_power_w metric, else nil
+}
+
+// series returns where a reading of metric at position i goes, finding
+// it again only when the metric there is not the last one's.
+func (s *collectorSlot) series(r *Run, i int, metric string) *slotSeries {
+	if i == len(s.at) {
+		s.at = append(s.at, slotSeries{})
 	}
-	return name
+	ss := &s.at[i]
+	if ss.metric != metric || ss.h == (metrics.Handle{}) {
+		name := s.prefix + metric
+		*ss = slotSeries{metric: metric, h: r.metrics.Handle(name, metrics.Training)}
+		if isPowerMetric(metric) {
+			ss.meter = r.energyMeter(name)
+		}
+	}
+	return ss
 }
 
 // CollectOnce samples every registered collector at the current elapsed
@@ -452,23 +466,35 @@ func (r *Run) CollectOnce(step int64) error {
 		return errEnded(r.ID)
 	}
 	for _, slot := range collectors {
-		for _, reading := range slot.c.Collect(elapsed) {
-			name := slot.name(reading.Metric)
-			r.metrics.Log(name, metrics.Training, metrics.Point{
-				Step: step, Epoch: epoch, Time: now, Value: reading.Value,
-			})
-			if isPowerMetric(reading.Metric) {
-				if err := r.observePower(name, elapsed, reading.Value); err != nil {
-					return err
-				}
+		if err := slot.log(r, slot.c.Collect(elapsed), metrics.Point{Step: step, Epoch: epoch, Time: now}, elapsed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// log logs each reading as a point like p with the reading's value.
+func (s *collectorSlot) log(r *Run, readings []telemetry.Reading, p metrics.Point, elapsed time.Duration) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, reading := range readings {
+		ss := s.series(r, i, reading.Metric)
+		p.Value = reading.Value
+		ss.h.Log(p)
+		if ss.meter != nil {
+			r.mu.Lock()
+			err := ss.meter.Observe(elapsed, reading.Value)
+			r.mu.Unlock()
+			if err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// observePower integrates one power reading into the named meter.
-func (r *Run) observePower(name string, elapsed time.Duration, watts float64) error {
+// energyMeter returns the meter integrating the named power series.
+func (r *Run) energyMeter(name string) *telemetry.EnergyMeter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.energy[name]
@@ -476,7 +502,7 @@ func (r *Run) observePower(name string, elapsed time.Duration, watts float64) er
 		m = &telemetry.EnergyMeter{}
 		r.energy[name] = m
 	}
-	return m.Observe(elapsed, watts)
+	return m
 }
 
 // EnergyJoules returns total integrated energy across power collectors.

@@ -18,7 +18,7 @@ import (
 	"repro/internal/zarr"
 )
 
-// seriesOf returns a copy of the named series of c.
+// seriesOf returns the Snapshot view of the named series of c.
 func seriesOf(c *metrics.Collection, name string, ctx metrics.Context) (metrics.Series, bool) {
 	for _, s := range c.Snapshot() {
 		if s.Name == name && s.Context == ctx {
@@ -96,8 +96,8 @@ func TestLogMetricEpochTagging(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := seriesOf(r.metrics, "loss", metrics.Training)
-	if s.Points[0].Epoch != 0 || s.Points[1].Epoch != 1 {
-		t.Errorf("epoch tags = %v, %v", s.Points[0].Epoch, s.Points[1].Epoch)
+	if s.At(0).Epoch != 0 || s.At(1).Epoch != 1 {
+		t.Errorf("epoch tags = %v, %v", s.At(0).Epoch, s.At(1).Epoch)
 	}
 }
 

@@ -124,9 +124,7 @@ func (r *Run) BuildProv(metricRefs map[metrics.Key]string) (*prov.Document, erro
 
 	// Metrics: summary entities generated by their context activity,
 	// holding storage references instead of raw points. StatsSnapshot
-	// aggregates under the shard locks without copying any points —
-	// Snapshot here deep-copied every observation of every series just
-	// to fold them into five numbers.
+	// folds each series' blocks in place into five numbers.
 	for _, ss := range r.metrics.StatsSnapshot() {
 		k := ss.Key
 		st := ss.Stats

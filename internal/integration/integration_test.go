@@ -97,7 +97,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("zarr round trip: %d != %d points", series.Len(), len(simRes.Epochs))
 	}
 	for i, ep := range simRes.Epochs {
-		if p := series.Points[i]; p.Value != ep.Loss || p.Step != int64(ep.Index) {
+		if p := series.At(i); p.Value != ep.Loss || p.Step != int64(ep.Index) {
 			t.Fatalf("zarr round trip point %d: %+v, want loss %v at step %d", i, p, ep.Loss, ep.Index)
 		}
 	}

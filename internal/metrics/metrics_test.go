@@ -6,27 +6,25 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/zarr"
 )
 
-// Get returns a copy of the series for the key; the library has no
-// caller for a lookup by key.
+// Get returns the Snapshot view of the series for the key; the library
+// has no caller for a lookup by key.
 func (c *Collection) Get(name string, ctx Context) (Series, bool) {
-	k := Key{Name: name, Context: ctx}
-	sh := c.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s, ok := sh.series[k]
-	if !ok {
-		return Series{}, false
+	for _, s := range c.Snapshot() {
+		if s.Name == name && s.Context == ctx {
+			return s, true
+		}
 	}
-	cp := Series{Name: s.Name, Context: s.Context, Points: append([]Point(nil), s.Points...)}
-	return cp, true
+	return Series{}, false
 }
 
 func fill(c *Collection, name string, ctx Context, n int) {
@@ -56,14 +54,21 @@ func TestLogAndGet(t *testing.T) {
 	}
 }
 
+// TestGetReturnsCopy: the view Get returns and the collection's series
+// share their blocks, yet appending to either leaves the other as it
+// was.
 func TestGetReturnsCopy(t *testing.T) {
 	c := NewCollection()
 	fill(c, "loss", Training, 3)
 	s, _ := c.Get("loss", Training)
-	s.Points[0].Value = 999
+	s.Append(Point{Step: 99, Value: 999})
+	fill(c, "loss", Training, 2)
 	s2, _ := c.Get("loss", Training)
-	if s2.Points[0].Value == 999 {
-		t.Error("Get must return an isolated copy")
+	if s2.Len() != 5 || s2.At(3).Value == 999 {
+		t.Error("appending to a Get result changed the collection's series")
+	}
+	if s.Len() != 4 || s.At(3).Value != 999 || s.At(2).Value != 2.0/3 {
+		t.Error("logging to the collection changed an earlier Get result")
 	}
 }
 
@@ -160,8 +165,8 @@ func TestZarrSinkRoundTrip(t *testing.T) {
 	if back.Len() != orig.Len() {
 		t.Fatalf("len %d != %d", back.Len(), orig.Len())
 	}
-	for i := range orig.Points {
-		o, b := orig.Points[i], back.Points[i]
+	for i := range orig.Len() {
+		o, b := orig.At(i), back.At(i)
 		if o.Value != b.Value || o.Step != b.Step || o.Epoch != b.Epoch {
 			t.Fatalf("point %d: %+v != %+v", i, b, o)
 		}
@@ -260,7 +265,8 @@ func TestLoadZarrSeriesFromLegacyStore(t *testing.T) {
 		t.Fatalf("series = %s/%s with %d points", s.Context, s.Name, s.Len())
 	}
 	base := time.Date(2025, 6, 1, 9, 0, 0, 0, time.UTC)
-	for i, p := range s.Points {
+	for i := range s.Len() {
+		p := s.At(i)
 		want := Point{Step: int64(i) * 3, Epoch: i / 10, Value: 2/math.Sqrt(float64(i+1)) + 0.125}
 		if p.Step != want.Step || p.Epoch != want.Epoch || p.Value != want.Value {
 			t.Fatalf("point %d = %+v, want %+v", i, p, want)
@@ -300,9 +306,9 @@ func TestLoadZarrSeriesThroughArchive(t *testing.T) {
 		if s.Name != k.Name || s.Context != k.Context || s.Len() != orig.Len() {
 			t.Fatalf("%s reads back as %s/%s with %d points, want %d", ref, s.Context, s.Name, s.Len(), orig.Len())
 		}
-		for i, p := range orig.Points {
-			if s.Points[i].Value != p.Value || s.Points[i].Step != p.Step {
-				t.Fatalf("%s point %d: %+v, want %+v", ref, i, s.Points[i], p)
+		for i := range orig.Len() {
+			if got, want := s.At(i), orig.At(i); got.Value != want.Value || got.Step != want.Step {
+				t.Fatalf("%s point %d: %+v, want %+v", ref, i, got, want)
 			}
 		}
 	}
@@ -399,5 +405,73 @@ func TestSanitize(t *testing.T) {
 		if got := sanitize(in); got != want {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestSeriesAppendNeverCopies: 10 000 appends allocate the blocks that
+// hold the points and little else, and the block holding the first
+// point is never replaced.
+func TestSeriesAppendNeverCopies(t *testing.T) {
+	const n = 10000
+	var s Series
+	p := Point{Time: time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s.Append(p)
+	first := s.blocks[0]
+	for i := 1; i < n; i++ {
+		p.Step, p.Value = int64(i), float64(i)
+		s.Append(p)
+	}
+	runtime.ReadMemStats(&after)
+	blockBytes := len(s.blocks) * int(unsafe.Sizeof(block{}))
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(blockBytes) {
+		t.Errorf("%d appends allocated %d bytes, want <= 1.1 x the %d block bytes", n, got, blockBytes)
+	}
+	if s.blocks[0] != first || s.Len() != n || s.At(n-1).Step != n-1 || s.At(0).Step != 0 {
+		t.Error("appends moved stored points")
+	}
+}
+
+// TestSnapshotWhileLogging reads every point of Snapshot views and
+// flushes while other goroutines log; run with -race. A view keeps the
+// length it was taken at.
+func TestSnapshotWhileLogging(t *testing.T) {
+	c := NewCollection()
+	h := c.Handle("loss", Training)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3000; i++ {
+			h.Log(Point{Step: int64(i), Value: float64(i)})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3000; i++ {
+			c.Log("acc", Training, Point{Step: int64(i), Value: float64(i)})
+		}
+	}()
+	for r := 0; r < 20; r++ {
+		for _, s := range c.Snapshot() {
+			n := s.Len()
+			for i := range n {
+				if p := s.At(i); p.Step != int64(i) {
+					t.Fatalf("%s point %d has step %d", s.Name, i, p.Step)
+				}
+			}
+			if s.Stats().Count != n || s.Len() != n {
+				t.Fatalf("%s: a view grew from %d points", s.Name, n)
+			}
+		}
+		if _, err := (&ZarrSink{}).Flush(c); err != nil && err != ErrEmptyCollection {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if c.TotalPoints() != 6000 {
+		t.Errorf("points = %d", c.TotalPoints())
 	}
 }

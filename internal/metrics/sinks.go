@@ -1,12 +1,11 @@
 package metrics
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -60,15 +59,17 @@ func (s *InlineJSONSink) Flush(c *Collection) (map[Key]string, error) {
 	for _, series := range snap {
 		k := Key{Name: series.Name, Context: series.Context}
 		js := jsonSeries{Name: series.Name, Context: string(series.Context)}
-		js.Points = make([]jsonPoint, len(series.Points))
-		for i, p := range series.Points {
-			js.Points[i] = jsonPoint{
-				Step:  typedLiteral{strconv.FormatInt(p.Step, 10), "xsd:long"},
-				Epoch: typedLiteral{strconv.Itoa(p.Epoch), "xsd:int"},
-				Time:  typedLiteral{p.Time.UTC().Format(time.RFC3339Nano), "xsd:dateTime"},
-				Value: typedLiteral{strconv.FormatFloat(p.Value, 'g', -1, 64), "xsd:double"},
+		js.Points = make([]jsonPoint, 0, series.Len())
+		series.eachBlock(func(b *block, n int) {
+			for j := range n {
+				js.Points = append(js.Points, jsonPoint{
+					Step:  typedLiteral{strconv.FormatInt(b.step[j], 10), "xsd:long"},
+					Epoch: typedLiteral{strconv.Itoa(b.epoch[j]), "xsd:int"},
+					Time:  typedLiteral{b.time(j).Format(time.RFC3339Nano), "xsd:dateTime"},
+					Value: typedLiteral{strconv.FormatFloat(b.value[j], 'g', -1, 64), "xsd:double"},
+				})
 			}
-		}
+		})
 		doc = append(doc, js)
 		refs[k] = "inline:" + k.String()
 	}
@@ -100,9 +101,11 @@ type ZarrSink struct {
 
 // Flush implements Sink. It holds every series whole, so each column is
 // created at its final shape and written once: per series four
-// ".zarray", the chunks and one ".zattrs", no key twice. Each distinct
-// chunk payload is compressed once: series share their step column,
-// telemetry readings of one CollectOnce share their timestamps.
+// ".zarray", the chunks and one ".zattrs", no key twice. The columns of
+// every series are laid out in the same four scratch buffers, read
+// straight from the collection's blocks. Each distinct chunk payload is
+// compressed once: series share their step column, telemetry readings
+// of one CollectOnce share their timestamps.
 func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 	snap := c.Snapshot()
 	if len(snap) == 0 {
@@ -118,32 +121,29 @@ func (s *ZarrSink) Flush(c *Collection) (map[Key]string, error) {
 	refs := make(map[Key]string, len(snap))
 	bases := make(map[string]Key, len(snap))
 	codec := &gzipOnce{seen: make(map[string][]byte)}
+	cols := []struct {
+		name  string
+		dtype zarr.DType
+		data  []float64 // scratch, reused by every series
+	}{
+		{"value", zarr.Float64, nil},
+		{"step", zarr.Int64, nil},
+		{"epoch", zarr.Int32, nil},
+		{"tstamp", zarr.Float64, nil},
+	}
 	for _, series := range snap {
 		k := Key{Name: series.Name, Context: series.Context}
 		base := sanitize(string(k.Context)) + "/" + sanitize(k.Name)
 		if err := claimBase(bases, base, k); err != nil {
 			return nil, err
 		}
-		n := len(series.Points)
-		value, step := make([]float64, n), make([]float64, n)
-		epoch, tstamp := make([]float64, n), make([]float64, n)
-		for i, p := range series.Points {
-			value[i] = p.Value
-			step[i] = float64(p.Step)
-			epoch[i] = float64(p.Epoch)
-			tstamp[i] = float64(p.Time.UnixNano()) / 1e9
+		n := series.Len()
+		for i := range cols {
+			cols[i].data = slices.Grow(cols[i].data[:0], n)[:n]
 		}
+		series.fillColumns(cols[0].data, cols[1].data, cols[2].data, cols[3].data)
 		chunk := max(1, min(maxChunk, n))
-		for _, col := range []struct {
-			name  string
-			dtype zarr.DType
-			data  []float64
-		}{
-			{"value", zarr.Float64, value},
-			{"step", zarr.Int64, step},
-			{"epoch", zarr.Int32, epoch},
-			{"tstamp", zarr.Float64, tstamp},
-		} {
+		for _, col := range cols {
 			arr, err := zarr.Create(s.Store, base+"/"+col.name, []int{n}, []int{chunk}, col.dtype, codec)
 			if err == nil {
 				err = arr.WriteFloat64(col.data)
@@ -240,14 +240,13 @@ func LoadZarrSeries(store zarr.Store, ref string) (Series, error) {
 	if ctx, ok := attrs["context"].(string); ok {
 		s.Context = Context(ctx)
 	}
-	s.Points = make([]Point, len(values))
 	for i := range values {
-		s.Points[i] = Point{
+		s.Append(Point{
 			Step:  int64(steps[i]),
 			Epoch: int(epochs[i]),
 			Time:  time.Unix(0, int64(tstamps[i]*1e9)).UTC(),
 			Value: values[i],
-		}
+		})
 	}
 	return s, nil
 }
@@ -273,7 +272,7 @@ func (s *NetCDFSink) Flush(c *Collection) (map[Key]string, error) {
 	bases := make(map[string]Key, len(snap))
 	for i, series := range snap {
 		k := Key{Name: series.Name, Context: series.Context}
-		n := len(series.Points)
+		n := series.Len()
 		if n == 0 {
 			continue
 		}
@@ -285,11 +284,7 @@ func (s *NetCDFSink) Flush(c *Collection) (map[Key]string, error) {
 		value := make([]float64, n)
 		step := make([]float64, n)
 		tstamp := make([]float64, n)
-		for j, p := range series.Points {
-			value[j] = p.Value
-			step[j] = float64(p.Step)
-			tstamp[j] = float64(p.Time.UnixNano()) / 1e9
-		}
+		series.fillColumns(value, step, nil, tstamp)
 		f.AddVar(netcdf.Var{
 			Name: base + "_value", Type: netcdf.Double, Dims: []int{dim},
 			Attrs: []netcdf.Attr{netcdf.StrAttr("context", string(k.Context)), netcdf.StrAttr("metric", k.Name)},
@@ -342,18 +337,9 @@ func sanitize(s string) string {
 }
 
 // GzipSize returns the gzip-compressed size of data (Table 1's
-// "Compressed Size" column).
+// "Compressed Size" column), compressed by the zarr codec's kept
+// deflate states.
 func GzipSize(data []byte) (int, error) {
-	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, gzip.DefaultCompression)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(data); err != nil {
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return buf.Len(), nil
+	enc, err := zarr.GzipCodec{}.Encode(data)
+	return len(enc), err
 }

@@ -238,9 +238,6 @@ func (f *Follower) Run() {
 		f.reconnects.Inc()
 		if progressed {
 			delay = f.cfg.RetryBase
-			f.mu.Lock()
-			f.consecFails = 0
-			f.mu.Unlock()
 		}
 		// Jitter over [delay/2, delay]: a primary restart disconnects
 		// every follower at once, and identical deterministic backoff
@@ -388,7 +385,6 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 			seq := f.store.AppliedSeq()
 			f.mu.Lock()
 			f.durableSeq = seq
-			f.consecFails = 0 // records are landing again; the live stream may outlast Run's reset
 			f.mu.Unlock()
 		}
 		if force || sinceAck >= f.cfg.AckEvery || time.Since(lastAck) >= f.cfg.AckInterval {
@@ -411,6 +407,15 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 				err = fmt.Errorf("%v (and %v)", err, cerr)
 			}
 			return progressed, err
+		}
+		if rec.Seq == f.store.AppliedSeq()+1 {
+			// Records are landing again. The count is cleared before the
+			// apply moves AppliedSeq, so that no reader sees this record
+			// applied beside the failures that came before it; the live
+			// stream may outlast Run.
+			f.mu.Lock()
+			f.consecFails = 0
+			f.mu.Unlock()
 		}
 		t, applied, err := f.store.ApplyReplicated(rec)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -311,9 +312,13 @@ func (a *Array) chunkRegion(coords []int) (start, extent []int) {
 
 // writeChunk encodes the sub-block of data at chunk coords and stores it.
 // Chunks are always stored at full chunk shape, an edge chunk padded with
-// the fill value, as Zarr v2 lays them out.
+// the fill value, as Zarr v2 lays them out. A full chunk of a
+// one-dimensional array is one run of data and is encoded in place.
 func (a *Array) writeChunk(coords []int, data []float64) error {
 	start, extent := a.chunkRegion(coords)
+	if len(extent) == 1 && extent[0] == a.meta.Chunks[0] {
+		return a.putChunk(a.chunkKey(coords), data[start[0]:start[0]+extent[0]])
+	}
 	buf := make([]float64, a.chunkElems())
 	for i := range buf {
 		buf[i] = a.meta.FillValue
@@ -322,13 +327,23 @@ func (a *Array) writeChunk(coords []int, data []float64) error {
 	return a.putChunk(a.chunkKey(coords), buf)
 }
 
+// payloads keeps chunk payload buffers between putChunk calls, as
+// deflaters keeps deflate states.
+var payloads = make(freeList[*[]byte], freeDeflaters)
+
 // putChunk encodes one full chunk of elements and stores it under key.
+// The payload is scratch: codecs and stores copy what they keep.
 func (a *Array) putChunk(key string, buf []float64) error {
-	payload, err := encodeElems(buf, a.meta.DType, a.meta.shuffled())
-	if err != nil {
-		return err
+	p := payloads.get(func() *[]byte { return new([]byte) })
+	payload, err := encodeElems((*p)[:0], buf, a.meta.DType, a.meta.shuffled())
+	var enc []byte
+	if err == nil {
+		enc, err = a.codec.Encode(payload)
 	}
-	enc, err := a.codec.Encode(payload)
+	if cap(payload) <= maxKeptBuffer {
+		*p = payload
+		payloads.put(p)
+	}
 	if err != nil {
 		return err
 	}
@@ -432,10 +447,11 @@ func getBytes(raw []byte, at, step, size int) uint64 {
 	return v
 }
 
-// encodeElems converts float64 elements to the on-disk form.
-func encodeElems(data []float64, dt DType, shuffle bool) ([]byte, error) {
+// encodeElems converts float64 elements to the on-disk form, written
+// over dst's storage when it is large enough.
+func encodeElems(dst []byte, data []float64, dt DType, shuffle bool) ([]byte, error) {
 	size := dt.Size()
-	out := make([]byte, len(data)*size)
+	out := slices.Grow(dst[:0], len(data)*size)[:len(data)*size]
 	byteStep, elemStep := strides(len(data), size, shuffle)
 	switch dt {
 	case Float64:

@@ -69,7 +69,7 @@ func TestRoundTrip2D(t *testing.T) {
 func TestRoundTrip3D(t *testing.T) {
 	store := NewMemStore()
 	shape := []int{3, 4, 5}
-	a, err := Create(store, "cube", shape, []int{2, 3, 2}, Float32, GzipCodec{Level: 1})
+	a, err := Create(store, "cube", shape, []int{2, 3, 2}, Float32, GzipCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 )
 
 // Codec compresses and decompresses chunk payloads.
@@ -39,55 +38,72 @@ func (RawCodec) Decode(src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// GzipCodec compresses chunks with gzip at the configured level.
-type GzipCodec struct {
-	Level int
-}
+// GzipCodec compresses chunks with gzip at the default level.
+type GzipCodec struct{}
 
 // ID implements Codec.
 func (GzipCodec) ID() string { return "gzip" }
 
-// gzipWriterPools recycles gzip writers per compression level; allocating
-// a fresh deflate state per chunk dominates small-chunk encode cost.
-var gzipWriterPools sync.Map // int -> *sync.Pool
+// freeDeflaters is how many deflate states the package keeps between
+// encodes: more than the callers that compress at once on the hosts it
+// runs on, so an encode finds one ready.
+const freeDeflaters = 4
 
-func gzipWriterPool(level int) *sync.Pool {
-	if p, ok := gzipWriterPools.Load(level); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := gzipWriterPools.LoadOrStore(level, &sync.Pool{
-		New: func() interface{} {
-			w, err := gzip.NewWriterLevel(io.Discard, level)
-			if err != nil {
-				panic(err) // level validated before pool use
-			}
-			return w
-		},
-	})
-	return p.(*sync.Pool)
+// deflaters keeps gzip writers between Encode calls. A fresh deflate
+// state is about 0.6 MB, more than a training run's whole Zarr output;
+// a sync.Pool would drop the kept ones at every GC, a free list keeps
+// them.
+var deflaters = make(freeList[*deflater], freeDeflaters)
+
+// deflater is a gzip writer and the buffer it writes into.
+type deflater struct {
+	w   *gzip.Writer
+	out bytes.Buffer
 }
 
-// Encode implements Codec.
-func (c GzipCodec) Encode(src []byte) ([]byte, error) {
-	level := c.Level
-	if level == 0 {
-		level = gzip.DefaultCompression
+// freeList holds up to its capacity of values between uses: get
+// returns a kept one or a fresh one, put keeps v or, when the list is
+// full, drops it. Unlike a sync.Pool's, what it holds survives a GC.
+type freeList[T any] chan T
+
+func (l freeList[T]) get(fresh func() T) T {
+	select {
+	case v := <-l:
+		return v
+	default:
+		return fresh()
 	}
-	if level < gzip.HuffmanOnly || level > gzip.BestCompression {
-		return nil, fmt.Errorf("zarr: invalid gzip level %d", level)
+}
+
+func (l freeList[T]) put(v T) {
+	select {
+	case l <- v:
+	default:
 	}
-	pool := gzipWriterPool(level)
-	w := pool.Get().(*gzip.Writer)
-	var buf bytes.Buffer
-	w.Reset(&buf)
-	if _, err := w.Write(src); err != nil {
-		return nil, err
+}
+
+// maxKeptBuffer is the largest scratch buffer a free list keeps; a
+// larger one, grown for an unusually large chunk, goes to the GC.
+const maxKeptBuffer = 1 << 20
+
+// Encode implements Codec. The stream it returns is the caller's own.
+func (GzipCodec) Encode(src []byte) ([]byte, error) {
+	d := deflaters.get(func() *deflater { return &deflater{w: gzip.NewWriter(nil)} })
+	d.out.Reset()
+	d.w.Reset(&d.out)
+	_, err := d.w.Write(src)
+	if err == nil {
+		err = d.w.Close()
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
+	var enc []byte
+	if err == nil {
+		enc = bytes.Clone(d.out.Bytes())
 	}
-	pool.Put(w)
-	return buf.Bytes(), nil
+	if d.out.Cap() > maxKeptBuffer {
+		d.out = bytes.Buffer{}
+	}
+	deflaters.put(d)
+	return enc, err
 }
 
 // Decode implements Codec.

@@ -26,7 +26,7 @@ func FuzzShuffleRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := encodeElems(elems, dt, false)
+			plain, err := encodeElems(nil, elems, dt, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +35,10 @@ func FuzzShuffleRoundTrip(f *testing.F) {
 			if (dt == Float64 || dt == Int32) && !bytes.Equal(plain, raw) {
 				t.Fatalf("%s: plain round trip changed the bytes: %x -> %x", dt, raw, plain)
 			}
-			shuffled, err := encodeElems(elems, dt, true)
+			// The shuffled payload is written over a dirty buffer, as
+			// putChunk reuses one: every byte must be overwritten.
+			dirty := bytes.Repeat([]byte{0xa5}, len(raw)+3)
+			shuffled, err := encodeElems(dirty, elems, dt, true)
 			if err != nil {
 				t.Fatal(err)
 			}
