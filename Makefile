@@ -25,8 +25,15 @@ vet:
 # nothing the server runs may import it, and no root-module package may
 # import it at all, test imports included. The server also imports none
 # of the training library (core, metrics, zarr, telemetry), which is
-# what makes the server workloads controls for a library change.
+# what makes the server workloads controls for a library change. And
+# internal/prov imports no encoding/json outside its tests: its one
+# PROV-JSON reader and one writer are its own, and a reflection-only
+# method (a MarshalJSON or UnmarshalJSON nothing calls but
+# encoding/json), which make linkcheck cannot see, would need it.
 layering:
+	@if $(GO) list -f '{{join .Imports " "}}' ./internal/prov | tr ' ' '\n' | grep -qx encoding/json; then \
+		echo "layering: internal/prov imports encoding/json"; exit 1; \
+	fi
 	@out=$$($(GO) list -deps ./cmd/yprov-server | grep -xE 'repro/internal/(core|metrics|zarr|telemetry)'); \
 	if [ -n "$$out" ]; then echo "layering: cmd/yprov-server imports the training library:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./internal/provstore ./internal/provservice ./cmd/yprov-server | grep -qx repro/internal/graphdb; then \
@@ -63,6 +70,11 @@ chaos:
 # Ten seconds of each fuzzer on top of its committed seed corpus. prov:
 # the differential one that holds the PROV-JSON decoder to the
 # encoding/json reference it replaced, the differential one that holds
+# the PROV-JSON emitter to the encoding/json encoder it replaced (both
+# forms, on every document the decoder accepts, and on every blob
+# ParseBinary accepts also the document GET and subgraph bodies written
+# from the blob against the decoded document's), the differential one
+# that holds
 # TranscodeJSON (PROV-JSON straight to a blob, the server's write path)
 # to ParseJSON, Validate and AppendBinary — same blob byte for byte,
 # same error text, same stats — the two binary-codec ones (the
@@ -98,6 +110,7 @@ chaos:
 # does. go test takes one -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONEmitMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzTranscodeJSONMatchesEncode$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov

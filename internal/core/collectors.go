@@ -28,19 +28,11 @@ func (t *TelemetryCollector) Collect(elapsed time.Duration) []telemetry.Reading 
 	if t.Load != nil {
 		load = t.Load(elapsed)
 	}
-	// Sample first and size the output once; the parts of a fleet of up
-	// to eight samplers stay on the stack.
-	var buf [8][]telemetry.Reading
-	parts := buf[:0]
-	n := 0
+	// Every sampler appends to one output, sized for four readings
+	// each: what a GPU sampler writes, and twice a CPU sampler's.
+	out := make([]telemetry.Reading, 0, 4*len(t.Samplers))
 	for _, s := range t.Samplers {
-		part := s.Sample(elapsed, load)
-		parts = append(parts, part)
-		n += len(part)
-	}
-	out := make([]telemetry.Reading, 0, n)
-	for _, part := range parts {
-		out = append(out, part...)
+		out = s.Sample(out, elapsed, load)
 	}
 	return out
 }

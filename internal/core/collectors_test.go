@@ -47,8 +47,8 @@ func TestCollectOnceStampsTrainingEpoch(t *testing.T) {
 }
 
 // TestCollectOnceAllocs: at steady state one CollectOnce of a two-GPU
-// fleet allocates the samplers' reading slices and the collector's
-// output, and nothing per reading.
+// fleet allocates the collector's output, which every sampler appends
+// to, and nothing per sampler or per reading.
 func TestCollectOnceAllocs(t *testing.T) {
 	r := simRun(t)
 	r.RegisterCollector(NewGPUFleetCollector(2, 7, telemetry.ConstantLoad(0.8)))
@@ -59,8 +59,9 @@ func TestCollectOnceAllocs(t *testing.T) {
 		}
 		step++
 	})
-	if allocs > 4 {
-		t.Errorf("CollectOnce allocates %.0f times per call, want <= 4", allocs)
+	t.Logf("CollectOnce: %.2f allocations per call", allocs)
+	if allocs > 1 {
+		t.Errorf("CollectOnce allocates %.0f times per call, want <= 1", allocs)
 	}
 }
 

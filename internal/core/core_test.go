@@ -191,7 +191,7 @@ func TestBuildProvTopology(t *testing.T) {
 	}
 	// Input artifact used, model generated.
 	usedSomething := false
-	for _, rel := range doc.RelationsOfKind(prov.RelUsed) {
+	for _, rel := range relationsOfKind(doc, prov.RelUsed) {
 		if rel.Object == prov.NewQName("ex", r.ID+"_artifact_modis-patches") {
 			usedSomething = true
 		}
@@ -200,7 +200,7 @@ func TestBuildProvTopology(t *testing.T) {
 		t.Error("input artifact not linked with used")
 	}
 	genModel := false
-	for _, rel := range doc.RelationsOfKind(prov.RelWasGeneratedBy) {
+	for _, rel := range relationsOfKind(doc, prov.RelWasGeneratedBy) {
 		if rel.Subject == prov.NewQName("ex", r.ID+"_artifact_vit-100m") {
 			genModel = true
 		}
@@ -209,14 +209,14 @@ func TestBuildProvTopology(t *testing.T) {
 		t.Error("model artifact not linked with wasGeneratedBy")
 	}
 	// Derivation output <- input.
-	if len(doc.RelationsOfKind(prov.RelWasDerivedFrom)) == 0 {
+	if len(relationsOfKind(doc, prov.RelWasDerivedFrom)) == 0 {
 		t.Error("missing derivation edges")
 	}
 	// Agents: user + library with delegation.
 	if len(doc.AgentIDs()) != 2 {
 		t.Errorf("agents = %v", doc.AgentIDs())
 	}
-	if len(doc.RelationsOfKind(prov.RelActedOnBehalfOf)) != 1 {
+	if len(relationsOfKind(doc, prov.RelActedOnBehalfOf)) != 1 {
 		t.Error("library must act on behalf of the user")
 	}
 }
@@ -510,6 +510,18 @@ func (r *Run) ParamNames() []string {
 	out := make([]string, len(r.params))
 	for i, p := range r.params {
 		out[i] = p.name
+	}
+	return out
+}
+
+// relationsOfKind returns the relations of d of the given kind, in the
+// document's order.
+func relationsOfKind(d *prov.Document, kind prov.RelationKind) []*prov.Relation {
+	var out []*prov.Relation
+	for _, r := range d.Relations {
+		if r.Kind == kind {
+			out = append(out, r)
+		}
 	}
 	return out
 }

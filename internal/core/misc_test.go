@@ -45,7 +45,7 @@ func TestArtifactInContext(t *testing.T) {
 	// Generated by the VALIDATION context activity, not the run.
 	target := r.qContext(metrics.Validation)
 	found := false
-	for _, rel := range doc.RelationsOfKind("wasGeneratedBy") {
+	for _, rel := range relationsOfKind(doc, "wasGeneratedBy") {
 		if rel.Subject == r.qArtifact(a) && rel.Object == target {
 			found = true
 		}

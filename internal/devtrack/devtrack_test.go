@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/prov"
 )
 
 func TestDiffBasics(t *testing.T) {
@@ -186,11 +188,11 @@ func TestJournalAndProv(t *testing.T) {
 		t.Errorf("activities = %d", st.Activities)
 	}
 	// Timeline edges: cmd1->cmd0, cmd2->cmd1.
-	if got := len(doc.RelationsOfKind("wasInformedBy")); got != 2 {
+	if got := len(relationsOfKind(doc, "wasInformedBy")); got != 2 {
 		t.Errorf("timeline edges = %d", got)
 	}
 	// Snapshot used twice.
-	if got := len(doc.RelationsOfKind("used")); got != 2 {
+	if got := len(relationsOfKind(doc, "used")); got != 2 {
 		t.Errorf("used edges = %d", got)
 	}
 	// Outputs recorded for the two successful runs only.
@@ -271,4 +273,16 @@ func Apply(a []string, ops []Op) ([]string, error) {
 		return nil, fmt.Errorf("devtrack: diff did not consume input (%d of %d lines)", i, len(a))
 	}
 	return out, nil
+}
+
+// relationsOfKind returns the relations of d of the given kind, in the
+// document's order.
+func relationsOfKind(d *prov.Document, kind prov.RelationKind) []*prov.Relation {
+	var out []*prov.Relation
+	for _, r := range d.Relations {
+		if r.Kind == kind {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -35,7 +34,7 @@ func RunTable2() ([]Table2Row, error) {
 	doc.AddEntity("ex:e", prov.Attrs{"prov:type": prov.Str("provml:Artifact")})
 	doc.AddActivity("ex:a", nil)
 	doc.WasGeneratedBy("ex:e", "ex:a", doc.Activities["ex:a"].StartTime)
-	payload, err := json.Marshal(doc)
+	payload, err := doc.MarshalJSON()
 	if err != nil {
 		return nil, fmt.Errorf("table2: PROV-JSON serialization failed: %w", err)
 	}

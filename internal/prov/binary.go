@@ -35,11 +35,9 @@ import (
 //	str:    varint token; 0 = new string (varint len + bytes, appended to
 //	        the intern table), else intern-table index + 1
 //
-// Decoding mirrors ParseJSON's semantics exactly: times come back UTC
-// (Time() normalizes on the JSON path too), records without attributes
-// keep nil Attrs, and the relation-id counter restarts at zero — a
-// binary round trip and a JSON round trip of the same document produce
-// MarshalJSON-identical results.
+// Decoding goes through the records (docRecords) ParseJSON links too:
+// times come back UTC, records without attributes keep nil Attrs, and
+// the relation-id counter restarts at zero.
 
 // BinaryDocTag is the version byte opening every binary document blob.
 // Callers that carry "JSON or binary" blobs dispatch on the first byte:
@@ -58,12 +56,14 @@ const (
 	binKindRef    = 5
 )
 
-// A document is written from its records (docRecords): the namespace
-// bindings, each class's elements and the relations, in the order the
-// blob lists them, with each record's attributes a span of one flat
-// slice. AppendBinary fills the records from a *Document, TranscodeJSON
-// from the PROV-JSON it decodes, and binEmitter.emit, the one writer of
-// the layout, writes them.
+// A document's records (docRecords) are its namespace bindings, each
+// class's elements and the relations, in the order the blob lists them,
+// with each record's attributes a span of one flat slice: the one form
+// every codec of this package goes through. They are read from a blob
+// by the one reader of its layout, binReader.walk (recordWalk), from
+// PROV-JSON by its one reader (decoder), and from a *Document by
+// fromDocument; written by binEmitter as a blob and by jsonEmitter as
+// PROV-JSON; and made a *Document by link.
 
 // recAttr is one attribute of a record.
 type recAttr struct {
@@ -104,6 +104,10 @@ type docRecords struct {
 	rels  []relRec
 	attrs []recAttr
 	ids   []QName // fromDocument's scratch
+	// The sort scratch of putting records in canonical order, one per
+	// kind of record (lastOfEach).
+	nsSort   sortScratch[nsBinding]
+	attrSort sortScratch[recAttr]
 }
 
 func (rs *docRecords) attrsOf(s attrSpan) []recAttr { return rs.attrs[s.off:s.end] }
@@ -307,15 +311,6 @@ func (e *binEmitter) value(dst []byte, v Value) []byte {
 	}
 }
 
-// encodeState is the scratch of one encode: the records and the
-// emitter. Pooled.
-type encodeState struct {
-	rs docRecords
-	e  binEmitter
-}
-
-var encodeStates = sync.Pool{New: func() any { return new(encodeState) }}
-
 // AppendBinary appends the binary encoding of d to dst and returns the
 // extended slice. Encoding cannot fail: every in-memory document is
 // representable. The encoding is canonical: elements are written in id
@@ -323,18 +318,10 @@ var encodeStates = sync.Pool{New: func() any { return new(encodeState) }}
 // the document's order, so equal documents with equally ordered
 // relations encode to equal bytes.
 func AppendBinary(dst []byte, d *Document) []byte {
-	x := encodeStates.Get().(*encodeState)
-	x.rs.fromDocument(d)
-	dst = x.e.emit(dst, &x.rs)
-	x.rs.reset()
-	x.e.strs = clearSlice(x.e.strs)
-	encodeStates.Put(x)
-	return dst
-}
-
-// MarshalBinary returns the binary encoding of d in a fresh buffer.
-func (d *Document) MarshalBinary() ([]byte, error) {
-	return AppendBinary(nil, d), nil
+	w := recordWalks.Get().(*recordWalk)
+	defer w.release()
+	w.rs.fromDocument(d)
+	return w.bin.emit(dst, &w.rs)
 }
 
 func appendTime(dst []byte, t time.Time) []byte {
@@ -695,139 +682,124 @@ func (r *binReader) attrList() ([]binAttr, error) {
 	return r.attrs, nil
 }
 
-// ParseBinary decodes a binary document blob produced by AppendBinary.
-// Elements are slab-allocated (a few backing arrays per class, not one
-// heap object per element) and strings come out of the intern table, so
-// decode allocates per unique string, not per field. A repeated
-// attribute key's last value counts; an id declared twice in one class,
-// which AppendBinary never writes, is refused.
+// ParseBinary decodes a binary document blob produced by AppendBinary:
+// it walks the blob into records and links them (docRecords.link). A
+// repeated attribute key's last value counts; an id declared twice in
+// one class, which AppendBinary never writes, is refused. The records
+// grow by append as the walk reads items, so a blob declaring more than
+// it holds sizes nothing past what it does hold.
 func ParseBinary(data []byte) (*Document, error) {
-	b := &docBuilder{r: binReader{buf: data}, d: &Document{Namespaces: NewNamespaceSet()}}
-	if err := b.r.walk(b); err != nil {
+	w := getRecordWalk(data, false)
+	defer w.release()
+	if err := w.walk(); err != nil {
 		return nil, err
 	}
-	return b.d, nil
+	return w.rs.link(), nil
 }
 
-// docBuilder is ParseBinary's visitor: each section's items go into
-// slabs, so a decode allocates per slab, not per item.
-type docBuilder struct {
-	r    binReader
-	d    *Document
-	ents []Element // the entities', then the agents'
-	acts []Activity
-	rels []Relation
-	// read and pending count the items of the open section read so far
-	// and still to read.
-	read, pending int
+// recordWalk is the records visitor of walk: it appends the blob's
+// items to rs in the blob's order. Its reader's strings are views of
+// the blob for an emit and copies for a decode, whose document keeps
+// them. A filtered walk keeps only the elements keep names and the
+// relations both of whose endpoints it names. Pooled, with the two
+// writers of records, for an encode of a *Document too.
+type recordWalk struct {
+	r        binReader
+	rs       docRecords
+	keep     []QName // sorted
+	filtered bool
+	bin      binEmitter
+	js       jsonEmitter
 }
 
-// The heap bytes one decoded item takes — its slab slot, and its map
-// entry or pointer — against which section caps its pre-sizing.
-const (
-	elementHeapBytes  = int(unsafe.Sizeof(Element{})) + 40
-	activityHeapBytes = int(unsafe.Sizeof(Activity{})) + 40
-	relationHeapBytes = int(unsafe.Sizeof(Relation{})) + 8
-)
+var recordWalks = sync.Pool{New: func() any { return new(recordWalk) }}
 
-// presize is how many of the n items a section declares its slab and
-// map are first sized for: n, unless that is more than presizeFloor
-// items and would take more than the bytes left in the blob. A count is
-// only bounded by the wire size of the smallest item, which is a
-// fraction of a decoded one, so a blob that declares more than it holds
-// allocates about its own size, or the floor's few kilobytes, before it
-// fails; the items it does hold grow the slabs (grow).
-func (b *docBuilder) presize(n, itemBytes int) int {
-	b.read, b.pending = 0, n
-	return min(n, max(presizeFloor, b.r.remaining()/itemBytes))
+// getRecordWalk returns a pooled walk over blob whose strings are views
+// of it or copies.
+func getRecordWalk(blob []byte, views bool) *recordWalk {
+	w := recordWalks.Get().(*recordWalk)
+	w.r.reuse(blob)
+	w.r.views = views
+	return w
 }
 
-// presizeFloor is the section size presize always allows: a section of
-// the benchmark corpus's deepest documents (256 elements per class)
-// gets its slab and map in one allocation each, as it did when the
-// count alone sized them.
-const presizeFloor = 256
+// release empties w, dropping every string of the blob it read, and
+// pools it.
+func (w *recordWalk) release() {
+	w.r.reuse(nil)
+	w.rs.reset()
+	w.bin.strs = clearSlice(w.bin.strs)
+	w.keep, w.filtered = nil, false
+	recordWalks.Put(w)
+}
 
-// grow returns slab with room for one more item: slab itself, or a new
-// slab when it is full, so that the items the document already points
-// to stay where they are. A new slab doubles what the section has read
-// so far, up to the items it still declares.
-func grow[T any](slab []T, pending int) []T {
-	if len(slab) < cap(slab) {
-		return slab
+// walk reads the blob into w.rs and settles the records: the bindings
+// are the default namespaces' and the blob's, sorted by prefix, a later
+// binding of a prefix replacing an earlier one; each class's elements
+// are sorted by id, an id declared twice refused; and each record's
+// attributes are sorted by key, of a repeated key the last value kept.
+// The relations keep the blob's order.
+func (w *recordWalk) walk() error {
+	rs := &w.rs
+	rs.ns = append(rs.ns, defaultBindings...)
+	if err := w.r.walk(w); err != nil {
+		return err
 	}
-	return make([]T, 0, min(pending, max(16, cap(slab))))
-}
-
-func (b *docBuilder) namespace(prefix, uri int32) {
-	b.d.Namespaces.Register(b.r.tab[prefix], b.r.tab[uri])
-}
-
-func (b *docBuilder) section(sec, n int) {
-	switch sec {
-	case activityClass:
-		n = b.presize(n, activityHeapBytes)
-		b.acts = make([]Activity, 0, n)
-		b.d.Activities = make(map[QName]*Activity, n)
-	case relSection:
-		n = b.presize(n, relationHeapBytes)
-		b.rels = make([]Relation, 0, n)
-		b.d.Relations = make([]*Relation, 0, n)
-	default:
-		n = b.presize(n, elementHeapBytes)
-		b.ents = make([]Element, 0, n)
-		if sec == 0 {
-			b.d.Entities = make(map[QName]*Element, n)
-		} else {
-			b.d.Agents = make(map[QName]*Element, n)
+	rs.ns = lastOfEach(rs.ns, nsPrefix, &rs.nsSort)
+	byID := func(a, b elemRec) int { return strings.Compare(a.id, b.id) }
+	for c, els := range rs.elems {
+		if !slices.IsSortedFunc(els, byID) {
+			slices.SortFunc(els, byID)
+		}
+		for i := range els {
+			if i > 0 && els[i].id == els[i-1].id {
+				return fmt.Errorf("prov: binary document declares %s %s twice", elementClasses[c], els[i].id)
+			}
+			els[i].attrs = rs.resolve(els[i].attrs)
 		}
 	}
-}
-
-func (b *docBuilder) element(c uint8, id int32, attrs []binAttr, start, end time.Time) error {
-	el := Element{ID: QName(b.r.tab[id]), Attrs: b.attrs(attrs)}
-	var declared int
-	switch c {
-	case activityClass:
-		b.acts = append(grow(b.acts, b.pending), Activity{Element: el, StartTime: start, EndTime: end})
-		b.d.Activities[el.ID] = &b.acts[len(b.acts)-1]
-		declared = len(b.d.Activities)
-	default:
-		m := b.d.Entities
-		if c != 0 {
-			m = b.d.Agents
-		}
-		b.ents = append(grow(b.ents, b.pending), el)
-		m[el.ID] = &b.ents[len(b.ents)-1]
-		declared = len(m)
-	}
-	b.read++
-	b.pending--
-	if declared < b.read {
-		return fmt.Errorf("prov: binary document declares %s %s twice", elementClasses[c], el.ID)
+	for i := range rs.rels {
+		rs.rels[i].attrs = rs.resolve(rs.rels[i].attrs)
 	}
 	return nil
 }
 
-func (b *docBuilder) relation(id, kind, subject, object int32, t time.Time, attrs []binAttr) error {
-	tab := b.r.tab
-	b.rels = append(grow(b.rels, b.pending), Relation{ID: tab[id], Kind: RelationKind(tab[kind]), Subject: QName(tab[subject]), Object: QName(tab[object]), Time: t, Attrs: b.attrs(attrs)})
-	b.d.Relations = append(b.d.Relations, &b.rels[len(b.rels)-1])
-	b.pending--
+// kept reports whether the walk keeps an item naming string s.
+func (w *recordWalk) kept(s int32) bool {
+	if !w.filtered {
+		return true
+	}
+	_, ok := slices.BinarySearch(w.keep, QName(w.r.tab[s]))
+	return ok
+}
+
+func (w *recordWalk) namespace(prefix, uri int32) {
+	w.rs.ns = append(w.rs.ns, nsBinding{w.r.tab[prefix], w.r.tab[uri]})
+}
+
+func (w *recordWalk) section(sec, n int) {}
+
+func (w *recordWalk) element(c uint8, id int32, attrs []binAttr, start, end time.Time) error {
+	if w.kept(id) {
+		w.rs.elems[c] = append(w.rs.elems[c], elemRec{id: w.r.tab[id], attrs: w.attrs(attrs), start: start, end: end})
+	}
 	return nil
 }
 
-// attrs makes an attribute list's map. An empty list is nil Attrs:
-// MarshalJSON renders nil and empty identically, and Document's Add*
-// merge paths are nil-tolerant, so decode skips ~one map allocation per
-// element.
-func (b *docBuilder) attrs(list []binAttr) Attrs {
-	if len(list) == 0 {
-		return nil
+func (w *recordWalk) relation(id, kind, subject, object int32, t time.Time, attrs []binAttr) error {
+	if w.kept(subject) && w.kept(object) {
+		tab := w.r.tab
+		w.rs.rels = append(w.rs.rels, relRec{id: tab[id], kind: RelationKind(tab[kind]), subject: tab[subject], object: tab[object], t: t, attrs: w.attrs(attrs)})
 	}
-	a := make(Attrs, len(list))
-	for _, kv := range list {
-		a[b.r.tab[kv.key]] = kv.val
+	return nil
+}
+
+// attrs appends an attribute list to w.rs.attrs.
+func (w *recordWalk) attrs(list []binAttr) attrSpan {
+	s := attrSpan{off: len(w.rs.attrs)}
+	for _, a := range list {
+		w.rs.attrs = append(w.rs.attrs, recAttr{w.r.tab[a.key], a.val})
 	}
-	return a
+	s.end = len(w.rs.attrs)
+	return s
 }

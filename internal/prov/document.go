@@ -2,7 +2,8 @@ package prov
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -10,27 +11,8 @@ import (
 // Attrs is an attribute bag keyed by qualified-name strings.
 type Attrs map[string]Value
 
-// Clone returns a copy of the attribute bag.
-func (a Attrs) Clone() Attrs {
-	if a == nil {
-		return nil
-	}
-	c := make(Attrs, len(a))
-	for k, v := range a {
-		c[k] = v
-	}
-	return c
-}
-
 // SortedKeys returns the attribute keys in lexical order.
-func (a Attrs) SortedKeys() []string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (a Attrs) SortedKeys() []string { return slices.Sorted(maps.Keys(a)) }
 
 // Element is a named PROV element (entity, activity or agent).
 type Element struct {
@@ -72,32 +54,33 @@ var AllRelationKinds = []RelationKind{
 	RelSpecializationOf, RelAlternateOf,
 }
 
-// relationRoles gives the PROV-JSON property names for (subject, object)
-// of each relation kind.
-var relationRoles = map[RelationKind][2]string{
-	RelUsed:             {"prov:activity", "prov:entity"},
-	RelWasGeneratedBy:   {"prov:entity", "prov:activity"},
-	RelWasAssociatedW:   {"prov:activity", "prov:agent"},
-	RelWasAttributedTo:  {"prov:entity", "prov:agent"},
-	RelWasDerivedFrom:   {"prov:generatedEntity", "prov:usedEntity"},
-	RelWasInformedBy:    {"prov:informed", "prov:informant"},
-	RelActedOnBehalfOf:  {"prov:delegate", "prov:responsible"},
-	RelWasStartedBy:     {"prov:activity", "prov:trigger"},
-	RelWasEndedBy:       {"prov:activity", "prov:trigger"},
-	RelHadMember:        {"prov:collection", "prov:entity"},
-	RelSpecializationOf: {"prov:specificEntity", "prov:generalEntity"},
-	RelAlternateOf:      {"prov:alternate1", "prov:alternate2"},
+// relationKinds holds, per relation kind, the PROV-JSON property names
+// of its subject and object (RelationRoles), the node classes they must
+// name (Validate) and the prefix of its generated ids (relID).
+var relationKinds = map[RelationKind]struct{ subj, obj, subjClass, objClass, short string }{
+	RelUsed:             {"prov:activity", "prov:entity", "activity", "entity", "u"},
+	RelWasGeneratedBy:   {"prov:entity", "prov:activity", "entity", "activity", "g"},
+	RelWasAssociatedW:   {"prov:activity", "prov:agent", "activity", "agent", "assoc"},
+	RelWasAttributedTo:  {"prov:entity", "prov:agent", "entity", "agent", "attr"},
+	RelWasDerivedFrom:   {"prov:generatedEntity", "prov:usedEntity", "entity", "entity", "d"},
+	RelWasInformedBy:    {"prov:informed", "prov:informant", "activity", "activity", "inf"},
+	RelActedOnBehalfOf:  {"prov:delegate", "prov:responsible", "agent", "agent", "del"},
+	RelWasStartedBy:     {"prov:activity", "prov:trigger", "activity", "entity", "start"},
+	RelWasEndedBy:       {"prov:activity", "prov:trigger", "activity", "entity", "end"},
+	RelHadMember:        {"prov:collection", "prov:entity", "entity", "entity", "mem"},
+	RelSpecializationOf: {"prov:specificEntity", "prov:generalEntity", "entity", "entity", "spec"},
+	RelAlternateOf:      {"prov:alternate1", "prov:alternate2", "entity", "entity", "alt"},
 }
 
 // RelationRoles returns the PROV-JSON subject and object property names
 // for kind, e.g. ("prov:activity", "prov:entity") for used.
 func RelationRoles(kind RelationKind) (subject, object string, ok bool) {
-	r, ok := relationRoles[kind]
-	return r[0], r[1], ok
+	k, ok := relationKinds[kind]
+	return k.subj, k.obj, ok
 }
 
 // Relation is one edge of a provenance document. Subject and Object
-// follow the orientation listed in relationRoles; Time is optional and
+// follow the orientation listed in relationKinds; Time is optional and
 // only meaningful for used / wasGeneratedBy / wasStartedBy / wasEndedBy.
 type Relation struct {
 	ID      string // local relation identifier, e.g. "_:u1"
@@ -131,13 +114,7 @@ func NewDocument() *Document {
 
 // AddEntity inserts (or returns the existing) entity with the given id.
 func (d *Document) AddEntity(id QName, attrs Attrs) *Element {
-	if e, ok := d.Entities[id]; ok {
-		e.Attrs = mergeAttrs(e.Attrs, attrs)
-		return e
-	}
-	e := &Element{ID: id, Attrs: ensureAttrs(attrs)}
-	d.Entities[id] = e
-	return e
+	return addElement(d.Entities, id, attrs)
 }
 
 // AddActivity inserts (or returns the existing) activity with the given id.
@@ -153,13 +130,18 @@ func (d *Document) AddActivity(id QName, attrs Attrs) *Activity {
 
 // AddAgent inserts (or returns the existing) agent with the given id.
 func (d *Document) AddAgent(id QName, attrs Attrs) *Element {
-	if g, ok := d.Agents[id]; ok {
-		g.Attrs = mergeAttrs(g.Attrs, attrs)
-		return g
+	return addElement(d.Agents, id, attrs)
+}
+
+// addElement inserts the element id of m, or merges attrs into it.
+func addElement(m map[QName]*Element, id QName, attrs Attrs) *Element {
+	if e, ok := m[id]; ok {
+		e.Attrs = mergeAttrs(e.Attrs, attrs)
+		return e
 	}
-	g := &Element{ID: id, Attrs: ensureAttrs(attrs)}
-	d.Agents[id] = g
-	return g
+	e := &Element{ID: id, Attrs: ensureAttrs(attrs)}
+	m[id] = e
+	return e
 }
 
 func ensureAttrs(a Attrs) Attrs {
@@ -196,37 +178,11 @@ func (d *Document) nextRelID(kind RelationKind) string {
 // relID is the seq-th generated relation identifier, of a relation of
 // kind.
 func relID(kind RelationKind, seq int) string {
-	return "_:" + shortKind(kind) + strconv.Itoa(seq)
-}
-
-func shortKind(kind RelationKind) string {
-	switch kind {
-	case RelUsed:
-		return "u"
-	case RelWasGeneratedBy:
-		return "g"
-	case RelWasAssociatedW:
-		return "assoc"
-	case RelWasAttributedTo:
-		return "attr"
-	case RelWasDerivedFrom:
-		return "d"
-	case RelWasInformedBy:
-		return "inf"
-	case RelActedOnBehalfOf:
-		return "del"
-	case RelWasStartedBy:
-		return "start"
-	case RelWasEndedBy:
-		return "end"
-	case RelHadMember:
-		return "mem"
-	case RelSpecializationOf:
-		return "spec"
-	case RelAlternateOf:
-		return "alt"
+	short := "r"
+	if k, ok := relationKinds[kind]; ok {
+		short = k.short
 	}
-	return "r"
+	return "_:" + short + strconv.Itoa(seq)
 }
 
 // AddRelation appends a relation edge and returns it. A fresh identifier
@@ -278,17 +234,6 @@ func (d *Document) ActedOnBehalfOf(delegate, responsible QName) *Relation {
 	return d.AddRelation(Relation{Kind: RelActedOnBehalfOf, Subject: delegate, Object: responsible})
 }
 
-// RelationsOfKind returns all relations of the given kind in insertion order.
-func (d *Document) RelationsOfKind(kind RelationKind) []*Relation {
-	var out []*Relation
-	for _, r := range d.Relations {
-		if r.Kind == kind {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // EntityIDs returns the entity identifiers in sorted order.
 func (d *Document) EntityIDs() []QName { return sortedIDs(d.Entities) }
 
@@ -296,35 +241,14 @@ func (d *Document) EntityIDs() []QName { return sortedIDs(d.Entities) }
 func (d *Document) AgentIDs() []QName { return sortedIDs(d.Agents) }
 
 // ActivityIDs returns the activity identifiers in sorted order.
-func (d *Document) ActivityIDs() []QName {
-	ids := make([]QName, 0, len(d.Activities))
-	for id := range d.Activities {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (d *Document) ActivityIDs() []QName { return sortedIDs(d.Activities) }
 
-func sortedIDs(m map[QName]*Element) []QName {
-	ids := make([]QName, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+func sortedIDs[V any](m map[QName]V) []QName {
+	return slices.Sorted(maps.Keys(m))
 }
 
 // HasNode reports whether id names an entity, activity or agent in d.
-func (d *Document) HasNode(id QName) bool {
-	if _, ok := d.Entities[id]; ok {
-		return true
-	}
-	if _, ok := d.Activities[id]; ok {
-		return true
-	}
-	_, ok := d.Agents[id]
-	return ok
-}
+func (d *Document) HasNode(id QName) bool { return d.NodeKind(id) != "" }
 
 // NodeKind returns "entity", "activity", "agent" or "".
 func (d *Document) NodeKind(id QName) string {

@@ -201,48 +201,3 @@ func appendUnvisited(queue []int32, visited []bool, row []int32) []int32 {
 	}
 	return queue
 }
-
-// Subgraph extracts the sub-document induced by the given node set:
-// those elements plus every relation whose both endpoints are in the set.
-func (d *Document) Subgraph(nodes []QName) *Document {
-	keep := make(map[QName]bool, len(nodes))
-	for _, n := range nodes {
-		keep[n] = true
-	}
-	sub := NewDocument()
-	sub.Namespaces = d.Namespaces.Clone()
-	for id, e := range d.Entities {
-		if keep[id] {
-			sub.AddEntity(id, e.Attrs.Clone())
-		}
-	}
-	for id, a := range d.Activities {
-		if keep[id] {
-			na := sub.AddActivity(id, a.Attrs.Clone())
-			na.StartTime, na.EndTime = a.StartTime, a.EndTime
-		}
-	}
-	for id, g := range d.Agents {
-		if keep[id] {
-			sub.AddAgent(id, g.Attrs.Clone())
-		}
-	}
-	for _, r := range d.Relations {
-		if keep[r.Subject] && keep[r.Object] {
-			sub.AddRelation(Relation{Kind: r.Kind, Subject: r.Subject, Object: r.Object, Time: r.Time, Attrs: r.Attrs.Clone()})
-		}
-	}
-	return sub
-}
-
-// Neighborhood returns the sub-document of d, the document the index
-// was built from, within the given number of hops of start, ignoring
-// edge direction; hops <= 0 selects start alone.
-func (ix *Index) Neighborhood(d *Document, start QName, hops int) *Document {
-	nodes := []QName{start}
-	if hops > 0 {
-		reach, _ := ix.Reach(start, Undirected, hops)
-		nodes = append(nodes, reach...)
-	}
-	return d.Subgraph(nodes)
-}

@@ -63,13 +63,35 @@ func TestAncestorsOfRootEmpty(t *testing.T) {
 	}
 }
 
+// subgraph is SubgraphJSON over d's blob, read back with ParseJSON.
+func subgraph(t *testing.T, d *Document, nodes ...QName) *Document {
+	t.Helper()
+	raw, err := SubgraphJSON(AppendBinary(nil, d), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := ParseJSON(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// neighborhood is the subgraph of d within hops of start, ignoring edge
+// direction, as the store serves it.
+func neighborhood(t *testing.T, d *Document, start QName, hops int) *Document {
+	t.Helper()
+	reach, _ := NewIndex(d).Reach(start, Undirected, hops)
+	return subgraph(t, d, append(reach, start)...)
+}
+
 func TestSubgraph(t *testing.T) {
 	d := chainDoc()
-	sub := d.Subgraph([]QName{"ex:model", "ex:train"})
+	sub := subgraph(t, d, "ex:model", "ex:train")
 	if len(sub.Entities) != 1 || len(sub.Activities) != 1 {
 		t.Fatalf("subgraph stats = %+v", sub.Stats())
 	}
-	if len(sub.Relations) != 1 || sub.Relations[0].Kind != RelWasGeneratedBy {
+	if len(sub.Relations) != 1 || sub.Relations[0].Kind != RelWasGeneratedBy || sub.Relations[0].ID != "_:g1" {
 		t.Fatalf("subgraph relations = %v", sub.Relations)
 	}
 	if _, err := sub.Validate(); err != nil {
@@ -79,12 +101,12 @@ func TestSubgraph(t *testing.T) {
 
 func TestNeighborhood(t *testing.T) {
 	d := chainDoc()
-	n1 := NewIndex(d).Neighborhood(d, "ex:curated", 1)
+	n1 := neighborhood(t, d, "ex:curated", 1)
 	// 1 hop from curated: prep (generatedBy) and train (used).
 	if n1.Stats().Entities != 1 || n1.Stats().Activities != 2 {
 		t.Fatalf("1-hop stats = %+v", n1.Stats())
 	}
-	nAll := NewIndex(d).Neighborhood(d, "ex:curated", 10)
+	nAll := neighborhood(t, d, "ex:curated", 10)
 	if nAll.Stats().Entities != 3 || nAll.Stats().Activities != 2 {
 		t.Fatalf("full neighborhood stats = %+v", nAll.Stats())
 	}

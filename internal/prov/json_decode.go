@@ -53,16 +53,6 @@ import (
 // are views of the input and its records pooled scratch: past an
 // escaped string, the blob is all it allocates.
 
-// UnmarshalJSON parses a PROV-JSON document.
-func (d *Document) UnmarshalJSON(data []byte) error {
-	fresh, err := ParseJSON(data)
-	if err != nil {
-		return err
-	}
-	*d = *fresh
-	return nil
-}
-
 // ParseJSON parses PROV-JSON bytes into a new document. It keeps no
 // reference to data.
 func ParseJSON(data []byte) (*Document, error) {
@@ -80,7 +70,9 @@ func ParseJSON(data []byte) (*Document, error) {
 	if invalid != nil {
 		return nil, invalid
 	}
-	return d.link(), nil
+	doc := d.rs.link()
+	doc.relSeq = d.relSeq
+	return doc, nil
 }
 
 // TranscodeJSON decodes the one JSON value at sc's cursor as a
@@ -193,8 +185,8 @@ func classOf(sec int) int {
 // canonical puts what the last occurrences left in canonical order.
 // Pooled.
 type decoder struct {
-	// encodeState holds the records and TranscodeJSON's emitter.
-	encodeState
+	rs   docRecords
+	e    binEmitter // TranscodeJSON's
 	sc   jsonscan.Scanner
 	strs stringArena
 
@@ -202,11 +194,10 @@ type decoder struct {
 	rels [numRelationKinds][]relRec
 	// relSeq counts the relation ids canonical generates.
 	relSeq int
-	// canonical's sort scratch, one per kind of record.
-	nsSort   sortScratch[nsBinding]
+	// canonical's sort scratch for one class's elements and one kind's
+	// relations.
 	elemSort sortScratch[elemRec]
 	relSort  sortScratch[relRec]
-	attrSort sortScratch[recAttr]
 
 	// bad holds, per section, the first thing wrong with the content of
 	// its latest occurrence. Such an error does not stop the scan: the
@@ -424,12 +415,12 @@ func (d *decoder) canonical() error {
 	}
 	rs := &d.rs
 	rs.ns = append(append(rs.ns[:0], defaultBindings...), d.ns...)
-	rs.ns = lastOfEach(rs.ns, nsPrefix, &d.nsSort)
+	rs.ns = lastOfEach(rs.ns, nsPrefix, &rs.nsSort)
 	for c := range rs.elems {
 		rs.elems[c] = lastOfEach(rs.elems[c], elemID, &d.elemSort)
 		for i := range rs.elems[c] {
 			el := &rs.elems[c][i]
-			el.attrs = d.resolve(el.attrs)
+			el.attrs = rs.resolve(el.attrs)
 			if c == activityClass {
 				el.attrs, el.start = rs.lift(el.attrs, "prov:startTime")
 				el.attrs, el.end = rs.lift(el.attrs, "prov:endTime")
@@ -451,7 +442,7 @@ func (d *decoder) canonical() error {
 				d.relSeq++
 				r.id = relID(kind, d.relSeq)
 			}
-			r.attrs = d.resolve(r.attrs)
+			r.attrs = rs.resolve(r.attrs)
 			r.attrs, r.t = rs.lift(r.attrs, "prov:time")
 		}
 		rs.rels = append(rs.rels, rels...)
@@ -499,8 +490,8 @@ type sortScratch[T any] struct {
 
 // resolve sorts the attributes of s by key and keeps the last value of
 // a repeated key; it returns the shortened span.
-func (d *decoder) resolve(s attrSpan) attrSpan {
-	s.end = s.off + len(lastOfEach(d.rs.attrsOf(s), attrKey, &d.attrSort))
+func (rs *docRecords) resolve(s attrSpan) attrSpan {
+	s.end = s.off + len(lastOfEach(rs.attrsOf(s), attrKey, &rs.attrSort))
 	return s
 }
 
@@ -523,12 +514,13 @@ func (rs *docRecords) lift(s attrSpan, key string) (attrSpan, time.Time) {
 	return s, t
 }
 
-// link makes a Document of the canonical records. It copies them into
-// one slab per class and one for the relations, and each record's
-// attributes into an Attrs map, nil for none; the strings are the
-// records'.
-func (d *decoder) link() *Document {
-	rs := &d.rs
+// link makes a Document of the records, whose elements are unique by id
+// in each class and whose attributes are unique by key in each record.
+// It copies them into one slab per class and one for the relations, and
+// each record's attributes into an Attrs map, nil for none; the strings
+// are the records'. It is the one records → *Document builder: of
+// ParseJSON and of ParseBinary.
+func (rs *docRecords) link() *Document {
 	ns := &NamespaceSet{byPrefix: make(map[string]string, len(rs.ns))}
 	for _, b := range rs.ns {
 		ns.byPrefix[b.prefix] = b.uri
@@ -539,7 +531,6 @@ func (d *decoder) link() *Document {
 		Entities:   make(map[QName]*Element, len(ents)),
 		Activities: make(map[QName]*Activity, len(acts)),
 		Agents:     make(map[QName]*Element, len(agents)),
-		relSeq:     d.relSeq,
 	}
 	els := make([]Element, len(ents)+len(agents))
 	for i, el := range ents {
@@ -567,8 +558,7 @@ func (d *decoder) link() *Document {
 	return doc
 }
 
-// bag is the attributes of s as an Attrs map; nil for none, as
-// ParseBinary decodes them.
+// bag is the attributes of s as an Attrs map; nil for none.
 func (rs *docRecords) bag(s attrSpan) Attrs {
 	if s.end == s.off {
 		return nil

@@ -6,11 +6,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/jsonscan"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -96,6 +99,22 @@ func TestParseJSONScalarAttributes(t *testing.T) {
 	}
 }
 
+// valueRoundTrip is v after MarshalJSON and ParseJSON, as the attribute
+// of an entity.
+func valueRoundTrip(v Value) (Value, error) {
+	d := NewDocument()
+	d.AddEntity("ex:e", Attrs{"ex:v": v})
+	data, err := d.MarshalJSON()
+	if err != nil {
+		return Value{}, err
+	}
+	back, err := ParseJSON(data)
+	if err != nil {
+		return Value{}, err
+	}
+	return back.Entities["ex:e"].Attrs["ex:v"], nil
+}
+
 func TestValueRoundTripQuick(t *testing.T) {
 	// Property: every generatable Value survives a JSON round trip.
 	f := func(choice uint8, s string, i int64, fl float64, b bool) bool {
@@ -115,15 +134,8 @@ func TestValueRoundTripQuick(t *testing.T) {
 		case 4:
 			v = Time(time.Unix(i%1_000_000_000, 0).UTC())
 		}
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		var back Value
-		if err := json.Unmarshal(data, &back); err != nil {
-			return false
-		}
-		return v.Equal(back)
+		back, err := valueRoundTrip(v)
+		return err == nil && v.Equal(back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -132,12 +144,8 @@ func TestValueRoundTripQuick(t *testing.T) {
 
 func TestValueSpecialFloats(t *testing.T) {
 	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		data, err := json.Marshal(Float(f))
+		back, err := valueRoundTrip(Float(f))
 		if err != nil {
-			t.Fatal(err)
-		}
-		var back Value
-		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := back.AsFloat()
@@ -231,10 +239,22 @@ func TestUnknownTypedValuePreserved(t *testing.T) {
 	}
 }
 
-// TestValueUnmarshalJSON: json.Unmarshal into a Value or an Attrs, away
-// from the document decoder, reads attribute values by the same rules —
-// checked against the reference's value type on every form.
-func TestValueUnmarshalJSON(t *testing.T) {
+// TestScanValueMatchesReference: scanValue, the attribute value reader
+// of the document decoder, reads one value and no more, by the rules of
+// the reference's value type on every form.
+func TestScanValueMatchesReference(t *testing.T) {
+	scan := func(text string) (Value, error) {
+		sc := jsonscan.New([]byte(text))
+		var strs stringArena
+		v, bad, err := scanValue(&sc, &strs)
+		if err == nil {
+			err = sc.End()
+		}
+		if err == nil {
+			err = bad
+		}
+		return v, err
+	}
 	for _, text := range []string{
 		`"s"`, `"é😀\ud800"`, `true`, `false`, `0`, `-0`, `7`, `-7`, `1.5`, `1e3`, `9223372036854775808`, `1e400`,
 		`null`, `[]`, `[1,"x"]`, `{}`, ` {"$" : "5" , "type" : "xsd:int"} `,
@@ -242,43 +262,37 @@ func TestValueUnmarshalJSON(t *testing.T) {
 		`{"$":"hola","lang":"es"}`, `{"$":"2024-01-02T03:04:05Z","type":"xsd:dateTime"}`, `{"$":"ex:a","type":"prov:QUALIFIED_NAME"}`,
 		`{"$":"1","type":"xsd:long"}`, `{"$":"NaN","type":"xsd:double"}`, `{"$":"t","type":"xsd:boolean"}`,
 	} {
-		var got Value
+		got, gerr := scan(text)
 		var want refValue
-		gerr, werr := json.Unmarshal([]byte(text), &got), json.Unmarshal([]byte(text), &want)
+		werr := json.Unmarshal([]byte(text), &want)
 		if (gerr == nil) != (werr == nil) {
 			t.Errorf("%s: error %v, reference %v", text, gerr, werr)
 		} else if gerr == nil && (!got.Equal(want.Value) || got.Kind() != want.Kind()) {
 			t.Errorf("%s: %v (kind %d), reference %v (kind %d)", text, got.AsString(), got.Kind(), want.AsString(), want.Kind())
 		}
 	}
-
-	var attrs Attrs
-	src := `{"n":3,"f":2.5,"s":"x","t":{"$":"2024-01-02T03:04:05Z","type":"xsd:dateTime"},"n":4}`
-	if err := json.Unmarshal([]byte(src), &attrs); err != nil {
-		t.Fatal(err)
-	}
-	want := Attrs{"n": Int(4), "f": Float(2.5), "s": Str("x"), "t": Time(time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC))}
-	if !attrsEqual(attrs, want) {
-		t.Fatalf("Attrs = %v, want %v", attrs, want)
-	}
-	if err := json.Unmarshal([]byte(`{"k":null}`), &attrs); err == nil {
-		t.Error("a null attribute value must be rejected")
-	}
-	// Called directly, without encoding/json's framing: one value, no more.
-	var v Value
-	if err := v.UnmarshalJSON([]byte(`"a" "b"`)); err == nil {
+	if _, err := scan(`"a" "b"`); err == nil {
 		t.Error("trailing bytes after the value must be rejected")
 	}
-	if err := v.UnmarshalJSON([]byte(`{"$":"1","type":"xsd:int"`)); err == nil {
+	if _, err := scan(`{"$":"1","type":"xsd:int"`); err == nil {
 		t.Error("a truncated value must be rejected")
 	}
 }
 
 // TestRelationKindTables: the decoder sizes its per-kind state by
-// numRelationKinds and reads every kind's role names.
+// numRelationKinds and reads every kind's role names; the emitter
+// writes the sections of jsonSections, by name: the prefix block, the
+// three element classes and every kind.
 func TestRelationKindTables(t *testing.T) {
 	if len(AllRelationKinds) != numRelationKinds {
 		t.Fatalf("AllRelationKinds lists %d kinds, numRelationKinds is %d", len(AllRelationKinds), numRelationKinds)
+	}
+	want := []string{"prefix", "entity", "activity", "agent"}
+	for _, kind := range AllRelationKinds {
+		want = append(want, string(kind))
+	}
+	if slices.Sort(want); !slices.Equal(jsonSections[:], want) {
+		t.Errorf("jsonSections = %q, want %q", jsonSections, want)
 	}
 	for i, kind := range AllRelationKinds {
 		if subj, obj, ok := RelationRoles(kind); !ok || subj == "" || obj == "" || subj == obj {

@@ -17,23 +17,6 @@ type ValidationIssue struct {
 // ErrInvalidDocument is wrapped by Validate when errors are present.
 var ErrInvalidDocument = errors.New("prov: invalid document")
 
-// expectedNodeKinds gives, per relation kind, the required node classes
-// of (subject, object). Empty string means "entity, activity or agent".
-var expectedNodeKinds = map[RelationKind][2]string{
-	RelUsed:             {"activity", "entity"},
-	RelWasGeneratedBy:   {"entity", "activity"},
-	RelWasAssociatedW:   {"activity", "agent"},
-	RelWasAttributedTo:  {"entity", "agent"},
-	RelWasDerivedFrom:   {"entity", "entity"},
-	RelWasInformedBy:    {"activity", "activity"},
-	RelActedOnBehalfOf:  {"agent", "agent"},
-	RelWasStartedBy:     {"activity", "entity"},
-	RelWasEndedBy:       {"activity", "entity"},
-	RelHadMember:        {"entity", "entity"},
-	RelSpecializationOf: {"entity", "entity"},
-	RelAlternateOf:      {"entity", "entity"},
-}
-
 // Validate checks the document for structural problems: dangling relation
 // endpoints, wrong endpoint classes, invalid qualified names, activities
 // whose end precedes their start, and unknown namespace prefixes. It
@@ -60,13 +43,13 @@ func (d *Document) Validate() ([]ValidationIssue, error) {
 		}
 	}
 	for _, r := range d.Relations {
-		want, ok := expectedNodeKinds[r.Kind]
+		want, ok := relationKinds[r.Kind]
 		if !ok {
 			l.add("error", "relation %s has unsupported kind %q", r.ID, r.Kind)
 			continue
 		}
-		l.checkEnd(r.ID, r.Kind, "subject", r.Subject, d.NodeKind(r.Subject), want[0])
-		l.checkEnd(r.ID, r.Kind, "object", r.Object, d.NodeKind(r.Object), want[1])
+		l.checkEnd(r.ID, r.Kind, "subject", r.Subject, d.NodeKind(r.Subject), want.subjClass)
+		l.checkEnd(r.ID, r.Kind, "object", r.Object, d.NodeKind(r.Object), want.objClass)
 	}
 	return l.issues, l.err()
 }
@@ -153,12 +136,12 @@ func (l *issueLog) checkTimes(id QName, start, end time.Time) {
 }
 
 // checkEnd checks the endpoint id of relation relID in role, whose
-// node class is got ("" for none) and must be want ("" for any).
+// node class is got ("" for none) and must be want.
 func (l *issueLog) checkEnd(relID string, kind RelationKind, role string, id QName, got, want string) {
 	switch {
 	case got == "":
 		l.add("error", "relation %s (%s) references missing %s %s", relID, kind, role, id)
-	case want != "" && got != want:
+	case got != want:
 		l.add("error", "relation %s (%s) %s %s is a %s, want %s", relID, kind, role, id, got, want)
 	}
 }
@@ -190,9 +173,9 @@ func (rs *docRecords) validate(e *binEmitter) error {
 	}
 	for i := range rs.rels {
 		r := &rs.rels[i]
-		want := expectedNodeKinds[r.kind]
-		l.checkEnd(r.id, r.kind, "subject", QName(r.subject), nodeKind(e.classes[e.ends[2*i]]), want[0])
-		l.checkEnd(r.id, r.kind, "object", QName(r.object), nodeKind(e.classes[e.ends[2*i+1]]), want[1])
+		want := relationKinds[r.kind]
+		l.checkEnd(r.id, r.kind, "subject", QName(r.subject), nodeKind(e.classes[e.ends[2*i]]), want.subjClass)
+		l.checkEnd(r.id, r.kind, "object", QName(r.object), nodeKind(e.classes[e.ends[2*i+1]]), want.objClass)
 	}
 	return l.err()
 }

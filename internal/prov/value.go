@@ -1,7 +1,6 @@
 package prov
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -172,35 +171,6 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// typedJSON is the PROV-JSON {"$": ..., "type": ...} representation.
-type typedJSON struct {
-	Dollar string `json:"$"`
-	Type   string `json:"type"`
-}
-
-// MarshalJSON renders the value in PROV-JSON attribute form.
-func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.Kind() {
-	case KindString:
-		return json.Marshal(v.s)
-	case KindInt:
-		return json.Marshal(typedJSON{Dollar: strconv.FormatInt(v.int(), 10), Type: "xsd:long"})
-	case KindFloat:
-		f := v.float()
-		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return json.Marshal(typedJSON{Dollar: formatSpecialFloat(f), Type: "xsd:double"})
-		}
-		return json.Marshal(typedJSON{Dollar: strconv.FormatFloat(f, 'g', -1, 64), Type: "xsd:double"})
-	case KindBool:
-		return json.Marshal(v.bool())
-	case KindTime:
-		return json.Marshal(typedJSON{Dollar: v.time().Format(time.RFC3339Nano), Type: "xsd:dateTime"})
-	case KindRef:
-		return json.Marshal(typedJSON{Dollar: v.s, Type: "prov:QUALIFIED_NAME"})
-	}
-	return nil, fmt.Errorf("prov: cannot marshal value of kind %d", v.kind)
-}
-
 func formatSpecialFloat(f float64) string {
 	switch {
 	case math.IsNaN(f):
@@ -222,26 +192,6 @@ func parseSpecialFloat(s string) (float64, bool) {
 		return math.Inf(-1), true
 	}
 	return 0, false
-}
-
-// UnmarshalJSON parses either a bare JSON scalar or a typed
-// {"$": ..., "type": ...} object, with the scanner and the rules the
-// document decoder applies to attribute values (see scanValue).
-func (v *Value) UnmarshalJSON(data []byte) error {
-	sc := jsonscan.New(data)
-	var strs stringArena
-	val, bad, err := scanValue(&sc, &strs)
-	if err == nil {
-		err = sc.End()
-	}
-	if err == nil {
-		err = bad
-	}
-	if err != nil {
-		return err
-	}
-	*v = val
-	return nil
 }
 
 // stringArena copies the strings a decoded document keeps — ids,

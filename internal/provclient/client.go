@@ -233,7 +233,7 @@ func (c *Client) Upload(id string, doc *prov.Document) error {
 
 // UploadCtx stores a document under id, bounded by ctx.
 func (c *Client) UploadCtx(ctx context.Context, id string, doc *prov.Document) error {
-	body, err := json.Marshal(doc)
+	body, err := doc.MarshalJSON()
 	if err != nil {
 		return err
 	}

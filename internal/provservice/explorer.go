@@ -39,11 +39,17 @@ func (s *Service) handleExplorerDoc(w http.ResponseWriter, r *http.Request) {
 		s.handleExplorerIndex(w, r)
 		return
 	}
+	// The lineage tree is bounded like every traversal (0 is the cap).
+	depth, ok := parseBoundedDepth(w, r, "depth", 6, true)
+	if !ok {
+		return
+	}
 	v, ok := s.store.View(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "document %q does not exist", id)
 		return
 	}
+	// The one read that decodes: provgraph renders a *prov.Document.
 	doc := v.Document()
 	root := prov.QName(r.URL.Query().Get("node"))
 	if root == "" {
@@ -53,10 +59,6 @@ func (s *Service) handleExplorerDoc(w http.ResponseWriter, r *http.Request) {
 		} else if ents := doc.EntityIDs(); len(ents) > 0 {
 			root = ents[0]
 		}
-	}
-	depth := 6
-	if ds := r.URL.Query().Get("depth"); ds != "" {
-		fmt.Sscanf(ds, "%d", &depth)
 	}
 
 	var sb strings.Builder

@@ -1,12 +1,14 @@
 package provservice
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/prov"
 	"repro/internal/provstore"
 )
 
@@ -66,5 +68,49 @@ func TestExplorerMissingDoc(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestExplorerDepthBounded: the lineage tree's ?depth= is read as
+// lineage reads its own — a depth that is no number or over the server
+// maximum is a 400, and 0 means the maximum, not an unbounded walk over
+// a chain longer than it.
+func TestExplorerDepthBounded(t *testing.T) {
+	const n = maxTraversalDepth + 4
+	d := prov.NewDocument()
+	for i := 0; i <= n; i++ {
+		d.AddEntity(prov.QName(fmt.Sprintf("ex:e%d", i)), nil)
+		if i > 0 {
+			d.WasDerivedFrom(prov.QName(fmt.Sprintf("ex:e%d", i)), prov.QName(fmt.Sprintf("ex:e%d", i-1)))
+		}
+	}
+	store := provstore.New()
+	if err := store.Put("chain", d); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(store))
+	defer srv.Close()
+	page := func(depth string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/explorer/chain?node=ex:e%d&depth=%s", srv.URL, n, depth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for _, bad := range []string{"abc", "-1", "2000", fmt.Sprint(maxTraversalDepth + 1)} {
+		if status, body := page(bad); status != http.StatusBadRequest {
+			t.Errorf("depth=%s: status %d, want 400: %.200s", bad, status, body)
+		}
+	}
+	status, zero := page("0")
+	_, capped := page(fmt.Sprint(maxTraversalDepth))
+	if status != http.StatusOK || zero != capped {
+		t.Errorf("depth=0: status %d, %d bytes; depth=%d: %d bytes; want the same page", status, len(zero), maxTraversalDepth, len(capped))
+	}
+	if strings.Contains(zero, "ex:e0 ") {
+		t.Errorf("depth=0 walks past the %d-hop cap to the chain's origin", maxTraversalDepth)
 	}
 }

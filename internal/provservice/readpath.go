@@ -40,7 +40,8 @@ import (
 // responses carry no ETag.
 
 // maxTraversalDepth caps the ?depth= / ?hops= parameters of lineage,
-// subgraph and cross-document lineage (see parseBoundedDepth).
+// subgraph, cross-document lineage and the explorer's lineage tree (see
+// parseBoundedDepth).
 const maxTraversalDepth = 1024
 
 // WithReadCache enables the version-keyed response cache, bounded to

@@ -512,13 +512,12 @@ func (s *Service) handleDocumentCRUD(w http.ResponseWriter, r *http.Request, id 
 	switch r.Method {
 	case http.MethodGet:
 		s.serveView(w, r, id, readKey("doc", id), func(v provstore.View) (readcache.Entry, error) {
-			doc := v.Document()
-			if doc == nil {
-				return readcache.Entry{}, httpErrf(http.StatusNotFound, "document %q does not exist", id)
-			}
-			payload, err := doc.MarshalIndent()
-			if err != nil {
+			payload, err := v.JSON()
+			switch {
+			case err != nil:
 				return readcache.Entry{}, httpErrf(http.StatusInternalServerError, "marshal: %v", err)
+			case payload == nil:
+				return readcache.Entry{}, httpErrf(http.StatusNotFound, "document %q does not exist", id)
 			}
 			return readcache.Entry{Body: payload, ContentType: "application/json"}, nil
 		})
@@ -616,13 +615,9 @@ func (s *Service) handleSubgraph(w http.ResponseWriter, r *http.Request, id stri
 	}
 	key := readKey("subgraph", id, node, strconv.Itoa(hops))
 	s.serveView(w, r, id, key, func(v provstore.View) (readcache.Entry, error) {
-		sub, err := v.Subgraph(prov.QName(node), hops)
+		payload, err := v.Subgraph(prov.QName(node), hops)
 		if err != nil {
 			return readcache.Entry{}, httpErrf(http.StatusNotFound, "%v", err)
-		}
-		payload, err := sub.MarshalIndent()
-		if err != nil {
-			return readcache.Entry{}, httpErrf(http.StatusInternalServerError, "marshal: %v", err)
 		}
 		return readcache.Entry{Body: payload, ContentType: "application/json"}, nil
 	})

@@ -25,8 +25,13 @@ func (s *Store) Delete(id string) error {
 	return s.Apply(context.Background(), []Op{{ID: id}})
 }
 
-// Subgraph is View.Subgraph on doc's current version.
+// Subgraph is View.Subgraph on doc's current version, its PROV-JSON
+// read back with ParseJSON.
 func (s *Store) Subgraph(doc string, node prov.QName, hops int) (*prov.Document, error) {
 	v, _ := s.View(doc)
-	return v.Subgraph(node, hops)
+	raw, err := v.Subgraph(node, hops)
+	if err != nil {
+		return nil, err
+	}
+	return prov.ParseJSON(raw)
 }

@@ -212,12 +212,24 @@ func (v View) Seq() uint64 {
 }
 
 // Document returns the viewed version's document, decoded from the
-// entry's blob on every call: the caller's to keep and change.
+// entry's blob on every call: the caller's to keep and change. Only the
+// explorer decodes (provgraph renders a *prov.Document); JSON and
+// Subgraph write PROV-JSON from the blob.
 func (v View) Document() *prov.Document {
 	if v.e == nil {
 		return nil
 	}
 	return v.e.document()
+}
+
+// JSON returns the viewed version's document as indented PROV-JSON,
+// written from the entry's blob (prov.DocumentJSON); nil when the view
+// holds no version.
+func (v View) JSON() ([]byte, error) {
+	if v.e == nil {
+		return nil, nil
+	}
+	return prov.DocumentJSON(v.e.blob)
 }
 
 // Lineage returns the qualified names reachable from node in the given
@@ -240,16 +252,22 @@ func (v View) Lineage(node prov.QName, dir LineageDirection, depth int) ([]prov.
 	return nil, fmt.Errorf("provstore: node %s not found in document %q", node, v.id)
 }
 
-// Subgraph extracts the neighborhood of node within hops, ignoring edge
-// direction, as a new document; hops <= 0 selects the node alone.
-func (v View) Subgraph(node prov.QName, hops int) (*prov.Document, error) {
+// Subgraph returns the neighborhood of node within hops, ignoring edge
+// direction, as indented PROV-JSON; hops <= 0 selects the node alone.
+// The index finds the nodes (Reach), and one walk of the blob writes
+// the elements and relations they induce (prov.SubgraphJSON).
+func (v View) Subgraph(node prov.QName, hops int) ([]byte, error) {
 	if v.e == nil {
 		return nil, fmt.Errorf("provstore: document %q does not exist", v.id)
 	}
 	if !v.e.ix.Has(node) {
 		return nil, fmt.Errorf("provstore: node %s not found in document %q", node, v.id)
 	}
-	return v.e.ix.Neighborhood(v.e.document(), node, hops), nil
+	var nodes []prov.QName
+	if hops > 0 {
+		nodes, _ = v.e.ix.Reach(node, prov.Undirected, hops)
+	}
+	return prov.SubgraphJSON(v.e.blob, append(nodes, node))
 }
 
 // LineageDirection selects ancestors (toward origins) or descendants.

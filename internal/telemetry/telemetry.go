@@ -26,8 +26,9 @@ type Reading struct {
 type Sampler interface {
 	// Name identifies the sampler (used as a provenance agent suffix).
 	Name() string
-	// Sample returns the readings at elapsed time t under the given load.
-	Sample(t time.Duration, load float64) []Reading
+	// Sample appends the readings at elapsed time t under the given
+	// load to dst and returns the extended slice.
+	Sample(dst []Reading, t time.Duration, load float64) []Reading
 }
 
 // GPUSpec describes the simulated accelerator.
@@ -88,17 +89,17 @@ func NewGPUSampler(spec GPUSpec, index int, seed int64) *GPUSampler {
 func (g *GPUSampler) Name() string { return fmt.Sprintf("gpu%d", g.Index) }
 
 // Sample implements Sampler. Jitter is ±2% on power and utilization.
-func (g *GPUSampler) Sample(t time.Duration, load float64) []Reading {
+func (g *GPUSampler) Sample(dst []Reading, t time.Duration, load float64) []Reading {
 	jitter := 1 + 0.02*(2*g.rng.Float64()-1)
 	util := clamp01(load * jitter)
 	power := g.Spec.Watts(util)
 	temp := 35 + 55*util + 2*math.Sin(t.Seconds()/30)
-	return []Reading{
-		{g.names[0], util},
-		{g.names[1], power},
-		{g.names[2], math.Min(g.MemUsedGB, g.Spec.MemGB)},
-		{g.names[3], temp},
-	}
+	return append(dst,
+		Reading{g.names[0], util},
+		Reading{g.names[1], power},
+		Reading{g.names[2], math.Min(g.MemUsedGB, g.Spec.MemGB)},
+		Reading{g.names[3], temp},
+	)
 }
 
 // CPUSampler simulates host CPU counters.
@@ -117,12 +118,12 @@ func NewCPUSampler(seed int64) *CPUSampler {
 func (c *CPUSampler) Name() string { return "cpu" }
 
 // Sample implements Sampler. Host load tracks ~30% of device load.
-func (c *CPUSampler) Sample(t time.Duration, load float64) []Reading {
+func (c *CPUSampler) Sample(dst []Reading, t time.Duration, load float64) []Reading {
 	util := clamp01(0.1 + 0.3*load + 0.05*c.rng.Float64())
-	return []Reading{
-		{"cpu_util", util},
-		{"cpu_power_w", c.IdleWatts + (c.PeakWatts-c.IdleWatts)*util},
-	}
+	return append(dst,
+		Reading{"cpu_util", util},
+		Reading{"cpu_power_w", c.IdleWatts + (c.PeakWatts-c.IdleWatts)*util},
+	)
 }
 
 func clamp01(v float64) float64 {

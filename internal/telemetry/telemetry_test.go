@@ -80,8 +80,8 @@ func TestGPUSamplerDeterministic(t *testing.T) {
 	a := NewGPUSampler(MI250XGCD(), 0, 42)
 	b := NewGPUSampler(MI250XGCD(), 0, 42)
 	for i := 0; i < 10; i++ {
-		ra := a.Sample(time.Duration(i)*time.Second, 0.7)
-		rb := b.Sample(time.Duration(i)*time.Second, 0.7)
+		ra := a.Sample(nil, time.Duration(i)*time.Second, 0.7)
+		rb := b.Sample(nil, time.Duration(i)*time.Second, 0.7)
 		for j := range ra {
 			if ra[j] != rb[j] {
 				t.Fatalf("non-deterministic at step %d: %v vs %v", i, ra[j], rb[j])
@@ -89,8 +89,8 @@ func TestGPUSamplerDeterministic(t *testing.T) {
 		}
 	}
 	c := NewGPUSampler(MI250XGCD(), 1, 42)
-	rc := c.Sample(0, 0.7)
-	ra := a.Sample(0, 0.7)
+	rc := c.Sample(nil, 0, 0.7)
+	ra := a.Sample(nil, 0, 0.7)
 	if rc[1].Value == ra[1].Value {
 		t.Log("note: different GPU indexes produced identical jitter (allowed but unlikely)")
 	}
@@ -102,7 +102,7 @@ func TestGPUSamplerDeterministic(t *testing.T) {
 func TestGPUSamplerMetrics(t *testing.T) {
 	s := NewGPUSampler(MI250XGCD(), 3, 1)
 	s.MemUsedGB = 999 // should clamp to spec
-	rs := s.Sample(time.Second, 0.5)
+	rs := s.Sample(nil, time.Second, 0.5)
 	got := map[string]float64{}
 	for _, r := range rs {
 		got[r.Metric] = r.Value
@@ -123,7 +123,7 @@ func TestVaryingLoadAffectsEnergy(t *testing.T) {
 		s := NewGPUSampler(MI250XGCD(), 0, 3)
 		var m EnergyMeter
 		for at := time.Duration(0); at <= 60*time.Second; at += time.Second {
-			for _, r := range s.Sample(at, load) {
+			for _, r := range s.Sample(nil, at, load) {
 				if r.Metric != "gpu0_power_w" {
 					continue
 				}
