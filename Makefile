@@ -76,8 +76,12 @@ chaos:
 # from the blob against the decoded document's), the differential one
 # that holds
 # TranscodeJSON (PROV-JSON straight to a blob, the server's write path)
-# to ParseJSON, Validate and AppendBinary — same blob byte for byte,
-# same error text, same stats — the two binary-codec ones (the
+# to ParseJSON, the map-walk validator and AppendBinary — same blob byte
+# for byte, same error text, same stats — the differential one that
+# holds Validate and EncodeDocument (the library's put), over documents
+# built through the API, to the map-walk validator they replaced — same
+# issues in the same order, same error text, AppendBinary's blob — the
+# two binary-codec ones (the
 # round-trip one also re-encodes a canonical blob to the same bytes, the
 # decode one also holds ElementAttr, attribute search's walk, to the
 # attributes ParseBinary decodes), and the differential one that holds
@@ -112,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSONMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONEmitMatchesReference$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzTranscodeJSONMatchesEncode$$' -fuzztime 10s ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateMatchesOracle$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocRoundTrip$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDocDecode$$' -fuzztime 10s ./internal/prov
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexBinaryMatchesDecode$$' -fuzztime 10s ./internal/prov

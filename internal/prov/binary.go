@@ -63,7 +63,9 @@ const (
 // by the one reader of its layout, binReader.walk (recordWalk), from
 // PROV-JSON by its one reader (decoder), and from a *Document by
 // fromDocument; written by binEmitter as a blob and by jsonEmitter as
-// PROV-JSON; and made a *Document by link.
+// PROV-JSON; made a *Document by link; and checked by the one
+// validator, docRecords.validate, which Validate, EncodeDocument and
+// TranscodeJSON call.
 
 // recAttr is one attribute of a record.
 type recAttr struct {
@@ -311,15 +313,33 @@ func (e *binEmitter) value(dst []byte, v Value) []byte {
 	}
 }
 
-// AppendBinary appends the binary encoding of d to dst and returns the
-// extended slice. Encoding cannot fail: every in-memory document is
-// representable. The encoding is canonical: elements are written in id
-// order within each class, attributes in key order and relations in
-// the document's order, so equal documents with equally ordered
+// EncodeDocument appends the binary encoding of d to dst and checks d
+// as it goes: blob is the extended slice, and invalid is the error
+// Validate returns for d, if any. It is the library's TranscodeJSON:
+// one pass from a *Document to its records, its blob and the one
+// validator's verdict. The encoding is canonical: elements are written
+// in id order within each class, attributes in key order and relations
+// in the document's order, so equal documents with equally ordered
 // relations encode to equal bytes.
+func EncodeDocument(dst []byte, d *Document) (blob []byte, invalid error) {
+	w := recordWalks.Get().(*recordWalk)
+	defer w.release()
+	blob = w.encode(dst, d)
+	_, invalid = w.rs.validate(&w.bin, false)
+	return blob, invalid
+}
+
+// AppendBinary is EncodeDocument without the check: every in-memory
+// document has an encoding, valid or not.
 func AppendBinary(dst []byte, d *Document) []byte {
 	w := recordWalks.Get().(*recordWalk)
 	defer w.release()
+	return w.encode(dst, d)
+}
+
+// encode appends the blob of d to dst, leaving its records in w.rs and
+// the emitter's notes on them in w.bin for the validator.
+func (w *recordWalk) encode(dst []byte, d *Document) []byte {
 	w.rs.fromDocument(d)
 	return w.bin.emit(dst, &w.rs)
 }
@@ -702,7 +722,7 @@ func ParseBinary(data []byte) (*Document, error) {
 // the blob for an emit and copies for a decode, whose document keeps
 // them. A filtered walk keeps only the elements keep names and the
 // relations both of whose endpoints it names. Pooled, with the two
-// writers of records, for an encode of a *Document too.
+// writers of records, for an encode or a validation of a *Document too.
 type recordWalk struct {
 	r        binReader
 	rs       docRecords
@@ -710,6 +730,7 @@ type recordWalk struct {
 	filtered bool
 	bin      binEmitter
 	js       jsonEmitter
+	scratch  []byte // Validate's blob
 }
 
 var recordWalks = sync.Pool{New: func() any { return new(recordWalk) }}

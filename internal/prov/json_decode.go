@@ -102,7 +102,8 @@ func TranscodeJSON(dst []byte, sc *jsonscan.Scanner) (blob []byte, st Stats, inv
 		return dst, Stats{}, invalid, err
 	}
 	blob = d.e.emit(dst, &d.rs)
-	return blob, d.rs.stats(), d.rs.validate(&d.e), nil
+	_, invalid = d.rs.validate(&d.e, false)
+	return blob, d.rs.stats(), invalid, nil
 }
 
 // decode scans the value at sc's cursor, a JSON object, into a pooled

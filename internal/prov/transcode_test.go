@@ -31,9 +31,10 @@ func transcodeText(prefix, data []byte) (blob []byte, st Stats, invalid, err err
 }
 
 // encodeReference is what TranscodeJSON stands for: ParseJSON, then
-// Validate and AppendBinary on the document. err is a syntax error,
-// invalid a document ParseJSON or Validate rejects; a document Validate
-// rejects still has its blob and stats.
+// the map walk Validate replaced (oracleValidate) and AppendBinary on
+// the document. err is a syntax error, invalid a document ParseJSON or
+// the oracle rejects; a document the oracle rejects still has its blob
+// and stats.
 func encodeReference(data []byte) (blob []byte, st Stats, invalid, err error) {
 	doc, err := ParseJSON(data)
 	if err != nil {
@@ -42,7 +43,7 @@ func encodeReference(data []byte) (blob []byte, st Stats, invalid, err error) {
 		}
 		return nil, Stats{}, err, nil
 	}
-	_, invalid = doc.Validate()
+	_, invalid = oracleValidate(doc)
 	return AppendBinary(nil, doc), doc.Stats(), invalid, nil
 }
 
@@ -104,7 +105,7 @@ func readCorpus(tb testing.TB, dir string) [][]byte {
 }
 
 // FuzzTranscodeJSONMatchesEncode holds TranscodeJSON to ParseJSON,
-// Validate and AppendBinary (checkTranscode): same blob byte for byte,
+// oracleValidate and AppendBinary (checkTranscode): same blob byte for byte,
 // same syntax or invalid error by text, same stats. Seeds: those of
 // FuzzParseJSONMatchesReference with its committed corpus, and the doc
 // of every line of the batch endpoint's seed file.
@@ -246,6 +247,9 @@ func TestValidateErrorDeterministic(t *testing.T) {
 // TestValidateCleanAllocatesNothing: the all-valid path of Validate
 // allocates nothing.
 func TestValidateCleanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops the pooled records walk at random")
+	}
 	d := manyElementsDoc()
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := d.Validate(); err != nil {
@@ -253,5 +257,70 @@ func TestValidateCleanAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Validate of a valid document makes %.0f allocations", allocs)
+	}
+}
+
+// chainDepths are the chain depths of the benchmark corpus
+// (bench/corpus.go).
+var chainDepths = []int{12, 64, 256}
+
+// BenchmarkValidate validates the document of a chain of each depth:
+// encode into the walk's scratch, then the records check.
+func BenchmarkValidate(b *testing.B) {
+	for _, depth := range chainDepths {
+		d, err := ParseJSON(chainDocJSON(depth))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := d.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeDocument is the library put's encode and check of the
+// same documents, into a reused buffer.
+func BenchmarkEncodeDocument(b *testing.B) {
+	for _, depth := range chainDepths {
+		d, err := ParseJSON(chainDocJSON(depth))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			for range b.N {
+				var invalid error
+				if buf, invalid = EncodeDocument(buf[:0], d); invalid != nil {
+					b.Fatal(invalid)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTranscodeJSON is the service's decode, check and encode of
+// the same documents' PROV-JSON, into a reused buffer.
+func BenchmarkTranscodeJSON(b *testing.B) {
+	for _, depth := range chainDepths {
+		data := chainDocJSON(depth)
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			var buf []byte
+			for range b.N {
+				sc := jsonscan.New(data)
+				blob, _, invalid, err := TranscodeJSON(buf[:0], &sc)
+				if err != nil || invalid != nil {
+					b.Fatal(err, invalid)
+				}
+				buf = blob
+			}
+		})
 	}
 }

@@ -18,74 +18,28 @@ type ValidationIssue struct {
 var ErrInvalidDocument = errors.New("prov: invalid document")
 
 // Validate checks the document for structural problems: dangling relation
-// endpoints, wrong endpoint classes, invalid qualified names, activities
-// whose end precedes their start, and unknown namespace prefixes. It
-// returns the full issue list and a non-nil error if any issue has
-// severity "error". Issues come in a fixed order: the entities', the
-// agents' and the activities', each class in id order, then the
-// relations' in the document's order.
+// endpoints, wrong endpoint classes, relations of unknown kind, invalid
+// qualified names, activities whose end precedes their start, and
+// unknown namespace prefixes. It returns the full issue list and a
+// non-nil error if any issue has severity "error". Issues come in a
+// fixed order: the entities', the agents' and the activities', each
+// class in id order, then the relations' in the document's order.
+//
+// The checks are the one validator of this package, which runs over
+// the document's records (docRecords.validate): Validate encodes the
+// document into scratch to run them, as EncodeDocument does into its
+// caller's buffer.
 func (d *Document) Validate() ([]ValidationIssue, error) {
-	l := issueLog{keep: true}
-	// One pass over the maps finds whether any element has an issue and
-	// allocates nothing, so the common all-valid document pays for no
-	// sort; a document with one has its ids sorted to report them.
-	if !d.elementsClean() {
-		for _, id := range d.EntityIDs() {
-			l.checkQName("entity", id, d.prefixBound(id))
-		}
-		for _, id := range d.AgentIDs() {
-			l.checkQName("agent", id, d.prefixBound(id))
-		}
-		for _, id := range d.ActivityIDs() {
-			a := d.Activities[id]
-			l.checkQName("activity", id, d.prefixBound(id))
-			l.checkTimes(id, a.StartTime, a.EndTime)
-		}
-	}
-	for _, r := range d.Relations {
-		want, ok := relationKinds[r.Kind]
-		if !ok {
-			l.add("error", "relation %s has unsupported kind %q", r.ID, r.Kind)
-			continue
-		}
-		l.checkEnd(r.ID, r.Kind, "subject", r.Subject, d.NodeKind(r.Subject), want.subjClass)
-		l.checkEnd(r.ID, r.Kind, "object", r.Object, d.NodeKind(r.Object), want.objClass)
-	}
-	return l.issues, l.err()
+	w := recordWalks.Get().(*recordWalk)
+	defer w.release()
+	w.scratch = w.encode(w.scratch[:0], d)
+	return w.rs.validate(&w.bin, true)
 }
 
-// elementsClean reports whether no element of d has an issue.
-func (d *Document) elementsClean() bool {
-	for id := range d.Entities {
-		if !id.Valid() || !d.prefixBound(id) {
-			return false
-		}
-	}
-	for id := range d.Agents {
-		if !id.Valid() || !d.prefixBound(id) {
-			return false
-		}
-	}
-	for id, a := range d.Activities {
-		if !id.Valid() || !d.prefixBound(id) || endsBeforeStart(a.StartTime, a.EndTime) {
-			return false
-		}
-	}
-	return true
-}
-
-func (d *Document) prefixBound(q QName) bool {
-	_, ok := d.Namespaces.Lookup(q.Prefix())
-	return ok
-}
-
-func endsBeforeStart(start, end time.Time) bool {
-	return !start.IsZero() && !end.IsZero() && end.Before(start)
-}
-
-// issueLog is what a validation finds: every issue when keep is set
-// (Validate), otherwise their count and the first one's message
-// (TranscodeJSON), which is all the error needs.
+// issueLog is what the one validator (docRecords.validate) finds: every
+// issue when keep is set (Validate), otherwise their count and the
+// first one's message (EncodeDocument, TranscodeJSON), which is all the
+// error needs.
 type issueLog struct {
 	keep   bool
 	issues []ValidationIssue
@@ -130,7 +84,7 @@ func (l *issueLog) checkQName(what string, q QName, bound bool) {
 
 // checkTimes checks the times of activity id.
 func (l *issueLog) checkTimes(id QName, start, end time.Time) {
-	if endsBeforeStart(start, end) {
+	if !start.IsZero() && !end.IsZero() && end.Before(start) {
 		l.add("error", "activity %s ends (%s) before it starts (%s)", id, end, start)
 	}
 }
@@ -150,12 +104,13 @@ func (l *issueLog) checkEnd(relID string, kind RelationKind, role string, id QNa
 // format's order.
 var nodeKinds = [len(elementClasses)]string{"entity", "activity", "agent"}
 
-// validate runs Validate's checks over canonical records that e has
-// just written, in Validate's order, and returns the error Validate
-// returns for the document they hold. An endpoint's classes are those
-// the emitter noted for its string.
-func (rs *docRecords) validate(e *binEmitter) error {
-	var l issueLog
+// validate is the one validator: it runs the checks Validate documents
+// over canonical records that e has just written, in Validate's order,
+// and returns every issue if keep is set, and the error. An endpoint's
+// classes are those the emitter noted for its string. A clean document
+// costs no allocation.
+func (rs *docRecords) validate(e *binEmitter, keep bool) ([]ValidationIssue, error) {
+	l := issueLog{keep: keep}
 	// Ids mostly share a prefix: the last one looked up is remembered.
 	prefix, bound, looked := "", false, false
 	for _, c := range [...]int{0, 2, activityClass} {
@@ -173,11 +128,15 @@ func (rs *docRecords) validate(e *binEmitter) error {
 	}
 	for i := range rs.rels {
 		r := &rs.rels[i]
-		want := relationKinds[r.kind]
+		want, ok := relationKinds[r.kind]
+		if !ok {
+			l.add("error", "relation %s has unsupported kind %q", r.id, r.kind)
+			continue
+		}
 		l.checkEnd(r.id, r.kind, "subject", QName(r.subject), nodeKind(e.classes[e.ends[2*i]]), want.subjClass)
 		l.checkEnd(r.id, r.kind, "object", QName(r.object), nodeKind(e.classes[e.ends[2*i+1]]), want.objClass)
 	}
-	return l.err()
+	return l.issues, l.err()
 }
 
 // nodeKind is what NodeKind returns for a name of the element classes

@@ -7,6 +7,7 @@ package provgraph
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/prov"
@@ -54,7 +55,9 @@ func nodeLabel(id prov.QName, attrs prov.Attrs) string {
 // reaches it with depth to spare; every later occurrence — a cycle
 // back onto the path, or a node shared by two paths of a DAG — prints
 // "..." instead. So the tree has at most one line per relation plus the
-// root, however many paths the graph holds.
+// root, however many paths the graph holds. A line deeper than
+// asciiIndentLevels starts with its level number instead of an indent,
+// so a line's length does not grow with the depth of a long chain.
 func ASCII(d *prov.Document, root prov.QName, maxDepth int) string {
 	adj := map[prov.QName][]edge{}
 	for _, r := range d.Relations {
@@ -75,6 +78,9 @@ func ASCII(d *prov.Document, root prov.QName, maxDepth int) string {
 	expanded := map[prov.QName]bool{root: true}
 	var walk func(n prov.QName, prefix string, depth int)
 	walk = func(n prov.QName, prefix string, depth int) {
+		if depth >= asciiIndentLevels {
+			prefix = strconv.Itoa(depth+1) + " "
+		}
 		children := adj[n]
 		for i, e := range children {
 			connector := "├─"
@@ -98,6 +104,10 @@ func ASCII(d *prov.Document, root prov.QName, maxDepth int) string {
 	walk(root, "", 0)
 	return sb.String()
 }
+
+// asciiIndentLevels is the deepest level of an ASCII tree whose lines
+// are indented; each level costs two columns.
+const asciiIndentLevels = 32
 
 type edge struct {
 	kind prov.RelationKind

@@ -139,3 +139,34 @@ func TestASCIIExpandsAtShallowerRevisit(t *testing.T) {
 		t.Errorf("ex:c should print twice and be expanded once, from ex:z:\n%s", out)
 	}
 }
+
+// TestASCIILinearInDepth: the explorer page of a chain at the 1 024-hop
+// traversal cap grows with its relations, not with their square. A line
+// deeper than asciiIndentLevels starts with its level number; indented
+// two columns a level, this chain's page was about 1 070 bytes a
+// relation.
+func TestASCIILinearInDepth(t *testing.T) {
+	const n = 1029
+	d := prov.NewDocument()
+	id := func(i int) prov.QName { return prov.QName(fmt.Sprintf("ex:e%d", i)) }
+	for i := range n {
+		d.AddEntity(id(i), nil)
+	}
+	for i := 1; i < n; i++ {
+		d.WasDerivedFrom(id(i-1), id(i))
+	}
+	out := ASCII(d, id(0), 0)
+	if per := len(out) / len(d.Relations); per > 160 {
+		t.Errorf("%d bytes for %d relations, %d a relation", len(out), len(d.Relations), per)
+	}
+	lines := strings.Split(out, "\n")
+	for level, want := range map[int]string{
+		asciiIndentLevels:     strings.Repeat("  ", asciiIndentLevels-1) + "└─[wasDerivedFrom]→ ex:e32 (entity)",
+		asciiIndentLevels + 1: "33 └─[wasDerivedFrom]→ ex:e33 (entity)",
+		n - 1:                 "1028 └─[wasDerivedFrom]→ ex:e1028 (entity)",
+	} {
+		if lines[level] != want {
+			t.Errorf("level %d: %q, want %q", level, lines[level], want)
+		}
+	}
+}

@@ -32,11 +32,14 @@ func (s *Store) PutBatch(docs map[string]*prov.Document) error {
 	return s.Apply(context.Background(), ops)
 }
 
-// docOp is the put of doc under id: doc is validated, then encoded
-// (encodeBlob).
+// docOp is the put of doc under id: doc is encoded and validated in one
+// pass (prov.EncodeDocument) into a pooled buffer, and its blob kept
+// exactly sized (keepBlob).
 func docOp(id string, doc *prov.Document) (Op, error) {
-	if _, err := doc.Validate(); err != nil {
-		return Op{}, fmt.Errorf("provstore: refusing invalid document %q: %w", id, err)
+	scratch, invalid := prov.EncodeDocument(getOpBuf(), doc)
+	if invalid != nil {
+		putOpBuf(scratch)
+		return Op{}, fmt.Errorf("provstore: refusing invalid document %q: %w", id, invalid)
 	}
-	return Op{ID: id, Blob: encodeBlob(doc)}, nil
+	return Op{ID: id, Blob: keepBlob(scratch)}, nil
 }

@@ -131,6 +131,53 @@ func TestPutBatchRejectsInvalidDocAtomically(t *testing.T) {
 // reopen — including when it replaces or deletes a document that already
 // existed. One row per caller of the mutation pipeline that stages: a
 // local batch, a single put, a single delete, and a replicated record.
+// TestLibraryPutRefusesInvalid pins the library put's refusal: Put and
+// PutBatch of a document prov.EncodeDocument finds invalid return the
+// store's error around Validate's, which wraps prov.ErrInvalidDocument,
+// and store and journal are left as they were, also when one document
+// of a batch is the invalid one. A document with warnings only is
+// stored.
+func TestLibraryPutRefusesInvalid(t *testing.T) {
+	s := openTemp(t, t.TempDir(), Durability{Fsync: true, SnapshotEvery: -1})
+	if err := s.Put("keep", testDoc(t, "keep")); err != nil {
+		t.Fatal(err)
+	}
+	bad := invalidDoc()
+	bad.AddEntity("zz:warned", nil)
+	const want = `provstore: refusing invalid document "bad": prov: invalid document: 2 issue(s), first: entity uses unregistered namespace prefix "zz"`
+	batch := batchDocs(t, "b", 3) // sorted before "bad": encoded first
+	batch["bad"] = bad
+	before, appends := storeFingerprint(s), s.Stats().Durability.Appends
+	for name, put := range map[string]func() error{
+		"Put":      func() error { return s.Put("bad", bad) },
+		"PutBatch": func() error { return s.PutBatch(batch) },
+	} {
+		err := put()
+		if err == nil || err.Error() != want || !errors.Is(err, prov.ErrInvalidDocument) {
+			t.Errorf("%s: %v\nwant %q, wrapping prov.ErrInvalidDocument", name, err, want)
+		}
+		if after := storeFingerprint(s); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s changed the store:\n before %+v\n after  %+v", name, before, after)
+		}
+		if got := s.Stats().Durability.Appends; got != appends {
+			t.Errorf("%s journaled %d record(s)", name, got-appends)
+		}
+	}
+	warned := prov.NewDocument()
+	warned.AddEntity("zz:warned", nil)
+	if err := s.Put("warned", warned); err != nil {
+		t.Fatalf("Put of a document with a warning: %v", err)
+	}
+	if err := s.PutBatch(map[string]*prov.Document{"warned-too": warned}); err != nil {
+		t.Fatalf("PutBatch of a document with a warning: %v", err)
+	}
+	for _, id := range []string{"warned", "warned-too"} {
+		if got, ok := s.Get(id); !ok || !got.HasNode("zz:warned") {
+			t.Errorf("%s is not stored", id)
+		}
+	}
+}
+
 func TestPutBatchStageFailureRollsBack(t *testing.T) {
 	injected := errors.New("injected: device error")
 	replacement := func() *prov.Document { return testDoc(t, "new-version") }

@@ -158,6 +158,12 @@ func putOp(id string, doc *prov.Document) Op {
 	return Op{ID: id, Blob: encodeBlob(doc)}
 }
 
+// encodeBlob is doc's binary encoding, exactly sized as a put keeps it
+// (keepBlob), whether or not doc is valid.
+func encodeBlob(doc *prov.Document) []byte {
+	return keepBlob(prov.AppendBinary(getOpBuf(), doc))
+}
+
 // entriesOf is what the record and snapshot encoders read of the
 // entries ops install: each put's id and blob; nil for a delete. The
 // blobs are not indexed, so a record can carry one that recovery

@@ -74,11 +74,6 @@ func newEntry(id string, blob []byte) (*entry, error) {
 	}, nil
 }
 
-// encodeBlob is doc's binary encoding, exactly sized (keepBlob).
-func encodeBlob(doc *prov.Document) []byte {
-	return keepBlob(prov.AppendBinary(getOpBuf(), doc))
-}
-
 // keepBlob returns an exactly sized copy of scratch, a blob encoded
 // into a pooled record buffer, and pools the buffer again: append's
 // slack would stay live with the entry.
